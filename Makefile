@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-tags test race vet lint lint-fast fmt bench bench-go experiments examples clean
+.PHONY: all build build-tags test race vet lint lint-fast fmt bench bench-go bench-e2e bench-smoke bench-compare experiments examples clean
 
 all: build build-tags lint test race
 
@@ -66,6 +66,20 @@ bench:
 # The raw go-test benchmarks (unpinned; exploratory use).
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
+
+# The wire-to-verdict benchmark BENCHMARK.json names (bench/README.md is
+# its ledger): the real bfwall end to end plus every layer priced from
+# outside. Results land in .bench_build/result.json; bench-smoke is the
+# seconds-long harness check CI runs; compare two result files with
+# `make bench-compare A=old.json B=new.json`.
+bench-e2e:
+	$(GO) run ./bench
+
+bench-smoke:
+	$(GO) run ./bench -smoke
+
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 # Regenerate every table/figure on stdout (see EXPERIMENTS.md).
 experiments:

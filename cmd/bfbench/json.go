@@ -80,8 +80,8 @@ func benchWorkload(n int, seed uint64) []packet.Packet {
 
 // tenantWorkload is benchWorkload with the client side spread uniformly
 // across the tenants flavor's 64 /16 prefixes, so a batch exercises the
-// full route→group→dispatch path (LPM per packet, counting sort, ~64
-// grouped sub-batches) rather than collapsing into one tenant.
+// full route→group→dispatch path (table lookup per packet, counting
+// sort, ~64 grouped sub-batches) rather than collapsing into one tenant.
 func tenantWorkload(n int, seed uint64) []packet.Packet {
 	r := xrand.New(seed)
 	pkts := make([]packet.Packet, 0, n)

@@ -534,9 +534,11 @@ func sourceFactory(pcapPath, iface string, loops, snapLen int, gcfg genConfig, o
 // reusable packet batch, one reusable verdict buffer — zero allocations
 // per frame in steady state.
 type pump struct {
-	src      capture.Source
-	bf       filtering.BatchFilter
-	subnets  []packet.Prefix
+	src capture.Source
+	bf  filtering.BatchFilter
+	// clients classifies direction against the client subnets; nil (no
+	// subnets configured) keeps the decoder's MAC-derived direction.
+	clients  *packet.PrefixTable
 	ring     []capture.Frame
 	pkts     []packet.Packet
 	verdicts []filtering.Verdict
@@ -554,24 +556,18 @@ func newPump(src capture.Source, bf filtering.BatchFilter, subnets []packet.Pref
 	if batch < 1 {
 		batch = 1
 	}
-	return &pump{
+	p := &pump{
 		src:      src,
 		bf:       bf,
-		subnets:  subnets,
 		ring:     capture.NewRing(batch, snapLen),
 		pkts:     make([]packet.Packet, 0, batch),
 		verdicts: make([]filtering.Verdict, 0, batch),
 		stats:    stats,
 	}
-}
-
-func (p *pump) inside(a packet.Addr) bool {
-	for _, s := range p.subnets {
-		if s.Contains(a) {
-			return true
-		}
+	if len(subnets) > 0 {
+		p.clients = packet.NewPrefixTable(subnets)
 	}
-	return false
+	return p
 }
 
 // run drains the source through the filter until EOF. A clean close
@@ -614,12 +610,14 @@ func (p *pump) run() error {
 func (p *pump) processBatch(frames []capture.Frame) {
 	defer p.contain(len(frames))
 	start := time.Now()
+	// Counted up front so a quarantined batch's frames still show.
+	p.stats.frames.Add(uint64(len(frames)))
+	var wireBytes, truncated, unrouted uint64
 	pkts := p.pkts[:0]
 	for i := range frames {
-		p.stats.frames.Add(1)
-		p.stats.bytes.Add(uint64(frames[i].OrigLen))
+		wireBytes += uint64(frames[i].OrigLen)
 		if frames[i].Truncated() {
-			p.stats.truncated.Add(1)
+			truncated++
 		}
 		m := len(pkts)
 		pkts = pkts[:m+1]
@@ -637,19 +635,19 @@ func (p *pump) processBatch(frames []capture.Frame) {
 		// Subnet classification overrides the synthetic-MAC direction:
 		// real captures do not carry our MACs. Frames touching no client
 		// subnet are transit the edge would never forward to us.
-		if len(p.subnets) > 0 {
-			switch {
-			case p.inside(pkts[m].Tuple.Src):
-				pkts[m].Dir = packet.Outgoing
-			case p.inside(pkts[m].Tuple.Dst):
-				pkts[m].Dir = packet.Incoming
-			default:
+		if p.clients != nil {
+			dir, ok := p.clients.Classify(pkts[m].Tuple)
+			if !ok {
 				pkts = pkts[:m]
-				p.stats.unrouted.Add(1)
+				unrouted++
 				continue
 			}
+			pkts[m].Dir = dir
 		}
 	}
+	p.stats.bytes.Add(wireBytes)
+	p.stats.truncated.Add(truncated)
+	p.stats.unrouted.Add(unrouted)
 	p.verdicts = p.bf.ProcessBatchInto(pkts, p.verdicts)
 	var out, in, pass, drop uint64
 	for i := range pkts {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -62,8 +63,8 @@ const reservoirSize = 4096
 
 // wallStats is the daemon's observability state. The counters are written
 // by the pump goroutine and read by HTTP handlers, so everything is
-// atomic; the latency reservoir has its own lock (it is touched once per
-// batch, not per packet).
+// atomic; the latency reservoir has its own lock (taken once per batch,
+// and doing work only for the packets that land in the reservoir).
 type wallStats struct {
 	start time.Time
 
@@ -87,6 +88,12 @@ type wallStats struct {
 	rng     *xrand.Rand
 	samples []time.Duration // per-packet latency reservoir
 	seen    uint64
+	// Skip-ahead state of the reservoir (Li's Algorithm L), live once
+	// samples is full: skip arrivals pass unsampled before the next one
+	// replaces a random slot; w is the running key threshold the skips
+	// are drawn from.
+	w    float64
+	skip uint64
 }
 
 func newWallStats(start time.Time) *wallStats {
@@ -102,6 +109,13 @@ func newWallStats(start time.Time) *wallStats {
 // the batch average, which is exactly the per-packet cost the saturation
 // question cares about (can the loop keep up), without a clock read per
 // packet.
+//
+// The reservoir is a uniform sample over packets, not batches. Instead of
+// a coin per packet it draws how many arrivals to skip until the next
+// replacement, so a full reservoir costs one subtraction per batch and
+// random draws only per replacement (about reservoirSize·ln(seen/
+// reservoirSize) over a run). The draws depend on the arrival count alone:
+// a batch of n leaves the reservoir exactly as n single observations do.
 func (s *wallStats) observeBatchLatency(elapsed time.Duration, n int) {
 	if n <= 0 {
 		return
@@ -109,16 +123,31 @@ func (s *wallStats) observeBatchLatency(elapsed time.Duration, n int) {
 	per := elapsed / time.Duration(n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := 0; i < n; i++ {
-		s.seen++
-		if len(s.samples) < reservoirSize {
+	left := uint64(n)
+	s.seen += left
+	if len(s.samples) < reservoirSize {
+		for ; left > 0 && len(s.samples) < reservoirSize; left-- {
 			s.samples = append(s.samples, per)
-			continue
 		}
-		if j := s.rng.Intn(int(s.seen)); j < reservoirSize {
-			s.samples[j] = per
+		if len(s.samples) == reservoirSize {
+			s.w = 1
+			s.drawSkip()
 		}
 	}
+	for left > s.skip {
+		left -= s.skip + 1
+		s.samples[s.rng.Intn(reservoirSize)] = per
+		s.drawSkip()
+	}
+	s.skip -= left
+}
+
+// drawSkip advances Algorithm L: shrink the threshold by the largest of
+// reservoirSize uniform keys, then draw the geometric number of arrivals
+// whose keys all exceed it.
+func (s *wallStats) drawSkip() {
+	s.w *= math.Exp(-s.rng.Exp(1) / reservoirSize)
+	s.skip = uint64(s.rng.Exp(1) / -math.Log1p(-s.w))
 }
 
 // latencyQuantiles returns the requested quantiles of the reservoir

@@ -19,6 +19,7 @@ import (
 	"bitmapfilter/internal/attack"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/netsim"
+	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/xrand"
 )
 
@@ -32,8 +33,12 @@ func main() {
 type placement struct {
 	name     string
 	networks []*netsim.Network
-	filters  []bitmapfilter.PacketFilter
-	sim      *netsim.Simulator
+	// subnets finds the network behind an address: owner[i] serves the
+	// table's i-th prefix.
+	subnets *packet.PrefixTable
+	owner   []*netsim.Network
+	filters []bitmapfilter.PacketFilter
+	sim     *netsim.Simulator
 }
 
 func run() error {
@@ -156,8 +161,9 @@ func runTopology(a, b bitmapfilter.Prefix, newFilter func() (*bitmapfilter.Filte
 
 func buildEdgePlacement(a, b bitmapfilter.Prefix, newFilter func() (*bitmapfilter.Filter, error)) (*placement, error) {
 	sim := netsim.NewSimulator()
-	pl := &placement{name: "per-edge filters", sim: sim}
-	for _, subnet := range []bitmapfilter.Prefix{a, b} {
+	subnets := []bitmapfilter.Prefix{a, b}
+	pl := &placement{name: "per-edge filters", sim: sim, subnets: packet.NewPrefixTable(subnets)}
+	for _, subnet := range subnets {
 		f, err := newFilter()
 		if err != nil {
 			return nil, err
@@ -167,6 +173,7 @@ func buildEdgePlacement(a, b bitmapfilter.Prefix, newFilter func() (*bitmapfilte
 			return nil, err
 		}
 		pl.networks = append(pl.networks, net)
+		pl.owner = append(pl.owner, net)
 		pl.filters = append(pl.filters, f)
 	}
 	return pl, nil
@@ -178,7 +185,8 @@ func buildCorePlacement(a, b bitmapfilter.Prefix, newFilter func() (*bitmapfilte
 	if err != nil {
 		return nil, err
 	}
-	net, err := netsim.NewNetwork(sim, []bitmapfilter.Prefix{a, b}, f)
+	subnets := []bitmapfilter.Prefix{a, b}
+	net, err := netsim.NewNetwork(sim, subnets, f)
 	if err != nil {
 		return nil, err
 	}
@@ -186,6 +194,8 @@ func buildCorePlacement(a, b bitmapfilter.Prefix, newFilter func() (*bitmapfilte
 		name:     "core aggregation filter",
 		sim:      sim,
 		networks: []*netsim.Network{net},
+		subnets:  packet.NewPrefixTable(subnets),
+		owner:    []*netsim.Network{net, net},
 		filters:  []bitmapfilter.PacketFilter{f},
 	}, nil
 }
@@ -197,10 +207,8 @@ func exercise(pl *placement, a, b bitmapfilter.Prefix) error {
 	// Attach clients and servers; the core placement has one network,
 	// the edge placement one per subnet.
 	findNet := func(addr bitmapfilter.Addr) *netsim.Network {
-		for _, n := range pl.networks {
-			if n.Contains(addr) {
-				return n
-			}
+		if i := pl.subnets.Lookup(addr); i >= 0 {
+			return pl.owner[i]
 		}
 		return nil
 	}

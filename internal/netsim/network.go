@@ -87,7 +87,7 @@ type EdgeStats struct {
 // sits on the edge router exactly as in Figure 1.
 type Network struct {
 	sim     *Simulator
-	subnets []packet.Prefix
+	subnets *packet.PrefixTable
 	filter  filtering.PacketFilter // nil means unfiltered
 	hosts   map[packet.Addr]*Host  // inside hosts
 	remote  map[packet.Addr]*Host  // Internet hosts
@@ -106,7 +106,7 @@ func NewNetwork(sim *Simulator, subnets []packet.Prefix, filter filtering.Packet
 	}
 	return &Network{
 		sim:     sim,
-		subnets: subnets,
+		subnets: packet.NewPrefixTable(subnets),
 		filter:  filter,
 		hosts:   make(map[packet.Addr]*Host),
 		remote:  make(map[packet.Addr]*Host),
@@ -121,12 +121,7 @@ func (n *Network) Stats() EdgeStats { return n.stats }
 
 // Contains reports whether addr belongs to the network's subnets.
 func (n *Network) Contains(addr packet.Addr) bool {
-	for _, s := range n.subnets {
-		if s.Contains(addr) {
-			return true
-		}
-	}
-	return false
+	return n.subnets.Lookup(addr) >= 0
 }
 
 // AddHost attaches an inside host at addr.

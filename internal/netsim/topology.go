@@ -28,6 +28,12 @@ type Topology struct {
 	internet *RouterNode
 	hosts    map[packet.Addr]*Host
 	routers  map[string]*RouterNode
+	// Every attached subnet with the router it hangs off, index-aligned,
+	// and the table over them that edgeFor asks (recompiled on attach —
+	// attachment is set-up, lookups are per packet per hop).
+	attached []packet.Prefix
+	edges    []*RouterNode
+	subnets  *packet.PrefixTable
 }
 
 // HopDelay is the per-router-hop propagation latency inside the ISP.
@@ -47,7 +53,6 @@ type RouterNode struct {
 	topo     *Topology
 	parent   *RouterNode // nil for the Internet root
 	children []*RouterNode
-	subnets  []packet.Prefix
 	filter   filtering.PacketFilter
 	stats    EdgeStats
 }
@@ -61,6 +66,7 @@ func NewTopology(sim *Simulator) (*Topology, error) {
 		sim:     sim,
 		hosts:   make(map[packet.Addr]*Host),
 		routers: make(map[string]*RouterNode),
+		subnets: packet.NewPrefixTable(nil),
 	}
 	t.internet = &RouterNode{name: "internet", topo: t}
 	t.routers["internet"] = t.internet
@@ -107,14 +113,16 @@ func (r *RouterNode) AttachSubnet(prefix packet.Prefix) error {
 	if r == r.topo.internet {
 		return errors.New("netsim: cannot attach a client subnet to the internet root")
 	}
-	for _, other := range r.topo.routers {
-		for _, s := range other.subnets {
-			if s.Contains(prefix.Base) || prefix.Contains(s.Base) {
-				return fmt.Errorf("%w: %v vs %v on %s", ErrOverlapping, prefix, s, other.name)
-			}
+	t := r.topo
+	// Prefix against prefix, not an address lookup: a set-up-time scan.
+	for i, s := range t.attached {
+		if s.Contains(prefix.Base) || prefix.Contains(s.Base) {
+			return fmt.Errorf("%w: %v vs %v on %s", ErrOverlapping, prefix, s, t.edges[i].name)
 		}
 	}
-	r.subnets = append(r.subnets, prefix)
+	t.attached = append(t.attached, prefix)
+	t.edges = append(t.edges, r)
+	t.subnets = packet.NewPrefixTable(t.attached)
 	return nil
 }
 
@@ -134,12 +142,8 @@ func (t *Topology) AddHost(name string, addr packet.Addr) (*Host, error) {
 // edgeFor returns the router an address attaches to (the Internet root if
 // no attached subnet contains it).
 func (t *Topology) edgeFor(addr packet.Addr) *RouterNode {
-	for _, r := range t.routers {
-		for _, s := range r.subnets {
-			if s.Contains(addr) {
-				return r
-			}
-		}
+	if i := t.subnets.Lookup(addr); i >= 0 {
+		return t.edges[i]
 	}
 	return t.internet
 }

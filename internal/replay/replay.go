@@ -77,14 +77,7 @@ func Run(src io.Reader, filter filtering.PacketFilter, subnets []packet.Prefix, 
 		return Result{}, fmt.Errorf("replay: %w", err)
 	}
 
-	inside := func(a packet.Addr) bool {
-		for _, s := range subnets {
-			if s.Contains(a) {
-				return true
-			}
-		}
-		return false
-	}
+	clients := packet.NewPrefixTable(subnets)
 
 	var res Result
 	first := true
@@ -133,15 +126,12 @@ func Run(src io.Reader, filter filtering.PacketFilter, subnets []packet.Prefix, 
 			// the observers should account the frame at its wire length.
 			pkt.Length = rec.OrigLen
 		}
-		switch {
-		case inside(pkt.Tuple.Src):
-			pkt.Dir = packet.Outgoing
-		case inside(pkt.Tuple.Dst):
-			pkt.Dir = packet.Incoming
-		default:
+		dir, ok := clients.Classify(pkt.Tuple)
+		if !ok {
 			res.Skipped++
 			continue
 		}
+		pkt.Dir = dir
 		if first {
 			res.FirstTime = rec.Time
 			first = false

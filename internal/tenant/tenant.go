@@ -104,8 +104,11 @@ type Set struct {
 	mu      sync.RWMutex
 	tenants []*tenantState
 	byID    map[string]int
-	lpm     lpm
-	budget  *Budget
+	// routes maps a client-side address to its tenant's index: the same
+	// longest-prefix table the pump classifies direction with. Fixed at
+	// construction (Rebalance swaps filters, never prefixes).
+	routes *packet.PrefixTable
+	budget *Budget
 
 	// Unrouted packets are passed through unfiltered; counted here
 	// (atomically — the read lock is shared) and folded into Counters.
@@ -157,12 +160,13 @@ func NewSet(cfg SetConfig) (*Set, error) {
 	return newSetFromStates(states, cfg.Budget)
 }
 
-// newSetFromStates validates identifiers and prefixes, compiles the LPM
-// table, and assembles the Set. Shared by NewSet and the snapshot
+// newSetFromStates validates identifiers and prefixes, compiles the
+// routing table, and assembles the Set. Shared by NewSet and the snapshot
 // restore path.
 func newSetFromStates(states []*tenantState, budget *Budget) (*Set, error) {
 	byID := make(map[string]int, len(states))
 	prefixes := make([]packet.Prefix, len(states))
+	owned := make(map[packet.Prefix]struct{}, len(states))
 	for i, st := range states {
 		if st.id == "" || len(st.id) > maxIDLen {
 			return nil, fmt.Errorf("%w: tenant %d: id must be 1..%d bytes", ErrConfig, i, maxIDLen)
@@ -171,13 +175,16 @@ func newSetFromStates(states []*tenantState, budget *Budget) (*Set, error) {
 			return nil, fmt.Errorf("%w: duplicate tenant id %q", ErrConfig, st.id)
 		}
 		byID[st.id] = i
+		// Two tenants cannot own the same subnet; the table itself would
+		// quietly route it to the first.
+		canon := packet.PrefixFrom(st.prefix.Base, st.prefix.Bits)
+		if _, dup := owned[canon]; dup {
+			return nil, fmt.Errorf("%w: duplicate prefix %v", ErrConfig, st.prefix)
+		}
+		owned[canon] = struct{}{}
 		prefixes[i] = st.prefix
 	}
-	table, err := newLPM(prefixes)
-	if err != nil {
-		return nil, err
-	}
-	return &Set{tenants: states, byID: byID, lpm: table, budget: budget}, nil
+	return &Set{tenants: states, byID: byID, routes: packet.NewPrefixTable(prefixes), budget: budget}, nil
 }
 
 // Tenants returns the number of tenants.
@@ -212,7 +219,7 @@ func clientAddr(pkt *packet.Packet) packet.Addr {
 func (s *Set) Process(pkt packet.Packet) filtering.Verdict {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	slot := s.lpm.lookup(clientAddr(&pkt))
+	slot := s.routes.Lookup(clientAddr(&pkt))
 	if slot < 0 {
 		s.countUnrouted(pkt.Dir, 1)
 		return filtering.Pass
@@ -299,11 +306,10 @@ func (s *Set) processBatchInto(pkts []packet.Packet, out []filtering.Verdict) {
 	sc.perm = scratchSlice(sc.perm, len(pkts))             //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
 	sc.groupedOut = scratchSlice(sc.groupedOut, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
 
-	// Stable counting sort by tenant slot; the LPM walk runs once per
-	// packet.
+	// Stable counting sort by tenant slot; one table lookup per packet.
 	clear(sc.starts)
 	for i := range pkts {
-		slot := s.lpm.lookup(clientAddr(&pkts[i]))
+		slot := s.routes.Lookup(clientAddr(&pkts[i]))
 		if slot < 0 {
 			slot = int32(len(s.tenants))
 		}
@@ -433,7 +439,7 @@ func (s *Set) RotateEvery() time.Duration {
 func (s *Set) PunchHole(local packet.Addr, localPort uint16, remote packet.Addr, proto packet.Proto) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if slot := s.lpm.lookup(local); slot >= 0 {
+	if slot := s.routes.Lookup(local); slot >= 0 {
 		s.tenants[slot].filter.PunchHole(local, localPort, remote, proto)
 	}
 }
@@ -521,7 +527,7 @@ func (s *Set) TenantIDs() []string {
 func (s *Set) Lookup(addr packet.Addr) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if slot := s.lpm.lookup(addr); slot >= 0 {
+	if slot := s.routes.Lookup(addr); slot >= 0 {
 		return s.tenants[slot].id
 	}
 	return ""

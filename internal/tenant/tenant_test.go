@@ -47,7 +47,7 @@ func fleetSpec() []tenant.Config {
 }
 
 // routeRef is the test's own longest-prefix match, written independently
-// of the trie: scan all prefixes, keep the longest containing the
+// of packet.PrefixTable: scan all prefixes, keep the longest containing the
 // client-side address.
 func routeRef(cfgs []tenant.Config, pkt packet.Packet) int {
 	addr := pkt.Tuple.Src
