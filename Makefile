@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-tags test race vet lint lint-fast fmt bench bench-go bench-e2e bench-smoke bench-compare experiments examples clean
+.PHONY: all build build-tags test race vet lint lint-fast fmt bench bench-go bench-e2e bench-smoke bench-compare bench-pairs experiments examples clean
 
 all: build build-tags lint test race
 
@@ -80,6 +80,16 @@ bench-smoke:
 
 bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
+
+# The pairing rule for a claimed gain (bench/README.md), automated: N
+# alternating runs of workloads W on BASE (a git ref, the parent) and on
+# the working tree, per-pair values, medians, quartiles and the verdict;
+# fails unless the gain may be claimed. `make bench-pairs BASE=HEAD~1`.
+N ?= 10
+W ?= scan_flood
+
+bench-pairs:
+	scripts/bench-pairs.sh $(BASE) $(N) $(W)
 
 # Regenerate every table/figure on stdout (see EXPERIMENTS.md).
 experiments:

@@ -496,7 +496,8 @@ func logRestore(out io.Writer, ckptPath string, res checkpoint.RestoreResult) {
 // sourceFactory returns a constructor for the capture source, so the
 // supervisor can reopen it after persistent failures: a fresh AF_PACKET
 // bind for a NIC, a fresh Replay over the trace bytes (read or
-// synthesized exactly once) otherwise.
+// synthesized exactly once, and walked in place: every Replay shares
+// them, none copies them) otherwise.
 func sourceFactory(pcapPath, iface string, loops, snapLen int, gcfg genConfig, out io.Writer) (func() (capture.Source, error), error) {
 	if iface != "" {
 		// Probe once so a missing build tag or interface fails at startup
@@ -526,7 +527,7 @@ func sourceFactory(pcapPath, iface string, loops, snapLen int, gcfg genConfig, o
 		data = buf.Bytes()
 	}
 	return func() (capture.Source, error) {
-		return capture.NewReplay(bytes.NewReader(data), loops)
+		return capture.NewReplayBytes(data, loops)
 	}, nil
 }
 

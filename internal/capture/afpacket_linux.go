@@ -62,6 +62,11 @@ func NewAFPacket(iface string, snapLen int) (*AFPacket, error) {
 // drains whatever else the socket already holds without blocking, so a
 // quiet link yields single-frame batches while a saturated one fills the
 // ring.
+//
+// AFPacket is a filling source (see Source): recvfrom writes each frame
+// into the slot's own buffer, so it relies on the capacity NewRing gave
+// the slots and must be given a ring no aliasing source has delivered
+// into.
 func (a *AFPacket) ReadBatch(frames []Frame) (int, error) {
 	n := 0
 	for n < len(frames) {

@@ -2,14 +2,18 @@
 // bfwall daemon's pump loop is identical whether it faces a real NIC or a
 // replayed trace.
 //
-// A Source fills caller-owned frame buffers in batches — the ring from
-// NewRing is allocated once and reused for the life of the pump, keeping
-// the hot loop at zero allocations per frame. Two sources ship in the
-// base build: Replay, which streams a pcap capture (optionally looping it
-// to synthesize arbitrarily long runs from a short trace), and Loopback,
-// an in-memory queue for tests and demos. The AF_PACKET backend that
-// binds a real interface lives behind the "afpacket" build tag (Linux
-// only); hermetic builds and CI never compile it.
+// A Source delivers frames in batches into a ring of Frames the caller
+// allocates once (NewRing) and reuses for the life of the pump, keeping
+// the hot loop at zero allocations per frame. A source either fills a
+// slot — copies the frame into the slot's own buffer — or aliases: it
+// points the slot's Data at memory the source owns, read-only and valid
+// until the next ReadBatch. Replay aliases: it walks a pcap capture held
+// in memory (optionally looping it to synthesize arbitrarily long runs
+// from a short trace) and every frame it hands out is a slice of that
+// trace. So does Loopback, an in-memory queue for tests and demos. The
+// AF_PACKET backend that binds a real interface fills; it lives behind
+// the "afpacket" build tag (Linux only), and hermetic builds and CI never
+// compile it.
 //
 // Timestamps are offsets on the source's own clock: a replayed trace
 // carries its recorded virtual time (so filters rotate exactly as they
@@ -20,9 +24,10 @@ package capture
 
 import "time"
 
-// Frame is one captured frame. Data aliases a buffer owned by the reader
-// of the batch and is valid only until the next ReadBatch call that
-// reuses it.
+// Frame is one captured frame. Data points either into the ring slot's
+// own buffer or into memory the source owns; either way it is valid only
+// until the next ReadBatch on that source, and a consumer must not write
+// through it.
 type Frame struct {
 	// Time is the capture timestamp as an offset on the source's clock.
 	Time time.Duration
@@ -38,11 +43,27 @@ func (f Frame) Truncated() bool { return f.OrigLen > len(f.Data) }
 
 // Source yields batches of captured frames.
 type Source interface {
-	// ReadBatch fills up to len(frames) entries, reusing each entry's
-	// Data capacity when it suffices, and returns how many were filled.
+	// ReadBatch delivers up to len(frames) frames and returns how many.
 	// It blocks until at least one frame is available; n == 0 is returned
 	// only with a non-nil error, io.EOF meaning the source is exhausted
-	// (a finite trace fully replayed, or the source closed).
+	// (a finite trace fully replayed, or the source closed). n > 0 may
+	// come with an error too: those frames arrived intact before it.
+	//
+	// Each delivered entry is set in one of two ways. A filling source
+	// copies the frame into the entry's own buffer, Data[:0], reusing its
+	// capacity when it suffices. An aliasing source replaces Data with a
+	// slice of memory the source owns — a replayed trace, later a mapped
+	// receive ring — cut with cap == len, so that an append to it
+	// reallocates rather than running on into whatever the source keeps
+	// behind the frame. Either way Data is read-only to the caller and
+	// valid until the next ReadBatch on this source.
+	//
+	// An aliased entry has no buffer of its own any more: Data[:0] is the
+	// source's memory. A ring an aliasing source has delivered into must
+	// therefore never be handed to a filling source, which would write
+	// its frames over the first source's; give that one a ring of its
+	// own. Copying a Frame's bytes elsewhere (resilience.Buffer does) is
+	// always fine.
 	ReadBatch(frames []Frame) (int, error)
 	// Close releases the source. Blocked ReadBatch calls return. Close
 	// is idempotent and may be called from a goroutine other than the
@@ -63,8 +84,10 @@ type Sink interface {
 const DefaultSnapLen = 1 << 16
 
 // NewRing allocates n reusable frame buffers for ReadBatch. Every Data
-// slice has capacity snapLen; sources slice it down to each frame's
-// captured length without reallocating.
+// slice has capacity snapLen; a filling source slices it down to each
+// frame's captured length without reallocating, an aliasing source never
+// touches it (the pages stay unmapped), so snapLen bounds and truncates
+// live capture only — a replayed frame is delivered whole.
 func NewRing(n, snapLen int) []Frame {
 	if snapLen <= 0 {
 		snapLen = DefaultSnapLen

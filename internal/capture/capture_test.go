@@ -2,10 +2,12 @@ package capture
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"io"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/pcap"
@@ -120,7 +122,9 @@ func TestReplayEmptyTraceDoesNotLoopForever(t *testing.T) {
 	}
 }
 
-// TestReplayZeroAllocs pins the ring-reuse contract of the hot loop.
+// TestReplayZeroAllocs pins the hot loop at no allocation at all, the
+// loop seam included: 64 frames at 16 per batch put a rewind in every
+// fourth batch, so the 100 measured batches cross 25 seams.
 func TestReplayZeroAllocs(t *testing.T) {
 	trace := makeTrace(t, 64)
 	r, err := NewReplay(bytes.NewReader(trace), 1000000)
@@ -128,22 +132,131 @@ func TestReplayZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := NewRing(16, 2048)
-	// Warm the path (first batches may grow internal state).
-	if _, err := r.ReadBatch(ring); err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := r.ReadBatch(ring); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// The rewind seam allocates a fresh pcap.Reader every 4 batches
-	// (64 frames / 16 per batch); amortized that stays well under one
-	// allocation per batch, and the steady-state read path contributes
-	// none.
-	if allocs > 1 {
+	if allocs != 0 {
 		t.Errorf("ReadBatch allocates %.2f times per batch", allocs)
 	}
+}
+
+// TestReplayLoopSeamOutOfOrder: a capture need not be sorted (a
+// multi-queue NIC interleaves its queues), so the seam must shift the
+// next pass past the newest timestamp of the pass, not past the last one
+// read — otherwise pass 2 starts before pass 1's newest frame and
+// replayed marks look younger than they are.
+func TestReplayLoopSeamOutOfOrder(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ms := range []int{10, 50, 20} {
+		if err := w.WriteRecord(pcap.Record{Time: time.Duration(ms) * time.Millisecond, Data: []byte{byte(ms)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewReplayBytes(buf.Bytes(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewRing(8, 0)
+	n, err := r.ReadBatch(ring)
+	if err != nil || n != 6 {
+		t.Fatalf("ReadBatch = (%d, %v), want both passes in one batch", n, err)
+	}
+	var newest time.Duration
+	for _, f := range ring[:3] {
+		newest = max(newest, f.Time)
+	}
+	if ring[3].Time <= newest {
+		t.Errorf("pass 2 starts at %v, not after pass 1's newest frame at %v", ring[3].Time, newest)
+	}
+	for i := 0; i < 3; i++ {
+		if got, want := ring[3+i].Time-ring[3].Time, ring[i].Time-ring[0].Time; got != want {
+			t.Errorf("frame %d of pass 2 sits %v after its first, recorded %v", i, got, want)
+		}
+	}
+}
+
+// within reports whether b lies inside outer's backing array.
+func within(outer, b []byte) bool {
+	if len(b) == 0 || len(outer) == 0 {
+		return false
+	}
+	lo, hi := uintptr(unsafe.Pointer(&outer[0])), uintptr(unsafe.Pointer(&outer[len(outer)-1]))
+	first, last := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(&b[len(b)-1]))
+	return lo <= first && last <= hi
+}
+
+// TestReplayAliasesTrace pins the aliasing half of the Source contract:
+// every frame is a slice of the trace, fenced with cap == len, and
+// nothing downstream of a Replay ever writes to the trace.
+func TestReplayAliasesTrace(t *testing.T) {
+	const count, loops = 40, 3
+	trace := makeTrace(t, count)
+	sum := sha256.Sum256(trace)
+	unchanged := func(after string) {
+		t.Helper()
+		if sha256.Sum256(trace) != sum {
+			t.Fatalf("trace bytes changed %s", after)
+		}
+	}
+
+	r, err := NewReplayBytes(trace, loops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewRing(16, 2048)
+	total := 0
+	for {
+		n, err := r.ReadBatch(ring)
+		for i, f := range ring[:n] {
+			if !within(trace, f.Data) {
+				t.Fatalf("frame %d does not point into the trace", total+i)
+			}
+			if cap(f.Data) != len(f.Data) {
+				t.Fatalf("frame %d: cap %d != len %d", total+i, cap(f.Data), len(f.Data))
+			}
+			// What the fence is for: growing a frame must move it, not
+			// run on into the next record's header.
+			if grown := append(f.Data, 0xff); within(trace, grown) {
+				t.Fatalf("frame %d: append wrote into the trace", total+i)
+			}
+		}
+		total += n
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if total != count*loops {
+		t.Fatalf("replayed %d frames, want %d", total, count*loops)
+	}
+	unchanged("after a replay")
+
+	// The ring now holds aliases. Loopback aliases too, so it may take
+	// the ring over whatever the frame sizes: shorter than, equal to and
+	// longer than what the slots point at.
+	lb := NewLoopback()
+	for _, size := range []int{1, len(ring[0].Data), 2 * len(ring[0].Data)} {
+		if err := lb.WriteFrame(Frame{Data: bytes.Repeat([]byte{0xee}, size)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := lb.ReadBatch(ring); n != 3 || err != nil {
+		t.Fatalf("loopback ReadBatch = (%d, %v)", n, err)
+	}
+	for i, f := range ring[:3] {
+		if within(trace, f.Data) {
+			t.Errorf("loopback frame %d was written into the trace", i)
+		}
+	}
+	unchanged("after a Loopback took over the ring")
 }
 
 func TestLoopbackRoundTrip(t *testing.T) {
@@ -274,5 +387,26 @@ func TestReplayConcurrentClose(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("reader did not observe Close")
+	}
+}
+
+// BenchmarkReplayReadBatch prices the replay read path per frame: a
+// 512-slot ring, as the pump uses, over a trace looped without end.
+func BenchmarkReplayReadBatch(b *testing.B) {
+	trace := makeTrace(b, 1<<16)
+	r, err := NewReplayBytes(trace, 1<<30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ring := NewRing(512, 0)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(trace) >> 16))
+	b.ResetTimer()
+	for frames := 0; frames < b.N; {
+		n, err := r.ReadBatch(ring)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames += n
 	}
 }

@@ -3,6 +3,7 @@ package capture
 import (
 	"errors"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -27,8 +28,8 @@ func NewLoopback() *Loopback {
 	return l
 }
 
-// WriteFrame implements Sink. The frame bytes are copied; the caller may
-// reuse f.Data immediately.
+// WriteFrame implements Sink. The frame bytes are copied, so the caller
+// may reuse f.Data immediately and the queue owns what it holds.
 func (l *Loopback) WriteFrame(f Frame) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -36,7 +37,7 @@ func (l *Loopback) WriteFrame(f Frame) error {
 		return ErrClosed
 	}
 	queued := f
-	queued.Data = append([]byte(nil), f.Data...)
+	queued.Data = slices.Clip(append([]byte(nil), f.Data...))
 	if queued.OrigLen == 0 {
 		queued.OrigLen = len(f.Data)
 	}
@@ -46,8 +47,10 @@ func (l *Loopback) WriteFrame(f Frame) error {
 }
 
 // ReadBatch implements Source: it blocks until at least one frame is
-// queued or the loopback is closed, then drains up to len(frames) entries
-// into the caller's buffers.
+// queued or the loopback is closed, then drains up to len(frames) entries.
+// It is an aliasing source: each entry gets the queue's own copy of the
+// frame, made by WriteFrame and referenced by nothing else from here on,
+// rather than a second copy of it.
 func (l *Loopback) ReadBatch(frames []Frame) (int, error) {
 	if len(frames) == 0 {
 		return 0, nil
@@ -62,10 +65,7 @@ func (l *Loopback) ReadBatch(frames []Frame) (int, error) {
 	}
 	n := 0
 	for n < len(frames) && n < len(l.queue) {
-		q := l.queue[n]
-		frames[n].Time = q.Time
-		frames[n].OrigLen = q.OrigLen
-		frames[n].Data = append(frames[n].Data[:0], q.Data...)
+		frames[n] = l.queue[n]
 		n++
 	}
 	l.queue = l.queue[:copy(l.queue, l.queue[n:])]

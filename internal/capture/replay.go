@@ -10,101 +10,106 @@ import (
 	"bitmapfilter/internal/pcap"
 )
 
-// Replay streams a pcap capture as a Source. With Loops > 1 the trace is
-// replayed back-to-back: timestamps of later passes are shifted so the
-// stream's clock is monotonic, letting a short recorded burst stand in
-// for an arbitrarily long live run (the 500K pps saturation benchmark
-// replays one generated second many times over).
+// Replay is a Source that walks a pcap capture held in memory. It is an
+// aliasing source (see Source): every Frame.Data it hands out is a slice
+// of the trace itself, so a frame costs the parse of its 16-byte record
+// header and no copy. With loops > 1 the trace is replayed back-to-back:
+// timestamps of later passes are shifted so the stream's clock is
+// monotonic, letting a short recorded burst stand in for an arbitrarily
+// long live run (the 500K pps saturation benchmark replays one generated
+// second many times over).
 type Replay struct {
-	src    io.ReadSeeker
-	rd     *pcap.Reader
+	sc     *pcap.Scanner
 	loops  int // passes remaining, including the current one
 	offset time.Duration
-	last   time.Duration // last raw timestamp seen this pass
+	newest time.Duration // highest raw timestamp seen this pass
 	read   bool          // any record read this pass
 	closed atomic.Bool   // set by Close, possibly from another goroutine
 }
 
-// NewReplay opens a pcap stream for replay. loops is the total number of
-// passes over the trace; values below 1 mean a single pass.
-func NewReplay(src io.ReadSeeker, loops int) (*Replay, error) {
-	rd, err := pcap.NewReader(src)
+// NewReplayBytes replays a capture held in memory. loops is the total
+// number of passes over it; values below 1 mean a single pass. The
+// Replay keeps trace and hands out slices of it, so the caller must
+// leave it unchanged for the life of the Replay; any number of Replays
+// may share one trace.
+func NewReplayBytes(trace []byte, loops int) (*Replay, error) {
+	sc, err := pcap.NewScanner(trace)
 	if err != nil {
 		return nil, fmt.Errorf("capture: %w", err)
 	}
-	if loops < 1 {
-		loops = 1
-	}
-	return &Replay{src: src, rd: rd, loops: loops}, nil
+	return &Replay{sc: sc, loops: max(loops, 1)}, nil
 }
 
-// rewind seeks back to the first record for the next pass and advances
-// the time offset so replayed timestamps keep increasing.
-func (r *Replay) rewind() error {
-	if _, err := r.src.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("capture: rewind: %w", err)
-	}
-	rd, err := pcap.NewReader(r.src)
+// NewReplay reads the rest of src into memory and replays it: a loader
+// in front of NewReplayBytes for callers that hold a stream, not bytes.
+func NewReplay(src io.ReadSeeker, loops int) (*Replay, error) {
+	trace, err := io.ReadAll(src)
 	if err != nil {
-		return fmt.Errorf("capture: rewind: %w", err)
+		return nil, fmt.Errorf("capture: read trace: %w", err)
 	}
-	r.rd = rd
-	// The next pass restarts at its own recorded base; shifting by the
-	// last timestamp seen (plus a tick so equality never happens) keeps
-	// the synthetic clock strictly monotonic across the seam.
-	r.offset += r.last + time.Microsecond
-	r.last = 0
-	r.read = false
-	return nil
+	return NewReplayBytes(trace, loops)
+}
+
+// rewind starts the next pass. The scanner goes back to the first record,
+// an offset reset; the pass restarts at its own recorded base, so it is
+// shifted past the newest timestamp of the pass just ended (not the last
+// one: a multi-queue capture is not sorted), plus a tick so equality
+// never happens. That keeps the clock monotonic across the seam.
+func (r *Replay) rewind() {
+	r.sc.Rewind()
+	r.offset += r.newest + time.Microsecond
+	r.newest, r.read = 0, false
 }
 
 // ReadBatch implements Source. Frames come out with their recorded
-// timestamps shifted by the accumulated loop offset.
+// timestamps shifted by the accumulated loop offset, and with Data
+// pointing into the trace: the slot's own buffer is left unused.
+//
+//bf:hotpath
 func (r *Replay) ReadBatch(frames []Frame) (int, error) {
+	// Once per batch, not per record: a concurrent Close (the daemon's
+	// signal handler) ends the replay no later than one batch on.
+	if r.closed.Load() {
+		return 0, io.EOF
+	}
 	n := 0
 	for n < len(frames) {
-		// Checked per record so a concurrent Close (the daemon's signal
-		// handler) ends the replay at the next frame boundary.
-		if r.closed.Load() {
-			if n > 0 {
-				return n, nil
+		// Frame and pcap.Record are field for field the same struct (the
+		// conversion stops compiling if they drift), so the scanner fills
+		// the ring slot in place.
+		f := &frames[n]
+		if err := r.sc.Next((*pcap.Record)(f)); err != nil {
+			if !errors.Is(err, io.EOF) {
+				return n, readError(err)
 			}
-			return 0, io.EOF
-		}
-		rec, err := r.rd.ReadRecordInto(frames[n].Data[:0])
-		if errors.Is(err, io.EOF) {
-			// An empty trace must not loop forever.
-			if r.loops <= 1 || !r.read {
-				if n > 0 {
-					return n, nil
-				}
+			// End of a pass. An empty trace must not loop forever.
+			if r.loops > 1 && r.read {
+				r.loops--
+				r.rewind()
+				continue
+			}
+			if n == 0 {
 				return 0, io.EOF
 			}
-			r.loops--
-			if rerr := r.rewind(); rerr != nil {
-				return n, rerr
-			}
-			continue
-		}
-		if err != nil {
-			return n, fmt.Errorf("capture: %w", err)
+			return n, nil
 		}
 		r.read = true
-		r.last = rec.Time
-		frames[n].Time = rec.Time + r.offset
-		frames[n].Data = rec.Data
-		frames[n].OrigLen = rec.OrigLen
-		if frames[n].OrigLen == 0 {
-			frames[n].OrigLen = len(rec.Data)
+		r.newest = max(r.newest, f.Time)
+		f.Time += r.offset
+		if f.OrigLen == 0 {
+			f.OrigLen = len(f.Data)
 		}
 		n++
 	}
 	return n, nil
 }
 
+// readError keeps error construction out of ReadBatch.
+func readError(err error) error { return fmt.Errorf("capture: %w", err) }
+
 // Close implements Source. It is idempotent and safe to call from a
-// goroutine other than the reader: ReadBatch observes the flag at the
-// next frame boundary and returns io.EOF.
+// goroutine other than the reader: ReadBatch observes the flag at its
+// next call and returns io.EOF.
 func (r *Replay) Close() error {
 	r.closed.Store(true)
 	return nil

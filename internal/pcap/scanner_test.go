@@ -1,0 +1,217 @@
+package pcap
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"testing"
+	"time"
+)
+
+// rawRecord is one record as the file states it; incl may lie about data.
+type rawRecord struct {
+	sec, frac, incl, orig uint32
+	data                  []byte
+}
+
+// buildCapture hand-writes a capture in either byte order and resolution,
+// which the Writer (little-endian, microseconds) cannot.
+func buildCapture(order binary.ByteOrder, nano bool, snapLen uint32, recs []rawRecord) []byte {
+	magic := uint32(magicMicro)
+	if nano {
+		magic = magicNano
+	}
+	out := make([]byte, globalHeaderLen)
+	order.PutUint32(out[0:4], magic)
+	order.PutUint16(out[4:6], versionMajor)
+	order.PutUint16(out[6:8], versionMinor)
+	order.PutUint32(out[16:20], snapLen)
+	order.PutUint32(out[20:24], LinkTypeEthernet)
+	for _, r := range recs {
+		var h [recordHeaderLen]byte
+		order.PutUint32(h[0:4], r.sec)
+		order.PutUint32(h[4:8], r.frac)
+		order.PutUint32(h[8:12], r.incl)
+		order.PutUint32(h[12:16], r.orig)
+		out = append(append(out, h[:]...), r.data...)
+	}
+	return out
+}
+
+// someRecords is n well-formed records of assorted sizes, an empty one
+// and a truncated one (orig > incl) among them.
+func someRecords(n int) []rawRecord {
+	recs := make([]rawRecord, n)
+	for i := range recs {
+		size := (i * 37) % 90
+		recs[i] = rawRecord{
+			sec: uint32(i / 3), frac: uint32(i%3) * 1000,
+			incl: uint32(size), orig: uint32(size + (i%4)*100),
+			data: bytes.Repeat([]byte{byte(i + 1)}, size),
+		}
+	}
+	return recs
+}
+
+// errClass names the sentinel an error matches, so that two walks can be
+// compared by what a caller would branch on, not by message.
+func errClass(err error) string {
+	for _, s := range []error{io.EOF, io.ErrUnexpectedEOF, ErrSnapLen, ErrBadMagic, ErrBadVersion} {
+		if errors.Is(err, s) {
+			return s.Error()
+		}
+	}
+	if err == nil {
+		return "nil"
+	}
+	return "other: " + err.Error()
+}
+
+// walkBoth runs data through a Reader and a Scanner and requires the same
+// records and the same class of terminal error from both, that every
+// Scanner record is a fenced slice of data, and that the Scanner is
+// exhausted after its first error. It returns the records and that error.
+func walkBoth(t testing.TB, data []byte) (int, error) {
+	t.Helper()
+	rd, rerr := NewReader(bytes.NewReader(data))
+	sc, serr := NewScanner(data)
+	if errClass(rerr) != errClass(serr) {
+		t.Fatalf("open: Reader %v, Scanner %v", rerr, serr)
+	}
+	if serr != nil {
+		return 0, serr
+	}
+	off := globalHeaderLen
+	for n := 0; ; n++ {
+		want, rerr := rd.ReadRecord()
+		var got Record
+		serr := sc.Next(&got)
+		if errClass(rerr) != errClass(serr) {
+			t.Fatalf("record %d: Reader %v, Scanner %v", n, rerr, serr)
+		}
+		if serr != nil {
+			if got.Data != nil || got.Time != 0 || got.OrigLen != 0 {
+				t.Fatalf("record %d: Scanner wrote %+v alongside %v", n, got, serr)
+			}
+			if again := sc.Next(&got); again != io.EOF {
+				t.Fatalf("record %d: Scanner returned %v after %v, want io.EOF", n, again, serr)
+			}
+			return n, serr
+		}
+		if got.Time != want.Time || got.OrigLen != want.OrigLen || !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("record %d: Scanner %+v, Reader %+v", n, got, want)
+		}
+		if cap(got.Data) != len(got.Data) {
+			t.Fatalf("record %d: cap %d != len %d", n, cap(got.Data), len(got.Data))
+		}
+		if len(got.Data) > 0 && &got.Data[0] != &data[off+recordHeaderLen] {
+			t.Fatalf("record %d: Data is not the capture's own bytes at %d", n, off+recordHeaderLen)
+		}
+		off += recordHeaderLen + len(got.Data)
+	}
+}
+
+// TestScannerMatchesReader is the differential: the Scanner is the Reader
+// without the stream, on every layout a capture can have and at every
+// way its tail can be cut.
+func TestScannerMatchesReader(t *testing.T) {
+	orders := []binary.ByteOrder{binary.LittleEndian, binary.BigEndian}
+	for _, order := range orders {
+		for _, nano := range []bool{false, true} {
+			name := fmt.Sprintf("%v/nano=%v", order, nano)
+			recs := someRecords(12)
+			whole := buildCapture(order, nano, DefaultSnapLen, recs)
+
+			n, err := walkBoth(t, whole)
+			if n != len(recs) || err != io.EOF {
+				t.Errorf("%s: walked %d records then %v, want %d then io.EOF", name, n, err, len(recs))
+			}
+			// Resolution is honoured: record 1 carries 1000 fraction units.
+			sc, _ := NewScanner(whole)
+			var rec Record
+			sc.Next(&rec)
+			sc.Next(&rec)
+			want := 1000 * time.Microsecond
+			if nano {
+				want = 1000 * time.Nanosecond
+			}
+			if rec.Time != want {
+				t.Errorf("%s: record 1 at %v, want %v", name, rec.Time, want)
+			}
+
+			// Cut at every byte of the last two records: a clean end only on
+			// a record boundary, io.ErrUnexpectedEOF everywhere else.
+			last2 := 2*recordHeaderLen + len(recs[10].data) + len(recs[11].data)
+			boundary := map[int]int{
+				len(whole) - last2: 10,
+				len(whole) - recordHeaderLen - len(recs[11].data): 11,
+				len(whole): 12,
+			}
+			for cut := len(whole) - last2; cut <= len(whole); cut++ {
+				n, err := walkBoth(t, whole[:cut:cut])
+				if records, ok := boundary[cut]; ok {
+					if n != records || err != io.EOF {
+						t.Errorf("%s cut at %d: %d records then %v, want %d then io.EOF", name, cut, n, err, records)
+					}
+				} else if !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Errorf("%s cut at %d: %v, want io.ErrUnexpectedEOF", name, cut, err)
+				}
+			}
+
+			// A record longer than the file's snapLen, with its bytes present.
+			long := append(someRecords(3), rawRecord{incl: 200, orig: 200, data: make([]byte, 200)}, rawRecord{incl: 1, orig: 1, data: []byte{9}})
+			if n, err := walkBoth(t, buildCapture(order, nano, 128, long)); n != 3 || !errors.Is(err, ErrSnapLen) {
+				t.Errorf("%s over snapLen: %d records then %v, want 3 then ErrSnapLen", name, n, err)
+			}
+			// A file whose snapLen allows anything: maxRecordLen still holds.
+			huge := append(someRecords(2), rawRecord{incl: maxRecordLen + 1, orig: maxRecordLen + 1})
+			if n, err := walkBoth(t, buildCapture(order, nano, 0xffffffff, huge)); n != 2 || !errors.Is(err, ErrSnapLen) {
+				t.Errorf("%s over maxRecordLen: %d records then %v, want 2 then ErrSnapLen", name, n, err)
+			}
+		}
+	}
+
+	// What is not a capture at all fails the same way at open.
+	for _, data := range [][]byte{nil, make([]byte, 10), []byte("this is definitely not a pcap capture file")} {
+		walkBoth(t, data)
+	}
+	badVersion := buildCapture(binary.BigEndian, false, DefaultSnapLen, nil)
+	badVersion[5] = 3
+	if _, err := walkBoth(t, badVersion); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version 3.4: %v, want ErrBadVersion", err)
+	}
+}
+
+// TestScannerRewind: Rewind is what a looping replay does between passes.
+func TestScannerRewind(t *testing.T) {
+	sc, err := NewScanner(buildCapture(binary.LittleEndian, false, DefaultSnapLen, someRecords(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 3; pass++ {
+		n := 0
+		var rec Record
+		for sc.Next(&rec) == nil {
+			n++
+		}
+		if n != 5 {
+			t.Fatalf("pass %d walked %d records, want 5", pass, n)
+		}
+		sc.Rewind()
+	}
+}
+
+// FuzzScanner drives arbitrary bytes through Reader and Scanner side by
+// side: whatever the input, both see the same records and fail alike, and
+// walkBoth's slicing checks mean the Scanner never reached past data.
+func FuzzScanner(f *testing.F) {
+	f.Add(buildCapture(binary.LittleEndian, false, DefaultSnapLen, someRecords(4)))
+	f.Add(buildCapture(binary.BigEndian, true, 64, someRecords(4)))
+	f.Add(buildCapture(binary.LittleEndian, true, 0xffffffff, []rawRecord{{incl: maxRecordLen + 1}}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		walkBoth(t, data[:len(data):len(data)])
+	})
+}

@@ -1,6 +1,8 @@
 package resilience
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"io"
 	"runtime"
@@ -76,6 +78,68 @@ func TestBufferPassthrough(t *testing.T) {
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBufferCopiesAliasedFrames runs a Replay, whose frames are slices of
+// the trace, through the queue as bfwall -queue does: the reader must get
+// every frame byte for byte while the trace itself stays untouched — the
+// queue copies out of an aliased frame, never into one.
+func TestBufferCopiesAliasedFrames(t *testing.T) {
+	const count, loops = 300, 3
+	trace := pcapTrace(t, count)
+	sum := sha256.Sum256(trace)
+	// What a Replay delivers directly, copied out frame by frame.
+	direct, err := capture.NewReplayBytes(trace, loops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []capture.Frame
+	ring := capture.NewRing(64, 0)
+	for {
+		n, err := direct.ReadBatch(ring)
+		for _, f := range ring[:n] {
+			f.Data = bytes.Clone(f.Data)
+			want = append(want, f)
+		}
+		if err != nil {
+			break
+		}
+	}
+	if len(want) != count*loops {
+		t.Fatalf("direct replay delivered %d frames, want %d", len(want), count*loops)
+	}
+
+	queued, err := capture.NewReplayBytes(trace, loops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuffer(queued, BufferConfig{Capacity: 8192, SnapLen: 2048})
+	defer b.Close()
+	got := 0
+	for {
+		n, err := b.ReadBatch(ring)
+		for _, f := range ring[:n] {
+			if got == len(want) {
+				t.Fatalf("queue delivered more than %d frames", len(want))
+			}
+			if w := want[got]; f.Time != w.Time || f.OrigLen != w.OrigLen || !bytes.Equal(f.Data, w.Data) {
+				t.Fatalf("frame %d: queued %+v, direct %+v", got, f, w)
+			}
+			got++
+		}
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got != len(want) {
+		t.Errorf("queue delivered %d frames, want %d", got, len(want))
+	}
+	if sha256.Sum256(trace) != sum {
+		t.Error("trace bytes changed on the way through the queue")
 	}
 }
 

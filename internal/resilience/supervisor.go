@@ -50,7 +50,9 @@ type SupervisorConfig struct {
 	// supervisor decides a source is broken (ReopenAfter consecutive
 	// transient errors), so it must return a fresh, independent source
 	// each call — e.g. a new Replay over the same trace bytes, or a
-	// re-bound AF_PACKET socket.
+	// re-bound AF_PACKET socket — and the same kind every call: the
+	// caller's ring passes from each source to the next, and one that an
+	// aliasing source used must not reach a filling one (capture.Source).
 	Open func() (capture.Source, error)
 	// Classify triages source errors; Classify (the package default)
 	// if nil.
@@ -227,6 +229,16 @@ func (s *Supervisor) ReadBatch(frames []capture.Frame) (int, error) {
 		default: // transient
 			s.transient.Add(1)
 			s.setLastErr(err)
+			if n > 0 {
+				// Frames that arrived intact ahead of the error (a replay
+				// torn mid-batch has up to a ring of them) are a
+				// successful read: hand them on now, for the retry below
+				// would overwrite the ring. The error is counted; if it
+				// persists, the next call meets it with n == 0.
+				s.logf("source error (transient, after %d frames): %v", n, err)
+				s.noteSuccess(n)
+				return n, nil
+			}
 			s.consecutive++
 			s.srcErrs++
 			s.logf("source error (transient, %d consecutive): %v", s.consecutive, err)

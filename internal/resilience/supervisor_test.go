@@ -206,11 +206,9 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-// TestClassifyRealReplayErrors drives a truncated and a corrupt pcap
-// through capture.Replay and pins what the supervisor sees: truncation
-// mid-record must classify transient (survivable), structural garbage at
-// open must classify fatal.
-func TestClassifyRealReplayErrors(t *testing.T) {
+// pcapTrace is a capture of count identical frames, 1 ms apart.
+func pcapTrace(t testing.TB, count int) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w, err := pcap.NewWriter(&buf)
 	if err != nil {
@@ -227,12 +225,20 @@ func TestClassifyRealReplayErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < count; i++ {
 		if err := w.WriteRecord(pcap.Record{Time: time.Duration(i+1) * time.Millisecond, Data: frame}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	trace := buf.Bytes()
+	return buf.Bytes()
+}
+
+// TestClassifyRealReplayErrors drives a truncated and a corrupt pcap
+// through capture.Replay and pins what the supervisor sees: truncation
+// mid-record must classify transient (survivable), structural garbage at
+// open must classify fatal.
+func TestClassifyRealReplayErrors(t *testing.T) {
+	trace := pcapTrace(t, 3)
 
 	// Truncate the last record mid-payload.
 	truncated := trace[:len(trace)-10]
@@ -274,6 +280,27 @@ func TestSupervisorPassthrough(t *testing.T) {
 	st := sup.Stats()
 	if st.Frames != 100 || st.TransientErrors != 0 || st.Reopens != 0 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestSupervisorDeliversFramesAheadOfTransientError: a replay torn in its
+// last record returns the intact frames of that batch together with the
+// error. They are a successful read — the supervisor used to back off and
+// retry over them, and the caller never saw a frame.
+func TestSupervisorDeliversFramesAheadOfTransientError(t *testing.T) {
+	const intact = 5
+	trace := pcapTrace(t, intact+1)
+	r, err := capture.NewReplayBytes(trace[:len(trace)-10], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup, _ := mustSupervisor(t, r, nil)
+	// drain's ring holds the whole trace: frames and error share a batch.
+	if got := drain(t, sup); got != intact {
+		t.Errorf("delivered %d frames, want the %d intact ones", got, intact)
+	}
+	if st := sup.Stats(); st.Frames != intact || st.TransientErrors != 1 {
+		t.Errorf("stats = %+v, want %d frames and the torn record counted once", st, intact)
 	}
 }
 
