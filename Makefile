@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-tags test race vet lint lint-fast fmt bench bench-go bench-e2e bench-smoke bench-compare bench-pairs experiments examples clean
+.PHONY: all build build-tags test race vet lint lint-fast fmt bench-go bench-e2e bench-smoke bench-compare bench-pairs experiments examples clean
 
 all: build build-tags lint test race
 
@@ -47,21 +47,6 @@ lint-fast:
 
 fmt:
 	gofmt -l -w .
-
-# The pinned, reproducible benchmark: the bfbench -json kernel+flavor
-# matrix (single/safe/sharded/live × scalar/coalesced ProcessBatchInto)
-# with a fixed batch size, run count and per-run duration, written to a
-# machine-readable BENCH_<pr>.json. Checked-in BENCH files are the repo's
-# perf trajectory; diff two of them with
-# `go run ./cmd/bfbench -compare OLD.json NEW.json`.
-BENCH_PR ?= dev
-BENCH_COUNT ?= 7
-BENCH_TIME ?= 300ms
-BENCH_BATCH ?= 512
-
-bench:
-	$(GO) run ./cmd/bfbench -json -label $(BENCH_PR) -count $(BENCH_COUNT) \
-		-benchtime $(BENCH_TIME) -batch $(BENCH_BATCH) -o BENCH_$(BENCH_PR).json
 
 # The raw go-test benchmarks (unpinned; exploratory use).
 bench-go:

@@ -183,28 +183,12 @@ type (
 	TuplePolicy = core.TuplePolicy
 )
 
-// KernelMode selects the data-plane bit kernels (word-coalesced by
-// default, scalar reference available) and SweepMode governs when batch
-// processing reorders its bitmap touches into sorted sweeps. Both are
-// pure performance knobs: every combination produces byte-identical
-// verdicts and statistics (see DESIGN.md §9).
-type (
-	KernelMode = core.KernelMode
-	SweepMode  = core.SweepMode
-)
-
 // Re-exported policy values.
 const (
 	MarkAllVectors  = core.MarkAllVectors
 	MarkCurrentOnly = core.MarkCurrentOnly
 	PartialTuple    = core.PartialTuple
 	FullTuple       = core.FullTuple
-
-	KernelCoalesced = core.KernelCoalesced
-	KernelScalar    = core.KernelScalar
-	SweepAuto       = core.SweepAuto
-	SweepAlways     = core.SweepAlways
-	SweepNever      = core.SweepNever
 )
 
 // Build is the unified constructor: one option bundle describes a
@@ -290,8 +274,6 @@ func WithSeed(seed uint64) Option             { return core.WithSeed(seed) }
 func WithAPD(policy DropPolicy) Option        { return core.WithAPD(policy) }
 func WithMarkPolicy(p MarkPolicy) Option      { return core.WithMarkPolicy(p) }
 func WithTuplePolicy(p TuplePolicy) Option    { return core.WithTuplePolicy(p) }
-func WithKernels(m KernelMode) Option         { return core.WithKernels(m) }
-func WithSweep(m SweepMode) Option            { return core.WithSweep(m) }
 
 // NewBandwidthPolicy returns the §5.3 APD design 1 (drop with probability
 // equal to the link's bandwidth utilization).

@@ -1,25 +1,20 @@
 // Command bfbench reproduces Table 1 — the storage and per-operation cost
 // comparison of the bitmap filter against the hash+linked-list
-// (Linux-conntrack-style) and AVL-tree SPI tables — and doubles as the
-// repo's pinned performance harness.
+// (Linux-conntrack-style) and AVL-tree SPI tables.
 //
 // Usage:
 //
 //	bfbench [-conns 2560000] [-seed 1]
-//	bfbench -json [-o BENCH_n.json] [-label n] [-count 5] [-benchtime 300ms] [-batch 512]
-//	bfbench -compare OLD.json NEW.json
 //
 // The default connection count is the paper's 2.56 M scenario; use a
-// smaller -conns for quick runs. -json measures the pinned kernel+flavor
-// benchmark matrix and writes a BENCH file (see json.go); -compare diffs
-// two BENCH files.
+// smaller -conns for quick runs. The wire-to-verdict performance ledger is
+// `go run ./bench`, not this command.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"bitmapfilter/internal/experiments"
 )
@@ -33,36 +28,10 @@ func main() {
 
 func run() error {
 	var (
-		conns     = flag.Int("conns", experiments.Table1Connections, "concurrent connections to load")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		jsonMode  = flag.Bool("json", false, "run the pinned kernel+flavor matrix and emit a BENCH json file")
-		out       = flag.String("o", "", "with -json: output path (default stdout)")
-		label     = flag.String("label", "dev", "with -json: label recorded in the BENCH file (e.g. the PR number)")
-		count     = flag.Int("count", 5, "with -json: timed runs per configuration (min is reported)")
-		benchtime = flag.Duration("benchtime", 300*time.Millisecond, "with -json: duration of each timed run")
-		batch     = flag.Int("batch", 512, "with -json: packets per ProcessBatchInto call")
-		compare   = flag.Bool("compare", false, "diff two BENCH json files: bfbench -compare OLD.json NEW.json")
+		conns = flag.Int("conns", experiments.Table1Connections, "concurrent connections to load")
+		seed  = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
-
-	switch {
-	case *compare:
-		if flag.NArg() != 2 {
-			return fmt.Errorf("-compare needs exactly two BENCH files, got %d args", flag.NArg())
-		}
-		return compareBench(os.Stdout, flag.Arg(0), flag.Arg(1))
-	case *jsonMode:
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		return runJSONBench(w, *label, *batch, *count, *benchtime)
-	}
 
 	res, err := experiments.RunTable1(*conns, *seed)
 	if err != nil {

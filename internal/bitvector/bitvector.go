@@ -117,287 +117,52 @@ func (v *Vector) Test(i uint64) bool {
 	return v.words[i>>6]&(1<<(i&63)) != 0
 }
 
-// WordMask names one 64-bit word of a vector's bit array together with a
-// mask of bits inside that word. Coalesce produces groups of them from raw
-// hash indexes; SetWords and TestWords consume them. A WordMask is only
-// valid for vectors of the order it was coalesced for — Word must be a
-// legal index into the word array.
-type WordMask struct {
-	Word uint32
-	Mask uint64
-}
-
-// coalesceStack bounds the on-stack WordMask buffer used by the coalesced
-// SetAll/TestAll kernels; larger index groups fall back to the scalar
-// kernels. It is deliberately small: the buffer is zero-initialized on
-// every call, so sizing it for hashfam.MaxFunctions (64) would spend ~1
-// KiB of memclr per packet on a filter whose m is 3. Eight covers every
-// practical family size; oversized ablation sweeps take the scalar path,
-// which is semantically identical (pinned by the differential tests).
-const coalesceStack = 8
-
-// Split reduces a raw hash output to its (word index, in-word bit mask)
-// pair — the coordinates every coalesced kernel operates on.
-//
-//bf:hotpath
-func (v *Vector) Split(h uint64) (word uint32, mask uint64) {
-	h &= v.mask
-	return uint32(h >> 6), 1 << (h & 63)
-}
-
-// Word returns the w-th 64-bit word of the bit array. Batch sweeps read
-// words directly and write them back through SetWords so the running
-// popcount stays coherent.
-//
-//bf:hotpath
-func (v *Vector) Word(w uint32) uint64 { return v.words[w] }
-
-// Words returns the number of 64-bit words in the bit array.
-func (v *Vector) Words() int { return len(v.words) }
-
-// growWordMasks returns a WordMask slice of length n backed by dst's array
-// when cap(dst) >= n, allocating only on growth (contents unspecified).
-func growWordMasks(dst []WordMask, n int) []WordMask {
-	if cap(dst) < n {
-		return make([]WordMask, n)
-	}
-	return dst[:n]
-}
-
-// coalesceInto fills dst (len(dst) >= len(idxs)) with the word-grouped
-// masks of idxs and returns the number of distinct words. Duplicate and
-// same-word indexes merge into one WordMask, so a bit named twice in one
-// group contributes exactly one mask bit. The scan is O(len(idxs)²) but
-// index groups are tiny (m hash outputs, m ≤ 64).
-//
-//bf:hotpath
-func (v *Vector) coalesceInto(dst []WordMask, idxs []uint64) int {
-	if len(idxs) == 3 {
-		// Straight-line path for the paper's m=3: three splits and three
-		// compares, no inner scan loop.
-		w0, b0 := v.Split(idxs[0])
-		w1, b1 := v.Split(idxs[1])
-		w2, b2 := v.Split(idxs[2])
-		dst[0] = WordMask{Word: w0, Mask: b0}
-		n := 1
-		if w1 == w0 {
-			dst[0].Mask |= b1
-		} else {
-			dst[1] = WordMask{Word: w1, Mask: b1}
-			n = 2
-		}
-		if w2 == w0 {
-			dst[0].Mask |= b2
-		} else if n == 2 && w2 == w1 {
-			dst[1].Mask |= b2
-		} else {
-			dst[n] = WordMask{Word: w2, Mask: b2}
-			n++
-		}
-		return n
-	}
-	n := 0
-	for _, i := range idxs {
-		i &= v.mask
-		w := uint32(i >> 6)
-		b := uint64(1) << (i & 63)
-		j := 0
-		for ; j < n; j++ {
-			if dst[j].Word == w {
-				dst[j].Mask |= b
-				break
-			}
-		}
-		if j == n {
-			dst[n] = WordMask{Word: w, Mask: b}
-			n++
-		}
-	}
-	return n
-}
-
-// Coalesce groups the raw hash indexes idxs (each reduced modulo the
-// vector size) by word and merges their bit masks, so each distinct word
-// appears exactly once. The result reuses dst's backing array when
-// cap(dst) >= len(idxs) and is grown otherwise; pass the previous return
-// value to keep the hot path allocation-free. The grouped pairs drive
-// SetWords/TestWords on any vector of the same order.
-//
-//bf:hotpath
-func (v *Vector) Coalesce(dst []WordMask, idxs []uint64) []WordMask {
-	dst = growWordMasks(dst, len(idxs)) //bf:allow escapecheck amortized grow: callers recycle dst per the documented contract, so steady state reuses capacity
-	return dst[:v.coalesceInto(dst, idxs)]
-}
-
-// SetWords ORs every pair's mask into its word and returns how many bits
-// were newly set — one read-modify-write and one popcount delta per pair.
-// Pairs must hold valid word indexes for this vector (see Coalesce);
-// duplicate words in pairs are tolerated (each pair's delta is computed
-// against the word's current value).
-//
-//bf:hotpath
-func (v *Vector) SetWords(pairs []WordMask) int {
-	newly := 0
-	for _, p := range pairs {
-		old := v.words[p.Word]
-		if newBits := p.Mask &^ old; newBits != 0 {
-			v.words[p.Word] = old | p.Mask
-			newly += bits.OnesCount64(newBits)
-		}
-	}
-	v.count += uint64(newly)
-	return newly
-}
-
-// TestWords reports whether every mask bit of every pair is set — one
-// masked compare per distinct word, with early exit on the first word
-// missing a bit.
-//
-//bf:hotpath
-func (v *Vector) TestWords(pairs []WordMask) bool {
-	for _, p := range pairs {
-		if v.words[p.Word]&p.Mask != p.Mask {
-			return false
-		}
-	}
-	return true
-}
-
 // SetAll sets every bit named by idxs (each reduced modulo the vector
-// size) and returns how many were newly set. It is the multi-index mark
-// fast path of the batch data plane, word-coalesced: the group's indexes
-// are first merged by word (duplicate indexes collapse into one mask
-// bit), then each distinct word is touched exactly once — one
-// read-modify-write plus one popcount delta — instead of once per index.
+// size) and returns how many were newly set; an index repeated inside the
+// group counts once.
 //
 //bf:hotpath
 func (v *Vector) SetAll(idxs []uint64) int {
-	if len(idxs) > coalesceStack {
-		return v.SetAllScalar(idxs)
+	newly := 0
+	for _, i := range idxs {
+		if v.Set(i) {
+			newly++
+		}
 	}
-	var buf [coalesceStack]WordMask
-	return v.SetWords(buf[:v.coalesceInto(buf[:], idxs)])
+	return newly
 }
 
-// SetAllVectors marks every bit named by idxs in every vector of vs — the
-// k-vector mark of the bitmap filter, fused: the indexes are split and
-// word-grouped once on the stack, then each vector takes one SetWords pass
-// (per-vector popcount deltas included). All vectors must share the first
-// vector's order, since the grouped word indexes are reused across them.
+// SetAllVectors sets every bit named by idxs in every vector of vs — the
+// mark of Algorithm 2. All vectors must share one order: each index is
+// reduced and split into (word, bit) once, with the first vector's mask,
+// and applied to all of them.
 //
 //bf:hotpath
 func SetAllVectors(vs []*Vector, idxs []uint64) {
 	if len(vs) == 0 {
 		return
 	}
-	if len(idxs) == 3 {
-		// Unrolled path for the paper's m=3 with three distinct words
-		// (the overwhelmingly common case): the splits are computed once
-		// for all k vectors and each vector takes three fixed
-		// read-modify-writes — strictly less work than k scalar passes.
-		v0 := vs[0]
-		w0, b0 := v0.Split(idxs[0])
-		w1, b1 := v0.Split(idxs[1])
-		w2, b2 := v0.Split(idxs[2])
-		if w0 != w1 && w0 != w2 && w1 != w2 {
-			for _, v := range vs {
-				newly := uint64(0)
-				o0 := v.words[w0]
-				v.words[w0] = o0 | b0
-				if o0&b0 == 0 {
-					newly++
-				}
-				o1 := v.words[w1]
-				v.words[w1] = o1 | b1
-				if o1&b1 == 0 {
-					newly++
-				}
-				o2 := v.words[w2]
-				v.words[w2] = o2 | b2
-				if o2&b2 == 0 {
-					newly++
-				}
-				v.count += newly
-			}
-			return
-		}
-	}
-	if len(idxs) > coalesceStack {
-		for _, v := range vs {
-			v.SetAllScalar(idxs)
-		}
-		return
-	}
-	var buf [coalesceStack]WordMask
-	n := vs[0].coalesceInto(buf[:], idxs)
-	for _, v := range vs {
-		v.SetWords(buf[:n])
-	}
-}
-
-// SetAllScalar is the per-index reference kernel SetAll coalesces: one
-// load/store per index. It is kept as the oversized-group fallback and as
-// the pinned baseline for the scalar-vs-coalesced differential tests and
-// benchmarks; behavior (including the newly-set count under duplicate
-// indexes) is identical to SetAll.
-//
-//bf:hotpath
-func (v *Vector) SetAllScalar(idxs []uint64) int {
-	newly := 0
+	mask := vs[0].mask
 	for _, i := range idxs {
-		i &= v.mask
-		w := &v.words[i>>6]
-		b := uint64(1) << (i & 63)
-		old := *w
-		*w = old | b
-		if old&b == 0 {
-			newly++
+		i &= mask
+		w, b := i>>6, uint64(1)<<(i&63)
+		for _, v := range vs {
+			if v.words[w]&b == 0 {
+				v.words[w] |= b
+				v.count++
+			}
 		}
 	}
-	v.count += uint64(newly)
-	return newly
 }
 
 // TestAll reports whether every bit named by idxs (each reduced modulo the
-// vector size) is set — the Bloom-filter membership test for one packet's
-// m hash outputs, word-coalesced: indexes are merged by word and each
-// distinct word is probed with one masked compare, exiting early on the
-// first word missing a bit.
+// vector size) is set — the lookup of Algorithm 2 — stopping at the first
+// clear bit. An empty group is vacuously true.
 //
 //bf:hotpath
 func (v *Vector) TestAll(idxs []uint64) bool {
-	if len(idxs) == 3 {
-		// Unrolled path for m=3 with three distinct words: each word is
-		// probed exactly once, no grouping buffer needed. Colliding words
-		// (rare) fall through to the grouped path below.
-		w0, b0 := v.Split(idxs[0])
-		w1, b1 := v.Split(idxs[1])
-		w2, b2 := v.Split(idxs[2])
-		if w0 != w1 && w0 != w2 && w1 != w2 {
-			return v.words[w0]&b0 != 0 && v.words[w1]&b1 != 0 && v.words[w2]&b2 != 0
-		}
-	}
-	if len(idxs) > coalesceStack {
-		return v.TestAllScalar(idxs)
-	}
-	var buf [coalesceStack]WordMask
-	n := v.coalesceInto(buf[:], idxs)
-	for i := 0; i < n; i++ {
-		if v.words[buf[i].Word]&buf[i].Mask != buf[i].Mask {
-			return false
-		}
-	}
-	return true
-}
-
-// TestAllScalar is the per-index reference kernel TestAll coalesces; see
-// SetAllScalar.
-//
-//bf:hotpath
-func (v *Vector) TestAllScalar(idxs []uint64) bool {
 	for _, i := range idxs {
-		i &= v.mask
-		if v.words[i>>6]&(1<<(i&63)) == 0 {
+		if !v.Test(i) {
 			return false
 		}
 	}

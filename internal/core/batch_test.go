@@ -183,24 +183,6 @@ func TestBatchDifferentialMillion(t *testing.T) {
 			}
 			return s
 		}},
-		// The same flavors with the sorted batch sweep forced on (the
-		// size gate keeps it off at these orders otherwise): the sweep
-		// must reproduce the per-packet verdict stream — including APD
-		// coin flips, whose order the sweep's deferred phase 3 preserves
-		// — at million-packet scale.
-		{name: "filter+sweep", mk: func() intoFilter {
-			return MustNew(WithOrder(16), WithSeed(77), mkAPD(), WithSweep(SweepAlways))
-		}},
-		{name: "safe+sweep", mk: func() intoFilter {
-			return NewSafe(MustNew(WithOrder(16), WithSeed(77), mkAPD(), WithSweep(SweepAlways)))
-		}},
-		{name: "sharded+apd+sweep", mk: func() intoFilter {
-			s, err := NewSharded(4, WithOrder(14), WithSeed(77), mkAPD(), WithSweep(SweepAlways))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}},
 	}
 	for _, fl := range flavors {
 		t.Run(fl.name, func(t *testing.T) {

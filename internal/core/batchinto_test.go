@@ -15,30 +15,19 @@ type intoFilter interface {
 }
 
 // mkIntoFilters builds identically-seeded instances of every flavor, one
-// per subtest, so verdict comparisons across call styles are exact. Each
-// flavor also appears with the batch sweep forced on (the sorted path is
-// size-gated off at test orders otherwise) and the base flavor with the
-// scalar reference kernels, so the buffer contract is pinned on every
-// data-plane variant.
+// per subtest, so verdict comparisons across call styles are exact.
 func mkIntoFilters(t *testing.T) map[string]func() intoFilter {
 	t.Helper()
-	mkSharded := func(opts ...Option) func() intoFilter {
-		return func() intoFilter {
-			s, err := NewSharded(4, append([]Option{WithOrder(12), WithSeed(21)}, opts...)...)
+	return map[string]func() intoFilter{
+		"filter": func() intoFilter { return MustNew(WithOrder(12), WithSeed(21)) },
+		"safe":   func() intoFilter { return NewSafe(MustNew(WithOrder(12), WithSeed(21))) },
+		"sharded": func() intoFilter {
+			s, err := NewSharded(4, WithOrder(12), WithSeed(21))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
-		}
-	}
-	return map[string]func() intoFilter{
-		"filter":        func() intoFilter { return MustNew(WithOrder(12), WithSeed(21)) },
-		"safe":          func() intoFilter { return NewSafe(MustNew(WithOrder(12), WithSeed(21))) },
-		"sharded":       mkSharded(),
-		"filter/sweep":  func() intoFilter { return MustNew(WithOrder(12), WithSeed(21), WithSweep(SweepAlways)) },
-		"safe/sweep":    func() intoFilter { return NewSafe(MustNew(WithOrder(12), WithSeed(21), WithSweep(SweepAlways))) },
-		"sharded/sweep": mkSharded(WithSweep(SweepAlways)),
-		"filter/scalar": func() intoFilter { return MustNew(WithOrder(12), WithSeed(21), WithKernels(KernelScalar)) },
+		},
 	}
 }
 

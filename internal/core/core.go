@@ -74,47 +74,6 @@ const (
 	FullTuple
 )
 
-// KernelMode selects the bit-touch strategy of the data-plane kernels.
-type KernelMode uint8
-
-// Kernel modes.
-const (
-	// KernelCoalesced (the default) groups each packet's m masked hash
-	// indexes by 64-bit word and touches every word exactly once: marks
-	// split and group the indexes on the stack and apply them to all k
-	// vectors with one grouped pass each, lookups probe each distinct
-	// word with one masked compare.
-	KernelCoalesced KernelMode = iota + 1
-	// KernelScalar is the pre-coalescing reference: one load/store per
-	// hash index, per vector, per packet. Kept as the pinned baseline
-	// for differential tests and scalar-vs-coalesced benchmarks.
-	KernelScalar
-)
-
-// SweepMode selects when ProcessBatchInto additionally sorts a whole
-// batch's (word, mask) pairs and replays them as sequential passes over
-// the bitmap (the batch sweep of batchsweep.go). The sweep is exact — the
-// differential tests pin verdict-for-verdict equality with per-packet
-// processing — but it only pays when the bitmap is too large for the CPU
-// caches: sorting costs a few ns per packet, while the random word
-// accesses it eliminates are nearly free as long as the vectors are
-// cache-resident.
-type SweepMode uint8
-
-// Sweep modes.
-const (
-	// SweepAuto (the default) engages the sorted sweep only for vectors
-	// of at least sweepMinWords words, the size regime where per-packet
-	// random access starts missing the last-level cache.
-	SweepAuto SweepMode = iota + 1
-	// SweepAlways sorts every eligible batch regardless of bitmap size.
-	// Differential tests use it to pin the sweep's exactness at small
-	// orders; on cache-resident bitmaps it is a measured net loss.
-	SweepAlways
-	// SweepNever always stays on the per-packet path.
-	SweepNever
-)
-
 // Option configures a Filter.
 type Option interface {
 	apply(*config)
@@ -128,8 +87,6 @@ type config struct {
 	seed        uint64
 	markPolicy  MarkPolicy
 	tuplePolicy TuplePolicy
-	kernels     KernelMode
-	sweep       SweepMode
 	apd         DropPolicy
 	build       buildConfig
 }
@@ -142,8 +99,6 @@ func defaultConfig() config {
 		rotateEvery: DefaultRotateEvery,
 		markPolicy:  MarkAllVectors,
 		tuplePolicy: PartialTuple,
-		kernels:     KernelCoalesced,
-		sweep:       SweepAuto,
 	}
 }
 
@@ -196,24 +151,6 @@ func (o tuplePolicyOption) apply(c *config) { c.tuplePolicy = TuplePolicy(o) }
 // WithTuplePolicy overrides which tuple fields are hashed (ablation only).
 func WithTuplePolicy(p TuplePolicy) Option { return tuplePolicyOption(p) }
 
-type kernelsOption KernelMode
-
-func (o kernelsOption) apply(c *config) { c.kernels = KernelMode(o) }
-
-// WithKernels overrides the data-plane kernel mode. The default,
-// KernelCoalesced, is behaviorally identical to KernelScalar (the
-// differential tests pin this) and strictly cheaper per packet; the
-// scalar mode exists for A/B benchmarks and differential testing.
-func WithKernels(m KernelMode) Option { return kernelsOption(m) }
-
-type sweepOption SweepMode
-
-func (o sweepOption) apply(c *config) { c.sweep = SweepMode(o) }
-
-// WithSweep overrides when batches are word-sorted before touching the
-// bitmap; see SweepMode. The default is SweepAuto.
-func WithSweep(m SweepMode) Option { return sweepOption(m) }
-
 type apdOption struct{ policy DropPolicy }
 
 func (o apdOption) apply(c *config) { c.apd = o.policy }
@@ -232,7 +169,6 @@ type Filter struct {
 	idx     int
 	hashes  *hashfam.Family
 	scratch []uint64
-	sweep   sweepScratch // reused by processSegment for batch coalescing
 	rng     *xrand.Rand
 
 	now        time.Duration
@@ -276,16 +212,6 @@ func New(opts ...Option) (*Filter, error) {
 	case PartialTuple, FullTuple:
 	default:
 		return nil, fmt.Errorf("%w: tuple policy %d", ErrConfig, cfg.tuplePolicy)
-	}
-	switch cfg.kernels {
-	case KernelCoalesced, KernelScalar:
-	default:
-		return nil, fmt.Errorf("%w: kernel mode %d", ErrConfig, cfg.kernels)
-	}
-	switch cfg.sweep {
-	case SweepAuto, SweepAlways, SweepNever:
-	default:
-		return nil, fmt.Errorf("%w: sweep mode %d", ErrConfig, cfg.sweep)
 	}
 	fam, err := hashfam.New(cfg.hashes, cfg.seed)
 	if err != nil {
@@ -471,37 +397,13 @@ func (f *Filter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict)
 // processBatch is the allocation-free core of ProcessBatch; out must have
 // the same length as pkts.
 //
-// When the sweep engages (see sweepEnabled), batches of at least
-// batchSortMin packets are cut into rotation-free segments and each
-// segment runs through the sorted word-sweep of processSegment — a few
-// sequential passes over the bitmap instead of per-packet random walks.
-// Segment boundaries fall exactly where AdvanceTo would fire a rotation,
-// so the sweep never spans a vector reset and verdicts stay
-// byte-identical to the per-packet path.
-//
 //bf:hotpath
 func (f *Filter) processBatch(pkts []packet.Packet, out []filtering.Verdict) {
-	if !f.sweepEnabled() || len(pkts) < batchSortMin {
-		for i := range pkts {
-			if pkts[i].Time > f.now {
-				f.AdvanceTo(pkts[i].Time)
-			}
-			out[i] = f.process(pkts[i])
+	for i := range pkts {
+		if pkts[i].Time > f.now {
+			f.AdvanceTo(pkts[i].Time)
 		}
-		return
-	}
-	for off := 0; off < len(pkts); {
-		if pkts[off].Time > f.now {
-			f.AdvanceTo(pkts[off].Time)
-		}
-		// Extend the segment up to (not including) the first packet
-		// whose timestamp would fire a rotation.
-		end := off + 1
-		for end < len(pkts) && pkts[end].Time < f.nextRotate {
-			end++
-		}
-		f.processSegment(pkts[off:end], out[off:end])
-		off = end
+		out[i] = f.process(pkts[i])
 	}
 }
 
@@ -606,27 +508,12 @@ func (f *Filter) keyFor(tup packet.Tuple, dir packet.Direction) hkey {
 	return hkey{lo: lo, hi: hi, n: packet.KeySize}
 }
 
-// mark sets the m hash bits of key; the scratch slice keeps the hot path
-// allocation-free. Under the coalesced kernels the m indexes are hashed
-// once and grouped into word/mask pairs once, then every vector is touched
-// exactly once per distinct word — a mark costs one hash evaluation, one
-// grouping pass and k grouped word read-modify-writes rather than k·m
-// scalar Set calls.
+// mark sets the m hash bits of key in every vector (Algorithm 2, outgoing);
+// the scratch slice keeps the hot path allocation-free.
 //
 //bf:hotpath
 func (f *Filter) mark(k hkey) {
 	f.scratch = f.hashes.IndexesFixed(f.scratch[:0], k.lo, k.hi, k.n)
-	if f.cfg.kernels == KernelScalar {
-		if f.cfg.markPolicy == MarkCurrentOnly {
-			f.vectors[f.idx].SetAllScalar(f.scratch)
-		} else {
-			for _, v := range f.vectors {
-				v.SetAllScalar(f.scratch)
-			}
-		}
-		f.marks++
-		return
-	}
 	if f.cfg.markPolicy == MarkCurrentOnly {
 		f.vectors[f.idx].SetAll(f.scratch)
 	} else {
@@ -640,8 +527,5 @@ func (f *Filter) mark(k hkey) {
 //bf:hotpath
 func (f *Filter) lookup(k hkey) bool {
 	f.scratch = f.hashes.IndexesFixed(f.scratch[:0], k.lo, k.hi, k.n)
-	if f.cfg.kernels == KernelScalar {
-		return f.vectors[f.idx].TestAllScalar(f.scratch)
-	}
 	return f.vectors[f.idx].TestAll(f.scratch)
 }

@@ -235,15 +235,6 @@ type shardScratch struct {
 
 var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
-// scratchSlice resizes s to n elements, reallocating only on growth. The
-// contents are unspecified; callers overwrite every element they read.
-func scratchSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // ProcessBatch routes every packet in pkts to its shard, runs one locked
 // batch per shard, and returns the verdicts in input order. Packets that
 // share a shard keep their relative order, so the result is identical to
@@ -285,13 +276,13 @@ func (s *Sharded) processBatchInto(pkts []packet.Packet, out []filtering.Verdict
 	// routing hash is computed once per packet. The scratch goes back to
 	// the pool via defer so a panicking shard cannot leak it.
 	sc := shardScratchPool.Get().(*shardScratch)
-	defer shardScratchPool.Put(sc)                         //bf:allow hotpath pooled put must run even if a shard panics, or the scratch leaks
-	sc.shardOf = scratchSlice(sc.shardOf, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.starts = scratchSlice(sc.starts, len(s.shards)+1)   //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.next = scratchSlice(sc.next, len(s.shards))         //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.grouped = scratchSlice(sc.grouped, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.perm = scratchSlice(sc.perm, len(pkts))             //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.groupedOut = scratchSlice(sc.groupedOut, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	defer shardScratchPool.Put(sc)                                //bf:allow hotpath pooled put must run even if a shard panics, or the scratch leaks
+	sc.shardOf = filtering.GrowSlice(sc.shardOf, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.starts = filtering.GrowSlice(sc.starts, len(s.shards)+1)   //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.next = filtering.GrowSlice(sc.next, len(s.shards))         //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.grouped = filtering.GrowSlice(sc.grouped, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.perm = filtering.GrowSlice(sc.perm, len(pkts))             //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.groupedOut = filtering.GrowSlice(sc.groupedOut, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
 
 	clear(sc.starts)
 	for i := range pkts {

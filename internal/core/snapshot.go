@@ -34,8 +34,9 @@ import (
 // identically). Top-level readers additionally reject trailing bytes, so
 // a concatenation accident cannot masquerade as a valid snapshot.
 //
-// Format v1 ("BMF1", a bare header + raw vectors with no checksums)
-// remains readable for old snapshot files.
+// Format v1 ("BMF1", a bare header + raw vectors with no checksums) is no
+// longer decoded: a stream carrying its magic is refused with
+// ErrSnapshotVersion.
 //
 // APD policies hold live traffic windows and are deliberately not
 // serialized; re-attach one via options when reconstructing (the windowed
@@ -93,8 +94,7 @@ var (
 	_ Snapshottable = (*Sharded)(nil)
 )
 
-// sectionHeader is the per-filter state record inside a v2 container (and,
-// prefixed with magic+version, the whole v1 header).
+// sectionHeader is the per-filter state record inside a v2 container.
 type sectionHeader struct {
 	Order       uint32
 	Vectors     uint32
@@ -258,11 +258,7 @@ func (s *Sharded) WriteSnapshot(w io.Writer) error {
 }
 
 // readContainerHeader parses and validates the framed v2 prologue and
-// returns (kind, sections). A v1 stream is reported via errV1, letting
-// ReadSnapshot fall back to the legacy decoder: only the first 8 bytes
-// (magic+version, identical in both layouts) have been consumed then.
-var errV1 = errors.New("v1 snapshot")
-
+// returns (kind, sections).
 func readContainerHeader(r io.Reader) (kind, sections uint32, err error) {
 	var pre [8]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
@@ -273,10 +269,7 @@ func readContainerHeader(r io.Reader) (kind, sections uint32, err error) {
 	switch magic {
 	case snapshotMagicV2:
 	case snapshotMagicV1:
-		if version != 1 {
-			return 0, 0, fmt.Errorf("%w: %d", ErrSnapshotVersion, version)
-		}
-		return 0, 0, errV1
+		return 0, 0, fmt.Errorf("%w: v1 (\"BMF1\") streams are no longer readable", ErrSnapshotVersion)
 	default:
 		return 0, 0, fmt.Errorf("%w: %#08x", ErrSnapshotMagic, magic)
 	}
@@ -309,8 +302,8 @@ func readContainerHeader(r io.Reader) (kind, sections uint32, err error) {
 	return kind, sections, nil
 }
 
-// validateSectionHeader applies the semantic integrity checks shared by
-// the v1 and v2 decoders.
+// validateSectionHeader applies the semantic integrity checks of a
+// decoded section header.
 func validateSectionHeader(hdr *sectionHeader, f *Filter) error {
 	if int(hdr.Idx) >= f.cfg.vectors {
 		return fmt.Errorf("%w: index %d of %d vectors", ErrSnapshotCorrupt, hdr.Idx, f.cfg.vectors)
@@ -401,27 +394,6 @@ func readSection(r io.Reader, opts []Option) (*Filter, error) {
 	return f, nil
 }
 
-// readSnapshotV1 decodes the legacy unchecksummed format; magic and
-// version (8 bytes) have already been consumed.
-func readSnapshotV1(r io.Reader, opts []Option) (*Filter, error) {
-	var buf [sectionHeaderLen]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return nil, fmt.Errorf("core: read snapshot header: %w", err)
-	}
-	var hdr sectionHeader
-	hdr.decode(buf[:])
-	f, err := buildSectionFilter(&hdr, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range f.vectors {
-		if _, err := v.ReadFrom(r); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
-		}
-	}
-	return f, nil
-}
-
 // expectEOF rejects trailing bytes after a fully decoded snapshot: a
 // concatenated or padded stream is not the stream the writer produced.
 func expectEOF(r io.Reader) error {
@@ -433,22 +405,12 @@ func expectEOF(r io.Reader) error {
 }
 
 // ReadSnapshot reconstructs a single (unsharded) filter from a stream
-// produced by Filter.WriteSnapshot or Safe.WriteSnapshot — v2 or legacy
-// v1. Additional options (e.g. WithAPD) are applied on top of the
-// serialized configuration. The stream must end with the snapshot;
-// trailing bytes are rejected as corruption.
+// produced by Filter.WriteSnapshot or Safe.WriteSnapshot. Additional
+// options (e.g. WithAPD) are applied on top of the serialized
+// configuration. The stream must end with the snapshot; trailing bytes are
+// rejected as corruption.
 func ReadSnapshot(r io.Reader, opts ...Option) (*Filter, error) {
 	kind, _, err := readContainerHeader(r)
-	if errors.Is(err, errV1) {
-		f, err := readSnapshotV1(r, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := expectEOF(r); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -482,9 +444,6 @@ func ReadSafeSnapshot(r io.Reader, opts ...Option) (*Safe, error) {
 // cloned per shard exactly as NewSharded does.
 func ReadShardedSnapshot(r io.Reader, opts ...Option) (*Sharded, error) {
 	kind, sections, err := readContainerHeader(r)
-	if errors.Is(err, errV1) {
-		return nil, fmt.Errorf("%w: v1 snapshots hold a single filter", ErrSnapshotKind)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -558,21 +517,11 @@ func readShardedSections(r io.Reader, n int, opts []Option) (*Sharded, error) {
 }
 
 // ReadAnySnapshot reconstructs whichever filter flavor the stream holds:
-// a *Filter for single-filter (or v1) snapshots, a *Sharded for sharded
+// a *Filter for single-filter snapshots, a *Sharded for sharded
 // ones. The live adapter and the checkpoint restore path use it so a
 // daemon restarts into the same flavor it checkpointed.
 func ReadAnySnapshot(r io.Reader, opts ...Option) (Snapshottable, error) {
 	kind, sections, err := readContainerHeader(r)
-	if errors.Is(err, errV1) {
-		f, err := readSnapshotV1(r, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := expectEOF(r); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -6,10 +6,9 @@ import (
 	"time"
 )
 
-// fuzzSeedStreams returns valid v2 filter bytes, v2 sharded bytes and a
-// legacy v1 re-encoding, plus single-bit-flip mutants of the v2 stream,
-// so the fuzzers start from the interesting frontier of almost-valid
-// inputs rather than random noise.
+// fuzzSeedStreams returns valid v2 filter bytes and v2 sharded bytes; the
+// fuzzers add single-bit-flip mutants of them, so they start from the
+// interesting frontier of almost-valid inputs rather than random noise.
 func fuzzSeedStreams(f *testing.F) (filter, sharded []byte) {
 	valid := MustNew(WithOrder(8), WithVectors(2), WithHashes(2),
 		WithRotateEvery(time.Second))

@@ -128,8 +128,8 @@ func TestShardedSnapshotAPDReattach(t *testing.T) {
 }
 
 // makeV1 re-encodes a v2 single-filter snapshot in the legacy v1 layout
-// (bare header + raw vectors, no checksums) to exercise the
-// backward-compat decoder without keeping a v1 writer around.
+// (bare header + raw vectors, no checksums): a well-formed stream of the
+// format the readers no longer decode.
 func makeV1(t *testing.T, f *Filter) []byte {
 	t.Helper()
 	data := mustSnapshot(t, f)
@@ -151,37 +151,39 @@ func makeV1(t *testing.T, f *Filter) []byte {
 	return out.Bytes()
 }
 
-func TestSnapshotV1BackwardCompat(t *testing.T) {
+// TestSnapshotV1Rejected: a v1 stream is outside input the readers must
+// refuse by name — ErrSnapshotVersion from every entry point, never a
+// decode — and its truncations must fail cleanly too.
+func TestSnapshotV1Rejected(t *testing.T) {
 	f := small(WithSeed(5))
-	replies := markFlows(f, 300, 13)
+	markFlows(f, 300, 13)
 	v1 := makeV1(t, f)
 
-	g, err := ReadSnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("ReadSnapshot(v1): %v", err)
+	readers := map[string]func([]byte) error{
+		"ReadSnapshot": func(b []byte) error {
+			_, err := ReadSnapshot(bytes.NewReader(b))
+			return err
+		},
+		"ReadShardedSnapshot": func(b []byte) error {
+			_, err := ReadShardedSnapshot(bytes.NewReader(b))
+			return err
+		},
+		"ReadAnySnapshot": func(b []byte) error {
+			_, err := ReadAnySnapshot(bytes.NewReader(b))
+			return err
+		},
 	}
-	if g.Stats().Marks != f.Stats().Marks || g.Counters() != f.Counters() {
-		t.Errorf("v1 state not restored: %+v vs %+v", g.Counters(), f.Counters())
-	}
-	for _, tup := range replies {
-		if f.WouldAdmit(tup) != g.WouldAdmit(tup) {
-			t.Fatalf("v1 verdict divergence on %v", tup)
+	for name, read := range readers {
+		for _, n := range []int{len(v1), len(v1) - 1, 50, 8} {
+			if err := read(v1[:n]); !errors.Is(err, ErrSnapshotVersion) {
+				t.Errorf("%s(v1[:%d]) = %v, want ErrSnapshotVersion", name, n, err)
+			}
 		}
-	}
-
-	// ReadAnySnapshot handles v1 too and yields the plain flavor.
-	any, err := ReadAnySnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := any.(*Filter); !ok {
-		t.Errorf("ReadAnySnapshot(v1) = %T, want *Filter", any)
-	}
-
-	// v1 truncations must still fail cleanly.
-	for _, n := range []int{8, 50, len(v1) - 1} {
-		if _, err := ReadSnapshot(bytes.NewReader(v1[:n])); err == nil {
-			t.Errorf("truncated v1 snapshot (%d bytes) accepted", n)
+		// Cut inside magic+version there is no version to name yet.
+		for _, n := range []int{7, 4, 0} {
+			if err := read(v1[:n]); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Errorf("%s(v1[:%d]) = %v, want ErrSnapshotCorrupt", name, n, err)
+			}
 		}
 	}
 }
@@ -200,10 +202,6 @@ func TestSnapshotTrailingBytesRejected(t *testing.T) {
 		}},
 		"v2 sharded": {mustSnapshot(t, sh), func(b []byte) error {
 			_, err := ReadShardedSnapshot(bytes.NewReader(b))
-			return err
-		}},
-		"v1": {makeV1(t, f), func(b []byte) error {
-			_, err := ReadSnapshot(bytes.NewReader(b))
 			return err
 		}},
 		"any": {mustSnapshot(t, sh), func(b []byte) error {
@@ -284,9 +282,6 @@ func TestSnapshotKindMismatch(t *testing.T) {
 	}
 	if _, err := ReadShardedSnapshot(bytes.NewReader(mustSnapshot(t, f))); !errors.Is(err, ErrSnapshotKind) {
 		t.Errorf("ReadShardedSnapshot(filter) = %v, want ErrSnapshotKind", err)
-	}
-	if _, err := ReadShardedSnapshot(bytes.NewReader(makeV1(t, f))); !errors.Is(err, ErrSnapshotKind) {
-		t.Errorf("ReadShardedSnapshot(v1) = %v, want ErrSnapshotKind", err)
 	}
 }
 

@@ -68,15 +68,6 @@ type chainScratch struct {
 
 var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
 
-// growSlice resizes s to n elements, reallocating only on growth; contents
-// are unspecified.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // Name identifies the chain and its stages.
 func (c *chain) Name() string {
 	if c.name == "" {
@@ -178,9 +169,9 @@ func (c *chain) processBatchInto(pkts []packet.Packet, out []Verdict) {
 	if len(c.stages) > 1 {
 		sc := chainScratchPool.Get().(*chainScratch)
 		defer chainScratchPool.Put(sc)
-		sc.pkts = growSlice(sc.pkts, len(pkts))
-		sc.idx = growSlice(sc.idx, len(pkts))
-		sc.verd = growSlice(sc.verd, len(pkts))
+		sc.pkts = GrowSlice(sc.pkts, len(pkts))
+		sc.idx = GrowSlice(sc.idx, len(pkts))
+		sc.verd = GrowSlice(sc.verd, len(pkts))
 
 		// Compact stage 1's survivors (with their original indices) into
 		// the scratch; subsequent stages compact in place — the write

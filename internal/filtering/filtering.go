@@ -85,11 +85,16 @@ type BatchFilter interface {
 // when cap(out) >= n, allocating only on growth. This is the resizing rule
 // every ProcessBatchInto implementation shares; contents are unspecified
 // until written.
-func GrowVerdicts(out []Verdict, n int) []Verdict {
-	if cap(out) < n {
-		return make([]Verdict, n)
+func GrowVerdicts(out []Verdict, n int) []Verdict { return GrowSlice(out, n) }
+
+// GrowSlice resizes s to n elements, reallocating only on growth — the
+// rule every pooled per-batch scratch buffer follows. Contents are
+// unspecified; callers overwrite every element they read.
+func GrowSlice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return out[:n]
+	return s[:n]
 }
 
 // ProcessBatch drives f per packet and returns freshly allocated verdicts —

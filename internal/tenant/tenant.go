@@ -249,15 +249,6 @@ type setScratch struct {
 
 var setScratchPool = sync.Pool{New: func() any { return new(setScratch) }}
 
-// scratchSlice resizes s to n elements, reallocating only on growth; the
-// contents are unspecified and fully overwritten by users.
-func scratchSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // ProcessBatch routes every packet to its tenant, runs one grouped
 // sub-batch per touched tenant, and returns the verdicts in input order.
 // Packets sharing a tenant keep their relative order, so each tenant
@@ -298,13 +289,13 @@ func (s *Set) processBatchInto(pkts []packet.Packet, out []filtering.Verdict) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
-	slots := len(s.tenants) + 1                            // + the unrouted pseudo-slot
-	sc.slotOf = scratchSlice(sc.slotOf, len(pkts))         //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.starts = scratchSlice(sc.starts, slots+1)           //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.next = scratchSlice(sc.next, slots)                 //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.grouped = scratchSlice(sc.grouped, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.perm = scratchSlice(sc.perm, len(pkts))             //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.groupedOut = scratchSlice(sc.groupedOut, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	slots := len(s.tenants) + 1                                   // + the unrouted pseudo-slot
+	sc.slotOf = filtering.GrowSlice(sc.slotOf, len(pkts))         //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.starts = filtering.GrowSlice(sc.starts, slots+1)           //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.next = filtering.GrowSlice(sc.next, slots)                 //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.grouped = filtering.GrowSlice(sc.grouped, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.perm = filtering.GrowSlice(sc.perm, len(pkts))             //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.groupedOut = filtering.GrowSlice(sc.groupedOut, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
 
 	// Stable counting sort by tenant slot; one table lookup per packet.
 	clear(sc.starts)
