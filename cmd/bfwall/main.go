@@ -56,6 +56,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -248,6 +249,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	p := newPump(src, bf, subnets, *batch, *snapLen, stats)
 	p.batchProbe = batchProbe
 	p.logf = logf
+	if wd != nil {
+		// One probe per lane goroutine: a lane wedged in its shard flips
+		// /healthz by name.
+		for i, l := range p.lanes {
+			l.probe = wd.Heartbeat(fmt.Sprintf("lane%d", i), *stallAfter)
+		}
+	}
 
 	plane := &resiliencePlane{
 		sup:     sup,
@@ -279,8 +287,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// The pump owns the hot loop. A signal starts the graceful drain:
 	// readiness flips first (stop routing here), the source closes (intake
-	// stops; queued frames still flow), the pump drains out, and only then
-	// is the final checkpoint taken — all within the drain deadline.
+	// stops; queued frames still flow), the pump drains out — with lanes,
+	// run returns only after every lane has been flushed and joined — and
+	// only then is the final checkpoint taken, all within the drain
+	// deadline.
 	start := time.Now()
 	pumpDone := make(chan error, 1)
 	go func() { pumpDone <- p.run() }()
@@ -533,7 +543,9 @@ func sourceFactory(pcapPath, iface string, loops, snapLen int, gcfg genConfig, o
 
 // pump is the wire-to-verdict hot loop: one reusable frame ring, one
 // reusable packet batch, one reusable verdict buffer — zero allocations
-// per frame in steady state.
+// per frame in steady state. Over a sharded filter it is the dispatcher
+// of a lane pipeline instead (lanes.go): it decodes and routes, and one
+// goroutine per shard judges.
 type pump struct {
 	src capture.Source
 	bf  filtering.BatchFilter
@@ -545,11 +557,17 @@ type pump struct {
 	verdicts []filtering.Verdict
 	stats    *wallStats
 
+	// sharded and lanes are set when bf has more than one shard: the
+	// pump then dispatches to the lanes and pkts/verdicts stay unused.
+	sharded *core.Sharded
+	lanes   []*lane
+	joined  sync.WaitGroup // the lane goroutines
+
 	// batchProbe, when set, tracks the batch loop's liveness: idle while
 	// parked on the source, beating once per processed batch.
 	batchProbe *resilience.Probe
 	// logf, when set, receives terminal source errors and quarantine
-	// events.
+	// events; lanes call it too, so it must tolerate concurrent calls.
 	logf func(format string, args ...any)
 }
 
@@ -558,12 +576,21 @@ func newPump(src capture.Source, bf filtering.BatchFilter, subnets []packet.Pref
 		batch = 1
 	}
 	p := &pump{
-		src:      src,
-		bf:       bf,
-		ring:     capture.NewRing(batch, snapLen),
-		pkts:     make([]packet.Packet, 0, batch),
-		verdicts: make([]filtering.Verdict, 0, batch),
-		stats:    stats,
+		src:   src,
+		bf:    bf,
+		ring:  capture.NewRing(batch, snapLen),
+		stats: stats,
+	}
+	if sh, ok := bf.(*core.Sharded); ok && sh.Shards() > 1 {
+		p.sharded = sh
+		p.lanes = make([]*lane, sh.Shards())
+		for i := range p.lanes {
+			p.lanes[i] = newLane(sh.Lane(i), batch)
+		}
+		stats.lanes = p.lanes
+	} else {
+		p.pkts = make([]packet.Packet, 0, batch)
+		p.verdicts = make([]filtering.Verdict, 0, batch)
 	}
 	if len(subnets) > 0 {
 		p.clients = packet.NewPrefixTable(subnets)
@@ -575,8 +602,13 @@ func newPump(src capture.Source, bf filtering.BatchFilter, subnets []packet.Pref
 // (io.EOF, a closed source) ends the loop silently; anything else is
 // logged with its error class before it surfaces — by the time an error
 // reaches the pump the supervisor has already retried everything
-// survivable, so what arrives here is genuinely terminal.
+// survivable, so what arrives here is genuinely terminal. With lanes, run
+// returns only once every dispatched packet has its verdict.
 func (p *pump) run() error {
+	if p.lanes != nil {
+		p.startLanes()
+		defer p.stopLanes()
+	}
 	for {
 		if p.batchProbe != nil {
 			p.batchProbe.SetIdle(true)
@@ -586,7 +618,14 @@ func (p *pump) run() error {
 			p.batchProbe.SetIdle(false)
 		}
 		if n > 0 {
-			p.processBatch(p.ring[:n])
+			if p.lanes != nil {
+				// A short batch means the source ran dry: flush, so no
+				// packet waits in a half-full sub-batch for traffic that
+				// may not come.
+				p.dispatch(p.ring[:n], n < len(p.ring))
+			} else {
+				p.processBatch(p.ring[:n])
+			}
 			if p.batchProbe != nil {
 				p.batchProbe.Beat()
 			}
@@ -603,71 +642,69 @@ func (p *pump) run() error {
 	}
 }
 
-// processBatch is the per-batch fast path: zero-copy decode each frame,
-// classify its direction against the client subnets, and push the whole
-// batch through ProcessBatchInto in one call. A panic anywhere in the
-// path quarantines the batch (counted, logged) instead of killing the
-// daemon — the next batch proceeds with fresh buffers.
+// intake is what the decode step tallies over one source batch, added to
+// the shared counters once at its end.
+type intake struct {
+	bytes, truncated, unrouted uint64
+}
+
+// decode is the per-frame front half: zero-copy decode into dst, stamp it
+// from the frame, classify its direction against the client subnets. It
+// reports false for a frame the filter never sees (undecodable, counted
+// by class here, or unrouted).
+//
+//bf:hotpath
+func (p *pump) decode(dst *packet.Packet, f *capture.Frame, t *intake) bool {
+	t.bytes += uint64(f.OrigLen)
+	if f.Truncated() {
+		t.truncated++
+	}
+	if err := packet.DecodeInto(dst, f.Data); err != nil {
+		p.stats.decodeErr[decClass(err)].Add(1)
+		return false
+	}
+	dst.Time = f.Time
+	if f.Truncated() {
+		// The decoder judged the captured prefix; account the frame
+		// at its wire length (APD bandwidth policies care).
+		dst.Length = f.OrigLen
+	}
+	// Subnet classification overrides the synthetic-MAC direction:
+	// real captures do not carry our MACs. Frames touching no client
+	// subnet are transit the edge would never forward to us.
+	if p.clients != nil {
+		dir, ok := p.clients.Classify(dst.Tuple)
+		if !ok {
+			t.unrouted++
+			return false
+		}
+		dst.Dir = dir
+	}
+	return true
+}
+
+// processBatch is the per-batch fast path of the one-lane pump: decode
+// each frame in place and push the whole batch through ProcessBatchInto
+// in one call. A panic anywhere in the path quarantines the batch
+// (counted, logged) instead of killing the daemon — the next batch
+// proceeds with fresh buffers.
 func (p *pump) processBatch(frames []capture.Frame) {
 	defer p.contain(len(frames))
 	start := time.Now()
 	// Counted up front so a quarantined batch's frames still show.
 	p.stats.frames.Add(uint64(len(frames)))
-	var wireBytes, truncated, unrouted uint64
+	var t intake
 	pkts := p.pkts[:0]
 	for i := range frames {
-		wireBytes += uint64(frames[i].OrigLen)
-		if frames[i].Truncated() {
-			truncated++
-		}
 		m := len(pkts)
 		pkts = pkts[:m+1]
-		if err := packet.DecodeInto(&pkts[m], frames[i].Data); err != nil {
+		if !p.decode(&pkts[m], &frames[i], &t) {
 			pkts = pkts[:m]
-			p.stats.decodeErr[decClass(err)].Add(1)
-			continue
-		}
-		pkts[m].Time = frames[i].Time
-		if frames[i].Truncated() {
-			// The decoder judged the captured prefix; account the frame
-			// at its wire length (APD bandwidth policies care).
-			pkts[m].Length = frames[i].OrigLen
-		}
-		// Subnet classification overrides the synthetic-MAC direction:
-		// real captures do not carry our MACs. Frames touching no client
-		// subnet are transit the edge would never forward to us.
-		if p.clients != nil {
-			dir, ok := p.clients.Classify(pkts[m].Tuple)
-			if !ok {
-				pkts = pkts[:m]
-				unrouted++
-				continue
-			}
-			pkts[m].Dir = dir
 		}
 	}
-	p.stats.bytes.Add(wireBytes)
-	p.stats.truncated.Add(truncated)
-	p.stats.unrouted.Add(unrouted)
+	p.stats.addIntake(t)
 	p.verdicts = p.bf.ProcessBatchInto(pkts, p.verdicts)
-	var out, in, pass, drop uint64
-	for i := range pkts {
-		if pkts[i].Dir == packet.Outgoing {
-			out++
-			continue
-		}
-		in++
-		if p.verdicts[i] == filtering.Pass {
-			pass++
-		} else {
-			drop++
-		}
-	}
-	p.stats.outgoing.Add(out)
-	p.stats.incoming.Add(in)
-	p.stats.passed.Add(pass)
-	p.stats.dropped.Add(drop)
-	p.pkts = pkts[:0]
+	p.stats.addVerdicts(pkts, p.verdicts)
 	p.stats.observeBatchLatency(time.Since(start), len(frames))
 }
 
@@ -677,15 +714,16 @@ func (p *pump) processBatch(frames []capture.Frame) {
 // own state is untouched by construction (ProcessBatchInto mutates per
 // packet, and a panicking packet never completed).
 func (p *pump) contain(frames int) {
-	r := recover()
-	if r == nil {
-		return
+	if r := recover(); r != nil {
+		p.quarantine(frames, r)
 	}
+}
+
+func (p *pump) quarantine(frames int, cause any) {
 	p.stats.quarantinedBatches.Add(1)
 	p.stats.quarantinedFrames.Add(uint64(frames))
-	p.pkts = p.pkts[:0]
 	if p.logf != nil {
-		p.logf("panic in batch path quarantined %d frames: %v", frames, r)
+		p.logf("panic in batch path quarantined %d frames: %v", frames, cause)
 	}
 }
 

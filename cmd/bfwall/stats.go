@@ -62,11 +62,15 @@ func decClass(err error) int {
 const reservoirSize = 4096
 
 // wallStats is the daemon's observability state. The counters are written
-// by the pump goroutine and read by HTTP handlers, so everything is
-// atomic; the latency reservoir has its own lock (taken once per batch,
-// and doing work only for the packets that land in the reservoir).
+// by the pump goroutine and its lanes and read by HTTP handlers, so
+// everything is atomic; the latency reservoir has its own lock (taken once
+// per batch, and doing work only for the packets that land in the
+// reservoir).
 type wallStats struct {
 	start time.Time
+	// lanes is the pump's lane pipeline (nil for a one-lane pump), set
+	// once by newPump; the handlers read its per-lane counters.
+	lanes []*lane
 
 	frames    atomic.Uint64
 	bytes     atomic.Uint64
@@ -102,6 +106,35 @@ func newWallStats(start time.Time) *wallStats {
 		rng:     xrand.New(0xbf0a11),
 		samples: make([]time.Duration, 0, reservoirSize),
 	}
+}
+
+// addIntake folds one source batch's decode-side tallies in.
+func (s *wallStats) addIntake(t intake) {
+	s.bytes.Add(t.bytes)
+	s.truncated.Add(t.truncated)
+	s.unrouted.Add(t.unrouted)
+}
+
+// addVerdicts counts one judged batch by direction and verdict: summed in
+// locals, one atomic add each.
+//
+//bf:hotpath
+func (s *wallStats) addVerdicts(pkts []packet.Packet, verdicts []filtering.Verdict) {
+	var out, in, pass uint64
+	for i := range pkts {
+		if pkts[i].Dir == packet.Outgoing {
+			out++
+			continue
+		}
+		in++
+		if verdicts[i] == filtering.Pass {
+			pass++
+		}
+	}
+	s.outgoing.Add(out)
+	s.incoming.Add(in)
+	s.passed.Add(pass)
+	s.dropped.Add(in - pass)
 }
 
 // observeBatchLatency folds one batch's wall-clock processing time into
@@ -194,7 +227,16 @@ type statsSnapshot struct {
 	PPS           float64           `json:"pps"`
 	LatencyP50Ns  int64             `json:"latency_p50_ns"`
 	LatencyP99Ns  int64             `json:"latency_p99_ns"`
+	Lanes         []laneSnapshot    `json:"lanes,omitempty"`
 	Filter        filterSnapshot    `json:"filter"`
+}
+
+// laneSnapshot is one lane of the pipeline a sharded filter runs behind.
+type laneSnapshot struct {
+	Frames     uint64 `json:"frames"`
+	Batches    uint64 `json:"sub_batches"`
+	QueueDepth int    `json:"queue_depth"`
+	Stalls     uint64 `json:"dispatcher_stalls"`
 }
 
 type filterSnapshot struct {
@@ -212,6 +254,15 @@ func (s *wallStats) snapshot(bf filtering.BatchFilter, now time.Time) statsSnaps
 	if uptime > 0 {
 		pps = float64(frames) / uptime
 	}
+	var lanes []laneSnapshot
+	for _, l := range s.lanes {
+		lanes = append(lanes, laneSnapshot{
+			Frames:     l.frames.Load(),
+			Batches:    l.batches.Load(),
+			QueueDepth: len(l.queue),
+			Stalls:     l.stalls.Load(),
+		})
+	}
 	return statsSnapshot{
 		UptimeSeconds: uptime,
 		Frames:        frames,
@@ -227,6 +278,7 @@ func (s *wallStats) snapshot(bf filtering.BatchFilter, now time.Time) statsSnaps
 		PPS:           pps,
 		LatencyP50Ns:  int64(lat[0]),
 		LatencyP99Ns:  int64(lat[1]),
+		Lanes:         lanes,
 		Filter: filterSnapshot{
 			Name:        bf.Name(),
 			MemoryBytes: bf.MemoryBytes(),
@@ -308,11 +360,36 @@ func newMux(s *wallStats, bf filtering.BatchFilter, plane *resiliencePlane) *htt
 			time.Duration(snap.LatencyP99Ns).Seconds())
 		fmt.Fprintf(w, "# TYPE bfwall_filter_memory_bytes gauge\nbfwall_filter_memory_bytes %d\n",
 			snap.Filter.MemoryBytes)
+		writeLaneMetrics(w, snap.Lanes)
 		if plane != nil {
 			plane.writeMetrics(w)
 		}
 	})
 	return mux
+}
+
+// writeLaneMetrics renders the lane pipeline's series, one sample per lane;
+// nothing for a one-lane pump.
+func writeLaneMetrics(w io.Writer, lanes []laneSnapshot) {
+	if len(lanes) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "# TYPE bitmapfilter_lane_frames_total counter\n")
+	for i, l := range lanes {
+		fmt.Fprintf(w, "bitmapfilter_lane_frames_total{lane=\"%d\"} %d\n", i, l.Frames)
+	}
+	fmt.Fprintf(w, "# TYPE bitmapfilter_lane_sub_batches_total counter\n")
+	for i, l := range lanes {
+		fmt.Fprintf(w, "bitmapfilter_lane_sub_batches_total{lane=\"%d\"} %d\n", i, l.Batches)
+	}
+	fmt.Fprintf(w, "# TYPE bitmapfilter_lane_queue_depth gauge\n")
+	for i, l := range lanes {
+		fmt.Fprintf(w, "bitmapfilter_lane_queue_depth{lane=\"%d\"} %d\n", i, l.QueueDepth)
+	}
+	fmt.Fprintf(w, "# TYPE bitmapfilter_lane_dispatcher_stalls_total counter\n")
+	for i, l := range lanes {
+		fmt.Fprintf(w, "bitmapfilter_lane_dispatcher_stalls_total{lane=\"%d\"} %d\n", i, l.Stalls)
+	}
 }
 
 // writeMetrics renders the resilience layer's Prometheus series. The

@@ -24,9 +24,12 @@ import (
 // size shards accordingly).
 type Sharded struct {
 	shards []*Safe
-	router *hashfam.Family
 	mask   uint64
 }
+
+// routerSeed seeds the routing hash. It is part of the sharded snapshot
+// contract: a restored shard holds the flows this seed routes to it.
+const routerSeed = 0x5ead5ead
 
 var _ filtering.BatchFilter = (*Sharded)(nil)
 
@@ -62,7 +65,6 @@ func NewSharded(shardCount int, opts ...Option) (*Sharded, error) {
 	}
 	s := &Sharded{
 		shards: make([]*Safe, n),
-		router: hashfam.MustNew(1, 0x5ead5ead),
 		mask:   uint64(n - 1),
 	}
 	for i := range s.shards {
@@ -99,6 +101,29 @@ func withSeedPerturbation(i uint64) Option { return seedPerturbOption(i) }
 
 // Shards returns the shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
+
+// Lane hands out shard i, 0 <= i < Shards(), for a caller that judges the
+// shards in parallel: one goroutine per lane, fed the packets LaneOf routes
+// to it, in arrival order. Lane i then sees exactly the packet sequence
+// shard i sees under ProcessBatchInto, so verdicts, marks, rotations and
+// APD draws are the same; ProcessBatchInto is the synchronous form of that
+// pipeline and the reference it is checked against.
+func (s *Sharded) Lane(i int) *Safe { return s.shards[i] }
+
+// LaneOf returns the shard a packet with this tuple and direction belongs
+// to. It routes by the direction-symmetric partial-tuple key (§3.3), so a
+// flow's marks and lookups meet in one shard.
+//
+//bf:hotpath
+func (s *Sharded) LaneOf(tup packet.Tuple, dir packet.Direction) int {
+	var lo, hi uint64
+	if dir == packet.Outgoing {
+		lo, hi = tup.OutgoingKeyWords()
+	} else {
+		lo, hi = tup.IncomingKeyWords()
+	}
+	return int(hashfam.Murmur64Fixed(lo, hi, packet.KeySize, routerSeed) & s.mask)
+}
 
 // Name implements filtering.PacketFilter.
 func (s *Sharded) Name() string {
@@ -219,7 +244,7 @@ func (s *Sharded) AdvanceTo(now time.Duration) {
 //
 //bf:hotpath
 func (s *Sharded) Process(pkt packet.Packet) filtering.Verdict {
-	return s.shards[s.shardFor(pkt)].Process(pkt)
+	return s.shards[s.LaneOf(pkt.Tuple, pkt.Dir)].Process(pkt)
 }
 
 // shardScratch holds the per-batch grouping buffers. Pooled so a steady
@@ -286,7 +311,7 @@ func (s *Sharded) processBatchInto(pkts []packet.Packet, out []filtering.Verdict
 
 	clear(sc.starts)
 	for i := range pkts {
-		sh := uint32(s.shardFor(pkts[i]))
+		sh := uint32(s.LaneOf(pkts[i].Tuple, pkts[i].Dir))
 		sc.shardOf[i] = sh
 		sc.starts[sh+1]++
 	}
@@ -326,26 +351,11 @@ func (s *Sharded) Reset() {
 // to.
 func (s *Sharded) PunchHole(local packet.Addr, localPort uint16, remote packet.Addr, proto packet.Proto) {
 	tup := packet.Tuple{Src: local, SrcPort: localPort, Dst: remote, Proto: proto}
-	key := tup.OutgoingKey()
-	s.shards[s.router.Index(0, key[:])&s.mask].PunchHole(local, localPort, remote, proto)
+	s.shards[s.LaneOf(tup, packet.Outgoing)].PunchHole(local, localPort, remote, proto)
 }
 
 // WouldAdmit reports whether an incoming packet with the given tuple would
 // currently pass, consulting the owning shard.
 func (s *Sharded) WouldAdmit(tup packet.Tuple) bool {
-	key := tup.IncomingKey()
-	return s.shards[s.router.Index(0, key[:])&s.mask].WouldAdmit(tup)
-}
-
-// shardFor routes by the direction-symmetric partial-tuple key.
-//
-//bf:hotpath
-func (s *Sharded) shardFor(pkt packet.Packet) uint64 {
-	var key packet.Key
-	if pkt.Dir == packet.Outgoing {
-		key = pkt.Tuple.OutgoingKey()
-	} else {
-		key = pkt.Tuple.IncomingKey()
-	}
-	return s.router.Index(0, key[:]) & s.mask
+	return s.shards[s.LaneOf(tup, packet.Incoming)].WouldAdmit(tup)
 }

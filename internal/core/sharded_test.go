@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bitmapfilter/internal/filtering"
+	"bitmapfilter/internal/hashfam"
 	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/xrand"
 )
@@ -361,5 +362,38 @@ func TestShardedConcurrent(t *testing.T) {
 	c := s.Counters()
 	if c.OutPackets != 16000 || c.InPackets != 16000 || c.InDropped != 0 {
 		t.Errorf("counters = %+v", c)
+	}
+}
+
+// TestLaneOfMatchesFamilyRoute pins the route to the expression it
+// replaced — a one-function hashfam.Family over the 11-byte key, whose
+// Index(0, ·) is Murmur64 plus an XX64 that was thrown away — so sharded
+// snapshots written before the change keep restoring into the shards
+// their flows route to.
+func TestLaneOfMatchesFamilyRoute(t *testing.T) {
+	ref := hashfam.MustNew(1, 0x5ead5ead)
+	const tuples = 1 << 20
+	for _, n := range []int{2, 4, 8} {
+		s, err := NewSharded(n, WithOrder(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := uint64(n - 1)
+		r := xrand.New(uint64(n))
+		for i := 0; i < tuples; i++ {
+			a, b := r.Uint64(), r.Uint64()
+			tup := packet.Tuple{
+				Src: packet.Addr(a), Dst: packet.Addr(a >> 32),
+				SrcPort: uint16(b), DstPort: uint16(b >> 16),
+				Proto: []packet.Proto{packet.TCP, packet.UDP}[b>>32&1],
+			}
+			out, in := tup.OutgoingKey(), tup.IncomingKey()
+			if got, want := s.LaneOf(tup, packet.Outgoing), int(ref.Index(0, out[:])&mask); got != want {
+				t.Fatalf("%d shards, outgoing %+v: lane %d, want %d", n, tup, got, want)
+			}
+			if got, want := s.LaneOf(tup, packet.Incoming), int(ref.Index(0, in[:])&mask); got != want {
+				t.Fatalf("%d shards, incoming %+v: lane %d, want %d", n, tup, got, want)
+			}
+		}
 	}
 }

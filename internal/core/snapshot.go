@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bitmapfilter/internal/filtering"
-	"bitmapfilter/internal/hashfam"
 	"bitmapfilter/internal/packet"
 )
 
@@ -480,7 +479,6 @@ func readShardedSections(r io.Reader, n int, opts []Option) (*Sharded, error) {
 	}
 	s := &Sharded{
 		shards: make([]*Safe, n),
-		router: hashfam.MustNew(1, 0x5ead5ead),
 		mask:   uint64(n - 1),
 	}
 	var f0 *Filter // shard 0, for cross-shard configuration checks

@@ -3,10 +3,11 @@
 #
 #   scripts/bench-pairs.sh BASE_REF [N] [WORKLOAD...]
 #
-# Checks BASE_REF (the parent) out into a git worktree under .bench_build/,
-# then runs `go run ./bench -workload W -trace 0` on the parent and on the
-# working tree (the change) N times each (default 10), alternating which
-# side goes first: odd pairs parent first, even pairs change first. For
+# Unpacks BASE_REF (the parent) with git archive into a directory under
+# .bench_build/ (a plain copy: no worktree support needed, nothing left in
+# .git), then runs `go run ./bench -workload W -trace 0` on the parent and
+# on the working tree (the change) N times each (default 10), alternating
+# which side goes first: odd pairs parent first, even pairs change first. For
 # each workload (default scan_flood) it prints every pair's wire_pps, the
 # wins and ties, both sides' medians and quartiles, and the verdict: a gain
 # is claimed only if the change wins at least nine tenths of all pairs run
@@ -18,7 +19,7 @@
 # The script only calls the harness; it edits nothing under bench/.
 set -eu
 
-[ $# -ge 1 ] || { sed -n '2,19s/^# \{0,1\}//p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,20s/^# \{0,1\}//p' "$0" >&2; exit 2; }
 base=$1
 pairs=${2:-10}
 [ $# -ge 2 ] && shift 2 || shift 1
@@ -29,10 +30,11 @@ tree=$root/.bench_build/pairs-base
 out=$root/.bench_build/pairs
 mkdir -p "$out"
 
-git -C "$root" worktree remove --force "$tree" 2>/dev/null || true
-git -C "$root" worktree add --quiet --detach "$tree" "$base"
-trap 'git -C "$root" worktree remove --force "$tree"' EXIT
-echo "parent: $(git -C "$tree" log -1 --format='%h %s')"
+rm -rf "$tree"
+mkdir -p "$tree"
+trap 'rm -rf "$tree"' EXIT
+git -C "$root" archive "$base" | tar -x -C "$tree"
+echo "parent: $(git -C "$root" log -1 --format='%h %s' "$base")"
 echo "change: working tree at $(git -C "$root" log -1 --format=%h)$(git -C "$root" diff --quiet HEAD || echo ' + uncommitted edits')"
 
 # run DIR SIDE WORKLOAD PAIR prints the run's wire_pps, or fails the script
