@@ -238,6 +238,21 @@ func (v *Vector) Equal(other *Vector) bool {
 	return true
 }
 
+// SubsetOf reports whether every bit set in v is also set in other: one
+// sequential sweep over both word arrays. Vectors of different orders are
+// never subsets of one another.
+func (v *Vector) SubsetOf(other *Vector) bool {
+	if v.order != other.order {
+		return false
+	}
+	for i, w := range v.words {
+		if w&^other.words[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // String summarizes the vector for debugging.
 func (v *Vector) String() string {
 	return fmt.Sprintf("bitvector{order=%d bits=%d set=%d}", v.order, v.Len(), v.PopCount())

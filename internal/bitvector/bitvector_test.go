@@ -185,6 +185,29 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+func TestSubsetOf(t *testing.T) {
+	a, b := MustNew(8), MustNew(8)
+	if !a.SubsetOf(b) || !a.SubsetOf(a) {
+		t.Error("empty vector not a subset of an empty one, or of itself")
+	}
+	b.Set(3)
+	b.Set(200) // a later word than bit 3's
+	if !a.SubsetOf(b) || b.SubsetOf(a) {
+		t.Error("∅ ⊆ {3,200} must hold and {3,200} ⊆ ∅ must not")
+	}
+	a.Set(200)
+	if !a.SubsetOf(b) {
+		t.Error("{200} not a subset of {3,200}")
+	}
+	a.Set(201)
+	if a.SubsetOf(b) {
+		t.Error("{200,201} reported a subset of {3,200}: same word, different bit")
+	}
+	if MustNew(8).SubsetOf(MustNew(9)) {
+		t.Error("vectors of different orders reported as subsets")
+	}
+}
+
 func TestStringMentionsCounts(t *testing.T) {
 	v := MustNew(8)
 	v.Set(1)

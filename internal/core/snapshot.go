@@ -390,6 +390,13 @@ func readSection(r io.Reader, opts []Option) (*Filter, error) {
 			return nil, fmt.Errorf("%w: vector checksum mismatch", ErrSnapshotCorrupt)
 		}
 	}
+	// The checksums prove the words are the ones written, not that a
+	// filter wrote them: mark's shortcut trusts the nesting invariant (see
+	// Filter.mark), and a crafted bit set only in the newest vector would
+	// make it skip the marks a legitimate reply depends on.
+	if f.cfg.markPolicy == MarkAllVectors && !f.nested() {
+		return nil, fmt.Errorf("%w: vectors are not nested by age", ErrSnapshotCorrupt)
+	}
 	return f, nil
 }
 

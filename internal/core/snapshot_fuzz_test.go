@@ -39,6 +39,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(filterBytes[:40])
 	f.Add(shardedBytes)
 	f.Add([]byte{})
+	unnested := bytes.Clone(filterBytes) // checksums good, bit 5 in the newest vector only
+	setVectorBit(unnested, 8, 1, 5)
+	f.Add(unnested)
 	for _, bit := range []int{0, 37, 8 * 30, 8*len(filterBytes) - 1} {
 		flipped := bytes.Clone(filterBytes)
 		flipped[bit/8] ^= 1 << (bit % 8)
@@ -56,6 +59,9 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		if u := g.Utilization(); u < 0 || u > 1 {
 			t.Fatalf("utilization %v", u)
+		}
+		if g.cfg.markPolicy == MarkAllVectors && !g.nested() {
+			t.Fatal("accepted a MarkAllVectors snapshot whose vectors are not nested")
 		}
 		// An accepted stream round-trips: writing the restored filter and
 		// reading it back reproduces the exact state.
@@ -86,6 +92,9 @@ func FuzzReadShardedSnapshot(f *testing.F) {
 	f.Add(filterBytes)
 	f.Add(shardedBytes[:len(shardedBytes)/2])
 	f.Add([]byte{})
+	unnested := bytes.Clone(shardedBytes) // shard 0 sits where a lone filter's section would
+	setVectorBit(unnested, 8, 1, 5)
+	f.Add(unnested)
 	for _, bit := range []int{4, 70, 8 * 130, 8*len(shardedBytes) - 2} {
 		flipped := bytes.Clone(shardedBytes)
 		flipped[bit/8] ^= 1 << (bit % 8)
@@ -99,6 +108,11 @@ func FuzzReadShardedSnapshot(f *testing.F) {
 		}
 		if g.Shards() < 1 {
 			t.Fatal("restored composite has no shards")
+		}
+		for i, sh := range g.shards {
+			if sh.f.cfg.markPolicy == MarkAllVectors && !sh.f.nested() {
+				t.Fatalf("accepted shard %d with vectors that are not nested", i)
+			}
 		}
 		if u := g.Utilization(); u < 0 || u > 1 {
 			t.Fatalf("utilization %v", u)

@@ -272,6 +272,72 @@ func TestSnapshotRotateDeadlineBound(t *testing.T) {
 	}
 }
 
+// setVectorBit sets one bit of vector vec in a single-filter v2 stream of
+// the given order and fixes up that vector's checksum, so only a semantic
+// check can refuse the stream.
+func setVectorBit(data []byte, order uint, vec int, bit uint64) {
+	vecLen := 1 << (order - 3)
+	off := containerHeaderLen + 4 + sectionHeaderLen + 4 + vec*(vecLen+4)
+	data[off+int(bit/8)] |= 1 << (bit % 8)
+	binary.LittleEndian.PutUint32(data[off+vecLen:],
+		crc32.Checksum(data[off:off+vecLen], castagnoli))
+}
+
+// TestSnapshotRefusesUnnestedVectors: a bit set only in the newest vector
+// is a state no MarkAllVectors filter can write. Restoring it would let
+// mark's shortcut skip an outgoing packet whose bits the newest vector
+// "already holds" while the current vector — the one replies are looked up
+// in — does not, so the stream must be refused, not trusted.
+func TestSnapshotRefusesUnnestedVectors(t *testing.T) {
+	opts := []Option{WithOrder(8), WithVectors(4), WithHashes(2), WithRotateEvery(time.Second)}
+	f := MustNew(opts...)
+	f.Process(outPkt(0, client, server, 4000, 80))
+	f.Process(outPkt(1500*time.Millisecond, client, server, 4001, 80)) // one rotation: idx 1, newest 0
+	data := mustSnapshot(t, f)
+	if _, err := ReadSnapshot(bytes.NewReader(data)); err != nil {
+		t.Fatalf("honest snapshot refused: %v", err)
+	}
+
+	// Every bit of the victim's key, set in the newest vector only.
+	reply := packet.Tuple{Src: server, Dst: client, SrcPort: 80, DstPort: 4002, Proto: packet.TCP}
+	victim := f.indexes(0, &reply, packet.Incoming)
+	for newer := 0; newer < 4; newer++ {
+		if newer == f.idx {
+			continue // the current vector is the oldest: a superset of all
+		}
+		bad := bytes.Clone(data)
+		for _, i := range victim {
+			setVectorBit(bad, 8, newer, f.vectors[0].Mask(i))
+		}
+		if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("bits only in vector %d (current %d) gave %v, want ErrSnapshotCorrupt", newer, f.idx, err)
+		}
+		if _, err := ReadAnySnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("ReadAnySnapshot: bits only in vector %d gave %v, want ErrSnapshotCorrupt", newer, err)
+		}
+	}
+
+	// The same bits in the current (oldest) vector alone keep the chain
+	// nested: it is what a filter holds after k−1 rotations.
+	ok := bytes.Clone(data)
+	for _, i := range victim {
+		setVectorBit(ok, 8, f.idx, f.vectors[0].Mask(i))
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(ok)); err != nil {
+		t.Errorf("bits in the oldest vector only refused: %v", err)
+	}
+
+	// MarkCurrentOnly never takes the shortcut, so nothing rests on its
+	// vectors being nested and the same crafted words are not refused.
+	g := MustNew(append(opts, WithMarkPolicy(MarkCurrentOnly))...)
+	g.Process(outPkt(1500*time.Millisecond, client, server, 4001, 80))
+	loose := mustSnapshot(t, g)
+	setVectorBit(loose, 8, 0, 5) // g.idx is 1: vector 0 is the newest
+	if _, err := ReadSnapshot(bytes.NewReader(loose)); err != nil {
+		t.Errorf("MarkCurrentOnly snapshot refused: %v", err)
+	}
+}
+
 func TestSnapshotKindMismatch(t *testing.T) {
 	f := small()
 	sh := mustSharded(t, 2, WithOrder(10), WithVectors(2), WithHashes(2),

@@ -98,6 +98,20 @@ func TestRebalanceShrinksIdleGrowsHot(t *testing.T) {
 		t.Errorf("hot counters after resize %+v, want %+v", after[0].Stats.Counters, hotBefore)
 	}
 
+	// The rebuilt filters are complete when Rebalance returns: judging a
+	// batch through them grows nothing (Set's own scratch is pooled, and
+	// the race detector makes sync.Pool drop entries at random).
+	batch := make([]packet.Packet, 512)
+	for i := range batch {
+		p := before[i%2].Prefix
+		batch[i] = packet.Packet{Time: 1100 * time.Millisecond, Dir: packet.Outgoing, Length: 100,
+			Tuple: packet.Tuple{Src: p.Nth(uint64(i)), SrcPort: 5000, Dst: packet.AddrFrom4(198, 51, 100, 7), DstPort: 443, Proto: packet.TCP}}
+	}
+	out := set.ProcessBatchInto(batch, nil)
+	if allocs := testing.AllocsPerRun(50, func() { out = set.ProcessBatchInto(batch, out) }); allocs != 0 && !raceEnabled {
+		t.Errorf("ProcessBatchInto on rebuilt tenants allocates %.1f times per batch", allocs)
+	}
+
 	// Determinism: an identical second set driven identically lands on
 	// identical geometry.
 	set2, err := tenant.NewSet(tenant.SetConfig{
@@ -201,3 +215,7 @@ func TestRebalanceRequiresBudget(t *testing.T) {
 		t.Error("AttachBudget accepted an invalid budget")
 	}
 }
+
+// raceEnabled is set by race_test.go under -race, where sync.Pool sheds
+// entries at random and allocation counts over pooled scratch mean nothing.
+var raceEnabled bool
