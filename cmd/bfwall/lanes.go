@@ -22,8 +22,35 @@ import (
 // that shard. The shards share no state, so every counter, mark, rotation
 // and APD draw equals the synchronous form's; only the interleaving
 // between shards differs, and nothing observes it.
+//
+// A tenant fleet runs on the same pipeline with one lane whose filter is
+// the whole Set: the dispatcher decodes straight into the pending
+// sub-batch (one lane, nothing to route by) and the slot its classify
+// found rides beside each packet, so the Set regroups by tenant without
+// looking anything up. The lane sees every packet in arrival order, so it
+// is the Set judging source batches cut at different places — and a
+// tenant's filter does not care where its caller's batches end.
+//
+// A single filter does not get a lane. Handing 40 B per packet to another
+// core costs 15–20 ns a frame: a fleet's ≈150 ns frame absorbs that and
+// runs ×1.6 for +7 % CPU per frame; scan_flood's ≈90 ns frame ran ×1.28
+// for +34 % CPU, past the benchmark's bound on CPU (DESIGN.md §11).
 
-// laneBuffers is how many sub-batches of -batch packets a lane owns: one
+// minSubBatch is the smallest sub-batch a lane is handed, however small
+// -batch (the source read) is: a hand-off is a channel send and, when the
+// lane has caught up, a goroutine wake-up, and below a few hundred packets
+// that costs more than the second core gives back. With sub-batch = -batch
+// a fleet read, against the inline pump on the tenant_fleet trace (medians
+// of six alternating rounds), -batch 32 6.22M → 5.16M frames/s (CPU 184 →
+// 258 ns/frame) and -batch 128 7.41M → 8.07M (160 → 187 ns); with this
+// floor 6.22M → 12.89M (184 → 153 ns) and 7.41M → 16.58M (160 → 136 ns),
+// and -shards 2 on scan_flood at -batch 32 went 6.74M → 10.90M (177 → 145
+// ns). It costs no latency: a live source that has run dry returns a short
+// batch, which flushes (dispatch), and one that keeps returning full
+// batches fills 512 packets at the rate it is backlogged.
+const minSubBatch = 512
+
+// laneBuffers is how many sub-batches a lane owns: one
 // filling at the dispatcher, one being judged, the rest queued between
 // them to ride out the lanes falling out of step. When all are in flight
 // the dispatcher blocks — that is the pipeline's back-pressure. Measured
@@ -34,14 +61,25 @@ const laneBuffers = 8
 // subBatch is one lane's share of one or more source batches.
 type subBatch struct {
 	pkts []packet.Packet
+	// slots[i] is the tenant slot of pkts[i]; allocated (to cap(pkts)) only
+	// for a fleet's lane.
+	slots []int32
 	// opened is when the source batch that put the first packet in was
 	// read: the latency reservoir measures from here to the last verdict,
 	// queue wait included.
 	opened time.Time
 }
 
+// routedFilter is a filter that judges by slots the dispatcher already
+// found (*tenant.Set).
+type routedFilter interface {
+	ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict
+}
+
 type lane struct {
+	// bf judges a shard's lane; routed, when set, a fleet's, and bf is nil.
 	bf       filtering.BatchFilter
+	routed   routedFilter
 	pending  *subBatch           // filling; the dispatcher's
 	verdicts []filtering.Verdict // the lane goroutine's
 
@@ -61,15 +99,23 @@ type lane struct {
 	stalls  atomic.Uint64 // times the dispatcher found every buffer in flight
 }
 
-func newLane(bf filtering.BatchFilter, batch int) *lane {
+// newLane builds a lane judging through bf, or through routed when that is
+// set: every sub-batch then carries a slot per packet.
+func newLane(bf filtering.BatchFilter, routed routedFilter, batch int) *lane {
+	batch = max(batch, minSubBatch)
 	l := &lane{
 		bf:       bf,
+		routed:   routed,
 		verdicts: make([]filtering.Verdict, 0, batch),
 		queue:    make(chan *subBatch, laneBuffers),
 		free:     make(chan *subBatch, laneBuffers),
 	}
 	for i := 0; i < laneBuffers; i++ {
-		l.free <- &subBatch{pkts: make([]packet.Packet, 0, batch)}
+		sub := &subBatch{pkts: make([]packet.Packet, 0, batch)}
+		if routed != nil {
+			sub.slots = make([]int32, batch)
+		}
+		l.free <- sub
 	}
 	l.pending = <-l.free
 	return l
@@ -94,9 +140,10 @@ func (p *pump) stopLanes() {
 	p.joined.Wait()
 }
 
-// dispatch is the dispatcher's share of one source batch. A panic in it
-// quarantines the source batch as in the one-lane pump; packets of it
-// already appended to a lane's pending sub-batch are still judged.
+// dispatch is the dispatcher's share of one source batch over a sharded
+// filter. A panic in it quarantines the source batch as in the inline
+// pump; packets of it already appended to a lane's pending sub-batch are
+// still judged.
 //
 //bf:hotpath
 func (p *pump) dispatch(frames []capture.Frame, flush bool) {
@@ -107,7 +154,7 @@ func (p *pump) dispatch(frames []capture.Frame, flush bool) {
 	var t intake
 	var pkt packet.Packet
 	for i := range frames {
-		if !p.decode(&pkt, &frames[i], &t) {
+		if p.decode(&pkt, &frames[i], &t) < 0 {
 			continue
 		}
 		l := p.lanes[p.sharded.LaneOf(pkt.Tuple, pkt.Dir)]
@@ -129,6 +176,42 @@ func (p *pump) dispatch(frames []capture.Frame, flush bool) {
 				l.send()
 			}
 		}
+	}
+}
+
+// dispatchFleet is dispatch over a fleet's one lane: with nothing to route
+// by, each frame is decoded where the lane will read it, and a packet
+// joins the sub-batch (the length moves) only once it is whole — a decoder
+// panic leaves no half-written packet to be judged. With several lanes the
+// choice would be lanes[slot%len(lanes)] here, after a decode into a local.
+//
+//bf:hotpath
+func (p *pump) dispatchFleet(frames []capture.Frame, flush bool) {
+	defer p.contain(len(frames)) //bf:allow hotpath the panic boundary: a decoder fault must cost one source batch, not the daemon
+	read := time.Now()
+	// Counted up front so a quarantined batch's frames still show.
+	p.stats.frames.Add(uint64(len(frames)))
+	var t intake
+	l := p.lanes[0]
+	for i := range frames {
+		sub := l.pending
+		m := len(sub.pkts)
+		slot := p.decode(&sub.pkts[:m+1][m], &frames[i], &t)
+		if slot < 0 {
+			continue
+		}
+		if m == 0 {
+			sub.opened = read
+		}
+		sub.slots[m] = slot
+		sub.pkts = sub.pkts[:m+1]
+		if m+1 == cap(sub.pkts) {
+			l.send()
+		}
+	}
+	p.stats.addIntake(t)
+	if flush && len(l.pending.pkts) > 0 {
+		l.send()
 	}
 }
 
@@ -170,12 +253,16 @@ func (p *pump) runLane(l *lane) {
 	}
 }
 
-// judge runs one sub-batch through the lane's shard and accounts it.
+// judge runs one sub-batch through the lane's filter and accounts it.
 //
 //bf:hotpath
 func (p *pump) judge(l *lane, sub *subBatch) {
 	defer p.recycle(l, sub) //bf:allow hotpath the lane's panic boundary, and the buffer must go back to the dispatcher even then
-	l.verdicts = l.bf.ProcessBatchInto(sub.pkts, l.verdicts)
+	if l.routed != nil {
+		l.verdicts = l.routed.ProcessRoutedInto(sub.pkts, sub.slots[:len(sub.pkts)], l.verdicts)
+	} else {
+		l.verdicts = l.bf.ProcessBatchInto(sub.pkts, l.verdicts)
+	}
 	p.stats.addVerdicts(sub.pkts, l.verdicts)
 	l.frames.Add(uint64(len(sub.pkts)))
 	l.batches.Add(1)

@@ -24,10 +24,18 @@ import (
 )
 
 // testTrace synthesizes a pcap in memory: legitimate two-way sessions at
-// connRate under a random scan at scanPPS, over span of virtual time.
+// connRate under a random scan at scanPPS, over span of virtual time, with
+// clients in 10.0.0.0/8.
 func testTrace(t *testing.T, scanPPS, connRate float64, span time.Duration) []byte {
+	return testTraceOver(t, "10.0.0.0/8", scanPPS, connRate, span)
+}
+
+func testTraceOver(t *testing.T, clients string, scanPPS, connRate float64, span time.Duration) []byte {
 	t.Helper()
-	subnets, _ := parseSubnets("10.0.0.0/8")
+	subnets, err := parseSubnets(clients)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if _, _, err := writeScanTrace(&buf, genConfig{
 		scanPPS: scanPPS, connRate: connRate, duration: span, seed: 3, subnets: subnets,
@@ -38,17 +46,27 @@ func testTrace(t *testing.T, scanPPS, connRate float64, span time.Duration) []by
 }
 
 // decodeTrace is the reference front half: every frame of trace decoded
-// and classified without the pump.
+// and classified against 10.0.0.0/8 without the pump.
 func decodeTrace(t *testing.T, trace []byte) []packet.Packet {
 	t.Helper()
 	subnets, _ := parseSubnets("10.0.0.0/8")
-	clients := packet.NewPrefixTable(subnets)
+	pkts, unrouted := decodeTraceOver(t, trace, subnets)
+	if unrouted != 0 {
+		t.Fatal("unrouted frame in a synthesized trace")
+	}
+	return pkts
+}
+
+// decodeTraceOver classifies against clients, through a table of its own,
+// and counts the frames that touch none of them instead of returning them.
+func decodeTraceOver(t *testing.T, trace []byte, clients []packet.Prefix) (pkts []packet.Packet, unrouted uint64) {
+	t.Helper()
+	table := packet.NewPrefixTable(clients)
 	src, err := capture.NewReplayBytes(trace, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ring := capture.NewRing(64, 0)
-	var pkts []packet.Packet
 	for {
 		n, err := src.ReadBatch(ring)
 		for _, f := range ring[:n] {
@@ -57,15 +75,16 @@ func decodeTrace(t *testing.T, trace []byte) []packet.Packet {
 				t.Fatalf("undecodable frame in a synthesized trace: %v", derr)
 			}
 			pkt.Time = f.Time
-			dir, ok := clients.Classify(pkt.Tuple)
+			dir, ok := table.Classify(pkt.Tuple)
 			if !ok {
-				t.Fatal("unrouted frame in a synthesized trace")
+				unrouted++
+				continue
 			}
 			pkt.Dir = dir
 			pkts = append(pkts, pkt)
 		}
 		if err != nil {
-			return pkts
+			return pkts, unrouted
 		}
 	}
 }
@@ -292,9 +311,9 @@ func TestLanePanicQuarantinesSubBatch(t *testing.T) {
 	ref := shardedFilter(t, 2)
 	ref.ProcessBatchInto(pkts, nil)
 
-	const batch = 64
 	bf := shardedFilter(t, 2)
-	p, stats := lanedPump(t, trace, 1, bf, batch)
+	p, stats := lanedPump(t, trace, 1, bf, 64)
+	const batch = minSubBatch // what a lane is handed when -batch is smaller
 	p.lanes[1].bf = &panicFilter{BatchFilter: bf.Lane(1), panicOn: 1}
 	var logged atomic.Int64
 	p.logf = func(string, ...any) { logged.Add(1) }
@@ -423,17 +442,33 @@ func (w *wedgeFilter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Ver
 }
 
 // TestLaneObservability: the pipeline's per-lane series on /stats and
-// /metrics, and a wedged lane flipping /healthz by name.
+// /metrics, and a wedged lane flipping /healthz by name — lane 1 of two over
+// a sharded filter, and the one lane of a fleet.
 func TestLaneObservability(t *testing.T) {
+	// Enough frames for one lane alone to fill all eight of its sub-batches.
+	t.Run("shards", func(t *testing.T) {
+		bf := shardedFilter(t, 2)
+		p, stats := lanedPump(t, testTrace(t, 40_000, 200, 300*time.Millisecond), 1, bf, 64)
+		wedge := &wedgeFilter{BatchFilter: bf.Lane(1), entered: make(chan struct{}), release: make(chan struct{})}
+		p.lanes[1].bf = wedge
+		checkLaneObservability(t, p, stats, bf, 1, wedge.entered, wedge.release)
+	})
+	t.Run("fleet", func(t *testing.T) {
+		set := fleetSet(t)
+		p, stats := fleetPump(t, testTraceOver(t, fleetClients, 40_000, 200, 300*time.Millisecond), 1, set, 64)
+		wedge := &wedgeRouted{routedFilter: set, entered: make(chan struct{}), release: make(chan struct{})}
+		p.lanes[0].routed = wedge
+		checkLaneObservability(t, p, stats, set, 0, wedge.entered, wedge.release)
+	})
+}
+
+// checkLaneObservability runs p, whose lane number wedged blocks in its
+// first sub-batch until released, and reads the monitoring plane while the
+// lane is stuck and after the run.
+func checkLaneObservability(t *testing.T, p *pump, stats *wallStats, bf filtering.BatchFilter, wedged int, entered <-chan struct{}, release chan<- struct{}) {
 	var clock atomic.Int64
 	wd := resilience.NewWatchdog(func() time.Duration { return time.Duration(clock.Load()) })
 	health := resilience.NewHealth(wd)
-
-	trace := testTrace(t, 40_000, 200, 100*time.Millisecond)
-	bf := shardedFilter(t, 2)
-	p, stats := lanedPump(t, trace, 1, bf, 64)
-	wedge := &wedgeFilter{BatchFilter: bf.Lane(1), entered: make(chan struct{}), release: make(chan struct{})}
-	p.lanes[1].bf = wedge
 	for i, l := range p.lanes {
 		l.probe = wd.Heartbeat(fmt.Sprintf("lane%d", i), 100*time.Millisecond)
 	}
@@ -455,22 +490,22 @@ func TestLaneObservability(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- p.run() }()
-	<-wedge.entered // lane 1 is inside its shard and stays there
-	for deadline := time.Now().Add(10 * time.Second); p.lanes[1].stalls.Load() == 0; time.Sleep(time.Millisecond) {
+	<-entered // the lane is inside its filter and stays there
+	for deadline := time.Now().Add(10 * time.Second); p.lanes[wedged].stalls.Load() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the dispatcher never ran out of buffers for the wedged lane")
 		}
 	}
-	// One sub-batch is in the wedged shard, every other one queued behind it.
+	// One sub-batch is in the wedged filter, every other one queued behind it.
 	if _, metrics := get("/metrics"); !strings.Contains(metrics,
-		fmt.Sprintf(`bitmapfilter_lane_queue_depth{lane="1"} %d`, laneBuffers-1)) {
-		t.Errorf("/metrics with lane 1 wedged and the dispatcher waiting:\n%s", metrics)
+		fmt.Sprintf(`bitmapfilter_lane_queue_depth{lane="%d"} %d`, wedged, laneBuffers-1)) {
+		t.Errorf("/metrics with lane %d wedged and the dispatcher waiting:\n%s", wedged, metrics)
 	}
 	clock.Store(int64(time.Second))
-	if code, body := get("/healthz"); code != 503 || !strings.Contains(body, "lane1 stalled") {
-		t.Errorf("/healthz with lane 1 wedged = %d %q", code, body)
+	if code, body := get("/healthz"); code != 503 || !strings.Contains(body, fmt.Sprintf("lane%d stalled", wedged)) {
+		t.Errorf("/healthz with lane %d wedged = %d %q", wedged, code, body)
 	}
-	close(wedge.release)
+	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -480,20 +515,34 @@ func TestLaneObservability(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("/stats JSON: %v", err)
 	}
-	if len(snap.Lanes) != 2 || snap.Lanes[0].Frames+snap.Lanes[1].Frames != snap.Frames ||
-		snap.Lanes[0].Batches == 0 || snap.Lanes[1].Batches == 0 {
-		t.Errorf("/stats lanes = %+v of %d frames", snap.Lanes, snap.Frames)
+	if len(snap.Lanes) != len(p.lanes) {
+		t.Fatalf("/stats has %d lanes, the pump %d", len(snap.Lanes), len(p.lanes))
 	}
 	_, metrics := get("/metrics")
-	for _, want := range []string{
-		fmt.Sprintf(`bitmapfilter_lane_frames_total{lane="0"} %d`, snap.Lanes[0].Frames),
-		fmt.Sprintf(`bitmapfilter_lane_sub_batches_total{lane="1"} %d`, snap.Lanes[1].Batches),
-		`bitmapfilter_lane_queue_depth{lane="0"} 0`,
-		fmt.Sprintf(`bitmapfilter_lane_dispatcher_stalls_total{lane="1"} %d`, snap.Lanes[1].Stalls),
-		`bitmapfilter_resilience_probe_stalled{probe="lane1"} 0`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
+	var judged uint64
+	for i, l := range snap.Lanes {
+		judged += l.Frames
+		if l.Batches == 0 {
+			t.Errorf("/stats lane %d judged no sub-batch: %+v", i, l)
 		}
+		for _, want := range []string{
+			fmt.Sprintf(`bitmapfilter_lane_frames_total{lane="%d"} %d`, i, l.Frames),
+			fmt.Sprintf(`bitmapfilter_lane_sub_batches_total{lane="%d"} %d`, i, l.Batches),
+			fmt.Sprintf(`bitmapfilter_lane_queue_depth{lane="%d"} 0`, i),
+			fmt.Sprintf(`bitmapfilter_lane_dispatcher_stalls_total{lane="%d"} %d`, i, l.Stalls),
+			fmt.Sprintf(`bitmapfilter_resilience_probe_stalled{probe="lane%d"} 0`, i),
+		} {
+			if !strings.Contains(metrics, want) {
+				t.Errorf("/metrics missing %q", want)
+			}
+		}
+	}
+	if judged == 0 || judged != snap.Outgoing+snap.Incoming || judged+snap.Unrouted != snap.Frames {
+		t.Errorf("/stats lanes judged %d of %d frames (%d out, %d in, %d unrouted)", judged, snap.Frames, snap.Outgoing, snap.Incoming, snap.Unrouted)
+	}
+	// Per-packet latency runs from the read that opened a sub-batch to its
+	// last verdict: the wedge is inside it.
+	if snap.LatencyP99Ns <= 0 {
+		t.Errorf("/stats latency p99 = %d", snap.LatencyP99Ns)
 	}
 }

@@ -168,15 +168,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return nil
 	}
 
-	bf, tenantPrefixes, restoreRes, err := buildFilter(*ckpt, *tenantsF, *order, *vectors, *hashes, *rotate, *shards)
+	bf, restoreRes, err := buildFilter(*ckpt, *tenantsF, *order, *vectors, *hashes, *rotate, *shards)
 	if err != nil {
 		return err
 	}
 	logRestore(out, *ckpt, restoreRes)
-	if tenantPrefixes != nil {
-		// A tenant fleet's routing prefixes are its client subnets.
-		subnets = tenantPrefixes
-	}
 
 	// The resilience plane: watchdog probes for every supervised loop,
 	// a lifecycle state machine behind /healthz and /readyz.
@@ -250,7 +246,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	p.batchProbe = batchProbe
 	p.logf = logf
 	if wd != nil {
-		// One probe per lane goroutine: a lane wedged in its shard flips
+		// One probe per lane goroutine: a lane wedged in its filter flips
 		// /healthz by name.
 		for i, l := range p.lanes {
 			l.probe = wd.Heartbeat(fmt.Sprintf("lane%d", i), *stallAfter)
@@ -398,28 +394,26 @@ func parseSubnets(s string) ([]packet.Prefix, error) {
 
 // buildFilter composes the filter flavor from the flags: a tenant fleet
 // when a config file is given, otherwise a single or sharded bitmap
-// filter via the unified builder. For a fleet it also returns the
-// tenants' routing prefixes (used as the client subnets).
+// filter via the unified builder.
 //
 // With a checkpoint path it walks the restore ladder first — primary
 // file, .bak rotation, cold start — and builds fresh from the flags only
-// when no good snapshot exists. Checkpointing also forces every filter
+// when no good snapshot exists. A restored fleet must be the fleet the
+// config describes, or the daemon refuses to start: it would otherwise
+// run the snapshot's tenants under the operator's belief that the edited
+// config is in force. Checkpointing also forces every filter
 // goroutine-safe (WithConcurrencySafe / the fleet's safe flavor): the
 // periodic snapshot writer runs concurrently with the pump.
-func buildFilter(ckptPath, tenantsPath string, order uint, vectors, hashes int, rotate time.Duration, shards int) (snapFilter, []packet.Prefix, checkpoint.RestoreResult, error) {
+func buildFilter(ckptPath, tenantsPath string, order uint, vectors, hashes int, rotate time.Duration, shards int) (snapFilter, checkpoint.RestoreResult, error) {
 	noRestore := checkpoint.RestoreResult{Outcome: checkpoint.OutcomeColdStartEmpty}
 	if tenantsPath != "" {
 		data, err := os.ReadFile(tenantsPath)
 		if err != nil {
-			return nil, nil, noRestore, err
+			return nil, noRestore, err
 		}
 		cfg, err := tenant.ParseConfig(data)
 		if err != nil {
-			return nil, nil, noRestore, fmt.Errorf("%s: %w", tenantsPath, err)
-		}
-		prefixes := make([]packet.Prefix, len(cfg.Tenants))
-		for i := range cfg.Tenants {
-			prefixes[i] = cfg.Tenants[i].Prefix
+			return nil, noRestore, fmt.Errorf("%s: %w", tenantsPath, err)
 		}
 		if ckptPath != "" {
 			// The snapshot serializes each tenant's flavor (including
@@ -434,16 +428,19 @@ func buildFilter(ckptPath, tenantsPath string, order uint, vectors, hashes int, 
 				return nil
 			})
 			if res.Outcome.Restored() {
-				return restored, prefixes, res, nil
+				if err := restored.SameFleet(cfg.Tenants); err != nil {
+					return nil, res, fmt.Errorf("checkpoint %s does not hold the fleet of %s: %w (remove the checkpoint to start the new fleet cold, or restore the config)", res.File, tenantsPath, err)
+				}
+				return restored, res, nil
 			}
 			for i := range cfg.Tenants {
 				cfg.Tenants[i].Options = append(cfg.Tenants[i].Options, core.WithConcurrencySafe())
 			}
 			set, err := tenant.NewSet(cfg)
-			return set, prefixes, res, err
+			return set, res, err
 		}
 		set, err := tenant.NewSet(cfg)
-		return set, prefixes, noRestore, err
+		return set, noRestore, err
 	}
 	geom := []core.Option{
 		core.WithOrder(order),
@@ -475,13 +472,13 @@ func buildFilter(ckptPath, tenantsPath string, order uint, vectors, hashes int, 
 			return nil
 		})
 		if res.Outcome.Restored() {
-			return restored, nil, res, nil
+			return restored, res, nil
 		}
 		f, err := core.Build(opts...)
-		return f, nil, res, err
+		return f, res, err
 	}
 	f, err := core.Build(opts...)
-	return f, nil, noRestore, err
+	return f, noRestore, err
 }
 
 // logRestore reports each restore-ladder outcome distinctly.
@@ -543,22 +540,25 @@ func sourceFactory(pcapPath, iface string, loops, snapLen int, gcfg genConfig, o
 
 // pump is the wire-to-verdict hot loop: one reusable frame ring, one
 // reusable packet batch, one reusable verdict buffer — zero allocations
-// per frame in steady state. Over a sharded filter it is the dispatcher
-// of a lane pipeline instead (lanes.go): it decodes and routes, and one
-// goroutine per shard judges.
+// per frame in steady state. Over a sharded filter or a tenant fleet it is
+// the dispatcher of a lane pipeline instead (lanes.go): it decodes and
+// classifies, and the lane goroutines judge.
 type pump struct {
 	src capture.Source
 	bf  filtering.BatchFilter
 	// clients classifies direction against the client subnets; nil (no
-	// subnets configured) keeps the decoder's MAC-derived direction.
+	// subnets configured) keeps the decoder's MAC-derived direction. Over a
+	// fleet it is the fleet's own routing table, so the slot classify finds
+	// is the slot the fleet judges by.
 	clients  *packet.PrefixTable
 	ring     []capture.Frame
 	pkts     []packet.Packet
 	verdicts []filtering.Verdict
 	stats    *wallStats
 
-	// sharded and lanes are set when bf has more than one shard: the
-	// pump then dispatches to the lanes and pkts/verdicts stay unused.
+	// lanes is set when bf has more than one shard (one lane per shard,
+	// routed by sharded.LaneOf) or is a fleet (one lane, sharded nil): the
+	// pump then dispatches to them and pkts/verdicts stay unused.
 	sharded *core.Sharded
 	lanes   []*lane
 	joined  sync.WaitGroup // the lane goroutines
@@ -571,6 +571,9 @@ type pump struct {
 	logf func(format string, args ...any)
 }
 
+// newPump picks the pump's shape from the filter it is given: lanes per
+// shard, one lane for a fleet, inline for a single filter. subnets are the
+// client prefixes direction is classified against; a fleet brings its own.
 func newPump(src capture.Source, bf filtering.BatchFilter, subnets []packet.Prefix, batch, snapLen int, stats *wallStats) *pump {
 	if batch < 1 {
 		batch = 1
@@ -581,19 +584,29 @@ func newPump(src capture.Source, bf filtering.BatchFilter, subnets []packet.Pref
 		ring:  capture.NewRing(batch, snapLen),
 		stats: stats,
 	}
-	if sh, ok := bf.(*core.Sharded); ok && sh.Shards() > 1 {
-		p.sharded = sh
-		p.lanes = make([]*lane, sh.Shards())
-		for i := range p.lanes {
-			p.lanes[i] = newLane(sh.Lane(i), batch)
+	switch f := bf.(type) {
+	case *tenant.Set:
+		// One table, one slot numbering: whatever built the fleet (the
+		// config, a snapshot) also decided what its slots mean.
+		p.clients = f.Routes()
+		p.lanes = []*lane{newLane(nil, f, batch)}
+	case *core.Sharded:
+		if f.Shards() > 1 {
+			p.sharded = f
+			p.lanes = make([]*lane, f.Shards())
+			for i := range p.lanes {
+				p.lanes[i] = newLane(f.Lane(i), nil, batch)
+			}
 		}
+	}
+	if p.clients == nil && len(subnets) > 0 {
+		p.clients = packet.NewPrefixTable(subnets)
+	}
+	if p.lanes != nil {
 		stats.lanes = p.lanes
 	} else {
 		p.pkts = make([]packet.Packet, 0, batch)
 		p.verdicts = make([]filtering.Verdict, 0, batch)
-	}
-	if len(subnets) > 0 {
-		p.clients = packet.NewPrefixTable(subnets)
 	}
 	return p
 }
@@ -618,11 +631,13 @@ func (p *pump) run() error {
 			p.batchProbe.SetIdle(false)
 		}
 		if n > 0 {
-			if p.lanes != nil {
+			if p.sharded != nil {
 				// A short batch means the source ran dry: flush, so no
 				// packet waits in a half-full sub-batch for traffic that
 				// may not come.
 				p.dispatch(p.ring[:n], n < len(p.ring))
+			} else if p.lanes != nil {
+				p.dispatchFleet(p.ring[:n], n < len(p.ring))
 			} else {
 				p.processBatch(p.ring[:n])
 			}
@@ -650,18 +665,19 @@ type intake struct {
 
 // decode is the per-frame front half: zero-copy decode into dst, stamp it
 // from the frame, classify its direction against the client subnets. It
-// reports false for a frame the filter never sees (undecodable, counted
-// by class here, or unrouted).
+// returns the index of the client prefix that decided the direction (0
+// with no subnets configured), or -1 for a frame the filter never sees:
+// undecodable, counted by class here, or unrouted.
 //
 //bf:hotpath
-func (p *pump) decode(dst *packet.Packet, f *capture.Frame, t *intake) bool {
+func (p *pump) decode(dst *packet.Packet, f *capture.Frame, t *intake) (slot int32) {
 	t.bytes += uint64(f.OrigLen)
 	if f.Truncated() {
 		t.truncated++
 	}
 	if err := packet.DecodeInto(dst, f.Data); err != nil {
 		p.stats.decodeErr[decClass(err)].Add(1)
-		return false
+		return -1
 	}
 	dst.Time = f.Time
 	if f.Truncated() {
@@ -673,17 +689,17 @@ func (p *pump) decode(dst *packet.Packet, f *capture.Frame, t *intake) bool {
 	// real captures do not carry our MACs. Frames touching no client
 	// subnet are transit the edge would never forward to us.
 	if p.clients != nil {
-		dir, ok := p.clients.Classify(dst.Tuple)
-		if !ok {
+		var dir packet.Direction
+		if dir, slot = p.clients.ClassifySlot(dst.Tuple); slot < 0 {
 			t.unrouted++
-			return false
+			return slot
 		}
 		dst.Dir = dir
 	}
-	return true
+	return slot
 }
 
-// processBatch is the per-batch fast path of the one-lane pump: decode
+// processBatch is the per-batch fast path of the inline pump: decode
 // each frame in place and push the whole batch through ProcessBatchInto
 // in one call. A panic anywhere in the path quarantines the batch
 // (counted, logged) instead of killing the daemon — the next batch
@@ -698,7 +714,7 @@ func (p *pump) processBatch(frames []capture.Frame) {
 	for i := range frames {
 		m := len(pkts)
 		pkts = pkts[:m+1]
-		if !p.decode(&pkts[m], &frames[i], &t) {
+		if p.decode(&pkts[m], &frames[i], &t) < 0 {
 			pkts = pkts[:m]
 		}
 	}

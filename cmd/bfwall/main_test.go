@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -83,18 +82,9 @@ func TestGenThenReplayFile(t *testing.T) {
 // TestTenantFleetReplay drives the pump against a multi-tenant data
 // plane, with the tenants' prefixes taking over subnet classification.
 func TestTenantFleetReplay(t *testing.T) {
-	dir := t.TempDir()
-	fleet := filepath.Join(dir, "fleet.json")
-	cfg := `{"tenants":[
-		{"id":"a","prefix":"10.0.0.0/9","order":12},
-		{"id":"b","prefix":"10.128.0.0/9","order":12}
-	]}`
-	if err := os.WriteFile(fleet, []byte(cfg), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
-		"-bench", "-tenants", fleet,
+		"-bench", "-tenants", writeFleet(t, t.TempDir(), fleetJSON),
 		"-scan-pps", "5000", "-conn-rate", "5", "-gen-duration", "200ms",
 	}, &out)
 	if err != nil {

@@ -77,17 +77,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // (including the forced goroutine-safe flavor) survives the snapshot.
 func TestCheckpointRoundTripTenants(t *testing.T) {
 	dir := t.TempDir()
-	fleet := filepath.Join(dir, "fleet.json")
-	cfg := `{"tenants":[
-		{"id":"a","prefix":"10.0.0.0/9","order":12},
-		{"id":"b","prefix":"10.128.0.0/9","order":12}
-	]}`
-	if err := os.WriteFile(fleet, []byte(cfg), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	ckpt := filepath.Join(dir, "fleet.bmf")
 	args := []string{
-		"-bench", "-target", "1", "-tenants", fleet,
+		"-bench", "-target", "1", "-tenants", writeFleet(t, dir, fleetJSON),
 		"-scan-pps", "2000", "-conn-rate", "10", "-gen-duration", "100ms",
 		"-checkpoint", ckpt,
 	}

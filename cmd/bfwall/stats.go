@@ -68,7 +68,7 @@ const reservoirSize = 4096
 // reservoir).
 type wallStats struct {
 	start time.Time
-	// lanes is the pump's lane pipeline (nil for a one-lane pump), set
+	// lanes is the pump's lane pipeline (nil for an inline pump), set
 	// once by newPump; the handlers read its per-lane counters.
 	lanes []*lane
 
@@ -231,7 +231,8 @@ type statsSnapshot struct {
 	Filter        filterSnapshot    `json:"filter"`
 }
 
-// laneSnapshot is one lane of the pipeline a sharded filter runs behind.
+// laneSnapshot is one lane of the pipeline a sharded filter or a fleet runs
+// behind.
 type laneSnapshot struct {
 	Frames     uint64 `json:"frames"`
 	Batches    uint64 `json:"sub_batches"`
@@ -369,7 +370,7 @@ func newMux(s *wallStats, bf filtering.BatchFilter, plane *resiliencePlane) *htt
 }
 
 // writeLaneMetrics renders the lane pipeline's series, one sample per lane;
-// nothing for a one-lane pump.
+// nothing for an inline pump.
 func writeLaneMetrics(w io.Writer, lanes []laneSnapshot) {
 	if len(lanes) == 0 {
 		return

@@ -107,11 +107,24 @@ func (t *PrefixTable) Lookup(a Addr) int32 {
 //
 //bf:hotpath
 func (t *PrefixTable) Classify(tu Tuple) (dir Direction, ok bool) {
-	switch {
-	case t.Lookup(tu.Src) >= 0:
-		return Outgoing, true
-	case t.Lookup(tu.Dst) >= 0:
-		return Incoming, true
+	dir, slot := t.ClassifySlot(tu)
+	return dir, slot >= 0
+}
+
+// ClassifySlot is Classify returning what it found rather than whether it
+// found something: the index of the prefix that decided the direction,
+// which is Lookup of the packet's client-side address (the source of an
+// outgoing packet, the destination of an incoming one), or -1 and no
+// direction when neither address is a client's. A caller that routes by
+// the same table need not look the packet up again.
+//
+//bf:hotpath
+func (t *PrefixTable) ClassifySlot(tu Tuple) (dir Direction, slot int32) {
+	if slot = t.Lookup(tu.Src); slot >= 0 {
+		return Outgoing, slot
 	}
-	return 0, false
+	if slot = t.Lookup(tu.Dst); slot >= 0 {
+		return Incoming, slot
+	}
+	return 0, noMatch
 }

@@ -44,7 +44,8 @@ func linearClassify(prefixes []Prefix, tu Tuple) (Direction, bool) {
 
 // checkTable compares the table with the oracle on the four boundary
 // addresses of every prefix (with wraparound at the ends of the address
-// space) and on the extra probes, and checks the documented node bound.
+// space) and on the extra probes — Lookup per address, Classify and
+// ClassifySlot per pair of them — and checks the documented node bound.
 func checkTable(t testing.TB, prefixes []Prefix, probes []Addr) {
 	t.Helper()
 	table := NewPrefixTable(prefixes)
@@ -66,6 +67,18 @@ func checkTable(t testing.TB, prefixes []Prefix, probes []Addr) {
 		wantDir, wantOK := linearClassify(prefixes, tu)
 		if gotDir != wantDir || gotOK != wantOK {
 			t.Fatalf("Classify(%v) = %v,%v; oracle %v,%v; prefixes %v", tu, gotDir, gotOK, wantDir, wantOK, prefixes)
+		}
+		// ClassifySlot is Classify plus the oracle's longest match of the
+		// client-side address: the slot a fleet would route by.
+		wantSlot := int32(-1)
+		switch {
+		case wantOK && wantDir == Outgoing:
+			wantSlot = linearLookup(prefixes, tu.Src)
+		case wantOK:
+			wantSlot = linearLookup(prefixes, tu.Dst)
+		}
+		if dir, slot := table.ClassifySlot(tu); dir != wantDir || slot != wantSlot {
+			t.Fatalf("ClassifySlot(%v) = %v,%d; oracle %v,%d; prefixes %v", tu, dir, slot, wantDir, wantSlot, prefixes)
 		}
 	}
 }

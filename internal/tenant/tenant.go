@@ -258,14 +258,13 @@ func (s *Set) ProcessBatch(pkts []packet.Packet) []filtering.Verdict {
 	if len(pkts) == 0 {
 		return nil
 	}
-	out := make([]filtering.Verdict, len(pkts))
-	s.processBatchInto(pkts, out)
-	return out
+	return s.ProcessBatchInto(pkts, make([]filtering.Verdict, len(pkts)))
 }
 
 // ProcessBatchInto is ProcessBatch writing into a caller-provided buffer
 // under the filtering.BatchFilter contract; with the pooled scratch the
-// steady state is allocation-free.
+// steady state is allocation-free. It looks every packet's slot up and is
+// ProcessRoutedInto from there.
 //
 //bf:hotpath
 func (s *Set) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
@@ -273,63 +272,103 @@ func (s *Set) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []
 	if len(pkts) == 0 {
 		return out
 	}
-	s.processBatchInto(pkts, out)
-	return out
-}
-
-// processBatchInto fills out (same length as pkts) with one grouped
-// sub-batch per touched tenant. Slot len(tenants) is the pseudo-tenant
-// for unrouted packets, which pass unfiltered.
-//
-//bf:hotpath
-func (s *Set) processBatchInto(pkts []packet.Packet, out []filtering.Verdict) {
 	sc := setScratchPool.Get().(*setScratch)
 	defer setScratchPool.Put(sc) //bf:allow hotpath pooled put must run even if a tenant filter panics, or the scratch leaks
 
+	sc.slotOf = filtering.GrowSlice(sc.slotOf, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	for i := range pkts {
+		sc.slotOf[i] = s.routes.Lookup(clientAddr(&pkts[i]))
+	}
+	s.regroup(sc, pkts, sc.slotOf, out)
+	return out
+}
+
+// Routes returns the table the Set routes with: Lookup of a packet's
+// client-side address (packet.PrefixTable.ClassifySlot's slot) is the slot
+// ProcessRoutedInto takes for it. Immutable, like the prefixes.
+func (s *Set) Routes() *packet.PrefixTable { return s.routes }
+
+// ProcessRoutedInto is ProcessBatchInto for a caller that has already
+// looked the packets up in Routes: slots[i] is the tenant slot of pkts[i],
+// or -1 for a packet no prefix covers (passed unfiltered and counted, as
+// ever). The daemon's classify step finds the slot anyway; handing it over
+// saves the Set a second walk of the same table. A length mismatch or a
+// slot outside [-1, Tenants()) is a bug in the caller, not traffic: it
+// panics before any tenant filter or counter is touched.
+//
+//bf:hotpath
+func (s *Set) ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict {
+	if len(slots) != len(pkts) {
+		badSlots("tenant: ProcessRoutedInto: %d slots for %d packets", len(slots), len(pkts))
+	}
+	out = filtering.GrowVerdicts(out, len(pkts)) //bf:allow escapecheck amortized grow per the BatchFilter contract; steady state reuses the caller buffer
+	if len(pkts) == 0 {
+		return out
+	}
+	sc := setScratchPool.Get().(*setScratch)
+	defer setScratchPool.Put(sc) //bf:allow hotpath pooled put must run even if a tenant filter panics, or the scratch leaks
+	s.regroup(sc, pkts, slots, out)
+	return out
+}
+
+// badSlots is the cold end of ProcessRoutedInto's contract: the caller
+// broke it, and the message is all that is left to do. Kept out of line so
+// the formatting stays off the hot path's books.
+//
+//go:noinline
+func badSlots(format string, a, b int) {
+	panic(fmt.Sprintf(format, a, b))
+}
+
+// regroup is the one body behind both entry points: it fills out (same
+// length as pkts and slots) with one grouped sub-batch per touched tenant.
+// Group g = slot+1, so group 0 collects the unrouted packets (slot -1),
+// which pass unfiltered, and tenant t is group t+1.
+//
+//bf:hotpath
+func (s *Set) regroup(sc *setScratch, pkts []packet.Packet, slots []int32, out []filtering.Verdict) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
-	slots := len(s.tenants) + 1                                   // + the unrouted pseudo-slot
-	sc.slotOf = filtering.GrowSlice(sc.slotOf, len(pkts))         //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.starts = filtering.GrowSlice(sc.starts, slots+1)           //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.next = filtering.GrowSlice(sc.next, slots)                 //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	groups := len(s.tenants) + 1                                  // + the unrouted group
+	sc.starts = filtering.GrowSlice(sc.starts, groups+1)          //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.next = filtering.GrowSlice(sc.next, groups)                //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
 	sc.grouped = filtering.GrowSlice(sc.grouped, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
 	sc.perm = filtering.GrowSlice(sc.perm, len(pkts))             //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
 	sc.groupedOut = filtering.GrowSlice(sc.groupedOut, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
 
-	// Stable counting sort by tenant slot; one table lookup per packet.
+	// Stable counting sort by group. The count pass is also the range
+	// check: it ends before anything below reads a slot as an index.
 	clear(sc.starts)
-	for i := range pkts {
-		slot := s.routes.Lookup(clientAddr(&pkts[i]))
-		if slot < 0 {
-			slot = int32(len(s.tenants))
+	for _, slot := range slots {
+		if uint32(slot+1) >= uint32(groups) {
+			badSlots("tenant: slot %d outside [-1, %d)", int(slot), len(s.tenants))
 		}
-		sc.slotOf[i] = slot
-		sc.starts[slot+1]++
+		sc.starts[slot+2]++
 	}
 	for i := 1; i < len(sc.starts); i++ {
 		sc.starts[i] += sc.starts[i-1]
 	}
-	copy(sc.next, sc.starts[:slots])
+	copy(sc.next, sc.starts[:groups])
 	for i := range pkts {
-		slot := sc.slotOf[i]
-		pos := sc.next[slot]
-		sc.next[slot]++
+		g := slots[i] + 1
+		pos := sc.next[g]
+		sc.next[g]++
 		sc.grouped[pos] = pkts[i]
 		sc.perm[pos] = int32(i) // grouped position -> original index
 	}
 
 	for t := range s.tenants {
-		a, b := sc.starts[t], sc.starts[t+1]
+		a, b := sc.starts[t+1], sc.starts[t+2]
 		if a == b {
 			continue
 		}
 		s.tenants[t].filter.ProcessBatchInto(sc.grouped[a:b], sc.groupedOut[a:b])
 	}
-	// Unrouted pseudo-slot: pass unfiltered, count by direction.
-	if a, b := sc.starts[slots-1], sc.starts[slots]; a != b {
+	// The unrouted group: pass unfiltered, count by direction.
+	if b := sc.starts[1]; b != 0 {
 		var nOut, nIn uint64
-		for pos := a; pos < b; pos++ {
+		for pos := 0; pos < b; pos++ {
 			sc.groupedOut[pos] = filtering.Pass
 			if sc.grouped[pos].Dir == packet.Outgoing {
 				nOut++
@@ -511,6 +550,36 @@ func (s *Set) TenantIDs() []string {
 		out[i] = st.id
 	}
 	return out
+}
+
+// SameFleet reports whether the Set runs exactly the tenants described —
+// the same ids, each owning the same canonical prefix; order and filter
+// options are not compared — and otherwise returns an ErrConfig naming the
+// first difference: in want's order, then a tenant of the Set that want
+// lacks. It is the check a daemon makes after restoring a fleet from a
+// snapshot, before believing its config file describes what it runs.
+func (s *Set) SameFleet(want []Config) error {
+	seen := make(map[string]struct{}, len(want))
+	for _, tc := range want {
+		if _, dup := seen[tc.ID]; dup {
+			return fmt.Errorf("%w: duplicate tenant id %q", ErrConfig, tc.ID)
+		}
+		seen[tc.ID] = struct{}{}
+		slot, ok := s.byID[tc.ID]
+		if !ok {
+			return fmt.Errorf("%w: tenant %q (%v) is configured but not in the running fleet", ErrConfig, tc.ID, tc.Prefix)
+		}
+		have := s.tenants[slot].prefix
+		if packet.PrefixFrom(have.Base, have.Bits) != packet.PrefixFrom(tc.Prefix.Base, tc.Prefix.Bits) {
+			return fmt.Errorf("%w: tenant %q is configured with prefix %v but runs with %v", ErrConfig, tc.ID, tc.Prefix, have)
+		}
+	}
+	for _, st := range s.tenants {
+		if _, ok := seen[st.id]; !ok {
+			return fmt.Errorf("%w: tenant %q (%v) is in the running fleet but not configured", ErrConfig, st.id, st.prefix)
+		}
+	}
+	return nil
 }
 
 // Lookup returns the tenant id owning addr, or "" if no prefix covers

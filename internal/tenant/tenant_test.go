@@ -2,6 +2,9 @@ package tenant_test
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -466,5 +469,148 @@ func BenchmarkSetDispatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		set.ProcessBatchInto(pkts, out)
+	}
+}
+
+// clientSlots is what the daemon hands ProcessRoutedInto: Routes().Lookup of
+// each packet's client-side address.
+func clientSlots(set *tenant.Set, pkts []packet.Packet) []int32 {
+	slots := make([]int32, len(pkts))
+	for i, pkt := range pkts {
+		addr := pkt.Tuple.Src
+		if pkt.Dir == packet.Incoming {
+			addr = pkt.Tuple.Dst
+		}
+		slots[i] = set.Routes().Lookup(addr)
+	}
+	return slots
+}
+
+// TestRoutedMatchesUnrouted: the two entry points are one body. Two
+// identical fleets are fed the same trace cut into random batches (the
+// empty batch among them), one through ProcessBatchInto and one through
+// ProcessRoutedInto with the slots the table gives; verdicts, unrouted
+// counts and every tenant's Stats stay equal.
+func TestRoutedMatchesUnrouted(t *testing.T) {
+	cfgs := fleetSpec()
+	plain := mustSet(t, tenant.SetConfig{Tenants: cfgs})
+	routed := mustSet(t, tenant.SetConfig{Tenants: cfgs})
+	pkts := fleetTrace(60_000, cfgs)
+	slots := clientSlots(routed, pkts)
+	for i, pkt := range pkts {
+		if want := routeRef(cfgs, pkt); int(slots[i]) != want {
+			t.Fatalf("packet %d: table slot %d, reference %d", i, slots[i], want)
+		}
+	}
+
+	rng := uint64(99)
+	var want, got []filtering.Verdict
+	for at, batches := 0, 0; at < len(pkts); batches++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		n := min(int(rng>>33)%700, len(pkts)-at) // 0 … 699: empty batches included
+		if batches == 0 {
+			n = 0
+		}
+		want = plain.ProcessBatchInto(pkts[at:at+n], want)
+		got = routed.ProcessRoutedInto(pkts[at:at+n], slots[at:at+n], got)
+		if len(got) != n || !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch at %d (%d packets): verdicts differ", at, n)
+		}
+		at += n
+	}
+	if plain.UnroutedPackets() == 0 || routed.UnroutedPackets() != plain.UnroutedPackets() {
+		t.Errorf("unrouted: routed %d, plain %d (want equal and non-zero)", routed.UnroutedPackets(), plain.UnroutedPackets())
+	}
+	if got, want := routed.TenantStats(), plain.TenantStats(); !reflect.DeepEqual(got, want) {
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("tenant %s\n  routed: %+v\n  plain:  %+v", got[i].ID, got[i].Stats, want[i].Stats)
+			}
+		}
+	}
+}
+
+// TestRoutedRejectsHostileSlots: a slot that is not the table's answer is a
+// caller bug, and it is caught before the batch touches anything — the
+// panic names the problem, no tenant filter and no counter has moved, and
+// the Set judges the next batch as if nothing happened.
+func TestRoutedRejectsHostileSlots(t *testing.T) {
+	cfgs := fleetSpec()
+	set := mustSet(t, tenant.SetConfig{Tenants: cfgs})
+	pkts := fleetTrace(512, cfgs)
+	slots := clientSlots(set, pkts)
+	set.ProcessRoutedInto(pkts[:256], slots[:256], nil) // some state to disturb
+	before, beforeUnrouted := set.TenantStats(), set.UnroutedPackets()
+
+	hostile := func(name, wantMsg string, slots []int32) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, wantMsg) {
+				t.Errorf("%s: panic %q, want one containing %q", name, msg, wantMsg)
+			}
+			if !reflect.DeepEqual(set.TenantStats(), before) || set.UnroutedPackets() != beforeUnrouted {
+				t.Errorf("%s: the rejected batch moved fleet state", name)
+			}
+		}()
+		set.ProcessRoutedInto(pkts[256:], slots, nil)
+	}
+	bad := func(at int, slot int32) []int32 {
+		s := append([]int32(nil), slots[256:]...)
+		s[at] = slot
+		return s
+	}
+	hostile("slot -2", "slot -2 outside [-1, 6)", bad(255, -2))
+	hostile("slot len(tenants)", "slot 6 outside [-1, 6)", bad(0, int32(len(cfgs))))
+	hostile("short slice", "255 slots for 256 packets", slots[257:])
+
+	ref := mustSet(t, tenant.SetConfig{Tenants: cfgs})
+	ref.ProcessBatchInto(pkts[:256], nil)
+	want := ref.ProcessBatchInto(pkts[256:], nil)
+	if got := set.ProcessRoutedInto(pkts[256:], slots[256:], nil); !reflect.DeepEqual(got, want) {
+		t.Error("verdicts after the rejected batches differ from a fleet that never saw them")
+	}
+}
+
+// TestSameFleet: the restore-time comparison of a running fleet with a
+// config — ids and canonical prefixes, order free.
+func TestSameFleet(t *testing.T) {
+	cfgs := fleetSpec()
+	set := mustSet(t, tenant.SetConfig{Tenants: cfgs})
+	edit := func(f func(c []tenant.Config) []tenant.Config) []tenant.Config {
+		return f(append([]tenant.Config(nil), cfgs...))
+	}
+	for _, tc := range []struct {
+		name, wantErr string
+		cfg           []tenant.Config
+	}{
+		{"identical", "", cfgs},
+		{"reordered, host bits set", "", edit(func(c []tenant.Config) []tenant.Config {
+			c[0], c[5] = c[5], c[0]
+			c[2].Prefix = packet.Prefix{Base: packet.AddrFrom4(10, 2, 9, 9), Bits: 16}
+			return c
+		})},
+		{"added", `tenant "new" (10.9.0.0/16) is configured but not in the running fleet`, edit(func(c []tenant.Config) []tenant.Config {
+			return append(c, tenant.Config{ID: "new", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 9, 0, 0), 16)})
+		})},
+		{"removed", `tenant "t3" (10.3.0.0/16) is in the running fleet but not configured`, edit(func(c []tenant.Config) []tenant.Config {
+			return append(c[:3], c[4:]...)
+		})},
+		{"re-prefixed", `tenant "t1" is configured with prefix 10.0.128.0/18 but runs with 10.0.128.0/17`, edit(func(c []tenant.Config) []tenant.Config {
+			c[1].Prefix = packet.PrefixFrom(packet.AddrFrom4(10, 0, 128, 0), 18)
+			return c
+		})},
+		{"duplicate id standing in for a removed tenant", `duplicate tenant id "t0"`, edit(func(c []tenant.Config) []tenant.Config {
+			c[3] = c[0]
+			return c
+		})},
+	} {
+		err := set.SameFleet(tc.cfg)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !errors.Is(err, tenant.ErrConfig) || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err = %v, want ErrConfig containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }

@@ -13,13 +13,17 @@
 # is claimed only if the change wins at least nine tenths of all pairs run
 # (ties count for neither) and the medians differ by more than the parent's
 # own inter-quartile spread. Exit status 0 only if every workload meets it.
+# Under the verdict come both sides' medians and quartiles of the other
+# end-to-end metrics (cpu_ns_per_frame, peak_rss_mib, setup_s) over the same
+# runs, which a claim has to report as "must not move"; they are printed,
+# not judged.
 #
 # BENCH_FLAGS passes extra flags to both sides alike, e.g.
 # BENCH_FLAGS='-seed 7' for the seed the change was not written against.
 # The script only calls the harness; it edits nothing under bench/.
 set -eu
 
-[ $# -ge 1 ] || { sed -n '2,20s/^# \{0,1\}//p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,24s/^# \{0,1\}//p' "$0" >&2; exit 2; }
 base=$1
 pairs=${2:-10}
 [ $# -ge 2 ] && shift 2 || shift 1
@@ -50,6 +54,15 @@ run() {
 	echo "$line" | sed 's/.*"wire_pps":{"value":\([0-9.e+]*\).*/\1/'
 }
 
+# quantile of the sorted values v[1..n], linear between ranks
+quantile='function q(v, n, f,    h, lo) { h = (n - 1) * f + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }'
+
+# metric FILE NAME prints the value a result file reports for an end-to-end
+# metric: the "value" line under its name.
+metric() {
+	awk -v name="\"$2\": {" 'index($0, name) { found = 1; next } found && /"value":/ { gsub(/[^0-9.e+-]/, "", $2); print $2; exit }' "$1"
+}
+
 status=0
 for w in "$@"; do
 	echo
@@ -71,9 +84,7 @@ for w in "$@"; do
 	done
 	sort -g -k1,1 "$values" | cut -d' ' -f1 >"$values.parent"
 	sort -g -k2,2 "$values" | cut -d' ' -f2 >"$values.change"
-	awk '
-		# quantile of the sorted values v[1..n], linear between ranks
-		function q(v, n, f,    h, lo) { h = (n - 1) * f + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
+	awk "$quantile"'
 		FILENAME ~ /\.parent$/ { p[++np] = $1; next }
 		FILENAME ~ /\.change$/ { c[++nc] = $1; next }
 		{ n++; if ($2 > $1) wins++; else if ($2 == $1) ties++ }
@@ -88,5 +99,18 @@ for w in "$@"; do
 			exit 1
 		}
 	' "$values.parent" "$values.change" "$values" || status=1
+
+	for m in cpu_ns_per_frame peak_rss_mib setup_s; do
+		for side in parent change; do
+			i=1
+			while [ "$i" -le "$pairs" ]; do
+				metric "$out/$w.$side.$i.json" "$m"
+				i=$((i + 1))
+			done | sort -g | awk -v m="$m" -v side="$side" "$quantile"'
+				{ v[++n] = $1 }
+				END { printf "%-16s  %s  median %10.6g  quartiles [%.6g, %.6g]  n=%d\n", m, side, q(v, n, .5), q(v, n, .25), q(v, n, .75), n }
+			'
+		done
+	done
 done
 exit $status
