@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -71,7 +72,7 @@ func fleetPump(t *testing.T, trace []byte, loops int, set *tenant.Set, batch int
 	}
 	subnets, _ := parseSubnets("192.0.2.0/24")
 	stats := newWallStats(time.Now())
-	p := newPump(src, set, subnets, batch, capture.DefaultSnapLen, stats)
+	p := newPump(src, set, subnets, batch, 0, stats)
 	if len(p.lanes) != 1 || p.clients != set.Routes() {
 		t.Fatalf("pump over a fleet: %d lanes, own table %v; want one lane and the fleet's table", len(p.lanes), p.clients != set.Routes())
 	}
@@ -243,50 +244,13 @@ func writeFleet(t *testing.T, dir, doc string) string {
 // in the middle of a replay. The final checkpoint is taken after the lane is
 // joined, so the counters it restores to are the ones the exit line reports.
 func TestFleetLaneDrainOnSignal(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "fleet.bmf")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	time.AfterFunc(150*time.Millisecond, cancel)
-
-	var out bytes.Buffer
-	err := run(ctx, []string{
-		"-tenants", writeFleet(t, dir, fleetJSON), "-loops", "1000000",
-		"-scan-pps", "20000", "-conn-rate", "50", "-gen-duration", "100ms",
-		"-checkpoint", ckpt,
-	}, &out)
-	if err != nil {
-		t.Fatalf("drain returned error: %v\noutput:\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "final checkpoint saved") {
-		t.Fatalf("no final checkpoint:\n%s", out.String())
-	}
-	var exit string
-	for _, line := range strings.Split(out.String(), "\n") {
-		if strings.Contains(line, " frames, ") {
-			exit = line
+	drainOnSignal(t, func(r io.Reader) (filtering.Counters, error) {
+		set, err := tenant.ReadSnapshot(r, nil)
+		if err != nil {
+			return filtering.Counters{}, err
 		}
-	}
-	var frames, outgoing, incoming, passed, dropped, decErrs uint64
-	if _, err := fmt.Sscanf(exit, "bfwall: %d frames, %d out / %d in (%d passed, %d dropped), %d decode errors",
-		&frames, &outgoing, &incoming, &passed, &dropped, &decErrs); err != nil {
-		t.Fatalf("exit line %q: %v\n%s", exit, err, out.String())
-	}
-	if frames == 0 || frames != outgoing+incoming || incoming != passed+dropped || decErrs != 0 {
-		t.Errorf("frames read and frames judged differ: %s", exit)
-	}
-	f, err := os.Open(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	restored, err := tenant.ReadSnapshot(f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := restored.Counters(); c.OutPackets != outgoing || c.InPackets != incoming || c.InPassed != passed {
-		t.Errorf("checkpoint holds %+v, the daemon reported %s", c, exit)
-	}
+		return set.Counters(), nil
+	}, "-tenants", writeFleet(t, t.TempDir(), fleetJSON))
 }
 
 // raceEnabled is set by race_test.go under -race, where sync.Pool sheds a
@@ -308,7 +272,7 @@ func TestFleetLanePumpZeroAllocsSteadyState(t *testing.T) {
 	}
 	set := fleetSet(t)
 	stats := newWallStats(time.Now())
-	p := newPump(nil, set, nil, 16, 2048, stats)
+	p := newPump(nil, set, nil, 16, 0, stats)
 	p.startLanes()
 	for i := 0; i < 4*laneBuffers*minSubBatch/len(batch); i++ { // warm: every buffer, the verdict slice, the Set's scratch
 		p.dispatchFleet(batch, i%7 == 0)

@@ -34,7 +34,9 @@ import (
 // A single filter does not get a lane. Handing 40 B per packet to another
 // core costs 15–20 ns a frame: a fleet's ≈150 ns frame absorbs that and
 // runs ×1.6 for +7 % CPU per frame; scan_flood's ≈90 ns frame ran ×1.28
-// for +34 % CPU, past the benchmark's bound on CPU (DESIGN.md §11).
+// for +34 % CPU, past the benchmark's bound on CPU (DESIGN.md §11). It runs
+// behind symmetric workers instead (workers.go), where a packet is judged
+// on the core that decoded it unless that worker was overtaken.
 
 // minSubBatch is the smallest sub-batch a lane is handed, however small
 // -batch (the source read) is: a hand-off is a channel send and, when the
@@ -141,7 +143,7 @@ func (p *pump) stopLanes() {
 }
 
 // dispatch is the dispatcher's share of one source batch over a sharded
-// filter. A panic in it quarantines the source batch as in the inline
+// filter. A panic in it quarantines the source batch as in the worker
 // pump; packets of it already appended to a lane's pending sub-batch are
 // still judged.
 //
@@ -236,20 +238,14 @@ func (l *lane) send() {
 func (p *pump) runLane(l *lane) {
 	defer p.joined.Done() //bf:allow hotpath once per goroutine: the join stopLanes waits on
 	for {
-		if l.probe != nil {
-			l.probe.SetIdle(true)
-		}
+		setIdle(l.probe, true)
 		sub, ok := <-l.queue
-		if l.probe != nil {
-			l.probe.SetIdle(false)
-		}
+		setIdle(l.probe, false)
 		if !ok {
 			return
 		}
 		p.judge(l, sub)
-		if l.probe != nil {
-			l.probe.Beat()
-		}
+		beat(l.probe)
 	}
 }
 

@@ -116,7 +116,7 @@ func lanedPump(t *testing.T, trace []byte, loops int, bf *core.Sharded, batch in
 	}
 	subnets, _ := parseSubnets("10.0.0.0/8")
 	stats := newWallStats(time.Now())
-	p := newPump(src, bf, subnets, batch, capture.DefaultSnapLen, stats)
+	p := newPump(src, bf, subnets, batch, 0, stats)
 	if len(p.lanes) != bf.Shards() {
 		t.Fatalf("pump over %d shards built %d lanes", bf.Shards(), len(p.lanes))
 	}
@@ -251,24 +251,47 @@ func TestLanesDrainBeforeSnapshot(t *testing.T) {
 	}
 }
 
-// TestLanedDrainOnSignal is the daemon-level drain: SIGTERM in the middle
-// of a replay over two lanes. The final checkpoint is taken after the lanes
-// are joined, so the counters it restores to are the ones the exit line
-// reports.
-func TestLanedDrainOnSignal(t *testing.T) {
+// drainOnSignal is the daemon-level drain: it runs bfwall over an endless
+// replay with args and a checkpoint, sends SIGTERM (cancels) in the middle
+// of it, and checks that every frame read was judged and that the final
+// checkpoint — read back through counters — restores to the counters the
+// exit line reports. The signal is sent once a periodic checkpoint holds a
+// judged packet, however long start-up took: a timer measured from the
+// test's start can fire before the pump's first read.
+func drainOnSignal(t *testing.T, counters func(io.Reader) (filtering.Counters, error), args ...string) {
+	t.Helper()
 	ckpt := filepath.Join(t.TempDir(), "state.bmf")
+	read := func() (filtering.Counters, error) {
+		f, err := os.Open(ckpt)
+		if err != nil {
+			return filtering.Counters{}, err
+		}
+		defer f.Close()
+		return counters(f)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	time.AfterFunc(150*time.Millisecond, cancel)
+	defer cancel() // also stops the poller, should run fail before it signals
+	judged := make(chan bool, 1)
+	go func() {
+		defer cancel()
+		for deadline := time.Now().Add(30 * time.Second); ctx.Err() == nil && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if c, err := read(); err == nil && c.OutPackets+c.InPackets > 0 {
+				judged <- true
+				return
+			}
+		}
+		judged <- false
+	}()
 
 	var out bytes.Buffer
-	err := run(ctx, []string{
-		"-shards", "2", "-loops", "1000000",
+	err := run(ctx, append(args, "-loops", "1000000",
 		"-scan-pps", "20000", "-conn-rate", "50", "-gen-duration", "100ms",
-		"-checkpoint", ckpt,
-	}, &out)
+		"-checkpoint", ckpt, "-checkpoint-every", "20ms"), &out)
 	if err != nil {
 		t.Fatalf("drain returned error: %v\noutput:\n%s", err, out.String())
+	}
+	if !<-judged {
+		t.Fatalf("no periodic checkpoint with a judged packet in 30 s:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "final checkpoint saved") {
 		t.Fatalf("no final checkpoint:\n%s", out.String())
@@ -284,21 +307,31 @@ func TestLanedDrainOnSignal(t *testing.T) {
 		&frames, &outgoing, &incoming, &passed, &dropped, &decErrs); err != nil {
 		t.Fatalf("exit line %q: %v\n%s", exit, err, out.String())
 	}
-	if frames != outgoing+incoming || incoming != passed+dropped || decErrs != 0 {
+	if frames == 0 || frames != outgoing+incoming || incoming != passed+dropped || decErrs != 0 {
 		t.Errorf("frames read and frames judged differ: %s", exit)
 	}
-	f, err := os.Open(ckpt)
+	c, err := read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	restored, err := core.ReadAnySnapshot(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := restored.Counters(); c.OutPackets != outgoing || c.InPackets != incoming || c.InPassed != passed {
+	if c.OutPackets != outgoing || c.InPackets != incoming || c.InPassed != passed {
 		t.Errorf("checkpoint holds %+v, the daemon reported %s", c, exit)
 	}
+}
+
+func filterCounters(r io.Reader) (filtering.Counters, error) {
+	f, err := core.ReadAnySnapshot(r)
+	if err != nil {
+		return filtering.Counters{}, err
+	}
+	return f.Counters(), nil
+}
+
+// TestLanedDrainOnSignal: SIGTERM in the middle of a replay over two lanes.
+// The final checkpoint is taken after the lanes are joined, so the counters
+// it restores to are the ones the exit line reports.
+func TestLanedDrainOnSignal(t *testing.T) {
+	drainOnSignal(t, filterCounters, "-shards", "2")
 }
 
 // TestLanePanicQuarantinesSubBatch is TestPumpQuarantinesPanic for the
@@ -366,7 +399,7 @@ func TestLaneFlushesShortBatch(t *testing.T) {
 	bf := shardedFilter(t, 2)
 	subnets, _ := parseSubnets("10.0.0.0/8")
 	stats := newWallStats(time.Now())
-	p := newPump(lb, bf, subnets, 512, 2048, stats)
+	p := newPump(lb, bf, subnets, 512, 0, stats)
 	judged := make(chan int, 1)
 	for i, l := range p.lanes {
 		l.bf = &signalFilter{BatchFilter: bf.Lane(i), judged: judged}
@@ -409,7 +442,7 @@ func TestLanedPumpZeroAllocsSteadyState(t *testing.T) {
 	bf := shardedFilter(t, 2)
 	subnets, _ := parseSubnets("10.0.0.0/8")
 	stats := newWallStats(time.Now())
-	p := newPump(nil, bf, subnets, 16, 2048, stats)
+	p := newPump(nil, bf, subnets, 16, 0, stats)
 	p.startLanes()
 	for i := 0; i < 4*laneBuffers; i++ { // warm: every buffer, both verdict slices
 		p.dispatch(batch, true)

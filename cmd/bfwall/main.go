@@ -57,6 +57,7 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -242,14 +243,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	stats := newWallStats(time.Now())
-	p := newPump(src, bf, subnets, *batch, *snapLen, stats)
+	p := newPump(src, bf, subnets, *batch, defaultWorkers(), stats)
 	p.batchProbe = batchProbe
 	p.logf = logf
 	if wd != nil {
-		// One probe per lane goroutine: a lane wedged in its filter flips
-		// /healthz by name.
+		// One probe per goroutine that can wedge: a lane stuck in its
+		// filter, a worker stuck in a decode, flips /healthz by name.
 		for i, l := range p.lanes {
 			l.probe = wd.Heartbeat(fmt.Sprintf("lane%d", i), *stallAfter)
+		}
+		for i, w := range p.workers {
+			w.probe = wd.Heartbeat(fmt.Sprintf("worker%d", i), *stallAfter)
 		}
 	}
 
@@ -538,11 +542,12 @@ func sourceFactory(pcapPath, iface string, loops, snapLen int, gcfg genConfig, o
 	}, nil
 }
 
-// pump is the wire-to-verdict hot loop: one reusable frame ring, one
-// reusable packet batch, one reusable verdict buffer — zero allocations
-// per frame in steady state. Over a sharded filter or a tenant fleet it is
-// the dispatcher of a lane pipeline instead (lanes.go): it decodes and
-// classifies, and the lane goroutines judge.
+// pump is the wire-to-verdict hot loop: reusable frame rings, packet
+// batches and one verdict buffer — zero allocations per frame in steady
+// state. Over a single filter it is W symmetric workers that decode in
+// parallel and judge in source order (workers.go); over a sharded filter
+// or a tenant fleet it is the dispatcher of a lane pipeline (lanes.go): it
+// decodes and classifies, and the lane goroutines judge.
 type pump struct {
 	src capture.Source
 	bf  filtering.BatchFilter
@@ -550,40 +555,60 @@ type pump struct {
 	// subnets configured) keeps the decoder's MAC-derived direction. Over a
 	// fleet it is the fleet's own routing table, so the slot classify finds
 	// is the slot the fleet judges by.
-	clients  *packet.PrefixTable
-	ring     []capture.Frame
-	pkts     []packet.Packet
+	clients *packet.PrefixTable
+	stats   *wallStats
+
+	// The worker pump, when lanes is nil. srcMu is a worker's turn at the
+	// source and guards the three fields under it; slots is the reorder
+	// ring, batch seq at seq % len, as many slots as there are buffers;
+	// judgeMu is the filter's lock and guards verdicts and every write of
+	// head, the next batch to judge; shown is what the monitoring plane sees
+	// of the filter (showCounters), so that a scrape never waits for a judge.
+	workers  []*worker
+	srcMu    sync.Mutex
+	nextSeq  uint64
+	srcDone  bool
+	srcErr   error
+	slots    []atomic.Pointer[batchBuf]
+	judgeMu  sync.Mutex
+	head     atomic.Uint64
 	verdicts []filtering.Verdict
-	stats    *wallStats
+	shownMu  sync.Mutex
+	shown    filterSnapshot
+	// foreignCommits counts batches judged by a worker that did not decode
+	// them (the only cross-core hand-offs there are), bufferWaits the times
+	// a worker found all its buffers in flight (the judge is the
+	// bottleneck).
+	foreignCommits atomic.Uint64
+	bufferWaits    atomic.Uint64
 
 	// lanes is set when bf has more than one shard (one lane per shard,
 	// routed by sharded.LaneOf) or is a fleet (one lane, sharded nil): the
-	// pump then dispatches to them and pkts/verdicts stay unused.
+	// pump then dispatches to them from ring and has no workers.
 	sharded *core.Sharded
 	lanes   []*lane
+	ring    []capture.Frame
 	joined  sync.WaitGroup // the lane goroutines
 
-	// batchProbe, when set, tracks the batch loop's liveness: idle while
-	// parked on the source, beating once per processed batch.
+	// batchProbe, when set, tracks the pump's liveness as a whole: idle
+	// while a worker (or the dispatcher) is parked on the source, beating
+	// once per judged (or dispatched) batch.
 	batchProbe *resilience.Probe
 	// logf, when set, receives terminal source errors and quarantine
-	// events; lanes call it too, so it must tolerate concurrent calls.
+	// events; workers and lanes call it, so it must tolerate concurrent
+	// calls.
 	logf func(format string, args ...any)
 }
 
 // newPump picks the pump's shape from the filter it is given: lanes per
-// shard, one lane for a fleet, inline for a single filter. subnets are the
-// client prefixes direction is classified against; a fleet brings its own.
-func newPump(src capture.Source, bf filtering.BatchFilter, subnets []packet.Prefix, batch, snapLen int, stats *wallStats) *pump {
-	if batch < 1 {
-		batch = 1
-	}
-	p := &pump{
-		src:   src,
-		bf:    bf,
-		ring:  capture.NewRing(batch, snapLen),
-		stats: stats,
-	}
+// shard, one lane for a fleet, workers for a single filter. subnets are
+// the client prefixes direction is classified against; a fleet brings its
+// own. Rings start empty: an aliasing source never needs a slot's buffer
+// and a filling one allocates it on first use.
+func newPump(src capture.Source, bf filtering.BatchFilter, subnets []packet.Prefix, batch, workers int, stats *wallStats) *pump {
+	batch = max(batch, 1)
+	p := &pump{src: src, bf: bf, stats: stats}
+	stats.pump = p
 	switch f := bf.(type) {
 	case *tenant.Set:
 		// One table, one slot numbering: whatever built the fleet (the
@@ -603,58 +628,55 @@ func newPump(src capture.Source, bf filtering.BatchFilter, subnets []packet.Pref
 		p.clients = packet.NewPrefixTable(subnets)
 	}
 	if p.lanes != nil {
-		stats.lanes = p.lanes
+		p.ring = make([]capture.Frame, batch)
 	} else {
-		p.pkts = make([]packet.Packet, 0, batch)
-		p.verdicts = make([]filtering.Verdict, 0, batch)
+		p.newWorkers(max(workers, 1), batch)
 	}
 	return p
 }
 
-// run drains the source through the filter until EOF. A clean close
-// (io.EOF, a closed source) ends the loop silently; anything else is
-// logged with its error class before it surfaces — by the time an error
-// reaches the pump the supervisor has already retried everything
-// survivable, so what arrives here is genuinely terminal. With lanes, run
-// returns only once every dispatched packet has its verdict.
+// run drains the source through the filter until it ends, and returns only
+// once every frame read has its verdict: the workers joined and the
+// reorder ring empty, or every lane flushed and joined.
 func (p *pump) run() error {
-	if p.lanes != nil {
-		p.startLanes()
-		defer p.stopLanes()
+	if p.lanes == nil {
+		return p.runWorkers()
 	}
+	p.startLanes()
+	defer p.stopLanes()
 	for {
-		if p.batchProbe != nil {
-			p.batchProbe.SetIdle(true)
-		}
+		setIdle(p.batchProbe, true)
 		n, err := p.src.ReadBatch(p.ring)
-		if p.batchProbe != nil {
-			p.batchProbe.SetIdle(false)
-		}
+		setIdle(p.batchProbe, false)
 		if n > 0 {
+			// A short batch means the source ran dry: flush, so no packet
+			// waits in a half-full sub-batch for traffic that may not come.
 			if p.sharded != nil {
-				// A short batch means the source ran dry: flush, so no
-				// packet waits in a half-full sub-batch for traffic that
-				// may not come.
 				p.dispatch(p.ring[:n], n < len(p.ring))
-			} else if p.lanes != nil {
-				p.dispatchFleet(p.ring[:n], n < len(p.ring))
 			} else {
-				p.processBatch(p.ring[:n])
+				p.dispatchFleet(p.ring[:n], n < len(p.ring))
 			}
-			if p.batchProbe != nil {
-				p.batchProbe.Beat()
-			}
+			beat(p.batchProbe)
 		}
 		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, capture.ErrClosed) {
-				return nil
-			}
-			if p.logf != nil {
-				p.logf("source failed (class=%s): %v", resilience.Classify(err), err)
-			}
-			return err
+			return p.endOfSource(err)
 		}
 	}
+}
+
+// endOfSource turns the error that ended the source into run's: a clean
+// close (io.EOF, a closed source) is silent; anything else is logged with
+// its error class before it surfaces — by the time an error reaches the
+// pump the supervisor has already retried everything survivable, so what
+// arrives here is genuinely terminal.
+func (p *pump) endOfSource(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, capture.ErrClosed) {
+		return nil
+	}
+	if p.logf != nil {
+		p.logf("source failed (class=%s): %v", resilience.Classify(err), err)
+	}
+	return err
 }
 
 // intake is what the decode step tallies over one source batch, added to
@@ -699,36 +721,9 @@ func (p *pump) decode(dst *packet.Packet, f *capture.Frame, t *intake) (slot int
 	return slot
 }
 
-// processBatch is the per-batch fast path of the inline pump: decode
-// each frame in place and push the whole batch through ProcessBatchInto
-// in one call. A panic anywhere in the path quarantines the batch
-// (counted, logged) instead of killing the daemon — the next batch
-// proceeds with fresh buffers.
-func (p *pump) processBatch(frames []capture.Frame) {
-	defer p.contain(len(frames))
-	start := time.Now()
-	// Counted up front so a quarantined batch's frames still show.
-	p.stats.frames.Add(uint64(len(frames)))
-	var t intake
-	pkts := p.pkts[:0]
-	for i := range frames {
-		m := len(pkts)
-		pkts = pkts[:m+1]
-		if p.decode(&pkts[m], &frames[i], &t) < 0 {
-			pkts = pkts[:m]
-		}
-	}
-	p.stats.addIntake(t)
-	p.verdicts = p.bf.ProcessBatchInto(pkts, p.verdicts)
-	p.stats.addVerdicts(pkts, p.verdicts)
-	p.stats.observeBatchLatency(time.Since(start), len(frames))
-}
-
 // contain is the pump's panic boundary: a filter or decoder panic
 // quarantines the offending batch — its frames counted under the
-// overload policy, never judged — and the loop continues. The filter's
-// own state is untouched by construction (ProcessBatchInto mutates per
-// packet, and a panicking packet never completed).
+// overload policy, never judged — and the loop continues.
 func (p *pump) contain(frames int) {
 	if r := recover(); r != nil {
 		p.quarantine(frames, r)

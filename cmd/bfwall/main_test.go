@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -158,74 +161,137 @@ func TestPumpClassifiesAndCounts(t *testing.T) {
 	refixIPChecksum(fragFrame)                   // the mutation, not a checksum error, is under test
 	garbage := []byte{1, 2, 3}
 
-	lb := capture.NewLoopback()
-	for i, data := range [][]byte{outFrame, replyFrame, probeFrame, transitFrame, fragFrame, garbage} {
-		if err := lb.WriteFrame(capture.Frame{Time: time.Duration(i+1) * time.Second, Data: data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lb.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	subnets, err := parseSubnets("10.0.0.0/8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := newWallStats(time.Now())
-	p := newPump(lb, mustFilter(t), subnets, 8, 2048, stats)
-	if err := p.run(); err != nil {
-		t.Fatal(err)
-	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
+			lb := capture.NewLoopback()
+			for i, data := range [][]byte{outFrame, replyFrame, probeFrame, transitFrame, fragFrame, garbage} {
+				if err := lb.WriteFrame(capture.Frame{Time: time.Duration(i+1) * time.Second, Data: data}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := lb.Close(); err != nil {
+				t.Fatal(err)
+			}
+			stats := newWallStats(time.Now())
+			p := newPump(lb, mustFilter(t), subnets, 8, workers, stats)
+			if err := p.run(); err != nil {
+				t.Fatal(err)
+			}
 
-	if got := stats.frames.Load(); got != 6 {
-		t.Errorf("frames = %d, want 6", got)
-	}
-	if got := stats.outgoing.Load(); got != 1 {
-		t.Errorf("outgoing = %d, want 1", got)
-	}
-	if got := stats.incoming.Load(); got != 2 {
-		t.Errorf("incoming = %d, want 2", got)
-	}
-	if got := stats.passed.Load(); got != 1 {
-		t.Errorf("passed = %d, want 1 (the marked reply)", got)
-	}
-	if got := stats.dropped.Load(); got != 1 {
-		t.Errorf("dropped = %d, want 1 (the unsolicited probe)", got)
-	}
-	if got := stats.unrouted.Load(); got != 1 {
-		t.Errorf("unrouted = %d, want 1 (the transit frame)", got)
-	}
-	if got := stats.decodeErr[decFragmented].Load(); got != 1 {
-		t.Errorf("fragmented decode errors = %d, want 1", got)
-	}
-	if got := stats.decodeErr[decTruncated].Load(); got != 1 {
-		t.Errorf("truncated decode errors = %d, want 1 (the garbage frame)", got)
+			if got := stats.frames.Load(); got != 6 {
+				t.Errorf("frames = %d, want 6", got)
+			}
+			if got := stats.outgoing.Load(); got != 1 {
+				t.Errorf("outgoing = %d, want 1", got)
+			}
+			if got := stats.incoming.Load(); got != 2 {
+				t.Errorf("incoming = %d, want 2", got)
+			}
+			if got := stats.passed.Load(); got != 1 {
+				t.Errorf("passed = %d, want 1 (the marked reply)", got)
+			}
+			if got := stats.dropped.Load(); got != 1 {
+				t.Errorf("dropped = %d, want 1 (the unsolicited probe)", got)
+			}
+			if got := stats.unrouted.Load(); got != 1 {
+				t.Errorf("unrouted = %d, want 1 (the transit frame)", got)
+			}
+			if got := stats.decodeErr[decFragmented].Load(); got != 1 {
+				t.Errorf("fragmented decode errors = %d, want 1", got)
+			}
+			if got := stats.decodeErr[decTruncated].Load(); got != 1 {
+				t.Errorf("truncated decode errors = %d, want 1 (the garbage frame)", got)
+			}
+		})
 	}
 }
 
+// steadySource serves one batch of frames over and over, limit times (for
+// ever with a negative limit).
+type steadySource struct {
+	batch []capture.Frame
+	limit int
+}
+
+func (s *steadySource) ReadBatch(frames []capture.Frame) (int, error) {
+	if s.limit == 0 {
+		return 0, io.EOF
+	}
+	s.limit--
+	return copy(frames, s.batch), nil
+}
+
+func (s *steadySource) Close() error { return nil }
+
 // TestPumpZeroAllocsSteadyState pins the hot-loop contract end to end:
-// ring reuse + zero-copy decode + ProcessBatchInto must not allocate per
-// batch once warmed up.
+// buffer reuse + zero-copy decode + publish + commit + ProcessBatchInto
+// must not allocate per source batch once warmed up. One worker stepped by
+// hand allocates exactly nothing per batch; two running free and handing
+// batches to each other cannot be stepped, so there the check is what
+// another thousand batches add to a run's mallocs (a run allocates to
+// start: goroutines, the verdict buffer).
 func TestPumpZeroAllocsSteadyState(t *testing.T) {
 	client := packet.AddrFrom4(10, 0, 0, 5)
 	server := packet.AddrFrom4(198, 51, 100, 7)
 	frame := encodeFrame(t, packet.Packet{Time: time.Second,
 		Tuple: packet.Tuple{Src: client, Dst: server, SrcPort: 4000, DstPort: 80, Proto: packet.TCP},
 		Dir:   packet.Outgoing, Flags: packet.SYN, Length: 60})
-
-	subnets, _ := parseSubnets("10.0.0.0/8")
-	stats := newWallStats(time.Now())
-	p := newPump(nil, mustFilter(t), subnets, 16, 2048, stats)
 	batch := make([]capture.Frame, 16)
 	for i := range batch {
 		batch[i] = capture.Frame{Time: time.Duration(i) * time.Millisecond,
 			Data: frame, OrigLen: len(frame)}
 	}
-	p.processBatch(batch) // warm (verdict buffer growth)
-	allocs := testing.AllocsPerRun(100, func() { p.processBatch(batch) })
-	if allocs != 0 {
-		t.Errorf("processBatch allocates %.2f times per batch", allocs)
+	subnets, _ := parseSubnets("10.0.0.0/8")
+
+	stats := newWallStats(time.Now())
+	p := newPump(&steadySource{batch: batch, limit: -1}, mustFilter(t), subnets, 16, 1, stats)
+	w := p.workers[0]
+	step := func() {
+		b := p.take(w)
+		p.read(w, b)
+		b.read = time.Now()
+		p.decodeBatch(b)
+		p.publish(b)
+		p.commit(w)
+	}
+	for i := 0; i < 2*workerBuffers; i++ { // warm: every buffer, the verdict slice
+		step()
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("W=1: the pump allocates %.2f times per source batch", allocs)
+	}
+	if got, head := stats.outgoing.Load(), p.head.Load(); got != 16*head || head < 100 {
+		t.Fatalf("judged %d packets in %d batches", got, head)
+	}
+
+	mallocs := func(batches int) uint64 {
+		stats := newWallStats(time.Now())
+		p := newPump(&steadySource{batch: batch, limit: batches}, mustFilter(t), subnets, 16, 2, stats)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := p.run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := stats.outgoing.Load(); got != uint64(16*batches) {
+			t.Fatalf("judged %d packets of %d", got, 16*batches)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	const short, more = 200, 1000
+	// The fewest of a few tries: a goroutine the runtime starts on its own (a
+	// GC worker) allocates too, and not in every run.
+	perBatch := math.Inf(1)
+	for try := 0; try < 5 && perBatch > 0; try++ {
+		a, b := mallocs(short), mallocs(short+more)
+		perBatch = min(perBatch, max(0, float64(b)-float64(a))/more)
+	}
+	if perBatch >= 0.01 {
+		t.Errorf("W=2: the pump allocates %.3f times per source batch", perBatch)
 	}
 }
 

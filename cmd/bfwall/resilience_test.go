@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -133,49 +134,54 @@ func (p *panicFilter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Ver
 }
 
 // TestPumpQuarantinesPanic: a panicking batch is counted and skipped,
-// and the pump keeps judging subsequent batches.
+// and the pump keeps judging subsequent batches — three batches of two
+// frames with one worker, three of minSubBatch (the claim floor) with two.
 func TestPumpQuarantinesPanic(t *testing.T) {
 	client := packet.AddrFrom4(10, 0, 0, 5)
 	server := packet.AddrFrom4(198, 51, 100, 7)
 	frame := encodeFrame(t, packet.Packet{Time: time.Second,
 		Tuple: packet.Tuple{Src: client, Dst: server, SrcPort: 4000, DstPort: 80, Proto: packet.TCP},
 		Dir:   packet.Outgoing, Flags: packet.SYN, Length: 60})
-
-	lb := capture.NewLoopback()
-	for i := 0; i < 6; i++ {
-		if err := lb.WriteFrame(capture.Frame{Time: time.Duration(i+1) * time.Second, Data: frame}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lb.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	subnets, _ := parseSubnets("10.0.0.0/8")
-	stats := newWallStats(time.Now())
-	bf := &panicFilter{BatchFilter: mustFilter(t), panicOn: 1}
-	p := newPump(lb, bf, subnets, 2, 2048, stats) // 3 batches of 2
-	var logged []string
-	p.logf = func(format string, args ...any) { logged = append(logged, format) }
 
-	if err := p.run(); err != nil {
-		t.Fatalf("pump died on a contained panic: %v", err)
-	}
-	if got := stats.quarantinedBatches.Load(); got != 1 {
-		t.Errorf("quarantined batches = %d, want 1", got)
-	}
-	if got := stats.quarantinedFrames.Load(); got != 2 {
-		t.Errorf("quarantined frames = %d, want 2", got)
-	}
-	// The two healthy batches were judged: 6 frames seen, 4 verdicts.
-	if got := stats.frames.Load(); got != 6 {
-		t.Errorf("frames = %d, want 6", got)
-	}
-	if got := stats.outgoing.Load(); got != 4 {
-		t.Errorf("outgoing = %d, want 4 (quarantined batch never judged)", got)
-	}
-	if len(logged) == 0 {
-		t.Error("quarantine was not logged")
+	for workers, batch := range map[int]uint64{1: 2, 2: minSubBatch} {
+		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
+			lb := capture.NewLoopback()
+			for i := uint64(0); i < 3*batch; i++ {
+				if err := lb.WriteFrame(capture.Frame{Time: time.Duration(i+1) * time.Millisecond, Data: frame}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := lb.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			stats := newWallStats(time.Now())
+			bf := &panicFilter{BatchFilter: mustFilter(t), panicOn: 1}
+			p := newPump(lb, bf, subnets, 2, workers, stats)
+			var logged atomic.Int64
+			p.logf = func(string, ...any) { logged.Add(1) }
+
+			if err := p.run(); err != nil {
+				t.Fatalf("pump died on a contained panic: %v", err)
+			}
+			if got := stats.quarantinedBatches.Load(); got != 1 {
+				t.Errorf("quarantined batches = %d, want 1", got)
+			}
+			if got := stats.quarantinedFrames.Load(); got != batch {
+				t.Errorf("quarantined frames = %d, want %d", got, batch)
+			}
+			// The two healthy batches were judged.
+			if got := stats.frames.Load(); got != 3*batch {
+				t.Errorf("frames = %d, want %d", got, 3*batch)
+			}
+			if got := stats.outgoing.Load(); got != 2*batch {
+				t.Errorf("outgoing = %d, want %d (quarantined batch never judged)", got, 2*batch)
+			}
+			if logged.Load() != 1 {
+				t.Errorf("quarantine logged %d times, want 1", logged.Load())
+			}
+		})
 	}
 }
 

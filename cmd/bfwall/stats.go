@@ -62,15 +62,16 @@ func decClass(err error) int {
 const reservoirSize = 4096
 
 // wallStats is the daemon's observability state. The counters are written
-// by the pump goroutine and its lanes and read by HTTP handlers, so
-// everything is atomic; the latency reservoir has its own lock (taken once
-// per batch, and doing work only for the packets that land in the
-// reservoir).
+// by the pump's workers or its dispatcher and lanes and read by HTTP
+// handlers, so everything is atomic; the latency reservoir has its own lock
+// (taken once per batch, and doing work only for the packets that land in
+// the reservoir).
 type wallStats struct {
 	start time.Time
-	// lanes is the pump's lane pipeline (nil for an inline pump), set
-	// once by newPump; the handlers read its per-lane counters.
-	lanes []*lane
+	// pump is the pump these are the counters of, set once by newPump (nil
+	// when there is none: a mux over bare stats). The handlers read its
+	// per-worker and per-lane counters, and its filter through filterView.
+	pump *pump
 
 	frames    atomic.Uint64
 	bytes     atomic.Uint64
@@ -227,8 +228,16 @@ type statsSnapshot struct {
 	PPS           float64           `json:"pps"`
 	LatencyP50Ns  int64             `json:"latency_p50_ns"`
 	LatencyP99Ns  int64             `json:"latency_p99_ns"`
+	Pump          *pumpSnapshot     `json:"pump,omitempty"`
 	Lanes         []laneSnapshot    `json:"lanes,omitempty"`
 	Filter        filterSnapshot    `json:"filter"`
+}
+
+// pumpSnapshot is the worker pump a single filter runs behind.
+type pumpSnapshot struct {
+	Workers        int    `json:"workers"`
+	ForeignCommits uint64 `json:"foreign_commits"`
+	BufferWaits    uint64 `json:"buffer_waits"`
 }
 
 // laneSnapshot is one lane of the pipeline a sharded filter or a fleet runs
@@ -255,14 +264,25 @@ func (s *wallStats) snapshot(bf filtering.BatchFilter, now time.Time) statsSnaps
 	if uptime > 0 {
 		pps = float64(frames) / uptime
 	}
-	var lanes []laneSnapshot
-	for _, l := range s.lanes {
-		lanes = append(lanes, laneSnapshot{
-			Frames:     l.frames.Load(),
-			Batches:    l.batches.Load(),
-			QueueDepth: len(l.queue),
-			Stalls:     l.stalls.Load(),
-		})
+	var (
+		workers *pumpSnapshot
+		lanes   []laneSnapshot
+	)
+	if p := s.pump; p != nil && p.lanes == nil {
+		workers = &pumpSnapshot{
+			Workers:        len(p.workers),
+			ForeignCommits: p.foreignCommits.Load(),
+			BufferWaits:    p.bufferWaits.Load(),
+		}
+	} else if p != nil {
+		for _, l := range p.lanes {
+			lanes = append(lanes, laneSnapshot{
+				Frames:     l.frames.Load(),
+				Batches:    l.batches.Load(),
+				QueueDepth: len(l.queue),
+				Stalls:     l.stalls.Load(),
+			})
+		}
 	}
 	return statsSnapshot{
 		UptimeSeconds: uptime,
@@ -279,12 +299,9 @@ func (s *wallStats) snapshot(bf filtering.BatchFilter, now time.Time) statsSnaps
 		PPS:           pps,
 		LatencyP50Ns:  int64(lat[0]),
 		LatencyP99Ns:  int64(lat[1]),
+		Pump:          workers,
 		Lanes:         lanes,
-		Filter: filterSnapshot{
-			Name:        bf.Name(),
-			MemoryBytes: bf.MemoryBytes(),
-			Counters:    bf.Counters(),
-		},
+		Filter:        s.pump.filterView(bf),
 	}
 }
 
@@ -361,6 +378,7 @@ func newMux(s *wallStats, bf filtering.BatchFilter, plane *resiliencePlane) *htt
 			time.Duration(snap.LatencyP99Ns).Seconds())
 		fmt.Fprintf(w, "# TYPE bfwall_filter_memory_bytes gauge\nbfwall_filter_memory_bytes %d\n",
 			snap.Filter.MemoryBytes)
+		writePumpMetrics(w, snap.Pump)
 		writeLaneMetrics(w, snap.Lanes)
 		if plane != nil {
 			plane.writeMetrics(w)
@@ -369,8 +387,19 @@ func newMux(s *wallStats, bf filtering.BatchFilter, plane *resiliencePlane) *htt
 	return mux
 }
 
+// writePumpMetrics renders the worker pump's series; nothing for a lane
+// pipeline.
+func writePumpMetrics(w io.Writer, p *pumpSnapshot) {
+	if p == nil {
+		return
+	}
+	fmt.Fprintf(w, "# TYPE bitmapfilter_pump_workers gauge\nbitmapfilter_pump_workers %d\n", p.Workers)
+	fmt.Fprintf(w, "# TYPE bitmapfilter_pump_foreign_commits_total counter\nbitmapfilter_pump_foreign_commits_total %d\n", p.ForeignCommits)
+	fmt.Fprintf(w, "# TYPE bitmapfilter_pump_buffer_waits_total counter\nbitmapfilter_pump_buffer_waits_total %d\n", p.BufferWaits)
+}
+
 // writeLaneMetrics renders the lane pipeline's series, one sample per lane;
-// nothing for an inline pump.
+// nothing for the worker pump.
 func writeLaneMetrics(w io.Writer, lanes []laneSnapshot) {
 	if len(lanes) == 0 {
 		return

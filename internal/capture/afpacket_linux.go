@@ -22,7 +22,10 @@ type AFPacket struct {
 	fd      int
 	epoch   time.Time
 	snapLen int
-	closed  atomic.Bool
+	// recv is where a frame lands when its slot has no room for snapLen
+	// bytes (ReadBatch); calls to ReadBatch are one at a time.
+	recv   []byte
+	closed atomic.Bool
 }
 
 // ethPAll is ETH_P_ALL: receive every protocol, both directions.
@@ -55,7 +58,7 @@ func NewAFPacket(iface string, snapLen int) (*AFPacket, error) {
 			return nil, fmt.Errorf("capture: bind %s: %w", iface, err)
 		}
 	}
-	return &AFPacket{fd: fd, epoch: time.Now(), snapLen: snapLen}, nil
+	return &AFPacket{fd: fd, epoch: time.Now(), snapLen: snapLen, recv: make([]byte, snapLen)}, nil
 }
 
 // ReadBatch implements Source: it blocks for the first frame, then
@@ -63,16 +66,19 @@ func NewAFPacket(iface string, snapLen int) (*AFPacket, error) {
 // quiet link yields single-frame batches while a saturated one fills the
 // ring.
 //
-// AFPacket is a filling source (see Source): recvfrom writes each frame
-// into the slot's own buffer, so it relies on the capacity NewRing gave
-// the slots and must be given a ring no aliasing source has delivered
-// into.
+// AFPacket is a filling source (see Source): a frame ends up in the slot's
+// own buffer. A slot with room for snapLen bytes (NewRing's) receives it
+// directly; any other (a bare ring's) gets it appended from the socket's
+// one receive buffer, so it grows to the frames it carries and no further —
+// W × 4 rings of 512 slots at snapLen each would be 512 MiB at W = 4. It
+// must be given a ring no aliasing source has delivered into.
 func (a *AFPacket) ReadBatch(frames []Frame) (int, error) {
 	n := 0
 	for n < len(frames) {
-		buf := frames[n].Data[:cap(frames[n].Data)]
-		if len(buf) > a.snapLen {
-			buf = buf[:a.snapLen]
+		direct := cap(frames[n].Data) >= a.snapLen
+		buf := a.recv
+		if direct {
+			buf = frames[n].Data[:a.snapLen]
 		}
 		flags := syscall.MSG_TRUNC
 		if n > 0 {
@@ -95,7 +101,11 @@ func (a *AFPacket) ReadBatch(frames []Frame) (int, error) {
 		if m > len(buf) {
 			m = len(buf)
 		}
-		frames[n].Data = buf[:m]
+		if direct {
+			frames[n].Data = buf[:m]
+		} else {
+			frames[n].Data = append(frames[n].Data[:0], buf[:m]...)
+		}
 		n++
 	}
 	return n, nil

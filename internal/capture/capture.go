@@ -3,14 +3,14 @@
 // replayed trace.
 //
 // A Source delivers frames in batches into a ring of Frames the caller
-// allocates once (NewRing) and reuses for the life of the pump, keeping
-// the hot loop at zero allocations per frame. A source either fills a
-// slot — copies the frame into the slot's own buffer — or aliases: it
-// points the slot's Data at memory the source owns, read-only and valid
-// until the next ReadBatch. Replay aliases: it walks a pcap capture held
-// in memory (optionally looping it to synthesize arbitrarily long runs
-// from a short trace) and every frame it hands out is a slice of that
-// trace. So does Loopback, an in-memory queue for tests and demos. The
+// allocates once and reuses for the life of the pump, keeping the hot
+// loop at zero allocations per frame. A source either fills a slot —
+// copies the frame into the slot's own buffer — or aliases: it points
+// the slot's Data at memory the source owns, read-only and valid until
+// that ring is next passed to ReadBatch. Replay aliases: it walks a pcap
+// capture held in memory (optionally looping it to synthesize arbitrarily
+// long runs from a short trace) and every frame it hands out is a slice of
+// that trace. So does Loopback, an in-memory queue for tests and demos. The
 // AF_PACKET backend that binds a real interface fills; it lives behind
 // the "afpacket" build tag (Linux only), and hermetic builds and CI never
 // compile it.
@@ -25,9 +25,9 @@ package capture
 import "time"
 
 // Frame is one captured frame. Data points either into the ring slot's
-// own buffer or into memory the source owns; either way it is valid only
-// until the next ReadBatch on that source, and a consumer must not write
-// through it.
+// own buffer or into memory the source owns; either way it is valid until
+// the ring it was delivered into is next passed to ReadBatch, and a
+// consumer must not write through it.
 type Frame struct {
 	// Time is the capture timestamp as an offset on the source's clock.
 	Time time.Duration
@@ -51,12 +51,22 @@ type Source interface {
 	//
 	// Each delivered entry is set in one of two ways. A filling source
 	// copies the frame into the entry's own buffer, Data[:0], reusing its
-	// capacity when it suffices. An aliasing source replaces Data with a
-	// slice of memory the source owns — a replayed trace, later a mapped
-	// receive ring — cut with cap == len, so that an append to it
-	// reallocates rather than running on into whatever the source keeps
-	// behind the frame. Either way Data is read-only to the caller and
-	// valid until the next ReadBatch on this source.
+	// capacity when it suffices and allocating when it does not (a bare
+	// make([]Frame, n) is a valid ring: its slots grow on first use). An
+	// aliasing source replaces Data with a slice of memory the source owns
+	// — a replayed trace, later a mapped receive ring — cut with cap ==
+	// len, so that an append to it reallocates rather than running on
+	// into whatever the source keeps behind the frame. Either way Data is
+	// read-only to the caller.
+	//
+	// A frame lives as long as its ring: Data is valid until the ring it
+	// was delivered into is next passed to ReadBatch, however many other
+	// rings this source fills in between. A caller with several rings may
+	// therefore hold one batch's frames while the next batch is read
+	// (bfwall's workers do); calls to ReadBatch themselves are still one
+	// at a time. A filling source honours this by writing only into the
+	// slot it is handed, an aliasing source by never rewriting memory it
+	// has handed out.
 	//
 	// An aliased entry has no buffer of its own any more: Data[:0] is the
 	// source's memory. A ring an aliasing source has delivered into must
@@ -87,7 +97,10 @@ const DefaultSnapLen = 1 << 16
 // slice has capacity snapLen; a filling source slices it down to each
 // frame's captured length without reallocating, an aliasing source never
 // touches it (the pages stay unmapped), so snapLen bounds and truncates
-// live capture only — a replayed frame is delivered whole.
+// live capture only — a replayed frame is delivered whole. A ring need not
+// come from here: a filling source grows a slot it finds too short, so a
+// caller that cannot say how its rings will be filled (bfwall's pump)
+// starts them empty and pays for buffers only when a source fills them.
 func NewRing(n, snapLen int) []Frame {
 	if snapLen <= 0 {
 		snapLen = DefaultSnapLen

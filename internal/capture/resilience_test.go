@@ -124,3 +124,72 @@ func TestReplayBadMagicIsFatal(t *testing.T) {
 		t.Errorf("bad magic classifies %v, want ClassFatal", got)
 	}
 }
+
+// TestFrameOutlivesNextReadBatch pins the lifetime half of the Source
+// contract: a frame is valid until the ring it was delivered into is next
+// passed to ReadBatch, so a consumer with two rings may still be decoding
+// ring A while ring B is read. The rings are bare — no buffers of their
+// own until a filling source gives them some.
+func TestFrameOutlivesNextReadBatch(t *testing.T) {
+	const frames = 12
+	data := trace(t, frames)
+	sources := map[string]func(t *testing.T) capture.Source{
+		"replay": func(t *testing.T) capture.Source {
+			r, err := capture.NewReplayBytes(data, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		},
+		"loopback": func(t *testing.T) capture.Source {
+			r, err := capture.NewReplayBytes(data, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lb := capture.NewLoopback()
+			ring := make([]capture.Frame, frames)
+			n, _ := r.ReadBatch(ring)
+			for _, f := range ring[:n] {
+				if err := lb.WriteFrame(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lb.Close()
+			return lb
+		},
+		"buffer": func(t *testing.T) capture.Source {
+			r, err := capture.NewReplayBytes(data, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resilience.NewBuffer(r, resilience.BufferConfig{Capacity: 64, SnapLen: 256})
+		},
+	}
+	for name, open := range sources {
+		t.Run(name, func(t *testing.T) {
+			src := open(t)
+			defer src.Close()
+			a, b := make([]capture.Frame, 4), make([]capture.Frame, 4)
+			na, err := src.ReadBatch(a)
+			if err != nil || na == 0 {
+				t.Fatalf("first read = (%d, %v)", na, err)
+			}
+			held := make([][]byte, na)
+			for i, f := range a[:na] {
+				held[i] = append([]byte(nil), f.Data...)
+			}
+			// Two more reads into the other ring: the source moves on, and a
+			// filling source reuses b's slots, never a's.
+			for i := 0; i < 2; i++ {
+				if nb, err := src.ReadBatch(b); err != nil || nb == 0 {
+					t.Fatalf("read %d into the second ring = (%d, %v)", i, nb, err)
+				}
+			}
+			for i, f := range a[:na] {
+				if !bytes.Equal(f.Data, held[i]) {
+					t.Errorf("frame %d of the first ring changed under a read into the second", i)
+				}
+			}
+		})
+	}
+}
