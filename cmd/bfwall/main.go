@@ -56,8 +56,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -66,6 +64,7 @@ import (
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
+	"bitmapfilter/internal/pump"
 	"bitmapfilter/internal/resilience"
 	"bitmapfilter/internal/tenant"
 )
@@ -178,13 +177,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// The resilience plane: watchdog probes for every supervised loop,
 	// a lifecycle state machine behind /healthz and /readyz.
 	var (
-		wd                       *resilience.Watchdog
-		captureProbe, batchProbe *resilience.Probe
+		wd           *resilience.Watchdog
+		captureProbe *resilience.Probe
 	)
 	if *stallAfter > 0 {
 		wd = resilience.NewWatchdog(nil)
 		captureProbe = wd.Heartbeat("capture", *stallAfter)
-		batchProbe = wd.Heartbeat("batch", *stallAfter)
 	}
 	health := resilience.NewHealth(wd)
 	logf := func(format string, args ...any) {
@@ -242,19 +240,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer cp.Stop()
 	}
 
-	stats := newWallStats(time.Now())
-	p := newPump(src, bf, subnets, *batch, defaultWorkers(), stats)
-	p.batchProbe = batchProbe
-	p.logf = logf
+	// The data plane: W = min(GOMAXPROCS, 4) workers in front of whatever the
+	// filter's type makes the commit step (internal/pump), with a probe for
+	// every goroutine of it that can wedge.
+	started := time.Now()
+	p := pump.New(pump.Config{Source: src, Filter: bf, Subnets: subnets, Batch: *batch, Logf: logf})
 	if wd != nil {
-		// One probe per goroutine that can wedge: a lane stuck in its
-		// filter, a worker stuck in a decode, flips /healthz by name.
-		for i, l := range p.lanes {
-			l.probe = wd.Heartbeat(fmt.Sprintf("lane%d", i), *stallAfter)
-		}
-		for i, w := range p.workers {
-			w.probe = wd.Heartbeat(fmt.Sprintf("worker%d", i), *stallAfter)
-		}
+		p.Watch(wd, *stallAfter)
 	}
 
 	plane := &resiliencePlane{
@@ -264,7 +256,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cp:      cp,
 		restore: restoreRes,
 		policy:  policy,
-		stats:   stats,
 	}
 
 	var srv *http.Server
@@ -272,7 +263,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *listen != "" {
 		srv = &http.Server{
 			Addr:              *listen,
-			Handler:           newMux(stats, bf, plane),
+			Handler:           newMux(started, p.Snapshot, plane),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
@@ -287,13 +278,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// The pump owns the hot loop. A signal starts the graceful drain:
 	// readiness flips first (stop routing here), the source closes (intake
-	// stops; queued frames still flow), the pump drains out — with lanes,
-	// run returns only after every lane has been flushed and joined — and
-	// only then is the final checkpoint taken, all within the drain
-	// deadline.
+	// stops; queued frames still flow), the pump drains out — Run returns
+	// only after every worker and every lane has been joined — and only then
+	// is the final checkpoint taken, all within the drain deadline.
 	start := time.Now()
 	pumpDone := make(chan error, 1)
-	go func() { pumpDone <- p.run() }()
+	go func() { pumpDone <- p.Run() }()
 	health.SetReady()
 
 	var runErr error
@@ -345,13 +335,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return runErr
 	}
 
+	snap := p.Snapshot()
 	if *benchRun {
-		printBenchReport(out, stats, elapsed, *target)
+		printBenchReport(out, snap, elapsed, *target)
 	} else {
-		snap := stats.snapshot(bf, time.Now())
 		fmt.Fprintf(out, "bfwall: %d frames, %d out / %d in (%d passed, %d dropped), %d decode errors\n",
 			snap.Frames, snap.Outgoing, snap.Incoming, snap.Passed, snap.Dropped,
-			sumDecodeErrors(snap.DecodeErrors))
+			sumDecodeErrors(snap))
 		if st := sup.Stats(); st.TransientErrors > 0 || st.Reopens > 0 {
 			fmt.Fprintf(out, "bfwall: survived %d transient source errors (%d reopens)\n",
 				st.TransientErrors, st.Reopens)
@@ -373,8 +363,8 @@ func beatFn(p *resilience.Probe) func() {
 	return p.Beat
 }
 
-func sumDecodeErrors(per map[string]uint64) (total uint64) {
-	for _, v := range per {
+func sumDecodeErrors(snap pump.Snapshot) (total uint64) {
+	for _, v := range snap.DecodeErrors {
 		total += v
 	}
 	return total
@@ -542,222 +532,23 @@ func sourceFactory(pcapPath, iface string, loops, snapLen int, gcfg genConfig, o
 	}, nil
 }
 
-// pump is the wire-to-verdict hot loop: reusable frame rings, packet
-// batches and one verdict buffer — zero allocations per frame in steady
-// state. Over a single filter it is W symmetric workers that decode in
-// parallel and judge in source order (workers.go); over a sharded filter
-// or a tenant fleet it is the dispatcher of a lane pipeline (lanes.go): it
-// decodes and classifies, and the lane goroutines judge.
-type pump struct {
-	src capture.Source
-	bf  filtering.BatchFilter
-	// clients classifies direction against the client subnets; nil (no
-	// subnets configured) keeps the decoder's MAC-derived direction. Over a
-	// fleet it is the fleet's own routing table, so the slot classify finds
-	// is the slot the fleet judges by.
-	clients *packet.PrefixTable
-	stats   *wallStats
-
-	// The worker pump, when lanes is nil. srcMu is a worker's turn at the
-	// source and guards the three fields under it; slots is the reorder
-	// ring, batch seq at seq % len, as many slots as there are buffers;
-	// judgeMu is the filter's lock and guards verdicts and every write of
-	// head, the next batch to judge; shown is what the monitoring plane sees
-	// of the filter (showCounters), so that a scrape never waits for a judge.
-	workers  []*worker
-	srcMu    sync.Mutex
-	nextSeq  uint64
-	srcDone  bool
-	srcErr   error
-	slots    []atomic.Pointer[batchBuf]
-	judgeMu  sync.Mutex
-	head     atomic.Uint64
-	verdicts []filtering.Verdict
-	shownMu  sync.Mutex
-	shown    filterSnapshot
-	// foreignCommits counts batches judged by a worker that did not decode
-	// them (the only cross-core hand-offs there are), bufferWaits the times
-	// a worker found all its buffers in flight (the judge is the
-	// bottleneck).
-	foreignCommits atomic.Uint64
-	bufferWaits    atomic.Uint64
-
-	// lanes is set when bf has more than one shard (one lane per shard,
-	// routed by sharded.LaneOf) or is a fleet (one lane, sharded nil): the
-	// pump then dispatches to them from ring and has no workers.
-	sharded *core.Sharded
-	lanes   []*lane
-	ring    []capture.Frame
-	joined  sync.WaitGroup // the lane goroutines
-
-	// batchProbe, when set, tracks the pump's liveness as a whole: idle
-	// while a worker (or the dispatcher) is parked on the source, beating
-	// once per judged (or dispatched) batch.
-	batchProbe *resilience.Probe
-	// logf, when set, receives terminal source errors and quarantine
-	// events; workers and lanes call it, so it must tolerate concurrent
-	// calls.
-	logf func(format string, args ...any)
-}
-
-// newPump picks the pump's shape from the filter it is given: lanes per
-// shard, one lane for a fleet, workers for a single filter. subnets are
-// the client prefixes direction is classified against; a fleet brings its
-// own. Rings start empty: an aliasing source never needs a slot's buffer
-// and a filling one allocates it on first use.
-func newPump(src capture.Source, bf filtering.BatchFilter, subnets []packet.Prefix, batch, workers int, stats *wallStats) *pump {
-	batch = max(batch, 1)
-	p := &pump{src: src, bf: bf, stats: stats}
-	stats.pump = p
-	switch f := bf.(type) {
-	case *tenant.Set:
-		// One table, one slot numbering: whatever built the fleet (the
-		// config, a snapshot) also decided what its slots mean.
-		p.clients = f.Routes()
-		p.lanes = []*lane{newLane(nil, f, batch)}
-	case *core.Sharded:
-		if f.Shards() > 1 {
-			p.sharded = f
-			p.lanes = make([]*lane, f.Shards())
-			for i := range p.lanes {
-				p.lanes[i] = newLane(f.Lane(i), nil, batch)
-			}
-		}
-	}
-	if p.clients == nil && len(subnets) > 0 {
-		p.clients = packet.NewPrefixTable(subnets)
-	}
-	if p.lanes != nil {
-		p.ring = make([]capture.Frame, batch)
-	} else {
-		p.newWorkers(max(workers, 1), batch)
-	}
-	return p
-}
-
-// run drains the source through the filter until it ends, and returns only
-// once every frame read has its verdict: the workers joined and the
-// reorder ring empty, or every lane flushed and joined.
-func (p *pump) run() error {
-	if p.lanes == nil {
-		return p.runWorkers()
-	}
-	p.startLanes()
-	defer p.stopLanes()
-	for {
-		setIdle(p.batchProbe, true)
-		n, err := p.src.ReadBatch(p.ring)
-		setIdle(p.batchProbe, false)
-		if n > 0 {
-			// A short batch means the source ran dry: flush, so no packet
-			// waits in a half-full sub-batch for traffic that may not come.
-			if p.sharded != nil {
-				p.dispatch(p.ring[:n], n < len(p.ring))
-			} else {
-				p.dispatchFleet(p.ring[:n], n < len(p.ring))
-			}
-			beat(p.batchProbe)
-		}
-		if err != nil {
-			return p.endOfSource(err)
-		}
-	}
-}
-
-// endOfSource turns the error that ended the source into run's: a clean
-// close (io.EOF, a closed source) is silent; anything else is logged with
-// its error class before it surfaces — by the time an error reaches the
-// pump the supervisor has already retried everything survivable, so what
-// arrives here is genuinely terminal.
-func (p *pump) endOfSource(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, capture.ErrClosed) {
-		return nil
-	}
-	if p.logf != nil {
-		p.logf("source failed (class=%s): %v", resilience.Classify(err), err)
-	}
-	return err
-}
-
-// intake is what the decode step tallies over one source batch, added to
-// the shared counters once at its end.
-type intake struct {
-	bytes, truncated, unrouted uint64
-}
-
-// decode is the per-frame front half: zero-copy decode into dst, stamp it
-// from the frame, classify its direction against the client subnets. It
-// returns the index of the client prefix that decided the direction (0
-// with no subnets configured), or -1 for a frame the filter never sees:
-// undecodable, counted by class here, or unrouted.
-//
-//bf:hotpath
-func (p *pump) decode(dst *packet.Packet, f *capture.Frame, t *intake) (slot int32) {
-	t.bytes += uint64(f.OrigLen)
-	if f.Truncated() {
-		t.truncated++
-	}
-	if err := packet.DecodeInto(dst, f.Data); err != nil {
-		p.stats.decodeErr[decClass(err)].Add(1)
-		return -1
-	}
-	dst.Time = f.Time
-	if f.Truncated() {
-		// The decoder judged the captured prefix; account the frame
-		// at its wire length (APD bandwidth policies care).
-		dst.Length = f.OrigLen
-	}
-	// Subnet classification overrides the synthetic-MAC direction:
-	// real captures do not carry our MACs. Frames touching no client
-	// subnet are transit the edge would never forward to us.
-	if p.clients != nil {
-		var dir packet.Direction
-		if dir, slot = p.clients.ClassifySlot(dst.Tuple); slot < 0 {
-			t.unrouted++
-			return slot
-		}
-		dst.Dir = dir
-	}
-	return slot
-}
-
-// contain is the pump's panic boundary: a filter or decoder panic
-// quarantines the offending batch — its frames counted under the
-// overload policy, never judged — and the loop continues.
-func (p *pump) contain(frames int) {
-	if r := recover(); r != nil {
-		p.quarantine(frames, r)
-	}
-}
-
-func (p *pump) quarantine(frames int, cause any) {
-	p.stats.quarantinedBatches.Add(1)
-	p.stats.quarantinedFrames.Add(uint64(frames))
-	if p.logf != nil {
-		p.logf("panic in batch path quarantined %d frames: %v", frames, cause)
-	}
-}
-
 // printBenchReport renders the -bench verdict: did the wire-to-verdict
 // loop keep up with the target packet rate?
-func printBenchReport(out io.Writer, stats *wallStats, elapsed time.Duration, target float64) {
-	frames := stats.frames.Load()
-	_, decErrs := stats.decodeErrors()
-	lat := stats.latencyQuantiles(0.50, 0.99)
+func printBenchReport(out io.Writer, snap pump.Snapshot, elapsed time.Duration, target float64) {
 	pps := 0.0
 	if elapsed > 0 {
-		pps = float64(frames) / elapsed.Seconds()
+		pps = float64(snap.Frames) / elapsed.Seconds()
 	}
 	verdict := "SATURATED"
 	if pps < target {
 		verdict = "NOT saturated"
 	}
-	fmt.Fprintf(out, "bfwall bench: %d frames in %v wall (%.0f pps)\n", frames, elapsed.Round(time.Millisecond), pps)
+	fmt.Fprintf(out, "bfwall bench: %d frames in %v wall (%.0f pps)\n", snap.Frames, elapsed.Round(time.Millisecond), pps)
 	fmt.Fprintf(out, "  decode errors: %d, unrouted: %d, truncated: %d\n",
-		decErrs, stats.unrouted.Load(), stats.truncated.Load())
+		sumDecodeErrors(snap), snap.Unrouted, snap.Truncated)
 	fmt.Fprintf(out, "  verdicts: out=%d in=%d pass=%d drop=%d\n",
-		stats.outgoing.Load(), stats.incoming.Load(), stats.passed.Load(), stats.dropped.Load())
-	fmt.Fprintf(out, "  per-packet latency: p50=%v p99=%v\n", lat[0], lat[1])
+		snap.Outgoing, snap.Incoming, snap.Passed, snap.Dropped)
+	fmt.Fprintf(out, "  per-packet latency: p50=%v p99=%v\n", snap.LatencyP50, snap.LatencyP99)
 	ratio := 0.0
 	if target > 0 {
 		ratio = pps / target

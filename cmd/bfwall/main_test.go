@@ -6,10 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http/httptest"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +16,7 @@ import (
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
+	"bitmapfilter/internal/pump"
 )
 
 func TestParseSubnets(t *testing.T) {
@@ -176,136 +175,51 @@ func TestPumpClassifiesAndCounts(t *testing.T) {
 			if err := lb.Close(); err != nil {
 				t.Fatal(err)
 			}
-			stats := newWallStats(time.Now())
-			p := newPump(lb, mustFilter(t), subnets, 8, workers, stats)
-			if err := p.run(); err != nil {
+			p := pump.New(pump.Config{Source: lb, Filter: mustFilter(t), Subnets: subnets, Batch: 8, Workers: workers})
+			if err := p.Run(); err != nil {
 				t.Fatal(err)
 			}
 
-			if got := stats.frames.Load(); got != 6 {
-				t.Errorf("frames = %d, want 6", got)
+			got := renderStats(p.Snapshot(), time.Now(), time.Now())
+			if got.Frames != 6 {
+				t.Errorf("frames = %d, want 6", got.Frames)
 			}
-			if got := stats.outgoing.Load(); got != 1 {
-				t.Errorf("outgoing = %d, want 1", got)
+			if got.Outgoing != 1 {
+				t.Errorf("outgoing = %d, want 1", got.Outgoing)
 			}
-			if got := stats.incoming.Load(); got != 2 {
-				t.Errorf("incoming = %d, want 2", got)
+			if got.Incoming != 2 {
+				t.Errorf("incoming = %d, want 2", got.Incoming)
 			}
-			if got := stats.passed.Load(); got != 1 {
-				t.Errorf("passed = %d, want 1 (the marked reply)", got)
+			if got.Passed != 1 {
+				t.Errorf("passed = %d, want 1 (the marked reply)", got.Passed)
 			}
-			if got := stats.dropped.Load(); got != 1 {
-				t.Errorf("dropped = %d, want 1 (the unsolicited probe)", got)
+			if got.Dropped != 1 {
+				t.Errorf("dropped = %d, want 1 (the unsolicited probe)", got.Dropped)
 			}
-			if got := stats.unrouted.Load(); got != 1 {
-				t.Errorf("unrouted = %d, want 1 (the transit frame)", got)
+			if got.Unrouted != 1 {
+				t.Errorf("unrouted = %d, want 1 (the transit frame)", got.Unrouted)
 			}
-			if got := stats.decodeErr[decFragmented].Load(); got != 1 {
-				t.Errorf("fragmented decode errors = %d, want 1", got)
+			if got.DecodeErrors["fragmented"] != 1 {
+				t.Errorf("fragmented decode errors = %d, want 1", got.DecodeErrors["fragmented"])
 			}
-			if got := stats.decodeErr[decTruncated].Load(); got != 1 {
-				t.Errorf("truncated decode errors = %d, want 1 (the garbage frame)", got)
+			if got.DecodeErrors["truncated"] != 1 {
+				t.Errorf("truncated decode errors = %d, want 1 (the garbage frame)", got.DecodeErrors["truncated"])
 			}
 		})
 	}
 }
 
-// steadySource serves one batch of frames over and over, limit times (for
-// ever with a negative limit).
-type steadySource struct {
-	batch []capture.Frame
-	limit int
-}
-
-func (s *steadySource) ReadBatch(frames []capture.Frame) (int, error) {
-	if s.limit == 0 {
-		return 0, io.EOF
-	}
-	s.limit--
-	return copy(frames, s.batch), nil
-}
-
-func (s *steadySource) Close() error { return nil }
-
-// TestPumpZeroAllocsSteadyState pins the hot-loop contract end to end:
-// buffer reuse + zero-copy decode + publish + commit + ProcessBatchInto
-// must not allocate per source batch once warmed up. One worker stepped by
-// hand allocates exactly nothing per batch; two running free and handing
-// batches to each other cannot be stepped, so there the check is what
-// another thousand batches add to a run's mallocs (a run allocates to
-// start: goroutines, the verdict buffer).
-func TestPumpZeroAllocsSteadyState(t *testing.T) {
-	client := packet.AddrFrom4(10, 0, 0, 5)
-	server := packet.AddrFrom4(198, 51, 100, 7)
-	frame := encodeFrame(t, packet.Packet{Time: time.Second,
-		Tuple: packet.Tuple{Src: client, Dst: server, SrcPort: 4000, DstPort: 80, Proto: packet.TCP},
-		Dir:   packet.Outgoing, Flags: packet.SYN, Length: 60})
-	batch := make([]capture.Frame, 16)
-	for i := range batch {
-		batch[i] = capture.Frame{Time: time.Duration(i) * time.Millisecond,
-			Data: frame, OrigLen: len(frame)}
-	}
-	subnets, _ := parseSubnets("10.0.0.0/8")
-
-	stats := newWallStats(time.Now())
-	p := newPump(&steadySource{batch: batch, limit: -1}, mustFilter(t), subnets, 16, 1, stats)
-	w := p.workers[0]
-	step := func() {
-		b := p.take(w)
-		p.read(w, b)
-		b.read = time.Now()
-		p.decodeBatch(b)
-		p.publish(b)
-		p.commit(w)
-	}
-	for i := 0; i < 2*workerBuffers; i++ { // warm: every buffer, the verdict slice
-		step()
-	}
-	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-		t.Errorf("W=1: the pump allocates %.2f times per source batch", allocs)
-	}
-	if got, head := stats.outgoing.Load(), p.head.Load(); got != 16*head || head < 100 {
-		t.Fatalf("judged %d packets in %d batches", got, head)
-	}
-
-	mallocs := func(batches int) uint64 {
-		stats := newWallStats(time.Now())
-		p := newPump(&steadySource{batch: batch, limit: batches}, mustFilter(t), subnets, 16, 2, stats)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if err := p.run(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if got := stats.outgoing.Load(); got != uint64(16*batches) {
-			t.Fatalf("judged %d packets of %d", got, 16*batches)
-		}
-		return after.Mallocs - before.Mallocs
-	}
-	const short, more = 200, 1000
-	// The fewest of a few tries: a goroutine the runtime starts on its own (a
-	// GC worker) allocates too, and not in every run.
-	perBatch := math.Inf(1)
-	for try := 0; try < 5 && perBatch > 0; try++ {
-		a, b := mallocs(short), mallocs(short+more)
-		perBatch = min(perBatch, max(0, float64(b)-float64(a))/more)
-	}
-	if perBatch >= 0.01 {
-		t.Errorf("W=2: the pump allocates %.3f times per source batch", perBatch)
-	}
-}
-
 // TestMonitoringEndpoints exercises /healthz, /stats and /metrics off a
-// populated stats object.
+// populated snapshot.
 func TestMonitoringEndpoints(t *testing.T) {
-	stats := newWallStats(time.Now().Add(-time.Second))
-	stats.frames.Add(100)
-	stats.incoming.Add(60)
-	stats.dropped.Add(40)
-	stats.decodeErr[decFragmented].Add(3)
-	stats.observeBatchLatency(100*time.Microsecond, 100)
+	snap := pump.Snapshot{Frames: 100, Incoming: 60, Dropped: 40, LatencyP50: time.Microsecond, LatencyP99: time.Microsecond, FilterMemory: 2048}
+	for i, class := range pump.DecodeClasses {
+		if class == "fragmented" {
+			snap.DecodeErrors[i] = 3
+		}
+	}
 
-	srv := httptest.NewServer(newMux(stats, mustFilter(t), nil))
+	srv := httptest.NewServer(newMux(time.Now().Add(-time.Second), func() pump.Snapshot { return snap }, nil))
 	defer srv.Close()
 
 	get := func(path string) string {
@@ -329,21 +243,21 @@ func TestMonitoringEndpoints(t *testing.T) {
 		t.Errorf("/healthz: %q", body)
 	}
 
-	var snap statsSnapshot
-	if err := json.Unmarshal([]byte(get("/stats")), &snap); err != nil {
+	var stats statsSnapshot
+	if err := json.Unmarshal([]byte(get("/stats")), &stats); err != nil {
 		t.Fatalf("/stats JSON: %v", err)
 	}
-	if snap.Frames != 100 || snap.Dropped != 40 {
-		t.Errorf("/stats frames=%d dropped=%d", snap.Frames, snap.Dropped)
+	if stats.Frames != 100 || stats.Dropped != 40 {
+		t.Errorf("/stats frames=%d dropped=%d", stats.Frames, stats.Dropped)
 	}
-	if snap.DecodeErrors["fragmented"] != 3 {
-		t.Errorf("/stats decode_errors = %v", snap.DecodeErrors)
+	if stats.DecodeErrors["fragmented"] != 3 {
+		t.Errorf("/stats decode_errors = %v", stats.DecodeErrors)
 	}
-	if snap.LatencyP99Ns <= 0 {
-		t.Errorf("/stats p99 = %d", snap.LatencyP99Ns)
+	if stats.LatencyP99Ns <= 0 {
+		t.Errorf("/stats p99 = %d", stats.LatencyP99Ns)
 	}
-	if snap.PPS <= 0 {
-		t.Errorf("/stats pps = %v", snap.PPS)
+	if stats.PPS <= 0 {
+		t.Errorf("/stats pps = %v", stats.PPS)
 	}
 
 	metrics := get("/metrics")
@@ -352,7 +266,7 @@ func TestMonitoringEndpoints(t *testing.T) {
 		`bfwall_decode_errors_total{class="fragmented"} 3`,
 		`bfwall_verdicts_total{verdict="drop"} 40`,
 		`bfwall_packet_latency_seconds{quantile="0.99"}`,
-		"bfwall_filter_memory_bytes",
+		"bfwall_filter_memory_bytes 2048",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)

@@ -15,9 +15,12 @@ import (
 
 	"bitmapfilter/internal/capture"
 	"bitmapfilter/internal/checkpoint"
+	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
+	"bitmapfilter/internal/pump"
 	"bitmapfilter/internal/resilience"
+	"bitmapfilter/internal/tenant"
 )
 
 // TestDrainOnSignal: a cancelled context (the SIGTERM path) must stop
@@ -118,24 +121,9 @@ func TestOverloadPolicyFlag(t *testing.T) {
 	}
 }
 
-// panicFilter wraps a real filter and panics on the Nth batch — the
-// stand-in for a decode- or filter-path bug the pump must contain.
-type panicFilter struct {
-	filtering.BatchFilter
-	calls   atomic.Int64
-	panicOn int64
-}
-
-func (p *panicFilter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
-	if p.calls.Add(1) == p.panicOn {
-		panic("injected filter fault")
-	}
-	return p.BatchFilter.ProcessBatchInto(pkts, out)
-}
-
 // TestPumpQuarantinesPanic: a panicking batch is counted and skipped,
 // and the pump keeps judging subsequent batches — three batches of two
-// frames with one worker, three of minSubBatch (the claim floor) with two.
+// frames with one worker, three of minBatch (the floor) with two.
 func TestPumpQuarantinesPanic(t *testing.T) {
 	client := packet.AddrFrom4(10, 0, 0, 5)
 	server := packet.AddrFrom4(198, 51, 100, 7)
@@ -144,7 +132,7 @@ func TestPumpQuarantinesPanic(t *testing.T) {
 		Dir:   packet.Outgoing, Flags: packet.SYN, Length: 60})
 	subnets, _ := parseSubnets("10.0.0.0/8")
 
-	for workers, batch := range map[int]uint64{1: 2, 2: minSubBatch} {
+	for workers, batch := range map[int]uint64{1: 2, 2: minBatch} {
 		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
 			lb := capture.NewLoopback()
 			for i := uint64(0); i < 3*batch; i++ {
@@ -156,27 +144,26 @@ func TestPumpQuarantinesPanic(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			stats := newWallStats(time.Now())
-			bf := &panicFilter{BatchFilter: mustFilter(t), panicOn: 1}
-			p := newPump(lb, bf, subnets, 2, workers, stats)
+			bf := &faultyFilter{statFilter: singleFilter(t), fault: panicOn(1)}
 			var logged atomic.Int64
-			p.logf = func(string, ...any) { logged.Add(1) }
-
-			if err := p.run(); err != nil {
+			p := pump.New(pump.Config{Source: lb, Filter: bf, Subnets: subnets, Batch: 2, Workers: workers,
+				Logf: func(string, ...any) { logged.Add(1) }})
+			if err := p.Run(); err != nil {
 				t.Fatalf("pump died on a contained panic: %v", err)
 			}
-			if got := stats.quarantinedBatches.Load(); got != 1 {
-				t.Errorf("quarantined batches = %d, want 1", got)
+			got := p.Snapshot()
+			if got.QuarantinedBatches != 1 {
+				t.Errorf("quarantined batches = %d, want 1", got.QuarantinedBatches)
 			}
-			if got := stats.quarantinedFrames.Load(); got != batch {
-				t.Errorf("quarantined frames = %d, want %d", got, batch)
+			if got.QuarantinedFrames != batch {
+				t.Errorf("quarantined frames = %d, want %d", got.QuarantinedFrames, batch)
 			}
 			// The two healthy batches were judged.
-			if got := stats.frames.Load(); got != 3*batch {
-				t.Errorf("frames = %d, want %d", got, 3*batch)
+			if got.Frames != 3*batch {
+				t.Errorf("frames = %d, want %d", got.Frames, 3*batch)
 			}
-			if got := stats.outgoing.Load(); got != 2*batch {
-				t.Errorf("outgoing = %d, want %d (quarantined batch never judged)", got, 2*batch)
+			if got.Outgoing != 2*batch {
+				t.Errorf("outgoing = %d, want %d (quarantined batch never judged)", got.Outgoing, 2*batch)
 			}
 			if logged.Load() != 1 {
 				t.Errorf("quarantine logged %d times, want 1", logged.Load())
@@ -214,9 +201,7 @@ func TestResilienceEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats := newWallStats(time.Now())
-	stats.quarantinedBatches.Add(2)
-	stats.quarantinedFrames.Add(7)
+	snap := pump.Snapshot{QuarantinedBatches: 2, QuarantinedFrames: 7}
 	plane := &resiliencePlane{
 		sup:     sup,
 		buf:     buf,
@@ -224,9 +209,8 @@ func TestResilienceEndpoints(t *testing.T) {
 		cp:      cp,
 		restore: checkpoint.RestoreResult{Outcome: checkpoint.OutcomeColdStartEmpty},
 		policy:  resilience.PolicyDrop,
-		stats:   stats,
 	}
-	srv := httptest.NewServer(newMux(stats, mustFilter(t), plane))
+	srv := httptest.NewServer(newMux(time.Now(), func() pump.Snapshot { return snap }, plane))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -301,5 +285,169 @@ func TestResilienceEndpoints(t *testing.T) {
 	}
 	if code, body := get("/readyz"); code != 503 || !strings.Contains(body, "draining") {
 		t.Errorf("/readyz while draining = %d %q", code, body)
+	}
+}
+
+// drainOnSignal is the daemon-level drain: it runs bfwall over an endless
+// replay with args and a checkpoint, sends SIGTERM (cancels) in the middle
+// of it, and checks that every frame read was judged and that the final
+// checkpoint — read back through counters — restores to the counters the
+// exit line reports. The signal is sent once a periodic checkpoint holds a
+// judged packet, however long start-up took: a timer measured from the
+// test's start can fire before the pump's first read.
+func drainOnSignal(t *testing.T, counters func(io.Reader) (filtering.Counters, error), args ...string) {
+	t.Helper()
+	ckpt := filepath.Join(t.TempDir(), "state.bmf")
+	read := func() (filtering.Counters, error) {
+		f, err := os.Open(ckpt)
+		if err != nil {
+			return filtering.Counters{}, err
+		}
+		defer f.Close()
+		return counters(f)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // also stops the poller, should run fail before it signals
+	judged := make(chan bool, 1)
+	go func() {
+		defer cancel()
+		for deadline := time.Now().Add(30 * time.Second); ctx.Err() == nil && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if c, err := read(); err == nil && c.OutPackets+c.InPackets > 0 {
+				judged <- true
+				return
+			}
+		}
+		judged <- false
+	}()
+
+	var out bytes.Buffer
+	err := run(ctx, append(args, "-loops", "1000000",
+		"-scan-pps", "20000", "-conn-rate", "50", "-gen-duration", "100ms",
+		"-checkpoint", ckpt, "-checkpoint-every", "20ms"), &out)
+	if err != nil {
+		t.Fatalf("drain returned error: %v\noutput:\n%s", err, out.String())
+	}
+	if !<-judged {
+		t.Fatalf("no periodic checkpoint with a judged packet in 30 s:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "final checkpoint saved") {
+		t.Fatalf("no final checkpoint:\n%s", out.String())
+	}
+	var exit string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, " frames, ") {
+			exit = line
+		}
+	}
+	var frames, outgoing, incoming, passed, dropped, decErrs uint64
+	if _, err := fmt.Sscanf(exit, "bfwall: %d frames, %d out / %d in (%d passed, %d dropped), %d decode errors",
+		&frames, &outgoing, &incoming, &passed, &dropped, &decErrs); err != nil {
+		t.Fatalf("exit line %q: %v\n%s", exit, err, out.String())
+	}
+	if frames == 0 || frames != outgoing+incoming || incoming != passed+dropped || decErrs != 0 {
+		t.Errorf("frames read and frames judged differ: %s", exit)
+	}
+	c, err := read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.OutPackets != outgoing || c.InPackets != incoming || c.InPassed != passed {
+		t.Errorf("checkpoint holds %+v, the daemon reported %s", c, exit)
+	}
+}
+
+func filterCounters(r io.Reader) (filtering.Counters, error) {
+	f, err := core.ReadAnySnapshot(r)
+	if err != nil {
+		return filtering.Counters{}, err
+	}
+	return f.Counters(), nil
+}
+
+// TestWorkerDrainOnSignal is the daemon-level drain over a single filter:
+// SIGTERM in the middle of a replay, W = min(GOMAXPROCS, 4) — run it with
+// -cpu 1,2,4. The final checkpoint is taken after Run returned — workers
+// joined, reorder ring empty — so the counters it restores to are the ones
+// the exit line reports. -queue 0: the workers read the supervised replay
+// itself, the path -bench times (TestWorkerBackPressure has the queue).
+func TestWorkerDrainOnSignal(t *testing.T) {
+	drainOnSignal(t, filterCounters, "-queue", "0")
+}
+
+// TestLanedDrainOnSignal: SIGTERM in the middle of a replay over two lanes.
+// The final checkpoint is taken after the lanes are flushed and joined.
+func TestLanedDrainOnSignal(t *testing.T) {
+	drainOnSignal(t, filterCounters, "-shards", "2")
+}
+
+const fleetJSON = `{"tenants":[
+	{"id":"a","prefix":"10.0.0.0/9","order":12},
+	{"id":"b","prefix":"10.128.0.0/9","order":12}
+]}`
+
+func writeFleet(t *testing.T, dir, doc string) string {
+	t.Helper()
+	path := filepath.Join(dir, "fleet.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFleetLaneDrainOnSignal is TestLanedDrainOnSignal for a fleet.
+func TestFleetLaneDrainOnSignal(t *testing.T) {
+	drainOnSignal(t, func(r io.Reader) (filtering.Counters, error) {
+		set, err := tenant.ReadSnapshot(r, nil)
+		if err != nil {
+			return filtering.Counters{}, err
+		}
+		return set.Counters(), nil
+	}, "-tenants", writeFleet(t, t.TempDir(), fleetJSON))
+}
+
+// TestCheckpointRefusesFleetThatDiffersFromConfig: a checkpoint restores
+// the fleet it was taken from, so a config edited since — a tenant added,
+// dropped or re-prefixed — no longer describes what would run. The daemon
+// refuses to start and says why; listing the same tenants in another order
+// is not a difference.
+func TestCheckpointRefusesFleetThatDiffersFromConfig(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "fleet.bmf")
+	boot := func(doc string) (string, error) {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{
+			"-bench", "-target", "1", "-tenants", writeFleet(t, dir, doc),
+			"-scan-pps", "2000", "-conn-rate", "10", "-gen-duration", "100ms",
+			"-checkpoint", ckpt,
+		}, &out)
+		return out.String(), err
+	}
+	if out, err := boot(fleetJSON); err != nil || !strings.Contains(out, "cold start") {
+		t.Fatalf("first boot: %v\n%s", err, out)
+	}
+	for name, tc := range map[string]struct{ doc, want string }{
+		"added tenant": {`{"tenants":[
+			{"id":"a","prefix":"10.0.0.0/9","order":12},
+			{"id":"b","prefix":"10.128.0.0/9","order":12},
+			{"id":"c","prefix":"11.0.0.0/8","order":12}]}`,
+			`tenant "c" (11.0.0.0/8) is configured but not in the running fleet`},
+		"removed tenant": {`{"tenants":[
+			{"id":"a","prefix":"10.0.0.0/9","order":12}]}`,
+			`tenant "b" (10.128.0.0/9) is in the running fleet but not configured`},
+		"changed prefix": {`{"tenants":[
+			{"id":"a","prefix":"10.0.0.0/9","order":12},
+			{"id":"b","prefix":"10.128.0.0/10","order":12}]}`,
+			`tenant "b" is configured with prefix 10.128.0.0/10 but runs with 10.128.0.0/9`},
+	} {
+		out, err := boot(tc.doc)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), ckpt) {
+			t.Errorf("%s: err = %v, want a refusal naming the checkpoint and %q\n%s", name, err, tc.want, out)
+		}
+	}
+	out, err := boot(`{"tenants":[
+		{"id":"b","prefix":"10.128.0.0/9","order":12},
+		{"id":"a","prefix":"10.0.0.0/9","order":12}]}`)
+	if err != nil || !strings.Contains(out, "restored filter state from") {
+		t.Errorf("the same fleet listed in another order should restore: %v\n%s", err, out)
 	}
 }

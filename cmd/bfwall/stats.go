@@ -2,215 +2,16 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bitmapfilter/internal/checkpoint"
 	"bitmapfilter/internal/filtering"
-	"bitmapfilter/internal/packet"
+	"bitmapfilter/internal/pump"
 	"bitmapfilter/internal/resilience"
-	"bitmapfilter/internal/xrand"
 )
-
-// Decode-error classes surfaced on /stats and /metrics. Real links carry
-// traffic the filter deliberately refuses to judge (ARP, IPv6, fragments,
-// corrupt frames); per-class counters separate "the wire is weird" from
-// "the decoder is broken".
-const (
-	decTruncated = iota
-	decNotIPv4
-	decMalformed
-	decChecksum
-	decFragmented
-	decProto
-	decOther
-	decClasses
-)
-
-var decClassNames = [decClasses]string{
-	"truncated", "not_ipv4", "malformed", "checksum", "fragmented", "proto", "other",
-}
-
-func decClass(err error) int {
-	switch {
-	case errors.Is(err, packet.ErrTruncated):
-		return decTruncated
-	case errors.Is(err, packet.ErrNotIPv4):
-		return decNotIPv4
-	case errors.Is(err, packet.ErrBadIPVersion), errors.Is(err, packet.ErrBadIHL):
-		return decMalformed
-	case errors.Is(err, packet.ErrBadChecksum):
-		return decChecksum
-	case errors.Is(err, packet.ErrFragmented):
-		return decFragmented
-	case errors.Is(err, packet.ErrProto):
-		return decProto
-	default:
-		return decOther
-	}
-}
-
-// reservoirSize bounds the latency sample set: enough for a stable p99,
-// constant memory regardless of run length.
-const reservoirSize = 4096
-
-// wallStats is the daemon's observability state. The counters are written
-// by the pump's workers or its dispatcher and lanes and read by HTTP
-// handlers, so everything is atomic; the latency reservoir has its own lock
-// (taken once per batch, and doing work only for the packets that land in
-// the reservoir).
-type wallStats struct {
-	start time.Time
-	// pump is the pump these are the counters of, set once by newPump (nil
-	// when there is none: a mux over bare stats). The handlers read its
-	// per-worker and per-lane counters, and its filter through filterView.
-	pump *pump
-
-	frames    atomic.Uint64
-	bytes     atomic.Uint64
-	truncated atomic.Uint64
-	decodeErr [decClasses]atomic.Uint64
-	unrouted  atomic.Uint64 // decodable but outside every client subnet
-
-	outgoing atomic.Uint64
-	incoming atomic.Uint64
-	passed   atomic.Uint64
-	dropped  atomic.Uint64
-
-	// Panic containment: batches quarantined by the pump's recover
-	// boundary, and the frames they carried (never judged).
-	quarantinedBatches atomic.Uint64
-	quarantinedFrames  atomic.Uint64
-
-	mu      sync.Mutex
-	rng     *xrand.Rand
-	samples []time.Duration // per-packet latency reservoir
-	seen    uint64
-	// Skip-ahead state of the reservoir (Li's Algorithm L), live once
-	// samples is full: skip arrivals pass unsampled before the next one
-	// replaces a random slot; w is the running key threshold the skips
-	// are drawn from.
-	w    float64
-	skip uint64
-}
-
-func newWallStats(start time.Time) *wallStats {
-	return &wallStats{
-		start:   start,
-		rng:     xrand.New(0xbf0a11),
-		samples: make([]time.Duration, 0, reservoirSize),
-	}
-}
-
-// addIntake folds one source batch's decode-side tallies in.
-func (s *wallStats) addIntake(t intake) {
-	s.bytes.Add(t.bytes)
-	s.truncated.Add(t.truncated)
-	s.unrouted.Add(t.unrouted)
-}
-
-// addVerdicts counts one judged batch by direction and verdict: summed in
-// locals, one atomic add each.
-//
-//bf:hotpath
-func (s *wallStats) addVerdicts(pkts []packet.Packet, verdicts []filtering.Verdict) {
-	var out, in, pass uint64
-	for i := range pkts {
-		if pkts[i].Dir == packet.Outgoing {
-			out++
-			continue
-		}
-		in++
-		if verdicts[i] == filtering.Pass {
-			pass++
-		}
-	}
-	s.outgoing.Add(out)
-	s.incoming.Add(in)
-	s.passed.Add(pass)
-	s.dropped.Add(in - pass)
-}
-
-// observeBatchLatency folds one batch's wall-clock processing time into
-// the per-packet latency reservoir: each of the n packets is attributed
-// the batch average, which is exactly the per-packet cost the saturation
-// question cares about (can the loop keep up), without a clock read per
-// packet.
-//
-// The reservoir is a uniform sample over packets, not batches. Instead of
-// a coin per packet it draws how many arrivals to skip until the next
-// replacement, so a full reservoir costs one subtraction per batch and
-// random draws only per replacement (about reservoirSize·ln(seen/
-// reservoirSize) over a run). The draws depend on the arrival count alone:
-// a batch of n leaves the reservoir exactly as n single observations do.
-func (s *wallStats) observeBatchLatency(elapsed time.Duration, n int) {
-	if n <= 0 {
-		return
-	}
-	per := elapsed / time.Duration(n)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	left := uint64(n)
-	s.seen += left
-	if len(s.samples) < reservoirSize {
-		for ; left > 0 && len(s.samples) < reservoirSize; left-- {
-			s.samples = append(s.samples, per)
-		}
-		if len(s.samples) == reservoirSize {
-			s.w = 1
-			s.drawSkip()
-		}
-	}
-	for left > s.skip {
-		left -= s.skip + 1
-		s.samples[s.rng.Intn(reservoirSize)] = per
-		s.drawSkip()
-	}
-	s.skip -= left
-}
-
-// drawSkip advances Algorithm L: shrink the threshold by the largest of
-// reservoirSize uniform keys, then draw the geometric number of arrivals
-// whose keys all exceed it.
-func (s *wallStats) drawSkip() {
-	s.w *= math.Exp(-s.rng.Exp(1) / reservoirSize)
-	s.skip = uint64(s.rng.Exp(1) / -math.Log1p(-s.w))
-}
-
-// latencyQuantiles returns the requested quantiles of the reservoir
-// (zeros when nothing was sampled yet).
-func (s *wallStats) latencyQuantiles(qs ...float64) []time.Duration {
-	s.mu.Lock()
-	sorted := append([]time.Duration(nil), s.samples...)
-	s.mu.Unlock()
-	out := make([]time.Duration, len(qs))
-	if len(sorted) == 0 {
-		return out
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, q := range qs {
-		idx := int(q * float64(len(sorted)-1))
-		out[i] = sorted[idx]
-	}
-	return out
-}
-
-func (s *wallStats) decodeErrors() (per map[string]uint64, total uint64) {
-	per = make(map[string]uint64, decClasses)
-	for i := range s.decodeErr {
-		v := s.decodeErr[i].Load()
-		per[decClassNames[i]] = v
-		total += v
-	}
-	return per, total
-}
 
 // statsSnapshot is the JSON shape of GET /stats.
 type statsSnapshot struct {
@@ -228,20 +29,20 @@ type statsSnapshot struct {
 	PPS           float64           `json:"pps"`
 	LatencyP50Ns  int64             `json:"latency_p50_ns"`
 	LatencyP99Ns  int64             `json:"latency_p99_ns"`
-	Pump          *pumpSnapshot     `json:"pump,omitempty"`
+	Pump          pumpSnapshot      `json:"pump"`
 	Lanes         []laneSnapshot    `json:"lanes,omitempty"`
 	Filter        filterSnapshot    `json:"filter"`
 }
 
-// pumpSnapshot is the worker pump a single filter runs behind.
+// pumpSnapshot is the worker pump every filter runs behind.
 type pumpSnapshot struct {
 	Workers        int    `json:"workers"`
 	ForeignCommits uint64 `json:"foreign_commits"`
 	BufferWaits    uint64 `json:"buffer_waits"`
 }
 
-// laneSnapshot is one lane of the pipeline a sharded filter or a fleet runs
-// behind.
+// laneSnapshot is one lane: a shard's, or a fleet's. dispatcher_stalls
+// counts the commit step finding every sub-batch of a shard's lane in flight.
 type laneSnapshot struct {
 	Frames     uint64 `json:"frames"`
 	Batches    uint64 `json:"sub_batches"`
@@ -255,54 +56,43 @@ type filterSnapshot struct {
 	Counters    filtering.Counters `json:"counters"`
 }
 
-func (s *wallStats) snapshot(bf filtering.BatchFilter, now time.Time) statsSnapshot {
-	uptime := now.Sub(s.start).Seconds()
-	frames := s.frames.Load()
-	per, _ := s.decodeErrors()
-	lat := s.latencyQuantiles(0.50, 0.99)
-	pps := 0.0
-	if uptime > 0 {
-		pps = float64(frames) / uptime
+// renderStats lays a pump snapshot out as /stats shows it.
+func renderStats(snap pump.Snapshot, started, now time.Time) statsSnapshot {
+	uptime := now.Sub(started).Seconds()
+	per := make(map[string]uint64, len(pump.DecodeClasses))
+	for i, class := range pump.DecodeClasses {
+		per[class] = snap.DecodeErrors[i]
 	}
-	var (
-		workers *pumpSnapshot
-		lanes   []laneSnapshot
-	)
-	if p := s.pump; p != nil && p.lanes == nil {
-		workers = &pumpSnapshot{
-			Workers:        len(p.workers),
-			ForeignCommits: p.foreignCommits.Load(),
-			BufferWaits:    p.bufferWaits.Load(),
-		}
-	} else if p != nil {
-		for _, l := range p.lanes {
-			lanes = append(lanes, laneSnapshot{
-				Frames:     l.frames.Load(),
-				Batches:    l.batches.Load(),
-				QueueDepth: len(l.queue),
-				Stalls:     l.stalls.Load(),
-			})
-		}
+	var lanes []laneSnapshot
+	for _, l := range snap.Lanes {
+		lanes = append(lanes, laneSnapshot{Frames: l.Frames, Batches: l.Batches, QueueDepth: l.QueueDepth, Stalls: l.Stalls})
 	}
 	return statsSnapshot{
 		UptimeSeconds: uptime,
-		Frames:        frames,
-		Bytes:         s.bytes.Load(),
-		Truncated:     s.truncated.Load(),
+		Frames:        snap.Frames,
+		Bytes:         snap.Bytes,
+		Truncated:     snap.Truncated,
 		DecodeErrors:  per,
-		Unrouted:      s.unrouted.Load(),
-		Outgoing:      s.outgoing.Load(),
-		Incoming:      s.incoming.Load(),
-		Passed:        s.passed.Load(),
-		Dropped:       s.dropped.Load(),
-		Quarantined:   s.quarantinedBatches.Load(),
-		PPS:           pps,
-		LatencyP50Ns:  int64(lat[0]),
-		LatencyP99Ns:  int64(lat[1]),
-		Pump:          workers,
+		Unrouted:      snap.Unrouted,
+		Outgoing:      snap.Outgoing,
+		Incoming:      snap.Incoming,
+		Passed:        snap.Passed,
+		Dropped:       snap.Dropped,
+		Quarantined:   snap.QuarantinedBatches,
+		PPS:           perSecond(snap.Frames, uptime),
+		LatencyP50Ns:  int64(snap.LatencyP50),
+		LatencyP99Ns:  int64(snap.LatencyP99),
+		Pump:          pumpSnapshot{Workers: snap.Workers, ForeignCommits: snap.ForeignCommits, BufferWaits: snap.BufferWaits},
 		Lanes:         lanes,
-		Filter:        s.pump.filterView(bf),
+		Filter:        filterSnapshot{Name: snap.FilterName, MemoryBytes: snap.FilterMemory, Counters: snap.Counters},
 	}
+}
+
+func perSecond(frames uint64, seconds float64) float64 {
+	if seconds <= 0 {
+		return 0
+	}
+	return float64(frames) / seconds
 }
 
 // resiliencePlane bundles the resilience layer's observable surfaces for
@@ -315,14 +105,13 @@ type resiliencePlane struct {
 	cp      *checkpoint.Checkpointer
 	restore checkpoint.RestoreResult
 	policy  resilience.OverloadPolicy
-	stats   *wallStats
 }
 
 // newMux wires the monitoring endpoints: /healthz liveness (503 when a
 // supervised loop stalls), /readyz readiness (503 while starting or
 // draining), /stats JSON, /metrics Prometheus text exposition. plane may
-// be nil.
-func newMux(s *wallStats, bf filtering.BatchFilter, plane *resiliencePlane) *http.ServeMux {
+// be nil. snapshot is the pump's: the handlers read nothing else of it.
+func newMux(started time.Time, snapshot func() pump.Snapshot, plane *resiliencePlane) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -350,18 +139,17 @@ func newMux(s *wallStats, bf filtering.BatchFilter, plane *resiliencePlane) *htt
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.snapshot(bf, time.Now()))
+		_ = enc.Encode(renderStats(snapshot(), started, time.Now()))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		snap := s.snapshot(bf, time.Now())
+		snap := snapshot()
 		fmt.Fprintf(w, "# TYPE bfwall_frames_total counter\nbfwall_frames_total %d\n", snap.Frames)
 		fmt.Fprintf(w, "# TYPE bfwall_bytes_total counter\nbfwall_bytes_total %d\n", snap.Bytes)
 		fmt.Fprintf(w, "# TYPE bfwall_truncated_frames_total counter\nbfwall_truncated_frames_total %d\n", snap.Truncated)
 		fmt.Fprintf(w, "# TYPE bfwall_decode_errors_total counter\n")
-		for i := range decClassNames {
-			fmt.Fprintf(w, "bfwall_decode_errors_total{class=%q} %d\n",
-				decClassNames[i], snap.DecodeErrors[decClassNames[i]])
+		for i, class := range pump.DecodeClasses {
+			fmt.Fprintf(w, "bfwall_decode_errors_total{class=%q} %d\n", class, snap.DecodeErrors[i])
 		}
 		fmt.Fprintf(w, "# TYPE bfwall_unrouted_packets_total counter\nbfwall_unrouted_packets_total %d\n", snap.Unrouted)
 		fmt.Fprintf(w, "# TYPE bfwall_packets_total counter\n")
@@ -370,37 +158,25 @@ func newMux(s *wallStats, bf filtering.BatchFilter, plane *resiliencePlane) *htt
 		fmt.Fprintf(w, "# TYPE bfwall_verdicts_total counter\n")
 		fmt.Fprintf(w, "bfwall_verdicts_total{verdict=\"pass\"} %d\n", snap.Passed)
 		fmt.Fprintf(w, "bfwall_verdicts_total{verdict=\"drop\"} %d\n", snap.Dropped)
-		fmt.Fprintf(w, "# TYPE bfwall_pps gauge\nbfwall_pps %g\n", snap.PPS)
+		fmt.Fprintf(w, "# TYPE bfwall_pps gauge\nbfwall_pps %g\n", perSecond(snap.Frames, time.Since(started).Seconds()))
 		fmt.Fprintf(w, "# TYPE bfwall_packet_latency_seconds gauge\n")
-		fmt.Fprintf(w, "bfwall_packet_latency_seconds{quantile=\"0.5\"} %g\n",
-			time.Duration(snap.LatencyP50Ns).Seconds())
-		fmt.Fprintf(w, "bfwall_packet_latency_seconds{quantile=\"0.99\"} %g\n",
-			time.Duration(snap.LatencyP99Ns).Seconds())
-		fmt.Fprintf(w, "# TYPE bfwall_filter_memory_bytes gauge\nbfwall_filter_memory_bytes %d\n",
-			snap.Filter.MemoryBytes)
-		writePumpMetrics(w, snap.Pump)
+		fmt.Fprintf(w, "bfwall_packet_latency_seconds{quantile=\"0.5\"} %g\n", snap.LatencyP50.Seconds())
+		fmt.Fprintf(w, "bfwall_packet_latency_seconds{quantile=\"0.99\"} %g\n", snap.LatencyP99.Seconds())
+		fmt.Fprintf(w, "# TYPE bfwall_filter_memory_bytes gauge\nbfwall_filter_memory_bytes %d\n", snap.FilterMemory)
+		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_workers gauge\nbitmapfilter_pump_workers %d\n", snap.Workers)
+		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_foreign_commits_total counter\nbitmapfilter_pump_foreign_commits_total %d\n", snap.ForeignCommits)
+		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_buffer_waits_total counter\nbitmapfilter_pump_buffer_waits_total %d\n", snap.BufferWaits)
 		writeLaneMetrics(w, snap.Lanes)
 		if plane != nil {
-			plane.writeMetrics(w)
+			plane.writeMetrics(w, snap)
 		}
 	})
 	return mux
 }
 
-// writePumpMetrics renders the worker pump's series; nothing for a lane
-// pipeline.
-func writePumpMetrics(w io.Writer, p *pumpSnapshot) {
-	if p == nil {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE bitmapfilter_pump_workers gauge\nbitmapfilter_pump_workers %d\n", p.Workers)
-	fmt.Fprintf(w, "# TYPE bitmapfilter_pump_foreign_commits_total counter\nbitmapfilter_pump_foreign_commits_total %d\n", p.ForeignCommits)
-	fmt.Fprintf(w, "# TYPE bitmapfilter_pump_buffer_waits_total counter\nbitmapfilter_pump_buffer_waits_total %d\n", p.BufferWaits)
-}
-
-// writeLaneMetrics renders the lane pipeline's series, one sample per lane;
-// nothing for the worker pump.
-func writeLaneMetrics(w io.Writer, lanes []laneSnapshot) {
+// writeLaneMetrics renders the lanes' series, one sample per lane; nothing
+// for a single filter, which has none.
+func writeLaneMetrics(w io.Writer, lanes []pump.LaneSnapshot) {
 	if len(lanes) == 0 {
 		return
 	}
@@ -425,7 +201,7 @@ func writeLaneMetrics(w io.Writer, lanes []laneSnapshot) {
 // writeMetrics renders the resilience layer's Prometheus series. The
 // bitmapfilter_resilience_* namespace is shared with internal/httpapi so
 // one alert set covers both daemons.
-func (p *resiliencePlane) writeMetrics(w io.Writer) {
+func (p *resiliencePlane) writeMetrics(w io.Writer, snap pump.Snapshot) {
 	pol := p.policy.String()
 	if p.sup != nil {
 		st := p.sup.Stats()
@@ -451,10 +227,8 @@ func (p *resiliencePlane) writeMetrics(w io.Writer) {
 		}
 		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_shedding gauge\nbitmapfilter_resilience_shedding %d\n", shedding)
 	}
-	if p.stats != nil {
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_quarantined_batches_total counter\nbitmapfilter_resilience_quarantined_batches_total %d\n", p.stats.quarantinedBatches.Load())
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_quarantined_frames_total counter\nbitmapfilter_resilience_quarantined_frames_total{policy=%q} %d\n", pol, p.stats.quarantinedFrames.Load())
-	}
+	fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_quarantined_batches_total counter\nbitmapfilter_resilience_quarantined_batches_total %d\n", snap.QuarantinedBatches)
+	fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_quarantined_frames_total counter\nbitmapfilter_resilience_quarantined_frames_total{policy=%q} %d\n", pol, snap.QuarantinedFrames)
 	if p.health != nil {
 		live, _ := p.health.Live()
 		ready, _ := p.health.Ready()

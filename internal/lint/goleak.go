@@ -8,7 +8,7 @@ import (
 
 // GoleakAnalyzer turns the chaos harness's runtime goroutine-leak checks
 // into a compile-time gate: every `go` statement in the capture,
-// resilience, checkpoint, and daemon packages must have a statically
+// resilience, checkpoint, pump, and daemon packages must have a statically
 // visible join — a signal by which some other goroutine can observe that
 // this one finished.
 //
@@ -44,6 +44,7 @@ var goleakTargetLeaves = map[string]bool{
 	"checkpoint": true,
 	"bfserve":    true,
 	"bfwall":     true,
+	"pump":       true,
 }
 
 func runGoleak(pass *Pass) error {

@@ -49,6 +49,9 @@ var wallclockAllowedLeaves = map[string]bool{
 	// sleeps are real time, and the watchdog's default clock is the
 	// process's monotonic elapsed time (tests inject a fake).
 	"resilience": true,
+	// pump is the daemon's data plane, moved out of cmd/bfwall: the latency
+	// it reports is a batch's wall time from its read to its last verdict.
+	"pump": true,
 }
 
 // wallclockBanned are the time-package functions whose results depend on

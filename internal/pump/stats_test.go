@@ -1,4 +1,4 @@
-package main
+package pump
 
 import (
 	"testing"
@@ -7,14 +7,20 @@ import (
 
 // offer feeds batches of the given sizes; batch b's packets carry the
 // latency b ns, so a sample's value says which batch it arrived in.
-func offer(s *wallStats, sizes []int) {
+func offer(s *reservoir, sizes []int) {
 	for b, n := range sizes {
-		s.observeBatchLatency(time.Duration(b*n)*time.Nanosecond, n)
+		s.observe(time.Duration(b*n)*time.Nanosecond, n)
 	}
 }
 
+func newReservoir() *reservoir {
+	r := new(reservoir)
+	r.init()
+	return r
+}
+
 func TestReservoirFillsAndCountsArrivals(t *testing.T) {
-	s := newWallStats(time.Now())
+	s := newReservoir()
 	offer(s, []int{1, 511, 0, 512, 2000}) // 3024 < reservoirSize
 	if len(s.samples) != 3024 || s.seen != 3024 {
 		t.Fatalf("partial fill: %d samples, seen %d, want 3024 of each", len(s.samples), s.seen)
@@ -34,11 +40,11 @@ func TestReservoirFillsAndCountsArrivals(t *testing.T) {
 // therefore identical distributions.
 func TestReservoirBatchEqualsSingles(t *testing.T) {
 	sizes := []int{100, 3000, 2000, 512, 512, 1, 7, 40000, 512, 90000, 3}
-	batched, singles := newWallStats(time.Now()), newWallStats(time.Now())
+	batched, singles := newReservoir(), newReservoir()
 	offer(batched, sizes)
 	for b, n := range sizes {
 		for i := 0; i < n; i++ {
-			singles.observeBatchLatency(time.Duration(b)*time.Nanosecond, 1)
+			singles.observe(time.Duration(b)*time.Nanosecond, 1)
 		}
 	}
 	if batched.seen != singles.seen {
@@ -57,7 +63,7 @@ func TestReservoirBatchEqualsSingles(t *testing.T) {
 // that, 63 degrees of freedom, critical value at p = 0.001.
 func TestReservoirWeighsPackets(t *testing.T) {
 	const batches, perBatch = 64, 4 * reservoirSize
-	s := newWallStats(time.Now())
+	s := newReservoir()
 	sizes := make([]int, batches)
 	for i := range sizes {
 		sizes[i] = perBatch
