@@ -32,7 +32,10 @@ import (
 // fleet) at W = 1, 2, 4, through what the daemon itself uses of
 // internal/pump — New, Watch, Run, Snapshot. The Worker*, Lane* and
 // FleetLane* names are the single filter's, the shards' and the fleet's rows
-// of it. What has to step a worker by hand is in internal/pump's own tests.
+// of it. A single filter comes three ways: plain and behind -checkpoint's
+// lock (the workers hash, the commit step only touches bits), and behind a
+// wrapper that offers ProcessBatchInto alone (the filter hashes for itself).
+// What has to step a worker by hand is in internal/pump's own tests.
 
 // workerCounts is the explicit W every row runs at: one loop, two workers
 // handing batches to each other, and more workers than this box has cores.
@@ -65,23 +68,27 @@ type sink struct {
 	// batch a single filter or a fleet judges, or in what shard 1 does.
 	build   func(t *testing.T, f *fault) statFilter
 	restore func(t *testing.T, r io.Reader) statFilter
+	// hashed: the pump takes the filter's two halves apart (internal/pump's
+	// hashedFilter). plain, when set, builds what the synchronous reference
+	// runs in build's place.
+	hashed bool
+	plain  func(t *testing.T) statFilter
+}
+
+// hashedFilter is internal/pump's, and what the rows need of one.
+type hashedFilter interface {
+	statFilter
+	Hasher() *core.Hasher
+	ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict
 }
 
 var (
-	singleSink = sink{name: "single", clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
-		build: func(t *testing.T, f *fault) statFilter {
-			if f == nil {
-				return singleFilter(t)
-			}
-			return &faultyFilter{statFilter: singleFilter(t), fault: f}
-		},
-		restore: func(t *testing.T, r io.Reader) statFilter {
-			f, err := core.ReadAnySnapshot(r, core.WithAPD(testAPD(t, 20e6)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f.(*core.Filter)
-		}}
+	singleSink = singleSinkOf("single", true, func(t *testing.T) hashedFilter { return singleFilter(t) })
+	// safeSink is the single filter of a -checkpoint daemon. Its reference is
+	// the plain filter's: the lock changes nothing, down to the snapshot bytes.
+	safeSink = singleSinkOf("safe", true, func(t *testing.T) hashedFilter { return core.NewSafe(singleFilter(t)) })
+	// plainSink is a single filter that does not offer the two halves.
+	plainSink = singleSinkOf("plain", false, nil)
 	fleetSink = sink{name: "fleet", lanes: 1, clients: fleetClients, told: "192.0.2.0/24", routed: fleetPrefixes(),
 		build: func(t *testing.T, f *fault) statFilter {
 			if f == nil {
@@ -98,6 +105,29 @@ var (
 		}}
 	allSinks = []sink{singleSink, shardsSink(2), fleetSink}
 )
+
+// singleSinkOf is a sink that judges in place: through the filter's two
+// halves, or (hashed false) through a wrapper's ProcessBatchInto.
+func singleSinkOf(name string, hashed bool, mk func(t *testing.T) hashedFilter) sink {
+	return sink{name: name, hashed: hashed, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
+		plain: func(t *testing.T) statFilter { return singleFilter(t) },
+		build: func(t *testing.T, f *fault) statFilter {
+			switch {
+			case !hashed:
+				return &faultyFilter{statFilter: singleFilter(t), fault: f}
+			case f == nil:
+				return mk(t)
+			}
+			return &faultyHashed{hashedFilter: mk(t), fault: f}
+		},
+		restore: func(t *testing.T, r io.Reader) statFilter {
+			f, err := core.ReadAnySnapshot(r, core.WithAPD(testAPD(t, 20e6)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f.(*core.Filter)
+		}}
+}
 
 func shardsSink(n int) sink {
 	return sink{name: fmt.Sprintf("shards=%d", n), lanes: n, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
@@ -222,7 +252,8 @@ func wedge() (f *fault, entered chan struct{}, release func()) {
 	return &fault{on: 1, do: func() { close(entered); <-gate }}, entered, sync.OnceFunc(func() { close(gate) })
 }
 
-// faultyFilter is a single filter with a fault in its ProcessBatchInto.
+// faultyFilter is a single filter with a fault in its ProcessBatchInto, and
+// nothing else to judge through: the embedded interface hides the halves.
 type faultyFilter struct {
 	statFilter
 	fault *fault
@@ -231,6 +262,17 @@ type faultyFilter struct {
 func (f *faultyFilter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
 	f.fault.hit()
 	return f.statFilter.ProcessBatchInto(pkts, out)
+}
+
+// faultyHashed is a single filter with a fault in its ordered half.
+type faultyHashed struct {
+	hashedFilter
+	fault *fault
+}
+
+func (f *faultyHashed) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict {
+	f.fault.hit()
+	return f.hashedFilter.ProcessHashedInto(pkts, idxs, out)
 }
 
 // faultyFleet is a fleet with a fault in what its lane calls.
@@ -443,6 +485,22 @@ func (r *recordingFilter) ProcessBatchInto(pkts []packet.Packet, out []filtering
 	return r.BatchFilter.ProcessBatchInto(pkts, out)
 }
 
+// recordingHashed records the same of a filter judged through its ordered
+// half, and how many of the calls came that way.
+type recordingHashed struct {
+	*recordingFilter
+	inner  hashedFilter
+	hashed int
+}
+
+func (r *recordingHashed) Hasher() *core.Hasher { return r.inner.Hasher() }
+
+func (r *recordingHashed) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict {
+	r.calls = append(r.calls, batchOf(pkts))
+	r.hashed++
+	return r.inner.ProcessHashedInto(pkts, idxs, out)
+}
+
 func firstDifference(a, b []judgedBatch) int {
 	for i := range a {
 		if i >= len(b) || a[i] != b[i] {
@@ -486,7 +544,11 @@ func snapshotBytes(t *testing.T, bf snapFilter) []byte {
 // batch skip (from 1; 0 skips none).
 func reference(t *testing.T, sk sink, in *intakeOf, sizes []int, skip int) (ref statFilter, want totalsOf, calls []judgedBatch) {
 	t.Helper()
-	ref = sk.build(t, nil)
+	if sk.plain != nil {
+		ref = sk.plain(t)
+	} else {
+		ref = sk.build(t, nil)
+	}
 	var verdicts []filtering.Verdict
 	frame := 0
 	for i, n := range sizes {
@@ -518,10 +580,13 @@ func checkMatchesReference(t *testing.T, sk sink, trace []byte, in *intakeOf, sh
 	src := &scriptedSource{Source: replay, rng: rand.New(rand.NewSource(int64(workers)))}
 	shape(src)
 	bf := sk.build(t, nil)
-	rec := &recordingFilter{BatchFilter: bf}
+	rec := &recordingHashed{recordingFilter: &recordingFilter{BatchFilter: bf}}
 	var judge filtering.BatchFilter = bf
 	if sk.lanes == 0 {
-		judge = rec
+		judge = rec.recordingFilter
+		if h, ok := bf.(hashedFilter); ok {
+			rec.inner, judge = h, rec
+		}
 	}
 	p := testPump(src, judge, sk, 37, workers, nil)
 	if err := p.Run(); err != nil {
@@ -545,6 +610,9 @@ func checkMatchesReference(t *testing.T, sk sink, trace []byte, in *intakeOf, sh
 	if sk.lanes == 0 && !reflect.DeepEqual(rec.calls, wantCalls) {
 		t.Errorf("the filter saw %d batches, the source delivered %d; first difference at %d",
 			len(rec.calls), len(wantCalls), firstDifference(rec.calls, wantCalls))
+	}
+	if sk.hashed != (rec.hashed > 0) || (sk.hashed && rec.hashed != len(rec.calls)) {
+		t.Errorf("%d of %d batches were judged through the ordered half alone (the sink's filter offers it: %v)", rec.hashed, len(rec.calls), sk.hashed)
 	}
 	if got, want := bf.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
 		t.Errorf("filter state\n  pump:      %+v\n  reference: %+v", got, want)
@@ -598,10 +666,17 @@ func jitterRows(t *testing.T, run func(*testing.T, string, int)) {
 	}
 }
 
-// TestWorkerPumpMatchesInlineReference: a single filter behind the pump
-// against the inline loop the workers replaced, behind every source shape.
+// TestWorkerPumpMatchesInlineReference: a single filter behind the pump —
+// hashed by the workers, judged under the commit lock — against the inline
+// loop the workers replaced, behind every source shape; the same filter
+// behind -checkpoint's lock, and behind a wrapper that hashes for itself,
+// against that same plain reference.
 func TestWorkerPumpMatchesInlineReference(t *testing.T) {
-	matchReference(t, "scan", "two_way", []sink{singleSink}, func(t *testing.T, _ sink, run func(*testing.T, string, int)) {
+	matchReference(t, "scan", "two_way", []sink{singleSink, safeSink, plainSink}, func(t *testing.T, sk sink, run func(*testing.T, string, int)) {
+		if sk.name != singleSink.name {
+			t.Run(sk.name, func(t *testing.T) { jitterRows(t, run) })
+			return
+		}
 		for shape := range sourceShapes {
 			for _, workers := range workerCounts {
 				t.Run(fmt.Sprintf("%s/W=%d", shape, workers), func(t *testing.T) { run(t, shape, workers) })
@@ -666,8 +741,9 @@ func TestFleetLaneBatchFloor(t *testing.T) {
 }
 
 // checkQuarantine: a fault in source batch 7 — in its decode (the source
-// reports more frames than the ring holds) or, for a single filter, in its
-// ProcessBatchInto — quarantines exactly that batch. The sequence keeps
+// reports more frames than the ring holds) or, for a single filter, in what
+// judges it (ProcessHashedInto, or a wrapper's ProcessBatchInto) — quarantines
+// exactly that batch. The sequence keeps
 // advancing, every other batch is judged in order — the filter ends where a
 // reference that never saw batch 7 ends — and Run returns: no worker waits
 // forever for a head that will never be published.
@@ -722,6 +798,8 @@ func TestWorkerPanicQuarantinesBatch(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/W=%d", where, workers), func(t *testing.T) { checkQuarantine(t, singleSink, where, workers) })
 		}
 	}
+	t.Run("filter/safe", func(t *testing.T) { checkQuarantine(t, safeSink, "filter", 2) })
+	t.Run("filter/plain", func(t *testing.T) { checkQuarantine(t, plainSink, "filter", 2) })
 }
 
 // TestLanePanicQuarantinesSubBatch: a source batch lost at the decode never
@@ -1222,8 +1300,10 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	}
 
 	done := make(chan error, 1)
+	started := time.Now()
 	go func() { done <- p.Run() }()
 	<-entered // one judge is inside the filter and stays there
+	wedgedAt := time.Now()
 	// Where the pipeline backs up to, what is queued at the wedged lane by
 	// then, and who is stuck: shard 1's lane (and the worker waiting in send
 	// for it), the fleet's, or the worker that judges a single filter.
@@ -1273,6 +1353,7 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	if sk.lanes != 1 && strings.Count(body, "worker") != 1 {
 		t.Errorf("/healthz = %q, want one of %d workers stalled: the rest are idle", body, workers)
 	}
+	wedgedFor := time.Since(wedgedAt)
 	release()
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -1289,11 +1370,18 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	if workers > 1 && snap.Pump.BufferWaits == 0 {
 		t.Errorf("/stats pump = %+v, want buffer waits behind a wedged judge", snap.Pump)
 	}
+	// The commit lock is held while a single filter judges — the wedge (a
+	// second of the watchdog's clock, tens of ms of this one) included — and
+	// by a laned sink for the scatter or the hand-off alone.
+	if busy := snap.Pump.CommitBusy; busy <= 0 || busy > time.Since(started).Seconds() || (sk.lanes == 0 && busy < wedgedFor.Seconds()) {
+		t.Errorf("/stats pump.commit_busy_seconds = %g over %v with the judge wedged for %v", busy, time.Since(started), wedgedFor)
+	}
 	_, metrics := get("/metrics")
 	wants := []string{
 		fmt.Sprintf("bitmapfilter_pump_workers %d", workers),
 		fmt.Sprintf("bitmapfilter_pump_foreign_commits_total %d", snap.Pump.ForeignCommits),
 		fmt.Sprintf("bitmapfilter_pump_buffer_waits_total %d", snap.Pump.BufferWaits),
+		fmt.Sprintf("bitmapfilter_pump_commit_busy_seconds_total %g", snap.Pump.CommitBusy),
 		`bitmapfilter_resilience_probe_stalled{probe="worker0"} 0`,
 		`bitmapfilter_resilience_probe_stalled{probe="batch"} 0`,
 	}

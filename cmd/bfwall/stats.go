@@ -39,6 +39,9 @@ type pumpSnapshot struct {
 	Workers        int    `json:"workers"`
 	ForeignCommits uint64 `json:"foreign_commits"`
 	BufferWaits    uint64 `json:"buffer_waits"`
+	// CommitBusy is the time the commit lock was held: over the wall, the
+	// share of it the serial stage (judge, scatter or hand-off) occupies.
+	CommitBusy float64 `json:"commit_busy_seconds"`
 }
 
 // laneSnapshot is one lane: a shard's, or a fleet's. dispatcher_stalls
@@ -82,7 +85,7 @@ func renderStats(snap pump.Snapshot, started, now time.Time) statsSnapshot {
 		PPS:           perSecond(snap.Frames, uptime),
 		LatencyP50Ns:  int64(snap.LatencyP50),
 		LatencyP99Ns:  int64(snap.LatencyP99),
-		Pump:          pumpSnapshot{Workers: snap.Workers, ForeignCommits: snap.ForeignCommits, BufferWaits: snap.BufferWaits},
+		Pump:          pumpSnapshot{Workers: snap.Workers, ForeignCommits: snap.ForeignCommits, BufferWaits: snap.BufferWaits, CommitBusy: snap.CommitBusy.Seconds()},
 		Lanes:         lanes,
 		Filter:        filterSnapshot{Name: snap.FilterName, MemoryBytes: snap.FilterMemory, Counters: snap.Counters},
 	}
@@ -166,6 +169,7 @@ func newMux(started time.Time, snapshot func() pump.Snapshot, plane *resilienceP
 		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_workers gauge\nbitmapfilter_pump_workers %d\n", snap.Workers)
 		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_foreign_commits_total counter\nbitmapfilter_pump_foreign_commits_total %d\n", snap.ForeignCommits)
 		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_buffer_waits_total counter\nbitmapfilter_pump_buffer_waits_total %d\n", snap.BufferWaits)
+		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_commit_busy_seconds_total counter\nbitmapfilter_pump_commit_busy_seconds_total %g\n", snap.CommitBusy.Seconds())
 		writeLaneMetrics(w, snap.Lanes)
 		if plane != nil {
 			plane.writeMetrics(w, snap)

@@ -166,7 +166,8 @@ func TestProcessBatchIntoChunkedReuse(t *testing.T) {
 }
 
 // FuzzProcessBatchInto fuzzes the contract: arbitrary chunk splits and
-// buffer capacities must reproduce the sequential verdict stream exactly.
+// buffer capacities must reproduce the sequential verdict stream exactly,
+// hashed by the filter chunk by chunk or by the caller a batch ahead.
 func FuzzProcessBatchInto(f *testing.F) {
 	f.Add(uint64(1), uint(16), uint(0))
 	f.Add(uint64(42), uint(1), uint(3))
@@ -176,6 +177,7 @@ func FuzzProcessBatchInto(f *testing.F) {
 		chunkSize := int(chunk%256) + 1
 		seq := MustNew(WithOrder(10), WithSeed(seed))
 		bat := MustNew(WithOrder(10), WithSeed(seed))
+		hashed := MustNew(WithOrder(10), WithSeed(seed))
 
 		want := make([]filtering.Verdict, len(pkts))
 		for i := range pkts {
@@ -183,16 +185,21 @@ func FuzzProcessBatchInto(f *testing.F) {
 		}
 
 		out := make([]filtering.Verdict, 0, capHint%1024)
+		hout := make([]filtering.Verdict, 0, capHint%1024)
+		idxs := make([]uint64, 0, capHint%64)
 		for off := 0; off < len(pkts); off += chunkSize {
 			end := min(off+chunkSize, len(pkts))
 			out = bat.ProcessBatchInto(pkts[off:end], out)
+			idxs = hashed.Hasher().HashBatch(pkts[off:end], idxs)
+			hout = hashed.ProcessHashedInto(pkts[off:end], idxs, hout)
 			for i := off; i < end; i++ {
-				if out[i-off] != want[i] {
-					t.Fatalf("seed %d chunk %d: verdict[%d] = %v, want %v",
-						seed, chunkSize, i, out[i-off], want[i])
+				if out[i-off] != want[i] || hout[i-off] != want[i] {
+					t.Fatalf("seed %d chunk %d: verdict[%d] = %v, hashed ahead %v, want %v",
+						seed, chunkSize, i, out[i-off], hout[i-off], want[i])
 				}
 			}
 		}
 		mustEqualStats(t, seq.Stats(), bat.Stats(), "fuzz")
+		mustEqualStats(t, seq.Stats(), hashed.Stats(), "fuzz, hashed ahead")
 	})
 }

@@ -51,6 +51,9 @@ const (
 // ErrConfig is returned by New for invalid configurations.
 var ErrConfig = errors.New("core: invalid bitmap filter configuration")
 
+// errIndexes is what ProcessHashedInto panics with: a bug in its caller.
+var errIndexes = errors.New("core: ProcessHashedInto: idxs does not hold m indexes per packet")
+
 // MarkPolicy selects which vectors outgoing packets mark. The paper's
 // design marks all vectors; MarkCurrentOnly exists as an ablation that
 // demonstrates why (entries would vanish at every rotation).
@@ -167,8 +170,8 @@ type Filter struct {
 	cfg     config
 	vectors []*bitvector.Vector
 	idx     int
-	hashes  *hashfam.Family
-	idxs    []uint64 // chunkSize slots of m hash indexes (processBatch); slot 0 serves the per-packet entry points
+	hasher  *Hasher  // its own allocation: workers read it while the judge writes the fields below
+	idxs    []uint64 // m hash indexes for each packet of a chunk (processBatch) or for the one of a per-packet entry point
 	rng     *xrand.Rand
 
 	now        time.Duration
@@ -228,7 +231,7 @@ func New(opts ...Option) (*Filter, error) {
 	return &Filter{
 		cfg:        cfg,
 		vectors:    vectors,
-		hashes:     fam,
+		hasher:     &Hasher{fam: fam, full: cfg.tuplePolicy == FullTuple},
 		idxs:       make([]uint64, chunkSize*cfg.hashes), //bf:allow boundedalloc cfg.hashes was validated by hashfam.New above (≤ hashfam.MaxFunctions, so ≤ 16 KiB)
 		rng:        xrand.New(cfg.seed ^ 0xb17a9f11ce5),
 		nextRotate: cfg.rotateEvery,
@@ -362,7 +365,7 @@ func (f *Filter) Rotate() {
 //bf:hotpath
 func (f *Filter) Process(pkt packet.Packet) filtering.Verdict {
 	f.AdvanceTo(pkt.Time)
-	return f.judge(&pkt, f.indexes(0, &pkt.Tuple, pkt.Dir))
+	return f.judge(&pkt, f.indexes(&pkt.Tuple, pkt.Dir))
 }
 
 // ProcessBatch runs pkts through the filter in order and returns one
@@ -398,29 +401,49 @@ func (f *Filter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict)
 const chunkSize = 32
 
 // processBatch is the allocation-free core of ProcessBatch; out must have
-// the same length as pkts. It works in chunks of chunkSize packets: phase 1
-// computes the m indexes of every packet in the chunk — arithmetic on the
-// packet and the seed only, so it may run ahead of the clock — and phase 2
-// walks the chunk in packet order doing the per-packet work of Algorithm 2
-// with them. Apart, the hashes pipeline and the cache-missing bit touches
-// of neighbouring packets overlap; interleaved, each stalled the other
-// (≈65 ns/packet at order 28).
+// the same length as pkts. It is the two halves of Algorithm 2 in chunks of
+// chunkSize packets: HashBatch computes the m indexes of every packet in the
+// chunk — arithmetic on the packet and the seed only, so it may run ahead of
+// the clock — and judgeHashed walks the chunk in packet order with them.
+// Apart, the hashes pipeline and the cache-missing bit touches of
+// neighbouring packets overlap; interleaved, each stalled the other (≈65
+// ns/packet at order 28).
 //
 //bf:hotpath
 func (f *Filter) processBatch(pkts []packet.Packet, out []filtering.Verdict) {
 	for len(pkts) > 0 {
 		n := min(len(pkts), chunkSize)
-		for i := range pkts[:n] {
-			f.indexes(i, &pkts[i].Tuple, pkts[i].Dir)
-		}
-		m := f.cfg.hashes
-		for i := range pkts[:n] {
-			if pkts[i].Time > f.now {
-				f.AdvanceTo(pkts[i].Time)
-			}
-			out[i] = f.judge(&pkts[i], f.idxs[i*m:(i+1)*m])
-		}
+		f.judgeHashed(pkts[:n], f.hasher.HashBatch(pkts[:n], f.idxs), out[:n])
 		pkts, out = pkts[n:], out[n:]
+	}
+}
+
+// ProcessHashedInto is ProcessBatchInto for a caller that has run
+// Hasher().HashBatch over pkts, on whatever goroutine: the ordered half alone
+// — clock, marks, lookups, APD, counters — with ProcessBatchInto's verdicts
+// and state. Indexes not m per packet panic before anything is touched.
+//
+//bf:hotpath
+func (f *Filter) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict {
+	if len(idxs) != len(pkts)*f.cfg.hashes {
+		panic(errIndexes)
+	}
+	out = filtering.GrowVerdicts(out, len(pkts)) //bf:allow escapecheck amortized grow per the BatchFilter contract; steady state reuses the caller buffer
+	f.judgeHashed(pkts, idxs, out)
+	return out
+}
+
+// judgeHashed is the ordered half of Algorithm 2: pkts in order, packet i
+// with the m indexes at idxs[i·m:]; out has the length of pkts.
+//
+//bf:hotpath
+func (f *Filter) judgeHashed(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) {
+	m := f.cfg.hashes
+	for i := range pkts {
+		if pkts[i].Time > f.now {
+			f.AdvanceTo(pkts[i].Time)
+		}
+		out[i] = f.judge(&pkts[i], idxs[i*m:(i+1)*m])
 	}
 }
 
@@ -477,7 +500,7 @@ func (f *Filter) PunchHole(local packet.Addr, localPort uint16, remote packet.Ad
 		Dst:     remote,
 		Proto:   proto,
 	}
-	f.mark(f.indexes(0, &tup, packet.Outgoing))
+	f.mark(f.indexes(&tup, packet.Outgoing))
 }
 
 // WouldAdmit reports, without counting or APD, whether an incoming packet
@@ -485,19 +508,51 @@ func (f *Filter) PunchHole(local packet.Addr, localPort uint16, remote packet.Ad
 // verification in the Figure 5 experiment uses this to classify penetrating
 // packets.
 func (f *Filter) WouldAdmit(tup packet.Tuple) bool {
-	return f.lookup(f.indexes(0, &tup, packet.Incoming))
+	return f.lookup(f.indexes(&tup, packet.Incoming))
 }
 
-// indexes packs the key of (tup, dir) under the filter's tuple policy into
-// two little-endian 64-bit lanes — the hot path never materializes a key
-// byte slice — and hashes it to the m indexes, kept in slot of f.idxs.
+// indexes hashes one key for the per-packet entry points, into f.idxs.
 //
 //bf:hotpath
-func (f *Filter) indexes(slot int, tup *packet.Tuple, dir packet.Direction) []uint64 {
-	var lo, hi uint64
-	n := packet.KeySize
+func (f *Filter) indexes(tup *packet.Tuple, dir packet.Direction) []uint64 {
+	lo, hi, n := f.hasher.keyWords(tup, dir)
+	return f.hasher.fam.IndexesFixed(f.idxs[:0], lo, hi, n)
+}
+
+// Hasher is the pure half of Algorithm 2 (§3.3): a packet's key under the
+// filter's tuple policy, hashed to its m bit indexes. It is immutable, so
+// any number of goroutines may hash ahead of the one that judges.
+type Hasher struct {
+	fam  *hashfam.Family
+	full bool // FullTuple
+}
+
+// Hasher returns the filter's hash half; it never changes.
+func (f *Filter) Hasher() *Hasher { return f.hasher }
+
+// Hashes returns m, the indexes HashBatch writes per packet.
+func (h *Hasher) Hashes() int { return h.fam.M() }
+
+// HashBatch returns dst[:0] with the m indexes of every packet of pkts
+// appended in order, growing dst only when its capacity is short.
+//
+//bf:hotpath
+func (h *Hasher) HashBatch(pkts []packet.Packet, dst []uint64) []uint64 {
+	dst = dst[:0]
+	for i := range pkts {
+		lo, hi, n := h.keyWords(&pkts[i].Tuple, pkts[i].Dir)
+		dst = h.fam.IndexesFixed(dst, lo, hi, n)
+	}
+	return dst
+}
+
+// keyWords packs the key of (tup, dir) under the tuple policy into two
+// little-endian 64-bit lanes, n bytes long: no key byte slice on the hot path.
+//
+//bf:hotpath
+func (h *Hasher) keyWords(tup *packet.Tuple, dir packet.Direction) (lo, hi uint64, n int) {
 	switch {
-	case f.cfg.tuplePolicy == FullTuple:
+	case h.full:
 		// Ablation: hash the complete 4-tuple, canonicalized to the
 		// outgoing orientation.
 		t := *tup
@@ -505,14 +560,13 @@ func (f *Filter) indexes(slot int, tup *packet.Tuple, dir packet.Direction) []ui
 			t = t.Reverse()
 		}
 		lo, hi = t.FullKeyWords()
-		n = packet.FullKeySize
+		return lo, hi, packet.FullKeySize
 	case dir == packet.Outgoing:
 		lo, hi = tup.OutgoingKeyWords()
 	default:
 		lo, hi = tup.IncomingKeyWords()
 	}
-	m := f.cfg.hashes
-	return f.hashes.IndexesFixed(f.idxs[slot*m:slot*m:(slot+1)*m], lo, hi, n)
+	return lo, hi, packet.KeySize
 }
 
 // mark sets the bits idxs in every vector (Algorithm 2, outgoing).

@@ -25,7 +25,7 @@ func refProcess(f *Filter, pkt packet.Packet) filtering.Verdict {
 	if pkt.Dir == packet.Outgoing {
 		key = pkt.Tuple.OutgoingKey()
 	}
-	idxs := f.hashes.Indexes(nil, key[:])
+	idxs := f.hasher.fam.Indexes(nil, key[:])
 	apd := f.cfg.apd
 	if pkt.Dir == packet.Outgoing {
 		if apd == nil || !pkt.IsSignal() {
@@ -261,14 +261,14 @@ func TestProcessBatchIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// benchProcessBatchInto is client_mix_o28's shape without the harness:
+// clientMixBatches is client_mix_o28's shape without the harness:
 // k=4, m=3, 512-packet batches of legitimate two-way traffic, 47 % of it
 // outgoing, half of the outgoing keys repeated from earlier batches, every
 // incoming packet a reply, one rotation per pass of 2^18 packets. At order
 // 28 the bitmap is 128 MiB and every touch is a cache miss; the order-20
-// twin is the same work on a bitmap that fits in L2.
-func benchProcessBatchInto(b *testing.B, order uint) {
-	const batch, batches = 512, 512
+// twin is the same work on a bitmap that fits in L2. benchProcessBatchInto
+// runs the batches through ProcessBatchInto, rotation included.
+func clientMixBatches(batch, batches int) []packet.Packet {
 	r := xrand.New(28)
 	pkts := make([]packet.Packet, batch*batches)
 	var flows []packet.Tuple
@@ -293,6 +293,12 @@ func benchProcessBatchInto(b *testing.B, order uint) {
 		}
 		pkts[i] = p
 	}
+	return pkts
+}
+
+func benchProcessBatchInto(b *testing.B, order uint) {
+	const batch, batches = 512, 512
+	pkts := clientMixBatches(batch, batches)
 	f := MustNew(WithOrder(order))
 	out := make([]filtering.Verdict, batch)
 	b.ReportAllocs()
@@ -311,3 +317,37 @@ func benchProcessBatchInto(b *testing.B, order uint) {
 
 func BenchmarkProcessBatchIntoOrder28(b *testing.B) { benchProcessBatchInto(b, 28) }
 func BenchmarkProcessBatchIntoOrder20(b *testing.B) { benchProcessBatchInto(b, 20) }
+
+// benchHalves prices the two halves of benchProcessBatchInto's work apart:
+// the hash of a 512-packet batch, and the ordered half over indexes computed
+// outside the timer — what is left on the pump's serial stage.
+func benchHalves(b *testing.B, order uint, judge bool) {
+	const batch, batches = 512, 512
+	pkts := clientMixBatches(batch, batches)
+	f := MustNew(WithOrder(order))
+	h := f.Hasher()
+	idxs := make([]uint64, 0, batch*f.Hashes())
+	all := h.HashBatch(pkts, nil)
+	out := make([]filtering.Verdict, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := i % batches * batch
+		chunk := pkts[at:][:batch]
+		if !judge {
+			idxs = h.HashBatch(chunk, idxs)
+			continue
+		}
+		if i >= batches { // a later pass: the same traffic, one Δt on
+			for j := range chunk {
+				chunk[j].Time += DefaultRotateEvery
+			}
+		}
+		out = f.ProcessHashedInto(chunk, all[at*f.Hashes():][:batch*f.Hashes()], out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
+}
+
+func BenchmarkHashBatch(b *testing.B)                 { benchHalves(b, 20, false) }
+func BenchmarkProcessHashedBatchOrder28(b *testing.B) { benchHalves(b, 28, true) }
+func BenchmarkProcessHashedBatchOrder20(b *testing.B) { benchHalves(b, 20, true) }

@@ -12,15 +12,16 @@ import (
 // packet pumps in a live deployment) can share one bitmap. All methods of
 // the wrapped filter that are part of filtering.PacketFilter are exposed.
 type Safe struct {
-	mu sync.Mutex
-	f  *Filter //bf:guardedby mu
+	mu     sync.Mutex
+	f      *Filter //bf:guardedby mu
+	hasher *Hasher // f's, immutable: read without the lock
 }
 
 var _ filtering.BatchFilter = (*Safe)(nil)
 
 // NewSafe wraps f. The wrapped filter must not be used directly afterwards.
 func NewSafe(f *Filter) *Safe {
-	return &Safe{f: f}
+	return &Safe{f: f, hasher: f.Hasher()}
 }
 
 // Process implements filtering.PacketFilter.
@@ -64,6 +65,18 @@ func (s *Safe) processBatchInto(pkts []packet.Packet, out []filtering.Verdict) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.f.processBatch(pkts, out)
+}
+
+// Hasher forwards to Filter.Hasher; hashing takes no lock.
+func (s *Safe) Hasher() *Hasher { return s.hasher }
+
+// ProcessHashedInto forwards to Filter.ProcessHashedInto: one lock per batch.
+//
+//bf:hotpath
+func (s *Safe) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.f.ProcessHashedInto(pkts, idxs, out)
 }
 
 // AdvanceTo implements filtering.PacketFilter.

@@ -300,7 +300,7 @@ func TestSnapshotRefusesUnnestedVectors(t *testing.T) {
 
 	// Every bit of the victim's key, set in the newest vector only.
 	reply := packet.Tuple{Src: server, Dst: client, SrcPort: 80, DstPort: 4002, Proto: packet.TCP}
-	victim := f.indexes(0, &reply, packet.Incoming)
+	victim := f.indexes(&reply, packet.Incoming)
 	for newer := 0; newer < 4; newer++ {
 		if newer == f.idx {
 			continue // the current vector is the oldest: a superset of all

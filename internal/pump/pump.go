@@ -3,11 +3,11 @@
 // data plane, and the tallies a monitoring plane reads — zero allocations
 // per frame in steady state.
 //
-// There is one front half, whatever the filter. Read, decode and classify
-// are two thirds of a frame's life and a pure function of its bytes; only
-// Algorithm 2 is stateful. So W symmetric workers each take a turn at the
-// source (the source lock numbers the batch), decode what they read on
-// their own core, publish it in a reorder ring and TryLock the commit step.
+// There is one front half, whatever the filter. Read, decode, classify and
+// hash are most of a frame's life and a pure function of its bytes; only the
+// bit touches of Algorithm 2 are stateful. So W symmetric workers each take a
+// turn at the source (the source lock numbers the batch), decode what they read
+// on their own core, publish it in a reorder ring and TryLock the commit step.
 // Whoever gets it commits every consecutive published batch from the head
 // of the sequence on, its own or another worker's; whoever does not goes
 // straight back to the source. Nobody waits for a turn, and commits happen
@@ -36,12 +36,12 @@ import (
 )
 
 // maxWorkers caps the default W = min(GOMAXPROCS, maxWorkers). Read and
-// commit are serial, so wall/frame ≈ max(read, commit, (read+decode+
-// commit)/W): on scan_flood (21 %, 39 %, 34 % of ≈73 ns) the last term stops
-// mattering past W = 3. The reference box has 2 cores and so only ever runs
-// W = 2; forced W = 3 and 4 there measured 23.7M and 25.1M frames/s against
-// 22.0M with the cores oversubscribed. W > 2 on cores of its own is
-// unverified: the cap is the model's, plus one.
+// commit are serial, so wall/frame ≈ max(read, commit, (read+decode+hash+
+// commit)/W): on scan_flood (21 %, 16 % and 100 % of ≈81 ns, the workers
+// hashing) the last term stops mattering past W = 4. The reference box has
+// 2 cores and so only ever runs W = 2; forced W = 3 and 4 there measured
+// 23.7M and 25.1M frames/s against 22.0M with the cores oversubscribed (PR
+// 21). W > 2 on cores of its own is unverified: the cap is the model's.
 const maxWorkers = 4
 
 // minBatch is the smallest batch that changes goroutine, however small
@@ -78,6 +78,14 @@ type fleet interface {
 	ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict
 }
 
+// hashedFilter is a single filter that offers Algorithm 2 in its two halves
+// (*core.Filter, *core.Safe): the workers run the pure one, each over its own
+// batch, and the commit step only the one that needs packet order.
+type hashedFilter interface {
+	Hasher() *core.Hasher
+	ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict
+}
+
 // Pump is one data plane over one source and one filter.
 type Pump struct {
 	src     capture.Source
@@ -105,6 +113,7 @@ type Pump struct {
 	sharded  *core.Sharded
 	fleet    fleet
 	lanes    []*lane
+	hashed   hashedFilter // the single filter, if the workers hash for it
 	verdicts []filtering.Verdict
 	shown    counterCopy
 	name     string // the filter's, as New found them: neither changes
@@ -139,6 +148,8 @@ func New(cfg Config) *Pump {
 				p.lanes = append(p.lanes, newLane(f.Lane(i), laneBuffers))
 			}
 		}
+	case hashedFilter:
+		p.hashed = f
 	}
 	if p.clients == nil && len(cfg.Subnets) > 0 {
 		p.clients = packet.NewPrefixTable(cfg.Subnets)
@@ -157,6 +168,9 @@ func New(cfg Config) *Pump {
 			b := &batchBuf{free: w.free, ring: make([]capture.Frame, batch), pkts: make([]packet.Packet, 0, batch)}
 			if laned {
 				b.slots = make([]int32, batch)
+			}
+			if p.hashed != nil {
+				b.idxs = make([]uint64, 0, batch*p.hashed.Hasher().Hashes()) // once, here: batch·m words, m ≤ hashfam.MaxFunctions
 			}
 			w.free <- b
 		}

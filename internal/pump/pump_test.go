@@ -24,15 +24,12 @@ import (
 // anew: the steps still run there, for the detector, without the count.
 var raceEnabled bool
 
-// sinks builds one filter per sink of the commit step.
+// sinks builds one filter per sink of the commit step — a single filter three
+// ways: plain and locked (hashed by the workers), and wrapped (by itself).
 var sinks = map[string]func(t *testing.T) filtering.BatchFilter{
-	"single": func(t *testing.T) filtering.BatchFilter {
-		f, err := core.New(geometry...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	},
+	"single":  func(t *testing.T) filtering.BatchFilter { return single(t) },
+	"locked":  func(t *testing.T) filtering.BatchFilter { return core.NewSafe(single(t)) },
+	"wrapped": func(t *testing.T) filtering.BatchFilter { return struct{ filtering.BatchFilter }{single(t)} },
 	"shards": func(t *testing.T) filtering.BatchFilter {
 		f, err := core.Build(append([]core.Option{core.WithShards(2)}, geometry...)...)
 		if err != nil {
@@ -50,6 +47,14 @@ var sinks = map[string]func(t *testing.T) filtering.BatchFilter{
 		}
 		return set
 	},
+}
+
+func single(t *testing.T) *core.Filter {
+	f, err := core.New(geometry...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 var geometry = []core.Option{core.WithOrder(12), core.WithVectors(4), core.WithHashes(3), core.WithRotateEvery(5 * time.Second)}
@@ -143,6 +148,60 @@ func TestPublishOutOfOrder(t *testing.T) {
 			}
 			if want := p.bf.Counters(); s.Counters != want {
 				t.Errorf("shown counters %+v, the filter holds %+v", s.Counters, want)
+			}
+		})
+	}
+}
+
+// TestDecodePanicDropsHashedIndexes: a decode that panics over a buffer that
+// still holds hashed packets leaves a poisoned batch with no packets and no
+// indexes, so nothing stale can reach the filter; exactly that batch is
+// quarantined, and the buffer's next batch is hashed and judged as ever.
+func TestDecodePanicDropsHashedIndexes(t *testing.T) {
+	for _, name := range []string{"single", "locked", "wrapped"} {
+		t.Run(name, func(t *testing.T) {
+			syns, replies := flows(t, 37)
+			p := New(Config{Source: &listSource{batches: [][]capture.Frame{syns, syns, replies}}, Filter: sinks[name](t), Subnets: subnets, Batch: 37, Workers: 1})
+			w := p.workers[0]
+			step := func(b *batchBuf) {
+				p.read(w, b)
+				p.decodeBatch(b)
+				p.publish(b)
+				p.commit(w)
+			}
+			b := p.take(w)
+			step(b)
+			want := 37 * 3
+			if name == "wrapped" {
+				want = 0 // the filter hashes for itself
+			}
+			if (p.hashed != nil) != (want > 0) || len(b.idxs) != want {
+				t.Fatalf("%d indexes ride with 37 packets, want %d (the pump hashes: %v)", len(b.idxs), want, p.hashed != nil)
+			}
+			for next := <-w.free; next != b; next = <-w.free { // the same buffer again, its indexes still in it
+				w.free <- next
+			}
+			p.read(w, b)
+			if len(b.idxs) != want {
+				t.Fatalf("the buffer came back with %d indexes, want the %d of its last batch", len(b.idxs), want)
+			}
+			b.n = len(b.ring) + 1 // what a lying source reports
+			p.decodeBatch(b)
+			if !b.poisoned || len(b.pkts) != 0 || len(b.idxs) != 0 {
+				t.Fatalf("after a contained decode panic: poisoned %v, %d packets, %d indexes", b.poisoned, len(b.pkts), len(b.idxs))
+			}
+			p.publish(b)
+			p.commit(w)
+			step(p.take(w))
+			s := p.Snapshot()
+			if s.QuarantinedBatches != 1 || s.QuarantinedFrames != 38 || p.head.Load() != 3 {
+				t.Errorf("quarantined %d batches, %d frames, head %d; want 1, 38 and 3", s.QuarantinedBatches, s.QuarantinedFrames, p.head.Load())
+			}
+			if s.Outgoing != 37 || s.Incoming != 37 || s.Passed != 37 || s.Counters != p.bf.Counters() {
+				t.Errorf("%d out, %d in, %d passed, shown %+v; want 37 of each: batches 0 and 2 judged, batch 1 never", s.Outgoing, s.Incoming, s.Passed, s.Counters)
+			}
+			if s.CommitBusy <= 0 {
+				t.Errorf("three commits held the lock for %v", s.CommitBusy)
 			}
 		})
 	}

@@ -14,9 +14,9 @@ import (
 // loop would have fed it:
 //
 // A single filter is judged in place: exactly the packets of one source
-// batch per ProcessBatchInto, so verdicts, counters, rotations, APD draws
-// and snapshot bytes are the inline loop's — and a packet changes cores
-// only when its worker was overtaken (foreignCommits).
+// batch per call — ProcessHashedInto over the indexes their worker computed,
+// ProcessBatchInto for a filter that does not offer the halves — so verdicts,
+// counters, rotations, APD draws and snapshot bytes are the inline loop's.
 //
 // A sharded filter's packets are appended, in source order, to the pending
 // sub-batch of the lane their worker found for them (Sharded.LaneOf): lane i
@@ -111,11 +111,11 @@ func (p *Pump) sink(b *batchBuf) {
 	b.free <- b
 }
 
-// judge is the single filter's back half: one ProcessBatchInto over exactly
-// the packets of one source batch, and the tallies. A panic quarantines
-// the batch — its frames counted, never judged — and the sequence moves on;
-// the filter's own state is untouched by construction (ProcessBatchInto
-// mutates per packet, and a panicking packet never completed).
+// judge is the single filter's back half: the ordered half of Algorithm 2
+// over exactly the packets of one source batch, and the tallies. A panic
+// quarantines the batch — its frames counted, never judged — and the sequence
+// moves on; the filter's own state is untouched by construction (it mutates
+// per packet, and a panicking packet never completed).
 //
 //bf:hotpath
 func (p *Pump) judge(b *batchBuf) {
@@ -123,7 +123,11 @@ func (p *Pump) judge(b *batchBuf) {
 	if b.poisoned {
 		return
 	}
-	p.verdicts = p.bf.ProcessBatchInto(b.pkts, p.verdicts)
+	if p.hashed != nil {
+		p.verdicts = p.hashed.ProcessHashedInto(b.pkts, b.idxs, p.verdicts)
+	} else {
+		p.verdicts = p.bf.ProcessBatchInto(b.pkts, p.verdicts)
+	}
 	p.addVerdicts(b.pkts, p.verdicts)
 	// From the batch's read to its last verdict, the wait for the batches
 	// ahead of it inside.

@@ -73,9 +73,10 @@ type tallies struct {
 
 	// foreignCommits counts batches committed by a worker that did not
 	// decode them, bufferWaits the times a worker found all its buffers in
-	// flight (whoever judges is the bottleneck).
+	// flight (whoever judges is the bottleneck), commitBusy the ns the lock was held.
 	foreignCommits atomic.Uint64
 	bufferWaits    atomic.Uint64
+	commitBusy     atomic.Int64
 
 	latency reservoir
 }
@@ -209,6 +210,7 @@ type Snapshot struct {
 
 	Workers                     int
 	ForeignCommits, BufferWaits uint64
+	CommitBusy                  time.Duration // time the commit lock was held
 	// Lanes is empty for a single filter.
 	Lanes []LaneSnapshot
 
@@ -245,6 +247,7 @@ func (p *Pump) Snapshot() Snapshot {
 		Workers:            len(p.workers),
 		ForeignCommits:     p.foreignCommits.Load(),
 		BufferWaits:        p.bufferWaits.Load(),
+		CommitBusy:         time.Duration(p.commitBusy.Load()),
 		FilterName:         p.name,
 		FilterMemory:       p.memory,
 	}

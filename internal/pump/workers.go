@@ -1,6 +1,7 @@
 package pump
 
 import (
+	"runtime"
 	"time"
 
 	"bitmapfilter/internal/capture"
@@ -26,6 +27,7 @@ type batchBuf struct {
 	ring  []capture.Frame // bare: a filling source gives the slots buffers
 	pkts  []packet.Packet // decoded from ring[:n]
 	slots []int32         // per packet: the shard's lane, or the fleet's tenant slot
+	idxs  []uint64        // per packet: its m bit indexes, for a hashedFilter
 	n     int             // frames read
 	seq   uint64          // place in source order
 	read  time.Time       // when the source returned it (a sub-batch: its first packet)
@@ -77,6 +79,12 @@ func (p *Pump) take(w *worker) *batchBuf {
 	return b
 }
 
+// turnYields bounds the yields a worker makes for a turn at the source before
+// it sleeps for one (a live source may hold its turn until traffic). Workers
+// with a short commit come back in step, and a replay's turn (≈9 µs) is shorter
+// than a sleep and its wake-up: scan_flood 17.1M → 22.8M frames/s.
+const turnYields = 64
+
 // read is the worker's turn at the source: the lock serializes ReadBatch
 // and numbers the batches in the order the source delivered them. It
 // reports whether the source may have more.
@@ -84,7 +92,13 @@ func (p *Pump) take(w *worker) *batchBuf {
 //bf:hotpath
 func (p *Pump) read(w *worker, b *batchBuf) (more bool) {
 	setIdle(w.probe, true)
-	p.srcMu.Lock()
+	for i := 0; !p.srcMu.TryLock(); i++ {
+		if i == turnYields {
+			p.srcMu.Lock()
+			break
+		}
+		runtime.Gosched()
+	}
 	defer p.srcMu.Unlock()
 	b.n, b.poisoned = 0, false
 	if !p.srcDone {
@@ -103,7 +117,7 @@ func (p *Pump) read(w *worker, b *batchBuf) (more bool) {
 
 // decodeBatch is the front half of a batch, on the worker's own core: what
 // the filter will see of it, and — when a lane will judge it — where each
-// packet goes.
+// packet goes, or — when the commit step will — which bits each touches.
 //
 //bf:hotpath
 func (p *Pump) decodeBatch(b *batchBuf) {
@@ -128,12 +142,15 @@ func (p *Pump) decodeBatch(b *batchBuf) {
 		}
 	}
 	b.pkts = pkts
+	if p.hashed != nil {
+		b.idxs = p.hashed.Hasher().HashBatch(pkts, b.idxs)
+	}
 	p.addIntake(t)
 }
 
 func (p *Pump) containDecode(b *batchBuf) {
 	if r := recover(); r != nil {
-		b.poisoned, b.pkts = true, b.pkts[:0]
+		b.poisoned, b.pkts, b.idxs = true, b.pkts[:0], b.idxs[:0]
 		p.quarantine(b.n, r)
 	}
 }
@@ -159,7 +176,9 @@ func (p *Pump) publish(b *batchBuf) {
 //bf:hotpath
 func (p *Pump) commit(w *worker) {
 	for p.slots[p.head.Load()%uint64(len(p.slots))].Load() != nil && p.commitMu.TryLock() {
+		start := time.Now()
 		p.drain(w)
+		p.commitBusy.Add(int64(time.Since(start)))
 		p.commitMu.Unlock()
 	}
 }
