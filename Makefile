@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-tags test race vet lint lint-fast fmt bench-go bench-e2e bench-smoke bench-compare bench-pairs experiments examples clean
+.PHONY: all build build-tags test race vet lint lint-fast fmt loc replay-smoke bench-go bench-e2e bench-smoke bench-compare bench-pairs experiments examples clean
 
 all: build build-tags lint test race
 
@@ -47,6 +47,16 @@ lint-fast:
 
 fmt:
 	gofmt -l -w .
+
+# Non-test and test Go lines per package: the table a deletion PR prints
+# before and after (ROADMAP item 7). `make loc REF=HEAD~1` counts a commit.
+loc:
+	scripts/loc.sh $(REF)
+
+# bftrace -pcap → bfreplay -in for both filters, against the totals of the
+# seed-1 minute (51,813 frames; bitmap 28,328 / 321, spi 28,320 / 329).
+replay-smoke:
+	scripts/replay-smoke.sh
 
 # The raw go-test benchmarks (unpinned; exploratory use).
 bench-go:

@@ -104,16 +104,12 @@ var (
 	ErrTooLong = packet.ErrTooLong
 )
 
-// DecodeTuple extracts the address tuple and direction from a raw
-// Ethernet/IPv4/TCP-or-UDP frame without materializing a Frame — the
-// zero-copy entry point of the live packet plane (cmd/bfwall). It applies
-// the same structural validation as the full decoder but skips the
-// transport checksum, which the filter never consults.
-func DecodeTuple(frame []byte) (Tuple, Direction, error) { return packet.DecodeTuple(frame) }
-
-// DecodeInto fills pkt's Tuple, Dir, Flags and Length from a raw frame
-// with zero allocations, leaving pkt.Time for the caller (capture
-// timestamp). pkt is unmodified on error.
+// DecodeInto fills pkt's Tuple, Dir, Flags and Length from a raw
+// Ethernet/IPv4/TCP-or-UDP frame with zero allocations — the decoder of the
+// live packet plane (cmd/bfwall) — leaving pkt.Time for the caller (capture
+// timestamp). It validates structure and the IPv4 header checksum but skips
+// the transport checksum, which the filter never consults. pkt is
+// unmodified on error.
 func DecodeInto(pkt *Packet, frame []byte) error { return packet.DecodeInto(pkt, frame) }
 
 // AddrFrom4 builds an Addr from four octets.

@@ -4,6 +4,11 @@
 // statistics are printed. Use cmd/bftrace -pcap to produce a synthetic
 // capture, or feed a real one.
 //
+// It is the offline caller of the wire path bfwall runs (internal/pump):
+// the capture is loaded whole and replayed once, undecodable frames and
+// frames touching no client subnet are counted and skipped, and a record
+// the snapshot length cut short is judged at its wire length.
+//
 // Usage:
 //
 //	bfreplay -in trace.pcap [-filter bitmap|spi] [-subnets 10.10.0.0/24,...]
@@ -13,39 +18,43 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
+	"time"
 
+	"bitmapfilter/internal/capture"
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/delaymeter"
 	"bitmapfilter/internal/experiments"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/flowtable"
 	"bitmapfilter/internal/packet"
-	"bitmapfilter/internal/replay"
+	"bitmapfilter/internal/pump"
 	"bitmapfilter/internal/stats"
 	"bitmapfilter/internal/trafficgen"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bfreplay:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("bfreplay", flag.ContinueOnError)
 	var (
-		inPath     = flag.String("in", "", "pcap file to replay (required)")
-		filterName = flag.String("filter", "bitmap", "filter to evaluate: bitmap or spi")
-		subnetsCSV = flag.String("subnets", "", "comma-separated client CIDRs (default: the generator's campus subnets)")
-		order      = flag.Uint("order", 20, "bitmap order n")
-		vectors    = flag.Int("vectors", 4, "bitmap vector count k")
-		hashes     = flag.Int("hashes", 3, "hash count m")
-		statsFlag  = flag.Bool("stats", false, "also compute Figure 2 trace statistics for the capture")
+		inPath     = fs.String("in", "", "pcap file to replay (required)")
+		filterName = fs.String("filter", "bitmap", "filter to evaluate: bitmap or spi")
+		subnetsCSV = fs.String("subnets", "", "comma-separated client CIDRs (default: the generator's campus subnets)")
+		order      = fs.Uint("order", 20, "bitmap order n")
+		vectors    = fs.Int("vectors", 4, "bitmap vector count k")
+		hashes     = fs.Int("hashes", 3, "hash count m")
+		statsFlag  = fs.Bool("stats", false, "also compute Figure 2 trace statistics for the capture")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *inPath == "" {
 		return fmt.Errorf("-in is required")
 	}
@@ -81,68 +90,90 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	var observers []func(packet.Packet)
-	var lives *experiments.LifetimeTracker
-	meter := delaymeter.MustNew(delaymeter.DefaultExpiry)
-	var delays stats.Sample
-	if *statsFlag {
-		lives = experiments.NewLifetimeTracker()
-		observers = append(observers, func(pkt packet.Packet) {
-			lives.Observe(pkt)
-			if d, ok := meter.Observe(pkt); ok {
-				delays.Add(d.Seconds())
-			}
-		})
-	}
-
-	res, err := replay.Run(f, filter, subnets, observers...)
+	src, err := capture.NewReplay(f, 1)
+	f.Close()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("capture:   %s (%v .. %v)\n", *inPath, res.FirstTime, res.LastTime)
-	fmt.Printf("filter:    %s (%d bytes of state)\n", filter.Name(), filter.MemoryBytes())
-	fmt.Printf("frames:    %d (%d skipped)\n", res.Frames, res.Skipped)
-	fmt.Printf("outgoing:  %d\n", res.Outgoing)
-	fmt.Printf("incoming:  %d  passed %d  dropped %d  (drop rate %.3f%%)\n",
-		res.Incoming, res.Passed, res.Dropped, res.DropRate()*100)
+
+	s, obs, err := replay(src, filter, subnets, *statsFlag)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(out, "capture:   %s (%v .. %v)\n", *inPath, obs.first, obs.last)
+	fmt.Fprintf(out, "filter:    %s (%d bytes of state)\n", filter.Name(), filter.MemoryBytes())
+	// Skipped: undecodable, or touching no client subnet.
+	fmt.Fprintf(out, "frames:    %d (%d skipped)\n", s.Frames, s.Frames-s.Outgoing-s.Incoming)
+	fmt.Fprintf(out, "outgoing:  %d\n", s.Outgoing)
+	fmt.Fprintf(out, "incoming:  %d  passed %d  dropped %d  (drop rate %.3f%%)\n",
+		s.Incoming, s.Passed, s.Dropped, s.Counters.DropRate()*100)
 	if *statsFlag {
-		fmt.Printf("lifetimes: %d connections, q90 %.1fs, q95 %.1fs, >515s %.3f%%\n",
-			lives.Count(), lives.Quantile(0.90), lives.Quantile(0.95),
-			lives.FractionOver(515)*100)
-		fmt.Printf("delays:    %d measured, q95 %.2fs, q99 %.2fs\n",
-			delays.N(), delays.Quantile(0.95), delays.Quantile(0.99))
+		fmt.Fprintf(out, "lifetimes: %d connections, q90 %.1fs, q95 %.1fs, >515s %.3f%%\n",
+			obs.lives.Count(), obs.lives.Quantile(0.90), obs.lives.Quantile(0.95),
+			obs.lives.FractionOver(515)*100)
+		fmt.Fprintf(out, "delays:    %d measured, q95 %.2fs, q99 %.2fs\n",
+			obs.delays.N(), obs.delays.Quantile(0.95), obs.delays.Quantile(0.99))
 	}
 	return nil
 }
 
-func parseSubnets(csv string) ([]packet.Prefix, error) {
-	var out []packet.Prefix
-	for _, part := range strings.Split(csv, ",") {
-		part = strings.TrimSpace(part)
-		slash := strings.IndexByte(part, '/')
-		if slash < 0 {
-			return nil, fmt.Errorf("subnet %q missing /bits", part)
+// replay is the evaluation itself: one pass of src through the pump into
+// filter, direction by subnets. It returns the pump's tallies and the
+// observer the filter was judged through; figure2 turns its trackers on.
+func replay(src capture.Source, filter filtering.PacketFilter, subnets []packet.Prefix, figure2 bool) (pump.Snapshot, *observer, error) {
+	obs := &observer{BatchFilter: filtering.AsBatch(filter)}
+	if figure2 {
+		obs.lives = experiments.NewLifetimeTracker()
+		obs.meter = delaymeter.MustNew(delaymeter.DefaultExpiry)
+	}
+	p := pump.New(pump.Config{Source: src, Filter: obs, Subnets: subnets, Batch: 512})
+	if err := p.Run(); err != nil {
+		return pump.Snapshot{}, nil, err
+	}
+	return p.Snapshot(), obs, nil
+}
+
+// observer is the filter the pump judges through: the chosen filter, plus
+// what bfreplay reports that the pump does not count. The pump commits
+// batches in capture order, one at a time, so ProcessBatchInto sees every
+// classified packet exactly as a single loop over the capture would, just
+// before the filter does — and needs no lock of its own.
+type observer struct {
+	filtering.BatchFilter
+
+	// The capture's bounds: timestamps of the first and last judged packet.
+	first, last time.Duration
+	judged      bool
+
+	// The Figure 2 trackers; nil without -stats.
+	lives  *experiments.LifetimeTracker
+	meter  *delaymeter.Meter
+	delays stats.Sample
+}
+
+func (o *observer) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
+	if len(pkts) > 0 {
+		if !o.judged {
+			o.first, o.judged = pkts[0].Time, true
 		}
-		bits, err := strconv.Atoi(part[slash+1:])
-		if err != nil || bits < 0 || bits > 32 {
-			return nil, fmt.Errorf("subnet %q: bad prefix length", part)
-		}
-		octets := strings.Split(part[:slash], ".")
-		if len(octets) != 4 {
-			return nil, fmt.Errorf("subnet %q: bad address", part)
-		}
-		var quad [4]byte
-		for i, o := range octets {
-			v, err := strconv.Atoi(o)
-			if err != nil || v < 0 || v > 255 {
-				return nil, fmt.Errorf("subnet %q: bad octet %q", part, o)
+		o.last = pkts[len(pkts)-1].Time
+	}
+	if o.lives != nil {
+		for i := range pkts {
+			o.lives.Observe(pkts[i])
+			if d, ok := o.meter.Observe(pkts[i]); ok {
+				o.delays.Add(d.Seconds())
 			}
-			quad[i] = byte(v)
 		}
-		out = append(out, packet.PrefixFrom(
-			packet.AddrFrom4(quad[0], quad[1], quad[2], quad[3]), uint8(bits)))
+	}
+	return o.BatchFilter.ProcessBatchInto(pkts, out)
+}
+
+func parseSubnets(csv string) ([]packet.Prefix, error) {
+	out, err := packet.ParsePrefixes(csv)
+	if err != nil {
+		return nil, fmt.Errorf("-subnets: %w", err)
 	}
 	return out, nil
 }

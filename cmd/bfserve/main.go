@@ -124,7 +124,7 @@ func run() error {
 			return err
 		}
 	}
-	logRestore(*ckpt, restoreRes)
+	restoreRes.Report(os.Stdout, os.Stderr, "bfserve", *ckpt)
 	if err := filter.StartRotations(0); err != nil {
 		return err
 	}
@@ -400,25 +400,6 @@ func coldFilter(opts []core.Option, shards int) (*live.Filter, error) {
 		inner = f
 	}
 	return live.New(inner)
-}
-
-// logRestore reports each restore-ladder outcome distinctly.
-func logRestore(ckptPath string, res checkpoint.RestoreResult) {
-	if ckptPath == "" {
-		return
-	}
-	switch res.Outcome {
-	case checkpoint.OutcomePrimary:
-		fmt.Printf("bfserve: restored filter state from %s\n", res.File)
-	case checkpoint.OutcomeBackup:
-		fmt.Fprintf(os.Stderr, "bfserve: checkpoint %s unusable (%v); restored from backup %s\n",
-			ckptPath, res.PrimaryErr, res.File)
-	case checkpoint.OutcomeColdStartEmpty:
-		fmt.Printf("bfserve: no checkpoint at %s; cold start\n", ckptPath)
-	case checkpoint.OutcomeColdStartCorrupt:
-		fmt.Fprintf(os.Stderr, "bfserve: checkpoint unusable (primary: %v; backup: %v); COLD START — established flows will drop for up to T_e\n",
-			res.PrimaryErr, res.BackupErr)
-	}
 }
 
 // Demo feed batching: packets due within demoBatchSlack of "now" are

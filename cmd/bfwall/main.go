@@ -55,7 +55,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -108,7 +107,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		tenantsF = fs.String("tenants", "", "multi-tenant fleet config (JSON); replaces the geometry flags")
 
 		onOverload = fs.String("on-overload", "drop", "overload policy when the frame queue fills: drop (fail-closed) or admit (fail-open)")
-		queue      = fs.Int("queue", 8192, "bounded frame queue between capture and filter, in frames (0 disables the overload stage)")
+		queue      = fs.Int("queue", 8192, "bounded frame queue between capture and filter, in frames (0 disables the overload stage; the default applies to -iface only, a replayed trace is back-pressured)")
 		drainTO    = fs.Duration("drain-timeout", 5*time.Second, "graceful-drain deadline after SIGTERM")
 		srcRetries = fs.Int("source-retries", resilience.DefaultMaxConsecutiveFailures, "consecutive source failures tolerated before the daemon gives up")
 		stallAfter = fs.Duration("stall-after", resilience.DefaultStallAfter, "watchdog stall threshold for the supervised loops (0 disables the watchdog)")
@@ -128,11 +127,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// -bench asks "can the judge path keep up with the trace" — an
-	// unpaced replay through the overload queue would shed most frames
-	// and measure queue throughput instead. Default the bench to the
-	// direct, backpressured path; an explicit -queue still wins.
-	if *benchRun {
+	// Only a NIC cannot be made to wait. A trace, recorded or synthesized,
+	// is read unpaced: through the overload queue most of it would be shed
+	// — wrong totals from a file that could simply be back-pressured, and a
+	// -bench that measures the queue. So the queue defaults on for -iface
+	// alone; an explicit -queue still wins.
+	if *iface == "" {
 		queueSet := false
 		fs.Visit(func(f *flag.Flag) { queueSet = queueSet || f.Name == "queue" })
 		if !queueSet {
@@ -172,7 +172,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	logRestore(out, *ckpt, restoreRes)
+	restoreRes.Report(out, os.Stderr, "bfwall", *ckpt)
 
 	// The resilience plane: watchdog probes for every supervised loop,
 	// a lifecycle state machine behind /healthz and /readyz.
@@ -375,13 +375,9 @@ func parseSubnets(s string) ([]packet.Prefix, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var out []packet.Prefix
-	for _, part := range strings.Split(s, ",") {
-		p, err := packet.ParsePrefix(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("-subnets: %w", err)
-		}
-		out = append(out, p)
+	out, err := packet.ParsePrefixes(s)
+	if err != nil {
+		return nil, fmt.Errorf("-subnets: %w", err)
 	}
 	return out, nil
 }
@@ -473,25 +469,6 @@ func buildFilter(ckptPath, tenantsPath string, order uint, vectors, hashes int, 
 	}
 	f, err := core.Build(opts...)
 	return f, noRestore, err
-}
-
-// logRestore reports each restore-ladder outcome distinctly.
-func logRestore(out io.Writer, ckptPath string, res checkpoint.RestoreResult) {
-	if ckptPath == "" {
-		return
-	}
-	switch res.Outcome {
-	case checkpoint.OutcomePrimary:
-		fmt.Fprintf(out, "bfwall: restored filter state from %s\n", res.File)
-	case checkpoint.OutcomeBackup:
-		fmt.Fprintf(os.Stderr, "bfwall: checkpoint %s unusable (%v); restored from backup %s\n",
-			ckptPath, res.PrimaryErr, res.File)
-	case checkpoint.OutcomeColdStartEmpty:
-		fmt.Fprintf(out, "bfwall: no checkpoint at %s; cold start\n", ckptPath)
-	case checkpoint.OutcomeColdStartCorrupt:
-		fmt.Fprintf(os.Stderr, "bfwall: checkpoint unusable (primary: %v; backup: %v); COLD START — established flows will drop for up to T_e\n",
-			res.PrimaryErr, res.BackupErr)
-	}
 }
 
 // sourceFactory returns a constructor for the capture source, so the

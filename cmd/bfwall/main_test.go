@@ -81,6 +81,42 @@ func TestGenThenReplayFile(t *testing.T) {
 	}
 }
 
+// TestPcapReplayJudgesEveryFrame: a file can be made to wait, so a -pcap run
+// with default flags — no -bench, no -queue — is back-pressured, never shed:
+// every frame of the trace is read and judged. (With the overload queue on by
+// default for every source, an unpaced replay of this trace shed most of it
+// and the verdict totals were wrong.)
+func TestPcapReplayJudgesEveryFrame(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "scan.pcap")
+	var out bytes.Buffer
+	err := run(context.Background(), []string{
+		"-gen", trace, "-scan-pps", "400000", "-conn-rate", "50", "-gen-duration", "200ms",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written uint64
+	if _, err := fmt.Sscanf(out.String(), "bfwall: wrote %d frames", &written); err != nil || written == 0 {
+		t.Fatalf("gen output %q: %v", out.String(), err)
+	}
+
+	out.Reset()
+	if err := run(context.Background(), []string{"-pcap", trace}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "shed") {
+		t.Errorf("a replayed file was shed:\n%s", out.String())
+	}
+	var frames, outgoing, incoming, passed, dropped, decErrs uint64
+	if _, err := fmt.Sscanf(out.String(), "bfwall: %d frames, %d out / %d in (%d passed, %d dropped), %d decode errors",
+		&frames, &outgoing, &incoming, &passed, &dropped, &decErrs); err != nil {
+		t.Fatalf("exit line: %v\n%s", err, out.String())
+	}
+	if frames != written || outgoing+incoming != written || passed+dropped != incoming || decErrs != 0 {
+		t.Errorf("%d frames written, exit line: %s", written, out.String())
+	}
+}
+
 // TestTenantFleetReplay drives the pump against a multi-tenant data
 // plane, with the tenants' prefixes taking over subnet classification.
 func TestTenantFleetReplay(t *testing.T) {

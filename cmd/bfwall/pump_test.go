@@ -400,7 +400,7 @@ func referenceIntake(t *testing.T, trace []byte, routed []packet.Prefix) *intake
 				default:
 					t.Fatalf("unexpected decode error in a test trace: %v", derr)
 				}
-			} else if dir, ok := table.Classify(pkt.Tuple); !ok {
+			} else if dir, slot := table.ClassifySlot(pkt.Tuple); slot < 0 {
 				in.unrouted++
 			} else {
 				pkt.Time, pkt.Dir = f.Time, dir

@@ -1,6 +1,6 @@
-// Package capture abstracts where live frames come from and go to, so the
-// bfwall daemon's pump loop is identical whether it faces a real NIC or a
-// replayed trace.
+// Package capture abstracts where frames come from, so the pump loop
+// (internal/pump: the bfwall daemon's, and bfreplay's) is identical whether
+// it faces a real NIC or a replayed trace.
 //
 // A Source delivers frames in batches into a ring of Frames the caller
 // allocates once and reuses for the life of the pump, keeping the hot
@@ -78,14 +78,6 @@ type Source interface {
 	// Close releases the source. Blocked ReadBatch calls return. Close
 	// is idempotent and may be called from a goroutine other than the
 	// reader (a signal handler interrupting the pump).
-	Close() error
-}
-
-// Sink consumes frames (a pcap writer, an injection queue).
-type Sink interface {
-	// WriteFrame records one frame. The implementation must not retain
-	// f.Data past the call.
-	WriteFrame(f Frame) error
 	Close() error
 }
 

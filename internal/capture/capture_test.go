@@ -63,7 +63,8 @@ func TestReplaySinglePass(t *testing.T) {
 				t.Fatalf("timestamps not increasing: %v after %v", ring[i].Time, last)
 			}
 			last = ring[i].Time
-			if _, _, err := packet.DecodeTuple(ring[i].Data); err != nil {
+			var pkt packet.Packet
+			if err := packet.DecodeInto(&pkt, ring[i].Data); err != nil {
 				t.Fatalf("frame %d undecodable: %v", total+i, err)
 			}
 			if ring[i].Truncated() {
@@ -321,32 +322,6 @@ func TestLoopbackBlocksUntilWrite(t *testing.T) {
 	}
 	if f.Time != want.Time || !bytes.Equal(f.Data, want.Data) {
 		t.Errorf("got %+v, want %+v", f, want)
-	}
-}
-
-func TestPcapSinkRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink, err := NewPcapSink(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := Frame{Time: 3 * time.Second, Data: []byte{1, 2, 3, 4}, OrigLen: 1500}
-	if err := sink.WriteFrame(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := pcap.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := rd.ReadRecord()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Time != f.Time || !bytes.Equal(rec.Data, f.Data) || rec.OrigLen != 1500 {
-		t.Errorf("read back %+v", rec)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // ErrClosed is returned by Loopback.WriteFrame after Close.
 var ErrClosed = errors.New("capture: loopback closed")
 
-// Loopback is an in-memory Source and Sink pair: frames written on one
+// Loopback is an in-memory Source with a write side: frames written on one
 // side come out the other in order. It exists so the bfwall pump and its
 // tests can run hermetically — no NIC, no trace file — and it is safe for
 // one writer and one reader goroutine.
@@ -28,7 +28,7 @@ func NewLoopback() *Loopback {
 	return l
 }
 
-// WriteFrame implements Sink. The frame bytes are copied, so the caller
+// WriteFrame queues one frame. The frame bytes are copied, so the caller
 // may reuse f.Data immediately and the queue owns what it holds.
 func (l *Loopback) WriteFrame(f Frame) error {
 	l.mu.Lock()
@@ -72,7 +72,7 @@ func (l *Loopback) ReadBatch(frames []Frame) (int, error) {
 	return n, nil
 }
 
-// Close implements both Source and Sink: subsequent writes fail, readers
+// Close implements Source for both sides: subsequent writes fail, readers
 // drain whatever is already queued and then get io.EOF.
 func (l *Loopback) Close() error {
 	l.mu.Lock()

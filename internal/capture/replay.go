@@ -114,25 +114,3 @@ func (r *Replay) Close() error {
 	r.closed.Store(true)
 	return nil
 }
-
-// PcapSink writes frames to a pcap stream.
-type PcapSink struct {
-	w *pcap.Writer
-}
-
-// NewPcapSink writes a pcap global header to w and returns the sink.
-func NewPcapSink(w io.Writer) (*PcapSink, error) {
-	pw, err := pcap.NewWriter(w)
-	if err != nil {
-		return nil, fmt.Errorf("capture: %w", err)
-	}
-	return &PcapSink{w: pw}, nil
-}
-
-// WriteFrame implements Sink.
-func (s *PcapSink) WriteFrame(f Frame) error {
-	return s.w.WriteRecord(pcap.Record{Time: f.Time, Data: f.Data, OrigLen: f.OrigLen})
-}
-
-// Close implements Sink. The pcap format needs no trailer.
-func (s *PcapSink) Close() error { return nil }

@@ -180,6 +180,29 @@ type RestoreResult struct {
 	BackupErr error
 }
 
+// Report writes the one line a daemon logs about its restore, each rung of
+// the ladder worded distinctly and led by prefix (the daemon's name): the
+// clean outcomes to out, the ones an operator should look at to errOut.
+// path is the checkpoint the daemon was configured with; with none there
+// was no restore, and nothing to report.
+func (r RestoreResult) Report(out, errOut io.Writer, prefix, path string) {
+	if path == "" {
+		return
+	}
+	switch r.Outcome {
+	case OutcomePrimary:
+		fmt.Fprintf(out, "%s: restored filter state from %s\n", prefix, r.File)
+	case OutcomeBackup:
+		fmt.Fprintf(errOut, "%s: checkpoint %s unusable (%v); restored from backup %s\n",
+			prefix, path, r.PrimaryErr, r.File)
+	case OutcomeColdStartEmpty:
+		fmt.Fprintf(out, "%s: no checkpoint at %s; cold start\n", prefix, path)
+	case OutcomeColdStartCorrupt:
+		fmt.Fprintf(errOut, "%s: checkpoint unusable (primary: %v; backup: %v); COLD START — established flows will drop for up to T_e\n",
+			prefix, r.PrimaryErr, r.BackupErr)
+	}
+}
+
 // Restore walks the fallback ladder: the checkpoint at path, then
 // path+BackupSuffix, then a cold start. load is called with each
 // candidate stream and must return a non-nil error without committing

@@ -567,3 +567,40 @@ func TestOutcomeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreResultReport: one line per outcome, under the daemon's own
+// name; a restore an operator should look at goes to errOut, and a daemon
+// with no checkpoint configured has nothing to say.
+func TestRestoreResultReport(t *testing.T) {
+	bad := errors.New("crc mismatch")
+	for _, tc := range []struct {
+		res       RestoreResult
+		alarm     bool
+		wantParts []string
+	}{
+		{RestoreResult{Outcome: OutcomePrimary, File: "s.bmf"}, false, []string{"bfwall: restored filter state from s.bmf"}},
+		{RestoreResult{Outcome: OutcomeBackup, File: "s.bmf.bak", PrimaryErr: bad}, true, []string{"bfwall: checkpoint s.bmf unusable (crc mismatch)", "restored from backup s.bmf.bak"}},
+		{RestoreResult{Outcome: OutcomeColdStartEmpty}, false, []string{"bfwall: no checkpoint at s.bmf; cold start"}},
+		{RestoreResult{Outcome: OutcomeColdStartCorrupt, PrimaryErr: bad, BackupErr: bad}, true, []string{"bfwall: checkpoint unusable", "COLD START"}},
+	} {
+		var out, errOut bytes.Buffer
+		tc.res.Report(&out, &errOut, "bfwall", "s.bmf")
+		said, silent := &out, &errOut
+		if tc.alarm {
+			said, silent = &errOut, &out
+		}
+		if silent.Len() != 0 || strings.Count(said.String(), "\n") != 1 {
+			t.Errorf("%v: out %q, errOut %q", tc.res.Outcome, out.String(), errOut.String())
+		}
+		for _, part := range tc.wantParts {
+			if !strings.Contains(said.String(), part) {
+				t.Errorf("%v: %q lacks %q", tc.res.Outcome, said.String(), part)
+			}
+		}
+		out.Reset()
+		errOut.Reset()
+		if tc.res.Report(&out, &errOut, "bfwall", ""); out.Len()+errOut.Len() != 0 {
+			t.Errorf("%v with no checkpoint path: out %q, errOut %q", tc.res.Outcome, out.String(), errOut.String())
+		}
+	}
+}

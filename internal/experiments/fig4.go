@@ -74,7 +74,7 @@ func RunFig4(cfg Fig4Config) (Fig4Result, error) {
 	if err != nil {
 		return Fig4Result{}, fmt.Errorf("fig4: %w", err)
 	}
-	spi := flowtable.NewHashList(flowtable.WithIdleTimeout(cfg.SPITimeout))
+	spi := filtering.AsBatch(flowtable.NewHashList(flowtable.WithIdleTimeout(cfg.SPITimeout)))
 
 	type bucket struct {
 		spiIn, spiDrop       uint64

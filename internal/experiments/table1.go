@@ -43,13 +43,6 @@ type Table1Result struct {
 	Rows        []Table1Row
 }
 
-// table1Filter abstracts the pieces Table 1 measures. Insert and lookup
-// phases run through the batch data plane so the timings reflect the
-// filters' amortized per-packet cost, not driver-loop overhead.
-type table1Filter interface {
-	filtering.BatchFilter
-}
-
 // RunTable1 inserts `connections` flows into each implementation and
 // measures memory plus per-operation latencies. Use a reduced connection
 // count for quick runs; the bench harness uses Table1Connections.
@@ -68,8 +61,11 @@ func RunTable1(connections int, seed uint64) (Table1Result, error) {
 	}
 
 	specs := []struct {
-		name       string
-		filter     table1Filter
+		name string
+		// Insert and lookup run through the batch data plane so the
+		// timings reflect the filters' amortized per-packet cost, not
+		// driver-loop overhead.
+		filter     filtering.BatchFilter
 		paperBytes uint64
 		insertC    string
 		lookupC    string
@@ -80,13 +76,13 @@ func RunTable1(connections int, seed uint64) (Table1Result, error) {
 			name: "hash+link-list (Linux)",
 			// Bucket count sized at conns/4, the usual conntrack
 			// hashsize ratio.
-			filter:     flowtable.NewHashList(flowtable.WithBuckets(connections / 4)),
+			filter:     filtering.AsBatch(flowtable.NewHashList(flowtable.WithBuckets(connections / 4))),
 			paperBytes: 76_800_000,
 			insertC:    "O(1)", lookupC: "O(n) worst", gcC: "O(n)",
 		},
 		{
 			name:       "AVL-tree",
-			filter:     flowtable.NewAVLTable(),
+			filter:     filtering.AsBatch(flowtable.NewAVLTable()),
 			paperBytes: 76_800_000,
 			insertC:    "O(log n)", lookupC: "O(log n)", gcC: "O(n)",
 		},

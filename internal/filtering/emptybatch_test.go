@@ -21,9 +21,11 @@ func (p plainFilter) MemoryBytes() uint64                         { return p.f.M
 func (p plainFilter) Counters() filtering.Counters                { return p.f.Counters() }
 
 // TestEmptyBatchContract pins the empty-batch behavior documented on
-// BatchFilter for every implementation in the repository: ProcessBatch
-// returns nil (never a non-nil empty slice), and ProcessBatchInto returns
-// a length-0 slice that keeps the caller's backing array.
+// BatchFilter for every implementation in the repository (the SPI tables
+// have no batch methods of their own and get AsBatch's fallback, as their
+// callers do): ProcessBatch returns nil (never a non-nil empty slice), and
+// ProcessBatchInto returns a length-0 slice that keeps the caller's backing
+// array.
 func TestEmptyBatchContract(t *testing.T) {
 	sharded, err := core.NewSharded(4, core.WithOrder(10))
 	if err != nil {
@@ -36,10 +38,10 @@ func TestEmptyBatchContract(t *testing.T) {
 		{"core.Filter", core.MustNew(core.WithOrder(10))},
 		{"core.Safe", core.NewSafe(core.MustNew(core.WithOrder(10)))},
 		{"core.Sharded", sharded},
-		{"flowtable.HashList", flowtable.NewHashList()},
-		{"flowtable.AVLTable", flowtable.NewAVLTable()},
-		{"flowtable.MapTable", flowtable.NewMapTable()},
-		{"flowtable.Naive", flowtable.NewNaive(20 * time.Second)},
+		{"flowtable.HashList", filtering.AsBatch(flowtable.NewHashList())},
+		{"flowtable.AVLTable", filtering.AsBatch(flowtable.NewAVLTable())},
+		{"flowtable.MapTable", filtering.AsBatch(flowtable.NewMapTable())},
+		{"flowtable.Naive", filtering.AsBatch(flowtable.NewNaive(20 * time.Second))},
 		{"AsBatch-fallback", filtering.AsBatch(plainFilter{core.MustNew(core.WithOrder(10))})},
 	}
 	for _, fl := range flavors {

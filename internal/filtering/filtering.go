@@ -58,7 +58,7 @@ type PacketFilter interface {
 // verdicts, counters and expiry work — but amortizes per-packet overheads
 // (lock acquisitions, clock reads, verdict-slice allocation) across the
 // whole batch. The bitmap filter implements it natively; the SPI baselines
-// satisfy it through the per-packet fallback in this package.
+// have no batch methods and get it from AsBatch, the per-packet fallback.
 type BatchFilter interface {
 	PacketFilter
 	// ProcessBatch processes pkts in order and returns one verdict per
@@ -97,28 +97,9 @@ func GrowSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// ProcessBatch drives f per packet and returns freshly allocated verdicts —
-// the generic fallback for filters with no native batch path.
-func ProcessBatch(f PacketFilter, pkts []packet.Packet) []Verdict {
-	if len(pkts) == 0 {
-		return nil
-	}
-	return ProcessBatchInto(f, pkts, nil)
-}
-
-// ProcessBatchInto drives f per packet, filling out under the
-// BatchFilter.ProcessBatchInto contract.
-func ProcessBatchInto(f PacketFilter, pkts []packet.Packet, out []Verdict) []Verdict {
-	out = GrowVerdicts(out, len(pkts))
-	for i := range pkts {
-		out[i] = f.Process(pkts[i])
-	}
-	return out
-}
-
 // AsBatch returns f's batched data plane: filters that already implement
 // BatchFilter are returned unchanged, anything else is wrapped with the
-// generic per-packet fallback. Drivers (replay, experiments, daemons) call
+// generic per-packet fallback. Drivers (bfreplay, experiments, daemons) call
 // this once and then speak batch everywhere.
 func AsBatch(f PacketFilter) BatchFilter {
 	if b, ok := f.(BatchFilter); ok {
@@ -133,11 +114,18 @@ type fallbackBatcher struct {
 }
 
 func (b fallbackBatcher) ProcessBatch(pkts []packet.Packet) []Verdict {
-	return ProcessBatch(b.PacketFilter, pkts)
+	if len(pkts) == 0 {
+		return nil
+	}
+	return b.ProcessBatchInto(pkts, nil)
 }
 
 func (b fallbackBatcher) ProcessBatchInto(pkts []packet.Packet, out []Verdict) []Verdict {
-	return ProcessBatchInto(b.PacketFilter, pkts, out)
+	out = GrowVerdicts(out, len(pkts))
+	for i := range pkts {
+		out[i] = b.Process(pkts[i])
+	}
+	return out
 }
 
 // Counters accumulates per-filter packet statistics.

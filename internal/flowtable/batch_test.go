@@ -27,27 +27,20 @@ func batchTrace(n int, seed uint64) []packet.Packet {
 	return pkts
 }
 
-// TestBatchFallbackMatchesProcess checks that the generic fallback adapter
-// behind every SPI table's ProcessBatch/ProcessBatchInto yields verdicts
-// identical to per-packet Process on a twin instance, and that the
-// caller-buffer contract (reuse when cap suffices, full overwrite) holds.
+// TestBatchFallbackMatchesProcess checks that filtering.AsBatch — the only
+// batch data plane the SPI tables have — yields verdicts identical to
+// per-packet Process on a twin instance, and that the caller-buffer
+// contract (reuse when cap suffices, full overwrite) holds.
 func TestBatchFallbackMatchesProcess(t *testing.T) {
 	pkts := batchTrace(1500, 11)
 
-	type batchTable interface {
-		filtering.BatchFilter
-	}
 	cases := append(factories(), tableFactory{
 		name: "naive",
 		make: func(opts ...Option) filtering.PacketFilter { return NewNaive(30 * time.Second) },
 	})
 	for _, tf := range cases {
 		t.Run(tf.name, func(t *testing.T) {
-			bat, ok := tf.make().(batchTable)
-			if !ok {
-				t.Fatalf("%s does not implement filtering.BatchFilter", tf.name)
-			}
-			seq := tf.make()
+			bat, seq := filtering.AsBatch(tf.make()), tf.make()
 
 			out := make([]filtering.Verdict, 8, 8)
 			for i := range out {
@@ -69,7 +62,7 @@ func TestBatchFallbackMatchesProcess(t *testing.T) {
 			}
 
 			// ProcessBatch on a fresh pair agrees too and handles empty.
-			bat2, seq2 := tf.make().(batchTable), tf.make()
+			bat2, seq2 := filtering.AsBatch(tf.make()), tf.make()
 			got := bat2.ProcessBatch(pkts[:64])
 			for i := range got {
 				if want := seq2.Process(pkts[i]); got[i] != want {

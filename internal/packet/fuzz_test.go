@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// FuzzDecode drives arbitrary bytes through the wire decoder: any input
+// FuzzDecode drives arbitrary bytes through DecodeInto: any input
 // may be rejected, none may panic or return a malformed success.
 func FuzzDecode(f *testing.F) {
 	// Seed with valid TCP and UDP frames plus interesting corruptions.
@@ -27,30 +27,27 @@ func FuzzDecode(f *testing.F) {
 	f.Add(short)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frame, err := Decode(data)
-		if err != nil {
+		var pkt Packet
+		if err := DecodeInto(&pkt, data); err != nil {
 			return
 		}
 		// Successful decodes must be internally consistent.
-		if frame.Length > len(data) {
-			t.Fatalf("decoded length %d exceeds input %d", frame.Length, len(data))
+		if pkt.Length > len(data) {
+			t.Fatalf("decoded length %d exceeds input %d", pkt.Length, len(data))
 		}
-		if frame.Tuple.Proto != TCP && frame.Tuple.Proto != UDP {
-			t.Fatalf("accepted protocol %d", frame.Tuple.Proto)
-		}
-		if len(frame.Payload) > len(data) {
-			t.Fatal("payload longer than frame")
+		if pkt.Tuple.Proto != TCP && pkt.Tuple.Proto != UDP {
+			t.Fatalf("accepted protocol %d", pkt.Tuple.Proto)
 		}
 	})
 }
 
-// FuzzDecodeTupleEquivalence is the differential contract between the two
-// decoders on arbitrary bytes: they must agree on success (same tuple and
-// direction) or fail with the same sentinel class. The single permitted
-// divergence is the transport checksum, which the zero-copy path
-// deliberately skips (it never reads payload bytes): DecodeTuple may
-// succeed where Decode fails, but then only with ErrBadChecksum.
-func FuzzDecodeTupleEquivalence(f *testing.F) {
+// FuzzDecodeIntoMatchesReference is the differential contract between
+// DecodeInto and the reference decoder on arbitrary bytes: they must agree
+// on success (the same packet) or fail with the same sentinel class. The
+// single permitted divergence is the transport checksum, which DecodeInto
+// deliberately skips (it never reads payload bytes): it may succeed where
+// the reference fails, but then only with ErrBadChecksum.
+func FuzzDecodeIntoMatchesReference(f *testing.F) {
 	tcp, err := Encode(samplePacket(TCP))
 	if err != nil {
 		f.Fatal(err)
@@ -71,35 +68,28 @@ func FuzzDecodeTupleEquivalence(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tup, dir, terr := DecodeTuple(data)
-		fr, derr := Decode(data)
+		sentinel := Packet{Tuple: Tuple{Src: 0xdead, SrcPort: 7}, Length: 42}
+		into := sentinel
+		ierr := DecodeInto(&into, data)
+		fr, rerr := referenceDecode(data)
 		switch {
-		case terr == nil && derr == nil:
-			want := fr.ToPacket()
-			if tup != want.Tuple {
-				t.Fatalf("tuple mismatch: zero-copy %v, struct %v", tup, want.Tuple)
+		case ierr == nil && rerr == nil:
+			if want := fr.toPacket(); into != want {
+				t.Fatalf("DecodeInto %+v, reference %+v", into, want)
 			}
-			if dir != want.Dir {
-				t.Fatalf("direction mismatch: zero-copy %v, struct %v", dir, want.Dir)
+		case ierr == nil && rerr != nil:
+			if !errors.Is(rerr, ErrBadChecksum) {
+				t.Fatalf("DecodeInto accepted a frame the reference rejects with %v (only transport-checksum divergence is allowed)", rerr)
 			}
-			var into Packet
-			if err := DecodeInto(&into, data); err != nil {
-				t.Fatalf("DecodeInto failed where DecodeTuple passed: %v", err)
-			}
-			if into.Tuple != want.Tuple || into.Dir != want.Dir ||
-				into.Flags != want.Flags || into.Length != want.Length {
-				t.Fatalf("DecodeInto %+v, struct path %+v", into, want)
-			}
-		case terr == nil && derr != nil:
-			if !errors.Is(derr, ErrBadChecksum) {
-				t.Fatalf("zero-copy accepted a frame Decode rejects with %v (only transport-checksum divergence is allowed)", derr)
-			}
-		case terr != nil && derr == nil:
-			t.Fatalf("zero-copy rejected (%v) a frame Decode accepts", terr)
+		case ierr != nil && rerr == nil:
+			t.Fatalf("DecodeInto rejected (%v) a frame the reference accepts", ierr)
 		default:
-			if !sameErrorClass(terr, derr) {
-				t.Fatalf("error class mismatch: zero-copy %v, struct %v", terr, derr)
+			if !sameErrorClass(ierr, rerr) {
+				t.Fatalf("error class mismatch: DecodeInto %v, reference %v", ierr, rerr)
 			}
+		}
+		if ierr != nil && into != sentinel {
+			t.Fatalf("DecodeInto modified the packet on error: %+v", into)
 		}
 	})
 }
@@ -115,7 +105,9 @@ func TestDecodeRandomMutationsNeverPanic(t *testing.T) {
 		data := append([]byte(nil), valid...)
 		data[int(pos)%len(data)] ^= mask
 		data = data[:int(truncate)%(len(data)+1)]
-		_, _ = Decode(data) // must not panic; error is fine
+		var pkt Packet
+		_ = DecodeInto(&pkt, data) // must not panic; error is fine
+		_, _ = referenceDecode(data)
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 2000}); err != nil {

@@ -63,3 +63,18 @@ func ParsePrefix(s string) (Prefix, error) {
 	}
 	return p, nil
 }
+
+// ParsePrefixes parses a comma-separated list of CIDR prefixes, each as
+// ParsePrefix does, spaces around an entry ignored. An empty entry — and so
+// an empty list — is an error.
+func ParsePrefixes(csv string) ([]Prefix, error) {
+	var out []Prefix
+	for _, part := range strings.Split(csv, ",") {
+		p, err := ParsePrefix(strings.TrimSpace(part))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
+}

@@ -99,24 +99,13 @@ func (t *PrefixTable) Lookup(a Addr) int32 {
 	return e
 }
 
-// Classify tells which way a packet with tuple tu crosses the edge the
-// table's prefixes describe: a source inside any prefix makes it
-// Outgoing, otherwise a destination inside makes it Incoming, otherwise
-// the packet touches no client network and ok is false (transit the edge
-// would never forward here).
-//
-//bf:hotpath
-func (t *PrefixTable) Classify(tu Tuple) (dir Direction, ok bool) {
-	dir, slot := t.ClassifySlot(tu)
-	return dir, slot >= 0
-}
-
-// ClassifySlot is Classify returning what it found rather than whether it
-// found something: the index of the prefix that decided the direction,
-// which is Lookup of the packet's client-side address (the source of an
-// outgoing packet, the destination of an incoming one), or -1 and no
-// direction when neither address is a client's. A caller that routes by
-// the same table need not look the packet up again.
+// ClassifySlot tells which way a packet with tuple tu crosses the edge the
+// table's prefixes describe, and which prefix said so: a source inside any
+// prefix makes it Outgoing, otherwise a destination inside makes it
+// Incoming, and slot is Lookup of that client-side address — a caller that
+// routes by the same table need not look the packet up again. When neither
+// address is a client's the packet touches no client network (transit the
+// edge would never forward here): slot is -1 and there is no direction.
 //
 //bf:hotpath
 func (t *PrefixTable) ClassifySlot(tu Tuple) (dir Direction, slot int32) {

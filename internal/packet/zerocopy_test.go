@@ -16,8 +16,8 @@ func refixIPChecksum(frame []byte) {
 	binary.BigEndian.PutUint16(ip[10:12], checksum(ip[:IPv4HeaderLen], 0))
 }
 
-// decodeSentinels are the error classes the decoders may return; the
-// differential tests assert both paths pick the same one.
+// decodeSentinels are the error classes a decoder may return; the
+// differential tests assert DecodeInto and the reference pick the same one.
 var decodeSentinels = []error{
 	ErrTruncated, ErrNotIPv4, ErrBadIPVersion, ErrBadIHL,
 	ErrBadChecksum, ErrFragmented, ErrProto,
@@ -33,9 +33,9 @@ func sameErrorClass(a, b error) bool {
 }
 
 // TestDecodeRejectsFragments: a non-first fragment carries no transport
-// header, so both decoders must refuse it rather than misparse payload
-// bytes as ports. This is the regression test for the fragment-handling
-// bug: the old Decode ignored ip[6:8] entirely.
+// header, so the decoder (and the reference) must refuse it rather than
+// misparse payload bytes as ports. This is the regression test for the
+// fragment-handling bug: the old decoder ignored ip[6:8] entirely.
 func TestDecodeRejectsFragments(t *testing.T) {
 	cases := []struct {
 		name string
@@ -57,19 +57,8 @@ func TestDecodeRejectsFragments(t *testing.T) {
 			}
 			binary.BigEndian.PutUint16(frame[EthernetHeaderLen+6:], tc.frag)
 			refixIPChecksum(frame)
-			_, derr := Decode(frame)
-			_, _, terr := DecodeTuple(frame)
-			if tc.want == nil {
-				if derr != nil || terr != nil {
-					t.Fatalf("Decode err = %v, DecodeTuple err = %v, want both nil", derr, terr)
-				}
-				return
-			}
-			if !errors.Is(derr, tc.want) {
-				t.Errorf("Decode err = %v, want %v", derr, tc.want)
-			}
-			if !errors.Is(terr, tc.want) {
-				t.Errorf("DecodeTuple err = %v, want %v", terr, tc.want)
+			if err := decodeErr(t, frame); !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want %v", err, tc.want)
 			}
 		})
 	}
@@ -88,9 +77,9 @@ func TestEncodeTooLong(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode at the boundary (%d bytes): %v", maxLen, err)
 	}
-	dec, err := Decode(frame)
+	dec, err := referenceDecode(frame)
 	if err != nil {
-		t.Fatalf("Decode of maximum frame: %v", err)
+		t.Fatalf("reference decode of maximum frame: %v", err)
 	}
 	if dec.Length != maxLen {
 		t.Errorf("round-tripped length %d, want %d", dec.Length, maxLen)
@@ -108,10 +97,10 @@ func TestEncodeTooLong(t *testing.T) {
 	}
 }
 
-// TestDecodeTupleMatchesDecode drives both decoders over valid frames of
-// every shape Encode produces and requires identical tuples, directions,
-// flags and lengths.
-func TestDecodeTupleMatchesDecode(t *testing.T) {
+// TestDecodeIntoMatchesReference drives DecodeInto and the reference decoder
+// over valid frames of every shape Encode produces and requires identical
+// tuples, directions, flags and lengths.
+func TestDecodeIntoMatchesReference(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, udp, incoming bool, flags uint8, extra uint16) bool {
 		proto := TCP
 		if udp {
@@ -136,22 +125,14 @@ func TestDecodeTupleMatchesDecode(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fr, err := Decode(frame)
+		fr, err := referenceDecode(frame)
 		if err != nil {
 			return false
 		}
-		want := fr.ToPacket()
+		want := fr.toPacket()
 
-		tup, gotDir, err := DecodeTuple(frame)
-		if err != nil || tup != want.Tuple || gotDir != want.Dir {
-			return false
-		}
 		var into Packet
-		if err := DecodeInto(&into, frame); err != nil {
-			return false
-		}
-		return into.Tuple == want.Tuple && into.Dir == want.Dir &&
-			into.Flags == want.Flags && into.Length == want.Length
+		return DecodeInto(&into, frame) == nil && into == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -176,10 +157,10 @@ func TestDecodeIntoLeavesPacketOnError(t *testing.T) {
 	}
 }
 
-// TestDecodeTupleSkipsPayloadChecksum pins the one documented divergence:
-// a corrupt payload byte fails Decode (transport checksum) but not the
-// header-only path.
-func TestDecodeTupleSkipsPayloadChecksum(t *testing.T) {
+// TestDecodeIntoSkipsPayloadChecksum pins the one documented divergence:
+// a corrupt payload byte fails the reference (transport checksum) but not
+// the header-only decoder.
+func TestDecodeIntoSkipsPayloadChecksum(t *testing.T) {
 	pkt := samplePacket(TCP)
 	pkt.Length = 200
 	frame, err := Encode(pkt)
@@ -187,21 +168,21 @@ func TestDecodeTupleSkipsPayloadChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame[len(frame)-1] ^= 0xff
-	if _, err := Decode(frame); !errors.Is(err, ErrBadChecksum) {
-		t.Fatalf("Decode of corrupt payload: %v, want ErrBadChecksum", err)
+	if _, err := referenceDecode(frame); !errors.Is(err, ErrBadChecksum) {
+		t.Fatalf("reference decode of corrupt payload: %v, want ErrBadChecksum", err)
 	}
-	tup, dir, err := DecodeTuple(frame)
-	if err != nil {
-		t.Fatalf("DecodeTuple rejected a frame with valid headers: %v", err)
+	var got Packet
+	if err := DecodeInto(&got, frame); err != nil {
+		t.Fatalf("DecodeInto rejected a frame with valid headers: %v", err)
 	}
-	if tup != pkt.Tuple || dir != Outgoing {
-		t.Errorf("tuple %v dir %v", tup, dir)
+	if got != pkt {
+		t.Errorf("DecodeInto = %+v, want %+v", got, pkt)
 	}
 }
 
-// TestDecodeTupleZeroAllocs is the hot-loop contract: no allocation per
+// TestDecodeIntoZeroAllocs is the hot-loop contract: no allocation per
 // frame on either success or failure.
-func TestDecodeTupleZeroAllocs(t *testing.T) {
+func TestDecodeIntoZeroAllocs(t *testing.T) {
 	good, err := Encode(samplePacket(TCP))
 	if err != nil {
 		t.Fatal(err)
@@ -212,33 +193,14 @@ func TestDecodeTupleZeroAllocs(t *testing.T) {
 
 	var pkt Packet
 	if n := testing.AllocsPerRun(200, func() {
-		if _, _, err := DecodeTuple(good); err != nil {
-			t.Fatal(err)
-		}
 		if err := DecodeInto(&pkt, good); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := DecodeTuple(bad); err == nil {
+		if err := DecodeInto(&pkt, bad); err == nil {
 			t.Fatal("bad frame accepted")
 		}
 	}); n != 0 {
-		t.Errorf("zero-copy decode allocates %.1f times per frame", n)
-	}
-}
-
-func BenchmarkDecodeTuple(b *testing.B) {
-	pkt := samplePacket(TCP)
-	pkt.Length = 720 // paper's average packet size
-	frame, err := Encode(pkt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeTuple(frame); err != nil {
-			b.Fatal(err)
-		}
+		t.Errorf("DecodeInto allocates %.1f times per frame", n)
 	}
 }
 
@@ -256,25 +218,5 @@ func BenchmarkDecodeInto(b *testing.B) {
 		if err := DecodeInto(&out, frame); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkDecodeStructPath is the baseline DecodeInto replaces: the full
-// Frame decode (payload checksum included) plus the ToPacket conversion.
-func BenchmarkDecodeStructPath(b *testing.B) {
-	pkt := samplePacket(TCP)
-	pkt.Length = 720
-	frame, err := Encode(pkt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fr, err := Decode(frame)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = fr.ToPacket()
 	}
 }

@@ -4,14 +4,12 @@
 // the simulator needs are implemented: Ethernet link type, microsecond or
 // nanosecond timestamps, both byte orders on read.
 //
-// There are two ways to read. A Reader pulls records off an io.Reader and
-// copies each into a buffer; a Scanner walks a capture that is already in
-// memory and returns records that point into it, which is what a replay
-// at line rate wants. Both decode and validate a record header with the
-// same function (layout.record), and TestScannerMatchesReader and
-// FuzzScanner hold them to the same records and the same errors. Captures
-// are untrusted input: no length read from one sizes an allocation or a
-// slice before it has been checked against what is really there.
+// There is one way to read: a Scanner walks a capture that is already in
+// memory and returns records that point into it, which is what a replay at
+// line rate wants and all that any caller needs — a capture has to fit in
+// memory. Captures are untrusted input: no length read from one sizes a
+// slice before it has been checked against what is really there
+// (TestScannerWalk, FuzzScanner).
 package pcap
 
 import (
@@ -42,10 +40,10 @@ const (
 	DefaultSnapLen = 65535
 
 	// maxRecordLen caps a single record's captured length no matter what
-	// snapLen the global header claims. The header is part of the
-	// untrusted input, so it cannot be the only bound on the per-record
-	// allocation: a crafted file declaring a 4 GiB snapLen must not let a
-	// 16-byte record header allocate 4 GiB.
+	// snapLen the global header claims: the header is part of the
+	// untrusted input, and no Ethernet frame is a MiB long. (A record must
+	// also fit in what is left of the capture; nothing is allocated for
+	// it.)
 	maxRecordLen = 1 << 20
 )
 
@@ -74,10 +72,6 @@ type Record struct {
 	// OrigLen, not len(Data). On write, zero means len(Data).
 	OrigLen int
 }
-
-// Truncated reports whether the capture stored fewer bytes than the frame
-// carried on the wire.
-func (r Record) Truncated() bool { return r.OrigLen > len(r.Data) }
 
 // Writer emits a pcap stream. Construct it with NewWriter, which writes the
 // global header immediately.
@@ -142,17 +136,15 @@ func (w *Writer) WriteRecord(rec Record) error {
 }
 
 // layout is what a capture's global header fixes for every record after
-// it. Reader and Scanner both embed it, so the two walk records with the
-// same parse and the same checks.
+// it.
 type layout struct {
 	// swap is set for a big-endian file: fields are loaded little-endian
 	// and byte-swapped, which keeps the per-record path free of an
 	// interface call per field.
 	swap bool
 	// tick is the unit of a record's fraction field.
-	tick     time.Duration
-	snapLen  uint32
-	linkType uint32
+	tick    time.Duration
+	snapLen uint32
 }
 
 // parseGlobalHeader validates the 24-byte global header. Both byte orders
@@ -179,7 +171,6 @@ func parseGlobalHeader(hdr *[globalHeaderLen]byte) (layout, error) {
 		return l, fmt.Errorf("%w: %d.%d", ErrBadVersion, major, minor)
 	}
 	l.snapLen = l.u32(hdr[16:20])
-	l.linkType = l.u32(hdr[20:24])
 	return l, nil
 }
 
@@ -194,9 +185,7 @@ func (l *layout) u32(b []byte) uint32 {
 
 // record decodes one record header and applies every check that needs
 // only the header: the captured length may exceed neither the snapLen the
-// file declares nor maxRecordLen. It is the single copy of that
-// validation; what differs between Reader and Scanner is only where the
-// incl bytes that follow come from.
+// file declares nor maxRecordLen.
 func (l *layout) record(h *[recordHeaderLen]byte) (t time.Duration, incl, orig int, err error) {
 	n := l.u32(h[8:12])
 	if n > l.snapLen || n > maxRecordLen {
@@ -206,8 +195,8 @@ func (l *layout) record(h *[recordHeaderLen]byte) (t time.Duration, incl, orig i
 	return t, int(n), int(l.u32(h[12:16])), nil
 }
 
-// A record cut short, by the end of the stream or of the buffer. Built
-// once: the record walk constructs no error on its own.
+// A record cut short by the end of the capture. Built once: the record walk
+// constructs no error on its own.
 var (
 	errTornHeader = fmt.Errorf("pcap: read record header: %w", io.ErrUnexpectedEOF)
 	errTornData   = fmt.Errorf("pcap: read record data: %w", io.ErrUnexpectedEOF)
@@ -217,83 +206,10 @@ func errRecordLen(incl uint32) error {
 	return fmt.Errorf("%w: record claims %d bytes", ErrSnapLen, incl)
 }
 
-// Reader parses a pcap stream. Construct it with NewReader. A capture
-// already held in memory is walked faster, and without copying, by a
-// Scanner.
-type Reader struct {
-	layout
-	r       io.Reader
-	scratch [recordHeaderLen]byte
-}
-
-// NewReader parses the global header from r and returns a Reader positioned
-// at the first record. Both byte orders and both timestamp resolutions are
-// accepted.
-func NewReader(r io.Reader) (*Reader, error) {
-	var hdr [globalHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("pcap: read global header: %w", err)
-	}
-	l, err := parseGlobalHeader(&hdr)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{layout: l, r: r}, nil
-}
-
-// LinkType returns the link-layer type declared in the global header.
-func (r *Reader) LinkType() uint32 { return r.linkType }
-
-// SnapLen returns the snapshot length declared in the global header.
-func (r *Reader) SnapLen() uint32 { return r.snapLen }
-
-// ReadRecord returns the next record, or io.EOF at a clean end of stream.
-// A stream that ends mid-record yields io.ErrUnexpectedEOF. Each call
-// allocates a fresh Data slice; hot loops should use ReadRecordInto.
-func (r *Reader) ReadRecord() (Record, error) {
-	return r.ReadRecordInto(nil)
-}
-
-// ReadRecordInto is ReadRecord with caller-owned storage: when buf has
-// capacity for the record's captured bytes, rec.Data aliases buf and the
-// read performs no allocation. The returned record (including OrigLen,
-// which earlier versions discarded from the header) is valid only until
-// the next ReadRecordInto call that reuses the same buffer.
-func (r *Reader) ReadRecordInto(buf []byte) (Record, error) {
-	if _, err := io.ReadFull(r.r, r.scratch[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("pcap: read record header: %w", err)
-	}
-	t, incl, orig, err := r.record(&r.scratch)
-	if err != nil {
-		return Record{}, err
-	}
-	rec := Record{Time: t, OrigLen: orig}
-	if cap(buf) >= incl {
-		rec.Data = buf[:incl]
-	} else {
-		// record bounded incl; the min keeps that bound visible at the
-		// allocation it protects.
-		rec.Data = make([]byte, min(incl, maxRecordLen))
-	}
-	if _, err := io.ReadFull(r.r, rec.Data); err != nil {
-		// ReadFull reports a stream that ends exactly at the header as a
-		// clean io.EOF; with incl bytes still owed it is a torn record.
-		if errors.Is(err, io.EOF) {
-			return rec, errTornData
-		}
-		return rec, fmt.Errorf("pcap: read record data: %w", err)
-	}
-	return rec, nil
-}
-
-// Scanner walks the records of a capture held in memory. It is the
-// Reader without the stream: same header validation, same per-record
-// checks, same errors, but each Record's Data is a slice of the capture
-// itself, so a record costs a handful of loads and no copy. The capture
-// must not change while the Scanner or any Record it returned is in use.
+// Scanner walks the records of a capture held in memory. Each Record's Data
+// is a slice of the capture itself, so a record costs a handful of loads
+// and no copy. The capture must not change while the Scanner or any Record
+// it returned is in use.
 type Scanner struct {
 	layout
 	data []byte
@@ -306,7 +222,7 @@ type Scanner struct {
 // a Scanner positioned at the first record.
 func NewScanner(data []byte) (*Scanner, error) {
 	if len(data) < globalHeaderLen {
-		// What io.ReadFull tells NewReader for the same bytes.
+		// What io.ReadFull says of a stream this short.
 		cause := io.ErrUnexpectedEOF
 		if len(data) == 0 {
 			cause = io.EOF
@@ -333,8 +249,8 @@ func (s *Scanner) Rewind() { s.off = globalHeaderLen }
 // to it reallocates rather than running on into the next record's header.
 //
 // A header or body cut short by the end of the buffer is
-// io.ErrUnexpectedEOF and an over-long record ErrSnapLen, as from a
-// Reader. After either the Scanner is exhausted and returns io.EOF: where
+// io.ErrUnexpectedEOF and an over-long record ErrSnapLen. After either the
+// Scanner is exhausted and returns io.EOF: where
 // the next record would start is exactly what a bad length leaves
 // unknown, and walking on would decode payload bytes as headers.
 //

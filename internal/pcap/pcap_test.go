@@ -11,6 +11,13 @@ import (
 	"bitmapfilter/internal/packet"
 )
 
+// readRecord is Scanner.Next returning the record.
+func readRecord(sc *Scanner) (Record, error) {
+	var rec Record
+	err := sc.Next(&rec)
+	return rec, err
+}
+
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -54,37 +61,33 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewScanner(buf.Bytes())
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("NewScanner: %v", err)
 	}
-	if r.LinkType() != LinkTypeEthernet {
-		t.Errorf("LinkType = %d", r.LinkType())
+	if got := binary.LittleEndian.Uint32(buf.Bytes()[20:24]); got != LinkTypeEthernet {
+		t.Errorf("link type = %d", got)
 	}
-	if r.SnapLen() != DefaultSnapLen {
-		t.Errorf("SnapLen = %d", r.SnapLen())
+	if r.snapLen != DefaultSnapLen {
+		t.Errorf("snapLen = %d", r.snapLen)
 	}
 	for i, want := range pkts {
-		rec, err := r.ReadRecord()
+		rec, err := readRecord(r)
 		if err != nil {
-			t.Fatalf("ReadRecord[%d]: %v", i, err)
+			t.Fatalf("record %d: %v", i, err)
 		}
 		if rec.Time != want.Time {
 			t.Errorf("record %d time = %v, want %v", i, rec.Time, want.Time)
 		}
-		dec, err := packet.Decode(rec.Data)
-		if err != nil {
-			t.Fatalf("Decode[%d]: %v", i, err)
+		got := packet.Packet{Time: rec.Time}
+		if err := packet.DecodeInto(&got, rec.Data); err != nil {
+			t.Fatalf("DecodeInto[%d]: %v", i, err)
 		}
-		if dec.Tuple != want.Tuple {
-			t.Errorf("record %d tuple = %+v, want %+v", i, dec.Tuple, want.Tuple)
-		}
-		got := dec.ToPacket()
-		if got.Dir != want.Dir {
-			t.Errorf("record %d dir = %v, want %v", i, got.Dir, want.Dir)
+		if got != want {
+			t.Errorf("record %d = %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := r.ReadRecord(); !errors.Is(err, io.EOF) {
+	if _, err := readRecord(r); !errors.Is(err, io.EOF) {
 		t.Errorf("expected EOF, got %v", err)
 	}
 }
@@ -94,18 +97,18 @@ func TestEmptyFile(t *testing.T) {
 	if _, err := NewWriter(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewScanner(buf.Bytes())
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("NewScanner: %v", err)
 	}
-	if _, err := r.ReadRecord(); !errors.Is(err, io.EOF) {
+	if _, err := readRecord(r); !errors.Is(err, io.EOF) {
 		t.Errorf("want EOF, got %v", err)
 	}
 }
 
 func TestBadMagic(t *testing.T) {
 	data := make([]byte, 24)
-	if _, err := NewReader(bytes.NewReader(data)); !errors.Is(err, ErrBadMagic) {
+	if _, err := NewScanner(data); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("want ErrBadMagic, got %v", err)
 	}
 }
@@ -117,13 +120,13 @@ func TestBadVersion(t *testing.T) {
 	}
 	data := buf.Bytes()
 	binary.LittleEndian.PutUint16(data[4:6], 9)
-	if _, err := NewReader(bytes.NewReader(data)); !errors.Is(err, ErrBadVersion) {
+	if _, err := NewScanner(data); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("want ErrBadVersion, got %v", err)
 	}
 }
 
 func TestTruncatedHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader(make([]byte, 10))); err == nil {
+	if _, err := NewScanner(make([]byte, 10)); err == nil {
 		t.Error("truncated global header accepted")
 	}
 }
@@ -139,11 +142,11 @@ func TestTruncatedRecord(t *testing.T) {
 	}
 	// Chop off half the payload.
 	data := buf.Bytes()[:buf.Len()-50]
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := NewScanner(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadRecord(); err == nil {
+	if _, err := readRecord(r); err == nil {
 		t.Error("truncated record accepted")
 	}
 }
@@ -177,13 +180,13 @@ func TestBigEndianRead(t *testing.T) {
 	buf.Write(rec)
 	buf.Write([]byte{1, 2, 3, 4})
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewScanner(buf.Bytes())
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("NewScanner: %v", err)
 	}
-	got, err := r.ReadRecord()
+	got, err := readRecord(r)
 	if err != nil {
-		t.Fatalf("ReadRecord: %v", err)
+		t.Fatalf("Next: %v", err)
 	}
 	want := 7*time.Second + 250*time.Millisecond
 	if got.Time != want {
@@ -211,13 +214,13 @@ func TestNanosecondRead(t *testing.T) {
 	buf.Write(rec)
 	buf.WriteByte(0xab)
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewScanner(buf.Bytes())
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("NewScanner: %v", err)
 	}
-	got, err := r.ReadRecord()
+	got, err := readRecord(r)
 	if err != nil {
-		t.Fatalf("ReadRecord: %v", err)
+		t.Fatalf("Next: %v", err)
 	}
 	if want := time.Second + 500*time.Nanosecond; got.Time != want {
 		t.Errorf("time = %v, want %v", got.Time, want)
@@ -235,18 +238,18 @@ func TestRecordClaimsMoreThanSnapLen(t *testing.T) {
 	rec := make([]byte, 16)
 	binary.LittleEndian.PutUint32(rec[8:12], DefaultSnapLen+10)
 	data = append(data, rec...)
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := NewScanner(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadRecord(); !errors.Is(err, ErrSnapLen) {
+	if _, err := readRecord(r); !errors.Is(err, ErrSnapLen) {
 		t.Errorf("want ErrSnapLen, got %v", err)
 	}
 }
 
 // TestOrigLenRoundTrip is the regression test for the dropped origLen:
-// the old reader discarded scratch[12:16], so a snapLen-truncated capture
-// lost the true wire length of every frame.
+// the first reader discarded the header's last word, so a snapLen-truncated
+// capture lost the true wire length of every frame.
 func TestOrigLenRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -265,7 +268,7 @@ func TestOrigLenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewScanner(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,15 +281,15 @@ func TestOrigLenRoundTrip(t *testing.T) {
 		{90, false},
 	}
 	for i, w := range want {
-		rec, err := r.ReadRecord()
+		rec, err := readRecord(r)
 		if err != nil {
-			t.Fatalf("ReadRecord[%d]: %v", i, err)
+			t.Fatalf("record %d: %v", i, err)
 		}
 		if rec.OrigLen != w.origLen {
 			t.Errorf("record %d OrigLen = %d, want %d", i, rec.OrigLen, w.origLen)
 		}
-		if rec.Truncated() != w.truncated {
-			t.Errorf("record %d Truncated() = %v, want %v", i, rec.Truncated(), w.truncated)
+		if got := rec.OrigLen > len(rec.Data); got != w.truncated {
+			t.Errorf("record %d truncated = %v, want %v", i, got, w.truncated)
 		}
 	}
 }
@@ -329,73 +332,16 @@ func TestWriteRecordTimestampRange(t *testing.T) {
 	if err := w.WriteRecord(Record{Time: max, Data: data}); err != nil {
 		t.Fatalf("boundary time rejected: %v", err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewScanner(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := r.ReadRecord()
+	rec, err := readRecord(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Time != max {
 		t.Errorf("boundary time = %v, want %v", rec.Time, max)
-	}
-}
-
-// TestReadRecordIntoReusesBuffer pins the zero-alloc read contract the
-// live plane's replay source depends on.
-func TestReadRecordIntoReusesBuffer(t *testing.T) {
-	const frames = 64
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 720)
-	for i := 0; i < frames; i++ {
-		payload[0] = byte(i)
-		if err := w.WriteRecord(Record{Time: time.Duration(i) * time.Millisecond, Data: payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	raw := buf.Bytes()
-	scratch := make([]byte, DefaultSnapLen)
-	rdr := bytes.NewReader(raw)
-	r, err := NewReader(rdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	allocs := testing.AllocsPerRun(frames-1, func() {
-		rec, err := r.ReadRecordInto(scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Data[0] != byte(n) || len(rec.Data) != len(payload) {
-			t.Fatalf("record %d: first byte %d, len %d", n, rec.Data[0], len(rec.Data))
-		}
-		if &rec.Data[0] != &scratch[0] {
-			t.Fatal("record data does not alias the caller's buffer")
-		}
-		n++
-	})
-	if allocs != 0 {
-		t.Errorf("ReadRecordInto allocates %.1f times per record", allocs)
-	}
-
-	// A buffer too small for the record must still succeed, freshly
-	// allocated.
-	r2, err := NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := r2.ReadRecordInto(make([]byte, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Data) != len(payload) {
-		t.Errorf("small-buffer read returned %d bytes, want %d", len(rec.Data), len(payload))
 	}
 }
 

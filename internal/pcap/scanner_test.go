@@ -55,53 +55,28 @@ func someRecords(n int) []rawRecord {
 	return recs
 }
 
-// errClass names the sentinel an error matches, so that two walks can be
-// compared by what a caller would branch on, not by message.
-func errClass(err error) string {
-	for _, s := range []error{io.EOF, io.ErrUnexpectedEOF, ErrSnapLen, ErrBadMagic, ErrBadVersion} {
-		if errors.Is(err, s) {
-			return s.Error()
-		}
-	}
-	if err == nil {
-		return "nil"
-	}
-	return "other: " + err.Error()
-}
-
-// walkBoth runs data through a Reader and a Scanner and requires the same
-// records and the same class of terminal error from both, that every
-// Scanner record is a fenced slice of data, and that the Scanner is
-// exhausted after its first error. It returns the records and that error.
-func walkBoth(t testing.TB, data []byte) (int, error) {
+// walk runs a Scanner over data to its end and holds it to its contract on
+// the way: every record is a fenced slice of data right behind its header,
+// a failed Next leaves the caller's Record alone, and the Scanner is
+// exhausted after its first error. It returns the records walked and that
+// error (io.EOF for a clean end).
+func walk(t testing.TB, data []byte) (int, error) {
 	t.Helper()
-	rd, rerr := NewReader(bytes.NewReader(data))
-	sc, serr := NewScanner(data)
-	if errClass(rerr) != errClass(serr) {
-		t.Fatalf("open: Reader %v, Scanner %v", rerr, serr)
-	}
-	if serr != nil {
-		return 0, serr
+	sc, err := NewScanner(data)
+	if err != nil {
+		return 0, err
 	}
 	off := globalHeaderLen
 	for n := 0; ; n++ {
-		want, rerr := rd.ReadRecord()
 		var got Record
-		serr := sc.Next(&got)
-		if errClass(rerr) != errClass(serr) {
-			t.Fatalf("record %d: Reader %v, Scanner %v", n, rerr, serr)
-		}
-		if serr != nil {
+		if err := sc.Next(&got); err != nil {
 			if got.Data != nil || got.Time != 0 || got.OrigLen != 0 {
-				t.Fatalf("record %d: Scanner wrote %+v alongside %v", n, got, serr)
+				t.Fatalf("record %d: Scanner wrote %+v alongside %v", n, got, err)
 			}
 			if again := sc.Next(&got); again != io.EOF {
-				t.Fatalf("record %d: Scanner returned %v after %v, want io.EOF", n, again, serr)
+				t.Fatalf("record %d: Scanner returned %v after %v, want io.EOF", n, again, err)
 			}
-			return n, serr
-		}
-		if got.Time != want.Time || got.OrigLen != want.OrigLen || !bytes.Equal(got.Data, want.Data) {
-			t.Fatalf("record %d: Scanner %+v, Reader %+v", n, got, want)
+			return n, err
 		}
 		if cap(got.Data) != len(got.Data) {
 			t.Fatalf("record %d: cap %d != len %d", n, cap(got.Data), len(got.Data))
@@ -110,13 +85,16 @@ func walkBoth(t testing.TB, data []byte) (int, error) {
 			t.Fatalf("record %d: Data is not the capture's own bytes at %d", n, off+recordHeaderLen)
 		}
 		off += recordHeaderLen + len(got.Data)
+		if off > len(data) {
+			t.Fatalf("record %d: ends at %d, past the capture's %d bytes", n, off, len(data))
+		}
 	}
 }
 
-// TestScannerMatchesReader is the differential: the Scanner is the Reader
-// without the stream, on every layout a capture can have and at every
-// way its tail can be cut.
-func TestScannerMatchesReader(t *testing.T) {
+// TestScannerWalk walks every layout a capture can have, cut at every way
+// its tail can be: the records that were written come back, with their
+// times and lengths, and each damage ends the walk with its own error.
+func TestScannerWalk(t *testing.T) {
 	orders := []binary.ByteOrder{binary.LittleEndian, binary.BigEndian}
 	for _, order := range orders {
 		for _, nano := range []bool{false, true} {
@@ -124,21 +102,26 @@ func TestScannerMatchesReader(t *testing.T) {
 			recs := someRecords(12)
 			whole := buildCapture(order, nano, DefaultSnapLen, recs)
 
-			n, err := walkBoth(t, whole)
+			n, err := walk(t, whole)
 			if n != len(recs) || err != io.EOF {
 				t.Errorf("%s: walked %d records then %v, want %d then io.EOF", name, n, err, len(recs))
 			}
-			// Resolution is honoured: record 1 carries 1000 fraction units.
-			sc, _ := NewScanner(whole)
-			var rec Record
-			sc.Next(&rec)
-			sc.Next(&rec)
-			want := 1000 * time.Microsecond
+			// Every record comes back as written, byte order and resolution
+			// honoured (record 1 carries 1000 fraction units).
+			tick := time.Microsecond
 			if nano {
-				want = 1000 * time.Nanosecond
+				tick = time.Nanosecond
 			}
-			if rec.Time != want {
-				t.Errorf("%s: record 1 at %v, want %v", name, rec.Time, want)
+			sc, _ := NewScanner(whole)
+			for i, want := range recs {
+				var rec Record
+				if err := sc.Next(&rec); err != nil {
+					t.Fatalf("%s: record %d: %v", name, i, err)
+				}
+				if at := time.Duration(want.sec)*time.Second + time.Duration(want.frac)*tick; rec.Time != at ||
+					rec.OrigLen != int(want.orig) || !bytes.Equal(rec.Data, want.data) {
+					t.Errorf("%s: record %d = %+v, want %+v at %v", name, i, rec, want, at)
+				}
 			}
 
 			// Cut at every byte of the last two records: a clean end only on
@@ -150,7 +133,7 @@ func TestScannerMatchesReader(t *testing.T) {
 				len(whole): 12,
 			}
 			for cut := len(whole) - last2; cut <= len(whole); cut++ {
-				n, err := walkBoth(t, whole[:cut:cut])
+				n, err := walk(t, whole[:cut:cut])
 				if records, ok := boundary[cut]; ok {
 					if n != records || err != io.EOF {
 						t.Errorf("%s cut at %d: %d records then %v, want %d then io.EOF", name, cut, n, err, records)
@@ -162,24 +145,30 @@ func TestScannerMatchesReader(t *testing.T) {
 
 			// A record longer than the file's snapLen, with its bytes present.
 			long := append(someRecords(3), rawRecord{incl: 200, orig: 200, data: make([]byte, 200)}, rawRecord{incl: 1, orig: 1, data: []byte{9}})
-			if n, err := walkBoth(t, buildCapture(order, nano, 128, long)); n != 3 || !errors.Is(err, ErrSnapLen) {
+			if n, err := walk(t, buildCapture(order, nano, 128, long)); n != 3 || !errors.Is(err, ErrSnapLen) {
 				t.Errorf("%s over snapLen: %d records then %v, want 3 then ErrSnapLen", name, n, err)
 			}
 			// A file whose snapLen allows anything: maxRecordLen still holds.
 			huge := append(someRecords(2), rawRecord{incl: maxRecordLen + 1, orig: maxRecordLen + 1})
-			if n, err := walkBoth(t, buildCapture(order, nano, 0xffffffff, huge)); n != 2 || !errors.Is(err, ErrSnapLen) {
+			if n, err := walk(t, buildCapture(order, nano, 0xffffffff, huge)); n != 2 || !errors.Is(err, ErrSnapLen) {
 				t.Errorf("%s over maxRecordLen: %d records then %v, want 2 then ErrSnapLen", name, n, err)
 			}
 		}
 	}
 
-	// What is not a capture at all fails the same way at open.
-	for _, data := range [][]byte{nil, make([]byte, 10), []byte("this is definitely not a pcap capture file")} {
-		walkBoth(t, data)
+	// What is not a capture at all fails at open.
+	for data, want := range map[string]error{
+		"":           io.EOF,
+		"0123456789": io.ErrUnexpectedEOF,
+		"this is definitely not a pcap capture file": ErrBadMagic,
+	} {
+		if _, err := walk(t, []byte(data)); !errors.Is(err, want) {
+			t.Errorf("open %q: %v, want %v", data, err, want)
+		}
 	}
 	badVersion := buildCapture(binary.BigEndian, false, DefaultSnapLen, nil)
 	badVersion[5] = 3
-	if _, err := walkBoth(t, badVersion); !errors.Is(err, ErrBadVersion) {
+	if _, err := walk(t, badVersion); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("version 3.4: %v, want ErrBadVersion", err)
 	}
 }
@@ -203,15 +192,15 @@ func TestScannerRewind(t *testing.T) {
 	}
 }
 
-// FuzzScanner drives arbitrary bytes through Reader and Scanner side by
-// side: whatever the input, both see the same records and fail alike, and
-// walkBoth's slicing checks mean the Scanner never reached past data.
+// FuzzScanner drives arbitrary bytes through the Scanner: whatever the
+// input it terminates without a panic, and walk's slicing checks mean it
+// never reached past data.
 func FuzzScanner(f *testing.F) {
 	f.Add(buildCapture(binary.LittleEndian, false, DefaultSnapLen, someRecords(4)))
 	f.Add(buildCapture(binary.BigEndian, true, 64, someRecords(4)))
 	f.Add(buildCapture(binary.LittleEndian, true, 0xffffffff, []rawRecord{{incl: maxRecordLen + 1}}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		walkBoth(t, data[:len(data):len(data)])
+		walk(t, data[:len(data):len(data)])
 	})
 }

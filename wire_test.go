@@ -65,10 +65,9 @@ func wireTrace(r *xrand.Rand, base, n int) []bitmapfilter.Packet {
 // judged twice — once through the struct path (the packets as generated)
 // and once through the wire path (encode → DecodeInto → verdict) — on
 // identically seeded filters. The verdict streams must be byte-identical,
-// on both the single and the 8-shard flavor, and DecodeTuple must agree
-// with the struct tuple on every sampled frame. Any divergence between the
-// zero-copy decoder and the reference decoder shows up here as a verdict
-// mismatch at a named packet index.
+// on both the single and the 8-shard flavor, and every decoded packet must
+// equal the one that was encoded. Any divergence between the decoder and
+// the generated truth shows up here at a named packet index.
 func TestWireDifferentialMillion(t *testing.T) {
 	n := 1_000_000
 	if testing.Short() {
@@ -120,16 +119,8 @@ func TestWireDifferentialMillion(t *testing.T) {
 				t.Fatalf("decode frame %d: %v", base+i, err)
 			}
 			decoded[i].Time = pkts[i].Time
-		}
-		// Spot-check the tuple-only fast path against the generated truth.
-		for i := 0; i < m; i += 97 {
-			tup, dir, err := bitmapfilter.DecodeTuple(frames[i])
-			if err != nil {
-				t.Fatalf("DecodeTuple frame %d: %v", base+i, err)
-			}
-			if tup != pkts[i].Tuple || dir != pkts[i].Dir {
-				t.Fatalf("DecodeTuple frame %d: got (%v, %v), want (%v, %v)",
-					base+i, tup, dir, pkts[i].Tuple, pkts[i].Dir)
+			if decoded[i] != pkts[i] {
+				t.Fatalf("decode frame %d: got %+v, want %+v", base+i, decoded[i], pkts[i])
 			}
 		}
 		for _, l := range lanes {
