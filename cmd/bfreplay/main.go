@@ -86,12 +86,12 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown filter %q (want bitmap or spi)", *filterName)
 	}
 
-	f, err := os.Open(*inPath)
+	// One allocation of the file's size, as bfwall loads its -pcap.
+	trace, err := os.ReadFile(*inPath)
 	if err != nil {
 		return err
 	}
-	src, err := capture.NewReplay(f, 1)
-	f.Close()
+	src, err := capture.NewReplayBytes(trace, 1)
 	if err != nil {
 		return err
 	}

@@ -43,6 +43,7 @@
 //	bfwall -pcap scan.pcap -loops 10 -listen :8081
 //	bfwall -tenants fleet.json -pcap trace.pcap
 //	bfwall -pcap trace.pcap -checkpoint state.bmf -on-overload drop
+//	bfwall -bench -pcap scan.pcap -loops 40 -cpuprofile cpu.prof
 package main
 
 import (
@@ -55,6 +56,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -118,6 +120,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		connRate = fs.Float64("conn-rate", 25, "synthesized legitimate session arrival rate per second")
 		genDur   = fs.Duration("gen-duration", time.Second, "synthesized trace duration (virtual time)")
 		seed     = fs.Uint64("seed", 1, "synthesized trace seed")
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the pump, from its start to its drain, to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -249,6 +253,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		p.Watch(wd, *stallAfter)
 	}
 
+	// The last thing that can fail before the pump runs: from here to the
+	// drain there is no return path, so the profile is always stopped.
+	var profile *os.File
+	if *cpuProfile != "" {
+		if profile, err = startCPUProfile(*cpuProfile); err != nil {
+			return err
+		}
+	}
+
 	plane := &resiliencePlane{
 		sup:     sup,
 		buf:     buf,
@@ -306,6 +319,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	elapsed := time.Since(start)
+	// Whole before anything more is printed: a -bench run piped into head
+	// dies of SIGPIPE on its report, after the file is closed.
+	if profile != nil {
+		pprof.StopCPUProfile()
+		if err := profile.Close(); err != nil && runErr == nil {
+			runErr = err
+		}
+	}
 
 	if cp != nil {
 		cp.Stop()
@@ -353,6 +374,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// startCPUProfile starts the process's CPU profile into a new file at path,
+// and leaves no file behind if it cannot.
+func startCPUProfile(path string) (*os.File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return f, nil
 }
 
 // beatFn adapts a possibly-nil probe to an optional heartbeat hook.

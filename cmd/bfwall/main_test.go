@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -54,6 +56,59 @@ func TestBenchEndToEnd(t *testing.T) {
 	}
 	if strings.Contains(report, "NOT saturated") {
 		t.Errorf("1 pps target not saturated:\n%s", report)
+	}
+}
+
+// reportHook is run's stdout: when the bench report starts to arrive it
+// calls onReport, once.
+type reportHook struct {
+	bytes.Buffer
+	onReport func()
+}
+
+func (h *reportHook) Write(p []byte) (int, error) {
+	if h.onReport != nil && bytes.Contains(p, []byte("bfwall bench:")) {
+		h.onReport()
+		h.onReport = nil
+	}
+	return h.Buffer.Write(p)
+}
+
+// TestBenchCPUProfile: -cpuprofile over the synthesized trace leaves a
+// profile with something in it, and leaves it whole before the report is
+// printed — `bfwall -bench -cpuprofile f | head -1` is killed by SIGPIPE
+// on that print, and a profile that was still open then would not parse. A
+// CPU profile is a gzip stream: a torn one does not decompress to its end.
+func TestBenchCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	var atReport []byte
+	out := reportHook{onReport: func() { atReport, _ = os.ReadFile(path) }}
+	err := run(context.Background(), []string{
+		"-bench", "-target", "1", "-cpuprofile", path,
+		"-scan-pps", "20000", "-conn-rate", "10", "-gen-duration", "500ms", "-loops", "20",
+	}, &out)
+	if err != nil && strings.Contains(err.Error(), "already in use") {
+		t.Skip("the test binary is itself being profiled:", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(atReport))
+	if err != nil {
+		t.Fatalf("the profile as it was when the report was printed (%d bytes): %v", len(atReport), err)
+	}
+	if body, err := io.ReadAll(zr); err != nil || len(body) == 0 {
+		t.Fatalf("the profile as it was when the report was printed: %d bytes inflated, %v", len(body), err)
+	}
+	if final, err := os.ReadFile(path); err != nil || !bytes.Equal(final, atReport) {
+		t.Errorf("the profile changed after the report was printed: %d bytes then, %d now (%v)", len(atReport), len(final), err)
+	}
+
+	// A profile that cannot be started is an error before the pump runs, and
+	// no file.
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "cpu.prof")
+	if err := run(context.Background(), []string{"-bench", "-cpuprofile", missing, "-gen-duration", "10ms"}, io.Discard); err == nil {
+		t.Error("-cpuprofile into a missing directory: no error")
 	}
 }
 

@@ -1376,12 +1376,17 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	if busy := snap.Pump.CommitBusy; busy <= 0 || busy > time.Since(started).Seconds() || (sk.lanes == 0 && busy < wedgedFor.Seconds()) {
 		t.Errorf("/stats pump.commit_busy_seconds = %g over %v with the judge wedged for %v", busy, time.Since(started), wedgedFor)
 	}
+	// Turns at the source are one at a time: whatever W, they fit in the wall.
+	if busy := snap.Pump.SourceBusy; busy <= 0 || busy > time.Since(started).Seconds() {
+		t.Errorf("/stats pump.source_busy_seconds = %g over %v", busy, time.Since(started))
+	}
 	_, metrics := get("/metrics")
 	wants := []string{
 		fmt.Sprintf("bitmapfilter_pump_workers %d", workers),
 		fmt.Sprintf("bitmapfilter_pump_foreign_commits_total %d", snap.Pump.ForeignCommits),
 		fmt.Sprintf("bitmapfilter_pump_buffer_waits_total %d", snap.Pump.BufferWaits),
 		fmt.Sprintf("bitmapfilter_pump_commit_busy_seconds_total %g", snap.Pump.CommitBusy),
+		fmt.Sprintf("bitmapfilter_pump_source_busy_seconds_total %g", snap.Pump.SourceBusy),
 		`bitmapfilter_resilience_probe_stalled{probe="worker0"} 0`,
 		`bitmapfilter_resilience_probe_stalled{probe="batch"} 0`,
 	}

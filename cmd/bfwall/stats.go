@@ -42,6 +42,10 @@ type pumpSnapshot struct {
 	// CommitBusy is the time the commit lock was held: over the wall, the
 	// share of it the serial stage (judge, scatter or hand-off) occupies.
 	CommitBusy float64 `json:"commit_busy_seconds"`
+	// SourceBusy is the time spent in the source's ReadBatch under the source
+	// lock, the other serial stage: over frames, at saturation, the read term
+	// of a frame (a live source's wait for traffic is inside it).
+	SourceBusy float64 `json:"source_busy_seconds"`
 }
 
 // laneSnapshot is one lane: a shard's, or a fleet's. dispatcher_stalls
@@ -85,7 +89,7 @@ func renderStats(snap pump.Snapshot, started, now time.Time) statsSnapshot {
 		PPS:           perSecond(snap.Frames, uptime),
 		LatencyP50Ns:  int64(snap.LatencyP50),
 		LatencyP99Ns:  int64(snap.LatencyP99),
-		Pump:          pumpSnapshot{Workers: snap.Workers, ForeignCommits: snap.ForeignCommits, BufferWaits: snap.BufferWaits, CommitBusy: snap.CommitBusy.Seconds()},
+		Pump:          pumpSnapshot{Workers: snap.Workers, ForeignCommits: snap.ForeignCommits, BufferWaits: snap.BufferWaits, CommitBusy: snap.CommitBusy.Seconds(), SourceBusy: snap.SourceBusy.Seconds()},
 		Lanes:         lanes,
 		Filter:        filterSnapshot{Name: snap.FilterName, MemoryBytes: snap.FilterMemory, Counters: snap.Counters},
 	}
@@ -170,6 +174,7 @@ func newMux(started time.Time, snapshot func() pump.Snapshot, plane *resilienceP
 		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_foreign_commits_total counter\nbitmapfilter_pump_foreign_commits_total %d\n", snap.ForeignCommits)
 		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_buffer_waits_total counter\nbitmapfilter_pump_buffer_waits_total %d\n", snap.BufferWaits)
 		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_commit_busy_seconds_total counter\nbitmapfilter_pump_commit_busy_seconds_total %g\n", snap.CommitBusy.Seconds())
+		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_source_busy_seconds_total counter\nbitmapfilter_pump_source_busy_seconds_total %g\n", snap.SourceBusy.Seconds())
 		writeLaneMetrics(w, snap.Lanes)
 		if plane != nil {
 			plane.writeMetrics(w, snap)

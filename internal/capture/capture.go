@@ -57,7 +57,10 @@ type Source interface {
 	// — a replayed trace, later a mapped receive ring — cut with cap ==
 	// len, so that an append to it reallocates rather than running on
 	// into whatever the source keeps behind the frame. Either way Data is
-	// read-only to the caller.
+	// read-only to the caller. An aliasing source may also load from its
+	// memory ahead of the frames it is about to deliver — Replay touches
+	// the span a batch will cover before it walks it, so that the misses
+	// overlap — which no caller can observe: it moves and writes nothing.
 	//
 	// A frame lives as long as its ring: Data is valid until the ring it
 	// was delivered into is next passed to ReadBatch, however many other

@@ -3,8 +3,10 @@ package capture
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
@@ -13,8 +15,15 @@ import (
 	"bitmapfilter/internal/pcap"
 )
 
-// makeTrace encodes count frames, 1ms apart, into an in-memory pcap.
+// makeTrace encodes count minimum-size frames, 1ms apart, into an
+// in-memory pcap.
 func makeTrace(t testing.TB, count int) []byte {
+	t.Helper()
+	return makeTraceOf(t, count, 60)
+}
+
+// makeTraceOf is makeTrace with frames of the given IP length.
+func makeTraceOf(t testing.TB, count, length int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := pcap.NewWriter(&buf)
@@ -28,7 +37,7 @@ func makeTrace(t testing.TB, count int) []byte {
 				Src: packet.AddrFrom4(10, 0, 0, 1), Dst: packet.AddrFrom4(198, 51, 100, 1),
 				SrcPort: uint16(1024 + i), DstPort: 80, Proto: packet.TCP,
 			},
-			Dir: packet.Outgoing, Flags: packet.SYN, Length: 60,
+			Dir: packet.Outgoing, Flags: packet.SYN, Length: length,
 		}
 		frame, err := packet.Encode(p)
 		if err != nil {
@@ -179,6 +188,116 @@ func TestReplayLoopSeamOutOfOrder(t *testing.T) {
 		if got, want := ring[3+i].Time-ring[3].Time, ring[i].Time-ring[0].Time; got != want {
 			t.Errorf("frame %d of pass 2 sits %v after its first, recorded %v", i, got, want)
 		}
+	}
+}
+
+// replayBatch is one ReadBatch as it returned.
+type replayBatch struct {
+	frames []Frame
+	err    error
+}
+
+// drainReplay reads trace to its end through a ring of the given size and
+// returns every batch as delivered. With untouched set it zeroes the
+// replay's look-ahead before every read, which is the walk with no touch in
+// it: the reference the touched walk is held to.
+func drainReplay(t *testing.T, trace []byte, loops, ring int, untouched bool) (batches []replayBatch, touched int, final *Replay) {
+	t.Helper()
+	r, err := NewReplayBytes(trace, loops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([]Frame, ring)
+	for {
+		if untouched {
+			r.ahead = 0
+		}
+		if r.ahead > 0 {
+			touched++
+		}
+		n, err := r.ReadBatch(frames)
+		batches = append(batches, replayBatch{append([]Frame(nil), frames[:n]...), err})
+		if err != nil {
+			return batches, touched, r
+		}
+		if len(batches) > 1<<20 {
+			t.Fatal("the replay does not end")
+		}
+	}
+}
+
+// TestReplayTouchedWalkIsPlainWalk: the touch ReadBatch makes ahead of its
+// walk changes nothing a caller can see. Every batch of the touched replay
+// is the untouched one's — as many frames, the same bytes of the trace, the
+// same shifted times, the same error — over traces whose look-ahead span is
+// clamped at the end of the data, is longer than the whole capture, has a
+// torn header, a torn body or an over-long record inside it, and across the
+// seam of a looped replay, where the clock must also stay monotonic. Which
+// reads touch is the rule's: a batch predicts the next from the bytes and
+// records of the pass it ended in, so a seam never makes large records look
+// small.
+func TestReplayTouchedWalkIsPlainWalk(t *testing.T) {
+	const recordHeader = 16    // what pcap puts in front of every frame
+	small := makeTrace(t, 100) // 76 B a record
+	overlong := append([]byte(nil), small...)
+	// Record 60 claims more than the file's snapLen; the records are 76 B.
+	binary.LittleEndian.PutUint32(overlong[24+60*76+8:], pcap.DefaultSnapLen+1)
+	for _, tc := range []struct {
+		name        string
+		trace       []byte
+		loops, ring int
+		wantTouch   bool
+		wantErr     error
+	}{
+		{"clamped at the end", small, 1, 16, true, io.EOF},
+		{"shorter than one span", small[:24+10*76], 5, 32, true, io.EOF},
+		{"seam every other batch", small, 7, 64, true, io.EOF},
+		{"ring of one", small, 2, 1, true, io.EOF},
+		{"torn header", small[:24+90*76+7], 1, 16, true, io.ErrUnexpectedEOF},
+		{"torn body", small[:24+90*76+40], 1, 16, true, io.ErrUnexpectedEOF},
+		{"torn and looped", small[:24+90*76+40], 3, 16, true, io.ErrUnexpectedEOF},
+		{"over snapLen", overlong, 1, 16, true, pcap.ErrSnapLen},
+		{"records of two lines", makeTraceOf(t, 40, touchMaxRecord-recordHeader), 2, 8, true, io.EOF},
+		{"records a byte over", makeTraceOf(t, 40, touchMaxRecord-recordHeader+1), 2, 8, false, io.EOF},
+		{"mtu frames", makeTraceOf(t, 40, 1500), 2, 8, false, io.EOF},
+		{"mtu frames, a pass and one frame per batch", makeTraceOf(t, 31, 1500), 9, 32, false, io.EOF},
+		{"empty", small[:24], 3, 8, false, io.EOF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, _, wantFinal := drainReplay(t, tc.trace, tc.loops, tc.ring, true)
+			got, touched, gotFinal := drainReplay(t, tc.trace, tc.loops, tc.ring, false)
+			if (touched > 0) != tc.wantTouch {
+				t.Errorf("%d of %d reads touched ahead, want some: %v", touched, len(got), tc.wantTouch)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d batches, untouched %d", len(got), len(want))
+			}
+			var clock time.Duration
+			sawErr := false
+			for i := range want {
+				g, w := got[i], want[i]
+				if len(g.frames) != len(w.frames) || (g.err == nil) != (w.err == nil) || (g.err != nil && g.err.Error() != w.err.Error()) {
+					t.Fatalf("batch %d: %d frames and %v, untouched %d and %v", i, len(g.frames), g.err, len(w.frames), w.err)
+				}
+				sawErr = sawErr || errors.Is(g.err, tc.wantErr)
+				for j := range w.frames {
+					gf, wf := g.frames[j], w.frames[j]
+					if gf.Time != wf.Time || gf.OrigLen != wf.OrigLen || len(gf.Data) != len(wf.Data) || cap(gf.Data) != len(gf.Data) || &gf.Data[0] != &wf.Data[0] {
+						t.Fatalf("batch %d frame %d: %+v, untouched %+v", i, j, gf, wf)
+					}
+					if gf.Time <= clock {
+						t.Fatalf("batch %d frame %d at %v, not after %v", i, j, gf.Time, clock)
+					}
+					clock = gf.Time
+				}
+			}
+			if !sawErr {
+				t.Errorf("the replay never returned %v", tc.wantErr)
+			}
+			if g, w := gotFinal, wantFinal; !reflect.DeepEqual(g.sc, w.sc) || g.loops != w.loops || g.offset != w.offset || g.newest != w.newest || g.read != w.read {
+				t.Errorf("the replay ends at loops %d, offset %v, newest %v, read %v; untouched %d, %v, %v, %v — or the scanners differ", g.loops, g.offset, g.newest, g.read, w.loops, w.offset, w.newest, w.read)
+			}
+		})
 	}
 }
 
@@ -366,22 +485,38 @@ func TestReplayConcurrentClose(t *testing.T) {
 }
 
 // BenchmarkReplayReadBatch prices the replay read path per frame: a
-// 512-slot ring, as the pump uses, over a trace looped without end.
+// 512-slot ring, as the pump uses, over a trace looped without end. The
+// three traces sit on the three sides of the touch ReadBatch makes before
+// it walks: resident mostly fits the reference box's L2, so the touch can
+// only cost there (≈1.2–1.6 ns/frame); streamed is the size of the ledger's
+// scan_flood trace and misses on every record, which is what the touch is
+// for; mtu has records the touch must leave alone.
 func BenchmarkReplayReadBatch(b *testing.B) {
-	trace := makeTrace(b, 1<<16)
-	r, err := NewReplayBytes(trace, 1<<30)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ring := NewRing(512, 0)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(trace) >> 16))
-	b.ResetTimer()
-	for frames := 0; frames < b.N; {
-		n, err := r.ReadBatch(ring)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frames += n
+	for _, bc := range []struct {
+		name           string
+		frames, length int
+	}{
+		{"resident", 1 << 16, 60},
+		{"streamed", 1 << 19, 60},
+		{"mtu", 1 << 15, 1500},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			trace := makeTraceOf(b, bc.frames, bc.length)
+			r, err := NewReplayBytes(trace, 1<<30)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ring := NewRing(512, 0)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(trace) / bc.frames))
+			b.ResetTimer()
+			for frames := 0; frames < b.N; {
+				n, err := r.ReadBatch(ring)
+				if err != nil {
+					b.Fatal(err)
+				}
+				frames += n
+			}
+		})
 	}
 }

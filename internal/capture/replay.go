@@ -25,7 +25,27 @@ type Replay struct {
 	newest time.Duration // highest raw timestamp seen this pass
 	read   bool          // any record read this pass
 	closed atomic.Bool   // set by Close, possibly from another goroutine
+
+	// ahead is how much of the trace ReadBatch touches before it walks: the
+	// bytes the previous batch covered of the pass it ended in, or 0 when
+	// that says nothing about this one (see ReadBatch). warm only keeps the
+	// touch's loads alive.
+	ahead int
+	warm  byte
 }
+
+// touchMaxRecord is the largest a batch's records (header included) may
+// have been on average for the next batch to be touched ahead of its walk:
+// two cache lines. It is an average over the batch, not a bound on each
+// record. Where every record is that small every line of the span holds
+// bytes the walk or packet.DecodeInto loads anyway — the record header,
+// then Ethernet, IP and transport headers, 70 bytes on — and the touch
+// fetches nothing that would not have been fetched; a mixed batch inside
+// the average still has the payload lines of its larger frames pulled in.
+// Past it most lines are payload the header-only decoder never reads:
+// DESIGN.md §11 has what BenchmarkReplayReadBatch/mtu reads for a touch
+// that ignores the rule.
+const touchMaxRecord = 128
 
 // NewReplayBytes replays a capture held in memory. loops is the total
 // number of passes over it; values below 1 mean a single pass. The
@@ -42,7 +62,9 @@ func NewReplayBytes(trace []byte, loops int) (*Replay, error) {
 
 // NewReplay reads the rest of src into memory and replays it: a loader
 // in front of NewReplayBytes for callers that hold a stream, not bytes.
-func NewReplay(src io.ReadSeeker, loops int) (*Replay, error) {
+// A caller with a file wants os.ReadFile and NewReplayBytes: io.ReadAll
+// grows by reallocation and peaks at about twice the capture.
+func NewReplay(src io.Reader, loops int) (*Replay, error) {
 	trace, err := io.ReadAll(src)
 	if err != nil {
 		return nil, fmt.Errorf("capture: read trace: %w", err)
@@ -72,7 +94,16 @@ func (r *Replay) ReadBatch(frames []Frame) (int, error) {
 	if r.closed.Load() {
 		return 0, io.EOF
 	}
-	n := 0
+	// Touch, then walk. The walk is a pointer chase (pcap.Scanner.Touch) and
+	// over a trace that is not in cache it takes one miss per frame in
+	// series, on the one core whose turn at the source it is. Only a full
+	// batch of small records predicts the next: a short one — an error, the
+	// end of the last pass — leaves ahead at 0. A batch that crosses the
+	// seam is touched up to the end of the data, where Touch clamps, and
+	// predicts from its records past the seam alone (first on).
+	r.warm += r.sc.Touch(r.ahead)
+	r.ahead = 0
+	n, first, start := 0, 0, r.sc.Offset()
 	for n < len(frames) {
 		// Frame and pcap.Record are field for field the same struct (the
 		// conversion stops compiling if they drift), so the scanner fills
@@ -86,6 +117,7 @@ func (r *Replay) ReadBatch(frames []Frame) (int, error) {
 			if r.loops > 1 && r.read {
 				r.loops--
 				r.rewind()
+				first, start = n, r.sc.Offset()
 				continue
 			}
 			if n == 0 {
@@ -100,6 +132,9 @@ func (r *Replay) ReadBatch(frames []Frame) (int, error) {
 			f.OrigLen = len(f.Data)
 		}
 		n++
+	}
+	if span := r.sc.Offset() - start; span <= (n-first)*touchMaxRecord {
+		r.ahead = span
 	}
 	return n, nil
 }

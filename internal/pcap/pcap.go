@@ -239,6 +239,36 @@ func NewScanner(data []byte) (*Scanner, error) {
 // Rewind repositions the Scanner at the first record.
 func (s *Scanner) Rewind() { s.off = globalHeaderLen }
 
+// Offset is where in the capture the next record starts: the difference
+// across a run of Next calls is the bytes they covered, headers included.
+func (s *Scanner) Offset() int { return s.off }
+
+// cacheLine is the stride of Touch: the line size of every x86-64 and most
+// arm64 cores. A larger line only makes every other load redundant.
+const cacheLine = 64
+
+// Touch loads one byte of every cache line of the next n bytes of the
+// capture, or of what is left of it, and moves nothing: the walk after it
+// is the walk without it. Next is a pointer chase — where record i+1 starts
+// is a field of record i — so over a capture that is not in cache it pays
+// one dependent miss per record; these loads depend on nothing, so their
+// misses overlap, and the chase behind them runs in cache. It pays off when
+// the caller's next Next calls and their consumer read every line of those
+// n bytes anyway (see capture.Replay for the rule). The sum of the bytes
+// loaded is returned so that the loads are not dead code; it means nothing.
+//
+//bf:hotpath
+func (s *Scanner) Touch(n int) (sum byte) {
+	rest := s.data[s.off:]
+	if n < len(rest) {
+		rest = rest[:max(n, 0)]
+	}
+	for i := 0; i < len(rest); i += cacheLine {
+		sum += rest[i]
+	}
+	return sum
+}
+
 // Next stores the next record in *rec, or returns io.EOF at a clean end of
 // the capture and leaves *rec alone, as it does on every error. It fills
 // the caller's Record rather than returning one because the walk is the

@@ -88,6 +88,9 @@ func walk(t testing.TB, data []byte) (int, error) {
 		if off > len(data) {
 			t.Fatalf("record %d: ends at %d, past the capture's %d bytes", n, off, len(data))
 		}
+		if sc.Offset() != off {
+			t.Fatalf("record %d: Offset %d, the record ends at %d", n, sc.Offset(), off)
+		}
 	}
 }
 
@@ -192,15 +195,110 @@ func TestScannerRewind(t *testing.T) {
 	}
 }
 
+// touchedWalk is what a walk of data comes to: every record, the error
+// that ended it and the Scanner it left behind. With every > 0 it calls
+// Touch(span) before the first record and before every every-th after it,
+// as a replay does before each batch.
+func touchedWalk(data []byte, span, every int) (recs []Record, end error, final Scanner) {
+	sc, err := NewScanner(data)
+	if err != nil {
+		return nil, err, Scanner{}
+	}
+	for {
+		if every > 0 && len(recs)%every == 0 {
+			sc.Touch(span)
+		}
+		var rec Record
+		if err := sc.Next(&rec); err != nil {
+			return recs, err, *sc
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// sameWalk holds the touched walk of data to the plain one: the same
+// records — the same bytes of data, not equal ones — the same error, the
+// same Scanner afterwards.
+func sameWalk(t testing.TB, data []byte, span, every int) {
+	t.Helper()
+	want, wantErr, wantFinal := touchedWalk(data, 0, 0)
+	got, gotErr, gotFinal := touchedWalk(data, span, every)
+	if gotErr != wantErr && (gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("Touch(%d) every %d: walk ended with %v, without it %v", span, every, gotErr, wantErr)
+	}
+	if len(got) != len(want) || gotFinal.off != wantFinal.off || gotFinal.layout != wantFinal.layout {
+		t.Fatalf("Touch(%d) every %d: %d records and the Scanner at %d, without it %d and %d", span, every, len(got), gotFinal.off, len(want), wantFinal.off)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Time != w.Time || g.OrigLen != w.OrigLen || len(g.Data) != len(w.Data) || cap(g.Data) != cap(w.Data) ||
+			(len(w.Data) > 0 && &g.Data[0] != &w.Data[0]) {
+			t.Fatalf("Touch(%d) every %d: record %d = %+v, without it %+v", span, every, i, g, w)
+		}
+	}
+}
+
+// TestScannerTouchIsTheWalk: Touch loads and moves nothing, whatever it is
+// asked for and whatever lies inside the span — so the walk behind it is the
+// plain walk, record for record, and ends in the same error at the same
+// place. The spans run from nothing to more than there is (clamped at the
+// end of the data) and to what no caller should pass.
+func TestScannerTouchIsTheWalk(t *testing.T) {
+	recs := someRecords(40)
+	whole := buildCapture(binary.LittleEndian, false, DefaultSnapLen, recs)
+	cut := func(n int) []byte { return whole[:n:n] }
+	long := append(someRecords(7), rawRecord{incl: 200, orig: 200, data: make([]byte, 200)}, rawRecord{incl: 1, orig: 1, data: []byte{9}})
+	captures := map[string][]byte{
+		"whole":             whole,
+		"big-endian nano":   buildCapture(binary.BigEndian, true, DefaultSnapLen, recs),
+		"no records":        cut(globalHeaderLen),
+		"shorter than span": cut(globalHeaderLen + 50),
+		"last header torn":  cut(len(whole) - len(recs[39].data) - 3),
+		"last body torn":    cut(len(whole) - 1),
+		"over snapLen":      buildCapture(binary.LittleEndian, false, 128, long),
+		"not a capture":     []byte("this is definitely not a pcap capture file"),
+	}
+	spans := []int{0, 1, cacheLine - 1, cacheLine, cacheLine + 1, 700, len(whole), len(whole) + 1, 1 << 40, -1, -1 << 40}
+	for name, data := range captures {
+		t.Run(name, func(t *testing.T) {
+			for _, span := range spans {
+				for _, every := range []int{1, 8, 1000} {
+					sameWalk(t, data, span, every)
+				}
+			}
+		})
+	}
+
+	// The loads are real: one per cache line of the span, clamped — a sum
+	// over known bytes says which were read.
+	ones := bytes.Repeat([]byte{1}, 1000)
+	sc := &Scanner{data: ones, off: 100}
+	for span, want := range map[int]byte{0: 0, -5: 0, 1: 1, cacheLine: 1, cacheLine + 1: 2, 10 * cacheLine: 10, 900: 15, 901: 15, 1 << 40: 15} {
+		if got := sc.Touch(span); got != want || sc.off != 100 {
+			t.Errorf("Touch(%d) over 900 bytes of ones loaded %d bytes and left the Scanner at %d, want %d and 100", span, got, sc.off, want)
+		}
+	}
+	sc.off = len(ones)
+	if got := sc.Touch(64); got != 0 {
+		t.Errorf("Touch at the end of the data loaded %d bytes", got)
+	}
+}
+
 // FuzzScanner drives arbitrary bytes through the Scanner: whatever the
 // input it terminates without a panic, and walk's slicing checks mean it
-// never reached past data.
+// never reached past data. Its second arm holds the walk behind Touch to the
+// walk without it, for spans short of, at and past the end of the input.
 func FuzzScanner(f *testing.F) {
 	f.Add(buildCapture(binary.LittleEndian, false, DefaultSnapLen, someRecords(4)))
 	f.Add(buildCapture(binary.BigEndian, true, 64, someRecords(4)))
 	f.Add(buildCapture(binary.LittleEndian, true, 0xffffffff, []rawRecord{{incl: maxRecordLen + 1}}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		walk(t, data[:len(data):len(data)])
+		data = data[:len(data):len(data)]
+		walk(t, data)
+		for _, span := range []int{1, 100, len(data) / 2, len(data) + 1} {
+			sameWalk(t, data, span, 1)
+			sameWalk(t, data, span, 3)
+		}
 	})
 }

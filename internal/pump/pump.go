@@ -37,7 +37,8 @@ import (
 
 // maxWorkers caps the default W = min(GOMAXPROCS, maxWorkers). Read and
 // commit are serial, so wall/frame ≈ max(read, commit, (read+decode+hash+
-// commit)/W): on scan_flood (21 %, 16 % and 100 % of ≈81 ns, the workers
+// commit)/W): on scan_flood (≈18 and ≈16 ns — sourceBusy and commitBusy over
+// frames — and ≈90 ns of CPU a frame: 20 %, 18 % and 100 %, the workers
 // hashing) the last term stops mattering past W = 4. The reference box has
 // 2 cores and so only ever runs W = 2; forced W = 3 and 4 there measured
 // 23.7M and 25.1M frames/s against 22.0M with the cores oversubscribed (PR

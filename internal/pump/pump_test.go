@@ -203,7 +203,48 @@ func TestDecodePanicDropsHashedIndexes(t *testing.T) {
 			if s.CommitBusy <= 0 {
 				t.Errorf("three commits held the lock for %v", s.CommitBusy)
 			}
+			if s.SourceBusy <= 0 {
+				t.Errorf("four turns at the source took %v", s.SourceBusy)
+			}
 		})
+	}
+}
+
+// slowSource takes its time over every read, the last one (io.EOF) included.
+type slowSource struct {
+	listSource
+	delay time.Duration
+	reads int
+}
+
+func (s *slowSource) ReadBatch(frames []capture.Frame) (int, error) {
+	s.reads++
+	time.Sleep(s.delay)
+	return s.listSource.ReadBatch(frames)
+}
+
+// TestSourceBusyIsTimeInsideReadBatch: SourceBusy is the time inside the
+// source's ReadBatch and nothing else. Every read is in it, so it is at
+// least reads × the source's delay; a worker's wait for its turn is not, so
+// with two workers queueing for a source that is always busy it still fits
+// inside the wall (with the wait counted it would be twice that).
+func TestSourceBusyIsTimeInsideReadBatch(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		syns, replies := flows(t, 37)
+		src := &slowSource{listSource: listSource{batches: [][]capture.Frame{syns, replies, syns, replies, syns, replies}}, delay: 2 * time.Millisecond}
+		p := New(Config{Source: src, Filter: single(t), Subnets: subnets, Batch: 37, Workers: workers})
+		started := time.Now()
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(started)
+		s := p.Snapshot()
+		if src.reads != 7 || s.Frames != 6*37 {
+			t.Fatalf("W=%d: %d reads delivered %d frames, want 7 and %d", workers, src.reads, s.Frames, 6*37)
+		}
+		if floor := time.Duration(src.reads) * src.delay; s.SourceBusy < floor || s.SourceBusy > wall {
+			t.Errorf("W=%d: SourceBusy %v, want at least the %v the source slept and at most the %v wall", workers, s.SourceBusy, floor, wall)
+		}
 	}
 }
 
@@ -228,7 +269,6 @@ func TestStepZeroAllocs(t *testing.T) {
 			step := func() {
 				b := p.take(w)
 				p.read(w, b)
-				b.read = time.Now()
 				p.decodeBatch(b)
 				p.publish(b)
 				p.commit(w)

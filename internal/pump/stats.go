@@ -73,10 +73,13 @@ type tallies struct {
 
 	// foreignCommits counts batches committed by a worker that did not
 	// decode them, bufferWaits the times a worker found all its buffers in
-	// flight (whoever judges is the bottleneck), commitBusy the ns the lock was held.
+	// flight (whoever judges is the bottleneck), commitBusy the ns the lock was
+	// held, sourceBusy the ns spent in the source's ReadBatch, under the
+	// source lock: the two serial terms of the pump.
 	foreignCommits atomic.Uint64
 	bufferWaits    atomic.Uint64
 	commitBusy     atomic.Int64
+	sourceBusy     atomic.Int64
 
 	latency reservoir
 }
@@ -210,7 +213,10 @@ type Snapshot struct {
 
 	Workers                     int
 	ForeignCommits, BufferWaits uint64
-	CommitBusy                  time.Duration // time the commit lock was held
+	// CommitBusy is the time the commit lock was held, SourceBusy the time
+	// spent inside the source's ReadBatch under the source lock (a live
+	// source's wait for traffic included).
+	CommitBusy, SourceBusy time.Duration
 	// Lanes is empty for a single filter.
 	Lanes []LaneSnapshot
 
@@ -248,6 +254,7 @@ func (p *Pump) Snapshot() Snapshot {
 		ForeignCommits:     p.foreignCommits.Load(),
 		BufferWaits:        p.bufferWaits.Load(),
 		CommitBusy:         time.Duration(p.commitBusy.Load()),
+		SourceBusy:         time.Duration(p.sourceBusy.Load()),
 		FilterName:         p.name,
 		FilterMemory:       p.memory,
 	}

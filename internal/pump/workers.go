@@ -54,7 +54,6 @@ func (p *Pump) work(w *worker) {
 			w.free <- b
 			continue
 		}
-		b.read = time.Now()
 		p.decodeBatch(b)
 		p.publish(b)
 		p.commit(w)
@@ -81,13 +80,15 @@ func (p *Pump) take(w *worker) *batchBuf {
 
 // turnYields bounds the yields a worker makes for a turn at the source before
 // it sleeps for one (a live source may hold its turn until traffic). Workers
-// with a short commit come back in step, and a replay's turn (≈9 µs) is shorter
-// than a sleep and its wake-up: scan_flood 17.1M → 22.8M frames/s.
+// with a short commit come back in step, and a replay's turn (512 frames at
+// ≈16–21 ns: ≈8–11 µs) is shorter than a sleep and its wake-up: scan_flood
+// 17.1M → 22.8M frames/s.
 const turnYields = 64
 
 // read is the worker's turn at the source: the lock serializes ReadBatch
-// and numbers the batches in the order the source delivered them. It
-// reports whether the source may have more.
+// and numbers the batches in the order the source delivered them, and the
+// time inside ReadBatch is the pump's read term (sourceBusy). It reports
+// whether the source may have more.
 //
 //bf:hotpath
 func (p *Pump) read(w *worker, b *batchBuf) (more bool) {
@@ -103,7 +104,10 @@ func (p *Pump) read(w *worker, b *batchBuf) (more bool) {
 	b.n, b.poisoned = 0, false
 	if !p.srcDone {
 		setIdle(p.batchProbe, true)
+		start := time.Now()
 		b.n, p.srcErr = p.src.ReadBatch(b.ring)
+		b.read = time.Now()
+		p.sourceBusy.Add(int64(b.read.Sub(start)))
 		setIdle(p.batchProbe, false)
 		b.seq = p.nextSeq
 		if b.n > 0 {

@@ -116,6 +116,10 @@ func TestBufferCopiesAliasedFrames(t *testing.T) {
 	}
 	b := NewBuffer(queued, BufferConfig{Capacity: 8192, SnapLen: 2048})
 	defer b.Close()
+	// The queue fills, so it gets a ring of its own (capture.Source's
+	// ownership rule): the one above aliases the trace, and filling it
+	// would write into the bytes the queue's replay is still reading.
+	ring = capture.NewRing(64, 0)
 	got := 0
 	for {
 		n, err := b.ReadBatch(ring)
