@@ -262,13 +262,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	plane := &resiliencePlane{
-		sup:     sup,
-		buf:     buf,
-		health:  health,
-		cp:      cp,
-		restore: restoreRes,
-		policy:  policy,
+	plane := &resiliencePlane{sup: sup, buf: buf, health: health, restore: restoreRes, policy: policy}
+	if cp != nil {
+		plane.cp = cp // a nil *Checkpointer in the interface would read as configured
 	}
 
 	var srv *http.Server

@@ -310,7 +310,7 @@ func TestMonitoringEndpoints(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(newMux(time.Now().Add(-time.Second), func() pump.Snapshot { return snap }, nil))
+	srv := httptest.NewServer(newMux(time.Now().Add(-time.Second), func() pump.Snapshot { return snap }, &resiliencePlane{}))
 	defer srv.Close()
 
 	get := func(path string) string {

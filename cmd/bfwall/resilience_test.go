@@ -174,7 +174,7 @@ func TestPumpQuarantinesPanic(t *testing.T) {
 
 // TestResilienceEndpoints wires a live resilience plane behind the mux
 // and checks /readyz, the stalled /healthz, and every
-// bitmapfilter_resilience_* series group on /metrics.
+// bitmapfilter_resilience_* series group and the checkpointer's on /metrics.
 func TestResilienceEndpoints(t *testing.T) {
 	// A fake clock so the stall is deterministic.
 	var clock atomic.Int64
@@ -259,8 +259,14 @@ func TestResilienceEndpoints(t *testing.T) {
 		`bitmapfilter_resilience_state{state="draining"} 0`,
 		`bitmapfilter_resilience_probe_beats_total{probe="capture"} 1`,
 		`bitmapfilter_resilience_probe_stalled{probe="capture"} 0`,
-		"bitmapfilter_resilience_checkpoint_successes_total 0",
-		`bitmapfilter_resilience_restore_outcome{outcome="cold-start-empty"} 1`,
+		"bitmapfilter_checkpoint_enabled 1",
+		"bitmapfilter_checkpoint_success_total 0",
+		// One-hot over the whole ladder: a rung that is absent, not 0, is
+		// one no alert on {outcome="primary"} == 0 can fire for.
+		`bitmapfilter_checkpoint_restore_outcome{outcome="primary"} 0`,
+		`bitmapfilter_checkpoint_restore_outcome{outcome="backup"} 0`,
+		`bitmapfilter_checkpoint_restore_outcome{outcome="cold-start-empty"} 1`,
+		`bitmapfilter_checkpoint_restore_outcome{outcome="cold-start-corrupt"} 0`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -2,13 +2,13 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"bitmapfilter/internal/checkpoint"
 	"bitmapfilter/internal/filtering"
+	"bitmapfilter/internal/httpapi"
 	"bitmapfilter/internal/pump"
 	"bitmapfilter/internal/resilience"
 )
@@ -109,39 +109,17 @@ type resiliencePlane struct {
 	sup     *resilience.Supervisor
 	buf     *resilience.Buffer
 	health  *resilience.Health
-	cp      *checkpoint.Checkpointer
+	cp      httpapi.CheckpointControl
 	restore checkpoint.RestoreResult
 	policy  resilience.OverloadPolicy
 }
 
-// newMux wires the monitoring endpoints: /healthz liveness (503 when a
-// supervised loop stalls), /readyz readiness (503 while starting or
-// draining), /stats JSON, /metrics Prometheus text exposition. plane may
-// be nil. snapshot is the pump's: the handlers read nothing else of it.
+// newMux wires the monitoring endpoints: httpapi's /healthz and /readyz,
+// /stats JSON, /metrics Prometheus text exposition. snapshot is the pump's:
+// the handlers read nothing else of it.
 func newMux(started time.Time, snapshot func() pump.Snapshot, plane *resiliencePlane) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if plane != nil && plane.health != nil {
-			if ok, detail := plane.health.Live(); !ok {
-				w.WriteHeader(http.StatusServiceUnavailable)
-				fmt.Fprintln(w, "stalled:", detail)
-				return
-			}
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if plane != nil && plane.health != nil {
-			if ok, detail := plane.health.Ready(); !ok {
-				w.WriteHeader(http.StatusServiceUnavailable)
-				fmt.Fprintln(w, "not ready:", detail)
-				return
-			}
-		}
-		fmt.Fprintln(w, "ok")
-	})
+	httpapi.MountProbes(mux, plane.health)
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -149,127 +127,83 @@ func newMux(started time.Time, snapshot func() pump.Snapshot, plane *resilienceP
 		_ = enc.Encode(renderStats(snapshot(), started, time.Now()))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		snap := snapshot()
-		fmt.Fprintf(w, "# TYPE bfwall_frames_total counter\nbfwall_frames_total %d\n", snap.Frames)
-		fmt.Fprintf(w, "# TYPE bfwall_bytes_total counter\nbfwall_bytes_total %d\n", snap.Bytes)
-		fmt.Fprintf(w, "# TYPE bfwall_truncated_frames_total counter\nbfwall_truncated_frames_total %d\n", snap.Truncated)
-		fmt.Fprintf(w, "# TYPE bfwall_decode_errors_total counter\n")
+		var e httpapi.Expo
+		e.Counter("bfwall_frames_total", "Frames read from the source").Int(snap.Frames)
+		e.Counter("bfwall_bytes_total", "Bytes of those frames on the wire").Int(snap.Bytes)
+		e.Counter("bfwall_truncated_frames_total", "Frames the capture cut short of their wire length").Int(snap.Truncated)
+		errs := e.Counters("bfwall_decode_errors_total", "Frames the decoder refused (counted and skipped), by reason", "class")
 		for i, class := range pump.DecodeClasses {
-			fmt.Fprintf(w, "bfwall_decode_errors_total{class=%q} %d\n", class, snap.DecodeErrors[i])
+			errs.Int(class, snap.DecodeErrors[i])
 		}
-		fmt.Fprintf(w, "# TYPE bfwall_unrouted_packets_total counter\nbfwall_unrouted_packets_total %d\n", snap.Unrouted)
-		fmt.Fprintf(w, "# TYPE bfwall_packets_total counter\n")
-		fmt.Fprintf(w, "bfwall_packets_total{dir=\"out\"} %d\n", snap.Outgoing)
-		fmt.Fprintf(w, "bfwall_packets_total{dir=\"in\"} %d\n", snap.Incoming)
-		fmt.Fprintf(w, "# TYPE bfwall_verdicts_total counter\n")
-		fmt.Fprintf(w, "bfwall_verdicts_total{verdict=\"pass\"} %d\n", snap.Passed)
-		fmt.Fprintf(w, "bfwall_verdicts_total{verdict=\"drop\"} %d\n", snap.Dropped)
-		fmt.Fprintf(w, "# TYPE bfwall_pps gauge\nbfwall_pps %g\n", perSecond(snap.Frames, time.Since(started).Seconds()))
-		fmt.Fprintf(w, "# TYPE bfwall_packet_latency_seconds gauge\n")
-		fmt.Fprintf(w, "bfwall_packet_latency_seconds{quantile=\"0.5\"} %g\n", snap.LatencyP50.Seconds())
-		fmt.Fprintf(w, "bfwall_packet_latency_seconds{quantile=\"0.99\"} %g\n", snap.LatencyP99.Seconds())
-		fmt.Fprintf(w, "# TYPE bfwall_filter_memory_bytes gauge\nbfwall_filter_memory_bytes %d\n", snap.FilterMemory)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_workers gauge\nbitmapfilter_pump_workers %d\n", snap.Workers)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_foreign_commits_total counter\nbitmapfilter_pump_foreign_commits_total %d\n", snap.ForeignCommits)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_buffer_waits_total counter\nbitmapfilter_pump_buffer_waits_total %d\n", snap.BufferWaits)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_commit_busy_seconds_total counter\nbitmapfilter_pump_commit_busy_seconds_total %g\n", snap.CommitBusy.Seconds())
-		fmt.Fprintf(w, "# TYPE bitmapfilter_pump_source_busy_seconds_total counter\nbitmapfilter_pump_source_busy_seconds_total %g\n", snap.SourceBusy.Seconds())
-		writeLaneMetrics(w, snap.Lanes)
-		if plane != nil {
-			plane.writeMetrics(w, snap)
-		}
+		e.Counter("bfwall_unrouted_packets_total", "Decoded packets touching no client subnet or tenant prefix: never judged").Int(snap.Unrouted)
+		dir := e.Counters("bfwall_packets_total", "Packets handed to the filter, by direction", "dir")
+		dir.Int("out", snap.Outgoing)
+		dir.Int("in", snap.Incoming)
+		verdict := e.Counters("bfwall_verdicts_total", "Verdicts on incoming packets", "verdict")
+		verdict.Int("pass", snap.Passed)
+		verdict.Int("drop", snap.Dropped)
+		e.Gauge("bfwall_pps", "Frames per second since start").Float(perSecond(snap.Frames, time.Since(started).Seconds()))
+		latency := e.Gauges("bfwall_packet_latency_seconds", "Per-packet latency from a batch's read to its last verdict (reservoir sample)", "quantile")
+		latency.Float("0.5", snap.LatencyP50.Seconds())
+		latency.Float("0.99", snap.LatencyP99.Seconds())
+		e.Gauge("bfwall_filter_memory_bytes", "Bytes of bitmap behind the pump: (k*2^n)/8, summed over shards or tenants").Int(snap.FilterMemory)
+		e.Gauge("bitmapfilter_pump_workers", "W, the symmetric workers in front of the filter: min(GOMAXPROCS, 4)").Int(uint64(snap.Workers))
+		e.Counter("bitmapfilter_pump_foreign_commits_total", "Batches committed by a worker that did not decode them").Int(snap.ForeignCommits)
+		e.Counter("bitmapfilter_pump_buffer_waits_total", "Times a worker found all its buffers in flight and waited for the judge").Int(snap.BufferWaits)
+		e.Counter("bitmapfilter_pump_commit_busy_seconds_total", "Seconds the commit lock was held: the serial stage's share of the wall").Float(snap.CommitBusy.Seconds())
+		e.Counter("bitmapfilter_pump_source_busy_seconds_total", "Seconds spent inside the source's ReadBatch under the source lock (a live source's wait for traffic included)").Float(snap.SourceBusy.Seconds())
+		writeLaneMetrics(&e, snap.Lanes)
+		plane.writeMetrics(&e, snap)
+		e.Reply(w)
 	})
 	return mux
 }
 
-// writeLaneMetrics renders the lanes' series, one sample per lane; nothing
+// writeLaneMetrics writes the lanes' series, one sample per lane; nothing
 // for a single filter, which has none.
-func writeLaneMetrics(w io.Writer, lanes []pump.LaneSnapshot) {
+func writeLaneMetrics(e *httpapi.Expo, lanes []pump.LaneSnapshot) {
 	if len(lanes) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# TYPE bitmapfilter_lane_frames_total counter\n")
-	for i, l := range lanes {
-		fmt.Fprintf(w, "bitmapfilter_lane_frames_total{lane=\"%d\"} %d\n", i, l.Frames)
+	perLane := func(f httpapi.Family, v func(pump.LaneSnapshot) uint64) {
+		for i, l := range lanes {
+			f.Int(strconv.Itoa(i), v(l))
+		}
 	}
-	fmt.Fprintf(w, "# TYPE bitmapfilter_lane_sub_batches_total counter\n")
-	for i, l := range lanes {
-		fmt.Fprintf(w, "bitmapfilter_lane_sub_batches_total{lane=\"%d\"} %d\n", i, l.Batches)
-	}
-	fmt.Fprintf(w, "# TYPE bitmapfilter_lane_queue_depth gauge\n")
-	for i, l := range lanes {
-		fmt.Fprintf(w, "bitmapfilter_lane_queue_depth{lane=\"%d\"} %d\n", i, l.QueueDepth)
-	}
-	fmt.Fprintf(w, "# TYPE bitmapfilter_lane_dispatcher_stalls_total counter\n")
-	for i, l := range lanes {
-		fmt.Fprintf(w, "bitmapfilter_lane_dispatcher_stalls_total{lane=\"%d\"} %d\n", i, l.Stalls)
-	}
+	perLane(e.Counters("bitmapfilter_lane_frames_total", "Packets judged by each lane: a shard's, or the fleet's", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Frames })
+	perLane(e.Counters("bitmapfilter_lane_sub_batches_total", "Sub-batches each lane judged", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Batches })
+	perLane(e.Gauges("bitmapfilter_lane_queue_depth", "Batches queued for each lane", "lane"), func(l pump.LaneSnapshot) uint64 { return uint64(l.QueueDepth) })
+	perLane(e.Counters("bitmapfilter_lane_dispatcher_stalls_total", "Times the commit step found every sub-batch of a shard's lane in flight and waited", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Stalls })
 }
 
-// writeMetrics renders the resilience layer's Prometheus series. The
-// bitmapfilter_resilience_* namespace is shared with internal/httpapi so
-// one alert set covers both daemons.
-func (p *resiliencePlane) writeMetrics(w io.Writer, snap pump.Snapshot) {
+// writeMetrics writes the resilience layer's series: the supervisor's, the
+// overload queue's and the quarantine's are bfwall's own, the health and
+// checkpoint series httpapi's, the same bfserve writes.
+func (p *resiliencePlane) writeMetrics(e *httpapi.Expo, snap pump.Snapshot) {
 	pol := p.policy.String()
 	if p.sup != nil {
 		st := p.sup.Stats()
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_source_reads_total counter\nbitmapfilter_resilience_source_reads_total %d\n", st.Reads)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_source_transient_errors_total counter\nbitmapfilter_resilience_source_transient_errors_total %d\n", st.TransientErrors)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_source_reopens_total counter\nbitmapfilter_resilience_source_reopens_total %d\n", st.Reopens)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_source_reopen_failures_total counter\nbitmapfilter_resilience_source_reopen_failures_total %d\n", st.ReopenFailures)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_source_fatal_errors_total counter\nbitmapfilter_resilience_source_fatal_errors_total %d\n", st.FatalErrors)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_backoffs_total counter\nbitmapfilter_resilience_backoffs_total %d\n", st.Backoffs)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_backoff_seconds_total counter\nbitmapfilter_resilience_backoff_seconds_total %g\n", st.BackoffTotal.Seconds())
+		e.Counter("bitmapfilter_resilience_source_reads_total", "Batches read from the capture source").Int(st.Reads)
+		e.Counter("bitmapfilter_resilience_source_transient_errors_total", "Transient source errors absorbed by retry").Int(st.TransientErrors)
+		e.Counter("bitmapfilter_resilience_source_reopens_total", "Successful source reopens").Int(st.Reopens)
+		e.Counter("bitmapfilter_resilience_source_reopen_failures_total", "Reopen attempts that failed").Int(st.ReopenFailures)
+		e.Counter("bitmapfilter_resilience_source_fatal_errors_total", "Errors that exhausted the retry budget").Int(st.FatalErrors)
+		e.Counter("bitmapfilter_resilience_backoffs_total", "Supervisor backoff sleeps").Int(st.Backoffs)
+		e.Counter("bitmapfilter_resilience_backoff_seconds_total", "Seconds spent backing off").Float(st.BackoffTotal.Seconds())
 	}
 	if p.buf != nil {
 		st := p.buf.Stats()
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_queue_depth gauge\nbitmapfilter_resilience_queue_depth %d\n", st.Depth)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_queue_capacity gauge\nbitmapfilter_resilience_queue_capacity %d\n", st.Capacity)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_queue_max_depth gauge\nbitmapfilter_resilience_queue_max_depth %d\n", st.MaxDepth)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_accepted_frames_total counter\nbitmapfilter_resilience_accepted_frames_total %d\n", st.Accepted)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_shed_frames_total counter\nbitmapfilter_resilience_shed_frames_total{policy=%q} %d\n", pol, st.Shed)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_shed_events_total counter\nbitmapfilter_resilience_shed_events_total %d\n", st.ShedEvents)
-		shedding := 0
-		if st.Shedding {
-			shedding = 1
-		}
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_shedding gauge\nbitmapfilter_resilience_shedding %d\n", shedding)
+		e.Gauge("bitmapfilter_resilience_queue_depth", "Frames in the overload queue now").Int(uint64(st.Depth))
+		e.Gauge("bitmapfilter_resilience_queue_capacity", "The overload queue's bound (-queue)").Int(uint64(st.Capacity))
+		e.Gauge("bitmapfilter_resilience_queue_max_depth", "High-water mark of the overload queue").Int(uint64(st.MaxDepth))
+		e.Counter("bitmapfilter_resilience_accepted_frames_total", "Frames queued for the filter").Int(st.Accepted)
+		e.Counters("bitmapfilter_resilience_shed_frames_total", "Frames discarded under overload, by -on-overload", "policy").Int(pol, st.Shed)
+		e.Counter("bitmapfilter_resilience_shed_events_total", "Transitions into shedding").Int(st.ShedEvents)
+		e.Gauge("bitmapfilter_resilience_shedding", "Whether the queue is shedding now").Bool(st.Shedding)
 	}
-	fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_quarantined_batches_total counter\nbitmapfilter_resilience_quarantined_batches_total %d\n", snap.QuarantinedBatches)
-	fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_quarantined_frames_total counter\nbitmapfilter_resilience_quarantined_frames_total{policy=%q} %d\n", pol, snap.QuarantinedFrames)
-	if p.health != nil {
-		live, _ := p.health.Live()
-		ready, _ := p.health.Ready()
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_live gauge\nbitmapfilter_resilience_live %d\n", b2i(live))
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_ready gauge\nbitmapfilter_resilience_ready %d\n", b2i(ready))
-		state := p.health.State()
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_state gauge\n")
-		for _, s := range []resilience.State{resilience.StateStarting, resilience.StateReady, resilience.StateDraining} {
-			fmt.Fprintf(w, "bitmapfilter_resilience_state{state=%q} %d\n", s, b2i(s == state))
-		}
-		if wd := p.health.Watchdog(); wd != nil {
-			fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_probe_beats_total counter\n")
-			fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_probe_age_seconds gauge\n")
-			fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_probe_stalled gauge\n")
-			for _, ps := range wd.Status() {
-				fmt.Fprintf(w, "bitmapfilter_resilience_probe_beats_total{probe=%q} %d\n", ps.Name, ps.Beats)
-				fmt.Fprintf(w, "bitmapfilter_resilience_probe_age_seconds{probe=%q} %g\n", ps.Name, ps.Age.Seconds())
-				fmt.Fprintf(w, "bitmapfilter_resilience_probe_stalled{probe=%q} %d\n", ps.Name, b2i(ps.Stalled))
-			}
-		}
-	}
-	if p.cp != nil {
-		st := p.cp.Stats()
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_checkpoint_successes_total counter\nbitmapfilter_resilience_checkpoint_successes_total %d\n", st.Successes)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_checkpoint_failures_total counter\nbitmapfilter_resilience_checkpoint_failures_total %d\n", st.Failures)
-		fmt.Fprintf(w, "# TYPE bitmapfilter_resilience_restore_outcome gauge\nbitmapfilter_resilience_restore_outcome{outcome=%q} 1\n", p.restore.Outcome)
-	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	e.Counter("bitmapfilter_resilience_quarantined_batches_total", "Batches whose judge panicked, isolated").Int(snap.QuarantinedBatches)
+	e.Counters("bitmapfilter_resilience_quarantined_frames_total", "Frames in quarantined batches: counted under the overload policy, never judged", "policy").Int(pol, snap.QuarantinedFrames)
+	httpapi.WriteHealth(e, p.health)
+	httpapi.WriteCheckpoint(e, p.cp, p.restore)
 }

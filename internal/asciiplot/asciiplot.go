@@ -1,6 +1,6 @@
 // Package asciiplot renders the small terminal charts the cmd/ tools use
-// to display reproduced figures: horizontal bar charts (histograms),
-// scatter plots (Figure 4) and multi-series line charts (Figure 5-a).
+// to display reproduced figures: scatter plots (Figure 4) and multi-series
+// line charts (Figure 5-a).
 // Output is plain ASCII so it survives logs and CI transcripts.
 package asciiplot
 
@@ -9,40 +9,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Bars renders one labeled horizontal bar per value, scaled to maxWidth
-// characters. Non-positive widths default to 50. Returns "" for empty
-// input.
-func Bars(labels []string, values []float64, maxWidth int) string {
-	if len(labels) == 0 || len(labels) != len(values) {
-		return ""
-	}
-	if maxWidth <= 0 {
-		maxWidth = 50
-	}
-	maxVal := 0.0
-	labelWidth := 0
-	for i, v := range values {
-		if v > maxVal {
-			maxVal = v
-		}
-		if len(labels[i]) > labelWidth {
-			labelWidth = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		n := 0
-		if maxVal > 0 && v > 0 {
-			n = int(math.Round(v / maxVal * float64(maxWidth)))
-			if n == 0 {
-				n = 1 // visible trace for any nonzero value
-			}
-		}
-		fmt.Fprintf(&b, "%-*s |%s %g\n", labelWidth, labels[i], strings.Repeat("#", n), v)
-	}
-	return b.String()
-}
 
 // Scatter renders (x, y) points on a width×height grid with axis ranges
 // annotated, plus an identity line when the ranges overlap (the Figure 4

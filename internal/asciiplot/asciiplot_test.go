@@ -5,47 +5,6 @@ import (
 	"testing"
 )
 
-func TestBarsBasic(t *testing.T) {
-	out := Bars([]string{"a", "bb"}, []float64{10, 5}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[0], strings.Repeat("#", 10)) {
-		t.Errorf("max bar not full width: %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "#####") || strings.Contains(lines[1], "######") {
-		t.Errorf("half bar wrong: %q", lines[1])
-	}
-	if !strings.Contains(lines[0], "10") || !strings.Contains(lines[1], "5") {
-		t.Error("values not annotated")
-	}
-}
-
-func TestBarsNonzeroAlwaysVisible(t *testing.T) {
-	out := Bars([]string{"big", "tiny"}, []float64{1e6, 1}, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if !strings.Contains(lines[1], "#") {
-		t.Errorf("tiny nonzero value invisible: %q", lines[1])
-	}
-}
-
-func TestBarsDegenerate(t *testing.T) {
-	if Bars(nil, nil, 10) != "" {
-		t.Error("empty input produced output")
-	}
-	if Bars([]string{"a"}, []float64{1, 2}, 10) != "" {
-		t.Error("length mismatch produced output")
-	}
-	if out := Bars([]string{"z"}, []float64{0}, 10); !strings.Contains(out, "z") {
-		t.Error("all-zero bars dropped the label")
-	}
-	// Default width kicks in for non-positive widths.
-	if Bars([]string{"a"}, []float64{1}, -1) == "" {
-		t.Error("negative width produced no output")
-	}
-}
-
 func TestScatterPlacesPoints(t *testing.T) {
 	// Two points at the extremes of a common 0..1 scale.
 	out := Scatter([]float64{0, 1}, []float64{0, 1}, 20, 10)

@@ -3,9 +3,9 @@
 // share the same m hash functions, each of which should only output an n-bit
 // value").
 //
-// Three independent 64-bit base hashes are implemented from scratch —
-// FNV-1a, a Murmur3-style mixer, and an xxHash-style avalanche — and larger
-// families are derived with the Kirsch–Mitzenmacher construction
+// Two independent 64-bit base hashes are implemented from scratch — a
+// Murmur3-style mixer and an xxHash-style avalanche — and larger families
+// are derived with the Kirsch–Mitzenmacher construction
 // g_i(x) = h1(x) + i·h2(x), which preserves Bloom-filter false-positive
 // behaviour while requiring only two base hash evaluations per lookup.
 // Outputs are full 64-bit values; the bit vector truncates them to n bits,
@@ -23,22 +23,6 @@ const MaxFunctions = 64
 
 // ErrCount is returned by New when the requested function count is invalid.
 var ErrCount = errors.New("hashfam: function count out of range")
-
-const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
-)
-
-// FNV1a computes the 64-bit FNV-1a hash of data with an additional seed
-// folded into the offset basis so independent streams can be derived.
-func FNV1a(data []byte, seed uint64) uint64 {
-	h := uint64(fnvOffset64) ^ (seed * 0x9e3779b97f4a7c15)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // Murmur64 computes a MurmurHash3-style 64-bit hash of data: 8-byte blocks
 // mixed with the Murmur3 constants and the fmix64 finalizer.

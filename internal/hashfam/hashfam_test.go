@@ -2,7 +2,6 @@ package hashfam
 
 import (
 	"errors"
-	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -10,24 +9,8 @@ import (
 	"bitmapfilter/internal/xrand"
 )
 
-func TestFNV1aMatchesStdlibUnseeded(t *testing.T) {
-	// With seed 0 our FNV-1a must agree with hash/fnv exactly.
-	inputs := []string{"", "a", "hello world", "\x00\x01\x02\x03", "bitmapfilter"}
-	for _, in := range inputs {
-		h := fnv.New64a()
-		h.Write([]byte(in))
-		want := h.Sum64()
-		if got := FNV1a([]byte(in), 0); got != want {
-			t.Errorf("FNV1a(%q, 0) = %#x, want %#x", in, got, want)
-		}
-	}
-}
-
 func TestSeedChangesOutput(t *testing.T) {
 	data := []byte("some tuple bytes")
-	if FNV1a(data, 1) == FNV1a(data, 2) {
-		t.Error("FNV1a seeds 1 and 2 collide")
-	}
 	if Murmur64(data, 1) == Murmur64(data, 2) {
 		t.Error("Murmur64 seeds 1 and 2 collide")
 	}
@@ -38,8 +21,7 @@ func TestSeedChangesOutput(t *testing.T) {
 
 func TestHashesDeterministic(t *testing.T) {
 	f := func(data []byte, seed uint64) bool {
-		return FNV1a(data, seed) == FNV1a(data, seed) &&
-			Murmur64(data, seed) == Murmur64(data, seed) &&
+		return Murmur64(data, seed) == Murmur64(data, seed) &&
 			XX64(data, seed) == XX64(data, seed)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -49,9 +31,8 @@ func TestHashesDeterministic(t *testing.T) {
 
 func TestHashesDifferFromEachOther(t *testing.T) {
 	data := []byte("192.0.2.1:12345->198.51.100.7:80")
-	a, b, c := FNV1a(data, 7), Murmur64(data, 7), XX64(data, 7)
-	if a == b || b == c || a == c {
-		t.Errorf("base hashes collide: %#x %#x %#x", a, b, c)
+	if a, b := Murmur64(data, 7), XX64(data, 7); a == b {
+		t.Errorf("base hashes collide: %#x %#x", a, b)
 	}
 }
 

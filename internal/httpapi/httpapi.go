@@ -12,6 +12,11 @@
 //
 // Everything is stdlib net/http; construct the handler with New and mount
 // it on any server.
+//
+// The Prometheus text format lives here for the whole repo: Expo is its one
+// writer, and MountProbes, WriteHealth and WriteCheckpoint are what a daemon
+// with its own mux (cmd/bfwall) serves exactly as New does. DESIGN.md §8 is
+// the registry of every series; TestMetricsContract holds the scrape to it.
 package httpapi
 
 import (
@@ -129,8 +134,7 @@ func New(f Filter, opts ...Option) (*API, error) {
 	for _, o := range opts {
 		o.apply(a)
 	}
-	a.mux.HandleFunc("GET /healthz", a.handleHealthz)
-	a.mux.HandleFunc("GET /readyz", a.handleReadyz)
+	MountProbes(a.mux, a.health)
 	a.mux.HandleFunc("GET /stats", a.handleStats)
 	a.mux.HandleFunc("GET /metrics", a.handleMetrics)
 	a.mux.HandleFunc("POST /punch", a.handlePunch)
@@ -143,34 +147,6 @@ func New(f Filter, opts ...Option) (*API, error) {
 // ServeHTTP implements http.Handler.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.mux.ServeHTTP(w, r)
-}
-
-func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if a.health != nil {
-		if ok, detail := a.health.Live(); !ok {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "stalled:", detail)
-			return
-		}
-	}
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz answers the readiness probe. Without a health view the
-// daemon is ready whenever it serves (the historical behavior); with one
-// it is ready only in StateReady with no stalled probes, so a load
-// balancer stops routing the moment draining starts.
-func (a *API) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if a.health != nil {
-		if ok, detail := a.health.Ready(); !ok {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "not ready:", detail)
-			return
-		}
-	}
-	fmt.Fprintln(w, "ok")
 }
 
 // statsPayload is the JSON shape of /stats.
@@ -371,187 +347,65 @@ func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s := a.filter.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var b strings.Builder
-	gauge := func(name string, v float64, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter := func(name string, v uint64, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("bitmapfilter_utilization", s.Utilization,
-		"Fill fraction of the current bit vector (U)")
-	// Per-vector fill fractions: O(1) reads of each vector's running
-	// popcount, so scraping them is free at any order n.
-	fmt.Fprintf(&b, "# HELP bitmapfilter_vector_utilization Fill fraction of each bit vector\n"+
-		"# TYPE bitmapfilter_vector_utilization gauge\n")
+	var e Expo
+	e.Gauge("bitmapfilter_utilization", "Fill fraction of the current bit vector (U)").Float(s.Utilization)
+	// O(1) reads of each vector's running popcount: free at any order n.
+	vector := e.Gauges("bitmapfilter_vector_utilization", "Fill fraction of each bit vector", "vector")
 	for i, u := range s.VectorUtilization {
-		fmt.Fprintf(&b, "bitmapfilter_vector_utilization{vector=\"%d\"} %g\n", i, u)
+		vector.Float(strconv.Itoa(i), u)
 	}
-	gauge("bitmapfilter_current_vector_index", float64(s.CurrentIndex),
-		"Index of the vector incoming lookups consult")
-	gauge("bitmapfilter_penetration_probability", s.PenetrationProbability,
-		"Random-packet penetration probability U^m (Equation 1)")
-	gauge("bitmapfilter_memory_bytes", float64(s.MemoryBytes),
-		"Fixed bitmap footprint (k*2^n)/8")
-	counter("bitmapfilter_rotations_total", s.Rotations,
-		"b.rotate invocations")
-	counter("bitmapfilter_marks_total", s.Marks,
-		"Outgoing packets that marked the bitmap")
-	counter("bitmapfilter_out_packets_total", s.Counters.OutPackets,
-		"Outgoing packets observed")
-	counter("bitmapfilter_in_packets_total", s.Counters.InPackets,
-		"Incoming packets observed")
-	counter("bitmapfilter_in_dropped_total", s.Counters.InDropped,
-		"Incoming packets dropped")
-	counter("bitmapfilter_apd_spared_total", s.APDSpared,
-		"Unmatched incoming packets admitted by APD")
-	apdEnabled := 0.0
-	if s.APDEnabled {
-		apdEnabled = 1
-	}
-	gauge("bitmapfilter_apd_enabled", apdEnabled,
-		"Whether an adaptive-packet-dropping policy is attached (§5.3)")
-	gauge("bitmapfilter_apd_drop_probability", s.APDDropProbability,
-		"Drop probability for unmatched incoming packets; mean across shards on a sharded filter")
+	e.Gauge("bitmapfilter_current_vector_index", "Index of the vector incoming lookups consult").Int(uint64(s.CurrentIndex))
+	e.Gauge("bitmapfilter_penetration_probability", "Random-packet penetration probability U^m (Equation 1)").Float(s.PenetrationProbability)
+	e.Gauge("bitmapfilter_memory_bytes", "Fixed bitmap footprint (k*2^n)/8").Float(float64(s.MemoryBytes))
+	e.Counter("bitmapfilter_rotations_total", "b.rotate invocations").Int(s.Rotations)
+	e.Counter("bitmapfilter_marks_total", "Outgoing packets that marked the bitmap").Int(s.Marks)
+	e.Counter("bitmapfilter_out_packets_total", "Outgoing packets observed").Int(s.Counters.OutPackets)
+	e.Counter("bitmapfilter_in_packets_total", "Incoming packets observed").Int(s.Counters.InPackets)
+	e.Counter("bitmapfilter_in_dropped_total", "Incoming packets dropped").Int(s.Counters.InDropped)
+	e.Counter("bitmapfilter_apd_spared_total", "Unmatched incoming packets admitted by APD").Int(s.APDSpared)
+	e.Gauge("bitmapfilter_apd_enabled", "Whether an adaptive-packet-dropping policy is attached (§5.3)").Bool(s.APDEnabled)
+	e.Gauge("bitmapfilter_apd_drop_probability", "Drop probability for unmatched incoming packets; mean across shards on a sharded filter").Float(s.APDDropProbability)
 	if per := a.shardStats(); len(per) > 0 {
-		shardGauge := func(name, help string, v func(core.Stats) float64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-			for i, st := range per {
-				fmt.Fprintf(&b, "%s{shard=\"%d\"} %g\n", name, i, v(st))
-			}
-		}
-		shardGauge("bitmapfilter_shard_apd_drop_probability",
-			"Per-shard APD drop probability (the shard's clone of the policy)",
-			func(st core.Stats) float64 { return st.APDDropProbability })
-		shardGauge("bitmapfilter_shard_utilization",
-			"Per-shard current-vector fill fraction",
-			func(st core.Stats) float64 { return st.Utilization })
-		fmt.Fprintf(&b, "# HELP bitmapfilter_shard_apd_spared_total Per-shard unmatched incoming packets admitted by APD\n"+
-			"# TYPE bitmapfilter_shard_apd_spared_total counter\n")
+		drop := e.Gauges("bitmapfilter_shard_apd_drop_probability", "Per-shard APD drop probability (the shard's clone of the policy)", "shard")
 		for i, st := range per {
-			fmt.Fprintf(&b, "bitmapfilter_shard_apd_spared_total{shard=\"%d\"} %d\n", i, st.APDSpared)
+			drop.Float(strconv.Itoa(i), st.APDDropProbability)
+		}
+		util := e.Gauges("bitmapfilter_shard_utilization", "Per-shard current-vector fill fraction", "shard")
+		for i, st := range per {
+			util.Float(strconv.Itoa(i), st.Utilization)
+		}
+		spared := e.Counters("bitmapfilter_shard_apd_spared_total", "Per-shard unmatched incoming packets admitted by APD", "shard")
+		for i, st := range per {
+			spared.Int(strconv.Itoa(i), st.APDSpared)
 		}
 	}
 	if tenants, unrouted := a.tenantStats(); len(tenants) > 0 {
-		tenantGauge := func(name, help string, v func(tenant.Stat) float64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+		gauges := func(name, help string, v func(core.Stats) float64) {
+			f := e.Gauges(name, help, "tenant")
 			for _, ts := range tenants {
-				fmt.Fprintf(&b, "%s{tenant=%q} %g\n", name, ts.ID, v(ts))
+				f.Float(ts.ID, v(ts.Stats))
 			}
 		}
-		tenantCounter := func(name, help string, v func(tenant.Stat) uint64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+		counters := func(name, help string, v func(core.Stats) uint64) {
+			f := e.Counters(name, help, "tenant")
 			for _, ts := range tenants {
-				fmt.Fprintf(&b, "%s{tenant=%q} %d\n", name, ts.ID, v(ts))
+				f.Int(ts.ID, v(ts.Stats))
 			}
 		}
-		tenantGauge("bitmapfilter_tenant_utilization",
-			"Per-tenant current-vector fill fraction",
-			func(ts tenant.Stat) float64 { return ts.Stats.Utilization })
-		tenantGauge("bitmapfilter_tenant_penetration_probability",
-			"Per-tenant random-packet penetration probability U^m",
-			func(ts tenant.Stat) float64 { return ts.Stats.PenetrationProbability })
-		tenantGauge("bitmapfilter_tenant_memory_bytes",
-			"Per-tenant bitmap footprint (changes when the budget rebalances)",
-			func(ts tenant.Stat) float64 { return float64(ts.Stats.MemoryBytes) })
-		tenantGauge("bitmapfilter_tenant_order",
-			"Per-tenant bitmap order n (vector size 2^n bits)",
-			func(ts tenant.Stat) float64 { return float64(ts.Stats.Order) })
-		tenantGauge("bitmapfilter_tenant_apd_drop_probability",
-			"Per-tenant APD drop probability for unmatched incoming packets",
-			func(ts tenant.Stat) float64 { return ts.Stats.APDDropProbability })
-		tenantCounter("bitmapfilter_tenant_out_packets_total",
-			"Per-tenant outgoing packets observed",
-			func(ts tenant.Stat) uint64 { return ts.Stats.Counters.OutPackets })
-		tenantCounter("bitmapfilter_tenant_in_packets_total",
-			"Per-tenant incoming packets observed",
-			func(ts tenant.Stat) uint64 { return ts.Stats.Counters.InPackets })
-		tenantCounter("bitmapfilter_tenant_in_dropped_total",
-			"Per-tenant incoming packets dropped",
-			func(ts tenant.Stat) uint64 { return ts.Stats.Counters.InDropped })
-		tenantCounter("bitmapfilter_tenant_apd_spared_total",
-			"Per-tenant unmatched incoming packets admitted by APD",
-			func(ts tenant.Stat) uint64 { return ts.Stats.APDSpared })
-		counter("bitmapfilter_unrouted_packets_total", unrouted,
-			"Packets passed through unfiltered because no tenant prefix matched")
+		gauges("bitmapfilter_tenant_utilization", "Per-tenant current-vector fill fraction", func(st core.Stats) float64 { return st.Utilization })
+		gauges("bitmapfilter_tenant_penetration_probability", "Per-tenant random-packet penetration probability U^m", func(st core.Stats) float64 { return st.PenetrationProbability })
+		gauges("bitmapfilter_tenant_memory_bytes", "Per-tenant bitmap footprint (changes when the budget rebalances)", func(st core.Stats) float64 { return float64(st.MemoryBytes) })
+		gauges("bitmapfilter_tenant_order", "Per-tenant bitmap order n (vector size 2^n bits)", func(st core.Stats) float64 { return float64(st.Order) })
+		gauges("bitmapfilter_tenant_apd_drop_probability", "Per-tenant APD drop probability for unmatched incoming packets", func(st core.Stats) float64 { return st.APDDropProbability })
+		counters("bitmapfilter_tenant_out_packets_total", "Per-tenant outgoing packets observed", func(st core.Stats) uint64 { return st.Counters.OutPackets })
+		counters("bitmapfilter_tenant_in_packets_total", "Per-tenant incoming packets observed", func(st core.Stats) uint64 { return st.Counters.InPackets })
+		counters("bitmapfilter_tenant_in_dropped_total", "Per-tenant incoming packets dropped", func(st core.Stats) uint64 { return st.Counters.InDropped })
+		counters("bitmapfilter_tenant_apd_spared_total", "Per-tenant unmatched incoming packets admitted by APD", func(st core.Stats) uint64 { return st.APDSpared })
+		e.Counter("bitmapfilter_unrouted_packets_total", "Packets passed through unfiltered because no tenant prefix matched").Int(unrouted)
 	}
-	if a.health != nil {
-		live, _ := a.health.Live()
-		ready, _ := a.health.Ready()
-		bool01 := func(v bool) float64 {
-			if v {
-				return 1
-			}
-			return 0
-		}
-		gauge("bitmapfilter_resilience_live", bool01(live),
-			"Whether every supervised loop is making progress")
-		gauge("bitmapfilter_resilience_ready", bool01(ready),
-			"Whether the daemon should receive new traffic")
-		fmt.Fprintf(&b, "# HELP bitmapfilter_resilience_state Daemon lifecycle state (one-hot)\n"+
-			"# TYPE bitmapfilter_resilience_state gauge\n")
-		for _, st := range []resilience.State{
-			resilience.StateStarting, resilience.StateReady, resilience.StateDraining,
-		} {
-			fmt.Fprintf(&b, "bitmapfilter_resilience_state{state=%q} %g\n",
-				st, bool01(a.health.State() == st))
-		}
-		if wd := a.health.Watchdog(); wd != nil {
-			probes := wd.Status()
-			fmt.Fprintf(&b, "# HELP bitmapfilter_resilience_probe_beats_total Loop iterations recorded by each watchdog probe\n"+
-				"# TYPE bitmapfilter_resilience_probe_beats_total counter\n")
-			for _, p := range probes {
-				fmt.Fprintf(&b, "bitmapfilter_resilience_probe_beats_total{probe=%q} %d\n", p.Name, p.Beats)
-			}
-			fmt.Fprintf(&b, "# HELP bitmapfilter_resilience_probe_age_seconds Seconds since each probe last made progress\n"+
-				"# TYPE bitmapfilter_resilience_probe_age_seconds gauge\n")
-			for _, p := range probes {
-				fmt.Fprintf(&b, "bitmapfilter_resilience_probe_age_seconds{probe=%q} %g\n", p.Name, p.Age.Seconds())
-			}
-			fmt.Fprintf(&b, "# HELP bitmapfilter_resilience_probe_stalled Whether each probe exceeded its stall threshold\n"+
-				"# TYPE bitmapfilter_resilience_probe_stalled gauge\n")
-			for _, p := range probes {
-				fmt.Fprintf(&b, "bitmapfilter_resilience_probe_stalled{probe=%q} %g\n", p.Name, bool01(p.Stalled))
-			}
-		}
-	}
-	cpEnabled := 0.0
-	if a.checkpoints != nil {
-		cpEnabled = 1
-	}
-	gauge("bitmapfilter_checkpoint_enabled", cpEnabled,
-		"Whether crash-safe checkpointing is configured")
-	if a.checkpoints != nil {
-		cs := a.checkpoints.Stats()
-		age := -1.0
-		if !cs.LastSuccess.IsZero() {
-			age = time.Since(cs.LastSuccess).Seconds()
-		}
-		gauge("bitmapfilter_checkpoint_last_success_age_seconds", age,
-			"Seconds since the newest completed checkpoint (-1 before the first)")
-		gauge("bitmapfilter_checkpoint_last_size_bytes", float64(cs.LastBytes),
-			"Size of the newest completed checkpoint")
-		counter("bitmapfilter_checkpoint_attempts_total", cs.Attempts,
-			"Checkpoint save attempts, including retries")
-		counter("bitmapfilter_checkpoint_success_total", cs.Successes,
-			"Completed checkpoints")
-		counter("bitmapfilter_checkpoint_failures_total", cs.Failures,
-			"Failed checkpoint save attempts")
-		fmt.Fprintf(&b, "# HELP bitmapfilter_checkpoint_restore_outcome Which restore-ladder rung produced the running state (one-hot)\n"+
-			"# TYPE bitmapfilter_checkpoint_restore_outcome gauge\n")
-		for _, o := range []checkpoint.Outcome{
-			checkpoint.OutcomePrimary, checkpoint.OutcomeBackup,
-			checkpoint.OutcomeColdStartEmpty, checkpoint.OutcomeColdStartCorrupt,
-		} {
-			v := 0
-			if a.restore.Outcome == o {
-				v = 1
-			}
-			fmt.Fprintf(&b, "bitmapfilter_checkpoint_restore_outcome{outcome=%q} %d\n", o, v)
-		}
-	}
-	_, _ = w.Write([]byte(b.String()))
+	WriteHealth(&e, a.health)
+	WriteCheckpoint(&e, a.checkpoints, a.restore)
+	e.Reply(w)
 }
 
 // handleCheckpoint persists a snapshot immediately (operator-triggered,

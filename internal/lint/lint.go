@@ -93,7 +93,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Analyzers returns the full bflint suite in stable order: the five
-// phase-1 AST analyzers, then the five phase-2 dataflow/concurrency/
+// phase-1 AST analyzers, then the four phase-2 dataflow/concurrency/
 // compiler analyzers.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -106,7 +106,6 @@ func Analyzers() []*Analyzer {
 		GoleakAnalyzer,
 		AtomicFieldAnalyzer,
 		EscapeCheckAnalyzer,
-		MetricNameAnalyzer,
 	}
 }
 

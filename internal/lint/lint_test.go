@@ -69,10 +69,6 @@ func TestAtomicField(t *testing.T) {
 	linttest.Run(t, "testdata/atomicfield/af", "example.com/internal/af", lint.AtomicFieldAnalyzer)
 }
 
-func TestMetricName(t *testing.T) {
-	linttest.Run(t, "testdata/metricname/m", "example.com/internal/metricsx", lint.MetricNameAnalyzer)
-}
-
 func TestEscapeCheck(t *testing.T) {
 	linttest.Run(t, "testdata/escapecheck/hot", "example.com/internal/hot", lint.EscapeCheckAnalyzer)
 }
