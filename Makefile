@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-tags test race vet lint lint-fast fmt loc replay-smoke bench-go bench-e2e bench-smoke bench-compare bench-pairs experiments examples clean
+.PHONY: all build build-tags test race vet lint fmt loc replay-smoke bench-go bench-e2e bench-smoke bench-compare bench-pairs experiments examples clean
 
 all: build build-tags lint test race
 
@@ -25,11 +25,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: vet, staticcheck (when installed), and bflint — the
-# repo's own invariant suite (see internal/lint and DESIGN.md §8). The
-# full run includes escapecheck (a real compiler invocation per hotpath
-# package; the build cache keeps warm runs fast) and the stale-allow
-# audit, over both the default and afpacket file sets.
+# Static analysis: vet (whose copylocks check reports a copied typed
+# atomic), staticcheck (when installed), and bflint — the repo's own
+# invariant suite (see internal/lint and DESIGN.md §8) — with the
+# stale-allow audit, over both the default and afpacket file sets.
 lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
@@ -38,12 +37,6 @@ lint: vet
 	fi
 	$(GO) run ./cmd/bflint -stale-allows ./...
 	GOOS=linux $(GO) run ./cmd/bflint -tags afpacket ./...
-
-# The fast inner loop: the whole suite minus escapecheck's compiler
-# pass. Stale allows are not audited here — escapecheck allows would
-# false-flag when the analyzer that uses them is skipped.
-lint-fast:
-	$(GO) run ./cmd/bflint -skip escapecheck ./...
 
 fmt:
 	gofmt -l -w .

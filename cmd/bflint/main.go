@@ -5,17 +5,15 @@
 //
 // Usage:
 //
-//	bflint [-list] [-run names] [-skip names] [-tags list] [-json] [-stale-allows] [packages]
+//	bflint [-list] [-run names] [-tags list] [-json] [-stale-allows] [packages]
 //
 // Packages default to ./... relative to the enclosing module. The exit
 // status is 1 when any diagnostic is reported, so `go run ./cmd/bflint
 // ./...` gates CI exactly like vet. -json emits one JSON object per
 // diagnostic (file/line/column/analyzer/message) for machine consumers
-// such as the GitHub Actions problem matcher; -skip drops named
-// analyzers (the `make lint-fast` loop skips escapecheck's compiler
-// pass); -tags selects build tags for file loading and the escapecheck
-// compiler invocation; -stale-allows additionally fails on //bf:allow
-// markers that no longer suppress anything.
+// such as the GitHub Actions problem matcher; -tags selects build tags for
+// file loading; -stale-allows additionally fails on //bf:allow markers
+// that no longer suppress anything or name no analyzer of the suite.
 package main
 
 import (
@@ -41,12 +39,11 @@ type jsonDiag struct {
 func main() {
 	listOnly := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	only := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	skip := flag.String("skip", "", "comma-separated analyzer names to skip")
-	tags := flag.String("tags", "", "comma-separated build tags (selects files and feeds escapecheck's compiler pass)")
+	tags := flag.String("tags", "", "comma-separated build tags (selects the files analyzed)")
 	asJSON := flag.Bool("json", false, "emit diagnostics as JSON objects, one per line")
-	staleAllows := flag.Bool("stale-allows", false, "also fail on //bf:allow markers that suppress nothing")
+	staleAllows := flag.Bool("stale-allows", false, "also fail on //bf:allow markers that suppress nothing or name no analyzer")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bflint [-list] [-run names] [-skip names] [-tags list] [-json] [-stale-allows] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: bflint [-list] [-run names] [-tags list] [-json] [-stale-allows] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the bitmapfilter invariant suite (default packages: ./...).\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
@@ -77,28 +74,9 @@ func main() {
 			analyzers = append(analyzers, a)
 		}
 	}
-	if *skip != "" {
-		skipped := map[string]bool{}
-		for _, name := range strings.Split(*skip, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := byName[name]; !ok {
-				fmt.Fprintf(os.Stderr, "bflint: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			skipped[name] = true
-		}
-		kept := analyzers[:0:0]
-		for _, a := range analyzers {
-			if !skipped[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		analyzers = kept
-	}
 
 	if *tags != "" {
-		// The loader and escapecheck both consult build.Default, so one
-		// mutation covers file selection and the compiler pass alike.
+		// The loader matches files against build.Default.
 		build.Default.BuildTags = strings.Split(*tags, ",")
 	}
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"bitmapfilter/internal/pcap"
 )
 
 // AFPacket reads raw Ethernet frames from a Linux AF_PACKET socket. It is
@@ -37,10 +39,14 @@ func htons(v uint16) uint16 { return v<<8 | v>>8 }
 
 // NewAFPacket opens a raw packet socket bound to the named interface
 // (all interfaces when iface is empty). snapLen caps the bytes copied
-// per frame; longer frames are truncated with OrigLen preserved.
+// per frame; longer frames are truncated with OrigLen preserved. As in
+// NewRing, it is capped at pcap.MaxRecordLen.
 func NewAFPacket(iface string, snapLen int) (*AFPacket, error) {
-	if snapLen <= 0 {
+	switch {
+	case snapLen <= 0:
 		snapLen = DefaultSnapLen
+	case snapLen > pcap.MaxRecordLen:
+		snapLen = pcap.MaxRecordLen
 	}
 	fd, err := syscall.Socket(syscall.AF_PACKET, syscall.SOCK_RAW, int(htons(ethPAll)))
 	if err != nil {

@@ -22,7 +22,11 @@
 // deterministic given the frame stream.
 package capture
 
-import "time"
+import (
+	"time"
+
+	"bitmapfilter/internal/pcap"
+)
 
 // Frame is one captured frame. Data points either into the ring slot's
 // own buffer or into memory the source owns; either way it is valid until
@@ -96,11 +100,16 @@ const DefaultSnapLen = 1 << 16
 // come from here: a filling source grows a slot it finds too short, so a
 // caller that cannot say how its rings will be filled (bfwall's pump)
 // starts them empty and pays for buffers only when a source fills them.
+// snapLen is capped at pcap.MaxRecordLen: no frame is longer than the
+// longest record a capture may hold.
 func NewRing(n, snapLen int) []Frame {
-	if snapLen <= 0 {
+	switch {
+	case snapLen <= 0:
 		snapLen = DefaultSnapLen
+	case snapLen > pcap.MaxRecordLen:
+		snapLen = pcap.MaxRecordLen
 	}
-	ring := make([]Frame, n)
+	ring := make([]Frame, n) //bf:allow boundedalloc n is the operator's ring size (-queue, -batch), set in configuration, never read from a frame
 	for i := range ring {
 		ring[i].Data = make([]byte, 0, snapLen)
 	}

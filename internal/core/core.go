@@ -392,7 +392,7 @@ func (f *Filter) ProcessBatch(pkts []packet.Packet) []filtering.Verdict {
 //
 //bf:hotpath
 func (f *Filter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
-	out = filtering.GrowVerdicts(out, len(pkts)) //bf:allow escapecheck amortized grow per the BatchFilter contract; steady state reuses the caller buffer
+	out = filtering.GrowVerdicts(out, len(pkts))
 	f.processBatch(pkts, out)
 	return out
 }
@@ -428,7 +428,7 @@ func (f *Filter) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []fi
 	if len(idxs) != len(pkts)*f.cfg.hashes {
 		panic(errIndexes)
 	}
-	out = filtering.GrowVerdicts(out, len(pkts)) //bf:allow escapecheck amortized grow per the BatchFilter contract; steady state reuses the caller buffer
+	out = filtering.GrowVerdicts(out, len(pkts))
 	f.judgeHashed(pkts, idxs, out)
 	return out
 }

@@ -52,7 +52,7 @@ func (s *Safe) ProcessBatch(pkts []packet.Packet) []filtering.Verdict {
 //
 //bf:hotpath
 func (s *Safe) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
-	out = filtering.GrowVerdicts(out, len(pkts)) //bf:allow escapecheck amortized grow per the BatchFilter contract; steady state reuses the caller buffer
+	out = filtering.GrowVerdicts(out, len(pkts))
 	s.processBatchInto(pkts, out)
 	return out
 }

@@ -282,7 +282,7 @@ func (s *Sharded) ProcessBatch(pkts []packet.Packet) []filtering.Verdict {
 //
 //bf:hotpath
 func (s *Sharded) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
-	out = filtering.GrowVerdicts(out, len(pkts)) //bf:allow escapecheck amortized grow per the BatchFilter contract; steady state reuses the caller buffer
+	out = filtering.GrowVerdicts(out, len(pkts))
 	s.processBatchInto(pkts, out)
 	return out
 }
@@ -301,13 +301,13 @@ func (s *Sharded) processBatchInto(pkts []packet.Packet, out []filtering.Verdict
 	// routing hash is computed once per packet. The scratch goes back to
 	// the pool via defer so a panicking shard cannot leak it.
 	sc := shardScratchPool.Get().(*shardScratch)
-	defer shardScratchPool.Put(sc)                                //bf:allow hotpath pooled put must run even if a shard panics, or the scratch leaks
-	sc.shardOf = filtering.GrowSlice(sc.shardOf, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.starts = filtering.GrowSlice(sc.starts, len(s.shards)+1)   //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.next = filtering.GrowSlice(sc.next, len(s.shards))         //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.grouped = filtering.GrowSlice(sc.grouped, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.perm = filtering.GrowSlice(sc.perm, len(pkts))             //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.groupedOut = filtering.GrowSlice(sc.groupedOut, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	defer shardScratchPool.Put(sc) //bf:allow hotpath pooled put must run even if a shard panics, or the scratch leaks
+	sc.shardOf = filtering.GrowSlice(sc.shardOf, len(pkts))
+	sc.starts = filtering.GrowSlice(sc.starts, len(s.shards)+1)
+	sc.next = filtering.GrowSlice(sc.next, len(s.shards))
+	sc.grouped = filtering.GrowSlice(sc.grouped, len(pkts))
+	sc.perm = filtering.GrowSlice(sc.perm, len(pkts))
+	sc.groupedOut = filtering.GrowSlice(sc.groupedOut, len(pkts))
 
 	clear(sc.starts)
 	for i := range pkts {

@@ -159,11 +159,9 @@ func findJoin(info *types.Info, body *ast.BlockStmt, decls map[*types.Func]*ast.
 		case *ast.SendStmt:
 			j.channel = true
 		case *ast.CallExpr:
-			if ident, ok := n.Fun.(*ast.Ident); ok {
-				if _, isBuiltin := info.Uses[ident].(*types.Builtin); isBuiltin && ident.Name == "close" {
-					j.channel = true
-					return false
-				}
+			if isBuiltin(info, n.Fun, "close") {
+				j.channel = true
+				return false
 			}
 			if isWaitGroupCall(info, n, "Done") {
 				j.wgDone = true

@@ -1,21 +1,26 @@
 // Package lint is bflint's analysis engine: a small, self-contained
 // reimplementation of the golang.org/x/tools/go/analysis driver surface
 // (Analyzer, Pass, Diagnostic) built only on the standard library's go/ast
-// and go/types, plus the five domain analyzers that enforce this
+// and go/types, plus the six domain analyzers that enforce this
 // repository's own invariants:
 //
 //   - wallclock:    deterministic packages must not read the wall clock
 //   - hotpath:      //bf:hotpath functions must stay allocation-free
-//   - lockguard:    //bf:guardedby fields are only touched under their mutex
-//   - boundedalloc: untrusted decoders must clamp attacker-controlled sizes
+//   - lockguard:    //bf:guardedby fields are only touched under their
+//     mutex; atomics are typed, never guarded
+//   - boundedalloc: packages that parse untrusted input clamp every
+//     allocation size in the function that allocates
 //   - sentinelerr:  sentinel errors use errors.Is / %w, never == or %v
+//   - goleak:       every go statement has a statically visible join
 //
 // Generic tooling (vet, staticcheck) cannot check any of these: they are
 // properties of this codebase's design — the batch hot path's 0 allocs/op
 // contract, the injected-clock determinism the experiments and the
 // checkpoint restore path rely on, the mutex discipline that already caught
 // one real race (the Sharded+APD shared-policy bug), and the adversarial
-// posture of the snapshot/packet/pcap decoders.
+// posture of the snapshot/packet/pcap decoders. What a type or a test
+// already holds is left to it: vet's copylocks for copied atomics, the
+// zero-alloc tests for what the compiler's escape analysis decides.
 //
 // # Annotation language
 //
@@ -59,9 +64,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Dir is the package's directory on disk. Compiler-driven analyzers
-	// (escapecheck) shell out to the go tool from here.
-	Dir string
 
 	diags *[]Diagnostic
 	lines *lineComments
@@ -92,9 +94,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the full bflint suite in stable order: the five
-// phase-1 AST analyzers, then the four phase-2 dataflow/concurrency/
-// compiler analyzers.
+// Analyzers returns the full bflint suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer,
@@ -102,10 +102,7 @@ func Analyzers() []*Analyzer {
 		LockguardAnalyzer,
 		BoundedAllocAnalyzer,
 		SentinelErrAnalyzer,
-		TaintAnalyzer,
 		GoleakAnalyzer,
-		AtomicFieldAnalyzer,
-		EscapeCheckAnalyzer,
 	}
 }
 
@@ -139,7 +136,6 @@ func CheckWithAllows(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Allow
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			Dir:       pkg.Dir,
 			diags:     &diags,
 			lines:     lines,
 		}
@@ -164,26 +160,33 @@ func CheckWithAllows(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Allow
 	return diags, allows, nil
 }
 
-// StaleAllows turns unused //bf:allow markers into diagnostics. Only
-// allows naming one of the analyzers that actually ran are considered:
-// an escapecheck allow is not stale just because a -skip escapecheck
-// run never consulted it.
+// StaleAllows turns unused //bf:allow markers into diagnostics. An allow
+// naming an analyzer outside the suite is always reported: nothing can
+// ever consult it (a typo, or an analyzer since retired). One naming a
+// suite analyzer that did not run (bflint -run) is left alone — that run
+// never asked it.
 func StaleAllows(allows []AllowSite, ran []*Analyzer) []Diagnostic {
-	active := make(map[string]bool, len(ran))
+	active := make(map[string]bool)
+	for _, a := range Analyzers() {
+		active[a.Name] = false
+	}
 	for _, a := range ran {
 		active[a.Name] = true
 	}
 	var diags []Diagnostic
 	for _, s := range allows {
-		if s.Used || !active[s.Analyzer] {
+		didRun, known := active[s.Analyzer]
+		if s.Used || (known && !didRun) {
 			continue
+		}
+		msg := "//bf:allow %s suppresses nothing; the code it excused was fixed or the marker is misplaced — delete it"
+		if !known {
+			msg = "//bf:allow %s names no bflint analyzer (see bflint -list), so it can never suppress anything — fix the name or delete it"
 		}
 		diags = append(diags, Diagnostic{
 			Pos:      s.Pos,
 			Analyzer: "staleallow",
-			Message: fmt.Sprintf(
-				"//bf:allow %s suppresses nothing; the code it excused was fixed or the marker is misplaced — delete it",
-				s.Analyzer),
+			Message:  fmt.Sprintf(msg, s.Analyzer),
 		})
 	}
 	return diags
@@ -339,6 +342,42 @@ func pkgFunc(info *types.Info, call *ast.CallExpr) (string, string, bool) {
 		return "", "", false
 	}
 	return pn.Imported().Path(), sel.Sel.Name, true
+}
+
+// calleeFunc resolves a call to a same-package function or method
+// declaration's object, or nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				return fn
+			}
+		}
+	}
+	return nil
+}
+
+// pkgLeaf is the last element of an import path: the path-sensitive
+// analyzers match on it so synthetic testdata paths select the same rules.
+func pkgLeaf(path string) string {
+	segs := strings.Split(path, "/")
+	return segs[len(segs)-1]
+}
+
+// isBuiltin reports whether fun names the predeclared function name
+// (make, len, min, ...), not a shadowing declaration.
+func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
+	ident, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok || ident.Name != name {
+		return false
+	}
+	_, ok = info.Uses[ident].(*types.Builtin)
+	return ok
 }
 
 // isErrorType reports whether t is (or trivially implements) the built-in

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -34,6 +35,12 @@ func TestLockguard(t *testing.T) {
 	linttest.Run(t, "testdata/lockguard/guard", "example.com/internal/guard", lint.LockguardAnalyzer)
 }
 
+// TestAtomicField: the retired atomicfield analyzer's function-style and
+// guardedby-on-atomic cases, held by lockguard.
+func TestAtomicField(t *testing.T) {
+	linttest.Run(t, "testdata/lockguard/atomics", "example.com/internal/af", lint.LockguardAnalyzer)
+}
+
 func TestBoundedAllocDecoder(t *testing.T) {
 	linttest.Run(t, "testdata/boundedalloc/dec", "example.com/internal/pcap", lint.BoundedAllocAnalyzer)
 }
@@ -43,18 +50,36 @@ func TestBoundedAllocNonTarget(t *testing.T) {
 	linttest.Run(t, "testdata/boundedalloc/other", "example.com/internal/render", lint.BoundedAllocAnalyzer)
 }
 
+// TestTaintDecoder: the retired taint analyzer's fixture, held by
+// boundedalloc — every bad flow flagged, every good one silent.
+func TestTaintDecoder(t *testing.T) {
+	linttest.Run(t, "testdata/boundedalloc/wire", "example.com/internal/pcap", lint.BoundedAllocAnalyzer)
+}
+
+// TestTaintNonTarget: the same wire flows draw nothing outside
+// boundedalloc's package set.
+func TestTaintNonTarget(t *testing.T) {
+	l, err := lint.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]bool{"example.com/internal/render": false, "example.com/internal/tenant": true} {
+		pkg, err := l.LoadDir("testdata/boundedalloc/wire", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, err := lint.Check(pkg, []*lint.Analyzer{lint.BoundedAllocAnalyzer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(diags) > 0; got != want {
+			t.Errorf("%s: %d diagnostics, want any = %v", path, len(diags), want)
+		}
+	}
+}
+
 func TestSentinelErr(t *testing.T) {
 	linttest.Run(t, "testdata/sentinelerr/sent", "example.com/internal/sent", lint.SentinelErrAnalyzer)
-}
-
-func TestTaintDecoder(t *testing.T) {
-	linttest.Run(t, "testdata/taint/dec", "example.com/internal/pcap", lint.TaintAnalyzer)
-}
-
-func TestTaintNonTarget(t *testing.T) {
-	// The same unclamped wire read outside the decoder/config packages is
-	// out of scope.
-	linttest.Run(t, "testdata/taint/other", "example.com/internal/render", lint.TaintAnalyzer)
 }
 
 func TestGoleak(t *testing.T) {
@@ -65,41 +90,49 @@ func TestGoleakNonTarget(t *testing.T) {
 	linttest.Run(t, "testdata/goleak/other", "example.com/internal/render", lint.GoleakAnalyzer)
 }
 
-func TestAtomicField(t *testing.T) {
-	linttest.Run(t, "testdata/atomicfield/af", "example.com/internal/af", lint.AtomicFieldAnalyzer)
+// TestStaleAllowsUnknownAnalyzer: an allow naming no analyzer of the
+// suite — a typo, or an analyzer since retired — can never suppress
+// anything, so the audit reports it whichever analyzers ran; an allow for
+// a suite analyzer the run left out (-run) is not reported.
+func TestStaleAllowsUnknownAnalyzer(t *testing.T) {
+	dir := t.TempDir()
+	src := `package capture
+
+//bf:allow metricname retired in PR 28
+func NewRing(n int) []byte {
+	return make([]byte, n) //bf:allow boundedaloc a typo
 }
 
-func TestEscapeCheck(t *testing.T) {
-	linttest.Run(t, "testdata/escapecheck/hot", "example.com/internal/hot", lint.EscapeCheckAnalyzer)
-}
+//bf:allow hotpath a suite analyzer this run leaves out
+func quiet() {}
 
-// TestEscapeCheckBeyondAST is the acceptance proof that escapecheck
-// catches an allocation the AST hotpath analyzer structurally cannot:
-// over the same fixture where escapecheck reports the package-level
-// interface boxing (TestEscapeCheck), the hotpath analyzer must find
-// nothing at all.
-func TestEscapeCheckBeyondAST(t *testing.T) {
+var _ = quiet
+`
+	if err := os.WriteFile(filepath.Join(dir, "capture.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l, err := lint.NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.LoadDir("testdata/escapecheck/hot", "example.com/internal/hot")
+	pkg, err := l.LoadDir(dir, "example.com/internal/capture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.Check(pkg, []*lint.Analyzer{lint.HotpathAnalyzer})
+	ran := []*lint.Analyzer{lint.BoundedAllocAnalyzer}
+	_, allows, err := lint.CheckWithAllows(pkg, ran)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range diags {
-		t.Errorf("hotpath analyzer unexpectedly sees the boxing fixture: %s", d)
+	var got []string
+	for _, d := range lint.StaleAllows(allows, ran) {
+		if !strings.Contains(d.Message, "names no bflint analyzer") {
+			t.Errorf("line %d: %s", d.Pos.Line, d.Message)
+		}
+		got = append(got, fmt.Sprintf("%d:%s", d.Pos.Line, strings.Fields(d.Message)[1]))
 	}
-	diags, err = lint.Check(pkg, []*lint.Analyzer{lint.EscapeCheckAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("escapecheck found nothing in the boxing fixture; the compiler cross-check is not working")
+	if want := "3:metricname,5:boundedaloc"; strings.Join(got, ",") != want {
+		t.Errorf("stale allows = %v, want %s", got, want)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path  string // import path
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files only
 	Types *types.Package
@@ -248,7 +247,6 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  path,
-		Dir:   dir,
 		Fset:  l.Fset,
 		Files: files,
 		Types: tpkg,

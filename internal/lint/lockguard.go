@@ -29,23 +29,52 @@ import (
 //   - Helpers documented to be called with the lock held, and
 //     single-goroutine construction code, use //bf:allow lockguard with
 //     a reason.
+//
+// State shared without a mutex is a typed atomic: its methods are the only
+// access, and go vet's copylocks reports its copies. The two rules no type
+// gives are checked here: no function-style sync/atomic call, and no
+// //bf:guardedby on an atomic-typed field (mixed protection orders nothing).
 var LockguardAnalyzer = &Analyzer{
 	Name: "lockguard",
-	Doc:  "check that //bf:guardedby fields are only accessed under their mutex",
+	Doc:  "check that //bf:guardedby fields are only accessed under their mutex, and that atomics are typed and unguarded",
 	Run:  runLockguard,
 }
 
 func runLockguard(pass *Pass) error {
 	guarded := collectGuardedFields(pass)
-	if len(guarded) == 0 {
-		return nil
+	for obj := range guarded {
+		if isTypedAtomic(obj.Type()) {
+			pass.Reportf(obj.Pos(),
+				"field %s has a sync/atomic type and a //bf:guardedby marker; mixed mutex/atomic protection orders nothing — pick one",
+				obj.Name())
+		}
 	}
 	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if pkgPath, name, ok := pkgFunc(pass.TypesInfo, call); ok && pkgPath == "sync/atomic" {
+					pass.Reportf(call.Pos(),
+						"function-style atomic.%s leaves its operand open to plain reads, writes and copies; make the field a typed atomic (atomic.Uint64, ...)",
+						name)
+				}
+			}
+			return true
+		})
 		funcScopes(f, func(decl *ast.FuncDecl, body *ast.BlockStmt) {
 			checkLockScope(pass, guarded, body)
 		})
 	}
 	return nil
+}
+
+// isTypedAtomic reports whether t, or t's element if t is an array, is one
+// of the sync/atomic value types.
+func isTypedAtomic(t types.Type) bool {
+	if arr, ok := t.Underlying().(*types.Array); ok {
+		t = arr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync/atomic"
 }
 
 // collectGuardedFields maps each annotated field object to the name of

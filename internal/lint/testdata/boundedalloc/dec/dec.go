@@ -39,6 +39,29 @@ func (r *reader) BadFieldBound(n uint32) ([]byte, error) {
 	return buf, err
 }
 
+// BadLowerBound: n <= 0 rejects a sign, not a size — 4 GiB passes it.
+func BadLowerBound(data []byte) []byte {
+	n := int(binary.LittleEndian.Uint32(data))
+	if n <= 0 {
+		return nil
+	}
+	return make([]byte, n) // want "make size n is not clamped"
+}
+
+// BadEquality: n != 7 allocates for every n but one.
+func BadEquality(data []byte) []byte {
+	n := int(binary.LittleEndian.Uint32(data))
+	if n != 7 {
+		return make([]byte, n) // want "make size n is not clamped"
+	}
+	return nil
+}
+
+// BadMax: max with a constant is a floor, not a ceiling.
+func BadMax(n int) []byte {
+	return make([]byte, max(n, 64)) // want "make size max\\(n, 64\\) is not clamped"
+}
+
 // GoodConstClamp: a comparison against a constant bounds the size.
 func (r *reader) GoodConstClamp(n uint32) ([]byte, error) {
 	if n > maxRecord {

@@ -151,7 +151,7 @@ func (l *Filter) ObserveBatch(pkts []packet.Packet) []filtering.Verdict {
 //
 //bf:hotpath
 func (l *Filter) ObserveBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
-	out = filtering.GrowVerdicts(out, len(pkts)) //bf:allow escapecheck amortized grow per the BatchFilter contract; steady state reuses the caller buffer
+	out = filtering.GrowVerdicts(out, len(pkts))
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.elapsed()

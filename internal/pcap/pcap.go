@@ -39,12 +39,12 @@ const (
 	// comfortably exceeds any simulated frame.
 	DefaultSnapLen = 65535
 
-	// maxRecordLen caps a single record's captured length no matter what
+	// MaxRecordLen caps a single record's captured length no matter what
 	// snapLen the global header claims: the header is part of the
 	// untrusted input, and no Ethernet frame is a MiB long. (A record must
 	// also fit in what is left of the capture; nothing is allocated for
 	// it.)
-	maxRecordLen = 1 << 20
+	MaxRecordLen = 1 << 20
 )
 
 // Errors matchable with errors.Is.
@@ -185,10 +185,10 @@ func (l *layout) u32(b []byte) uint32 {
 
 // record decodes one record header and applies every check that needs
 // only the header: the captured length may exceed neither the snapLen the
-// file declares nor maxRecordLen.
+// file declares nor MaxRecordLen.
 func (l *layout) record(h *[recordHeaderLen]byte) (t time.Duration, incl, orig int, err error) {
 	n := l.u32(h[8:12])
-	if n > l.snapLen || n > maxRecordLen {
+	if n > l.snapLen || n > MaxRecordLen {
 		return 0, 0, 0, errRecordLen(n)
 	}
 	t = time.Duration(l.u32(h[0:4]))*time.Second + time.Duration(l.u32(h[4:8]))*l.tick

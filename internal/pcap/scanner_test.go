@@ -151,10 +151,10 @@ func TestScannerWalk(t *testing.T) {
 			if n, err := walk(t, buildCapture(order, nano, 128, long)); n != 3 || !errors.Is(err, ErrSnapLen) {
 				t.Errorf("%s over snapLen: %d records then %v, want 3 then ErrSnapLen", name, n, err)
 			}
-			// A file whose snapLen allows anything: maxRecordLen still holds.
-			huge := append(someRecords(2), rawRecord{incl: maxRecordLen + 1, orig: maxRecordLen + 1})
+			// A file whose snapLen allows anything: MaxRecordLen still holds.
+			huge := append(someRecords(2), rawRecord{incl: MaxRecordLen + 1, orig: MaxRecordLen + 1})
 			if n, err := walk(t, buildCapture(order, nano, 0xffffffff, huge)); n != 2 || !errors.Is(err, ErrSnapLen) {
-				t.Errorf("%s over maxRecordLen: %d records then %v, want 2 then ErrSnapLen", name, n, err)
+				t.Errorf("%s over MaxRecordLen: %d records then %v, want 2 then ErrSnapLen", name, n, err)
 			}
 		}
 	}
@@ -291,7 +291,7 @@ func TestScannerTouchIsTheWalk(t *testing.T) {
 func FuzzScanner(f *testing.F) {
 	f.Add(buildCapture(binary.LittleEndian, false, DefaultSnapLen, someRecords(4)))
 	f.Add(buildCapture(binary.BigEndian, true, 64, someRecords(4)))
-	f.Add(buildCapture(binary.LittleEndian, true, 0xffffffff, []rawRecord{{incl: maxRecordLen + 1}}))
+	f.Add(buildCapture(binary.LittleEndian, true, 0xffffffff, []rawRecord{{incl: MaxRecordLen + 1}}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = data[:len(data):len(data)]

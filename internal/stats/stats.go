@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used to regenerate
 // the paper's figures: histograms and CDFs (Figure 2), per-interval time
 // series (Figure 5), scatter summaries with a least-squares slope
-// (Figure 4), and streaming moments.
+// (Figure 4).
 package stats
 
 import (
@@ -13,39 +13,6 @@ import (
 
 // ErrArgs is returned for invalid constructor arguments.
 var ErrArgs = errors.New("stats: invalid arguments")
-
-// Welford accumulates streaming mean and variance. The zero value is ready
-// to use.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean (0 with no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 with <2 observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Sample collects raw observations for exact quantiles. Suitable for the
 // per-experiment sample counts in this repository (≤ tens of millions).
@@ -101,18 +68,6 @@ func (s *Sample) CDFAt(x float64) float64 {
 	// First index with value > x.
 	idx := sort.SearchFloat64s(s.values, math.Nextafter(x, math.Inf(1)))
 	return float64(idx) / float64(len(s.values))
-}
-
-// Mean returns the sample mean (0 if empty).
-func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values))
 }
 
 // Max returns the largest observation (0 if empty).

@@ -4,68 +4,13 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"bitmapfilter/internal/xrand"
 )
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.N() != 0 || w.Mean() != 0 || w.Variance() != 0 {
-		t.Error("zero value not neutral")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Errorf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %v", w.Mean())
-	}
-	// Sample variance of that classic set is 32/7.
-	if math.Abs(w.Variance()-32.0/7) > 1e-12 {
-		t.Errorf("Variance = %v", w.Variance())
-	}
-	if math.Abs(w.StdDev()-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("StdDev = %v", w.StdDev())
-	}
-}
-
-func TestWelfordMatchesDirectComputation(t *testing.T) {
-	f := func(raw []float64) bool {
-		var vals []float64
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e6 {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) < 2 {
-			return true
-		}
-		var w Welford
-		var sum float64
-		for _, v := range vals {
-			w.Add(v)
-			sum += v
-		}
-		mean := sum / float64(len(vals))
-		var ss float64
-		for _, v := range vals {
-			ss += (v - mean) * (v - mean)
-		}
-		variance := ss / float64(len(vals)-1)
-		scale := math.Max(1, math.Abs(variance))
-		return math.Abs(w.Mean()-mean) < 1e-6 && math.Abs(w.Variance()-variance)/scale < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSampleQuantiles(t *testing.T) {
 	var s Sample
-	if s.Quantile(0.5) != 0 || s.CDFAt(1) != 0 || s.Mean() != 0 || s.Max() != 0 {
+	if s.Quantile(0.5) != 0 || s.CDFAt(1) != 0 || s.Max() != 0 {
 		t.Error("empty sample not neutral")
 	}
 	for i := 1; i <= 100; i++ {
@@ -85,9 +30,6 @@ func TestSampleQuantiles(t *testing.T) {
 	}
 	if got := s.Quantile(0.95); math.Abs(got-95.05) > 1e-9 {
 		t.Errorf("p95 = %v", got)
-	}
-	if got := s.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("Mean = %v", got)
 	}
 	if got := s.Max(); got != 100 {
 		t.Errorf("Max = %v", got)

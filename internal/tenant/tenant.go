@@ -268,14 +268,14 @@ func (s *Set) ProcessBatch(pkts []packet.Packet) []filtering.Verdict {
 //
 //bf:hotpath
 func (s *Set) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
-	out = filtering.GrowVerdicts(out, len(pkts)) //bf:allow escapecheck amortized grow per the BatchFilter contract; steady state reuses the caller buffer
+	out = filtering.GrowVerdicts(out, len(pkts))
 	if len(pkts) == 0 {
 		return out
 	}
 	sc := setScratchPool.Get().(*setScratch)
 	defer setScratchPool.Put(sc) //bf:allow hotpath pooled put must run even if a tenant filter panics, or the scratch leaks
 
-	sc.slotOf = filtering.GrowSlice(sc.slotOf, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	sc.slotOf = filtering.GrowSlice(sc.slotOf, len(pkts))
 	for i := range pkts {
 		sc.slotOf[i] = s.routes.Lookup(clientAddr(&pkts[i]))
 	}
@@ -301,7 +301,7 @@ func (s *Set) ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filte
 	if len(slots) != len(pkts) {
 		badSlots("tenant: ProcessRoutedInto: %d slots for %d packets", len(slots), len(pkts))
 	}
-	out = filtering.GrowVerdicts(out, len(pkts)) //bf:allow escapecheck amortized grow per the BatchFilter contract; steady state reuses the caller buffer
+	out = filtering.GrowVerdicts(out, len(pkts))
 	if len(pkts) == 0 {
 		return out
 	}
@@ -330,12 +330,12 @@ func (s *Set) regroup(sc *setScratch, pkts []packet.Packet, slots []int32, out [
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
-	groups := len(s.tenants) + 1                                  // + the unrouted group
-	sc.starts = filtering.GrowSlice(sc.starts, groups+1)          //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.next = filtering.GrowSlice(sc.next, groups)                //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.grouped = filtering.GrowSlice(sc.grouped, len(pkts))       //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.perm = filtering.GrowSlice(sc.perm, len(pkts))             //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
-	sc.groupedOut = filtering.GrowSlice(sc.groupedOut, len(pkts)) //bf:allow escapecheck pooled scratch grows to the high-water batch size once, then is reused
+	groups := len(s.tenants) + 1 // + the unrouted group
+	sc.starts = filtering.GrowSlice(sc.starts, groups+1)
+	sc.next = filtering.GrowSlice(sc.next, groups)
+	sc.grouped = filtering.GrowSlice(sc.grouped, len(pkts))
+	sc.perm = filtering.GrowSlice(sc.perm, len(pkts))
+	sc.groupedOut = filtering.GrowSlice(sc.groupedOut, len(pkts))
 
 	// Stable counting sort by group. The count pass is also the range
 	// check: it ends before anything below reads a slot as an index.
