@@ -10,11 +10,13 @@ build:
 	$(GO) build ./...
 
 # The live-capture backend (internal/capture AF_PACKET, cmd/bfwall -iface)
-# only compiles behind `linux && afpacket`; this keeps the gated files from
-# bit-rotting on any development platform.
+# only compiles behind `linux && afpacket`, and bitvector.Prefetch is
+# assembly on amd64 only; this keeps the gated files and the portable body
+# from bit-rotting on any development platform.
 build-tags:
 	GOOS=linux $(GO) build -tags afpacket ./...
 	GOOS=linux $(GO) vet -tags afpacket ./...
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

@@ -557,6 +557,15 @@ func printBenchReport(out io.Writer, snap pump.Snapshot, elapsed time.Duration, 
 		sumDecodeErrors(snap), snap.Unrouted, snap.Truncated)
 	fmt.Fprintf(out, "  verdicts: out=%d in=%d pass=%d drop=%d\n",
 		snap.Outgoing, snap.Incoming, snap.Passed, snap.Dropped)
+	// The pump's two serial terms: wall/frame is at least the larger.
+	perFrame := func(d time.Duration) float64 {
+		if snap.Frames == 0 {
+			return 0
+		}
+		return float64(d.Nanoseconds()) / float64(snap.Frames)
+	}
+	fmt.Fprintf(out, "  serial stages: read %.1f ns/frame, commit %.1f ns/frame (W=%d)\n",
+		perFrame(snap.SourceBusy), perFrame(snap.CommitBusy), snap.Workers)
 	fmt.Fprintf(out, "  per-packet latency: p50=%v p99=%v\n", snap.LatencyP50, snap.LatencyP99)
 	ratio := 0.0
 	if target > 0 {

@@ -59,6 +59,37 @@ func TestBenchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestBenchReportFormat pins the -bench report line by line: bench/ parses the
+// first three by prefix, and the serial-stage line is the pump's two serial
+// terms per frame — sourceBusy and commitBusy over frames — beside W.
+func TestBenchReportFormat(t *testing.T) {
+	snap := pump.Snapshot{
+		Frames: 4_000_000, Unrouted: 2, Truncated: 3,
+		Outgoing: 1_800_000, Incoming: 2_199_990, Passed: 2_150_000, Dropped: 49_990,
+		LatencyP50: 40 * time.Microsecond, LatencyP99: 95 * time.Microsecond,
+		Workers: 2, SourceBusy: 60 * time.Millisecond, CommitBusy: 510 * time.Millisecond,
+	}
+	snap.DecodeErrors[0] = 5
+	var out bytes.Buffer
+	printBenchReport(&out, snap, 800*time.Millisecond, 500_000)
+	want := `bfwall bench: 4000000 frames in 800ms wall (5000000 pps)
+  decode errors: 5, unrouted: 2, truncated: 3
+  verdicts: out=1800000 in=2199990 pass=2150000 drop=49990
+  serial stages: read 15.0 ns/frame, commit 127.5 ns/frame (W=2)
+  per-packet latency: p50=40µs p99=95µs
+  target 500000 pps: SATURATED (10.00x)
+`
+	if got := out.String(); got != want {
+		t.Errorf("report:\n%s\nwant:\n%s", got, want)
+	}
+	// No frames: no division by zero.
+	out.Reset()
+	printBenchReport(&out, pump.Snapshot{Workers: 1}, time.Second, 1)
+	if !strings.Contains(out.String(), "  serial stages: read 0.0 ns/frame, commit 0.0 ns/frame (W=1)\n") {
+		t.Errorf("empty run's report:\n%s", out.String())
+	}
+}
+
 // reportHook is run's stdout: when the bench report starts to arrive it
 // calls onReport, once.
 type reportHook struct {

@@ -64,3 +64,30 @@ func TestTestAllEmpty(t *testing.T) {
 		t.Errorf("SetAll(nil) = %d", n)
 	}
 }
+
+// TestPrefetchChangesNothing: Prefetch is a hint. Over indexes above the mask
+// (raw hash outputs, and the vector's last word), repeated indexes and an
+// empty group it leaves every word and the running popcount as they were,
+// at an order that fits the cache and one that does not.
+func TestPrefetchChangesNothing(t *testing.T) {
+	r := xrand.New(29)
+	for _, order := range []uint{6, 12, 25} {
+		v := MustNew(order)
+		for i := 0; i < 1000; i++ {
+			v.Set(r.Uint64())
+		}
+		before := v.Clone()
+		last := v.Len() - 1
+		for _, idxs := range [][]uint64{
+			nil,
+			{},
+			{last, last + 1, ^uint64(0), 1 << 40, r.Uint64(), r.Uint64()},
+			{7, 7, 7, last, last},
+		} {
+			v.Prefetch(idxs)
+			if !v.Equal(before) || v.PopCount() != before.PopCount() {
+				t.Fatalf("order %d: Prefetch(%v) changed the vector: %v, was %v", order, idxs, v, before)
+			}
+		}
+	}
+}

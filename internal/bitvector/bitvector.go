@@ -169,6 +169,19 @@ func (v *Vector) TestAll(idxs []uint64) bool {
 	return true
 }
 
+// Prefetch asks the CPU to start loading the word that holds each bit idxs
+// names (reduced modulo the vector size) into the cache, and returns without
+// waiting for any of them. It is a hint, not a load: it reads and writes no
+// bit and no count, and does nothing on an architecture without the
+// instruction (prefetch_amd64.s; prefetch_other.go). It pays for a caller
+// that knows its indexes a few packets ahead and a vector larger than the
+// cache.
+//
+//bf:hotpath
+func (v *Vector) Prefetch(idxs []uint64) {
+	prefetchWords(v.words, v.mask, idxs)
+}
+
 // Reset zeroes every bit. This is the b.rotate clean-up; it touches a fixed,
 // contiguous region and is therefore O(2^n / 64) word writes.
 func (v *Vector) Reset() {

@@ -39,21 +39,26 @@ func snapshotOf(t *testing.T, f *Filter) []byte {
 // ProcessHashedInto ends in the verdicts, counters, stats and snapshot bytes
 // of ProcessBatchInto and of per-packet Process — across both tuple and both
 // mark policies, APD on and off, and batch sizes on every side of the chunk.
+// The order-25 rows run the prefetching side of judgeHashed (both of its
+// vector choices), which only hints and so must change nothing.
 func TestProcessHashedMatchesProcessBatch(t *testing.T) {
 	pkts := hashedTrace(6000, 23)
 	for _, tc := range []struct {
-		name string
-		opts []Option
-		apd  bool
+		name  string
+		order uint
+		opts  []Option
+		apd   bool
 	}{
-		{"partial/all", nil, false},
-		{"partial/all/apd", nil, true},
-		{"full/all", []Option{WithTuplePolicy(FullTuple)}, false},
-		{"partial/current", []Option{WithMarkPolicy(MarkCurrentOnly)}, false},
-		{"full/current/apd", []Option{WithTuplePolicy(FullTuple), WithMarkPolicy(MarkCurrentOnly)}, true},
+		{"partial/all", 12, nil, false},
+		{"partial/all/apd", 12, nil, true},
+		{"full/all", 12, []Option{WithTuplePolicy(FullTuple)}, false},
+		{"partial/current", 12, []Option{WithMarkPolicy(MarkCurrentOnly)}, false},
+		{"full/current/apd", 12, []Option{WithTuplePolicy(FullTuple), WithMarkPolicy(MarkCurrentOnly)}, true},
+		{"order=25/partial/all/apd", 25, nil, true},
+		{"order=25/full/current", 25, []Option{WithTuplePolicy(FullTuple), WithMarkPolicy(MarkCurrentOnly)}, false},
 	} {
 		mk := func() *Filter {
-			opts := append([]Option{WithOrder(12), WithSeed(5), WithRotateEvery(10 * time.Millisecond)}, tc.opts...)
+			opts := append([]Option{WithOrder(tc.order), WithSeed(5), WithRotateEvery(10 * time.Millisecond)}, tc.opts...)
 			if tc.apd {
 				p, err := NewBandwidthPolicy(20e6, 100*time.Millisecond)
 				if err != nil {
@@ -64,6 +69,9 @@ func TestProcessHashedMatchesProcessBatch(t *testing.T) {
 			return MustNew(opts...)
 		}
 		seq := mk()
+		if seq.prefetching != (tc.order >= prefetchMinOrder) {
+			t.Fatalf("%s: prefetching %v at order %d", tc.name, seq.prefetching, tc.order)
+		}
 		want := make([]filtering.Verdict, len(pkts))
 		for i, p := range pkts {
 			want[i] = seq.Process(p)

@@ -105,12 +105,17 @@ func kernelTrace(n int, seed uint64) (pkts []packet.Packet, replies []int) {
 // the clock and skipping marks the newest vector already holds changes no
 // verdict, no counter, no coin flip and no bit of any vector, at batch
 // sizes on both sides of the chunk size, with rotations inside chunks and
-// replies in the chunk of the packet that admits them.
+// replies in the chunk of the packet that admits them. At order 25 the kernel
+// also prefetches ahead, which must not show either.
 func TestChunkedKernelMatchesReference(t *testing.T) {
 	pkts, replies := kernelTrace(6000, 11)
-	for _, apd := range []bool{false, true} {
+	for _, geom := range []struct {
+		order uint
+		apd   bool
+	}{{12, false}, {12, true}, {25, false}, {25, true}} {
+		order, apd := geom.order, geom.apd
 		mk := func() *Filter {
-			opts := []Option{WithOrder(12), WithSeed(5), WithRotateEvery(10 * time.Millisecond)}
+			opts := []Option{WithOrder(order), WithSeed(5), WithRotateEvery(10 * time.Millisecond)}
 			if apd {
 				p, err := NewBandwidthPolicy(20e6, 100*time.Millisecond)
 				if err != nil {
@@ -121,6 +126,9 @@ func TestChunkedKernelMatchesReference(t *testing.T) {
 			return MustNew(opts...)
 		}
 		ref := mk()
+		if ref.prefetching != (order >= prefetchMinOrder) {
+			t.Fatalf("order %d: prefetching %v", order, ref.prefetching)
+		}
 		want := make([]filtering.Verdict, len(pkts))
 		midChunkRotations := 0
 		for i, p := range pkts {
@@ -142,6 +150,7 @@ func TestChunkedKernelMatchesReference(t *testing.T) {
 			t.Fatalf("APD coin never went both ways: %+v", s)
 		}
 
+		refSnapshot := snapshotOf(t, ref)
 		for _, batch := range []int{1, 31, 32, 33, 64, 512} {
 			f := mk()
 			var out []filtering.Verdict
@@ -150,11 +159,11 @@ func TestChunkedKernelMatchesReference(t *testing.T) {
 				out = f.ProcessBatchInto(pkts[off:end], out)
 				for i, v := range out {
 					if v != want[off+i] {
-						t.Fatalf("apd=%v batch %d: verdict[%d] = %v, reference %v (%v)", apd, batch, off+i, v, want[off+i], pkts[off+i])
+						t.Fatalf("order %d apd=%v batch %d: verdict[%d] = %v, reference %v (%v)", order, apd, batch, off+i, v, want[off+i], pkts[off+i])
 					}
 				}
 			}
-			label := fmt.Sprintf("apd=%v batch %d", apd, batch)
+			label := fmt.Sprintf("order %d apd=%v batch %d", order, apd, batch)
 			if !reflect.DeepEqual(f.Stats(), ref.Stats()) {
 				t.Errorf("%s: stats diverged:\nkernel:    %+v\nreference: %+v", label, f.Stats(), ref.Stats())
 			}
@@ -162,6 +171,9 @@ func TestChunkedKernelMatchesReference(t *testing.T) {
 				if !v.Equal(ref.vectors[i]) { // every word and the running popcount
 					t.Errorf("%s: vector %d differs from the reference (%v vs %v)", label, i, v, ref.vectors[i])
 				}
+			}
+			if !bytes.Equal(snapshotOf(t, f), refSnapshot) {
+				t.Errorf("%s: snapshot bytes differ from the reference's", label)
 			}
 		}
 	}
@@ -348,6 +360,13 @@ func benchHalves(b *testing.B, order uint, judge bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
 }
 
-func BenchmarkHashBatch(b *testing.B)                 { benchHalves(b, 20, false) }
-func BenchmarkProcessHashedBatchOrder28(b *testing.B) { benchHalves(b, 28, true) }
-func BenchmarkProcessHashedBatchOrder20(b *testing.B) { benchHalves(b, 20, true) }
+func BenchmarkHashBatch(b *testing.B) { benchHalves(b, 20, false) }
+
+// BenchmarkProcessHashedBatch is the ordered half on both sides of
+// prefetchMinOrder: 20 and 24 fit a vector in the reference box's L2 and
+// run without prefetching, 25 and 28 do not and run with it.
+func BenchmarkProcessHashedBatch(b *testing.B) {
+	for _, order := range []uint{20, 24, 25, 28} {
+		b.Run(fmt.Sprintf("order=%d", order), func(b *testing.B) { benchHalves(b, order, true) })
+	}
+}

@@ -58,6 +58,9 @@ const minBatch = 512
 // Config is what New builds a pump from.
 type Config struct {
 	Source capture.Source
+	// Filter judges; the pump's direction and verdict tallies are the
+	// per-batch differences of its cumulative Counters, so only the pump may
+	// feed it packets while Run runs.
 	Filter filtering.BatchFilter
 	// Subnets are the client prefixes direction is classified against; with
 	// none the decoder's MAC-derived direction stands. A fleet brings its own.
@@ -160,7 +163,7 @@ func New(cfg Config) *Pump {
 		batch = max(batch, minBatch)
 	}
 	if !laned {
-		p.shown.set(p.bf.Counters())
+		p.shown.show(p.bf.Counters())
 	}
 	p.slots = make([]atomic.Pointer[batchBuf], buffers)
 	for i := 0; i < n; i++ {

@@ -291,3 +291,65 @@ func TestStepZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// halfJudge judges the first half of its second batch and then panics: a
+// fault after the filter has counted some of the batch's packets.
+type halfJudge struct {
+	filtering.BatchFilter
+	calls int
+}
+
+func (h *halfJudge) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
+	if h.calls++; h.calls == 2 {
+		h.BatchFilter.ProcessBatchInto(pkts[:len(pkts)/2], out)
+		panic("injected fault half way through a batch")
+	}
+	return h.BatchFilter.ProcessBatchInto(pkts, out)
+}
+
+// halfJudgeFleet is halfJudge for the fleet's lane.
+type halfJudgeFleet struct {
+	*tenant.Set
+	calls int
+}
+
+func (h *halfJudgeFleet) ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict {
+	if h.calls++; h.calls == 2 {
+		h.Set.ProcessRoutedInto(pkts[:len(pkts)/2], slots[:len(pkts)/2], out)
+		panic("injected fault half way through a batch")
+	}
+	return h.Set.ProcessRoutedInto(pkts, slots, out)
+}
+
+// TestPanicMidBatchCountsNothing: the direction and verdict tallies are the
+// filter's own counters differenced per batch, and a judge that panics after
+// the filter counted part of its batch adds none of it — the batch is
+// quarantined, so every frame is judged or quarantined exactly once — while
+// the shown counters are the filter's, half batch and all, and the next batch
+// is differenced from them.
+func TestPanicMidBatchCountsNothing(t *testing.T) {
+	for name, build := range map[string]func(t *testing.T) filtering.BatchFilter{
+		"single": func(t *testing.T) filtering.BatchFilter { return &halfJudge{BatchFilter: single(t)} },
+		"fleet":  func(t *testing.T) filtering.BatchFilter { return &halfJudgeFleet{Set: sinks["fleet"](t).(*tenant.Set)} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			syns, replies := flows(t, 40)
+			bf := build(t)
+			p := New(Config{Source: &listSource{batches: [][]capture.Frame{syns, replies, replies}}, Filter: bf, Subnets: subnets, Batch: 40, Workers: 1})
+			if err := p.Run(); err != nil {
+				t.Fatal(err)
+			}
+			s := p.Snapshot()
+			if s.QuarantinedBatches != 1 || s.QuarantinedFrames != 40 {
+				t.Fatalf("quarantined %d batches, %d frames; want the second batch's 40", s.QuarantinedBatches, s.QuarantinedFrames)
+			}
+			if s.Outgoing != 40 || s.Incoming != 40 || s.Passed != 40 || s.Dropped != 0 || s.Outgoing+s.Incoming+s.QuarantinedFrames != s.Frames {
+				t.Errorf("%d out, %d in (%d passed, %d dropped), %d quarantined of %d frames; want 40, 40 (40, 0), 40 of 120",
+					s.Outgoing, s.Incoming, s.Passed, s.Dropped, s.QuarantinedFrames, s.Frames)
+			}
+			if c := bf.Counters(); s.Counters != c || c.InPackets != 60 {
+				t.Errorf("shown counters %+v, the filter holds %+v (60 incoming: 20 before the fault, 40 after)", s.Counters, c)
+			}
+		})
+	}
+}

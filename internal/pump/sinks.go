@@ -61,7 +61,7 @@ type lane struct {
 
 func newLane(bf filtering.BatchFilter, buffers int) *lane {
 	l := &lane{bf: bf, queue: make(chan *batchBuf, buffers), free: make(chan *batchBuf, buffers)}
-	l.shown.set(bf.Counters())
+	l.shown.show(bf.Counters())
 	return l
 }
 
@@ -70,16 +70,19 @@ func newLane(bf filtering.BatchFilter, buffers int) *lane {
 // goroutine-safe, a fleet's tenants need not be, and a judge can be busy
 // without end when the filter is the bottleneck — so a scrape never touches
 // the filter or a lock a judge holds: it reads the copy, at most one batch
-// old, under a lock nobody holds for longer than the copy takes.
+// old, under a lock nobody holds for longer than the copy takes. The copy is
+// also the judge's baseline for its next batch (tallies.count).
 type counterCopy struct {
 	mu sync.Mutex
 	c  filtering.Counters
 }
 
-func (s *counterCopy) set(c filtering.Counters) {
+// show makes c the copy and returns the one it replaces.
+func (s *counterCopy) show(c filtering.Counters) (was filtering.Counters) {
 	s.mu.Lock()
-	s.c = c
+	was, s.c = s.c, c
 	s.mu.Unlock()
+	return was
 }
 
 func (s *counterCopy) addTo(total *filtering.Counters) {
@@ -100,8 +103,8 @@ func (p *Pump) sink(b *batchBuf) {
 	case p.sharded != nil:
 		p.scatter(b)
 	case p.fleet == nil:
-		p.judge(b)
-		p.shown.set(p.bf.Counters())
+		judged := p.judge(b)
+		p.count(&p.shown, p.bf.Counters(), judged)
 	case len(b.pkts) > 0:
 		// The lane's queue holds every buffer: this never blocks, and the
 		// back-pressure stays the worker's own empty free list.
@@ -112,26 +115,27 @@ func (p *Pump) sink(b *batchBuf) {
 }
 
 // judge is the single filter's back half: the ordered half of Algorithm 2
-// over exactly the packets of one source batch, and the tallies. A panic
-// quarantines the batch — its frames counted, never judged — and the sequence
-// moves on; the filter's own state is untouched by construction (it mutates
-// per packet, and a panicking packet never completed).
+// over exactly the packets of one source batch. A panic quarantines the batch
+// — its frames counted, never judged — and the sequence moves on; the
+// filter's own state is untouched by construction (it mutates per packet, and
+// a panicking packet never completed). It reports whether the filter judged
+// the batch; after a panic the named result is left false.
 //
 //bf:hotpath
-func (p *Pump) judge(b *batchBuf) {
+func (p *Pump) judge(b *batchBuf) (judged bool) {
 	defer p.contain(b.n) //bf:allow hotpath the panic boundary: a filter fault must cost one source batch, not the daemon
 	if b.poisoned {
-		return
+		return false
 	}
 	if p.hashed != nil {
 		p.verdicts = p.hashed.ProcessHashedInto(b.pkts, b.idxs, p.verdicts)
 	} else {
 		p.verdicts = p.bf.ProcessBatchInto(b.pkts, p.verdicts)
 	}
-	p.addVerdicts(b.pkts, p.verdicts)
 	// From the batch's read to its last verdict, the wait for the batches
 	// ahead of it inside.
 	p.latency.observe(time.Since(b.read), b.n)
+	return true
 }
 
 func (p *Pump) contain(frames int) {
@@ -211,7 +215,6 @@ func (p *Pump) judgeLane(l *lane, b *batchBuf) {
 	} else {
 		l.verdicts = l.bf.ProcessBatchInto(b.pkts, l.verdicts)
 	}
-	p.addVerdicts(b.pkts, l.verdicts)
 	l.frames.Add(uint64(len(b.pkts)))
 	l.batches.Add(1)
 	// From the read that put the first packet in to the last verdict, queue
@@ -223,10 +226,11 @@ func (p *Pump) judgeLane(l *lane, b *batchBuf) {
 // lanes and the workers never notice — and either way the counters are
 // shown and the buffer returns to its free list.
 func (p *Pump) recycle(l *lane, b *batchBuf) {
-	if r := recover(); r != nil {
+	r := recover()
+	if r != nil {
 		p.quarantine(len(b.pkts), r)
 	}
-	l.shown.set(l.bf.Counters())
+	p.count(&l.shown, l.bf.Counters(), r == nil)
 	b.pkts = b.pkts[:0]
 	b.free <- b
 }

@@ -61,6 +61,8 @@ type tallies struct {
 	decodeErr [len(DecodeClasses)]atomic.Uint64
 	unrouted  atomic.Uint64 // decodable but outside every client subnet
 
+	// Packets judged, by direction and verdict: the judges' filter counters,
+	// differenced per batch (count).
 	outgoing atomic.Uint64
 	incoming atomic.Uint64
 	passed   atomic.Uint64
@@ -96,26 +98,23 @@ func (s *tallies) addIntake(t intake) {
 	s.unrouted.Add(t.unrouted)
 }
 
-// addVerdicts counts one judged batch by direction and verdict: summed in
-// locals, one atomic add each.
+// count ends a judge's batch: the filter's counters c become the copy a
+// scrape reads, and — unless the judge panicked — what they moved since the
+// copy they replace is the batch's direction and verdict tallies. The filter
+// counted every packet as it judged it; nobody walks the verdicts again. A
+// panicked batch is quarantined and so counted in no tally, and c is still
+// the baseline the next batch is differenced against.
 //
 //bf:hotpath
-func (s *tallies) addVerdicts(pkts []packet.Packet, verdicts []filtering.Verdict) {
-	var out, in, pass uint64
-	for i := range pkts {
-		if pkts[i].Dir == packet.Outgoing {
-			out++
-			continue
-		}
-		in++
-		if verdicts[i] == filtering.Pass {
-			pass++
-		}
+func (s *tallies) count(shown *counterCopy, c filtering.Counters, judged bool) {
+	was := shown.show(c)
+	if !judged {
+		return
 	}
-	s.outgoing.Add(out)
-	s.incoming.Add(in)
-	s.passed.Add(pass)
-	s.dropped.Add(in - pass)
+	s.outgoing.Add(c.OutPackets - was.OutPackets)
+	s.incoming.Add(c.InPackets - was.InPackets)
+	s.passed.Add(c.InPassed - was.InPassed)
+	s.dropped.Add(c.InDropped - was.InDropped)
 }
 
 // reservoirSize bounds the latency sample set: enough for a stable p99,

@@ -30,6 +30,11 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		return f
 	}
 	filter, safe := newFilter(), bitmapfilter.NewSafe(newFilter())
+	// Order 25 is past the prefetch gate: the judge prefetches ahead.
+	prefetching, err := bitmapfilter.New(bitmapfilter.WithOrder(25), bitmapfilter.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sharded, err := bitmapfilter.NewSharded(4, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -85,6 +90,7 @@ func TestHotpathZeroAlloc(t *testing.T) {
 				live.Observe(p.Tuple, p.Dir, p.Flags, p.Length)
 			}
 		}},
+		{"Filter.ProcessBatchInto/order=25", func() { out = prefetching.ProcessBatchInto(pkts, out) }},
 		{"Safe.ProcessBatchInto", func() { out = safe.ProcessBatchInto(pkts, out) }},
 		{"Sharded.ProcessBatchInto", func() { out = sharded.ProcessBatchInto(pkts, out) }},
 		{"LiveFilter.ObserveBatchInto", func() { out = live.ObserveBatchInto(pkts, out) }},
