@@ -10,13 +10,15 @@ build:
 	$(GO) build ./...
 
 # The live-capture backend (internal/capture AF_PACKET, cmd/bfwall -iface)
-# only compiles behind `linux && afpacket`, and bitvector.Prefetch is
-# assembly on amd64 only; this keeps the gated files and the portable body
-# from bit-rotting on any development platform.
+# only compiles behind `linux && afpacket`, bitvector.Prefetch is assembly
+# on amd64 only, and capture.OpenTrace maps a file on Linux only (every
+# other platform reads it); this keeps the gated files, the portable body
+# and the read fallback from bit-rotting on any development platform.
 build-tags:
 	GOOS=linux $(GO) build -tags afpacket ./...
 	GOOS=linux $(GO) vet -tags afpacket ./...
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+	GOOS=darwin $(GO) vet ./... && GOOS=darwin $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -73,8 +75,9 @@ bench-compare:
 
 # The pairing rule for a claimed gain (bench/README.md), automated: N
 # alternating runs of workloads W on BASE (a git ref, the parent) and on
-# the working tree, per-pair values, medians, quartiles and the verdict;
-# fails unless the gain may be claimed. `make bench-pairs BASE=HEAD~1`.
+# the working tree, per-pair values, medians, quartiles and the verdict on
+# METRIC (default wire_pps); fails unless the gain may be claimed.
+# `make bench-pairs BASE=HEAD~1`, `make bench-pairs BASE=HEAD~1 METRIC=setup_s`.
 N ?= 10
 W ?= scan_flood
 

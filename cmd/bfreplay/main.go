@@ -86,12 +86,14 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown filter %q (want bitmap or spi)", *filterName)
 	}
 
-	// One allocation of the file's size, as bfwall loads its -pcap.
-	trace, err := os.ReadFile(*inPath)
+	// Mapped where it can be, read where it cannot, as bfwall loads its
+	// -pcap; unmapped once the pump is done with it.
+	trace, err := capture.OpenTrace(*inPath)
 	if err != nil {
 		return err
 	}
-	src, err := capture.NewReplayBytes(trace, 1)
+	defer trace.Close()
+	src, err := capture.NewReplayBytes(trace.Bytes(), 1)
 	if err != nil {
 		return err
 	}

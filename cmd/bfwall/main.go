@@ -172,10 +172,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return nil
 	}
 
+	buildStart := time.Now()
 	bf, restoreRes, err := buildFilter(*ckpt, *tenantsF, *order, *vectors, *hashes, *rotate, *shards)
 	if err != nil {
 		return err
 	}
+	buildTook := time.Since(buildStart)
 	restoreRes.Report(out, os.Stderr, "bfwall", *ckpt)
 
 	// The resilience plane: watchdog probes for every supervised loop,
@@ -193,9 +195,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "bfwall: "+format+"\n", args...)
 	}
 
-	factory, err := sourceFactory(*pcapPath, *iface, *loops, *snapLen, gcfg, out)
+	factory, trace, setup, err := sourceFactory(*pcapPath, *iface, *loops, *snapLen, gcfg, out)
 	if err != nil {
 		return err
+	}
+	setup.build = buildTook
+	// The trace is unmapped once, after Run has returned: every Replay the
+	// supervisor opens walks it until then. A pump that missed the drain
+	// deadline may still be walking it, and keeps it until the process ends.
+	drained := true
+	if trace != nil {
+		defer func() {
+			if drained {
+				trace.Close()
+			}
+		}()
 	}
 	sup, err := resilience.NewSupervisor(resilience.SupervisorConfig{
 		Open:                   factory,
@@ -296,7 +310,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	health.SetReady()
 
 	var runErr error
-	drained := true
 	select {
 	case runErr = <-pumpDone:
 		// Source exhausted on its own (replay, bench) or failed fatally.
@@ -354,7 +367,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	snap := p.Snapshot()
 	if *benchRun {
-		printBenchReport(out, snap, elapsed, *target)
+		printBenchReport(out, snap, elapsed, *target, setup)
 	} else {
 		fmt.Fprintf(out, "bfwall: %d frames, %d out / %d in (%d passed, %d dropped), %d decode errors\n",
 			snap.Frames, snap.Outgoing, snap.Incoming, snap.Passed, snap.Dropped,
@@ -503,47 +516,65 @@ func buildFilter(ckptPath, tenantsPath string, order uint, vectors, hashes int, 
 	return f, noRestore, err
 }
 
+// setupTimes is what bfwall did before the first frame, as -bench reports it:
+// how the trace came to be in memory, its size, and how long that and the
+// filter's build took.
+type setupTimes struct {
+	how         string // "mapped" or "read" (-pcap), "synthesized", or "live" (-iface)
+	bytes       int
+	load, build time.Duration
+}
+
 // sourceFactory returns a constructor for the capture source, so the
 // supervisor can reopen it after persistent failures: a fresh AF_PACKET
-// bind for a NIC, a fresh Replay over the trace bytes (read or
-// synthesized exactly once, and walked in place: every Replay shares
-// them, none copies them) otherwise.
-func sourceFactory(pcapPath, iface string, loops, snapLen int, gcfg genConfig, out io.Writer) (func() (capture.Source, error), error) {
+// bind for a NIC, a fresh Replay over the trace bytes otherwise — mapped
+// or read by capture.OpenTrace (returned, for the caller to close once no
+// Replay walks it), or synthesized, exactly once, and walked in place:
+// every Replay shares them, none copies them.
+func sourceFactory(pcapPath, iface string, loops, snapLen int, gcfg genConfig, out io.Writer) (func() (capture.Source, error), *capture.Trace, setupTimes, error) {
+	start := time.Now()
 	if iface != "" {
 		// Probe once so a missing build tag or interface fails at startup
 		// with a clear error instead of spinning the supervisor.
 		probe, err := openAFPacket(iface, snapLen)
 		if err != nil {
-			return nil, err
+			return nil, nil, setupTimes{}, err
 		}
 		probe.Close()
-		return func() (capture.Source, error) { return openAFPacket(iface, snapLen) }, nil
+		open := func() (capture.Source, error) { return openAFPacket(iface, snapLen) }
+		return open, nil, setupTimes{how: "live", load: time.Since(start)}, nil
 	}
-	var data []byte
+	var (
+		data  []byte
+		trace *capture.Trace
+		how   = "synthesized"
+	)
 	if pcapPath != "" {
 		var err error
-		data, err = os.ReadFile(pcapPath)
-		if err != nil {
-			return nil, err
+		if trace, err = capture.OpenTrace(pcapPath); err != nil {
+			return nil, nil, setupTimes{}, err
+		}
+		data, how = trace.Bytes(), "read"
+		if trace.Mapped() {
+			how = "mapped"
 		}
 	} else {
 		var buf bytes.Buffer
 		frames, span, err := writeScanTrace(&buf, gcfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, setupTimes{}, err
 		}
 		fmt.Fprintf(out, "bfwall: synthesized %d frames spanning %v (scan %.0f pps)\n",
 			frames, span, gcfg.scanPPS)
 		data = buf.Bytes()
 	}
-	return func() (capture.Source, error) {
-		return capture.NewReplayBytes(data, loops)
-	}, nil
+	open := func() (capture.Source, error) { return capture.NewReplayBytes(data, loops) }
+	return open, trace, setupTimes{how: how, bytes: len(data), load: time.Since(start)}, nil
 }
 
 // printBenchReport renders the -bench verdict: did the wire-to-verdict
 // loop keep up with the target packet rate?
-func printBenchReport(out io.Writer, snap pump.Snapshot, elapsed time.Duration, target float64) {
+func printBenchReport(out io.Writer, snap pump.Snapshot, elapsed time.Duration, target float64, st setupTimes) {
 	pps := 0.0
 	if elapsed > 0 {
 		pps = float64(snap.Frames) / elapsed.Seconds()
@@ -553,19 +584,28 @@ func printBenchReport(out io.Writer, snap pump.Snapshot, elapsed time.Duration, 
 		verdict = "NOT saturated"
 	}
 	fmt.Fprintf(out, "bfwall bench: %d frames in %v wall (%.0f pps)\n", snap.Frames, elapsed.Round(time.Millisecond), pps)
+	// Before the first frame: the part of exec → exit that is not the pump.
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+	fmt.Fprintf(out, "  setup: load %.1f ms (%s, %.1f MiB), build %.1f ms\n", ms(st.load), st.how, float64(st.bytes)/(1<<20), ms(st.build))
 	fmt.Fprintf(out, "  decode errors: %d, unrouted: %d, truncated: %d\n",
 		sumDecodeErrors(snap), snap.Unrouted, snap.Truncated)
 	fmt.Fprintf(out, "  verdicts: out=%d in=%d pass=%d drop=%d\n",
 		snap.Outgoing, snap.Incoming, snap.Passed, snap.Dropped)
-	// The pump's two serial terms: wall/frame is at least the larger.
+	// The pump's two serial terms — wall/frame is at least the larger — and
+	// its parallel ones, decode and hash summed over the workers, one per
+	// lane: wall/frame is also at least all of it over the cores.
 	perFrame := func(d time.Duration) float64 {
 		if snap.Frames == 0 {
 			return 0
 		}
 		return float64(d.Nanoseconds()) / float64(snap.Frames)
 	}
-	fmt.Fprintf(out, "  serial stages: read %.1f ns/frame, commit %.1f ns/frame (W=%d)\n",
-		perFrame(snap.SourceBusy), perFrame(snap.CommitBusy), snap.Workers)
+	fmt.Fprintf(out, "  serial stages: read %.1f ns/frame, commit %.1f ns/frame (W=%d); parallel: decode %.1f, hash %.1f",
+		perFrame(snap.SourceBusy), perFrame(snap.CommitBusy), snap.Workers, perFrame(snap.DecodeBusy), perFrame(snap.HashBusy))
+	for i, l := range snap.Lanes {
+		fmt.Fprintf(out, ", lane%d %.1f", i, perFrame(l.Busy))
+	}
+	fmt.Fprintln(out, " ns/frame")
 	fmt.Fprintf(out, "  per-packet latency: p50=%v p99=%v\n", snap.LatencyP50, snap.LatencyP99)
 	ratio := 0.0
 	if target > 0 {

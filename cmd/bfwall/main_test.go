@@ -60,33 +60,51 @@ func TestBenchEndToEnd(t *testing.T) {
 }
 
 // TestBenchReportFormat pins the -bench report line by line: bench/ parses the
-// first three by prefix, and the serial-stage line is the pump's two serial
-// terms per frame — sourceBusy and commitBusy over frames — beside W.
+// first line and the verdict lines by prefix; the setup line is the start-up
+// before the first frame, load and build; and the serial-stage line is the
+// pump's two serial terms per frame — sourceBusy and commitBusy over frames —
+// beside W, then its parallel terms, decode and hash and one per lane.
 func TestBenchReportFormat(t *testing.T) {
 	snap := pump.Snapshot{
 		Frames: 4_000_000, Unrouted: 2, Truncated: 3,
 		Outgoing: 1_800_000, Incoming: 2_199_990, Passed: 2_150_000, Dropped: 49_990,
 		LatencyP50: 40 * time.Microsecond, LatencyP99: 95 * time.Microsecond,
 		Workers: 2, SourceBusy: 60 * time.Millisecond, CommitBusy: 510 * time.Millisecond,
+		DecodeBusy: 120 * time.Millisecond, HashBusy: 81 * time.Millisecond,
 	}
 	snap.DecodeErrors[0] = 5
+	setup := setupTimes{how: "mapped", bytes: 89 << 20, load: 1340 * time.Microsecond, build: 420 * time.Microsecond}
 	var out bytes.Buffer
-	printBenchReport(&out, snap, 800*time.Millisecond, 500_000)
+	printBenchReport(&out, snap, 800*time.Millisecond, 500_000, setup)
 	want := `bfwall bench: 4000000 frames in 800ms wall (5000000 pps)
+  setup: load 1.3 ms (mapped, 89.0 MiB), build 0.4 ms
   decode errors: 5, unrouted: 2, truncated: 3
   verdicts: out=1800000 in=2199990 pass=2150000 drop=49990
-  serial stages: read 15.0 ns/frame, commit 127.5 ns/frame (W=2)
+  serial stages: read 15.0 ns/frame, commit 127.5 ns/frame (W=2); parallel: decode 30.0, hash 20.2 ns/frame
   per-packet latency: p50=40µs p99=95µs
   target 500000 pps: SATURATED (10.00x)
 `
 	if got := out.String(); got != want {
 		t.Errorf("report:\n%s\nwant:\n%s", got, want)
 	}
+	// Lanes: one parallel term each.
+	out.Reset()
+	snap.HashBusy = 0
+	snap.Lanes = []pump.LaneSnapshot{{Busy: 160 * time.Millisecond}, {Busy: 150 * time.Millisecond}}
+	printBenchReport(&out, snap, 800*time.Millisecond, 500_000, setup)
+	if line := "  serial stages: read 15.0 ns/frame, commit 127.5 ns/frame (W=2); parallel: decode 30.0, hash 0.0, lane0 40.0, lane1 37.5 ns/frame\n"; !strings.Contains(out.String(), line) {
+		t.Errorf("laned report:\n%s\nwant the line:\n%s", out.String(), line)
+	}
 	// No frames: no division by zero.
 	out.Reset()
-	printBenchReport(&out, pump.Snapshot{Workers: 1}, time.Second, 1)
-	if !strings.Contains(out.String(), "  serial stages: read 0.0 ns/frame, commit 0.0 ns/frame (W=1)\n") {
-		t.Errorf("empty run's report:\n%s", out.String())
+	printBenchReport(&out, pump.Snapshot{Workers: 1}, time.Second, 1, setupTimes{how: "read"})
+	for _, line := range []string{
+		"  setup: load 0.0 ms (read, 0.0 MiB), build 0.0 ms\n",
+		"  serial stages: read 0.0 ns/frame, commit 0.0 ns/frame (W=1); parallel: decode 0.0, hash 0.0 ns/frame\n",
+	} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("empty run's report:\n%s\nwant the line:\n%s", out.String(), line)
+		}
 	}
 }
 

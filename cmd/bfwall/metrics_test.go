@@ -35,8 +35,9 @@ func samples(scrape string) (lines []string) {
 // line the hand-written renderer wrote before httpapi.Expo — name, labels,
 // number format; testdata/metrics_parent.txt was captured from it — is still
 // on /metrics, but for the checkpointer, which now goes by the names bfserve
-// always gave it; and nothing is new but that family. Sets, not sequences:
-// the probes' samples used to interleave three families, against the format.
+// always gave it; and nothing is new but that family and the pump's stage
+// clocks. Sets, not sequences: the probes' samples used to interleave three
+// families, against the format.
 func TestMetricsSamplesPreserved(t *testing.T) {
 	renamed := strings.NewReplacer(
 		"bitmapfilter_resilience_checkpoint_successes_total", "bitmapfilter_checkpoint_success_total",
@@ -50,6 +51,11 @@ func TestMetricsSamplesPreserved(t *testing.T) {
 		`bitmapfilter_checkpoint_restore_outcome{outcome="primary"} 0`,
 		`bitmapfilter_checkpoint_restore_outcome{outcome="backup"} 0`,
 		`bitmapfilter_checkpoint_restore_outcome{outcome="cold-start-empty"} 0`,
+		// the stage clocks beside source and commit: the lanes' summed
+		"bitmapfilter_pump_decode_busy_seconds_total 2.5",
+		"bitmapfilter_pump_hash_busy_seconds_total 0",
+		"bitmapfilter_pump_lane_busy_seconds_total 3.75",
+		"bitmapfilter_pump_scatter_busy_seconds_total 1.125",
 	}
 
 	snap := pump.Snapshot{
@@ -59,7 +65,8 @@ func TestMetricsSamplesPreserved(t *testing.T) {
 		LatencyP50: 1500 * time.Nanosecond, LatencyP99: 2 * time.Millisecond,
 		Workers: 2, ForeignCommits: 77, BufferWaits: 3,
 		CommitBusy: 1234567 * time.Microsecond, SourceBusy: 25 * time.Nanosecond,
-		Lanes:        []pump.LaneSnapshot{{Frames: 1500000, Batches: 3000, QueueDepth: 7, Stalls: 1}, {Frames: 1499995, Batches: 2999}},
+		DecodeBusy: 2500 * time.Millisecond, ScatterBusy: 1125 * time.Millisecond,
+		Lanes:        []pump.LaneSnapshot{{Frames: 1500000, Batches: 3000, QueueDepth: 7, Stalls: 1, Busy: 2 * time.Second}, {Frames: 1499995, Batches: 2999, Busy: 1750 * time.Millisecond}},
 		FilterMemory: 1 << 20,
 	}
 	for i := range snap.DecodeErrors {

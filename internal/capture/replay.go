@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -25,6 +26,7 @@ type Replay struct {
 	newest time.Duration // highest raw timestamp seen this pass
 	read   bool          // any record read this pass
 	closed atomic.Bool   // set by Close, possibly from another goroutine
+	fault  error         // ErrTraceFault, once the trace faulted: terminal
 
 	// ahead is how much of the trace ReadBatch touches before it walks: the
 	// bytes the previous batch covered of the pass it ended in, or 0 when
@@ -51,8 +53,15 @@ const touchMaxRecord = 128
 // number of passes over it; values below 1 mean a single pass. The
 // Replay keeps trace and hands out slices of it, so the caller must
 // leave it unchanged for the life of the Replay; any number of Replays
-// may share one trace.
-func NewReplayBytes(trace []byte, loops int) (*Replay, error) {
+// may share one trace. A trace that faults under the header read (a
+// mapping truncated before a reopen) is ErrTraceFault, as in ReadBatch.
+func NewReplayBytes(trace []byte, loops int) (r *Replay, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r, err = nil, TraceFault(p)
+		}
+	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	sc, err := pcap.NewScanner(trace)
 	if err != nil {
 		return nil, fmt.Errorf("capture: %w", err)
@@ -62,8 +71,9 @@ func NewReplayBytes(trace []byte, loops int) (*Replay, error) {
 
 // NewReplay reads the rest of src into memory and replays it: a loader
 // in front of NewReplayBytes for callers that hold a stream, not bytes.
-// A caller with a file wants os.ReadFile and NewReplayBytes: io.ReadAll
-// grows by reallocation and peaks at about twice the capture.
+// A caller with a file wants OpenTrace and NewReplayBytes, which map it
+// instead of copying it: io.ReadAll grows by reallocation and peaks at
+// about twice the capture.
 func NewReplay(src io.Reader, loops int) (*Replay, error) {
 	trace, err := io.ReadAll(src)
 	if err != nil {
@@ -87,13 +97,30 @@ func (r *Replay) rewind() {
 // timestamps shifted by the accumulated loop offset, and with Data
 // pointing into the trace: the slot's own buffer is left unused.
 //
+// The walk runs with debug.SetPanicOnFault, so a trace that faults under
+// it — a mapped file truncated while it is replayed (OpenTrace) — ends the
+// Replay with 0 frames and ErrTraceFault, then and on every later call,
+// instead of the process with "unexpected fault address".
+//
 //bf:hotpath
-func (r *Replay) ReadBatch(frames []Frame) (int, error) {
+func (r *Replay) ReadBatch(frames []Frame) (n int, err error) {
 	// Once per batch, not per record: a concurrent Close (the daemon's
 	// signal handler) ends the replay no later than one batch on.
 	if r.closed.Load() {
 		return 0, io.EOF
 	}
+	if r.fault != nil {
+		return 0, r.fault
+	}
+	defer r.containFault(&n, &err)                           //bf:allow hotpath the fault boundary: a truncated mapping must end the source, not the daemon
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true)) //bf:allow hotpath restores the goroutine's own setting, once per batch
+	return r.walk(frames)
+}
+
+// walk is ReadBatch's body: touch, then walk.
+//
+//bf:hotpath
+func (r *Replay) walk(frames []Frame) (int, error) {
 	// Touch, then walk. The walk is a pointer chase (pcap.Scanner.Touch) and
 	// over a trace that is not in cache it takes one miss per frame in
 	// series, on the one core whose turn at the source it is. Only a full
@@ -137,6 +164,28 @@ func (r *Replay) ReadBatch(frames []Frame) (int, error) {
 		r.ahead = span
 	}
 	return n, nil
+}
+
+// containFault ends ReadBatch: a memory fault under the walk becomes the
+// Replay's terminal error, and the frames of the torn batch are not
+// delivered — their bytes may be gone too.
+func (r *Replay) containFault(n *int, err *error) {
+	if p := recover(); p != nil {
+		r.fault = TraceFault(p)
+		*n, *err = 0, r.fault
+	}
+}
+
+// TraceFault is the error a recovered panic stands for when it is a memory
+// fault — the runtime error debug.SetPanicOnFault turns one into carries the
+// faulting address — under code that reads a trace: ErrTraceFault, with the
+// address. Any other panic is a bug and is raised again.
+func TraceFault(p any) error {
+	fault, ok := p.(interface{ Addr() uintptr })
+	if !ok {
+		panic(p)
+	}
+	return fmt.Errorf("%w at %#x", ErrTraceFault, fault.Addr())
 }
 
 // readError keeps error construction out of ReadBatch.

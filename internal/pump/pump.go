@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,7 +212,14 @@ func (p *Pump) Watch(wd *resilience.Watchdog, stallAfter time.Duration) {
 // snapshot taken afterwards whole: workers joined (every batch read is
 // committed) → the shard lanes' pending sub-batches flushed → queues closed
 // → lanes joined.
+//
+// The workers run with debug.SetPanicOnFault: a frame's bytes may be a
+// mapped trace (capture.OpenTrace) that a truncation takes away under the
+// decode, and the fault is then a panic containDecode quarantines, not the
+// end of the process. The goroutine that calls Run gets its own setting
+// back.
 func (p *Pump) Run() error {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	var lanes, workers sync.WaitGroup
 	lanes.Add(len(p.lanes))
 	for _, l := range p.lanes {
@@ -224,6 +232,7 @@ func (p *Pump) Run() error {
 	for _, w := range p.workers[1:] {
 		go func() {
 			defer workers.Done()
+			debug.SetPanicOnFault(true)
 			p.work(w)
 		}()
 	}

@@ -206,6 +206,9 @@ func TestDecodePanicDropsHashedIndexes(t *testing.T) {
 			if s.SourceBusy <= 0 {
 				t.Errorf("four turns at the source took %v", s.SourceBusy)
 			}
+			if s.DecodeBusy <= 0 || (s.HashBusy > 0) != (p.hashed != nil) {
+				t.Errorf("decode busy %v, hash busy %v; want both stamped when the workers hash (%v), decode alone otherwise", s.DecodeBusy, s.HashBusy, p.hashed != nil)
+			}
 		})
 	}
 }
@@ -285,8 +288,18 @@ func TestStepZeroAllocs(t *testing.T) {
 				t.Errorf("the pump allocates %.2f times per source batch", allocs)
 			}
 			// A shard lane's pending sub-batch was flushed by every short read.
-			if s := p.Snapshot(); s.Outgoing != 16*p.head.Load() || p.head.Load() < 200 {
+			s := p.Snapshot()
+			if s.Outgoing != 16*p.head.Load() || p.head.Load() < 200 {
 				t.Errorf("judged %d packets of %d batches", s.Outgoing, p.head.Load())
+			}
+			// The stage clocks: decode always, the hand-off and every lane's
+			// judging where there are lanes.
+			var laneBusy time.Duration
+			for _, l := range s.Lanes {
+				laneBusy += l.Busy
+			}
+			if laned := p.lanes != nil; s.DecodeBusy <= 0 || (s.ScatterBusy > 0) != laned || (laneBusy > 0) != laned {
+				t.Errorf("decode %v, scatter %v, lanes %v busy (lanes: %v)", s.DecodeBusy, s.ScatterBusy, laneBusy, laned)
 			}
 		})
 	}

@@ -57,6 +57,7 @@ type lane struct {
 	frames  atomic.Uint64 // packets judged
 	batches atomic.Uint64 // sub-batches judged
 	stalls  atomic.Uint64 // times the commit step found every sub-batch in flight
+	busy    atomic.Int64  // ns spent judging them
 }
 
 func newLane(bf filtering.BatchFilter, buffers int) *lane {
@@ -210,6 +211,7 @@ func (p *Pump) runLane(l *lane) {
 //bf:hotpath
 func (p *Pump) judgeLane(l *lane, b *batchBuf) {
 	defer p.recycle(l, b) //bf:allow hotpath the lane's panic boundary, and the buffer must go back to its free list even then
+	start := time.Now()
 	if p.fleet != nil {
 		l.verdicts = p.fleet.ProcessRoutedInto(b.pkts, b.slots[:len(b.pkts)], l.verdicts)
 	} else {
@@ -219,7 +221,9 @@ func (p *Pump) judgeLane(l *lane, b *batchBuf) {
 	l.batches.Add(1)
 	// From the read that put the first packet in to the last verdict, queue
 	// wait included.
-	p.latency.observe(time.Since(b.read), len(b.pkts))
+	now := time.Now()
+	l.busy.Add(int64(now.Sub(start)))
+	p.latency.observe(now.Sub(b.read), len(b.pkts))
 }
 
 // recycle ends judgeLane: a panic quarantines that batch alone — the other

@@ -83,6 +83,13 @@ type tallies struct {
 	commitBusy     atomic.Int64
 	sourceBusy     atomic.Int64
 
+	// The parallel stages' clocks, ns: the workers' decode (decode, classify
+	// and, for shards, LaneOf) and hash, and — a part of commitBusy — the
+	// commit step's hand-off to the lanes. Each lane keeps its own.
+	decodeBusy  atomic.Int64
+	hashBusy    atomic.Int64
+	scatterBusy atomic.Int64
+
 	latency reservoir
 }
 
@@ -216,6 +223,12 @@ type Snapshot struct {
 	// spent inside the source's ReadBatch under the source lock (a live
 	// source's wait for traffic included).
 	CommitBusy, SourceBusy time.Duration
+	// DecodeBusy and HashBusy are the workers' time decoding (decode,
+	// classify and, for shards, LaneOf) and hashing (Hasher.HashBatch, for
+	// a single filter), summed over the workers. ScatterBusy is the part of
+	// CommitBusy that hands batches to the lanes: the shards' scatter, the
+	// fleet's hand-off; 0 without lanes.
+	DecodeBusy, HashBusy, ScatterBusy time.Duration
 	// Lanes is empty for a single filter.
 	Lanes []LaneSnapshot
 
@@ -233,6 +246,8 @@ type LaneSnapshot struct {
 	// Stalls counts the commit step finding every sub-batch of a shard's
 	// lane in flight; a fleet's lane has none of its own (BufferWaits).
 	Stalls uint64
+	// Busy is the time the lane spent judging.
+	Busy time.Duration
 }
 
 // Snapshot reads the tallies and the judges' counter copies; it never
@@ -254,6 +269,9 @@ func (p *Pump) Snapshot() Snapshot {
 		BufferWaits:        p.bufferWaits.Load(),
 		CommitBusy:         time.Duration(p.commitBusy.Load()),
 		SourceBusy:         time.Duration(p.sourceBusy.Load()),
+		DecodeBusy:         time.Duration(p.decodeBusy.Load()),
+		HashBusy:           time.Duration(p.hashBusy.Load()),
+		ScatterBusy:        time.Duration(p.scatterBusy.Load()),
 		FilterName:         p.name,
 		FilterMemory:       p.memory,
 	}
@@ -269,6 +287,7 @@ func (p *Pump) Snapshot() Snapshot {
 			Batches:    l.batches.Load(),
 			QueueDepth: len(l.queue),
 			Stalls:     l.stalls.Load(),
+			Busy:       time.Duration(l.busy.Load()),
 		})
 	}
 	return s

@@ -122,6 +122,8 @@ func (p *Pump) read(w *worker, b *batchBuf) (more bool) {
 // decodeBatch is the front half of a batch, on the worker's own core: what
 // the filter will see of it, and — when a lane will judge it — where each
 // packet goes, or — when the commit step will — which bits each touches.
+// Each of its two stages costs one clock read: the decode is timed from the
+// batch's read stamp, the hash from the decode's end.
 //
 //bf:hotpath
 func (p *Pump) decodeBatch(b *batchBuf) {
@@ -146,10 +148,13 @@ func (p *Pump) decodeBatch(b *batchBuf) {
 		}
 	}
 	b.pkts = pkts
+	p.addIntake(t)
+	decoded := time.Now()
+	p.decodeBusy.Add(int64(decoded.Sub(b.read)))
 	if p.hashed != nil {
 		b.idxs = p.hashed.Hasher().HashBatch(pkts, b.idxs)
+		p.hashBusy.Add(int64(time.Since(decoded)))
 	}
-	p.addIntake(t)
 }
 
 func (p *Pump) containDecode(b *batchBuf) {
@@ -181,17 +186,17 @@ func (p *Pump) publish(b *batchBuf) {
 func (p *Pump) commit(w *worker) {
 	for p.slots[p.head.Load()%uint64(len(p.slots))].Load() != nil && p.commitMu.TryLock() {
 		start := time.Now()
-		p.drain(w)
+		p.drain(w, start)
 		p.commitBusy.Add(int64(time.Since(start)))
 		p.commitMu.Unlock()
 	}
 }
 
 // drain sinks every consecutive published batch from the head on; the
-// caller holds the commit lock.
+// caller holds the commit lock, taken at since.
 //
 //bf:hotpath
-func (p *Pump) drain(w *worker) {
+func (p *Pump) drain(w *worker, since time.Time) {
 	for {
 		head := p.head.Load()
 		slot := &p.slots[head%uint64(len(p.slots))]
@@ -206,6 +211,14 @@ func (p *Pump) drain(w *worker) {
 			p.foreignCommits.Add(1)
 		}
 		p.sink(b)
+		if p.lanes != nil {
+			// The hand-off to the lanes, one clock read a batch: each batch
+			// is timed from the end of the one before, the first from the
+			// lock's acquisition.
+			now := time.Now()
+			p.scatterBusy.Add(int64(now.Sub(since)))
+			since = now
+		}
 		p.head.Store(head + 1)
 		beat(p.batchProbe)
 	}

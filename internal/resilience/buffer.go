@@ -3,6 +3,7 @@ package resilience
 import (
 	"fmt"
 	"io"
+	"runtime/debug"
 	"sync"
 
 	"bitmapfilter/internal/capture"
@@ -185,9 +186,18 @@ func NewBuffer(src capture.Source, cfg BufferConfig) *Buffer {
 func (b *Buffer) highDepth() int { return max(1, int(float64(b.cfg.Capacity)*b.cfg.HighWatermark)) }
 func (b *Buffer) lowDepth() int  { return int(float64(b.cfg.Capacity) * b.cfg.LowWatermark) }
 
-// intake drains the source into the queue until it ends.
+// intake drains the source into the queue until it ends. The frames it
+// copies may alias a mapped trace (capture.OpenTrace), so it runs with
+// panic-on-fault: a truncation under the copy ends the intake with
+// capture.ErrTraceFault, as it ends a Replay, instead of the process.
 func (b *Buffer) intake() {
 	defer close(b.intakeDone)
+	defer func() {
+		if p := recover(); p != nil {
+			b.finish(fmt.Errorf("resilience: queueing a frame: %w", capture.TraceFault(p)))
+		}
+	}()
+	debug.SetPanicOnFault(true)
 	ring := capture.NewRing(b.cfg.ReadBatch, b.cfg.SnapLen)
 	for {
 		n, err := b.src.ReadBatch(ring)
@@ -204,9 +214,12 @@ func (b *Buffer) intake() {
 	}
 }
 
-// push enqueues a batch, shedding per the watermarks.
+// push enqueues a batch, shedding per the watermarks. The lock is released
+// by a defer: a fault in the copy (intake) must not leave it held.
 func (b *Buffer) push(frames []capture.Frame) {
+	defer b.cond.Signal()
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	for i := range frames {
 		if b.shedding && b.count <= b.lowDepth() {
 			b.shedding = false
@@ -235,8 +248,6 @@ func (b *Buffer) push(frames []capture.Frame) {
 		}
 		b.accepted++
 	}
-	b.mu.Unlock()
-	b.cond.Signal()
 }
 
 // finish records the intake's terminal error and wakes all readers.

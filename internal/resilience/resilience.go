@@ -92,6 +92,9 @@ type Classifier func(error) Class
 //     length — corrupt framing mid-stream) is likewise transient.
 //   - pcap.ErrBadMagic and pcap.ErrBadVersion mean the input is not a
 //     readable pcap at all: fatal.
+//   - capture.ErrTraceFault — a mapped trace truncated under the replay —
+//     is fatal: the bytes are gone, and a reopen would walk the same
+//     mapping into the same fault.
 //   - fs.ErrNotExist and fs.ErrPermission are configuration problems a
 //     reopen loop would only amplify: fatal.
 //   - Interrupted or would-block syscalls (EINTR, EAGAIN) are
@@ -105,6 +108,8 @@ func Classify(err error) Class {
 	case errors.Is(err, io.EOF), errors.Is(err, capture.ErrClosed):
 		return ClassEOF
 	case errors.Is(err, pcap.ErrBadMagic), errors.Is(err, pcap.ErrBadVersion):
+		return ClassFatal
+	case errors.Is(err, capture.ErrTraceFault):
 		return ClassFatal
 	case errors.Is(err, fs.ErrNotExist), errors.Is(err, fs.ErrPermission):
 		return ClassFatal

@@ -195,6 +195,7 @@ func TestClassify(t *testing.T) {
 		{fmt.Errorf("capture: %w", pcap.ErrSnapLen), ClassTransient},
 		{fmt.Errorf("capture: %w", pcap.ErrBadMagic), ClassFatal},
 		{fmt.Errorf("capture: %w", pcap.ErrBadVersion), ClassFatal},
+		{fmt.Errorf("%w at 0x7f00", capture.ErrTraceFault), ClassFatal},
 		{fs.ErrNotExist, ClassFatal},
 		{fs.ErrPermission, ClassFatal},
 		{errTransient, ClassTransient}, // unknown defaults to transient
