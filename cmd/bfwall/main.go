@@ -4,12 +4,16 @@
 // batches them into the filter's allocation-free batch data plane, and
 // emits verdicts at line rate with an HTTP monitoring plane on the side:
 //
-//	GET /healthz   liveness (503 when a supervised loop stalls)
-//	GET /readyz    readiness (503 while starting or draining)
-//	GET /stats     pump + filter introspection (JSON)
-//	GET /metrics   Prometheus text exposition (pps, drops, decode error
-//	               classes, p50/p99 per-packet latency, resilience
-//	               counters)
+//	GET  /healthz     liveness (503 when a supervised loop stalls)
+//	GET  /readyz      readiness (503 while starting or draining)
+//	GET  /stats       pump, filter and bitmap introspection (JSON)
+//	GET  /metrics     Prometheus text exposition (pps, drops, decode error
+//	                  classes, p50/p99 per-packet latency, the bitmap's
+//	                  utilization, penetration and APD state, resilience
+//	                  counters)
+//	POST /punch       §5.1 hole punching: ?local=10.0.0.5&port=20000
+//	                  &remote=198.51.100.7&proto=tcp
+//	POST /checkpoint  persist a snapshot now (with -checkpoint)
 //
 // Between capture and filter sits a resilience layer: a supervisor
 // classifies source errors (a truncated pcap record or an EINTR is
@@ -20,6 +24,14 @@
 // fail-open, the availability posture); a watchdog flags wedged loops;
 // and SIGTERM drains gracefully — intake stops, in-flight frames are
 // judged, a final checkpoint is taken — within -drain-timeout.
+//
+// The filter is a single bitmap, -shards N of them, or a -tenants fleet,
+// with -apd attaching §5.3 adaptive packet dropping to every one. A fleet
+// whose config sets a memory budget re-plans its tenants' geometry once per
+// rotation period. With -checkpoint the filter is restored on startup (the
+// checkpoint file, its .bak, else a cold start) and persisted periodically
+// and after the drain, so a restarting edge router keeps admitting
+// established flows instead of blacking them out for up to T_e.
 //
 // Sources, most hermetic first:
 //
@@ -39,9 +51,10 @@
 // Usage:
 //
 //	bfwall -bench                         # saturation check, in memory
+//	bfwall -listen :8080 -loops 1000      # the synthesized trace, served
 //	bfwall -gen scan.pcap -scan-pps 500000
 //	bfwall -pcap scan.pcap -loops 10 -listen :8081
-//	bfwall -tenants fleet.json -pcap trace.pcap
+//	bfwall -tenants fleet.json -pcap trace.pcap -apd ratio
 //	bfwall -pcap trace.pcap -checkpoint state.bmf -on-overload drop
 //	bfwall -bench -pcap scan.pcap -loops 40 -cpuprofile cpu.prof
 package main
@@ -63,7 +76,6 @@ import (
 	"bitmapfilter/internal/capture"
 	"bitmapfilter/internal/checkpoint"
 	"bitmapfilter/internal/core"
-	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/pump"
 	"bitmapfilter/internal/resilience"
@@ -77,14 +89,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bfwall:", err)
 		os.Exit(1)
 	}
-}
-
-// snapFilter is the filter surface bfwall drives: the batch data plane
-// plus snapshot output for checkpointing. core.Build's Snapshottable and
-// *tenant.Set both satisfy it.
-type snapFilter interface {
-	filtering.BatchFilter
-	WriteSnapshot(w io.Writer) error
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
@@ -107,6 +111,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		rotate   = fs.Duration("rotate", 5*time.Second, "rotation period Δt")
 		shards   = fs.Int("shards", 1, "shard count (>1 runs the sharded data plane)")
 		tenantsF = fs.String("tenants", "", "multi-tenant fleet config (JSON); replaces the geometry flags")
+		apd      = fs.String("apd", "", `adaptive packet dropping: "ratio" or "bandwidth" (§5.3)`)
+		apdCap   = fs.Float64("apd-capacity", 100e6, "link capacity in bits/s for -apd bandwidth")
 
 		onOverload = fs.String("on-overload", "drop", "overload policy when the frame queue fills: drop (fail-closed) or admit (fail-open)")
 		queue      = fs.Int("queue", 8192, "bounded frame queue between capture and filter, in frames (0 disables the overload stage; the default applies to -iface only, a replayed trace is back-pressured)")
@@ -172,8 +178,27 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return nil
 	}
 
+	mkAPD, err := apdFactory(*apd, *apdCap)
+	if err != nil {
+		return err
+	}
 	buildStart := time.Now()
-	bf, restoreRes, err := buildFilter(*ckpt, *tenantsF, *order, *vectors, *hashes, *rotate, *shards)
+	spec := filterSpec{
+		geom:   []core.Option{core.WithOrder(*order), core.WithVectors(*vectors), core.WithHashes(*hashes), core.WithRotateEvery(*rotate)},
+		shards: *shards, apd: mkAPD, fleetPath: *tenantsF,
+	}
+	if *tenantsF != "" {
+		data, err := os.ReadFile(*tenantsF)
+		if err != nil {
+			return err
+		}
+		cfg, err := tenant.ParseConfig(data)
+		if err != nil {
+			return fmt.Errorf("%s: %w", *tenantsF, err)
+		}
+		spec.fleet = &cfg
+	}
+	bf, restoreRes, err := buildFilter(*ckpt, spec)
 	if err != nil {
 		return err
 	}
@@ -276,7 +301,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	plane := &resiliencePlane{sup: sup, buf: buf, health: health, restore: restoreRes, policy: policy}
+	plane := &controlPlane{bf: bf, sup: sup, buf: buf, health: health, restore: restoreRes, policy: policy}
 	if cp != nil {
 		plane.cp = cp // a nil *Checkpointer in the interface would read as configured
 	}
@@ -302,8 +327,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// The pump owns the hot loop. A signal starts the graceful drain:
 	// readiness flips first (stop routing here), the source closes (intake
 	// stops; queued frames still flow), the pump drains out — Run returns
-	// only after every worker and every lane has been joined — and only then
-	// is the final checkpoint taken, all within the drain deadline.
+	// only after every worker and every lane has been joined — then the
+	// rebalancer is joined, and only then is the final checkpoint taken, all
+	// within the drain deadline.
+	quitRebalance := make(chan struct{})
+	var rebalanced <-chan struct{}
+	if spec.fleet != nil && spec.fleet.Budget != nil {
+		rebalanced = rebalanceEvery(bf.(*tenant.Set), quitRebalance, logf)
+	}
 	start := time.Now()
 	pumpDone := make(chan error, 1)
 	go func() { pumpDone <- p.Run() }()
@@ -328,6 +359,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	elapsed := time.Since(start)
+	close(quitRebalance)
+	if rebalanced != nil && drained {
+		<-rebalanced // a rebalance waits for the batch in flight, which may never end
+	}
 	// Whole before anything more is printed: a -bench run piped into head
 	// dies of SIGPIPE on its report, after the file is closed.
 	if profile != nil {
@@ -427,93 +462,140 @@ func parseSubnets(s string) ([]packet.Prefix, error) {
 	return out, nil
 }
 
-// buildFilter composes the filter flavor from the flags: a tenant fleet
-// when a config file is given, otherwise a single or sharded bitmap
-// filter via the unified builder.
+// filterSpec is what the flags say the filter is.
+type filterSpec struct {
+	geom   []core.Option // -order, -vectors, -hashes, -rotate
+	shards int
+	// apd mints the -apd policy, one per filter: nil without -apd.
+	apd func() core.DropPolicy
+	// fleet is the -tenants config, parsed; nil without it.
+	fleet     *tenant.SetConfig
+	fleetPath string
+}
+
+// buildFilter composes the filter: a tenant fleet when spec has one,
+// otherwise a single or sharded bitmap filter — goroutine-safe either way,
+// because the control plane reads and punches it while the pump judges: a
+// single filter behind Safe's lock (one uncontended acquisition per batch on
+// the commit step), shards locked each, a fleet's tenants bare behind the
+// Set's write lock.
 //
-// With a checkpoint path it walks the restore ladder first — primary
-// file, .bak rotation, cold start — and builds fresh from the flags only
-// when no good snapshot exists. A restored fleet must be the fleet the
-// config describes, or the daemon refuses to start: it would otherwise
-// run the snapshot's tenants under the operator's belief that the edited
-// config is in force. Checkpointing also forces every filter
-// goroutine-safe (WithConcurrencySafe / the fleet's safe flavor): the
-// periodic snapshot writer runs concurrently with the pump.
-func buildFilter(ckptPath, tenantsPath string, order uint, vectors, hashes int, rotate time.Duration, shards int) (snapFilter, checkpoint.RestoreResult, error) {
-	noRestore := checkpoint.RestoreResult{Outcome: checkpoint.OutcomeColdStartEmpty}
-	if tenantsPath != "" {
-		data, err := os.ReadFile(tenantsPath)
-		if err != nil {
-			return nil, noRestore, err
+// With a checkpoint path it walks the restore ladder first — primary file,
+// .bak rotation, cold start — and builds fresh from the flags only when no
+// good snapshot exists. The snapshot holds geometry, flavor and marks; what
+// it cannot hold is added on every rung: a fresh -apd policy per filter
+// (cloned per shard by core), and the fleet's budget. A restored fleet must
+// be the fleet the config describes, or the daemon refuses to start: it
+// would otherwise run the snapshot's tenants under the operator's belief
+// that the edited config is in force.
+func buildFilter(ckptPath string, spec filterSpec) (core.Snapshottable, checkpoint.RestoreResult, error) {
+	withAPD := func(opts []core.Option) []core.Option {
+		if spec.apd == nil {
+			return opts
 		}
-		cfg, err := tenant.ParseConfig(data)
-		if err != nil {
-			return nil, noRestore, fmt.Errorf("%s: %w", tenantsPath, err)
+		return append(opts[:len(opts):len(opts)], core.WithAPD(spec.apd()))
+	}
+	cold := func() (core.Snapshottable, error) {
+		if spec.fleet == nil {
+			flavor := core.WithConcurrencySafe()
+			if spec.shards > 1 {
+				flavor = core.WithShards(spec.shards)
+			}
+			return core.Build(withAPD(append(spec.geom[:len(spec.geom):len(spec.geom)], flavor))...)
 		}
-		if ckptPath != "" {
-			// The snapshot serializes each tenant's flavor (including
-			// safe), so no extra options are needed on restore.
-			var restored *tenant.Set
-			res := checkpoint.Restore(ckptPath, func(r io.Reader) error {
-				set, err := tenant.ReadSnapshot(r, nil)
-				if err != nil {
-					return err
+		cfg := *spec.fleet // a copy: the policies appended below are this build's
+		cfg.Tenants = append([]tenant.Config(nil), cfg.Tenants...)
+		for i := range cfg.Tenants {
+			cfg.Tenants[i].Options = withAPD(cfg.Tenants[i].Options)
+		}
+		return tenant.NewSet(cfg)
+	}
+	if ckptPath == "" {
+		bf, err := cold()
+		return bf, checkpoint.RestoreResult{Outcome: checkpoint.OutcomeColdStartEmpty}, err
+	}
+	var restored core.Snapshottable
+	res := checkpoint.Restore(ckptPath, func(r io.Reader) error {
+		if spec.fleet != nil {
+			set, err := tenant.ReadSnapshot(r, func(string) []core.Option { return withAPD(nil) })
+			restored = set
+			return err
+		}
+		// The geometry flags must match the snapshot (core.New rejects the
+		// flavor options: the container records the flavor).
+		f, err := core.ReadAnySnapshot(r, withAPD(spec.geom)...)
+		if single, ok := f.(*core.Filter); ok {
+			f = core.NewSafe(single)
+		}
+		restored = f
+		return err
+	})
+	if !res.Outcome.Restored() {
+		bf, err := cold()
+		return bf, res, err
+	}
+	if set, ok := restored.(*tenant.Set); ok {
+		if err := set.SameFleet(spec.fleet.Tenants); err != nil {
+			return nil, res, fmt.Errorf("checkpoint %s does not hold the fleet of %s: %w (remove the checkpoint to start the new fleet cold, or restore the config)", res.File, spec.fleetPath, err)
+		}
+		if err := set.AttachBudget(spec.fleet.Budget); err != nil {
+			return nil, res, err
+		}
+	}
+	return restored, res, nil
+}
+
+// apdFactory validates the -apd flags once and returns a constructor
+// minting an independent policy per call: each filter, tenant or restore
+// gets its own policy state, never a shared one. A nil factory means APD is
+// off.
+func apdFactory(name string, capacity float64) (func() core.DropPolicy, error) {
+	window := 5 * time.Second
+	var mk func() (core.DropPolicy, error)
+	switch name {
+	case "":
+		return nil, nil
+	case "ratio":
+		mk = func() (core.DropPolicy, error) { return core.NewRatioPolicy(1, 3, window) }
+	case "bandwidth":
+		mk = func() (core.DropPolicy, error) { return core.NewBandwidthPolicy(capacity, window) }
+	default:
+		return nil, fmt.Errorf("unknown -apd policy %q (want ratio or bandwidth)", name)
+	}
+	if _, err := mk(); err != nil {
+		return nil, fmt.Errorf("-apd %s: %w", name, err)
+	}
+	return func() core.DropPolicy {
+		p, _ := mk()
+		return p
+	}, nil
+}
+
+// rebalanceEvery re-plans a budgeted fleet against its budget once per the
+// fleet's rotation period of wall time — resizes land only at rotation
+// boundaries, so a faster cadence finds nothing to do — at the fleet's own
+// clock, its packets'. It stops when quit closes, and closes the channel it
+// returns once it has.
+func rebalanceEvery(set *tenant.Set, quit <-chan struct{}, logf func(format string, args ...any)) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(set.RotateEvery())
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				if n, err := set.Rebalance(set.Stats().Now); err != nil {
+					logf("rebalance: %v", err)
+				} else if n > 0 {
+					logf("rebalanced %d tenant filters", n)
 				}
-				restored = set
-				return nil
-			})
-			if res.Outcome.Restored() {
-				if err := restored.SameFleet(cfg.Tenants); err != nil {
-					return nil, res, fmt.Errorf("checkpoint %s does not hold the fleet of %s: %w (remove the checkpoint to start the new fleet cold, or restore the config)", res.File, tenantsPath, err)
-				}
-				return restored, res, nil
 			}
-			for i := range cfg.Tenants {
-				cfg.Tenants[i].Options = append(cfg.Tenants[i].Options, core.WithConcurrencySafe())
-			}
-			set, err := tenant.NewSet(cfg)
-			return set, res, err
 		}
-		set, err := tenant.NewSet(cfg)
-		return set, noRestore, err
-	}
-	geom := []core.Option{
-		core.WithOrder(order),
-		core.WithVectors(vectors),
-		core.WithHashes(hashes),
-		core.WithRotateEvery(rotate),
-	}
-	opts := geom
-	if shards > 1 {
-		opts = append(opts, core.WithShards(shards))
-	} else if ckptPath != "" {
-		opts = append(opts, core.WithConcurrencySafe())
-	}
-	if ckptPath != "" {
-		// Restore takes only the parameter options (the flavor is encoded
-		// in the snapshot container; core.New rejects flavor options), and
-		// the restored single filter is wrapped goroutine-safe here.
-		var restored snapFilter
-		res := checkpoint.Restore(ckptPath, func(r io.Reader) error {
-			snap, err := core.ReadAnySnapshot(r, geom...)
-			if err != nil {
-				return err
-			}
-			if f, ok := snap.(*core.Filter); ok {
-				restored = core.NewSafe(f)
-			} else {
-				restored = snap
-			}
-			return nil
-		})
-		if res.Outcome.Restored() {
-			return restored, res, nil
-		}
-		f, err := core.Build(opts...)
-		return f, res, err
-	}
-	f, err := core.Build(opts...)
-	return f, noRestore, err
+	}()
+	return done
 }
 
 // setupTimes is what bfwall did before the first frame, as -bench reports it:

@@ -359,7 +359,7 @@ func TestMonitoringEndpoints(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(newMux(time.Now().Add(-time.Second), func() pump.Snapshot { return snap }, &resiliencePlane{}))
+	srv := httptest.NewServer(newMux(time.Now().Add(-time.Second), func() pump.Snapshot { return snap }, &controlPlane{}))
 	defer srv.Close()
 
 	get := func(path string) string {

@@ -16,9 +16,13 @@ import (
 
 	"bitmapfilter/internal/capture"
 	"bitmapfilter/internal/checkpoint"
+	"bitmapfilter/internal/core"
+	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/httpapi/expotest"
+	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/pump"
 	"bitmapfilter/internal/resilience"
+	"bitmapfilter/internal/tenant"
 )
 
 // samples returns the lines of a scrape that are not comments.
@@ -34,16 +38,21 @@ func samples(scrape string) (lines []string) {
 // TestMetricsSamplesPreserved: for a fixed snapshot and plane every sample
 // line the hand-written renderer wrote before httpapi.Expo — name, labels,
 // number format; testdata/metrics_parent.txt was captured from it — is still
-// on /metrics, but for the checkpointer, which now goes by the names bfserve
-// always gave it; and nothing is new but that family and the pump's stage
-// clocks. Sets, not sequences: the probes' samples used to interleave three
-// families, against the format.
+// on /metrics, but for the checkpointer, which now goes by the names of the
+// checkpoint family httpapi writes; and nothing else is new but that family,
+// the pump's stage clocks, and the bitmap's own series. Those are, line for
+// line and in order, what the retired second daemon wrote for the same
+// stats (testdata/metrics_bitmap_parent.txt, captured from it), less its
+// five series that bfwall counts under its own names and the health and
+// checkpoint sections, which are bfwall's above. Sets, not sequences, for
+// the rest: the probes' samples used to interleave three families, against
+// the format.
 func TestMetricsSamplesPreserved(t *testing.T) {
 	renamed := strings.NewReplacer(
 		"bitmapfilter_resilience_checkpoint_successes_total", "bitmapfilter_checkpoint_success_total",
 		"bitmapfilter_resilience_checkpoint_failures_total", "bitmapfilter_checkpoint_failures_total",
 		"bitmapfilter_resilience_restore_outcome", "bitmapfilter_checkpoint_restore_outcome")
-	gained := []string{ // the rest of bfserve's family, and the rungs that are 0
+	gained := []string{ // the rest of the checkpoint family, and the rungs that are 0
 		"bitmapfilter_checkpoint_enabled 1",
 		"bitmapfilter_checkpoint_attempts_total 0",
 		"bitmapfilter_checkpoint_last_success_age_seconds -1",
@@ -94,29 +103,96 @@ func TestMetricsSamplesPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane := &resiliencePlane{sup: sup, buf: buf, health: health, cp: cp, policy: resilience.PolicyAdmit,
+	plane := &controlPlane{bf: capturedBitmap(t), sup: sup, buf: buf, health: health, cp: cp, policy: resilience.PolicyAdmit,
 		restore: checkpoint.RestoreResult{Outcome: checkpoint.OutcomeColdStartCorrupt}}
 
 	// A zero start makes bfwall_pps a constant: time.Since saturates.
 	rec := httptest.NewRecorder()
 	newMux(time.Time{}, func() pump.Snapshot { return snap }, plane).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	lines := samples(rec.Body.String())
 	got := make(map[string]bool)
-	for _, line := range samples(rec.Body.String()) {
+	for _, line := range lines {
 		got[line] = true
 	}
-	golden, err := os.ReadFile("testdata/metrics_parent.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range append(strings.Split(strings.TrimSuffix(renamed.Replace(string(golden)), "\n"), "\n"), gained...) {
+	for _, line := range append(goldenLines(t, "testdata/metrics_parent.txt", renamed.Replace), gained...) {
 		if !got[line] {
 			t.Errorf("/metrics lost %q", line)
 		}
 		delete(got, line)
 	}
-	for line := range got {
-		t.Errorf("/metrics gained %q", line)
+	var rest []string // in scrape order
+	for _, line := range lines {
+		if got[line] {
+			rest = append(rest, line)
+		}
 	}
+	var moved []string
+	for _, line := range goldenLines(t, "testdata/metrics_bitmap_parent.txt", nil) {
+		name, _, _ := strings.Cut(strings.Fields(line)[0], "{")
+		if !strings.HasPrefix(name, "bitmapfilter_resilience_") && !strings.HasPrefix(name, "bitmapfilter_checkpoint_") && !countedByBfwall[name] {
+			moved = append(moved, line)
+		}
+	}
+	if strings.Join(rest, "\n") != strings.Join(moved, "\n") {
+		t.Errorf("/metrics beside bfwall's own lines:\n%s\nwant the bitmap's, as captured:\n%s", strings.Join(rest, "\n"), strings.Join(moved, "\n"))
+	}
+}
+
+// countedByBfwall are the series of the retired daemon that bfwall writes
+// under its own names: bfwall_filter_memory_bytes, bfwall_packets_total,
+// bfwall_verdicts_total{verdict="drop"} and bfwall_unrouted_packets_total.
+var countedByBfwall = map[string]bool{
+	"bitmapfilter_memory_bytes": true, "bitmapfilter_out_packets_total": true, "bitmapfilter_in_packets_total": true,
+	"bitmapfilter_in_dropped_total": true, "bitmapfilter_unrouted_packets_total": true,
+}
+
+// goldenLines reads a captured scrape's sample lines, through edit if set.
+func goldenLines(t *testing.T, path string, edit func(string) string) []string {
+	t.Helper()
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(golden)
+	if edit != nil {
+		text = edit(text)
+	}
+	return strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+}
+
+// fixedBitmap serves canned stats through the bitmap's extensions.
+type fixedBitmap struct {
+	stats   core.Stats
+	shards  []core.Stats
+	tenants []tenant.Stat
+}
+
+func (f fixedBitmap) Stats() core.Stats                                      { return f.stats }
+func (f fixedBitmap) ShardStats() []core.Stats                               { return f.shards }
+func (f fixedBitmap) TenantStats() []tenant.Stat                             { return f.tenants }
+func (fixedBitmap) PunchHole(packet.Addr, uint16, packet.Addr, packet.Proto) {}
+
+// capturedBitmap is the bitmap metrics_bitmap_parent.txt was captured for:
+// an aggregate over two shards and two tenants (a million-byte bitmap pins
+// the %g gauges: 1.048576e+06, as it was).
+func capturedBitmap(t *testing.T) fixedBitmap {
+	one := core.Stats{
+		Order: 17, MemoryBytes: 1 << 20, CurrentIndex: 2, Rotations: 7, Marks: 1234567,
+		VectorUtilization: []float64{0.5, 0.25, 0.125, 0}, Utilization: 0.125, PenetrationProbability: 0.001953125,
+		Counters:  filtering.Counters{OutPackets: 3000000, InPackets: 2000000, InPassed: 1999000, InDropped: 1000},
+		APDSpared: 12, APDEnabled: true, APDPolicy: "apd-ratio", APDDropProbability: 0.75,
+	}
+	other := one
+	other.Utilization, other.APDDropProbability, other.APDSpared, other.Order, other.MemoryBytes = 1e-07, 0, 0, 12, 2048
+	prefix := func(s string) packet.Prefix {
+		p, err := packet.ParsePrefix(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	return fixedBitmap{stats: one, shards: []core.Stats{one, other},
+		tenants: []tenant.Stat{{ID: "a", Prefix: prefix("10.0.0.0/9"), Stats: one}, {ID: `b"c`, Prefix: prefix("10.128.0.0/9"), Stats: other}}}
 }
 
 // TestMetricsContract runs the daemon — a single filter, two shards, a

@@ -32,9 +32,10 @@ import (
 // fleet) at W = 1, 2, 4, through what the daemon itself uses of
 // internal/pump — New, Watch, Run, Snapshot. The Worker*, Lane* and
 // FleetLane* names are the single filter's, the shards' and the fleet's rows
-// of it. A single filter comes three ways: plain and behind -checkpoint's
-// lock (the workers hash, the commit step only touches bits), and behind a
-// wrapper that offers ProcessBatchInto alone (the filter hashes for itself).
+// of it. A single filter comes three ways: plain and behind the lock bfwall
+// builds it with (the workers hash, the commit step only touches bits), and
+// behind a wrapper that offers ProcessBatchInto alone (the filter hashes for
+// itself).
 // What has to step a worker by hand is in internal/pump's own tests.
 
 // workerCounts is the explicit W every row runs at: one loop, two workers
@@ -48,11 +49,9 @@ const pumpBuffers = 8
 // minBatch is internal/pump's: the smallest batch that changes goroutine.
 const minBatch = 512
 
-// statFilter is what the rows need of a filter under test.
-type statFilter interface {
-	snapFilter
-	Stats() core.Stats
-}
+// statFilter is what the rows need of a filter under test: what bfwall
+// builds.
+type statFilter = core.Snapshottable
 
 // sink is one of the three things a commit can mean, as the rows build it.
 type sink struct {
@@ -84,7 +83,7 @@ type hashedFilter interface {
 
 var (
 	singleSink = singleSinkOf("single", true, func(t *testing.T) hashedFilter { return singleFilter(t) })
-	// safeSink is the single filter of a -checkpoint daemon. Its reference is
+	// safeSink is the single filter bfwall builds. Its reference is
 	// the plain filter's: the lock changes nothing, down to the snapshot bytes.
 	safeSink = singleSinkOf("safe", true, func(t *testing.T) hashedFilter { return core.NewSafe(singleFilter(t)) })
 	// plainSink is a single filter that does not offer the two halves.
@@ -529,7 +528,7 @@ func (c *totalsOf) add(pkts []packet.Packet, verdicts []filtering.Verdict) {
 
 func totals(s pump.Snapshot) totalsOf { return totalsOf{s.Outgoing, s.Incoming, s.Passed, s.Dropped} }
 
-func snapshotBytes(t *testing.T, bf snapFilter) []byte {
+func snapshotBytes(t *testing.T, bf core.Snapshottable) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := bf.WriteSnapshot(&buf); err != nil {
@@ -669,7 +668,7 @@ func jitterRows(t *testing.T, run func(*testing.T, string, int)) {
 // TestWorkerPumpMatchesInlineReference: a single filter behind the pump —
 // hashed by the workers, judged under the commit lock — against the inline
 // loop the workers replaced, behind every source shape; the same filter
-// behind -checkpoint's lock, and behind a wrapper that hashes for itself,
+// behind bfwall's lock, and behind a wrapper that hashes for itself,
 // against that same plain reference.
 func TestWorkerPumpMatchesInlineReference(t *testing.T) {
 	matchReference(t, "scan", "two_way", []sink{singleSink, safeSink, plainSink}, func(t *testing.T, sk sink, run func(*testing.T, string, int)) {
@@ -1177,13 +1176,15 @@ func (s *slowFilter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verd
 	return s.BatchFilter.ProcessBatchInto(pkts, out)
 }
 
-// TestStatsWhilePumping: /stats and /metrics show the filter while the pump
-// judges through it. bfwall -listen without -checkpoint builds plain,
-// unlocked filters — a single one, or a fleet's tenants: under -race a
-// handler's read of their Counters fails on the first scrape — and no
+// TestStatsWhilePumping: the pump's half of /stats and /metrics shows the
+// filter while the pump judges through it, and never touches it. These
+// filters are plain and unlocked — a single one, or a fleet's tenants: under
+// -race a handler's read of their Counters fails on the first scrape — and no
 // judge's lock is a place to wait either: with the filter as the bottleneck
 // (judge-bound) the commit lock is never free. A scrape reads the copies the
 // judges leave after every batch, whole, and answers while they are busy.
+// (The bitmap's block, which does read the filter, under its lock, is
+// TestControlPlaneWhilePumping's.)
 func TestStatsWhilePumping(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -1205,7 +1206,7 @@ func TestStatsWhilePumping(t *testing.T) {
 				bf = &slowFilter{BatchFilter: inner, perBatch: tc.perBatch}
 			}
 			p := testPump(replay, bf, tc.sink, 64, tc.workers, nil)
-			srv := httptest.NewServer(newMux(time.Now(), p.Snapshot, &resiliencePlane{}))
+			srv := httptest.NewServer(newMux(time.Now(), p.Snapshot, &controlPlane{}))
 			defer srv.Close()
 			defer replay.Close() // first: a scrape stuck behind the judge ends with the replay
 			client := srv.Client()
@@ -1280,7 +1281,7 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	var clock atomic.Int64
 	wd := resilience.NewWatchdog(func() time.Duration { return time.Duration(clock.Load()) })
 	p.Watch(wd, 100*time.Millisecond)
-	srv := httptest.NewServer(newMux(time.Now(), p.Snapshot, &resiliencePlane{health: resilience.NewHealth(wd)}))
+	srv := httptest.NewServer(newMux(time.Now(), p.Snapshot, &controlPlane{health: resilience.NewHealth(wd)}))
 	defer srv.Close()
 	defer release() // first: a scrape stuck behind the wedge ends with it
 	client := srv.Client()

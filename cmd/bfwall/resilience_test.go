@@ -77,8 +77,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripTenants pins the fleet path: per-tenant state
-// (including the forced goroutine-safe flavor) survives the snapshot.
+// TestCheckpointRoundTripTenants pins the fleet path: per-tenant state — of
+// bare tenants, which the Set's write lock keeps the checkpointer off a
+// batch in flight — survives the snapshot.
 func TestCheckpointRoundTripTenants(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "fleet.bmf")
@@ -202,7 +203,7 @@ func TestResilienceEndpoints(t *testing.T) {
 	}
 
 	snap := pump.Snapshot{QuarantinedBatches: 2, QuarantinedFrames: 7}
-	plane := &resiliencePlane{
+	plane := &controlPlane{
 		sup:     sup,
 		buf:     buf,
 		health:  health,

@@ -2,36 +2,43 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"bitmapfilter/internal/checkpoint"
+	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/httpapi"
+	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/pump"
 	"bitmapfilter/internal/resilience"
+	"bitmapfilter/internal/tenant"
 )
 
 // statsSnapshot is the JSON shape of GET /stats.
 type statsSnapshot struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Frames        uint64            `json:"frames"`
-	Bytes         uint64            `json:"bytes"`
-	Truncated     uint64            `json:"truncated"`
-	DecodeErrors  map[string]uint64 `json:"decode_errors"`
-	Unrouted      uint64            `json:"unrouted"`
-	Outgoing      uint64            `json:"outgoing"`
-	Incoming      uint64            `json:"incoming"`
-	Passed        uint64            `json:"passed"`
-	Dropped       uint64            `json:"dropped"`
-	Quarantined   uint64            `json:"quarantined_batches"`
-	PPS           float64           `json:"pps"`
-	LatencyP50Ns  int64             `json:"latency_p50_ns"`
-	LatencyP99Ns  int64             `json:"latency_p99_ns"`
-	Pump          pumpSnapshot      `json:"pump"`
-	Lanes         []laneSnapshot    `json:"lanes,omitempty"`
-	Filter        filterSnapshot    `json:"filter"`
+	UptimeSeconds float64             `json:"uptime_seconds"`
+	Frames        uint64              `json:"frames"`
+	Bytes         uint64              `json:"bytes"`
+	Truncated     uint64              `json:"truncated"`
+	DecodeErrors  map[string]uint64   `json:"decode_errors"`
+	Unrouted      uint64              `json:"unrouted"`
+	Outgoing      uint64              `json:"outgoing"`
+	Incoming      uint64              `json:"incoming"`
+	Passed        uint64              `json:"passed"`
+	Dropped       uint64              `json:"dropped"`
+	Quarantined   uint64              `json:"quarantined_batches"`
+	PPS           float64             `json:"pps"`
+	LatencyP50Ns  int64               `json:"latency_p50_ns"`
+	LatencyP99Ns  int64               `json:"latency_p99_ns"`
+	Pump          pumpSnapshot        `json:"pump"`
+	Lanes         []laneSnapshot      `json:"lanes,omitempty"`
+	Filter        filterSnapshot      `json:"filter"`
+	Bitmap        *bitmapSnapshot     `json:"bitmap,omitempty"`
+	Checkpoint    *checkpointSnapshot `json:"checkpoint,omitempty"`
 }
 
 // pumpSnapshot is the worker pump every filter runs behind.
@@ -61,6 +68,56 @@ type filterSnapshot struct {
 	Name        string             `json:"name"`
 	MemoryBytes uint64             `json:"memory_bytes"`
 	Counters    filtering.Counters `json:"counters"`
+}
+
+// bitmapSnapshot is the bitmap's own state — how full it is, how often it
+// rotated, what APD does — as /stats shows it and /metrics writes it: the
+// aggregate, and each shard or tenant.
+type bitmapSnapshot struct {
+	Utilization        float64          `json:"utilization"`
+	VectorUtilization  []float64        `json:"vector_utilization"`
+	CurrentVector      int              `json:"current_vector_index"`
+	Penetration        float64          `json:"penetration_probability"`
+	Rotations          uint64           `json:"rotations"`
+	Marks              uint64           `json:"marks"`
+	APDEnabled         bool             `json:"apd_enabled"`
+	APDDropProbability float64          `json:"apd_drop_probability"`
+	APDSpared          uint64           `json:"apd_spared"`
+	Shards             []shardSnapshot  `json:"shards,omitempty"`
+	Tenants            []tenantSnapshot `json:"tenants,omitempty"`
+}
+
+type shardSnapshot struct {
+	Utilization        float64 `json:"utilization"`
+	APDDropProbability float64 `json:"apd_drop_probability"`
+	APDSpared          uint64  `json:"apd_spared"`
+}
+
+type tenantSnapshot struct {
+	ID                 string  `json:"id"`
+	Utilization        float64 `json:"utilization"`
+	Penetration        float64 `json:"penetration_probability"`
+	MemoryBytes        uint64  `json:"memory_bytes"`
+	Order              uint    `json:"order"`
+	APDDropProbability float64 `json:"apd_drop_probability"`
+	OutPackets         uint64  `json:"out_packets"`
+	InPackets          uint64  `json:"in_packets"`
+	InDropped          uint64  `json:"in_dropped"`
+	APDSpared          uint64  `json:"apd_spared"`
+}
+
+// checkpointSnapshot is the checkpointer and the restore-ladder rung that
+// produced the running state; absent without -checkpoint.
+type checkpointSnapshot struct {
+	RestoreOutcome string  `json:"restore_outcome"`
+	RestoredFrom   string  `json:"restored_from,omitempty"`
+	Interval       float64 `json:"interval_seconds"`
+	Attempts       uint64  `json:"attempts"`
+	Successes      uint64  `json:"successes"`
+	Failures       uint64  `json:"failures"`
+	LastSuccessAge float64 `json:"last_success_age_seconds"` // -1 before the first success
+	LastBytes      int64   `json:"last_bytes"`
+	LastError      string  `json:"last_error,omitempty"`
 }
 
 // renderStats lays a pump snapshot out as /stats shows it.
@@ -102,10 +159,20 @@ func perSecond(frames uint64, seconds float64) float64 {
 	return float64(frames) / seconds
 }
 
-// resiliencePlane bundles the resilience layer's observable surfaces for
-// the monitoring mux. Every field may be nil/zero: the mux degrades to
-// the bare pump view (tests and -queue=0 runs).
-type resiliencePlane struct {
+// bitmap is what the control plane reads and changes of the filter itself.
+// Every filter bfwall builds may be asked from any goroutine (buildFilter);
+// a sharded filter also answers ShardStats, a fleet TenantStats.
+type bitmap interface {
+	Stats() core.Stats
+	PunchHole(local packet.Addr, localPort uint16, remote packet.Addr, proto packet.Proto)
+}
+
+// controlPlane bundles what the monitoring mux serves beside the pump's
+// snapshot: the bitmap, and the resilience layer's observable surfaces.
+// Every field may be nil/zero: the mux degrades to the bare pump view
+// (tests, and runs without -queue or -checkpoint).
+type controlPlane struct {
+	bf      bitmap
 	sup     *resilience.Supervisor
 	buf     *resilience.Buffer
 	health  *resilience.Health
@@ -114,17 +181,21 @@ type resiliencePlane struct {
 	policy  resilience.OverloadPolicy
 }
 
-// newMux wires the monitoring endpoints: httpapi's /healthz and /readyz,
-// /stats JSON, /metrics Prometheus text exposition. snapshot is the pump's:
-// the handlers read nothing else of it.
-func newMux(started time.Time, snapshot func() pump.Snapshot, plane *resiliencePlane) *http.ServeMux {
+// newMux wires the endpoints: httpapi's /healthz and /readyz, /stats JSON,
+// /metrics Prometheus text exposition, and the control plane's POST /punch
+// and POST /checkpoint. snapshot is the pump's, and never touches the filter;
+// the bitmap's block of /stats and /metrics reads the filter under its own
+// lock, so it waits for at most the batch being judged.
+func newMux(started time.Time, snapshot func() pump.Snapshot, plane *controlPlane) *http.ServeMux {
 	mux := http.NewServeMux()
 	httpapi.MountProbes(mux, plane.health)
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+		s := renderStats(snapshot(), started, time.Now())
+		s.Bitmap, s.Checkpoint = plane.readBitmap(), plane.readCheckpoint()
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(renderStats(snapshot(), started, time.Now()))
+		_ = enc.Encode(s)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		snap := snapshot()
@@ -162,9 +233,18 @@ func newMux(started time.Time, snapshot func() pump.Snapshot, plane *resilienceP
 		e.Counter("bitmapfilter_pump_lane_busy_seconds_total", "Seconds the lanes spent judging, summed over lanes").Float(laneBusy.Seconds())
 		e.Counter("bitmapfilter_pump_scatter_busy_seconds_total", "Seconds of the commit lock spent handing batches to the lanes").Float(snap.ScatterBusy.Seconds())
 		writeLaneMetrics(&e, snap.Lanes)
+		if b := plane.readBitmap(); b != nil {
+			writeBitmapMetrics(&e, b)
+		}
 		plane.writeMetrics(&e, snap)
 		e.Reply(w)
 	})
+	if plane.bf != nil {
+		mux.HandleFunc("POST /punch", plane.punch)
+	}
+	if plane.cp != nil {
+		mux.HandleFunc("POST /checkpoint", plane.checkpointNow)
+	}
 	return mux
 }
 
@@ -185,10 +265,159 @@ func writeLaneMetrics(e *httpapi.Expo, lanes []pump.LaneSnapshot) {
 	perLane(e.Counters("bitmapfilter_lane_dispatcher_stalls_total", "Times the commit step found every sub-batch of a shard's lane in flight and waited", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Stalls })
 }
 
+// readBitmap reads the filter's own state, or nil without one, under the
+// filter's lock: at most one batch's wait. The clock is not advanced —
+// bfwall's filter clock is its packets' — so on an idle link the gauges hold
+// their last value.
+func (p *controlPlane) readBitmap() *bitmapSnapshot {
+	if p.bf == nil {
+		return nil
+	}
+	s := p.bf.Stats()
+	b := &bitmapSnapshot{
+		Utilization: s.Utilization, VectorUtilization: s.VectorUtilization, CurrentVector: s.CurrentIndex,
+		Penetration: s.PenetrationProbability, Rotations: s.Rotations, Marks: s.Marks,
+		APDEnabled: s.APDEnabled, APDDropProbability: s.APDDropProbability, APDSpared: s.APDSpared,
+	}
+	if sh, ok := p.bf.(interface{ ShardStats() []core.Stats }); ok {
+		for _, s := range sh.ShardStats() {
+			b.Shards = append(b.Shards, shardSnapshot{Utilization: s.Utilization, APDDropProbability: s.APDDropProbability, APDSpared: s.APDSpared})
+		}
+	}
+	if ts, ok := p.bf.(interface{ TenantStats() []tenant.Stat }); ok {
+		for _, t := range ts.TenantStats() {
+			s := t.Stats
+			b.Tenants = append(b.Tenants, tenantSnapshot{
+				ID: t.ID, Utilization: s.Utilization, Penetration: s.PenetrationProbability, MemoryBytes: s.MemoryBytes, Order: s.Order,
+				APDDropProbability: s.APDDropProbability, OutPackets: s.Counters.OutPackets, InPackets: s.Counters.InPackets,
+				InDropped: s.Counters.InDropped, APDSpared: s.APDSpared,
+			})
+		}
+	}
+	return b
+}
+
+// writeBitmapMetrics writes the bitmap's series: the aggregate, then one
+// sample per shard or per tenant.
+func writeBitmapMetrics(e *httpapi.Expo, b *bitmapSnapshot) {
+	e.Gauge("bitmapfilter_utilization", "Fill fraction of the current bit vector (U)").Float(b.Utilization)
+	// O(1) reads of each vector's running popcount: free at any order n.
+	vector := e.Gauges("bitmapfilter_vector_utilization", "Fill fraction of each bit vector", "vector")
+	for i, u := range b.VectorUtilization {
+		vector.Float(strconv.Itoa(i), u)
+	}
+	e.Gauge("bitmapfilter_current_vector_index", "Index of the vector incoming lookups consult").Int(uint64(b.CurrentVector))
+	e.Gauge("bitmapfilter_penetration_probability", "Random-packet penetration probability U^m (Equation 1)").Float(b.Penetration)
+	e.Counter("bitmapfilter_rotations_total", "b.rotate invocations").Int(b.Rotations)
+	e.Counter("bitmapfilter_marks_total", "Outgoing packets that marked the bitmap").Int(b.Marks)
+	e.Counter("bitmapfilter_apd_spared_total", "Unmatched incoming packets admitted by APD").Int(b.APDSpared)
+	e.Gauge("bitmapfilter_apd_enabled", "Whether an adaptive-packet-dropping policy is attached (§5.3)").Bool(b.APDEnabled)
+	e.Gauge("bitmapfilter_apd_drop_probability", "Drop probability for unmatched incoming packets; mean across shards on a sharded filter").Float(b.APDDropProbability)
+	if len(b.Shards) > 0 {
+		perShard := func(f httpapi.Family, v func(shardSnapshot) float64) {
+			for i, s := range b.Shards {
+				f.Float(strconv.Itoa(i), v(s))
+			}
+		}
+		perShard(e.Gauges("bitmapfilter_shard_apd_drop_probability", "Per-shard APD drop probability (the shard's clone of the policy)", "shard"), func(s shardSnapshot) float64 { return s.APDDropProbability })
+		perShard(e.Gauges("bitmapfilter_shard_utilization", "Per-shard current-vector fill fraction", "shard"), func(s shardSnapshot) float64 { return s.Utilization })
+		spared := e.Counters("bitmapfilter_shard_apd_spared_total", "Per-shard unmatched incoming packets admitted by APD", "shard")
+		for i, s := range b.Shards {
+			spared.Int(strconv.Itoa(i), s.APDSpared)
+		}
+	}
+	if len(b.Tenants) == 0 {
+		return
+	}
+	gauges := func(name, help string, v func(tenantSnapshot) float64) {
+		f := e.Gauges(name, help, "tenant")
+		for _, t := range b.Tenants {
+			f.Float(t.ID, v(t))
+		}
+	}
+	counters := func(name, help string, v func(tenantSnapshot) uint64) {
+		f := e.Counters(name, help, "tenant")
+		for _, t := range b.Tenants {
+			f.Int(t.ID, v(t))
+		}
+	}
+	gauges("bitmapfilter_tenant_utilization", "Per-tenant current-vector fill fraction", func(t tenantSnapshot) float64 { return t.Utilization })
+	gauges("bitmapfilter_tenant_penetration_probability", "Per-tenant random-packet penetration probability U^m", func(t tenantSnapshot) float64 { return t.Penetration })
+	gauges("bitmapfilter_tenant_memory_bytes", "Per-tenant bitmap footprint (changes when the budget rebalances)", func(t tenantSnapshot) float64 { return float64(t.MemoryBytes) })
+	gauges("bitmapfilter_tenant_order", "Per-tenant bitmap order n (vector size 2^n bits)", func(t tenantSnapshot) float64 { return float64(t.Order) })
+	gauges("bitmapfilter_tenant_apd_drop_probability", "Per-tenant APD drop probability for unmatched incoming packets", func(t tenantSnapshot) float64 { return t.APDDropProbability })
+	counters("bitmapfilter_tenant_out_packets_total", "Per-tenant outgoing packets observed", func(t tenantSnapshot) uint64 { return t.OutPackets })
+	counters("bitmapfilter_tenant_in_packets_total", "Per-tenant incoming packets observed", func(t tenantSnapshot) uint64 { return t.InPackets })
+	counters("bitmapfilter_tenant_in_dropped_total", "Per-tenant incoming packets dropped", func(t tenantSnapshot) uint64 { return t.InDropped })
+	counters("bitmapfilter_tenant_apd_spared_total", "Per-tenant unmatched incoming packets admitted by APD", func(t tenantSnapshot) uint64 { return t.APDSpared })
+}
+
+// readCheckpoint reads the checkpointer, or nil without -checkpoint.
+func (p *controlPlane) readCheckpoint() *checkpointSnapshot {
+	if p.cp == nil {
+		return nil
+	}
+	cs := p.cp.Stats()
+	age := -1.0
+	if !cs.LastSuccess.IsZero() {
+		age = time.Since(cs.LastSuccess).Seconds()
+	}
+	return &checkpointSnapshot{
+		RestoreOutcome: p.restore.Outcome.String(), RestoredFrom: p.restore.File, Interval: cs.Interval.Seconds(),
+		Attempts: cs.Attempts, Successes: cs.Successes, Failures: cs.Failures,
+		LastSuccessAge: age, LastBytes: cs.LastBytes, LastError: cs.LastError,
+	}
+}
+
+// checkpointNow is POST /checkpoint: persist a snapshot now, e.g. ahead of a
+// planned restart.
+func (p *controlPlane) checkpointNow(w http.ResponseWriter, _ *http.Request) {
+	if err := p.cp.CheckpointNow(); err != nil {
+		http.Error(w, "checkpoint failed: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintf(w, "checkpointed %d bytes\n", p.cp.Stats().LastBytes)
+}
+
+// punch is POST /punch?local=10.0.0.5&port=20000&remote=198.51.100.7&proto=tcp,
+// operator-driven §5.1 hole punching: the remote's first packet to local:port
+// passes. Addresses parse as -subnets and the fleet config do.
+func (p *controlPlane) punch(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	local, err := packet.ParseAddr(q.Get("local"))
+	if err != nil {
+		http.Error(w, "local: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	remote, err := packet.ParseAddr(q.Get("remote"))
+	if err != nil {
+		http.Error(w, "remote: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	port, err := strconv.ParseUint(q.Get("port"), 10, 16)
+	if err != nil || port == 0 {
+		http.Error(w, "port: must be 1..65535", http.StatusBadRequest)
+		return
+	}
+	proto := packet.TCP
+	switch strings.ToLower(q.Get("proto")) {
+	case "", "tcp":
+	case "udp":
+		proto = packet.UDP
+	default:
+		http.Error(w, "proto: must be tcp or udp", http.StatusBadRequest)
+		return
+	}
+	p.bf.PunchHole(local, uint16(port), remote, proto)
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintf(w, "punched %s:%d <- %s/%s\n", local, port, remote, proto)
+}
+
 // writeMetrics writes the resilience layer's series: the supervisor's, the
-// overload queue's and the quarantine's are bfwall's own, the health and
-// checkpoint series httpapi's, the same bfserve writes.
-func (p *resiliencePlane) writeMetrics(e *httpapi.Expo, snap pump.Snapshot) {
+// overload queue's and the quarantine's, then httpapi's health and
+// checkpoint sections.
+func (p *controlPlane) writeMetrics(e *httpapi.Expo, snap pump.Snapshot) {
 	pol := p.policy.String()
 	if p.sup != nil {
 		st := p.sup.Stats()

@@ -6,7 +6,7 @@
 // The demo runs the calibrated trace, "restarts" the filter midway under
 // both strategies, and compares the benign drop rate in the window right
 // after the restart. The warm path goes through the crash-safe
-// checkpoint machinery the bfserve daemon uses — an atomic temp-file +
+// checkpoint machinery the bfwall daemon uses — an atomic temp-file +
 // fsync + rename save and the restore fallback ladder — rather than an
 // in-memory buffer, so the demo exercises the real failover artifact.
 package main

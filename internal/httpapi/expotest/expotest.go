@@ -1,7 +1,6 @@
-// Package expotest checks what a daemon's /metrics says against the
+// Package expotest checks what the daemon's /metrics says against the
 // operator-facing contract: the exposition format, the naming rules and the
-// registry table of DESIGN.md §8. Both daemons' tests scrape themselves and
-// call it.
+// registry table of DESIGN.md §8. bfwall's tests scrape it and call it.
 package expotest
 
 import (

@@ -6,9 +6,9 @@ import (
 )
 
 const design = "| series | type | daemon | meaning |\n|---|---|---|---|\n" +
-	"| `bitmapfilter_good_total` | counter | bfserve, bfwall | documented |\n" +
+	"| `bitmapfilter_good_total` | counter | bfother, bfwall | documented |\n" +
 	"| `bitmapfilter_depth{lane=\"i\"}` | gauge | bfwall | documented, labelled |\n" +
-	"| `bitmapfilter_served` | gauge | bfserve | the other daemon's |\n"
+	"| `bitmapfilter_served` | gauge | bfother | the other daemon's |\n"
 
 const good = "# HELP bitmapfilter_good_total Good.\n# TYPE bitmapfilter_good_total counter\nbitmapfilter_good_total 1\n" +
 	"# HELP bitmapfilter_depth Depth.\n# TYPE bitmapfilter_depth gauge\nbitmapfilter_depth{lane=\"0\"} 2\nbitmapfilter_depth{lane=\"a\\\"b\"} 1.5e-06\n"
@@ -49,8 +49,8 @@ func TestCheck(t *testing.T) {
 			t.Errorf("%s: problems %q, want one with %q", tc.name, all, tc.want)
 		}
 	}
-	// Rows are a daemon's when they name it: bfserve's are not bfwall's.
-	if problems := Diff(map[string]string{"bitmapfilter_good_total": "counter", "bitmapfilter_served": "gauge"}, design, "bfserve"); len(problems) > 0 {
-		t.Errorf("bfserve's rows: %q", problems)
+	// Rows are a daemon's when they name it: bfother's are not bfwall's.
+	if problems := Diff(map[string]string{"bitmapfilter_good_total": "counter", "bitmapfilter_served": "gauge"}, design, "bfother"); len(problems) > 0 {
+		t.Errorf("bfother's rows: %q", problems)
 	}
 }

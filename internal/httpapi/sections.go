@@ -1,3 +1,9 @@
+// Package httpapi is the HTTP exposition every daemon endpoint shares:
+// Expo, the one writer of the Prometheus text format, and the sections a
+// daemon's mux serves as they are — MountProbes (GET /healthz, GET
+// /readyz), WriteHealth (the bitmapfilter_resilience_* health series) and
+// WriteCheckpoint (the bitmapfilter_checkpoint_* family). DESIGN.md §8 is
+// the registry of every series; TestMetricsContract holds the scrape to it.
 package httpapi
 
 import (
@@ -9,11 +15,20 @@ import (
 	"bitmapfilter/internal/resilience"
 )
 
-// MountProbes serves, for bfserve and bfwall alike, GET /healthz — 503 and
-// the stalled probes' names when a supervised loop stalls — and GET /readyz
-// — 503 and the reason until the daemon is ready, and again once it drains,
-// so a load balancer stops routing the moment draining starts. With a nil
-// health both answer ok whenever the daemon serves.
+// CheckpointControl is the checkpoint surface a daemon drives and
+// WriteCheckpoint reads: *checkpoint.Checkpointer implements it.
+type CheckpointControl interface {
+	// CheckpointNow persists one snapshot synchronously.
+	CheckpointNow() error
+	// Stats returns the checkpointer's counters for metrics export.
+	Stats() checkpoint.Stats
+}
+
+// MountProbes serves GET /healthz — 503 and the stalled probes' names when a
+// supervised loop stalls — and GET /readyz — 503 and the reason until the
+// daemon is ready, and again once it drains, so a load balancer stops
+// routing the moment draining starts. With a nil health both answer ok
+// whenever the daemon serves.
 func MountProbes(mux *http.ServeMux, health *resilience.Health) {
 	probe := func(check func() (bool, string), failing string) http.HandlerFunc {
 		return func(w http.ResponseWriter, _ *http.Request) {

@@ -42,7 +42,6 @@ var goleakTargetLeaves = map[string]bool{
 	"resilience": true,
 	"capture":    true,
 	"checkpoint": true,
-	"bfserve":    true,
 	"bfwall":     true,
 	"pump":       true,
 }

@@ -18,7 +18,6 @@ import (
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
-	"bitmapfilter/internal/tenant"
 )
 
 // ErrNilFilter is returned by New when no filter is supplied.
@@ -35,12 +34,6 @@ type Inner interface {
 	Stats() core.Stats
 	Utilization() float64
 	RotateEvery() time.Duration
-}
-
-// shardStatser is the optional per-shard introspection surface
-// (*core.Sharded); see Filter.ShardStats.
-type shardStatser interface {
-	ShardStats() []core.Stats
 }
 
 // Clock abstracts wall time so tests can drive the adapter
@@ -96,9 +89,8 @@ func New(f Inner, opts ...Option) (*Filter, error) {
 // Adopt wraps a filter that already carries state — its rotation clock
 // stands at some non-zero virtual time — and back-dates the adapter's
 // start so the wall clock resumes exactly where the filter clock left
-// off. Restores (ReadSnapshot, the tenant fleet restore in bfserve) use
-// it so downtime neither ages nor extends marks; for a fresh filter it is
-// identical to New.
+// off. ReadSnapshot restores through it so downtime neither ages nor
+// extends marks; for a fresh filter it is identical to New.
 func Adopt(f Inner, opts ...Option) (*Filter, error) {
 	l, err := New(f, opts...)
 	if err != nil {
@@ -254,72 +246,6 @@ func (l *Filter) Stats() core.Stats {
 	defer l.mu.Unlock()
 	l.inner.AdvanceTo(l.elapsed())
 	return l.inner.Stats()
-}
-
-// ShardStats returns per-shard snapshots at wall-clock time when the
-// wrapped filter is sharded, and nil otherwise.
-func (l *Filter) ShardStats() []core.Stats {
-	ss, ok := l.inner.(shardStatser)
-	if !ok {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.AdvanceTo(l.elapsed())
-	return ss.ShardStats()
-}
-
-// tenantStatser is the optional per-tenant introspection surface
-// (*tenant.Set); see Filter.TenantStats.
-type tenantStatser interface {
-	TenantStats() []tenant.Stat
-	UnroutedPackets() uint64
-}
-
-// TenantStats returns per-tenant snapshots at wall-clock time when the
-// wrapped filter is a multi-tenant set, and nil otherwise.
-func (l *Filter) TenantStats() []tenant.Stat {
-	ts, ok := l.inner.(tenantStatser)
-	if !ok {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.inner.AdvanceTo(l.elapsed())
-	return ts.TenantStats()
-}
-
-// UnroutedPackets reports the wrapped tenant set's pass-through count,
-// or 0 for any other inner filter.
-func (l *Filter) UnroutedPackets() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if ts, ok := l.inner.(tenantStatser); ok {
-		return ts.UnroutedPackets()
-	}
-	return 0
-}
-
-// rebalancer is the optional budget surface (*tenant.Set).
-type rebalancer interface {
-	Rebalance(now time.Duration) (int, error)
-}
-
-// ErrNoRebalance is returned by Rebalance when the wrapped filter is not
-// a budgeted tenant set.
-var ErrNoRebalance = errors.New("live: wrapped filter has no budget to rebalance")
-
-// Rebalance re-plans a wrapped tenant set's shared memory budget at the
-// current wall-clock instant (see tenant.Set.Rebalance). The adapter
-// lock is held: the resize swap and the dispatch path never interleave.
-func (l *Filter) Rebalance() (int, error) {
-	rb, ok := l.inner.(rebalancer)
-	if !ok {
-		return 0, ErrNoRebalance
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return rb.Rebalance(l.elapsed())
 }
 
 // ErrNotSnapshottable is returned by WriteSnapshot when the wrapped

@@ -83,7 +83,7 @@ func TestSnapshotRoundTripThroughLive(t *testing.T) {
 }
 
 // TestSnapshotShardedFlavor: a live adapter over a sharded filter
-// restores as a sharded filter (ShardStats stays available).
+// restores as the same sharded filter.
 func TestSnapshotShardedFlavor(t *testing.T) {
 	clock := newFakeClock()
 	inner, err := core.NewSharded(4,
@@ -106,8 +106,8 @@ func TestSnapshotShardedFlavor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss := g.ShardStats(); len(ss) != 4 {
-		t.Errorf("restored filter has %d shard stats, want 4", len(ss))
+	if name, want := g.Name(), inner.Name(); name != want {
+		t.Errorf("restored filter is %s, want %s", name, want)
 	}
 	if v := g.Observe(tuple.Reverse(), packet.Incoming, packet.ACK, 60); v != filtering.Pass {
 		t.Error("sharded restore lost the flow")

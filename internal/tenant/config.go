@@ -11,7 +11,7 @@ import (
 )
 
 // fileConfig is the on-disk JSON shape loaded by ParseConfig (the
-// `bfserve -tenants` file):
+// `bfwall -tenants` file):
 //
 //	{
 //	  "budgetBytes": 8388608,

@@ -79,8 +79,8 @@ type tenantState struct {
 	shards int  // flavor: shard count (0 = unsharded)
 
 	// filter, baseline and planRotations are guarded by the owning
-	// Set's mu (read lock for dispatch, write lock for Rebalance and
-	// snapshots) — a cross-struct discipline the lockguard marker
+	// Set's mu (read lock for dispatch, write lock for the control plane:
+	// stats, punches, Rebalance, snapshots) — a cross-struct discipline the lockguard marker
 	// cannot express, so it is enforced by review and the -race suite.
 	filter core.Snapshottable
 	// baseline accumulates the counters of filters retired by resizes,
@@ -98,8 +98,11 @@ type tenantState struct {
 //
 // Concurrency: dispatch takes a read lock (so many batch pumps may run
 // concurrently — provided every tenant's own flavor is goroutine-safe,
-// i.e. built WithConcurrencySafe or WithShards); Rebalance and snapshot
-// writes take the write lock and see a quiesced fleet.
+// i.e. built WithConcurrencySafe or WithShards). Everything a control plane
+// does beside one pump — Stats, TenantStats, Utilization, PunchHole,
+// Rebalance and snapshot writes — takes the write lock and sees a quiesced
+// fleet, so bare tenants are safe behind a single pump: a scrape waits for
+// at most the batch in flight.
 type Set struct {
 	mu      sync.RWMutex
 	tenants []*tenantState
@@ -440,8 +443,8 @@ func addCounters(dst *filtering.Counters, c filtering.Counters) {
 // tenants (each tenant's own capacity math uses its individual value;
 // see TenantStats).
 func (s *Set) Utilization() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var sum float64
 	for _, st := range s.tenants {
 		sum += st.filter.Utilization()
@@ -467,8 +470,8 @@ func (s *Set) RotateEvery() time.Duration {
 // PunchHole opens an inbound hole (§5.1) in the tenant filter owning
 // local's prefix; it is a no-op if no tenant covers the address.
 func (s *Set) PunchHole(local packet.Addr, localPort uint16, remote packet.Addr, proto packet.Proto) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if slot := s.routes.Lookup(local); slot >= 0 {
 		s.tenants[slot].filter.PunchHole(local, localPort, remote, proto)
 	}
@@ -482,8 +485,8 @@ func (s *Set) PunchHole(local packet.Addr, localPort uint16, remote packet.Addr,
 // homogeneous fleet; VectorUtilization is nil (tenants disagree on k).
 // Use TenantStats for the per-tenant truth.
 func (s *Set) Stats() core.Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	agg := s.statLocked(0)
 	agg.VectorUtilization = nil
 	for i := 1; i < len(s.tenants); i++ {
@@ -523,7 +526,7 @@ type Stat struct {
 }
 
 // statLocked returns tenant i's Stats with the resize baseline folded
-// in. Callers hold at least the read lock.
+// in. Callers hold the write lock: reading a bare tenant races its dispatch.
 func (s *Set) statLocked(i int) core.Stats {
 	st := s.tenants[i]
 	stats := st.filter.Stats()
@@ -534,8 +537,8 @@ func (s *Set) statLocked(i int) core.Stats {
 // TenantStats returns one snapshot per tenant, in configuration order —
 // the per-tenant series /stats and /metrics expose.
 func (s *Set) TenantStats() []Stat {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]Stat, len(s.tenants))
 	for i, st := range s.tenants {
 		out[i] = Stat{ID: st.id, Prefix: st.prefix, Stats: s.statLocked(i)}

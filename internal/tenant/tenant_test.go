@@ -3,6 +3,7 @@ package tenant_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -430,6 +431,47 @@ func TestSetConcurrentDispatch(t *testing.T) {
 	c := set.Counters()
 	if got := c.OutPackets + c.InPackets; got != uint64(4*len(pkts)) {
 		t.Errorf("counters lost packets: %d, want %d", got, 4*len(pkts))
+	}
+}
+
+// TestSetControlPlaneBesideOnePump is the lock rule a daemon relies on: bare
+// tenants behind one pump, and beside it everything a control plane does —
+// stats, punches, snapshots, rebalances — under the write lock. Run under
+// -race, a read-locked Stats or PunchHole races the pump's dispatch.
+func TestSetControlPlaneBesideOnePump(t *testing.T) {
+	cfgs := []tenant.Config{
+		{ID: "a", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 0, 0, 0), 16), Options: []core.Option{core.WithOrder(11), core.WithSeed(1)}},
+		{ID: "b", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 1, 0, 0), 16), Options: []core.Option{core.WithOrder(10), core.WithSeed(2)}},
+	}
+	set := mustSet(t, tenant.SetConfig{Tenants: cfgs, Budget: &tenant.Budget{TotalBytes: 1 << 20, TargetPenetration: 0.01}})
+	pkts := fleetTrace(40_000, cfgs)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var buf []filtering.Verdict
+		for off := 0; off < len(pkts); off += 512 {
+			buf = set.ProcessBatchInto(pkts[off:min(off+512, len(pkts))], buf)
+		}
+	}()
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			if c := set.Counters(); c.OutPackets+c.InPackets != uint64(len(pkts)) {
+				t.Errorf("counters lost packets: %+v of %d", c, len(pkts))
+			}
+			return
+		default:
+		}
+		set.Stats()
+		set.TenantStats()
+		set.Utilization()
+		set.PunchHole(packet.AddrFrom4(10, 0, 0, 9), 2000, packet.AddrFrom4(198, 51, 100, 7), packet.TCP)
+		if err := set.WriteSnapshot(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := set.Rebalance(set.Stats().Now); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ var ErrNoTenantBudget = tenant.ErrNoBudget
 func NewTenantSet(cfg TenantSetConfig) (*TenantSet, error) { return tenant.NewSet(cfg) }
 
 // ParseTenantConfig parses the JSON fleet description used by
-// `bfserve -tenants` into a TenantSetConfig; see internal/tenant for the
+// `bfwall -tenants` into a TenantSetConfig; see internal/tenant for the
 // schema and README for an example.
 func ParseTenantConfig(data []byte) (TenantSetConfig, error) { return tenant.ParseConfig(data) }
 
