@@ -511,53 +511,18 @@ func batchWorkload(n int, seed uint64) []packet.Packet {
 }
 
 // Batched versus per-packet hot path. Each iteration pushes the same
-// 512-packet mixed batch through the filter, so ns/op is directly
-// comparable between the "packet" and "batch" variants; the Safe and
-// Sharded pairs isolate the lock-amortization win (one acquisition per
-// batch / per touched shard instead of one per packet).
-func BenchmarkProcessBatch(b *testing.B) {
+// 512-packet mixed batch through the filter, so ns/op is directly comparable
+// between the "<flavor>/packet" rows (Process per packet) and the
+// "<flavor>" rows (one ProcessBatchInto); the Safe and Sharded pairs isolate
+// the lock-amortization win (one acquisition per batch / per touched shard
+// instead of one per packet). ProcessBatchInto with a reused verdict buffer
+// must report 0 allocs/op on every flavor: the warm-up call before the timer
+// grows the buffer once and primes the sharded grouping scratch pool.
+func BenchmarkProcessBatchInto(b *testing.B) {
 	const batch = 512
 	pkts := batchWorkload(batch, 8)
 
-	impls := []struct {
-		name string
-		mk   func(b *testing.B) interface {
-			Process(packet.Packet) bitmapfilter.Verdict
-			ProcessBatch([]packet.Packet) []bitmapfilter.Verdict
-		}
-	}{
-		{name: "single", mk: func(b *testing.B) interface {
-			Process(packet.Packet) bitmapfilter.Verdict
-			ProcessBatch([]packet.Packet) []bitmapfilter.Verdict
-		} {
-			f, err := bitmapfilter.New()
-			if err != nil {
-				b.Fatal(err)
-			}
-			return f
-		}},
-		{name: "safe", mk: func(b *testing.B) interface {
-			Process(packet.Packet) bitmapfilter.Verdict
-			ProcessBatch([]packet.Packet) []bitmapfilter.Verdict
-		} {
-			f, err := bitmapfilter.New()
-			if err != nil {
-				b.Fatal(err)
-			}
-			return bitmapfilter.NewSafe(f)
-		}},
-		{name: "sharded", mk: func(b *testing.B) interface {
-			Process(packet.Packet) bitmapfilter.Verdict
-			ProcessBatch([]packet.Packet) []bitmapfilter.Verdict
-		} {
-			f, err := bitmapfilter.NewSharded(8, bitmapfilter.WithOrder(17))
-			if err != nil {
-				b.Fatal(err)
-			}
-			return f
-		}},
-	}
-	for _, impl := range impls {
+	for _, impl := range batchImpls() {
 		b.Run(impl.name+"/packet", func(b *testing.B) {
 			f := impl.mk(b)
 			b.ReportAllocs()
@@ -569,61 +534,6 @@ func BenchmarkProcessBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
 		})
-		b.Run(impl.name+"/batch", func(b *testing.B) {
-			f := impl.mk(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.ProcessBatch(pkts)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
-		})
-	}
-}
-
-// Steady-state zero-allocation batch path: ProcessBatchInto with a reused
-// verdict buffer must report 0 allocs/op on every flavor. The warm-up call
-// before the timer grows the buffer once and primes the sharded grouping
-// scratch pool; after that the data plane allocates nothing.
-func BenchmarkProcessBatchInto(b *testing.B) {
-	const batch = 512
-	pkts := batchWorkload(batch, 8)
-
-	impls := []struct {
-		name string
-		mk   func(b *testing.B) interface {
-			ProcessBatchInto([]packet.Packet, []bitmapfilter.Verdict) []bitmapfilter.Verdict
-		}
-	}{
-		{name: "single", mk: func(b *testing.B) interface {
-			ProcessBatchInto([]packet.Packet, []bitmapfilter.Verdict) []bitmapfilter.Verdict
-		} {
-			f, err := bitmapfilter.New()
-			if err != nil {
-				b.Fatal(err)
-			}
-			return f
-		}},
-		{name: "safe", mk: func(b *testing.B) interface {
-			ProcessBatchInto([]packet.Packet, []bitmapfilter.Verdict) []bitmapfilter.Verdict
-		} {
-			f, err := bitmapfilter.New()
-			if err != nil {
-				b.Fatal(err)
-			}
-			return bitmapfilter.NewSafe(f)
-		}},
-		{name: "sharded", mk: func(b *testing.B) interface {
-			ProcessBatchInto([]packet.Packet, []bitmapfilter.Verdict) []bitmapfilter.Verdict
-		} {
-			f, err := bitmapfilter.NewSharded(8, bitmapfilter.WithOrder(17))
-			if err != nil {
-				b.Fatal(err)
-			}
-			return f
-		}},
-	}
-	for _, impl := range impls {
 		b.Run(impl.name, func(b *testing.B) {
 			f := impl.mk(b)
 			var out []bitmapfilter.Verdict
@@ -638,31 +548,30 @@ func BenchmarkProcessBatchInto(b *testing.B) {
 	}
 }
 
-// Contended batched versus per-packet throughput: every goroutine hammers
-// the same shared filter, the regime where per-packet locking collapses.
-func BenchmarkBatchParallel(b *testing.B) {
-	const batch = 512
-	mks := []struct {
-		name string
-		mk   func(b *testing.B) interface {
-			Process(packet.Packet) bitmapfilter.Verdict
-			ProcessBatch([]packet.Packet) []bitmapfilter.Verdict
-		}
-	}{
-		{name: "safe", mk: func(b *testing.B) interface {
-			Process(packet.Packet) bitmapfilter.Verdict
-			ProcessBatch([]packet.Packet) []bitmapfilter.Verdict
-		} {
+// batchImpl builds one filter flavor for the batch benchmarks.
+type batchImpl struct {
+	name string
+	mk   func(b *testing.B) bitmapfilter.BatchFilter
+}
+
+// batchImpls lists the flavors the batch benchmarks compare.
+func batchImpls() []batchImpl {
+	return []batchImpl{
+		{name: "single", mk: func(b *testing.B) bitmapfilter.BatchFilter {
+			f, err := bitmapfilter.New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return f
+		}},
+		{name: "safe", mk: func(b *testing.B) bitmapfilter.BatchFilter {
 			f, err := bitmapfilter.New()
 			if err != nil {
 				b.Fatal(err)
 			}
 			return bitmapfilter.NewSafe(f)
 		}},
-		{name: "sharded", mk: func(b *testing.B) interface {
-			Process(packet.Packet) bitmapfilter.Verdict
-			ProcessBatch([]packet.Packet) []bitmapfilter.Verdict
-		} {
+		{name: "sharded", mk: func(b *testing.B) bitmapfilter.BatchFilter {
 			f, err := bitmapfilter.NewSharded(8, bitmapfilter.WithOrder(17))
 			if err != nil {
 				b.Fatal(err)
@@ -670,7 +579,13 @@ func BenchmarkBatchParallel(b *testing.B) {
 			return f
 		}},
 	}
-	for _, impl := range mks {
+}
+
+// Contended batched versus per-packet throughput: every goroutine hammers
+// the same shared filter, the regime where per-packet locking collapses.
+func BenchmarkBatchParallel(b *testing.B) {
+	const batch = 512
+	for _, impl := range batchImpls()[1:] { // the bare single filter is not goroutine-safe
 		b.Run(impl.name+"/packet", func(b *testing.B) {
 			f := impl.mk(b)
 			pkts := batchWorkload(batch, 8)
@@ -689,18 +604,19 @@ func BenchmarkBatchParallel(b *testing.B) {
 			b.ReportAllocs()
 			// Each pb.Next() corresponds to ONE packet so ns/op stays
 			// per-packet comparable; batches are submitted every
-			// `batch` steps.
+			// `batch` steps, each goroutine recycling its own buffer.
 			b.RunParallel(func(pb *testing.PB) {
+				var out []bitmapfilter.Verdict
 				n := 0
 				for pb.Next() {
 					n++
 					if n == batch {
-						f.ProcessBatch(pkts)
+						out = f.ProcessBatchInto(pkts, out)
 						n = 0
 					}
 				}
 				if n > 0 {
-					f.ProcessBatch(pkts[:n])
+					f.ProcessBatchInto(pkts[:n], out)
 				}
 			})
 		})
@@ -715,7 +631,7 @@ func BenchmarkUtilizationStats(b *testing.B) {
 		b.Fatal(err)
 	}
 	pkts := batchWorkload(1<<14, 9)
-	f.ProcessBatch(pkts)
+	f.ProcessBatchInto(pkts, nil)
 	b.Run("utilization", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

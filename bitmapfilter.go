@@ -38,7 +38,6 @@ import (
 
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
-	"bitmapfilter/internal/live"
 	"bitmapfilter/internal/packet"
 )
 
@@ -68,9 +67,9 @@ type (
 	// PacketFilter is the interface shared by the bitmap filter and the
 	// SPI baselines in internal/flowtable.
 	PacketFilter = filtering.PacketFilter
-	// BatchFilter is a PacketFilter with a batched data plane:
-	// ProcessBatch plus the allocation-free ProcessBatchInto. Filter,
-	// Safe, and Sharded implement it natively.
+	// BatchFilter is a PacketFilter with a batched data plane: the
+	// allocation-free ProcessBatchInto. Filter, Safe, Sharded and
+	// TenantSet implement it natively; AsBatch adapts anything else.
 	BatchFilter = filtering.BatchFilter
 )
 
@@ -129,7 +128,7 @@ type Safe = core.Safe
 type Option = core.Option
 
 // Stats is the point-in-time introspection snapshot returned by
-// Filter.Stats and LiveFilter.Stats.
+// Filter.Stats.
 type Stats = core.Stats
 
 // DropPolicy is an adaptive-packet-dropping indicator (§5.3).
@@ -158,20 +157,10 @@ type BandwidthPolicy = core.BandwidthPolicy
 type RatioPolicy = core.RatioPolicy
 
 // AsBatch returns f's batched data plane: filters that implement
-// BatchFilter natively (Filter, Safe, Sharded) are returned unchanged,
-// anything else gets a generic per-packet fallback with identical
-// verdicts.
+// BatchFilter natively (Filter, Safe, Sharded, TenantSet) are returned
+// unchanged, anything else gets a generic per-packet fallback with
+// identical verdicts.
 func AsBatch(f PacketFilter) BatchFilter { return filtering.AsBatch(f) }
-
-// Chain composes filter stages into one BatchFilter: packets flow through
-// the stages in order and the first Drop short-circuits, so later stages
-// never observe a dropped packet. The batch path feeds each stage only
-// its predecessor's survivors (compacted in order, pooled scratch), which
-// keeps stage state evolution identical to per-packet chaining. This is
-// the composition point for layered defenses — e.g. a SYN-validation
-// stage in front of the bitmap filter, or a TenantSet behind a rate
-// limiter. Chain() passes everything; Chain(f) returns f unchanged.
-func Chain(stages ...BatchFilter) BatchFilter { return filtering.Chain(stages...) }
 
 // MarkPolicy and TuplePolicy select ablation variants of the filter.
 type (
@@ -188,38 +177,18 @@ const (
 )
 
 // Build is the unified constructor: one option bundle describes a
-// complete deployment, with flavor selectors riding in the same slice as
-// the bitmap parameters. It composes, inside-out:
+// complete filter, with flavor selectors riding in the same slice as the
+// bitmap parameters:
 //
-//	Build(WithOrder(20))                          == New(...)
-//	Build(WithConcurrencySafe(), ...)             == NewSafe(New(...))
-//	Build(WithShards(8), ...)                     == NewSharded(8, ...)
-//	Build(WithLiveClock(nil), ...)                == NewLive(<inner>, ...)
-//	Build(WithShards(8), WithLiveClock(clk), ...) == NewLive(NewSharded(8, ...), WithClock(clk))
+//	Build(WithOrder(20))              == New(...)
+//	Build(WithConcurrencySafe(), ...) == NewSafe(New(...))
+//	Build(WithShards(8), ...)         == NewSharded(8, ...)
 //
 // The classic constructors below remain as thin wrappers and return their
 // concrete types; Build is the surface that can be stored as
-// configuration and applied uniformly — TenantSet construction takes the
-// same bundle per tenant. The result always implements BatchFilter; it is
-// goroutine-safe unless the bundle selected a bare single filter.
-func Build(opts ...Option) (BatchFilter, error) {
-	plan := core.PlanBuild(opts...)
-	if !plan.Live {
-		return core.Build(opts...)
-	}
-	// Wall-clock deployments: compose the core flavor with the live
-	// request cancelled (core.Build rejects it otherwise), then wrap it
-	// in the adapter driven by the requested clock.
-	inner, err := core.Build(append(append(make([]Option, 0, len(opts)+1), opts...), core.ClearLive())...)
-	if err != nil {
-		return nil, err
-	}
-	var lopts []LiveOption
-	if plan.Clock != nil {
-		lopts = append(lopts, live.WithClock(plan.Clock))
-	}
-	return live.New(inner, lopts...)
-}
+// configuration and applied uniformly. The result is goroutine-safe unless
+// the bundle selected a bare single filter.
+func Build(opts ...Option) (Snapshottable, error) { return core.Build(opts...) }
 
 // Flavor selectors for Build. They are ordinary Options, but only Build
 // honors them: New and the other classic constructors reject bundles that
@@ -230,12 +199,8 @@ func Build(opts ...Option) (BatchFilter, error) {
 func WithShards(n int) Option { return core.WithShards(n) }
 
 // WithConcurrencySafe selects a goroutine-safe filter (the Safe wrapper).
-// It is implied for WithShards and WithLiveClock.
+// It is implied for WithShards.
 func WithConcurrencySafe() Option { return core.WithConcurrencySafe() }
-
-// WithLiveClock selects the wall-clock adapter (LiveFilter) around the
-// composed filter, driven by c; nil selects the real clock.
-func WithLiveClock(c Clock) Option { return core.WithLiveClock(c) }
 
 // New constructs a bitmap filter. With no options it is the paper's
 // {4×20}-bitmap with m = 3 hash functions rotated every 5 seconds
@@ -316,37 +281,4 @@ func ReadShardedSnapshot(r io.Reader, opts ...Option) (*Sharded, error) {
 // the restore path for checkpoints whose flavor is not known in advance.
 func ReadAnySnapshot(r io.Reader, opts ...Option) (Snapshottable, error) {
 	return core.ReadAnySnapshot(r, opts...)
-}
-
-// LiveFilter is the wall-clock deployment adapter: goroutine-safe, stamps
-// packets with elapsed monotonic time, and can rotate in the background
-// while the link is quiet.
-type LiveFilter = live.Filter
-
-// Clock abstracts the LiveFilter's time source for tests.
-type Clock = live.Clock
-
-// LiveOption configures NewLive.
-type LiveOption = live.Option
-
-// LiveInner is the filter surface NewLive accepts: *Filter, *Safe and
-// *Sharded all satisfy it, so a deployment picks its concurrency flavor
-// without changing the wall-clock adapter.
-type LiveInner = live.Inner
-
-// NewLive wraps a filter for wall-clock operation. The wrapped filter must
-// not be used directly afterwards.
-func NewLive(f LiveInner, opts ...LiveOption) (*LiveFilter, error) {
-	return live.New(f, opts...)
-}
-
-// WithClock substitutes the LiveFilter's time source.
-func WithClock(c Clock) LiveOption { return live.WithClock(c) }
-
-// ReadLiveSnapshot reconstructs a wall-clock filter from a stream written
-// by LiveFilter.WriteSnapshot (or any flavor's WriteSnapshot): the inner
-// flavor comes from the snapshot and the adapter's clock is back-dated so
-// marks keep their residual lifetime across the restart.
-func ReadLiveSnapshot(r io.Reader, coreOpts []Option, liveOpts ...LiveOption) (*LiveFilter, error) {
-	return live.ReadSnapshot(r, coreOpts, liveOpts...)
 }

@@ -478,7 +478,7 @@ type filterSpec struct {
 // because the control plane reads and punches it while the pump judges: a
 // single filter behind Safe's lock (one uncontended acquisition per batch on
 // the commit step), shards locked each, a fleet's tenants bare behind the
-// Set's write lock.
+// Set's lock.
 //
 // With a checkpoint path it walks the restore ladder first — primary file,
 // .bak rotation, cold start — and builds fresh from the flags only when no

@@ -205,8 +205,8 @@ func fleetPrefixes() []packet.Prefix {
 	}
 }
 
-// fleetConfig makes the carve-out a sharded tenant and the third a
-// goroutine-safe one.
+// fleetConfig gives the three tenants their own seeds, and the carve-out and
+// the third tenant their own geometry: every tenant is a bare filter.
 func fleetConfig(t *testing.T) tenant.SetConfig {
 	opts := func(seed uint64, more ...core.Option) []core.Option {
 		return append(append([]core.Option{core.WithOrder(13), core.WithSeed(seed), core.WithAPD(testAPD(t, 5e6))}, testGeometry...), more...)
@@ -214,8 +214,8 @@ func fleetConfig(t *testing.T) tenant.SetConfig {
 	prefixes := fleetPrefixes()
 	return tenant.SetConfig{Tenants: []tenant.Config{
 		{ID: "wide", Prefix: prefixes[0], Options: opts(1)},
-		{ID: "carved", Prefix: prefixes[1], Options: opts(2, core.WithShards(2))},
-		{ID: "safe", Prefix: prefixes[2], Options: opts(3, core.WithConcurrencySafe())},
+		{ID: "carved", Prefix: prefixes[1], Options: opts(2, core.WithOrder(12))},
+		{ID: "third", Prefix: prefixes[2], Options: opts(3, core.WithHashes(4))},
 	}}
 }
 

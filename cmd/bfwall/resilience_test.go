@@ -78,8 +78,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointRoundTripTenants pins the fleet path: per-tenant state — of
-// bare tenants, which the Set's write lock keeps the checkpointer off a
-// batch in flight — survives the snapshot.
+// bare tenants, which the Set's lock keeps the checkpointer off a batch in
+// flight — survives the snapshot.
 func TestCheckpointRoundTripTenants(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "fleet.bmf")

@@ -42,10 +42,10 @@ func Example() {
 	// probe: drop
 }
 
-// ExampleFilter_ProcessBatch shows the batched data plane: one call per
-// packet burst, with ProcessBatchInto reusing the caller's verdict buffer
-// so a steady-state stream allocates nothing.
-func ExampleFilter_ProcessBatch() {
+// ExampleFilter_ProcessBatchInto shows the batched data plane: one call per
+// packet burst, reusing the caller's verdict buffer so a steady-state stream
+// allocates nothing.
+func ExampleFilter_ProcessBatchInto() {
 	f, err := bitmapfilter.New(bitmapfilter.WithOrder(16))
 	if err != nil {
 		fmt.Println("error:", err)
@@ -74,16 +74,20 @@ func ExampleFilter_ProcessBatch() {
 	}
 
 	// Reuse one verdict buffer across batches (zero allocations at
-	// steady state).
+	// steady state): the second burst, the server's next reply, lands in
+	// the first burst's array.
 	verdicts := make([]bitmapfilter.Verdict, 0, 64)
 	verdicts = f.ProcessBatchInto(burst, verdicts)
 	for i, v := range verdicts {
 		fmt.Printf("packet %d: %v\n", i, v)
 	}
+	verdicts = f.ProcessBatchInto(burst[1:2], verdicts)
+	fmt.Printf("next burst: %v (%d verdict, same buffer: %v)\n", verdicts[0], len(verdicts), cap(verdicts) == 64)
 	// Output:
 	// packet 0: pass
 	// packet 1: pass
 	// packet 2: drop
+	// next burst: pass (1 verdict, same buffer: true)
 }
 
 // ExampleFilter_PunchHole shows the §5.1 hole-punching technique that
@@ -145,26 +149,4 @@ func ExampleReadSnapshot() {
 	fmt.Println("after restore:", restored.Process(reply))
 	// Output:
 	// after restore: pass
-}
-
-// ExampleNewLive runs the filter against a wall-clock packet source.
-func ExampleNewLive() {
-	inner, err := bitmapfilter.New(bitmapfilter.WithOrder(16))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	lf, err := bitmapfilter.NewLive(inner)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	tup := bitmapfilter.Tuple{
-		Src: bitmapfilter.AddrFrom4(10, 0, 0, 1), Dst: bitmapfilter.AddrFrom4(198, 51, 100, 7),
-		SrcPort: 4000, DstPort: 80, Proto: bitmapfilter.TCP,
-	}
-	lf.Observe(tup, bitmapfilter.Outgoing, bitmapfilter.SYN, 60)
-	fmt.Println("reply:", lf.Observe(tup.Reverse(), bitmapfilter.Incoming, bitmapfilter.ACK, 60))
-	// Output:
-	// reply: pass
 }

@@ -251,7 +251,7 @@ func loadFrom(fsys fileSystem, path string, load func(io.Reader) error) error {
 type Config struct {
 	// Path is the checkpoint file; its directory must exist.
 	Path string
-	// Write streams one snapshot (e.g. (*live.Filter).WriteSnapshot).
+	// Write streams one snapshot (e.g. (*core.Safe).WriteSnapshot).
 	Write func(io.Writer) error
 	// Interval between periodic checkpoints (DefaultInterval if zero).
 	Interval time.Duration

@@ -58,8 +58,9 @@ func mustEqualStats(t *testing.T, a, b Stats, label string) {
 }
 
 // TestProcessBatchMatchesSequential asserts the differential property the
-// whole batched path rests on: chunked ProcessBatch produces byte-identical
-// verdicts, counters, rotations and APD coin flips to per-packet Process.
+// whole batched path rests on: chunked ProcessBatchInto produces
+// byte-identical verdicts, counters, rotations and APD coin flips to
+// per-packet Process.
 func TestProcessBatchMatchesSequential(t *testing.T) {
 	pkts := diffTrace(4000, 42)
 	mkOpts := func() ([]Option, []Option) {
@@ -87,7 +88,7 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 		var got []filtering.Verdict
 		for off := 0; off < len(pkts); off += chunk {
 			end := min(off+chunk, len(pkts))
-			got = append(got, bat.ProcessBatch(pkts[off:end])...)
+			got = append(got, bat.ProcessBatchInto(pkts[off:end], nil)...)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -119,8 +120,8 @@ func TestSafeAndShardedBatchMatchSequential(t *testing.T) {
 	const chunk = 100
 	for off := 0; off < len(pkts); off += chunk {
 		end := min(off+chunk, len(pkts))
-		gotSafe := batSafe.ProcessBatch(pkts[off:end])
-		gotSh := batSh.ProcessBatch(pkts[off:end])
+		gotSafe := batSafe.ProcessBatchInto(pkts[off:end], nil)
+		gotSh := batSh.ProcessBatchInto(pkts[off:end], nil)
 		for i, p := range pkts[off:end] {
 			if want := seqSafe.Process(p); gotSafe[i] != want {
 				t.Fatalf("safe verdict[%d] = %v, want %v", off+i, gotSafe[i], want)
@@ -230,24 +231,6 @@ func counters(f intoFilter) filtering.Counters {
 	panic("unknown flavor")
 }
 
-func TestProcessBatchEmpty(t *testing.T) {
-	f := small()
-	if out := f.ProcessBatch(nil); out != nil {
-		t.Errorf("ProcessBatch(nil) = %v", out)
-	}
-	s := NewSafe(small())
-	if out := s.ProcessBatch(nil); out != nil {
-		t.Errorf("Safe.ProcessBatch(nil) = %v", out)
-	}
-	sh, err := NewSharded(2, WithOrder(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := sh.ProcessBatch(nil); out != nil {
-		t.Errorf("Sharded.ProcessBatch(nil) = %v", out)
-	}
-}
-
 // TestConcurrentShardedAPDBatchInto hammers a sharded filter with an APD
 // policy attached: concurrent ProcessBatchInto pumps (each recycling its
 // own dirty buffer) race against Stats/APDSpared/ShardStats readers. Under
@@ -306,9 +289,9 @@ func TestConcurrentShardedAPDBatchInto(t *testing.T) {
 }
 
 // TestConcurrentBatchStress hammers Safe and Sharded with concurrent
-// ProcessBatch/Process/Stats/Counters/Reset. Run under -race it proves the
-// batched paths take the same locks as the per-packet ones; without -race
-// it is a cheap smoke test.
+// ProcessBatchInto/Process/Stats/Counters/Reset. Run under -race it proves
+// the batched paths take the same locks as the per-packet ones; without
+// -race it is a cheap smoke test.
 func TestConcurrentBatchStress(t *testing.T) {
 	pkts := diffTrace(512, 99)
 	sh, err := NewSharded(4, WithOrder(12), WithSeed(5))
@@ -316,26 +299,12 @@ func TestConcurrentBatchStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	safe := NewSafe(MustNew(WithOrder(12), WithSeed(5)))
-	run := func(t *testing.T, batch func([]packet.Packet) []filtering.Verdict,
-		batchInto func([]packet.Packet, []filtering.Verdict) []filtering.Verdict,
+	run := func(t *testing.T, batchInto func([]packet.Packet, []filtering.Verdict) []filtering.Verdict,
 		single func(packet.Packet) filtering.Verdict, inspect, reset func()) {
 		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < 50; i++ {
-					off := (g*37 + i*64) % (len(pkts) - 64)
-					if got := batch(pkts[off : off+64]); len(got) != 64 {
-						t.Errorf("batch returned %d verdicts", len(got))
-						return
-					}
-				}
-			}(g)
-		}
-		// Into-path pumps: each goroutine owns one dirty buffer it
-		// recycles across calls, the intended steady-state usage.
-		for g := 0; g < 4; g++ {
+		// Pumps: each goroutine owns one dirty buffer it recycles across
+		// calls, the intended steady-state usage.
+		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
@@ -373,11 +342,11 @@ func TestConcurrentBatchStress(t *testing.T) {
 	}
 
 	t.Run("safe", func(t *testing.T) {
-		run(t, safe.ProcessBatch, safe.ProcessBatchInto, safe.Process,
+		run(t, safe.ProcessBatchInto, safe.Process,
 			func() { _ = safe.Stats(); _ = safe.Utilization() }, safe.Reset)
 	})
 	t.Run("sharded", func(t *testing.T) {
-		run(t, sh.ProcessBatch, sh.ProcessBatchInto, sh.Process,
+		run(t, sh.ProcessBatchInto, sh.Process,
 			func() { _ = sh.Counters(); _ = sh.MemoryBytes() }, sh.Reset)
 	})
 }

@@ -10,7 +10,6 @@ import (
 // intoFilter is the slice of the BatchFilter contract these tests exercise.
 type intoFilter interface {
 	Process(pkt packet.Packet) filtering.Verdict
-	ProcessBatch(pkts []packet.Packet) []filtering.Verdict
 	ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict
 }
 
@@ -35,12 +34,16 @@ func mkIntoFilters(t *testing.T) map[string]func() intoFilter {
 // flavor: a dirty reused slice is fully overwritten, an aliased subslice of
 // a larger array is reused in place, a too-short slice is grown without
 // touching the original, and the verdicts are always identical to
-// ProcessBatch on a twin filter.
+// per-packet Process on a twin filter.
 func TestProcessBatchIntoContract(t *testing.T) {
 	pkts := diffTrace(500, 77)
 	for name, mk := range mkIntoFilters(t) {
 		t.Run(name, func(t *testing.T) {
-			want := mk().ProcessBatch(pkts)
+			seq := mk()
+			want := make([]filtering.Verdict, len(pkts))
+			for i := range pkts {
+				want[i] = seq.Process(pkts[i])
+			}
 
 			t.Run("dirty-reuse", func(t *testing.T) {
 				f := mk()

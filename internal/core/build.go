@@ -1,33 +1,12 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
-
 // The unified builder: one constructor surface for every filter flavor.
 //
-// The package grew four parallel entry points (New, NewSafe(New(...)),
-// NewSharded(shards, opts...), live.New(inner, liveOpts...)) with two
-// option types. Build collapses them: flavor selectors (WithShards,
-// WithConcurrencySafe, WithLiveClock) are ordinary Options riding in the
-// same slice as the parameter options, so one option bundle describes a
-// complete deployment and can be stored, serialized alongside
-// configuration, or applied per tenant by a TenantSet. Build composes the
-// core flavors (Filter, Safe, Sharded); the root package's Build
-// additionally wraps the result in the wall-clock adapter when
-// WithLiveClock is present (the adapter lives in internal/live, which
-// imports this package — the dependency cannot point the other way).
-//
-// The old constructors remain as thin wrappers; nothing breaks.
-
-// Clock abstracts a wall-time source. It is consumed by the live adapter
-// (internal/live aliases it) and carried through WithLiveClock; core
-// itself never reads it — everything here stays virtual-time.
-type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
-}
+// Flavor selectors (WithShards, WithConcurrencySafe) are ordinary Options
+// riding in the same slice as the parameter options, so one option bundle
+// describes a complete filter and can be stored or serialized alongside
+// configuration. Build composes the flavors (Filter, Safe, Sharded); New,
+// NewSafe and NewSharded remain as thin constructors of the concrete types.
 
 // buildConfig is the flavor-selection slice of config, set only by the
 // builder options below. New rejects configurations that carry flavor
@@ -36,8 +15,6 @@ type Clock interface {
 type buildConfig struct {
 	shards int
 	safe   bool
-	live   bool
-	clock  Clock
 }
 
 type shardsOption int
@@ -58,16 +35,6 @@ func (safeOption) apply(c *config) { c.build.safe = true }
 // flavor, whose shards are individually locked already.
 func WithConcurrencySafe() Option { return safeOption{} }
 
-type liveClockOption struct{ c Clock }
-
-func (o liveClockOption) apply(c *config) { c.build.live = true; c.build.clock = o.c }
-
-// WithLiveClock requests the wall-clock adapter around the composed
-// filter, driven by c (nil selects the real clock). Only the root
-// package's Build honors it — the adapter lives above this package;
-// core.Build returns ErrConfig when it is present, as does New.
-func WithLiveClock(c Clock) Option { return liveClockOption{c: c} }
-
 // clearFlavorOption strips the flavor requests from a config so the
 // per-flavor constructors (which Build delegates to, forwarding the full
 // option slice) do not trip New's flavor validation.
@@ -75,60 +42,18 @@ type clearFlavorOption struct{}
 
 func (clearFlavorOption) apply(c *config) { c.build = buildConfig{} }
 
-// clearLiveOption cancels a WithLiveClock request while leaving the other
-// flavor selections intact.
-type clearLiveOption struct{}
-
-func (clearLiveOption) apply(c *config) { c.build.live = false; c.build.clock = nil }
-
-// ClearLive returns an option that cancels a WithLiveClock request.
-// Layered builders (the root package's Build) use it to compose the core
-// flavors here and then wrap the result in the wall-clock adapter
-// themselves.
-func ClearLive() Option { return clearLiveOption{} }
-
-// BuildPlan is the resolved flavor selection of an option bundle,
-// returned by PlanBuild so layered builders (the root package, the
-// tenant data plane) can compose the parts core cannot reach.
-type BuildPlan struct {
-	// Shards is the requested shard count; 0 means unsharded.
-	Shards int
-	// Safe reports a WithConcurrencySafe request.
-	Safe bool
-	// Live reports a WithLiveClock request; Clock is its time source
-	// (nil selects the real clock).
-	Live  bool
-	Clock Clock
-}
-
-// PlanBuild resolves the flavor selection of an option bundle without
-// constructing anything. Parameter validation still happens in Build.
-func PlanBuild(opts ...Option) BuildPlan {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
-	return BuildPlan{
-		Shards: cfg.build.shards,
-		Safe:   cfg.build.safe,
-		Live:   cfg.build.live,
-		Clock:  cfg.build.clock,
-	}
-}
-
-// Build composes the core filter flavor an option bundle describes:
+// Build composes the filter flavor an option bundle describes:
 //
 //	WithShards(n)          -> *Sharded (n rounded up to a power of two)
 //	WithConcurrencySafe()  -> *Safe
 //	neither                -> *Filter
 //
 // All other options configure the underlying filter(s) exactly as they
-// do for New/NewSharded. WithLiveClock is rejected here — wall-clock
-// wrapping happens above core; use the root package's Build for that.
+// do for New/NewSharded.
 func Build(opts ...Option) (Snapshottable, error) {
-	plan := PlanBuild(opts...)
-	if plan.Live {
-		return nil, fmt.Errorf("%w: WithLiveClock requires the root builder (core flavors are virtual-time)", ErrConfig)
+	cfg := defaultConfig()
+	for _, o := range opts {
+		o.apply(&cfg)
 	}
 	// The forwarded slice keeps the caller's options (the per-flavor
 	// constructors re-apply them, e.g. per shard) with the flavor
@@ -136,9 +61,9 @@ func Build(opts ...Option) (Snapshottable, error) {
 	inner := make([]Option, 0, len(opts)+1)
 	inner = append(append(inner, opts...), clearFlavorOption{})
 	switch {
-	case plan.Shards != 0:
-		return NewSharded(plan.Shards, inner...)
-	case plan.Safe:
+	case cfg.build.shards != 0:
+		return NewSharded(cfg.build.shards, inner...)
+	case cfg.build.safe:
 		f, err := New(inner...)
 		if err != nil {
 			return nil, err

@@ -196,12 +196,11 @@ func New(opts ...Option) (*Filter, error) {
 		o.apply(&cfg)
 	}
 	if cfg.build != (buildConfig{}) {
-		// Flavor selectors (WithShards, WithConcurrencySafe,
-		// WithLiveClock) describe compositions above the single filter;
-		// only Build honors them. Rejecting them here keeps a misplaced
-		// bundle from silently degrading to an unsharded, unlocked
-		// filter.
-		return nil, fmt.Errorf("%w: flavor options (WithShards/WithConcurrencySafe/WithLiveClock) require Build, not New", ErrConfig)
+		// Flavor selectors (WithShards, WithConcurrencySafe) describe
+		// compositions above the single filter; only Build honors them.
+		// Rejecting them here keeps a misplaced bundle from silently
+		// degrading to an unsharded, unlocked filter.
+		return nil, fmt.Errorf("%w: flavor options (WithShards/WithConcurrencySafe) require Build, not New", ErrConfig)
 	}
 	if cfg.vectors < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrConfig, cfg.vectors)
@@ -372,27 +371,16 @@ func (f *Filter) Process(pkt packet.Packet) filtering.Verdict {
 	return f.judge(&pkt, f.indexes(&pkt.Tuple, pkt.Dir))
 }
 
-// ProcessBatch runs pkts through the filter in order and returns one
-// verdict per packet. It is behaviorally identical to calling Process on
-// each packet in sequence — same verdicts, counters, rotations and APD coin
-// flips — but advances the rotation clock only when a packet's timestamp
-// actually moves time forward, and hashes a chunk of packets before it
-// touches the bitmap for any of them (see processBatch). Safe and Sharded
-// build on it to amortize lock acquisitions across whole batches.
-func (f *Filter) ProcessBatch(pkts []packet.Packet) []filtering.Verdict {
-	if len(pkts) == 0 {
-		return nil
-	}
-	out := make([]filtering.Verdict, len(pkts))
-	f.processBatch(pkts, out)
-	return out
-}
-
-// ProcessBatchInto is ProcessBatch writing into a caller-provided buffer
-// per the filtering.BatchFilter contract: out's backing array is reused
-// when cap(out) >= len(pkts) — a steady-state batch stream then runs with
-// zero allocations — and grown otherwise. Every element of the returned
-// slice (length len(pkts)) is overwritten.
+// ProcessBatchInto runs pkts through the filter in order and returns one
+// verdict per packet, written into out per the filtering.BatchFilter
+// contract: out's backing array is reused when cap(out) >= len(pkts) — a
+// steady-state batch stream then runs with zero allocations — and grown
+// otherwise. It is behaviorally identical to calling Process on each packet
+// in sequence — same verdicts, counters, rotations and APD coin flips — but
+// advances the rotation clock only when a packet's timestamp actually moves
+// time forward, and hashes a chunk of packets before it touches the bitmap
+// for any of them (see processBatch). Safe and Sharded build on it to
+// amortize lock acquisitions across whole batches.
 //
 //bf:hotpath
 func (f *Filter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
@@ -404,7 +392,7 @@ func (f *Filter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict)
 // chunkSize is how many packets processBatch hashes ahead of the bitmap.
 const chunkSize = 32
 
-// processBatch is the allocation-free core of ProcessBatch; out must have
+// processBatch is the allocation-free core of ProcessBatchInto; out must have
 // the same length as pkts. It is the two halves of Algorithm 2 in chunks of
 // chunkSize packets: HashBatch computes the m indexes of every packet in the
 // chunk — arithmetic on the packet and the seed only, so it may run ahead of

@@ -33,22 +33,12 @@ func (s *Safe) Process(pkt packet.Packet) filtering.Verdict {
 	return s.f.Process(pkt)
 }
 
-// ProcessBatch runs pkts through the filter under a single lock
-// acquisition and returns one verdict per packet. For multi-queue packet
-// pumps this replaces one mutex round-trip per packet with one per batch;
-// verdicts are identical to calling Process per packet.
-func (s *Safe) ProcessBatch(pkts []packet.Packet) []filtering.Verdict {
-	if len(pkts) == 0 {
-		return nil
-	}
-	out := make([]filtering.Verdict, len(pkts))
-	s.processBatchInto(pkts, out)
-	return out
-}
-
-// ProcessBatchInto is ProcessBatch writing into a caller-provided buffer
-// (see the filtering.BatchFilter contract): one lock acquisition per batch
-// and zero allocations once out has capacity for the batch size.
+// ProcessBatchInto runs pkts through the filter under a single lock
+// acquisition, writing one verdict per packet into out (see the
+// filtering.BatchFilter contract). For multi-queue packet pumps this
+// replaces one mutex round-trip per packet with one per batch, with zero
+// allocations once out has capacity for the batch size; verdicts are
+// identical to calling Process per packet.
 //
 //bf:hotpath
 func (s *Safe) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {

@@ -248,7 +248,7 @@ func (s *Sharded) Process(pkt packet.Packet) filtering.Verdict {
 }
 
 // shardScratch holds the per-batch grouping buffers. Pooled so a steady
-// stream of ProcessBatch calls allocates only the returned verdict slice.
+// stream of ProcessBatchInto calls allocates nothing.
 type shardScratch struct {
 	shardOf    []uint32
 	starts     []int
@@ -260,41 +260,22 @@ type shardScratch struct {
 
 var shardScratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 
-// ProcessBatch routes every packet in pkts to its shard, runs one locked
-// batch per shard, and returns the verdicts in input order. Packets that
-// share a shard keep their relative order, so the result is identical to
-// calling Process per packet — each shard sees the exact packet sequence
-// (and draws the same APD coin flips) it would see sequentially — while a
-// batch pays one lock acquisition per touched shard instead of one per
-// packet.
-func (s *Sharded) ProcessBatch(pkts []packet.Packet) []filtering.Verdict {
-	if len(pkts) == 0 {
-		return nil
-	}
-	out := make([]filtering.Verdict, len(pkts))
-	s.processBatchInto(pkts, out)
-	return out
-}
-
-// ProcessBatchInto is ProcessBatch writing into a caller-provided buffer
-// (see the filtering.BatchFilter contract). Together with the pooled
-// grouping scratch this makes a steady-state batch stream allocation-free.
+// ProcessBatchInto routes every packet in pkts to its shard, runs one
+// locked batch per shard, and writes the verdicts into out in input order
+// (see the filtering.BatchFilter contract). Packets that share a shard keep
+// their relative order, so the result is identical to calling Process per
+// packet — each shard sees the exact packet sequence (and draws the same APD
+// coin flips) it would see sequentially — while a batch pays one lock
+// acquisition per touched shard instead of one per packet. Together with
+// the pooled grouping scratch this makes a steady-state batch stream
+// allocation-free.
 //
 //bf:hotpath
 func (s *Sharded) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
 	out = filtering.GrowVerdicts(out, len(pkts))
-	s.processBatchInto(pkts, out)
-	return out
-}
-
-// processBatchInto fills out (same length as pkts) with one locked batch
-// per touched shard.
-//
-//bf:hotpath
-func (s *Sharded) processBatchInto(pkts []packet.Packet, out []filtering.Verdict) {
 	if len(s.shards) == 1 {
 		s.shards[0].processBatchInto(pkts, out)
-		return
+		return out
 	}
 
 	// Counting sort by shard: stable, O(len(pkts) + shards), and the
@@ -337,6 +318,7 @@ func (s *Sharded) processBatchInto(pkts []packet.Packet, out []filtering.Verdict
 	for pos, i := range sc.perm {
 		out[i] = sc.groupedOut[pos]
 	}
+	return out
 }
 
 // Reset flushes every shard (bitmap, counters and any attached APD

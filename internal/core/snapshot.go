@@ -75,9 +75,8 @@ var (
 
 // Snapshottable is the surface shared by every filter flavor that can be
 // checkpointed: the batched data plane, introspection, and snapshot
-// output. *Filter, *Safe and *Sharded all implement it, and it satisfies
-// the live adapter's Inner interface, so ReadAnySnapshot can restore
-// whichever flavor a stream holds.
+// output. *Filter, *Safe and *Sharded all implement it, so ReadAnySnapshot
+// can restore whichever flavor a stream holds.
 type Snapshottable interface {
 	filtering.BatchFilter
 	WriteSnapshot(w io.Writer) error
@@ -523,8 +522,8 @@ func readShardedSections(r io.Reader, n int, opts []Option) (*Sharded, error) {
 
 // ReadAnySnapshot reconstructs whichever filter flavor the stream holds:
 // a *Filter for single-filter snapshots, a *Sharded for sharded
-// ones. The live adapter and the checkpoint restore path use it so a
-// daemon restarts into the same flavor it checkpointed.
+// ones. The checkpoint restore path uses it so a daemon restarts into the
+// same flavor it checkpointed.
 func ReadAnySnapshot(r io.Reader, opts ...Option) (Snapshottable, error) {
 	kind, sections, err := readContainerHeader(r)
 	if err != nil {

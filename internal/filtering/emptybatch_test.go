@@ -8,6 +8,7 @@ import (
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/flowtable"
 	"bitmapfilter/internal/packet"
+	"bitmapfilter/internal/tenant"
 )
 
 // plainFilter hides a filter's native batch methods so AsBatch must wrap
@@ -20,14 +21,19 @@ func (p plainFilter) Name() string                                { return p.f.N
 func (p plainFilter) MemoryBytes() uint64                         { return p.f.MemoryBytes() }
 func (p plainFilter) Counters() filtering.Counters                { return p.f.Counters() }
 
-// TestEmptyBatchContract pins the empty-batch behavior documented on
-// BatchFilter for every implementation in the repository (the SPI tables
-// have no batch methods of their own and get AsBatch's fallback, as their
-// callers do): ProcessBatch returns nil (never a non-nil empty slice), and
-// ProcessBatchInto returns a length-0 slice that keeps the caller's backing
-// array.
+// TestEmptyBatchContract pins the empty-batch rule documented on
+// BatchFilter — the result is out[:0], length 0 with the caller's backing
+// array kept — on each of the five implementations: Filter, Safe, Sharded,
+// tenant.Set and AsBatch's fallback. The SPI tables have no batch methods of
+// their own and run the fallback, as their callers do.
 func TestEmptyBatchContract(t *testing.T) {
 	sharded, err := core.NewSharded(4, core.WithOrder(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := tenant.NewSet(tenant.SetConfig{Tenants: []tenant.Config{
+		{ID: "a", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 0, 0, 0), 16), Options: []core.Option{core.WithOrder(10)}},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +44,7 @@ func TestEmptyBatchContract(t *testing.T) {
 		{"core.Filter", core.MustNew(core.WithOrder(10))},
 		{"core.Safe", core.NewSafe(core.MustNew(core.WithOrder(10)))},
 		{"core.Sharded", sharded},
+		{"tenant.Set", set},
 		{"flowtable.HashList", filtering.AsBatch(flowtable.NewHashList())},
 		{"flowtable.AVLTable", filtering.AsBatch(flowtable.NewAVLTable())},
 		{"flowtable.MapTable", filtering.AsBatch(flowtable.NewMapTable())},
@@ -46,12 +53,6 @@ func TestEmptyBatchContract(t *testing.T) {
 	}
 	for _, fl := range flavors {
 		t.Run(fl.name, func(t *testing.T) {
-			if got := fl.f.ProcessBatch(nil); got != nil {
-				t.Errorf("ProcessBatch(nil) = %v, want nil", got)
-			}
-			if got := fl.f.ProcessBatch([]packet.Packet{}); got != nil {
-				t.Errorf("ProcessBatch(empty) = %v, want nil", got)
-			}
 			// A dirty recycled buffer must come back length-0 but with its
 			// backing array intact, so a pump does not lose its buffer
 			// across an idle poll.

@@ -56,16 +56,12 @@ type PacketFilter interface {
 // BatchFilter is a PacketFilter with a batched data plane. Batch processing
 // is behaviorally identical to calling Process per packet, in order — same
 // verdicts, counters and expiry work — but amortizes per-packet overheads
-// (lock acquisitions, clock reads, verdict-slice allocation) across the
-// whole batch. The bitmap filter implements it natively; the SPI baselines
-// have no batch methods and get it from AsBatch, the per-packet fallback.
+// (lock acquisitions, verdict-slice allocation) across the whole batch.
+// It has five implementations: the bitmap filter's Filter, Safe and Sharded
+// (internal/core), the tenant fleet's Set (internal/tenant), and AsBatch's
+// per-packet fallback, which is the SPI baselines' batch data plane.
 type BatchFilter interface {
 	PacketFilter
-	// ProcessBatch processes pkts in order and returns one verdict per
-	// packet. For an empty batch (nil or zero-length) it returns nil,
-	// never a non-nil empty slice. The returned slice is freshly
-	// allocated; use ProcessBatchInto on hot paths.
-	ProcessBatch(pkts []packet.Packet) []Verdict
 	// ProcessBatchInto processes pkts in order, storing one verdict per
 	// packet in out's backing array, and returns the verdict slice of
 	// length len(pkts). When cap(out) >= len(pkts) the backing array is
@@ -75,9 +71,8 @@ type BatchFilter interface {
 	// batches may be passed as-is. out may be nil. For an empty batch
 	// the result is out[:0] — length 0 with out's backing array
 	// retained, so a packet pump that recycles its verdict buffer does
-	// not lose it across an idle poll (contrast ProcessBatch, which
-	// returns nil). The empty-batch behavior of every implementation is
-	// pinned by TestEmptyBatchContract in this package.
+	// not lose it across an idle poll. The empty-batch behavior of every
+	// implementation is pinned by TestEmptyBatchContract in this package.
 	ProcessBatchInto(pkts []packet.Packet, out []Verdict) []Verdict
 }
 
@@ -111,13 +106,6 @@ func AsBatch(f PacketFilter) BatchFilter {
 // fallbackBatcher adapts a plain PacketFilter to BatchFilter by looping.
 type fallbackBatcher struct {
 	PacketFilter
-}
-
-func (b fallbackBatcher) ProcessBatch(pkts []packet.Packet) []Verdict {
-	if len(pkts) == 0 {
-		return nil
-	}
-	return b.ProcessBatchInto(pkts, nil)
 }
 
 func (b fallbackBatcher) ProcessBatchInto(pkts []packet.Packet, out []Verdict) []Verdict {

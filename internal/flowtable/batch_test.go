@@ -60,18 +60,6 @@ func TestBatchFallbackMatchesProcess(t *testing.T) {
 					}
 				}
 			}
-
-			// ProcessBatch on a fresh pair agrees too and handles empty.
-			bat2, seq2 := filtering.AsBatch(tf.make()), tf.make()
-			got := bat2.ProcessBatch(pkts[:64])
-			for i := range got {
-				if want := seq2.Process(pkts[i]); got[i] != want {
-					t.Fatalf("ProcessBatch verdict[%d] = %v, want %v", i, got[i], want)
-				}
-			}
-			if v := bat2.ProcessBatch(nil); v != nil {
-				t.Errorf("ProcessBatch(nil) = %v", v)
-			}
 		})
 	}
 }

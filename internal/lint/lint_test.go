@@ -24,7 +24,7 @@ func TestWallclockDeterministic(t *testing.T) {
 func TestWallclockAllowlist(t *testing.T) {
 	// Same constructs as the det package, but under an allowlisted leaf:
 	// zero diagnostics expected.
-	linttest.Run(t, "testdata/wallclock/allowed", "example.com/internal/live", lint.WallclockAnalyzer)
+	linttest.Run(t, "testdata/wallclock/allowed", "example.com/internal/checkpoint", lint.WallclockAnalyzer)
 }
 
 func TestHotpath(t *testing.T) {

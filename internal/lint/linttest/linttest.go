@@ -44,7 +44,7 @@ func loader(t *testing.T) *lint.Loader {
 //
 // asPath matters: wallclock and boundedalloc decide applicability from
 // the package path, so testdata packages choose paths on either side of
-// the allowlist (e.g. "example.com/det" vs "example.com/live").
+// the allowlist (e.g. "example.com/det" vs "example.com/checkpoint").
 func Run(t *testing.T, dir, asPath string, a *lint.Analyzer) {
 	t.Helper()
 	l := loader(t)

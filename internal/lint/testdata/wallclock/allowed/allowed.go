@@ -1,9 +1,9 @@
-// Package live stands in for an allowlisted wall-clock-facing package
-// (live, checkpoint, httpapi, cmd/*, examples/*): the analyzer must stay
-// silent here.
+// Package checkpoint stands in for an allowlisted wall-clock-facing package
+// (checkpoint, httpapi, cmd/*, examples/*): the analyzer must stay silent
+// here.
 //
 // ok: no diagnostics expected
-package live
+package checkpoint
 
 import "time"
 
@@ -13,5 +13,5 @@ func Now() time.Time { return time.Now() }
 // Uptime reads the wall clock twice, and that is fine here.
 func Uptime(start time.Time) time.Duration { return time.Since(start) }
 
-// Ticker backs a rotation loop.
+// Ticker backs a periodic checkpoint loop.
 func Ticker(d time.Duration) *time.Ticker { return time.NewTicker(d) }

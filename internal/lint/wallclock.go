@@ -16,9 +16,9 @@ import (
 // silently breaks all of it.
 //
 // Wall time is confined to an explicit allowlist of adapter packages
-// (live, checkpoint, httpapi, capture), binaries (cmd/*) and runnable examples
-// (examples/*); everything else must take time as an input (packet
-// timestamps, an injected live.Clock, a caller-supplied seed).
+// (checkpoint, httpapi, capture, resilience, pump), binaries (cmd/*) and
+// runnable examples (examples/*); everything else must take time as an
+// input (packet timestamps, an injected clock, a caller-supplied seed).
 // A deliberate seam in a deterministic package carries
 // //bf:allow wallclock with a reason.
 var WallclockAnalyzer = &Analyzer{
@@ -28,8 +28,7 @@ var WallclockAnalyzer = &Analyzer{
 }
 
 // wallclockAllowedSegments are path segments that mark a package as
-// wall-clock-facing: any package under cmd/ or examples/, and the three
-// adapter packages by name.
+// wall-clock-facing: any package under cmd/ or examples/.
 var wallclockAllowedSegments = map[string]bool{
 	"cmd":      true,
 	"examples": true,
@@ -38,7 +37,6 @@ var wallclockAllowedSegments = map[string]bool{
 // wallclockAllowedLeaves are package-name leaves allowed to touch the
 // wall clock.
 var wallclockAllowedLeaves = map[string]bool{
-	"live":       true,
 	"checkpoint": true,
 	"httpapi":    true,
 	// capture adapts real NICs (AF_PACKET) to the virtual-time packet
@@ -93,7 +91,7 @@ func runWallclock(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"time.%s in deterministic package %q: take time as an input (packet timestamps, an injected Clock, a seed) or move this to an allowlisted package (live, checkpoint, httpapi, capture, cmd/*, examples/*)",
+				"time.%s in deterministic package %q: take time as an input (packet timestamps, an injected Clock, a seed) or move this to an allowlisted package (checkpoint, httpapi, capture, resilience, pump, cmd/*, examples/*)",
 				name, pass.Pkg.Path())
 			return true
 		})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bitmapfilter/internal/core"
+	"bitmapfilter/internal/hashfam"
 	"bitmapfilter/internal/model"
 )
 
@@ -57,10 +58,8 @@ func (b *Budget) minFlows() float64 {
 }
 
 // estimateFlows inverts Equation 1 to the flow count marking the current
-// vector: U = 1 − e^(−mc/2^n) gives c ≈ −(2^n/m)·ln(1−U). For a sharded
-// tenant each shard sees c/S flows, so the per-shard estimate is scaled
-// back up by S.
-func estimateFlows(stats core.Stats, shards int) float64 {
+// vector: U = 1 − e^(−mc/2^n) gives c ≈ −(2^n/m)·ln(1−U).
+func estimateFlows(stats core.Stats) float64 {
 	u := stats.Utilization
 	if u <= 0 || stats.Hashes <= 0 {
 		return 0
@@ -68,11 +67,7 @@ func estimateFlows(stats core.Stats, shards int) float64 {
 	if u > 0.999999 {
 		u = 0.999999
 	}
-	c := -(math.Exp2(float64(stats.Order)) / float64(stats.Hashes)) * math.Log(1-u)
-	if shards > 1 {
-		c *= float64(shards)
-	}
-	return c
+	return -(math.Exp2(float64(stats.Order)) / float64(stats.Hashes)) * math.Log(1-u)
 }
 
 // Rebalance advances every tenant to now (firing any due rotations) and
@@ -99,7 +94,7 @@ func estimateFlows(stats core.Stats, shards int) float64 {
 // cold-start the paper's rotation scheme already tolerates — while its
 // cumulative counters are preserved via the baseline.
 //
-// Rebalance holds the write lock: dispatch is quiesced for the duration.
+// Rebalance holds the lock: dispatch is quiesced for the duration.
 // It returns how many tenants were resized.
 func (s *Set) Rebalance(now time.Duration) (resized int, err error) {
 	if s.budget == nil {
@@ -115,7 +110,7 @@ func (s *Set) Rebalance(now time.Duration) (resized int, err error) {
 	for i, st := range s.tenants {
 		st.filter.AdvanceTo(now)
 		stats[i] = st.filter.Stats()
-		flows[i] = estimateFlows(stats[i], st.shards)
+		flows[i] = estimateFlows(stats[i])
 		totalWeight += math.Max(flows[i], minF)
 	}
 
@@ -128,20 +123,7 @@ func (s *Set) Rebalance(now time.Duration) (resized int, err error) {
 		if perr != nil {
 			return resized, fmt.Errorf("tenant %q: %w", st.id, perr)
 		}
-		order, hashes := plan.Order, plan.Hashes
-		if st.shards > 1 {
-			// A sharded tenant splits the keyspace S ways: each shard
-			// needs 1/S of the planned capacity, i.e. log2(S) fewer
-			// order bits, clamped to the planner's floor (so tiny plans
-			// on wide shard counts may exceed the cap slightly).
-			drop := uint(math.Round(math.Log2(float64(st.shards))))
-			if plan.Order > 10+drop {
-				order = plan.Order - drop
-			} else {
-				order = 10
-			}
-		}
-		if order == stats[i].Order && hashes == stats[i].Hashes {
+		if plan.Order == stats[i].Order && plan.Hashes == stats[i].Hashes {
 			st.planRotations = stats[i].Rotations
 			continue
 		}
@@ -151,8 +133,8 @@ func (s *Set) Rebalance(now time.Duration) (resized int, err error) {
 		// them defaulted (e.g. a snapshot-restored tenant).
 		opts := append(append(make([]core.Option, 0, len(st.opts)+4), st.opts...),
 			core.WithVectors(stats[i].Vectors), core.WithRotateEvery(stats[i].RotateEvery),
-			core.WithOrder(order), core.WithHashes(hashes))
-		nf, berr := core.Build(opts...)
+			core.WithOrder(plan.Order), core.WithHashes(plan.Hashes))
+		nf, berr := core.New(opts...)
 		if berr != nil {
 			return resized, fmt.Errorf("tenant %q: rebuild: %w", st.id, berr)
 		}
@@ -170,6 +152,10 @@ func (s *Set) Rebalance(now time.Duration) (resized int, err error) {
 // ErrInfeasible; past 0.5 the tenant falls to the largest geometry that
 // fits — the budget squeezes tenants, it never evicts them. ErrArgs
 // aborts: it signals a bug, not pressure.
+//
+// The hash count is clamped to hashfam.MaxFunctions: a nearly idle
+// tenant's optimum m* = 2^n·ln 2/c exceeds it once c falls below ≈11 at
+// order 10, and a filter with more functions cannot be built.
 func (s *Set) planTenant(c float64, cur core.Stats, capBytes uint64) (model.Plan, error) {
 	target := s.budget.TargetPenetration
 	for {
@@ -180,16 +166,18 @@ func (s *Set) planTenant(c float64, cur core.Stats, capBytes uint64) (model.Plan
 			RotateEvery:       cur.RotateEvery,
 			MaxMemoryBytes:    capBytes,
 		})
-		if err == nil {
-			return plan, nil
-		}
-		if !errors.Is(err, model.ErrInfeasible) {
+		switch {
+		case err == nil:
+		case !errors.Is(err, model.ErrInfeasible):
 			return model.Plan{}, err
+		case target >= 0.5:
+			plan = floorPlan(c, cur, capBytes)
+		default:
+			target = math.Min(target*4, 0.5)
+			continue
 		}
-		if target >= 0.5 {
-			return floorPlan(c, cur, capBytes), nil
-		}
-		target = math.Min(target*4, 0.5)
+		plan.Hashes = min(plan.Hashes, hashfam.MaxFunctions)
+		return plan, nil
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
+	"bitmapfilter/internal/hashfam"
 	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/tenant"
 )
@@ -28,7 +29,7 @@ func driveFlows(s *tenant.Set, p packet.Prefix, n int, base time.Duration) {
 			Dir: packet.Outgoing, Length: 100,
 		})
 	}
-	s.ProcessBatch(pkts)
+	s.ProcessBatchInto(pkts, nil)
 }
 
 // TestRebalanceShrinksIdleGrowsHot is the budget acceptance test: with a
@@ -196,6 +197,40 @@ func TestRebalanceExtremePressure(t *testing.T) {
 	reply.Time += time.Millisecond
 	if v := set.Process(reply); v != filtering.Pass {
 		t.Errorf("reply after squeeze: %v", v)
+	}
+}
+
+// TestRebalanceClampsHashCount: with a MinFlows floor of 1, an idle
+// order-10 tenant plans m* = 2^n·ln 2/c ≫ 64 hash functions. The plan is
+// clamped to hashfam.MaxFunctions, so Rebalance rebuilds that tenant
+// instead of failing on it, and the hot tenant listed after it is
+// re-planned too.
+func TestRebalanceClampsHashCount(t *testing.T) {
+	mk := func(id string, b byte) tenant.Config {
+		return tenant.Config{
+			ID:      id,
+			Prefix:  packet.PrefixFrom(packet.AddrFrom4(10, b, 0, 0), 16),
+			Options: []core.Option{core.WithOrder(10), core.WithSeed(uint64(b))},
+		}
+	}
+	set, err := tenant.NewSet(tenant.SetConfig{
+		Tenants: []tenant.Config{mk("idle", 1), mk("hot", 2)},
+		Budget:  &tenant.Budget{TotalBytes: 1 << 20, TargetPenetration: 0.01, MinFlows: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveFlows(set, set.TenantStats()[1].Prefix, 5000, 0)
+	resized, err := set.Rebalance(6 * time.Second)
+	if err != nil {
+		t.Fatalf("Rebalance: %v (resized %d)", err, resized)
+	}
+	st := set.TenantStats()
+	if idle := st[0].Stats; idle.Hashes != hashfam.MaxFunctions {
+		t.Errorf("idle tenant plans m = %d, want the clamp %d", idle.Hashes, hashfam.MaxFunctions)
+	}
+	if hot := st[1].Stats; hot.Order <= 10 {
+		t.Errorf("hot tenant not re-planned: order %d, m = %d", hot.Order, hot.Hashes)
 	}
 }
 

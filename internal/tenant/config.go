@@ -19,13 +19,15 @@ import (
 //	  "minFlows": 64,
 //	  "tenants": [
 //	    {"id": "cust-a", "prefix": "10.1.0.0/16", "order": 14},
-//	    {"id": "cust-b", "prefix": "10.2.0.0/16", "shards": 4, "rotate": "2s"}
+//	    {"id": "cust-b", "prefix": "10.2.0.0/16", "hashes": 4, "rotate": "2s"}
 //	  ]
 //	}
 //
 // The budget block is optional (omit budgetBytes to pin every tenant to
 // its configured geometry). Per-tenant fields mirror the filter options;
-// zero values mean "package default".
+// zero values mean "package default". Every tenant is a bare filter, so
+// there is no flavor field: "shards" or "safe" is an unknown field and
+// rejected.
 type fileConfig struct {
 	BudgetBytes       uint64             `json:"budgetBytes"`
 	TargetPenetration float64            `json:"targetPenetration"`
@@ -40,8 +42,6 @@ type fileTenantConfig struct {
 	Vectors int    `json:"vectors"`
 	Hashes  int    `json:"hashes"`
 	Rotate  string `json:"rotate"`
-	Shards  int    `json:"shards"`
-	Safe    bool   `json:"safe"`
 	Seed    uint64 `json:"seed"`
 }
 
@@ -90,12 +90,6 @@ func ParseConfig(data []byte) (SetConfig, error) {
 		}
 		if tc.Seed != 0 {
 			opts = append(opts, core.WithSeed(tc.Seed))
-		}
-		if tc.Shards != 0 {
-			opts = append(opts, core.WithShards(tc.Shards))
-		}
-		if tc.Safe {
-			opts = append(opts, core.WithConcurrencySafe())
 		}
 		out.Tenants = append(out.Tenants, Config{ID: tc.ID, Prefix: prefix, Options: opts})
 	}

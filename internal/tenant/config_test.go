@@ -16,8 +16,8 @@ func TestParseConfig(t *testing.T) {
 		"minFlows": 128,
 		"tenants": [
 			{"id": "cust-a", "prefix": "10.1.0.0/16", "order": 14, "seed": 42},
-			{"id": "cust-b", "prefix": "10.2.0.0/16", "shards": 4, "rotate": "2s"},
-			{"id": "cust-c", "prefix": "10.2.128.0/17", "safe": true, "vectors": 5, "hashes": 2}
+			{"id": "cust-b", "prefix": "10.2.0.0/16", "rotate": "2s"},
+			{"id": "cust-c", "prefix": "10.2.128.0/17", "vectors": 5, "hashes": 2}
 		]
 	}`)
 	cfg, err := tenant.ParseConfig(data)
@@ -35,7 +35,7 @@ func TestParseConfig(t *testing.T) {
 	}
 
 	// The parsed config must build a working set with the declared
-	// flavors and geometry.
+	// geometry.
 	set, err := tenant.NewSet(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +72,8 @@ func TestParseConfigRejects(t *testing.T) {
 		"no tenants":        `{}`,
 		"empty tenants":     `{"tenants": []}`,
 		"unknown field":     `{"tenants": [{"id": "a", "prefix": "10.0.0.0/8", "oder": 14}]}`,
+		"shards":            `{"tenants": [{"id": "a", "prefix": "10.0.0.0/8", "shards": 4}]}`,
+		"safe":              `{"tenants": [{"id": "a", "prefix": "10.0.0.0/8", "safe": true}]}`,
 		"bad prefix":        `{"tenants": [{"id": "a", "prefix": "10.0.0.0"}]}`,
 		"host bits":         `{"tenants": [{"id": "a", "prefix": "10.0.0.1/8"}]}`,
 		"bad duration":      `{"tenants": [{"id": "a", "prefix": "10.0.0.0/8", "rotate": "fast"}]}`,
@@ -93,8 +95,8 @@ func TestParseConfigRejects(t *testing.T) {
 // clean error — no partial construction, no panic.
 func FuzzParseConfig(f *testing.F) {
 	f.Add([]byte(`{"tenants": [{"id": "a", "prefix": "10.0.0.0/8"}]}`))
-	f.Add([]byte(`{"budgetBytes": 4096, "targetPenetration": 0.5, "tenants": [{"id": "x", "prefix": "0.0.0.0/0", "order": 10, "shards": 2}]}`))
-	f.Add([]byte(`{"tenants": [{"id": "a", "prefix": "10.0.0.0/8", "rotate": "3s", "safe": true}]}`))
+	f.Add([]byte(`{"budgetBytes": 4096, "targetPenetration": 0.5, "tenants": [{"id": "x", "prefix": "0.0.0.0/0", "order": 10}]}`))
+	f.Add([]byte(`{"tenants": [{"id": "a", "prefix": "10.0.0.0/8", "rotate": "3s"}]}`))
 	f.Add([]byte(`{"tenants":[{"id":"a","prefix":"255.255.255.255/32","vectors":2,"hashes":1,"seed":9}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := tenant.ParseConfig(data)

@@ -24,18 +24,20 @@ import (
 //	          | id bytes | CRC32C(section so far) u32
 //	          | inner v2 snapshot (snapLen bytes) | CRC32C(inner) u32
 //
-// flavor bit 0 records a Safe wrapper (the inner snapshot alone cannot:
-// a Safe serializes as its wrapped Filter); sharding needs no flag — a
-// sharded tenant's inner snapshot is itself a multi-section container
-// that restores as a Sharded. Every integrity failure is detected by a
-// CRC or bound check before any tenant filter is constructed.
+// Every tenant is a bare filter, so the writer sets flavor to 0 and the
+// inner snapshot is a single-filter container. Older writers set flavor
+// bit 0 for a Safe-wrapped tenant; a Safe serializes as its Filter, so
+// the bytes are identical and the reader accepts the bit and restores the
+// tenant bare. Any other flavor bit, and an inner sharded container, is
+// refused. Every integrity failure is detected by a CRC or bound check
+// before any tenant filter is constructed.
 const (
 	tenantMagic     = "BMFT"
 	tenantVersion   = 1
 	tenantHeaderLen = 4 + 4 + 4 + 4 + 8 + 8
 	sectionFixedLen = 4 + 4 + 4 + 4 + 8 + 8*4
 
-	flavorSafe = 1 << 0
+	flavorSafe = 1 << 0 // written by older writers only
 )
 
 var tenantCastagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -46,7 +48,7 @@ var tenantCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // means the bound never turns into an allocation.
 const maxTenantSnapLen = 1 << 34
 
-// WriteSnapshot serializes the whole fleet. It takes the write lock, so
+// WriteSnapshot serializes the whole fleet. It takes the lock, so
 // the snapshot is a consistent point-in-time image: no dispatch or
 // rebalance interleaves.
 func (s *Set) WriteSnapshot(w io.Writer) error {
@@ -72,15 +74,11 @@ func (s *Set) WriteSnapshot(w io.Writer) error {
 		if err := st.filter.WriteSnapshot(&inner); err != nil {
 			return fmt.Errorf("tenant %q: %w", st.id, err)
 		}
-		var flavor uint32
-		if st.safe {
-			flavor |= flavorSafe
-		}
 		fixed := make([]byte, sectionFixedLen, sectionFixedLen+len(st.id)+4)
 		le.PutUint32(fixed[0:], uint32(len(st.id)))
 		le.PutUint32(fixed[4:], uint32(st.prefix.Base))
 		le.PutUint32(fixed[8:], uint32(st.prefix.Bits))
-		le.PutUint32(fixed[12:], flavor)
+		le.PutUint32(fixed[12:], 0) // flavor: bare
 		le.PutUint64(fixed[16:], uint64(inner.Len()))
 		le.PutUint64(fixed[24:], st.baseline.OutPackets)
 		le.PutUint64(fixed[32:], st.baseline.InPackets)
@@ -179,7 +177,7 @@ func ReadSnapshot(r io.Reader, extra func(id string) []core.Option) (*Set, error
 		}
 		crc := crc32.New(tenantCastagnoli)
 		lr := io.LimitReader(r, int64(snapLen))
-		inner, err := core.ReadAnySnapshot(io.TeeReader(lr, crc), opts...)
+		inner, err := core.ReadSnapshot(io.TeeReader(lr, crc), opts...)
 		if err != nil {
 			return nil, fmt.Errorf("tenant snapshot: tenant %q: %w", id, err)
 		}
@@ -191,26 +189,10 @@ func ReadSnapshot(r io.Reader, extra func(id string) []core.Option) (*Set, error
 			return nil, fmt.Errorf("tenant snapshot: tenant %q: snapshot checksum mismatch", id)
 		}
 
-		st := &tenantState{id: id, prefix: prefix, baseline: baseline, filter: inner}
-		// Rebuild the option bundle Rebalance replays: the caller's
-		// non-serializable extras plus the flavor recorded here. (The
-		// geometry options are pinned from the live filter at rebuild
-		// time, so they need not appear in the base bundle.)
-		st.opts = append(st.opts, opts...)
-		if sh, ok := inner.(*core.Sharded); ok {
-			st.shards = sh.Shards()
-			st.opts = append(st.opts, core.WithShards(st.shards))
-		}
-		if flavor&flavorSafe != 0 {
-			f, ok := inner.(*core.Filter)
-			if !ok {
-				return nil, fmt.Errorf("tenant snapshot: tenant %q: safe flavor on a %s snapshot", id, inner.Name())
-			}
-			st.filter = core.NewSafe(f)
-			st.safe = true
-			st.opts = append(st.opts, core.WithConcurrencySafe())
-		}
-		states = append(states, st)
+		// The option bundle Rebalance replays is the caller's
+		// non-serializable extras: the geometry options are pinned from the
+		// running filter at rebuild time, so they need not appear in it.
+		states = append(states, &tenantState{id: id, prefix: prefix, opts: opts, baseline: baseline, filter: inner})
 	}
 	if err := expectEOF(r); err != nil {
 		return nil, fmt.Errorf("tenant snapshot: %w", err)

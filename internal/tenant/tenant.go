@@ -3,14 +3,14 @@
 // protects thousands of client networks behind a single BatchFilter.
 //
 // The paper deploys one filter per client network (§3.2); Set scales the
-// deployment out. Each tenant is a {prefix, filter} pair — the filter
-// built from an ordinary option bundle, so a tenant can be a bare
-// Filter, a Safe, or a Sharded composite. Routing is by the longest
-// matching prefix of the packet's client-side address (the source of an
-// outgoing packet, the destination of an incoming one — the same §3.3
-// symmetry the filter keys on), so a flow's outgoing marks and its
-// replies always meet in the same tenant filter. Packets no configured
-// prefix covers are passed through unfiltered and counted.
+// deployment out. Each tenant is a {prefix, filter} pair — a bare
+// core.Filter built from an ordinary option bundle, behind the Set's one
+// lock. Routing is by the longest matching prefix of the packet's
+// client-side address (the source of an outgoing packet, the destination
+// of an incoming one — the same §3.3 symmetry the filter keys on), so a
+// flow's outgoing marks and its replies always meet in the same tenant
+// filter. Packets no configured prefix covers are passed through
+// unfiltered and counted.
 //
 // Batches are dispatched with one grouped sub-batch per touched tenant
 // (stable counting sort, pooled scratch, zero steady-state allocations),
@@ -48,10 +48,9 @@ const maxIDLen = 256
 
 // Config describes one tenant: its identifier (stable across restarts —
 // it keys snapshot sections and metric labels), the client prefix it
-// owns, and the filter option bundle to build for it. The bundle is the
-// same one core.Build/the root Build accept — WithShards and
-// WithConcurrencySafe compose per-tenant flavors — except WithLiveClock,
-// which is rejected: tenants run on the Set's shared virtual time.
+// owns, and the filter option bundle to build for it with core.New. A
+// tenant is always a bare filter: the flavor options (WithShards,
+// WithConcurrencySafe) are rejected with core.ErrConfig.
 type Config struct {
 	ID      string
 	Prefix  packet.Prefix
@@ -67,22 +66,21 @@ type SetConfig struct {
 }
 
 // tenantState is one tenant's runtime slot. The filter pointer is
-// swapped by Rebalance (under the Set's write lock); everything else is
-// fixed at construction.
+// swapped by Rebalance (under the Set's lock); everything else is fixed at
+// construction.
 type tenantState struct {
 	id     string
 	prefix packet.Prefix
 	// opts is the tenant's base option bundle, replayed (with geometry
 	// overrides appended) when Rebalance rebuilds the filter.
-	opts   []core.Option
-	safe   bool // flavor: Safe-wrapped single filter
-	shards int  // flavor: shard count (0 = unsharded)
+	opts []core.Option
 
-	// filter, baseline and planRotations are guarded by the owning
-	// Set's mu (read lock for dispatch, write lock for the control plane:
-	// stats, punches, Rebalance, snapshots) — a cross-struct discipline the lockguard marker
-	// cannot express, so it is enforced by review and the -race suite.
-	filter core.Snapshottable
+	// filter, baseline and planRotations are guarded by the owning Set's
+	// mu, which dispatch and the control plane (stats, punches, Rebalance,
+	// snapshots) both take — a cross-struct discipline the lockguard
+	// marker cannot express, so it is enforced by review and the -race
+	// suite.
+	filter *core.Filter
 	// baseline accumulates the counters of filters retired by resizes,
 	// so cumulative totals survive swaps.
 	baseline filtering.Counters
@@ -93,18 +91,16 @@ type tenantState struct {
 }
 
 // Set is the multi-tenant data plane. It implements filtering.BatchFilter
-// and the snapshot/introspection surface of the core flavors, so it can
-// be wrapped by the live adapter, checkpointed, and composed with Chain.
+// and the snapshot/introspection surface of the core flavors, so it can be
+// judged through, scraped and checkpointed like a single filter.
 //
-// Concurrency: dispatch takes a read lock (so many batch pumps may run
-// concurrently — provided every tenant's own flavor is goroutine-safe,
-// i.e. built WithConcurrencySafe or WithShards). Everything a control plane
-// does beside one pump — Stats, TenantStats, Utilization, PunchHole,
-// Rebalance and snapshot writes — takes the write lock and sees a quiesced
-// fleet, so bare tenants are safe behind a single pump: a scrape waits for
-// at most the batch in flight.
+// Concurrency: every method that touches a tenant filter — dispatch,
+// AdvanceTo, Stats, TenantStats, Utilization, PunchHole, Rebalance and
+// snapshot writes — takes the Set's one mutex and sees a quiesced fleet.
+// Its bare tenants are therefore safe under any number of callers: a
+// scrape waits for at most the batch in flight, and two pumps take turns.
 type Set struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	tenants []*tenantState
 	byID    map[string]int
 	// routes maps a client-side address to its tenant's index: the same
@@ -114,7 +110,8 @@ type Set struct {
 	budget *Budget
 
 	// Unrouted packets are passed through unfiltered; counted here
-	// (atomically — the read lock is shared) and folded into Counters.
+	// (atomically, so UnroutedPackets reads them without the lock) and
+	// folded into Counters.
 	unroutedOut atomic.Uint64
 	unroutedIn  atomic.Uint64
 }
@@ -123,7 +120,7 @@ var _ filtering.BatchFilter = (*Set)(nil)
 var _ core.Snapshottable = (*Set)(nil)
 
 // NewSet builds the fleet: every tenant's filter is constructed from its
-// option bundle via core.Build, and the prefix table is compiled. IDs
+// option bundle via core.New, and the prefix table is compiled. IDs
 // must be unique, non-empty and at most 256 bytes; prefixes must be
 // unique (overlap is fine — longest match wins).
 func NewSet(cfg SetConfig) (*Set, error) {
@@ -140,25 +137,16 @@ func NewSet(cfg SetConfig) (*Set, error) {
 	}
 	states := make([]*tenantState, len(cfg.Tenants))
 	for i, tc := range cfg.Tenants {
-		plan := core.PlanBuild(tc.Options...)
-		if plan.Live {
-			return nil, fmt.Errorf("%w: tenant %q: WithLiveClock is not a per-tenant option (tenants share the set's virtual time; wrap the whole Set with the live adapter)", ErrConfig, tc.ID)
-		}
-		f, err := core.Build(tc.Options...)
+		f, err := core.New(tc.Options...)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %q: %w", tc.ID, err)
 		}
-		st := &tenantState{
+		states[i] = &tenantState{
 			id:     tc.ID,
 			prefix: tc.Prefix,
 			opts:   append([]core.Option(nil), tc.Options...),
-			safe:   plan.Safe,
 			filter: f,
 		}
-		if sh, ok := f.(*core.Sharded); ok {
-			st.shards = sh.Shards()
-		}
-		states[i] = st
 	}
 	return newSetFromStates(states, cfg.Budget)
 }
@@ -220,8 +208,8 @@ func clientAddr(pkt *packet.Packet) packet.Addr {
 //
 //bf:hotpath
 func (s *Set) Process(pkt packet.Packet) filtering.Verdict {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	slot := s.routes.Lookup(clientAddr(&pkt))
 	if slot < 0 {
 		s.countUnrouted(pkt.Dir, 1)
@@ -252,22 +240,13 @@ type setScratch struct {
 
 var setScratchPool = sync.Pool{New: func() any { return new(setScratch) }}
 
-// ProcessBatch routes every packet to its tenant, runs one grouped
-// sub-batch per touched tenant, and returns the verdicts in input order.
-// Packets sharing a tenant keep their relative order, so each tenant
-// filter sees the exact packet sequence (and draws the same APD coin
-// flips) it would see per-packet.
-func (s *Set) ProcessBatch(pkts []packet.Packet) []filtering.Verdict {
-	if len(pkts) == 0 {
-		return nil
-	}
-	return s.ProcessBatchInto(pkts, make([]filtering.Verdict, len(pkts)))
-}
-
-// ProcessBatchInto is ProcessBatch writing into a caller-provided buffer
-// under the filtering.BatchFilter contract; with the pooled scratch the
-// steady state is allocation-free. It looks every packet's slot up and is
-// ProcessRoutedInto from there.
+// ProcessBatchInto routes every packet to its tenant, runs one grouped
+// sub-batch per touched tenant, and writes the verdicts into out in input
+// order under the filtering.BatchFilter contract; with the pooled scratch
+// the steady state is allocation-free. Packets sharing a tenant keep their
+// relative order, so each tenant filter sees the exact packet sequence (and
+// draws the same APD coin flips) it would see per-packet. It looks every
+// packet's slot up and is ProcessRoutedInto from there.
 //
 //bf:hotpath
 func (s *Set) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
@@ -330,8 +309,8 @@ func badSlots(format string, a, b int) {
 //
 //bf:hotpath
 func (s *Set) regroup(sc *setScratch, pkts []packet.Packet, slots []int32, out []filtering.Verdict) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 
 	groups := len(s.tenants) + 1 // + the unrouted group
 	sc.starts = filtering.GrowSlice(sc.starts, groups+1)
@@ -395,8 +374,8 @@ func (s *Set) regroup(sc *setScratch, pkts []packet.Packet, slots []int32, out [
 // moves forward, so idle tenants expire their marks on schedule even
 // when all traffic lands elsewhere.
 func (s *Set) AdvanceTo(now time.Duration) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, st := range s.tenants {
 		st.filter.AdvanceTo(now)
 	}
@@ -405,8 +384,8 @@ func (s *Set) AdvanceTo(now time.Duration) {
 // MemoryBytes implements filtering.PacketFilter (sum over tenants) —
 // the quantity the Budget constrains.
 func (s *Set) MemoryBytes() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var total uint64
 	for _, st := range s.tenants {
 		total += st.filter.MemoryBytes()
@@ -418,8 +397,8 @@ func (s *Set) MemoryBytes() uint64 {
 // across every tenant (including filters retired by resizes) plus the
 // unrouted pass-through packets.
 func (s *Set) Counters() filtering.Counters {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	total := filtering.Counters{
 		OutPackets: s.unroutedOut.Load(),
 		InPackets:  s.unroutedIn.Load(),
@@ -456,8 +435,8 @@ func (s *Set) Utilization() float64 {
 // cadence a background ticker must match so every tenant's rotations
 // fire on schedule.
 func (s *Set) RotateEvery() time.Duration {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	min := s.tenants[0].filter.RotateEvery()
 	for _, st := range s.tenants[1:] {
 		if dt := st.filter.RotateEvery(); dt < min {
@@ -526,7 +505,7 @@ type Stat struct {
 }
 
 // statLocked returns tenant i's Stats with the resize baseline folded
-// in. Callers hold the write lock: reading a bare tenant races its dispatch.
+// in. Callers hold the lock: reading a bare tenant races its dispatch.
 func (s *Set) statLocked(i int) core.Stats {
 	st := s.tenants[i]
 	stats := st.filter.Stats()
@@ -586,10 +565,8 @@ func (s *Set) SameFleet(want []Config) error {
 }
 
 // Lookup returns the tenant id owning addr, or "" if no prefix covers
-// it.
+// it. Routes and ids are fixed at construction, so it takes no lock.
 func (s *Set) Lookup(addr packet.Addr) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if slot := s.routes.Lookup(addr); slot >= 0 {
 		return s.tenants[slot].id
 	}

@@ -2,7 +2,9 @@ package tenant_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"strings"
@@ -27,9 +29,10 @@ func (c coinPolicy) DropProbability(time.Duration) float64 { return c.p }
 func (coinPolicy) Name() string                            { return "coin" }
 func (c coinPolicy) ClonePolicy() core.DropPolicy          { return c }
 
-// fleetSpec is the differential fixture: a heterogeneous fleet covering
-// every flavor (plain, sharded, safe, APD) and an overlapping prefix
-// pair so longest-prefix routing is load-bearing, not just exercised.
+// fleetSpec is the differential fixture: a heterogeneous fleet of bare
+// filters (orders, vector counts, rotation periods, APD) with an
+// overlapping prefix pair so longest-prefix routing is load-bearing, not
+// just exercised.
 func fleetSpec() []tenant.Config {
 	cfg := []tenant.Config{
 		{ID: "t0", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 0, 0, 0), 16),
@@ -39,9 +42,9 @@ func fleetSpec() []tenant.Config {
 		{ID: "t1", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 0, 128, 0), 17),
 			Options: []core.Option{core.WithOrder(11), core.WithSeed(102)}},
 		{ID: "t2", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 2, 0, 0), 16),
-			Options: []core.Option{core.WithOrder(12), core.WithSeed(103), core.WithShards(4)}},
+			Options: []core.Option{core.WithOrder(12), core.WithSeed(103), core.WithHashes(4)}},
 		{ID: "t3", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 3, 0, 0), 16),
-			Options: []core.Option{core.WithOrder(11), core.WithSeed(104), core.WithConcurrencySafe()}},
+			Options: []core.Option{core.WithOrder(11), core.WithSeed(104), core.WithTuplePolicy(core.FullTuple)}},
 		{ID: "t4", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 4, 0, 0), 16),
 			Options: []core.Option{core.WithOrder(12), core.WithSeed(105), core.WithAPD(coinPolicy{p: 0.5})}},
 		{ID: "t5", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 5, 0, 0), 16),
@@ -135,11 +138,7 @@ func TestSetDifferential(t *testing.T) {
 
 	refs := make([]filtering.BatchFilter, len(cfgs))
 	for i, c := range cfgs {
-		f, err := core.Build(c.Options...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = f
+		refs[i] = core.MustNew(c.Options...)
 	}
 
 	n := 1_000_000
@@ -279,8 +278,6 @@ func TestSetRejectsBadConfig(t *testing.T) {
 		"duplicate prefix": {Tenants: []tenant.Config{
 			{ID: "a", Prefix: base},
 			{ID: "b", Prefix: base}}},
-		"live option": {Tenants: []tenant.Config{
-			{ID: "a", Prefix: base, Options: []core.Option{core.WithLiveClock(nil)}}}},
 		"bad filter option": {Tenants: []tenant.Config{
 			{ID: "a", Prefix: base, Options: []core.Option{core.WithOrder(99)}}}},
 		"bad budget": {
@@ -290,6 +287,14 @@ func TestSetRejectsBadConfig(t *testing.T) {
 	for name, cfg := range cases {
 		if _, err := tenant.NewSet(cfg); err == nil {
 			t.Errorf("%s: NewSet accepted", name)
+		}
+	}
+	// A tenant is a bare filter: a flavor option is core.New's ErrConfig,
+	// named by the tenant it came with.
+	for name, opt := range map[string]core.Option{"sharded": core.WithShards(2), "safe": core.WithConcurrencySafe()} {
+		_, err := tenant.NewSet(tenant.SetConfig{Tenants: []tenant.Config{{ID: "a", Prefix: base, Options: []core.Option{opt}}}})
+		if !errors.Is(err, core.ErrConfig) || !strings.Contains(err.Error(), `tenant "a"`) {
+			t.Errorf("%s tenant: err = %v, want core.ErrConfig naming tenant \"a\"", name, err)
 		}
 	}
 }
@@ -309,7 +314,7 @@ func TestSetSnapshotRoundTrip(t *testing.T) {
 	}
 	set := mustSet(t, tenant.SetConfig{Tenants: cfgs})
 	pkts := fleetTrace(200_000, cfgs)
-	set.ProcessBatch(pkts)
+	set.ProcessBatchInto(pkts, nil)
 
 	var snap1 bytes.Buffer
 	if err := set.WriteSnapshot(&snap1); err != nil {
@@ -350,8 +355,8 @@ func TestSetSnapshotRoundTrip(t *testing.T) {
 	for i := range more {
 		more[i].Time += pkts[len(pkts)-1].Time
 	}
-	v1 := restored.ProcessBatch(more)
-	v2 := restored2.ProcessBatch(more)
+	v1 := restored.ProcessBatchInto(more, nil)
+	v2 := restored2.ProcessBatchInto(more, nil)
 	for i := range v1 {
 		if v1[i] != v2[i] {
 			t.Fatalf("verdict %d diverged between two restores", i)
@@ -378,19 +383,99 @@ func TestSetSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSetConcurrentDispatch races many batch pumps against rotations,
-// stats scrapes and rebalances; run under -race this is the concurrency
-// proof for the read-locked dispatch path. Every tenant uses a
-// goroutine-safe flavor (safe or sharded), as the Set's contract
-// requires for concurrent use.
+// resection rewrites the one section of a one-tenant fleet snapshot whose
+// id is idLen bytes: its flavor field and its inner container, recomputing
+// the length field and both CRCs as WriteSnapshot lays them out.
+func resection(snap []byte, idLen int, flavor uint32, inner []byte) []byte {
+	const header, fixed = 36, 56 // fleet header + CRC; section fixed part
+	le, table := binary.LittleEndian, crc32.MakeTable(crc32.Castagnoli)
+	out := append([]byte(nil), snap[:header+fixed+idLen]...)
+	le.PutUint32(out[header+12:], flavor)
+	le.PutUint64(out[header+16:], uint64(len(inner)))
+	out = le.AppendUint32(out, crc32.Checksum(out[header:], table))
+	out = append(out, inner...)
+	return le.AppendUint32(out, crc32.Checksum(inner, table))
+}
+
+// oneTenantSnapshot is the snapshot of a one-tenant fleet ("a") after some
+// traffic, with the set that wrote it.
+func oneTenantSnapshot(t *testing.T) (*tenant.Set, []byte) {
+	t.Helper()
+	cfgs := []tenant.Config{{ID: "a", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 0, 0, 0), 16),
+		Options: []core.Option{core.WithOrder(12), core.WithSeed(7)}}}
+	set := mustSet(t, tenant.SetConfig{Tenants: cfgs})
+	set.ProcessBatchInto(fleetTrace(20_000, cfgs), nil)
+	var snap bytes.Buffer
+	if err := set.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return set, snap.Bytes()
+}
+
+// TestSetSnapshotSafeFlavorBit: older writers set flavor bit 0 for a
+// Safe-wrapped tenant, whose inner snapshot is its Filter's. Such a section
+// restores, bare, with the marks and counters of the set that wrote it, and
+// writes back with flavor 0 — the bytes of today's writer.
+func TestSetSnapshotSafeFlavorBit(t *testing.T) {
+	set, snap := oneTenantSnapshot(t)
+	const section = 36 + 56 + 1 // header, fixed part, id "a"
+	inner := snap[section+4 : len(snap)-4]
+	old := resection(snap, 1, 1, inner)
+	if bytes.Equal(old, snap) {
+		t.Fatal("resection changed nothing")
+	}
+	restored, err := tenant.ReadSnapshot(bytes.NewReader(old), nil)
+	if err != nil {
+		t.Fatalf("flavor bit 0 refused: %v", err)
+	}
+	got, want := restored.TenantStats()[0].Stats, set.TenantStats()[0].Stats
+	if got.Marks != want.Marks || got.Counters != want.Counters || got.Marks == 0 {
+		t.Errorf("restored marks %d counters %+v, want %d %+v", got.Marks, got.Counters, want.Marks, want.Counters)
+	}
+	var again bytes.Buffer
+	if err := restored.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), snap) {
+		t.Error("a restored flavor-bit section does not write back as a bare tenant")
+	}
+	if _, err := tenant.ReadSnapshot(bytes.NewReader(resection(snap, 1, 2, inner)), nil); err == nil {
+		t.Error("unknown flavor bit 1 accepted")
+	}
+}
+
+// TestSetSnapshotRefusesShardedTenant: a tenant section whose inner
+// container is sharded is refused with core.ErrSnapshotKind, named by its
+// tenant, since every tenant is a bare filter.
+func TestSetSnapshotRefusesShardedTenant(t *testing.T) {
+	_, snap := oneTenantSnapshot(t)
+	sh, err := core.NewSharded(2, core.WithOrder(12), core.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inner bytes.Buffer
+	if err := sh.WriteSnapshot(&inner); err != nil {
+		t.Fatal(err)
+	}
+	_, err = tenant.ReadSnapshot(bytes.NewReader(resection(snap, 1, 0, inner.Bytes())), nil)
+	if !errors.Is(err, core.ErrSnapshotKind) || !strings.Contains(err.Error(), `tenant "a"`) {
+		t.Errorf("sharded tenant section: err = %v, want core.ErrSnapshotKind naming tenant \"a\"", err)
+	}
+}
+
+// TestSetConcurrentDispatch races four batch pumps against rotations,
+// stats scrapes and rebalances over bare tenants; run under -race this is
+// the proof that the Set's one mutex serializes everything that touches a
+// tenant filter — dispatch included, since two pumps judging the same bare
+// tenant at once would race.
 func TestSetConcurrentDispatch(t *testing.T) {
 	cfgs := []tenant.Config{
 		{ID: "a", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 0, 0, 0), 16),
-			Options: []core.Option{core.WithOrder(11), core.WithSeed(1), core.WithConcurrencySafe()}},
+			Options: []core.Option{core.WithOrder(11), core.WithSeed(1)}},
 		{ID: "b", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 1, 0, 0), 16),
-			Options: []core.Option{core.WithOrder(11), core.WithSeed(2), core.WithShards(2)}},
+			Options: []core.Option{core.WithOrder(11), core.WithSeed(2)}},
 		{ID: "c", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 2, 0, 0), 16),
-			Options: []core.Option{core.WithOrder(10), core.WithSeed(3), core.WithConcurrencySafe()}},
+			Options: []core.Option{core.WithOrder(10), core.WithSeed(3)}},
 	}
 	set := mustSet(t, tenant.SetConfig{
 		Tenants: cfgs,
@@ -436,8 +521,8 @@ func TestSetConcurrentDispatch(t *testing.T) {
 
 // TestSetControlPlaneBesideOnePump is the lock rule a daemon relies on: bare
 // tenants behind one pump, and beside it everything a control plane does —
-// stats, punches, snapshots, rebalances — under the write lock. Run under
-// -race, a read-locked Stats or PunchHole races the pump's dispatch.
+// stats, punches, snapshots, rebalances — under the Set's lock. Run under
+// -race, an unlocked Stats or PunchHole races the pump's dispatch.
 func TestSetControlPlaneBesideOnePump(t *testing.T) {
 	cfgs := []tenant.Config{
 		{ID: "a", Prefix: packet.PrefixFrom(packet.AddrFrom4(10, 0, 0, 0), 16), Options: []core.Option{core.WithOrder(11), core.WithSeed(1)}},
@@ -472,18 +557,6 @@ func TestSetControlPlaneBesideOnePump(t *testing.T) {
 		if _, err := set.Rebalance(set.Stats().Now); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestSetEmptyBatchContract pins the BatchFilter empty-batch behavior.
-func TestSetEmptyBatchContract(t *testing.T) {
-	set := mustSet(t, tenant.SetConfig{Tenants: fleetSpec()})
-	if got := set.ProcessBatch(nil); got != nil {
-		t.Errorf("ProcessBatch(nil) = %v", got)
-	}
-	buf := make([]filtering.Verdict, 5, 9)
-	if got := set.ProcessBatchInto(nil, buf); len(got) != 0 || cap(got) != cap(buf) {
-		t.Errorf("ProcessBatchInto(nil, buf): len %d cap %d, want 0 %d", len(got), cap(got), cap(buf))
 	}
 }
 

@@ -12,16 +12,14 @@ import (
 // via longest-prefix match, dispatching batches as one grouped
 // sub-batch per touched tenant (zero steady-state allocations), and
 // optionally rebalancing a shared memory budget across tenants from
-// their observed flow counts. It implements Snapshottable, so a whole
-// fleet checkpoints and restores atomically, and it satisfies LiveInner,
-// so NewLive (or Build's WithLiveClock on each tenant being rejected —
-// wrap the Set itself) turns it into a wall-clock deployment.
+// their observed flow counts. Every tenant is a bare Filter behind the
+// set's one lock, so the set is goroutine-safe. It implements
+// Snapshottable, so a whole fleet checkpoints and restores atomically.
 type TenantSet = tenant.Set
 
 // TenantConfig describes one tenant: identifier, owned client prefix,
-// and the same option bundle Build accepts (WithShards and
-// WithConcurrencySafe select per-tenant flavors; WithLiveClock is
-// rejected — tenants share the set's clock).
+// and the option bundle New accepts (the flavor selectors WithShards and
+// WithConcurrencySafe are rejected — every tenant is a bare Filter).
 type TenantConfig = tenant.Config
 
 // TenantSetConfig configures NewTenantSet.
