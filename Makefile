@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build build-tags test race vet lint fmt loc replay-smoke bench-go bench-e2e bench-smoke bench-compare bench-pairs experiments examples clean
+.PHONY: all build build-tags test race vet lint fmt loc bench-go bench-e2e bench-smoke bench-compare bench-pairs experiments examples clean
 
 all: build build-tags lint test race
 
@@ -50,11 +50,6 @@ fmt:
 loc:
 	scripts/loc.sh $(REF)
 
-# bftrace -pcap → bfreplay -in for both filters, against the totals of the
-# seed-1 minute (51,813 frames; bitmap 28,328 / 321, spi 28,320 / 329).
-replay-smoke:
-	scripts/replay-smoke.sh
-
 # The raw go-test benchmarks (unpinned; exploratory use).
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
@@ -86,22 +81,21 @@ bench-pairs:
 
 # Regenerate every table/figure on stdout (see EXPERIMENTS.md).
 experiments:
-	$(GO) run ./cmd/bfanalysis
-	$(GO) run ./cmd/bfanalysis -insider
-	$(GO) run ./cmd/bftrace
-	$(GO) run ./cmd/bfsim
-	$(GO) run ./cmd/bfattack -order 16
-	$(GO) run ./cmd/bfattack -apd
-	$(GO) run ./cmd/bfattack -bandwidth
-	$(GO) run ./cmd/bfattack -collude
-	$(GO) run ./cmd/bfablate
-	$(GO) run ./cmd/bfbench -conns 500000
-	$(GO) run ./examples/worm_containment
+	$(GO) run ./cmd/bfexp capacity
+	$(GO) run ./cmd/bfexp insider
+	$(GO) run ./cmd/bfexp trace
+	$(GO) run ./cmd/bfexp fig4
+	$(GO) run ./cmd/bfexp fig5 -order 16
+	$(GO) run ./cmd/bfexp apd
+	$(GO) run ./cmd/bfexp bandwidth
+	$(GO) run ./cmd/bfexp collude
+	$(GO) run ./cmd/bfexp ablate
+	$(GO) run ./cmd/bfexp table1 -conns 500000
+	$(GO) run ./cmd/bfexp worm
 
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/edge_router
-	$(GO) run ./examples/worm_containment
 	$(GO) run ./examples/ftp_holepunch
 	$(GO) run ./examples/failover
 

@@ -85,7 +85,7 @@ func encodeAll(t *testing.T, pkts []packet.Packet) []pcap.Record {
 	return recs
 }
 
-// runOn writes capture to a file and runs the command on it with args,
+// runOn writes capture to a file and runs replay on it with args,
 // returning what it printed with the file's path cut out.
 func runOn(t *testing.T, trace []byte, args ...string) (string, error) {
 	t.Helper()
@@ -94,7 +94,7 @@ func runOn(t *testing.T, trace []byte, args ...string) (string, error) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	err := run(append([]string{"-in", path}, args...), &out)
+	err := run(append([]string{"replay", "-in", path}, args...), &out)
 	return strings.ReplaceAll(out.String(), path, "t.pcap"), err
 }
 
@@ -129,7 +129,7 @@ func smallFilter() *core.Filter {
 
 // TestRunRequiresSubnets: there is no replay without client subnets. The
 // flag's empty value means the generator's campus subnets, by which a
-// bftrace capture classifies; a value that names no subnet is refused.
+// `bfexp trace` capture classifies; a value that names no subnet is refused.
 func TestRunRequiresSubnets(t *testing.T) {
 	cfg := trafficgen.DefaultConfig()
 	cfg.Duration = 5 * time.Second
@@ -159,10 +159,10 @@ func TestRunRequiresSubnets(t *testing.T) {
 // report — no file, no magic, and a record torn mid-stream alike.
 func TestRunBadCapture(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-in", filepath.Join(t.TempDir(), "absent.pcap")}, &out); err == nil {
+	if err := run([]string{"replay", "-in", filepath.Join(t.TempDir(), "absent.pcap")}, &out); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := run(nil, &out); err == nil {
+	if err := run([]string{"replay"}, &out); err == nil {
 		t.Error("no -in accepted")
 	}
 	if out, err := runOn(t, make([]byte, 24)); err == nil {

@@ -46,7 +46,7 @@
 // whether the pump saturates -target packets per second (the paper's
 // Figure 5 scan floor is 500K pps), with per-packet latency quantiles.
 // With -gen FILE it writes the synthesized trace to a pcap file and
-// exits, so the same trace can be replayed elsewhere (tcpdump, bfreplay).
+// exits, so the same trace can be replayed elsewhere (tcpdump, bfexp replay).
 //
 // Usage:
 //

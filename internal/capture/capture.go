@@ -1,5 +1,5 @@
 // Package capture abstracts where frames come from, so the pump loop
-// (internal/pump: the bfwall daemon's, and bfreplay's) is identical whether
+// (internal/pump: the bfwall daemon's, and bfexp replay's) is identical whether
 // it faces a real NIC or a replayed trace.
 //
 // A Source delivers frames in batches into a ring of Frames the caller

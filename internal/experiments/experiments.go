@@ -1,7 +1,7 @@
 // Package experiments contains the runnable reproductions of every table
 // and figure in the paper's evaluation (the E1–E13 index in DESIGN.md).
 // Each experiment is a pure function from a configuration to a result
-// struct with a Format method, so the cmd/ tools print them and
+// struct with a Format method, so cmd/bfexp prints them and
 // bench_test.go measures them without duplicating logic.
 //
 // Scale note: the paper's trace is 6 hours at ~24.6 K pps (≈ 532 M

@@ -43,7 +43,7 @@ type Fig2Result struct {
 // LifetimeTracker measures TCP connection lifetimes from a packet stream
 // per the §3.2 definition: "from the appearance of the first TCP-SYN
 // packet to the appearance of a TCP-FIN or TCP-RST packet". It is exported
-// so cmd/bfreplay can compute Figure 2 statistics over arbitrary captures.
+// so `bfexp replay` can compute Figure 2 statistics over arbitrary captures.
 type LifetimeTracker struct {
 	open   map[packet.Tuple]time.Duration // outgoing tuple -> first SYN time
 	sample *stats.Sample

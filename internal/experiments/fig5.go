@@ -35,10 +35,11 @@ type Fig5Config struct {
 	IntervalSec float64
 }
 
-// DefaultFig5Config returns the paper's setup at default scale.
+// DefaultFig5Config returns the paper's setup on a 5-minute trace at 30
+// sessions/s, the scale EXPERIMENTS.md E7–E8 records.
 func DefaultFig5Config() Fig5Config {
 	return Fig5Config{
-		Scale:                DefaultScale(),
+		Scale:                Scale{Duration: 5 * time.Minute, ConnRate: 30, Seed: 1},
 		AttackStartFraction:  0.55,
 		AttackRateMultiplier: 20,
 		Order:                20,

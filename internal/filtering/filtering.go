@@ -94,7 +94,7 @@ func GrowSlice[T any](s []T, n int) []T {
 
 // AsBatch returns f's batched data plane: filters that already implement
 // BatchFilter are returned unchanged, anything else is wrapped with the
-// generic per-packet fallback. Drivers (bfreplay, experiments, daemons) call
+// generic per-packet fallback. Drivers (bfexp replay, experiments, daemons) call
 // this once and then speak batch everywhere.
 func AsBatch(f PacketFilter) BatchFilter {
 	if b, ok := f.(BatchFilter); ok {
