@@ -330,40 +330,55 @@ func TestPunchValidation(t *testing.T) {
 	}
 }
 
-// fakeCheckpointer records CheckpointNow calls and serves canned stats.
-type fakeCheckpointer struct {
-	calls int
-	err   error
-	stats checkpoint.Stats
-}
-
-func (f *fakeCheckpointer) CheckpointNow() error {
-	f.calls++
-	if f.err == nil {
-		f.stats.Successes++
-		f.stats.LastSuccess = time.Now()
+// newCheckpointer is a checkpointer over a temporary file whose every
+// snapshot is size bytes — or, with fail set, fails with it — and the count
+// of snapshots it was asked for.
+func newCheckpointer(t *testing.T, size int, fail error) (*checkpoint.Checkpointer, *int) {
+	t.Helper()
+	calls := new(int)
+	cp, err := checkpoint.New(checkpoint.Config{
+		Path:     filepath.Join(t.TempDir(), "state.bmf"),
+		Interval: 30 * time.Second,
+		Write: func(w io.Writer) error {
+			*calls++
+			if fail != nil {
+				return fail
+			}
+			_, err := w.Write(make([]byte, size))
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return f.err
+	return cp, calls
 }
-
-func (f *fakeCheckpointer) Stats() checkpoint.Stats { return f.stats }
 
 func TestCheckpointEndpoint(t *testing.T) {
-	cp := &fakeCheckpointer{stats: checkpoint.Stats{LastBytes: 1234}}
+	cp, calls := newCheckpointer(t, 1234, nil)
 	srv := serve(t, &controlPlane{cp: cp})
 	code, body := do(t, "POST", srv.URL+"/checkpoint")
-	if code != http.StatusOK || cp.calls != 1 || !strings.Contains(body, "1234 bytes") {
-		t.Errorf("POST /checkpoint = %d %q after %d saves, want 200, one save and its size", code, body, cp.calls)
+	if code != http.StatusOK || *calls != 1 || !strings.Contains(body, "1234 bytes") {
+		t.Errorf("POST /checkpoint = %d %q after %d saves, want 200, one save and its size", code, body, *calls)
 	}
-	if code, _ := do(t, "GET", srv.URL+"/checkpoint"); code == http.StatusOK || cp.calls != 1 {
-		t.Errorf("GET /checkpoint = %d after %d saves, want a method rejection and no save", code, cp.calls)
+	if code, _ := do(t, "GET", srv.URL+"/checkpoint"); code == http.StatusOK || *calls != 1 {
+		t.Errorf("GET /checkpoint = %d after %d saves, want a method rejection and no save", code, *calls)
 	}
 }
 
+// TestCheckpointEndpointError: a failing save is a 500 with the reason, and
+// /stats then shows every attempt of the round failed, the last error, and
+// no success yet.
 func TestCheckpointEndpointError(t *testing.T) {
-	srv := serve(t, &controlPlane{cp: &fakeCheckpointer{err: errors.New("disk full")}})
+	cp, calls := newCheckpointer(t, 0, errors.New("disk full"))
+	srv := serve(t, &controlPlane{cp: cp})
 	if code, body := do(t, "POST", srv.URL+"/checkpoint"); code != http.StatusInternalServerError || !strings.Contains(body, "disk full") {
 		t.Errorf("POST /checkpoint = %d %q, want 500 and the reason", code, body)
+	}
+	c := statsOf(t, srv).Checkpoint
+	if c == nil || c.Attempts != uint64(*calls) || c.Failures != c.Attempts || c.Attempts < 2 || c.Successes != 0 ||
+		c.LastSuccessAge != -1 || !strings.Contains(c.LastError, "disk full") {
+		t.Errorf("/stats checkpoint = %+v after %d saves, want every retried attempt failed", c, *calls)
 	}
 }
 
@@ -379,12 +394,18 @@ func TestCheckpointAbsentWithoutOption(t *testing.T) {
 }
 
 func TestStatsIncludesCheckpoint(t *testing.T) {
-	cp := &fakeCheckpointer{stats: checkpoint.Stats{Interval: 30 * time.Second, Attempts: 7, Successes: 5, Failures: 2, LastBytes: 4096, LastError: "transient"}}
+	cp, _ := newCheckpointer(t, 4096, nil)
+	if err := cp.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
 	c := statsOf(t, serve(t, &controlPlane{cp: cp, restore: checkpoint.RestoreResult{Outcome: checkpoint.OutcomeBackup, File: "/s.bmf.bak"}})).Checkpoint
-	want := checkpointSnapshot{RestoreOutcome: "backup", RestoredFrom: "/s.bmf.bak", Interval: 30, Attempts: 7, Successes: 5, Failures: 2,
-		LastSuccessAge: -1, LastBytes: 4096, LastError: "transient"}
-	if c == nil || *c != want {
-		t.Errorf("/stats checkpoint = %+v, want %+v", c, want)
+	if c == nil || c.LastSuccessAge < 0 || c.LastSuccessAge > 60 {
+		t.Fatalf("/stats checkpoint = %+v, want a success seconds ago", c)
+	}
+	c.LastSuccessAge = 0
+	want := checkpointSnapshot{RestoreOutcome: "backup", RestoredFrom: "/s.bmf.bak", Interval: 30, Attempts: 1, Successes: 1, LastBytes: 4096}
+	if *c != want {
+		t.Errorf("/stats checkpoint = %+v, want %+v", *c, want)
 	}
 }
 

@@ -19,11 +19,11 @@
 // classifies source errors (a truncated pcap record or an EINTR is
 // survivable, a bad magic number is not), retries transient failures
 // with jittered exponential backoff, and reopens the source when it
-// keeps failing; a bounded frame queue sheds under overload per
-// -on-overload (drop = fail-closed, the security posture; admit =
-// fail-open, the availability posture); a watchdog flags wedged loops;
-// and SIGTERM drains gracefully — intake stops, in-flight frames are
-// judged, a final checkpoint is taken — within -drain-timeout.
+// keeps failing; a bounded frame queue (-queue) sheds under overload —
+// a shed frame is counted and never judged; a watchdog flags loops that
+// stop beating for 30 s; and SIGTERM drains gracefully — intake stops,
+// in-flight frames are judged, a final checkpoint is taken — within
+// -drain-timeout.
 //
 // The filter is a single bitmap, -shards N of them, or a -tenants fleet,
 // with -apd attaching §5.3 adaptive packet dropping to every one. A fleet
@@ -55,7 +55,7 @@
 //	bfwall -gen scan.pcap -scan-pps 500000
 //	bfwall -pcap scan.pcap -loops 10 -listen :8081
 //	bfwall -tenants fleet.json -pcap trace.pcap -apd ratio
-//	bfwall -pcap trace.pcap -checkpoint state.bmf -on-overload drop
+//	bfwall -pcap trace.pcap -checkpoint state.bmf -drain-timeout 5s
 //	bfwall -bench -pcap scan.pcap -loops 40 -cpuprofile cpu.prof
 package main
 
@@ -91,6 +91,11 @@ func main() {
 	}
 }
 
+// readBatch is the frames the pump asks of the source per read: the pump's
+// floor for a batch that changes goroutine, and the size 1024 and 2048
+// were measured against and lost to.
+const readBatch = 512
+
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bfwall", flag.ContinueOnError)
 	var (
@@ -98,7 +103,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		loops    = fs.Int("loops", 1, "replay the trace this many times back-to-back")
 		iface    = fs.String("iface", "", "live AF_PACKET capture interface (requires -tags afpacket build)")
 		snapLen  = fs.Int("snaplen", capture.DefaultSnapLen, "per-frame capture buffer bytes")
-		batch    = fs.Int("batch", 512, "frames per batch through the filter data plane")
 		listen   = fs.String("listen", "", "HTTP monitoring address (e.g. 127.0.0.1:8081); empty serves nothing")
 		benchRun = fs.Bool("bench", false, "run the source to exhaustion, print a saturation report, exit")
 		target   = fs.Float64("target", 500_000, "saturation target in packets/s for -bench")
@@ -114,13 +118,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		apd      = fs.String("apd", "", `adaptive packet dropping: "ratio" or "bandwidth" (§5.3)`)
 		apdCap   = fs.Float64("apd-capacity", 100e6, "link capacity in bits/s for -apd bandwidth")
 
-		onOverload = fs.String("on-overload", "drop", "overload policy when the frame queue fills: drop (fail-closed) or admit (fail-open)")
-		queue      = fs.Int("queue", 8192, "bounded frame queue between capture and filter, in frames (0 disables the overload stage; the default applies to -iface only, a replayed trace is back-pressured)")
-		drainTO    = fs.Duration("drain-timeout", 5*time.Second, "graceful-drain deadline after SIGTERM")
-		srcRetries = fs.Int("source-retries", resilience.DefaultMaxConsecutiveFailures, "consecutive source failures tolerated before the daemon gives up")
-		stallAfter = fs.Duration("stall-after", resilience.DefaultStallAfter, "watchdog stall threshold for the supervised loops (0 disables the watchdog)")
-		ckpt       = fs.String("checkpoint", "", "checkpoint file; restores state on startup and persists it periodically and on SIGTERM")
-		ckptDt     = fs.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (with -checkpoint; jittered ±10%)")
+		queue   = fs.Int("queue", 8192, "bounded frame queue between capture and filter, in frames (0 disables the overload stage; the default applies to -iface only, a replayed trace is back-pressured)")
+		drainTO = fs.Duration("drain-timeout", 5*time.Second, "graceful-drain deadline after SIGTERM")
+		ckpt    = fs.String("checkpoint", "", "checkpoint file; restores state on startup and persists it periodically and on SIGTERM")
+		ckptDt  = fs.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (with -checkpoint; jittered ±10%)")
 
 		scanPPS  = fs.Float64("scan-pps", 500_000, "synthesized scan rate in packets/s")
 		connRate = fs.Float64("conn-rate", 25, "synthesized legitimate session arrival rate per second")
@@ -133,10 +134,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	policy, err := resilience.ParsePolicy(*onOverload)
-	if err != nil {
-		return err
-	}
 	// Only a NIC cannot be made to wait. A trace, recorded or synthesized,
 	// is read unpaced: through the overload queue most of it would be shed
 	// — wrong totals from a file that could simply be back-pressured, and a
@@ -207,14 +204,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// The resilience plane: watchdog probes for every supervised loop,
 	// a lifecycle state machine behind /healthz and /readyz.
-	var (
-		wd           *resilience.Watchdog
-		captureProbe *resilience.Probe
-	)
-	if *stallAfter > 0 {
-		wd = resilience.NewWatchdog(nil)
-		captureProbe = wd.Heartbeat("capture", *stallAfter)
-	}
+	wd := resilience.NewWatchdog(nil)
+	captureProbe := wd.Heartbeat("capture", resilience.DefaultStallAfter)
 	health := resilience.NewHealth(wd)
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "bfwall: "+format+"\n", args...)
@@ -237,10 +228,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}()
 	}
 	sup, err := resilience.NewSupervisor(resilience.SupervisorConfig{
-		Open:                   factory,
-		MaxConsecutiveFailures: *srcRetries,
-		Heartbeat:              beatFn(captureProbe),
-		Logf:                   logf,
+		Open:      factory,
+		Heartbeat: captureProbe.Beat,
+		Logf:      logf,
 	})
 	if err != nil {
 		return err
@@ -251,7 +241,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		buf = resilience.NewBuffer(sup, resilience.BufferConfig{
 			Capacity: *queue,
 			SnapLen:  *snapLen,
-			Policy:   policy,
 			Logf:     logf,
 		})
 		src = buf
@@ -263,15 +252,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// checkpointer keeps checkpointing.
 	var cp *checkpoint.Checkpointer
 	if *ckpt != "" {
-		var ckptProbe *resilience.Probe
-		if wd != nil {
-			ckptProbe = wd.Heartbeat("checkpoint", max(3**ckptDt, *stallAfter))
-		}
 		cp, err = checkpoint.New(checkpoint.Config{
 			Path:      *ckpt,
 			Write:     bf.WriteSnapshot,
 			Interval:  *ckptDt,
-			Heartbeat: beatFn(ckptProbe),
+			Heartbeat: wd.Heartbeat("checkpoint", max(3**ckptDt, resilience.DefaultStallAfter)).Beat,
 			Logf:      logf,
 		})
 		if err != nil {
@@ -287,10 +272,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// filter's type makes the commit step (internal/pump), with a probe for
 	// every goroutine of it that can wedge.
 	started := time.Now()
-	p := pump.New(pump.Config{Source: src, Filter: bf, Subnets: subnets, Batch: *batch, Logf: logf})
-	if wd != nil {
-		p.Watch(wd, *stallAfter)
-	}
+	p := pump.New(pump.Config{Source: src, Filter: bf, Subnets: subnets, Batch: readBatch, Logf: logf})
+	p.Watch(wd, resilience.DefaultStallAfter)
 
 	// The last thing that can fail before the pump runs: from here to the
 	// drain there is no return path, so the profile is always stopped.
@@ -301,10 +284,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	plane := &controlPlane{bf: bf, sup: sup, buf: buf, health: health, restore: restoreRes, policy: policy}
-	if cp != nil {
-		plane.cp = cp // a nil *Checkpointer in the interface would read as configured
-	}
+	plane := &controlPlane{bf: bf, sup: sup, buf: buf, health: health, cp: cp, restore: restoreRes}
 
 	var srv *http.Server
 	httpErr := make(chan error, 1)
@@ -413,7 +393,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		if buf != nil {
 			if st := buf.Stats(); st.Shed > 0 {
-				fmt.Fprintf(out, "bfwall: shed %d frames under overload (policy %s)\n", st.Shed, st.Policy)
+				fmt.Fprintf(out, "bfwall: shed %d frames under overload\n", st.Shed)
 			}
 		}
 	}
@@ -433,14 +413,6 @@ func startCPUProfile(path string) (*os.File, error) {
 		return nil, fmt.Errorf("-cpuprofile: %w", err)
 	}
 	return f, nil
-}
-
-// beatFn adapts a possibly-nil probe to an optional heartbeat hook.
-func beatFn(p *resilience.Probe) func() {
-	if p == nil {
-		return nil
-	}
-	return p.Beat
 }
 
 func sumDecodeErrors(snap pump.Snapshot) (total uint64) {

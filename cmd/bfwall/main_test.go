@@ -5,6 +5,8 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -31,6 +33,43 @@ func TestParseSubnets(t *testing.T) {
 	}
 	if _, err := parseSubnets("not-a-cidr"); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestFlagSurface pins what an operator can set: the flag lines of
+// `bfwall -h`, name, type, help and default, are testdata/flags.golden, so
+// a knob is added or dropped only as a diff someone reviews.
+func TestFlagSurface(t *testing.T) {
+	const golden = "testdata/flags.golden"
+	usage, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer usage.Close()
+	stderr := os.Stderr // where the flag package prints usage
+	os.Stderr = usage
+	err = run(context.Background(), []string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	text, err := os.ReadFile(usage.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(string(text), "\n") {
+		if strings.HasPrefix(line, " ") { // a flag's line or its help's
+			got.WriteString(line)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("bfwall -h differs from %s; if the change is meant, regenerate it with\n\tgo run ./cmd/bfwall -h 2>&1 | grep '^ ' > cmd/bfwall/%s\ngot:\n%s\nwant:\n%s",
+			golden, golden, got.String(), want)
 	}
 }
 

@@ -39,7 +39,9 @@ func samples(scrape string) (lines []string) {
 // line the hand-written renderer wrote before httpapi.Expo — name, labels,
 // number format; testdata/metrics_parent.txt was captured from it — is still
 // on /metrics, but for the checkpointer, which now goes by the names of the
-// checkpoint family httpapi writes; and nothing else is new but that family,
+// checkpoint family httpapi writes, and the shed and quarantined frames,
+// which lost the label of an overload policy that changed nothing; and
+// nothing else is new but that family,
 // the pump's stage clocks, and the bitmap's own series. Those are, line for
 // line and in order, what the retired second daemon wrote for the same
 // stats (testdata/metrics_bitmap_parent.txt, captured from it), less its
@@ -51,7 +53,8 @@ func TestMetricsSamplesPreserved(t *testing.T) {
 	renamed := strings.NewReplacer(
 		"bitmapfilter_resilience_checkpoint_successes_total", "bitmapfilter_checkpoint_success_total",
 		"bitmapfilter_resilience_checkpoint_failures_total", "bitmapfilter_checkpoint_failures_total",
-		"bitmapfilter_resilience_restore_outcome", "bitmapfilter_checkpoint_restore_outcome")
+		"bitmapfilter_resilience_restore_outcome", "bitmapfilter_checkpoint_restore_outcome",
+		`_frames_total{policy="admit"}`, "_frames_total")
 	gained := []string{ // the rest of the checkpoint family, and the rungs that are 0
 		"bitmapfilter_checkpoint_enabled 1",
 		"bitmapfilter_checkpoint_attempts_total 0",
@@ -103,7 +106,7 @@ func TestMetricsSamplesPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane := &controlPlane{bf: capturedBitmap(t), sup: sup, buf: buf, health: health, cp: cp, policy: resilience.PolicyAdmit,
+	plane := &controlPlane{bf: capturedBitmap(t), sup: sup, buf: buf, health: health, cp: cp,
 		restore: checkpoint.RestoreResult{Outcome: checkpoint.OutcomeColdStartCorrupt}}
 
 	// A zero start makes bfwall_pps a constant: time.Since saturates.

@@ -906,7 +906,7 @@ func TestFleetLaneQuarantinesHostileSlot(t *testing.T) {
 // checkBackPressure: a judge that blocks bounds the batches in flight — every
 // worker ends up parked on its own free list (behind a shard's lane, the
 // committing one on the lane's), nobody reads — and the overload queue in
-// front of the pump sheds per policy, as it did when the pump was one loop.
+// front of the pump sheds, as it did when the pump was one loop.
 func checkBackPressure(t *testing.T, sk sink, workers int) {
 	trace := testTraceOver(t, sk.clients, 40_000, 200, 500*time.Millisecond)
 	// Six passes: more than the queue holds, and a queue of more than every
@@ -917,7 +917,7 @@ func checkBackPressure(t *testing.T, sk sink, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := resilience.NewBuffer(replay, resilience.BufferConfig{Capacity: queue, SnapLen: 256, Policy: resilience.PolicyDrop})
+	buf := resilience.NewBuffer(replay, resilience.BufferConfig{Capacity: queue, SnapLen: 256})
 	defer buf.Close()
 	src := &scriptedSource{Source: buf}
 	f, entered, release := wedge()

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -100,25 +101,73 @@ func TestCheckpointRoundTripTenants(t *testing.T) {
 	}
 }
 
-// TestOverloadPolicyFlag: the policy flag parses strictly and an
-// admit-policy run completes end to end with a tiny queue.
-func TestOverloadPolicyFlag(t *testing.T) {
+// TestOverloadShedsUnjudged: a replay through a tiny -queue overflows it —
+// the intake pushes 256 frames at a time into 16 slots — and every frame of
+// the trace is then either judged or counted shed, never both: bfwall
+// forwards nothing, so a shed frame has no verdict to default to.
+func TestOverloadShedsUnjudged(t *testing.T) {
 	var out bytes.Buffer
-	err := run(context.Background(), []string{"-on-overload", "bogus"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "overload") {
-		t.Errorf("bogus policy: err = %v", err)
-	}
-
-	out.Reset()
-	err = run(context.Background(), []string{
-		"-bench", "-target", "1", "-on-overload", "admit", "-queue", "16",
-		"-scan-pps", "2000", "-conn-rate", "10", "-gen-duration", "100ms",
+	err := run(context.Background(), []string{
+		"-queue", "16", "-scan-pps", "2000", "-conn-rate", "10", "-gen-duration", "200ms",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "bfwall bench:") {
-		t.Errorf("output: %s", out.String())
+	var synthesized, frames, shed uint64
+	for _, line := range strings.Split(out.String(), "\n") {
+		fmt.Sscanf(line, "bfwall: synthesized %d frames", &synthesized)
+		fmt.Sscanf(line, "bfwall: %d frames, ", &frames)
+		fmt.Sscanf(line, "bfwall: shed %d frames under overload", &shed)
+		if strings.HasPrefix(line, "bfwall: shed") && line != fmt.Sprintf("bfwall: shed %d frames under overload", shed) {
+			t.Errorf("shed line %q", line)
+		}
+	}
+	if shed == 0 || frames == 0 || frames+shed != synthesized {
+		t.Errorf("%d frames synthesized, %d judged, %d shed:\n%s", synthesized, frames, shed, out.String())
+	}
+}
+
+// TestDamagedTraceJudgesGoodPrefix: a record whose length is garbage ends a
+// replay's walk — where the next record starts is what the length leaves
+// unknown — so bfwall judges the records before it, counts one transient
+// source error, reopens nothing, and exits 0, whether the damage falls
+// inside a read or on its boundary.
+func TestDamagedTraceJudgesGoodPrefix(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "scan.pcap")
+	if err := run(context.Background(), []string{"-gen", trace, "-scan-pps", "20000", "-conn-rate", "10", "-gen-duration", "100ms"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, good := range []int{1000, 2 * readBatch} {
+		t.Run(fmt.Sprint(good), func(t *testing.T) {
+			// Record good+1's captured length, 16 bytes of header per record
+			// after the 24 of the file's.
+			data := bytes.Clone(clean)
+			off := 24
+			for i := 0; i < good; i++ {
+				off += 16 + int(binary.LittleEndian.Uint32(data[off+8:]))
+			}
+			binary.LittleEndian.PutUint32(data[off+8:], 0x7fffffff)
+			damaged := filepath.Join(t.TempDir(), "damaged.pcap")
+			if err := os.WriteFile(damaged, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := run(context.Background(), []string{"-pcap", damaged}, &out); err != nil {
+				t.Fatalf("exit: %v\n%s", err, out.String())
+			}
+			for _, want := range []string{
+				fmt.Sprintf("bfwall: %d frames, ", good),
+				"bfwall: survived 1 transient source errors (0 reopens)\n",
+			} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output lacks %q:\n%s", want, out.String())
+				}
+			}
+		})
 	}
 }
 
@@ -209,7 +258,6 @@ func TestResilienceEndpoints(t *testing.T) {
 		health:  health,
 		cp:      cp,
 		restore: checkpoint.RestoreResult{Outcome: checkpoint.OutcomeColdStartEmpty},
-		policy:  resilience.PolicyDrop,
 	}
 	srv := httptest.NewServer(newMux(time.Now(), func() pump.Snapshot { return snap }, plane))
 	defer srv.Close()
@@ -250,10 +298,10 @@ func TestResilienceEndpoints(t *testing.T) {
 		"bitmapfilter_resilience_source_reopens_total 0",
 		"bitmapfilter_resilience_backoff_seconds_total 0",
 		"bitmapfilter_resilience_queue_capacity 8",
-		`bitmapfilter_resilience_shed_frames_total{policy="drop"} 0`,
+		"bitmapfilter_resilience_shed_frames_total 0",
 		"bitmapfilter_resilience_shedding 0",
 		"bitmapfilter_resilience_quarantined_batches_total 2",
-		`bitmapfilter_resilience_quarantined_frames_total{policy="drop"} 7`,
+		"bitmapfilter_resilience_quarantined_frames_total 7",
 		"bitmapfilter_resilience_live 1",
 		"bitmapfilter_resilience_ready 1",
 		`bitmapfilter_resilience_state{state="ready"} 1`,

@@ -176,9 +176,8 @@ type controlPlane struct {
 	sup     *resilience.Supervisor
 	buf     *resilience.Buffer
 	health  *resilience.Health
-	cp      httpapi.CheckpointControl
+	cp      *checkpoint.Checkpointer
 	restore checkpoint.RestoreResult
-	policy  resilience.OverloadPolicy
 }
 
 // newMux wires the endpoints: httpapi's /healthz and /readyz, /stats JSON,
@@ -418,7 +417,6 @@ func (p *controlPlane) punch(w http.ResponseWriter, r *http.Request) {
 // overload queue's and the quarantine's, then httpapi's health and
 // checkpoint sections.
 func (p *controlPlane) writeMetrics(e *httpapi.Expo, snap pump.Snapshot) {
-	pol := p.policy.String()
 	if p.sup != nil {
 		st := p.sup.Stats()
 		e.Counter("bitmapfilter_resilience_source_reads_total", "Batches read from the capture source").Int(st.Reads)
@@ -435,12 +433,12 @@ func (p *controlPlane) writeMetrics(e *httpapi.Expo, snap pump.Snapshot) {
 		e.Gauge("bitmapfilter_resilience_queue_capacity", "The overload queue's bound (-queue)").Int(uint64(st.Capacity))
 		e.Gauge("bitmapfilter_resilience_queue_max_depth", "High-water mark of the overload queue").Int(uint64(st.MaxDepth))
 		e.Counter("bitmapfilter_resilience_accepted_frames_total", "Frames queued for the filter").Int(st.Accepted)
-		e.Counters("bitmapfilter_resilience_shed_frames_total", "Frames discarded under overload, by -on-overload", "policy").Int(pol, st.Shed)
+		e.Counter("bitmapfilter_resilience_shed_frames_total", "Frames discarded under overload: counted, never judged").Int(st.Shed)
 		e.Counter("bitmapfilter_resilience_shed_events_total", "Transitions into shedding").Int(st.ShedEvents)
 		e.Gauge("bitmapfilter_resilience_shedding", "Whether the queue is shedding now").Bool(st.Shedding)
 	}
 	e.Counter("bitmapfilter_resilience_quarantined_batches_total", "Batches whose judge panicked, isolated").Int(snap.QuarantinedBatches)
-	e.Counters("bitmapfilter_resilience_quarantined_frames_total", "Frames in quarantined batches: counted under the overload policy, never judged", "policy").Int(pol, snap.QuarantinedFrames)
+	e.Counter("bitmapfilter_resilience_quarantined_frames_total", "Frames in quarantined batches: counted, never judged").Int(snap.QuarantinedFrames)
 	httpapi.WriteHealth(e, p.health)
 	httpapi.WriteCheckpoint(e, p.cp, p.restore)
 }

@@ -1,6 +1,7 @@
 package bitvector
 
 import (
+	"slices"
 	"testing"
 
 	"bitmapfilter/internal/xrand"
@@ -76,7 +77,7 @@ func TestPrefetchChangesNothing(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			v.Set(r.Uint64())
 		}
-		before := v.Clone()
+		before := &Vector{words: slices.Clone(v.words), order: v.order, mask: v.mask, count: v.count}
 		last := v.Len() - 1
 		for _, idxs := range [][]uint64{
 			nil,

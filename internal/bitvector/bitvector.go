@@ -201,43 +201,6 @@ func (v *Vector) Utilization() float64 {
 	return float64(v.PopCount()) / float64(v.Len())
 }
 
-// Or sets v to the bitwise OR of v and other. It returns an error if the two
-// vectors have different orders.
-func (v *Vector) Or(other *Vector) error {
-	if other.order != v.order {
-		return fmt.Errorf("bitvector: or of order %d with order %d", v.order, other.order)
-	}
-	for i, w := range other.words {
-		merged := v.words[i] | w
-		v.count += uint64(bits.OnesCount64(merged &^ v.words[i]))
-		v.words[i] = merged
-	}
-	return nil
-}
-
-// CopyFrom overwrites v with the contents of other. It returns an error if
-// the two vectors have different orders.
-func (v *Vector) CopyFrom(other *Vector) error {
-	if other.order != v.order {
-		return fmt.Errorf("bitvector: copy of order %d into order %d", other.order, v.order)
-	}
-	copy(v.words, other.words)
-	v.count = other.count
-	return nil
-}
-
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	c := &Vector{
-		words: make([]uint64, len(v.words)),
-		order: v.order,
-		mask:  v.mask,
-		count: v.count,
-	}
-	copy(c.words, v.words)
-	return c
-}
-
 // Equal reports whether v and other have identical size and contents.
 func (v *Vector) Equal(other *Vector) bool {
 	if v.order != other.order || v.count != other.count {

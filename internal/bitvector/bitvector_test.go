@@ -122,55 +122,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestOr(t *testing.T) {
-	a := MustNew(8)
-	b := MustNew(8)
-	a.Set(1)
-	b.Set(2)
-	if err := a.Or(b); err != nil {
-		t.Fatalf("Or: %v", err)
-	}
-	if !a.Test(1) || !a.Test(2) {
-		t.Error("Or did not union bits")
-	}
-	c := MustNew(9)
-	if err := a.Or(c); err == nil {
-		t.Error("Or across orders did not error")
-	}
-}
-
-func TestCopyFromAndClone(t *testing.T) {
-	a := MustNew(8)
-	a.Set(5)
-	a.Set(200)
-
-	b := MustNew(8)
-	if err := b.CopyFrom(a); err != nil {
-		t.Fatalf("CopyFrom: %v", err)
-	}
-	if !b.Equal(a) {
-		t.Error("CopyFrom result not equal")
-	}
-	b.Set(7)
-	if a.Test(7) {
-		t.Error("CopyFrom aliases storage")
-	}
-
-	c := a.Clone()
-	if !c.Equal(a) {
-		t.Error("Clone not equal")
-	}
-	c.Set(9)
-	if a.Test(9) {
-		t.Error("Clone aliases storage")
-	}
-
-	d := MustNew(9)
-	if err := d.CopyFrom(a); err == nil {
-		t.Error("CopyFrom across orders did not error")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a, b := MustNew(8), MustNew(8)
 	if !a.Equal(b) {

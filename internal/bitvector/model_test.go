@@ -43,12 +43,6 @@ func (m model) testAll(idxs []uint64) bool {
 	return true
 }
 
-func (m model) or(o model) {
-	for i, b := range o {
-		m[i] = m[i] || b
-	}
-}
-
 // check asserts that v holds exactly the model's bits and that its running
 // count equals both the model's population and Σ OnesCount64 of the words.
 func (m model) check(t *testing.T, v *Vector, label string) {
@@ -226,7 +220,7 @@ func FuzzCountCoherence(f *testing.F) {
 			for n := 0; n < int(op)%(hashfam.MaxFunctions+1); n++ {
 				group = append(group, next(&i))
 			}
-			switch op % 9 {
+			switch op % 8 {
 			case 0:
 				h := next(&i)
 				if got, want := v.Set(h), vm.set(h); got != want {
@@ -252,16 +246,7 @@ func FuzzCountCoherence(f *testing.F) {
 				h := next(&i)
 				other.Set(h)
 				om.set(h)
-				if err := v.Or(other); err != nil {
-					t.Fatal(err)
-				}
-				vm.or(om)
 			case 6:
-				if err := v.CopyFrom(other); err != nil {
-					t.Fatal(err)
-				}
-				copy(vm, om)
-			case 7:
 				var buf bytes.Buffer
 				if _, err := other.WriteTo(&buf); err != nil {
 					t.Fatal(err)
@@ -270,7 +255,7 @@ func FuzzCountCoherence(f *testing.F) {
 					t.Fatal(err)
 				}
 				copy(vm, om)
-			case 8:
+			case 7:
 				v.Reset()
 				clear(vm)
 			}

@@ -80,44 +80,6 @@ func TestRunningCountReset(t *testing.T) {
 	checkCount(t, v, "after Reset")
 }
 
-func TestRunningCountOr(t *testing.T) {
-	a, b := MustNew(10), MustNew(10)
-	r := xrand.New(3)
-	for i := 0; i < 400; i++ {
-		a.Set(r.Uint64())
-		b.Set(r.Uint64())
-	}
-	// Overlap so the OR must not double-count shared bits.
-	a.Set(7)
-	b.Set(7)
-	if err := a.Or(b); err != nil {
-		t.Fatal(err)
-	}
-	checkCount(t, a, "after Or")
-	if err := a.Or(b); err != nil { // second OR is a no-op for the count
-		t.Fatal(err)
-	}
-	checkCount(t, a, "after idempotent Or")
-}
-
-func TestRunningCountCopyFromClone(t *testing.T) {
-	a, b := MustNew(10), MustNew(10)
-	r := xrand.New(4)
-	for i := 0; i < 250; i++ {
-		a.Set(r.Uint64())
-	}
-	b.Set(99) // b has prior state the copy must replace
-	if err := b.CopyFrom(a); err != nil {
-		t.Fatal(err)
-	}
-	checkCount(t, b, "after CopyFrom")
-	if b.PopCount() != a.PopCount() {
-		t.Errorf("CopyFrom count %d != source %d", b.PopCount(), a.PopCount())
-	}
-	c := a.Clone()
-	checkCount(t, c, "after Clone")
-}
-
 func TestRunningCountReadFrom(t *testing.T) {
 	a := MustNew(10)
 	r := xrand.New(5)

@@ -109,7 +109,7 @@ func NewRing(n, snapLen int) []Frame {
 	case snapLen > pcap.MaxRecordLen:
 		snapLen = pcap.MaxRecordLen
 	}
-	ring := make([]Frame, n) //bf:allow boundedalloc n is the operator's ring size (-queue, -batch), set in configuration, never read from a frame
+	ring := make([]Frame, n) //bf:allow boundedalloc n is a ring size set in configuration (-queue) or a constant read size, never read from a frame
 	for i := range ring {
 		ring[i].Data = make([]byte, 0, snapLen)
 	}

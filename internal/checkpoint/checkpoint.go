@@ -44,16 +44,22 @@ import (
 // rotation file.
 const BackupSuffix = ".bak"
 
-// Defaults for Config fields left zero.
-const (
-	DefaultInterval = 30 * time.Second
-	DefaultJitter   = 0.1
-	DefaultRetries  = 3
-	DefaultBackoff  = 250 * time.Millisecond
-)
+// DefaultInterval is the checkpoint period for a zero Config.Interval.
+const DefaultInterval = 30 * time.Second
 
-// maxBackoff caps the exponential retry backoff.
-const maxBackoff = 8 * time.Second
+// The checkpointer's schedule and retry policy.
+const (
+	// intervalJitter is the fraction of Interval each period is uniformly
+	// perturbed by (±), so fleets don't checkpoint in lockstep.
+	intervalJitter = 0.1
+	// saveRetries bounds how many times a failed save is retried within
+	// one checkpoint round.
+	saveRetries = 3
+	// firstBackoff is the first retry delay; it doubles per retry up to
+	// maxBackoff.
+	firstBackoff = 250 * time.Millisecond
+	maxBackoff   = 8 * time.Second
+)
 
 // ErrNoWriter is returned by New when the Config carries no snapshot
 // writer.
@@ -255,18 +261,6 @@ type Config struct {
 	Write func(io.Writer) error
 	// Interval between periodic checkpoints (DefaultInterval if zero).
 	Interval time.Duration
-	// Jitter is the fraction of Interval each period is uniformly
-	// perturbed by (±), so fleets don't checkpoint in lockstep.
-	// DefaultJitter if zero; negative disables jitter.
-	Jitter float64
-	// Retries bounds how many times a failed save is retried within one
-	// checkpoint round (DefaultRetries if zero; negative disables).
-	Retries int
-	// Backoff is the first retry delay; it doubles per retry up to an
-	// internal cap (DefaultBackoff if zero).
-	Backoff time.Duration
-	// Seed randomizes the jitter; 0 derives one from the wall clock.
-	Seed uint64
 	// Heartbeat, when set, is called once per completed checkpoint round
 	// (successful or not) — the liveness signal a resilience.Watchdog
 	// probe uses to tell "checkpoints keep happening" from "the
@@ -303,6 +297,9 @@ type Stats struct {
 type Checkpointer struct {
 	cfg  Config
 	fsys fileSystem
+	// backoff is the first retry delay: firstBackoff, shortened by the
+	// retry tests.
+	backoff time.Duration
 
 	// runMu serializes saves: a manual CheckpointNow never interleaves
 	// bytes with a periodic save.
@@ -315,8 +312,8 @@ type Checkpointer struct {
 	done  chan struct{} //bf:guardedby mu
 }
 
-// New validates cfg, applies defaults and returns a Checkpointer. The
-// loop is not started; CheckpointNow works immediately.
+// New validates cfg, applies the default interval and returns a
+// Checkpointer. The loop is not started; CheckpointNow works immediately.
 func New(cfg Config) (*Checkpointer, error) {
 	if cfg.Write == nil {
 		return nil, ErrNoWriter
@@ -330,33 +327,12 @@ func New(cfg Config) (*Checkpointer, error) {
 	if cfg.Interval < 0 {
 		return nil, fmt.Errorf("checkpoint: negative interval %v", cfg.Interval)
 	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = DefaultJitter
-	}
-	if cfg.Jitter < 0 {
-		cfg.Jitter = 0
-	}
-	if cfg.Jitter > 0.5 {
-		cfg.Jitter = 0.5
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = DefaultRetries
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = DefaultBackoff
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = uint64(time.Now().UnixNano())
-	}
 	return &Checkpointer{
-		cfg:   cfg,
-		fsys:  osFS{},
-		stats: Stats{Interval: cfg.Interval},
-		rng:   xrand.New(seed),
+		cfg:     cfg,
+		fsys:    osFS{},
+		backoff: firstBackoff,
+		stats:   Stats{Interval: cfg.Interval},
+		rng:     xrand.New(uint64(time.Now().UnixNano())),
 	}, nil
 }
 
@@ -409,11 +385,8 @@ func (c *Checkpointer) loop(stop <-chan struct{}, done chan<- struct{}) {
 func (c *Checkpointer) nextInterval() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cfg.Jitter == 0 {
-		return c.cfg.Interval
-	}
 	// Uniform in [1-j, 1+j] × Interval.
-	scale := 1 + c.cfg.Jitter*(2*c.rng.Float64()-1)
+	scale := 1 + intervalJitter*(2*c.rng.Float64()-1)
 	return time.Duration(float64(c.cfg.Interval) * scale)
 }
 
@@ -424,15 +397,16 @@ func (c *Checkpointer) CheckpointNow() error {
 	return c.checkpoint(nil)
 }
 
-// checkpoint runs one save round: attempt, then up to Retries retries
-// with exponential backoff. A Stop during backoff abandons the round.
+// checkpoint runs one save round: attempt, then up to saveRetries
+// retries with exponential backoff. A Stop during backoff abandons the
+// round.
 func (c *Checkpointer) checkpoint(stop <-chan struct{}) error {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
 	if c.cfg.Heartbeat != nil {
 		defer c.cfg.Heartbeat()
 	}
-	backoff := c.cfg.Backoff
+	backoff := c.backoff
 	var err error
 	for attempt := 0; ; attempt++ {
 		var n int64
@@ -442,7 +416,7 @@ func (c *Checkpointer) checkpoint(stop <-chan struct{}) error {
 			return nil
 		}
 		c.logf("checkpoint: attempt %d failed: %v", attempt+1, err)
-		if attempt >= c.cfg.Retries {
+		if attempt >= saveRetries {
 			return err
 		}
 		t := time.NewTimer(backoff)

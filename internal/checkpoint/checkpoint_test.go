@@ -390,17 +390,16 @@ func TestCheckpointNowRetriesTransientFailures(t *testing.T) {
 	c, err := New(Config{
 		Path:     "/d/state.bmf",
 		Write:    f.WriteSnapshot,
-		Backoff:  time.Microsecond,
-		Retries:  3,
 		Interval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.fsys = &flakyFS{fileSystem: newMemFS(), failures: 2}
+	c.backoff = time.Microsecond
 
 	if err := c.CheckpointNow(); err != nil {
-		t.Fatalf("CheckpointNow with 2 transient failures and 3 retries: %v", err)
+		t.Fatalf("CheckpointNow with 2 transient failures and %d retries: %v", saveRetries, err)
 	}
 	s := c.Stats()
 	if s.Attempts != 3 || s.Failures != 2 || s.Successes != 1 {
@@ -417,22 +416,21 @@ func TestCheckpointNowRetriesTransientFailures(t *testing.T) {
 func TestCheckpointNowExhaustsRetries(t *testing.T) {
 	f := testFilter(t, 10, 8)
 	c, err := New(Config{
-		Path:    "/d/state.bmf",
-		Write:   f.WriteSnapshot,
-		Backoff: time.Microsecond,
-		Retries: 2,
+		Path:  "/d/state.bmf",
+		Write: f.WriteSnapshot,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.fsys = &flakyFS{fileSystem: newMemFS(), failures: 10}
+	c.backoff = time.Microsecond
 
 	if err := c.CheckpointNow(); err == nil {
 		t.Fatal("CheckpointNow succeeded with persistent failures")
 	}
 	s := c.Stats()
-	if s.Attempts != 3 || s.Failures != 3 || s.Successes != 0 {
-		t.Errorf("stats = %+v, want 3 attempts / 3 failures / 0 successes", s)
+	if want := uint64(1 + saveRetries); s.Attempts != want || s.Failures != want || s.Successes != 0 {
+		t.Errorf("stats = %+v, want %d attempts / %d failures / 0 successes", s, want, want)
 	}
 	if !strings.Contains(s.LastError, "transient storage failure") {
 		t.Errorf("LastError = %q", s.LastError)
@@ -447,7 +445,6 @@ func TestCheckpointerPeriodicLoop(t *testing.T) {
 		Path:     path,
 		Write:    f.WriteSnapshot,
 		Interval: 5 * time.Millisecond,
-		Seed:     1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -479,13 +476,11 @@ func TestNextIntervalJitterBounds(t *testing.T) {
 		Path:     "/d/s",
 		Write:    func(io.Writer) error { return nil },
 		Interval: time.Second,
-		Jitter:   0.1,
-		Seed:     42,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := time.Duration(float64(time.Second)*0.9), time.Duration(float64(time.Second)*1.1)
+	lo, hi := time.Duration(float64(time.Second)*(1-intervalJitter)), time.Duration(float64(time.Second)*(1+intervalJitter))
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 200; i++ {
 		d := c.nextInterval()

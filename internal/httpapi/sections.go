@@ -15,15 +15,6 @@ import (
 	"bitmapfilter/internal/resilience"
 )
 
-// CheckpointControl is the checkpoint surface a daemon drives and
-// WriteCheckpoint reads: *checkpoint.Checkpointer implements it.
-type CheckpointControl interface {
-	// CheckpointNow persists one snapshot synchronously.
-	CheckpointNow() error
-	// Stats returns the checkpointer's counters for metrics export.
-	Stats() checkpoint.Stats
-}
-
 // MountProbes serves GET /healthz — 503 and the stalled probes' names when a
 // supervised loop stalls — and GET /readyz — 503 and the reason until the
 // daemon is ready, and again once it drains, so a load balancer stops
@@ -82,16 +73,26 @@ func WriteHealth(e *Expo, health *resilience.Health) {
 }
 
 // WriteCheckpoint writes the bitmapfilter_checkpoint_* family: whether
-// checkpointing is configured at all (ctl may be nil) and, if so, what the
+// checkpointing is configured at all (cp may be nil) and, if so, what the
 // checkpointer has done and which rung of the restore ladder produced the
 // running state — all four rungs, one of them 1, so an alert on
 // {outcome="primary"} == 0 can fire.
-func WriteCheckpoint(e *Expo, ctl CheckpointControl, restore checkpoint.RestoreResult) {
-	e.Gauge("bitmapfilter_checkpoint_enabled", "Whether crash-safe checkpointing is configured").Bool(ctl != nil)
-	if ctl == nil {
+func WriteCheckpoint(e *Expo, cp *checkpoint.Checkpointer, restore checkpoint.RestoreResult) {
+	var cs *checkpoint.Stats
+	if cp != nil {
+		s := cp.Stats()
+		cs = &s
+	}
+	writeCheckpoint(e, cs, restore)
+}
+
+// writeCheckpoint is WriteCheckpoint over the checkpointer's counters, nil
+// without one.
+func writeCheckpoint(e *Expo, cs *checkpoint.Stats, restore checkpoint.RestoreResult) {
+	e.Gauge("bitmapfilter_checkpoint_enabled", "Whether crash-safe checkpointing is configured").Bool(cs != nil)
+	if cs == nil {
 		return
 	}
-	cs := ctl.Stats()
 	age := -1.0
 	if !cs.LastSuccess.IsZero() {
 		age = time.Since(cs.LastSuccess).Seconds()

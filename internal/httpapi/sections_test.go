@@ -16,15 +16,16 @@ import (
 )
 
 // sectionsServer serves the probes for health and, on GET /metrics, the
-// health and checkpoint sections as a daemon's mux writes them.
-func sectionsServer(t *testing.T, health *resilience.Health, cp CheckpointControl, restore checkpoint.RestoreResult) *httptest.Server {
+// health and checkpoint sections as a daemon's mux writes them: the
+// checkpointer's counters are cs, nil without one.
+func sectionsServer(t *testing.T, health *resilience.Health, cs *checkpoint.Stats, restore checkpoint.RestoreResult) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	MountProbes(mux, health)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		var e Expo
 		WriteHealth(&e, health)
-		WriteCheckpoint(&e, cp, restore)
+		writeCheckpoint(&e, cs, restore)
 		e.Reply(w)
 	})
 	srv := httptest.NewServer(mux)
@@ -139,17 +140,11 @@ func TestUnknownPath(t *testing.T) {
 	}
 }
 
-// fakeCheckpointer serves canned stats.
-type fakeCheckpointer struct{ stats checkpoint.Stats }
-
-func (f *fakeCheckpointer) CheckpointNow() error    { return nil }
-func (f *fakeCheckpointer) Stats() checkpoint.Stats { return f.stats }
-
 func TestMetricsCheckpointSeries(t *testing.T) {
-	cp := &fakeCheckpointer{stats: checkpoint.Stats{
+	cp := &checkpoint.Stats{
 		Attempts: 3, Successes: 3, LastBytes: 512,
 		LastSuccess: time.Now().Add(-2 * time.Second),
-	}}
+	}
 	_, text := get(t, sectionsServer(t, nil, cp, checkpoint.RestoreResult{Outcome: checkpoint.OutcomePrimary, File: "/s.bmf"}), "/metrics")
 	for _, want := range []string{
 		"bitmapfilter_checkpoint_enabled 1",
@@ -172,7 +167,11 @@ func TestMetricsCheckpointSeries(t *testing.T) {
 
 	// Without a checkpointer the enabled gauge reads 0 and no other
 	// checkpoint series appear.
-	_, plain := get(t, sectionsServer(t, nil, nil, checkpoint.RestoreResult{}), "/metrics")
+	var e Expo
+	WriteCheckpoint(&e, nil, checkpoint.RestoreResult{})
+	rec := httptest.NewRecorder()
+	e.Reply(rec)
+	plain := rec.Body.String()
 	if !strings.Contains(plain, "bitmapfilter_checkpoint_enabled 0") {
 		t.Error("disabled gauge missing")
 	}
@@ -223,7 +222,7 @@ func TestMetricsSamplesPreserved(t *testing.T) {
 	clock.Store(int64(1500 * time.Millisecond))
 	health := resilience.NewHealth(wd)
 	health.SetReady()
-	cp := &fakeCheckpointer{stats: checkpoint.Stats{Attempts: 5, Successes: 3, Failures: 2, LastBytes: 1 << 20}}
+	cp := &checkpoint.Stats{Attempts: 5, Successes: 3, Failures: 2, LastBytes: 1 << 20}
 
 	golden, err := os.ReadFile("testdata/sections_parent.txt")
 	if err != nil {
@@ -244,7 +243,7 @@ func TestMetricsSamplesPreserved(t *testing.T) {
 func TestMetricsContract(t *testing.T) {
 	wd := resilience.NewWatchdog(nil)
 	wd.Heartbeat("pump", time.Minute)
-	kinds, problems := expotest.Check(scrape(t, sectionsServer(t, resilience.NewHealth(wd), &fakeCheckpointer{}, checkpoint.RestoreResult{})))
+	kinds, problems := expotest.Check(scrape(t, sectionsServer(t, resilience.NewHealth(wd), &checkpoint.Stats{}, checkpoint.RestoreResult{})))
 	for _, p := range problems {
 		t.Error(p)
 	}

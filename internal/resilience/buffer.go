@@ -9,59 +9,20 @@ import (
 	"bitmapfilter/internal/capture"
 )
 
-// OverloadPolicy says what a shed frame *means*. The buffer itself can
-// only discard frames it has no room to judge; the policy decides which
-// failure semantics the deployment wants, and for a positive-listing
-// reply filter the two are opposites:
-//
-//   - PolicyAdmit (fail-open): unjudged traffic is treated as admitted.
-//     The link stays useful under overload, but every shed incoming
-//     packet is a packet the filter never screened — an attacker who
-//     can force overload buys penetration. This is the availability
-//     posture.
-//   - PolicyDrop (fail-closed): unjudged traffic is treated as dropped.
-//     Overload costs legitimate replies (exactly the clients the paper
-//     protects), but the filter never waves attack traffic through
-//     unscreened. This is the security posture, and the default.
-type OverloadPolicy uint8
+// DefaultCapacity is the queue depth NewBuffer applies for a zero
+// BufferConfig.Capacity.
+const DefaultCapacity = 4096
 
+// The intake and the shed window.
 const (
-	// PolicyDrop is fail-closed: shed frames count as dropped.
-	PolicyDrop OverloadPolicy = iota
-	// PolicyAdmit is fail-open: shed frames count as admitted.
-	PolicyAdmit
-)
-
-// String returns "drop" or "admit" (the -on-overload flag values).
-func (p OverloadPolicy) String() string {
-	switch p {
-	case PolicyDrop:
-		return "drop"
-	case PolicyAdmit:
-		return "admit"
-	default:
-		return fmt.Sprintf("policy(%d)", uint8(p))
-	}
-}
-
-// ParsePolicy parses an -on-overload flag value.
-func ParsePolicy(s string) (OverloadPolicy, error) {
-	switch s {
-	case "drop":
-		return PolicyDrop, nil
-	case "admit":
-		return PolicyAdmit, nil
-	default:
-		return 0, fmt.Errorf("resilience: unknown overload policy %q (want admit or drop)", s)
-	}
-}
-
-// Buffer defaults.
-const (
-	DefaultCapacity      = 4096
-	DefaultReadBatch     = 256
-	DefaultHighWatermark = 0.9
-	DefaultLowWatermark  = 0.7
+	// intakeBatch is the intake goroutine's read size, in frames.
+	intakeBatch = 256
+	// highWatermark starts shedding when depth/capacity reaches it;
+	// lowWatermark stops shedding once depth/capacity falls back to it.
+	// The hysteresis gap keeps the filter from flapping in and out of
+	// shedding on every frame.
+	highWatermark = 0.9
+	lowWatermark  = 0.7
 )
 
 // BufferConfig parameterizes a Buffer.
@@ -72,21 +33,6 @@ type BufferConfig struct {
 	// SnapLen is the per-slot byte capacity
 	// (capture.DefaultSnapLen if 0).
 	SnapLen int
-	// ReadBatch is the intake goroutine's batch size
-	// (DefaultReadBatch if 0).
-	ReadBatch int
-	// HighWatermark starts shedding when depth/capacity reaches it;
-	// LowWatermark stops shedding once depth/capacity falls back to it.
-	// The hysteresis gap keeps the filter from flapping in and out of
-	// shedding on every frame. Defaults 0.9 / 0.7.
-	HighWatermark float64
-	LowWatermark  float64
-	// Policy is the fail-open/fail-closed accounting for shed frames.
-	Policy OverloadPolicy
-	// Heartbeat, when set, is called once per intake iteration — the
-	// signal a Watchdog probe uses to tell "parked on a quiet source"
-	// from "wedged".
-	Heartbeat func()
 	// Logf, when set, receives one line per shedding transition.
 	Logf func(format string, args ...any)
 }
@@ -103,8 +49,6 @@ type BufferStats struct {
 	Depth, MaxDepth, Capacity int
 	// Shedding reports whether the buffer is currently shedding.
 	Shedding bool
-	// Policy echoes the configured overload policy.
-	Policy OverloadPolicy
 }
 
 // Buffer decouples capture from filtering with a bounded frame queue:
@@ -161,15 +105,6 @@ func NewBuffer(src capture.Source, cfg BufferConfig) *Buffer {
 	if cfg.SnapLen <= 0 {
 		cfg.SnapLen = capture.DefaultSnapLen
 	}
-	if cfg.ReadBatch <= 0 {
-		cfg.ReadBatch = DefaultReadBatch
-	}
-	if cfg.HighWatermark <= 0 || cfg.HighWatermark > 1 {
-		cfg.HighWatermark = DefaultHighWatermark
-	}
-	if cfg.LowWatermark <= 0 || cfg.LowWatermark > cfg.HighWatermark {
-		cfg.LowWatermark = min(DefaultLowWatermark, cfg.HighWatermark)
-	}
 	b := &Buffer{
 		src:        src,
 		cfg:        cfg,
@@ -183,8 +118,8 @@ func NewBuffer(src capture.Source, cfg BufferConfig) *Buffer {
 
 // highDepth and lowDepth convert the watermark fractions to frame
 // counts. High is clamped to ≥1 so a tiny queue still accepts frames.
-func (b *Buffer) highDepth() int { return max(1, int(float64(b.cfg.Capacity)*b.cfg.HighWatermark)) }
-func (b *Buffer) lowDepth() int  { return int(float64(b.cfg.Capacity) * b.cfg.LowWatermark) }
+func (b *Buffer) highDepth() int { return max(1, int(float64(b.cfg.Capacity)*highWatermark)) }
+func (b *Buffer) lowDepth() int  { return int(float64(b.cfg.Capacity) * lowWatermark) }
 
 // intake drains the source into the queue until it ends. The frames it
 // copies may alias a mapped trace (capture.OpenTrace), so it runs with
@@ -198,12 +133,9 @@ func (b *Buffer) intake() {
 		}
 	}()
 	debug.SetPanicOnFault(true)
-	ring := capture.NewRing(b.cfg.ReadBatch, b.cfg.SnapLen)
+	ring := capture.NewRing(intakeBatch, b.cfg.SnapLen)
 	for {
 		n, err := b.src.ReadBatch(ring)
-		if b.cfg.Heartbeat != nil {
-			b.cfg.Heartbeat()
-		}
 		if n > 0 {
 			b.push(ring[:n])
 		}
@@ -231,7 +163,7 @@ func (b *Buffer) push(frames []capture.Frame) {
 			b.shedding = true
 			b.shedEvents++
 			if logShedEvent(b.shedEvents) {
-				b.logf("overload: queue at %d/%d, shedding (%s, event %d)", b.count, b.cfg.Capacity, b.cfg.Policy, b.shedEvents)
+				b.logf("overload: queue at %d/%d, shedding (event %d)", b.count, b.cfg.Capacity, b.shedEvents)
 			}
 		}
 		if b.shedding {
@@ -339,6 +271,5 @@ func (b *Buffer) Stats() BufferStats {
 		MaxDepth:   b.maxDepth,
 		Capacity:   b.cfg.Capacity,
 		Shedding:   b.shedding,
-		Policy:     b.cfg.Policy,
 	}
 }

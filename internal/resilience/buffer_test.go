@@ -15,16 +15,9 @@ import (
 
 // newDetachedBuffer builds a Buffer with no intake goroutine so tests
 // can drive push/ReadBatch deterministically from one goroutine.
-func newDetachedBuffer(capacity int, policy OverloadPolicy) *Buffer {
+func newDetachedBuffer(capacity int) *Buffer {
 	b := &Buffer{
-		cfg: BufferConfig{
-			Capacity:      capacity,
-			SnapLen:       64,
-			ReadBatch:     8,
-			HighWatermark: DefaultHighWatermark,
-			LowWatermark:  DefaultLowWatermark,
-			Policy:        policy,
-		},
+		cfg:   BufferConfig{Capacity: capacity, SnapLen: 64},
 		slots: capture.NewRing(capacity, 64),
 	}
 	// No intake goroutine to join: pre-close the channel so Close does
@@ -42,25 +35,6 @@ func burst(n int) []capture.Frame {
 		fillFrame(&frames[i], i)
 	}
 	return frames
-}
-
-func TestParsePolicy(t *testing.T) {
-	if p, err := ParsePolicy("drop"); err != nil || p != PolicyDrop {
-		t.Errorf("ParsePolicy(drop) = %v, %v", p, err)
-	}
-	if p, err := ParsePolicy("admit"); err != nil || p != PolicyAdmit {
-		t.Errorf("ParsePolicy(admit) = %v, %v", p, err)
-	}
-	if _, err := ParsePolicy("panic"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
-	}
-	if PolicyDrop.String() != "drop" || PolicyAdmit.String() != "admit" {
-		t.Error("policy String round-trip broken")
-	}
-	var zero OverloadPolicy
-	if zero != PolicyDrop {
-		t.Error("zero value must be the fail-closed policy")
-	}
 }
 
 // TestBufferPassthrough: frames flow through the queue in order and the
@@ -150,7 +124,7 @@ func TestBufferCopiesAliasedFrames(t *testing.T) {
 // TestBufferOrderPreserved: the circular queue must not reorder or
 // corrupt frames across wrap-around.
 func TestBufferOrderPreserved(t *testing.T) {
-	b := newDetachedBuffer(16, PolicyDrop)
+	b := newDetachedBuffer(16)
 	frames := burst(10)
 	ring := capture.NewRing(4, 64)
 	next := byte(0)
@@ -180,7 +154,7 @@ func TestBufferOrderPreserved(t *testing.T) {
 // begins at the high watermark, persists until the queue drains to the
 // low watermark, and restarts only at the high watermark again.
 func TestBufferWatermarkHysteresis(t *testing.T) {
-	b := newDetachedBuffer(10, PolicyDrop) // high=9, low=7
+	b := newDetachedBuffer(10) // high=9, low=7 (highWatermark, lowWatermark)
 	b.push(burst(20))
 	st := b.Stats()
 	if st.Accepted != 9 || st.Shed != 11 || st.ShedEvents != 1 || !st.Shedding {
@@ -287,7 +261,7 @@ func TestBufferPropagatesTerminalError(t *testing.T) {
 // TestBufferZeroAllocsSteadyState pins the copy-in/copy-out contract:
 // once the slot ring is warm, pushes and pops allocate nothing.
 func TestBufferZeroAllocsSteadyState(t *testing.T) {
-	b := newDetachedBuffer(64, PolicyDrop)
+	b := newDetachedBuffer(64)
 	frames := burst(16)
 	ring := capture.NewRing(16, 64)
 	// Warm the slot Data capacities.
@@ -308,7 +282,7 @@ func TestBufferZeroAllocsSteadyState(t *testing.T) {
 
 // TestBufferEmptyRead: a zero-length destination returns immediately.
 func TestBufferEmptyRead(t *testing.T) {
-	b := newDetachedBuffer(4, PolicyDrop)
+	b := newDetachedBuffer(4)
 	if n, err := b.ReadBatch(nil); n != 0 || err != nil {
 		t.Errorf("ReadBatch(nil) = %d, %v", n, err)
 	}

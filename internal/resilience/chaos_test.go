@@ -42,7 +42,7 @@ func noLeakedGoroutines(t *testing.T) {
 // TestChaosSurvivesThousandTransientFailures is the headline injection:
 // a source that fails on every other read, 1000 failures across the
 // run, supervised and buffered. Every frame must arrive, every failure
-// must be counted, every backoff must stay within the configured cap,
+// must be counted, every backoff must stay at the bottom of the ladder,
 // and no goroutine may outlive the stack.
 func TestChaosSurvivesThousandTransientFailures(t *testing.T) {
 	noLeakedGoroutines(t)
@@ -54,10 +54,8 @@ func TestChaosSurvivesThousandTransientFailures(t *testing.T) {
 	src := &flakySource{total: wantFrames, perRead: 2, errEvery: 2, err: errTransient}
 	sl := newInstantSleep()
 	sup, err := NewSupervisor(SupervisorConfig{
-		Open:        func() (capture.Source, error) { return src, nil },
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  50 * time.Millisecond,
-		Sleep:       sl.sleep,
+		Open:  func() (capture.Source, error) { return src, nil },
+		Sleep: sl.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,13 +81,12 @@ func TestChaosSurvivesThousandTransientFailures(t *testing.T) {
 		t.Errorf("backoffs = %d, want %d", st.Backoffs, wantFailures)
 	}
 
-	// Bounded backoff: every sleep within the cap, and — because a
-	// success always intervened — every sleep from the bottom of the
-	// ladder (base ± jitter).
+	// Bounded backoff: because a success always intervened, every sleep
+	// is from the bottom of the ladder (base ± jitter).
 	if len(sl.slept) != wantFailures {
 		t.Fatalf("recorded %d backoff sleeps, want %d", len(sl.slept), wantFailures)
 	}
-	maxAllowed := time.Duration(float64(time.Millisecond) * (1 + DefaultJitter))
+	maxAllowed := time.Duration(float64(baseBackoff) * (1 + backoffJitter))
 	for i, d := range sl.slept {
 		if d <= 0 || d > maxAllowed {
 			t.Fatalf("backoff %d = %v, want (0, %v]", i, d, maxAllowed)
@@ -111,8 +108,9 @@ func TestChaosSurvivesThousandTransientFailures(t *testing.T) {
 }
 
 // TestChaosReopenStorm: sources that die for good every few frames, a
-// factory that keeps replacing them. The stream must continue across
-// hundreds of reopens with the budget reset by each successful read.
+// factory that keeps replacing them after reopenAfter failures each. The
+// stream must continue across hundreds of reopens with the budget reset
+// by each successful read.
 func TestChaosReopenStorm(t *testing.T) {
 	noLeakedGoroutines(t)
 
@@ -130,8 +128,7 @@ func TestChaosReopenStorm(t *testing.T) {
 			}
 			return &dyingSource{healthy: perSource, err: errTransient}, nil
 		},
-		ReopenAfter: 1, // reopen on the first failure of each source
-		Sleep:       sl.sleep,
+		Sleep: sl.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +141,8 @@ func TestChaosReopenStorm(t *testing.T) {
 	if st.Reopens != sources {
 		t.Errorf("reopens = %d, want %d", st.Reopens, sources)
 	}
-	if st.TransientErrors != sources {
-		t.Errorf("transient errors = %d, want %d", st.TransientErrors, sources)
+	if st.TransientErrors != reopenAfter*sources {
+		t.Errorf("transient errors = %d, want %d", st.TransientErrors, reopenAfter*sources)
 	}
 }
 
@@ -202,15 +199,17 @@ func TestChaosStallingSourceFlagsWatchdog(t *testing.T) {
 	h := NewHealth(wd)
 
 	sup, err := NewSupervisor(SupervisorConfig{
-		Open: func() (capture.Source, error) { return src, nil },
+		Open:      func() (capture.Source, error) { return src, nil },
+		Heartbeat: probe.Beat,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := NewBuffer(sup, BufferConfig{Capacity: 16, SnapLen: 64, Heartbeat: probe.Beat})
+	buf := NewBuffer(sup, BufferConfig{Capacity: 16, SnapLen: 64})
 	h.SetReady()
 
-	// The intake is parked inside the stalled source; no beats arrive.
+	// The intake is parked inside the stalled source; no read succeeds, so
+	// no beats arrive.
 	clk.advance(time.Second)
 	if ok, detail := h.Live(); ok {
 		t.Error("live while the intake is wedged")
@@ -221,7 +220,7 @@ func TestChaosStallingSourceFlagsWatchdog(t *testing.T) {
 		t.Error("ready while the intake is wedged")
 	}
 
-	// Release the wedge: a frame flows, the intake beats, health
+	// Release the wedge: a frame flows, the supervised read beats, health
 	// recovers.
 	close(src.release)
 	ring := capture.NewRing(1, 64)

@@ -10,19 +10,17 @@
 //     backoff, and reopen-on-failure through a factory, so a flapping
 //     AF_PACKET socket or a truncated pcap no longer kills the daemon.
 //   - Buffer is a bounded frame-ring stage with watermark-based
-//     shedding and an explicit fail-open vs. fail-closed overload
-//     policy. For a positive-listing reply filter the two failure
-//     semantics have opposite security meaning (see OverloadPolicy);
-//     everything shed is counted.
+//     shedding: a frame shed under overload is counted and never
+//     judged.
 //   - Watchdog collects heartbeats from the capture loop, the batch
-//     loop and the checkpointer, flags stalls (a wedged loop, a
-//     rotation that stopped advancing), and Health turns them into
-//     /healthz (liveness) and /readyz (readiness) answers.
+//     loop and the checkpointer, flags stalls (a wedged loop), and
+//     Health turns them into /healthz (liveness) and /readyz
+//     (readiness) answers.
 //
 // Both Supervisor and Buffer implement capture.Source, so they compose:
 //
 //	sup, _ := resilience.NewSupervisor(resilience.SupervisorConfig{Open: open})
-//	buf := resilience.NewBuffer(sup, resilience.BufferConfig{Policy: resilience.PolicyDrop})
+//	buf := resilience.NewBuffer(sup, resilience.BufferConfig{Capacity: 8192})
 //	// feed buf to the same pump loop that read the raw source before
 //
 // Everything is deterministic given injected hooks: the backoff jitter
@@ -78,18 +76,18 @@ func (c Class) String() string {
 	}
 }
 
-// Classifier triages one non-nil source error.
-type Classifier func(error) Class
-
-// Classify is the default Classifier. The decisions the chaos and
-// capture tests pin:
+// Classify triages one source error for the Supervisor. The decisions
+// the chaos and capture tests pin:
 //
 //   - io.EOF and capture.ErrClosed end the stream cleanly (ClassEOF).
 //   - io.ErrUnexpectedEOF — a pcap record truncated mid-stream — is
-//     transient: reopening replays the trace's good prefix, which keeps
-//     a daemon looping a damaged trace alive instead of killing it.
-//   - pcap.ErrSnapLen (a record claiming more bytes than the snapshot
-//     length — corrupt framing mid-stream) is likewise transient.
+//     transient, and so is pcap.ErrSnapLen (a record claiming more
+//     bytes than the snapshot length — corrupt framing mid-stream). A
+//     replay reports either after the intact frames ahead of it, which
+//     the Supervisor delivers; the pcap.Scanner is then exhausted, so
+//     the next read ends the pass (io.EOF, or the next of -loops
+//     passes): a damaged trace's good prefix is judged and the daemon
+//     exits 0, with one transient error counted per pass and no reopen.
 //   - pcap.ErrBadMagic and pcap.ErrBadVersion mean the input is not a
 //     readable pcap at all: fatal.
 //   - capture.ErrTraceFault — a mapped trace truncated under the replay —

@@ -12,25 +12,26 @@ import (
 	"bitmapfilter/internal/xrand"
 )
 
-// Supervisor defaults, applied by NewSupervisor for zero Config fields.
+// The supervisor's retry policy.
 const (
-	// DefaultMaxConsecutiveFailures is the give-up bound: this many
-	// failures (reads or reopens) without one successful read in
-	// between, and ReadBatch returns ErrExhausted.
-	DefaultMaxConsecutiveFailures = 16
-	// DefaultReopenAfter is how many consecutive transient errors one
-	// source may return before the supervisor closes it and asks the
-	// factory for a fresh one.
-	DefaultReopenAfter = 3
-	// DefaultBaseBackoff is the first retry delay; it doubles per
-	// consecutive failure up to DefaultMaxBackoff.
-	DefaultBaseBackoff = 5 * time.Millisecond
-	// DefaultMaxBackoff caps the exponential backoff.
-	DefaultMaxBackoff = 2 * time.Second
-	// DefaultJitter is the ± fraction each backoff is perturbed by, so
-	// a fleet of supervised sources does not hammer a shared upstream
-	// in lockstep.
-	DefaultJitter = 0.2
+	// maxConsecutiveFailures is the give-up bound: this many failures
+	// (reads or reopens) without one successful read in between, and
+	// ReadBatch returns ErrExhausted.
+	maxConsecutiveFailures = 16
+	// reopenAfter is how many consecutive transient errors one source may
+	// return before the supervisor closes it and asks the factory for a
+	// fresh one.
+	reopenAfter = 3
+	// baseBackoff is the first retry delay; it doubles per consecutive
+	// failure up to maxBackoff.
+	baseBackoff = 5 * time.Millisecond
+	// maxBackoff caps the exponential backoff.
+	maxBackoff = 2 * time.Second
+	// backoffJitter is the ± fraction each backoff is perturbed by, so a
+	// fleet of supervised sources does not hammer a shared upstream in
+	// lockstep; backoffSeed drives it deterministically.
+	backoffJitter = 0.2
+	backoffSeed   = 1
 )
 
 // ErrExhausted is returned (wrapped, with the last source error) when
@@ -47,32 +48,13 @@ var ErrNoFactory = errors.New("resilience: config needs an Open factory")
 type SupervisorConfig struct {
 	// Open creates (or re-creates) the underlying source. Required. It
 	// is called lazily on the first ReadBatch and again after the
-	// supervisor decides a source is broken (ReopenAfter consecutive
+	// supervisor decides a source is broken (reopenAfter consecutive
 	// transient errors), so it must return a fresh, independent source
 	// each call — e.g. a new Replay over the same trace bytes, or a
 	// re-bound AF_PACKET socket — and the same kind every call: the
 	// caller's ring passes from each source to the next, and one that an
 	// aliasing source used must not reach a filling one (capture.Source).
 	Open func() (capture.Source, error)
-	// Classify triages source errors; Classify (the package default)
-	// if nil.
-	Classify Classifier
-	// MaxConsecutiveFailures bounds failures without an intervening
-	// successful read (DefaultMaxConsecutiveFailures if 0).
-	MaxConsecutiveFailures int
-	// ReopenAfter is how many consecutive transient errors one source
-	// may return before it is closed and reopened via Open
-	// (DefaultReopenAfter if 0; 1 reopens on every transient error).
-	ReopenAfter int
-	// BaseBackoff and MaxBackoff shape the exponential retry delay
-	// (defaults if 0).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Jitter is the ± fraction of each backoff (DefaultJitter if 0;
-	// negative disables).
-	Jitter float64
-	// Seed drives the jitter deterministically (1 if 0).
-	Seed uint64
 	// Sleep replaces the interruptible backoff sleep; tests inject an
 	// instant recorder. The default sleeps on a timer and wakes early
 	// when the supervisor is closed.
@@ -140,52 +122,15 @@ type Supervisor struct {
 
 var _ capture.Source = (*Supervisor)(nil)
 
-// NewSupervisor validates cfg, applies defaults, and returns a
-// supervisor. The factory is not called until the first ReadBatch.
+// NewSupervisor validates cfg and returns a supervisor. The factory is
+// not called until the first ReadBatch.
 func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.Open == nil {
 		return nil, ErrNoFactory
 	}
-	if cfg.Classify == nil {
-		cfg.Classify = Classify
-	}
-	if cfg.MaxConsecutiveFailures == 0 {
-		cfg.MaxConsecutiveFailures = DefaultMaxConsecutiveFailures
-	}
-	if cfg.MaxConsecutiveFailures < 0 {
-		return nil, fmt.Errorf("resilience: MaxConsecutiveFailures %d must be positive", cfg.MaxConsecutiveFailures)
-	}
-	if cfg.ReopenAfter == 0 {
-		cfg.ReopenAfter = DefaultReopenAfter
-	}
-	if cfg.ReopenAfter < 0 {
-		return nil, fmt.Errorf("resilience: ReopenAfter %d must be positive", cfg.ReopenAfter)
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = DefaultBaseBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
-	}
-	if cfg.MaxBackoff < cfg.BaseBackoff {
-		cfg.MaxBackoff = cfg.BaseBackoff
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = DefaultJitter
-	}
-	if cfg.Jitter < 0 {
-		cfg.Jitter = 0
-	}
-	if cfg.Jitter > 0.5 {
-		cfg.Jitter = 0.5
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	return &Supervisor{
 		cfg:  cfg,
-		rng:  xrand.New(seed),
+		rng:  xrand.New(backoffSeed),
 		stop: make(chan struct{}),
 	}, nil
 }
@@ -212,7 +157,7 @@ func (s *Supervisor) ReadBatch(frames []capture.Frame) (int, error) {
 			s.noteSuccess(n)
 			return n, nil
 		}
-		switch class := s.cfg.Classify(err); class {
+		switch Classify(err) {
 		case ClassEOF:
 			// Deliver any frames that rode along with the clean close.
 			if n > 0 {
@@ -242,11 +187,11 @@ func (s *Supervisor) ReadBatch(frames []capture.Frame) (int, error) {
 			s.consecutive++
 			s.srcErrs++
 			s.logf("source error (transient, %d consecutive): %v", s.consecutive, err)
-			if s.consecutive >= s.cfg.MaxConsecutiveFailures {
+			if s.consecutive >= maxConsecutiveFailures {
 				s.closeSrc()
 				return 0, fmt.Errorf("%w (%d consecutive failures, last: %v)", ErrExhausted, s.consecutive, err)
 			}
-			if s.srcErrs >= s.cfg.ReopenAfter {
+			if s.srcErrs >= reopenAfter {
 				// The source keeps failing: stop trusting it. The next
 				// loop iteration reopens through the factory.
 				s.closeSrc()
@@ -277,14 +222,14 @@ func (s *Supervisor) reopen() error {
 			return nil
 		}
 		s.setLastErr(err)
-		if class := s.cfg.Classify(err); class == ClassFatal {
+		if Classify(err) == ClassFatal {
 			s.logf("open failed (fatal): %v", err)
 			return fmt.Errorf("resilience: fatal open error: %w", err)
 		}
 		s.reopenFails.Add(1)
 		s.consecutive++
 		s.logf("open failed (transient, %d consecutive): %v", s.consecutive, err)
-		if s.consecutive >= s.cfg.MaxConsecutiveFailures {
+		if s.consecutive >= maxConsecutiveFailures {
 			return fmt.Errorf("%w (%d consecutive failures, last: %v)", ErrExhausted, s.consecutive, err)
 		}
 		if !s.backoff() {
@@ -312,17 +257,10 @@ func (s *Supervisor) backoff() bool {
 	if s.closed.Load() {
 		return false
 	}
-	d := s.cfg.BaseBackoff << uint(min(s.consecutive-1, 20))
-	if d > s.cfg.MaxBackoff || d <= 0 {
-		d = s.cfg.MaxBackoff
-	}
-	if s.cfg.Jitter > 0 {
-		// Uniform in [1-j, 1+j] × d, then re-capped.
-		d = time.Duration(float64(d) * (1 + s.cfg.Jitter*(2*s.rng.Float64()-1)))
-		if d > s.cfg.MaxBackoff {
-			d = s.cfg.MaxBackoff
-		}
-	}
+	// Doubling from the base, capped; then uniform in [1-j, 1+j] × d,
+	// re-capped.
+	d := min(baseBackoff<<uint(min(s.consecutive-1, 20)), maxBackoff)
+	d = min(time.Duration(float64(d)*(1+backoffJitter*(2*s.rng.Float64()-1))), maxBackoff)
 	s.backoffs.Add(1)
 	s.backoffTotal.Add(int64(d))
 	if s.cfg.Sleep != nil {

@@ -319,8 +319,7 @@ func TestSupervisorReopensPersistentFailure(t *testing.T) {
 			}
 			return &flakySource{total: 10}, nil
 		},
-		ReopenAfter: 2,
-		Sleep:       sl.sleep,
+		Sleep: sl.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -332,8 +331,8 @@ func TestSupervisorReopensPersistentFailure(t *testing.T) {
 	if st.Reopens != 1 {
 		t.Errorf("reopens = %d, want 1", st.Reopens)
 	}
-	if st.TransientErrors != 2 {
-		t.Errorf("transient errors = %d, want 2 (ReopenAfter)", st.TransientErrors)
+	if st.TransientErrors != reopenAfter {
+		t.Errorf("transient errors = %d, want %d (reopenAfter)", st.TransientErrors, reopenAfter)
 	}
 	if opens != 2 {
 		t.Errorf("factory called %d times, want 2", opens)
@@ -346,9 +345,8 @@ func TestSupervisorFactoryFailuresBounded(t *testing.T) {
 	opens := 0
 	sl := newInstantSleep()
 	sup, err := NewSupervisor(SupervisorConfig{
-		Open:                   func() (capture.Source, error) { opens++; return nil, errTransient },
-		MaxConsecutiveFailures: 5,
-		Sleep:                  sl.sleep,
+		Open:  func() (capture.Source, error) { opens++; return nil, errTransient },
+		Sleep: sl.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -357,11 +355,11 @@ func TestSupervisorFactoryFailuresBounded(t *testing.T) {
 	if !errors.Is(rerr, ErrExhausted) {
 		t.Fatalf("err = %v, want ErrExhausted", rerr)
 	}
-	if opens != 5 {
-		t.Errorf("factory called %d times, want 5", opens)
+	if opens != maxConsecutiveFailures {
+		t.Errorf("factory called %d times, want %d", opens, maxConsecutiveFailures)
 	}
-	if st := sup.Stats(); st.ReopenFailures != 5 {
-		t.Errorf("reopen failures = %d, want 5", st.ReopenFailures)
+	if st := sup.Stats(); st.ReopenFailures != maxConsecutiveFailures {
+		t.Errorf("reopen failures = %d, want %d", st.ReopenFailures, maxConsecutiveFailures)
 	}
 }
 
@@ -413,17 +411,13 @@ func TestSupervisorFatalReadError(t *testing.T) {
 
 // TestSupervisorExhaustion: a persistently failing source with a factory
 // that keeps handing the same broken source back must give up after the
-// budget, with the backoff ladder visibly exponential and capped.
+// budget, with the backoff ladder visibly exponential and capped: 5 ms
+// doubling to the 2 s cap, each step within its ±20 % jitter.
 func TestSupervisorExhaustion(t *testing.T) {
 	sl := newInstantSleep()
 	sup, err := NewSupervisor(SupervisorConfig{
-		Open:                   func() (capture.Source, error) { return &dyingSource{err: errTransient}, nil },
-		MaxConsecutiveFailures: 10,
-		ReopenAfter:            3,
-		BaseBackoff:            time.Millisecond,
-		MaxBackoff:             8 * time.Millisecond,
-		Jitter:                 -1, // exact ladder
-		Sleep:                  sl.sleep,
+		Open:  func() (capture.Source, error) { return &dyingSource{err: errTransient}, nil },
+		Sleep: sl.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -432,14 +426,16 @@ func TestSupervisorExhaustion(t *testing.T) {
 	if !errors.Is(rerr, ErrExhausted) {
 		t.Fatalf("err = %v, want ErrExhausted", rerr)
 	}
-	if len(sl.slept) != 9 {
-		t.Fatalf("backoffs = %d, want 9 (10 failures, no sleep after the last)", len(sl.slept))
+	if len(sl.slept) != maxConsecutiveFailures-1 {
+		t.Fatalf("backoffs = %d, want %d (no sleep after the last failure)", len(sl.slept), maxConsecutiveFailures-1)
 	}
-	want := []time.Duration{1, 2, 4, 8, 8, 8, 8, 8, 8} // ms, doubling then capped
+	step := baseBackoff
 	for i, d := range sl.slept {
-		if d != want[i]*time.Millisecond {
-			t.Errorf("backoff %d = %v, want %v", i, d, want[i]*time.Millisecond)
+		lo, hi := time.Duration(float64(step)*(1-backoffJitter)), min(time.Duration(float64(step)*(1+backoffJitter)), maxBackoff)
+		if d < lo || d > hi {
+			t.Errorf("backoff %d = %v, want %v ±%v%% within [%v, %v]", i, d, step, 100*backoffJitter, lo, hi)
 		}
+		step = min(2*step, maxBackoff)
 	}
 }
 
@@ -468,12 +464,11 @@ func TestSupervisorCloseDuringRead(t *testing.T) {
 }
 
 // TestSupervisorCloseDuringBackoff: the default interruptible sleep must
-// wake on Close instead of serving out a long backoff.
+// wake on Close instead of serving out the ladder — ≈14.5 s of backoff to
+// the give-up, far past the 5 s this waits.
 func TestSupervisorCloseDuringBackoff(t *testing.T) {
 	sup, err := NewSupervisor(SupervisorConfig{
-		Open:        func() (capture.Source, error) { return &dyingSource{err: errTransient}, nil },
-		BaseBackoff: time.Hour, // would hang without interruption
-		MaxBackoff:  time.Hour,
+		Open: func() (capture.Source, error) { return &dyingSource{err: errTransient}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)

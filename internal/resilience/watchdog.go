@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// DefaultStallAfter is the stall threshold NewWatchdog applies when a
-// probe is registered with zero.
+// DefaultStallAfter is the stall threshold of every probe bfwall
+// registers, and the one Heartbeat applies when given zero.
 const DefaultStallAfter = 30 * time.Second
 
 // Watchdog collects liveness probes from the daemon's loops — capture
@@ -52,43 +52,21 @@ type Probe struct {
 	last  atomic.Int64 // last beat on the watchdog clock, ns
 	beats atomic.Uint64
 	idle  atomic.Bool
-
-	// progress, when set, makes this a progress probe: Check treats an
-	// advance of the observed value as a beat, so loops that cannot
-	// call Beat themselves (a rotation counter inside the filter) are
-	// still supervised.
-	progress func() uint64
-	lastVal  atomic.Uint64
 }
 
-// register wires a probe into the watchdog.
-func (w *Watchdog) register(p *Probe) *Probe {
-	if p.stallAfter <= 0 {
-		p.stallAfter = DefaultStallAfter
+// Heartbeat registers a probe: the loop must call Beat at least every
+// stallAfter (DefaultStallAfter if not positive), or declare itself
+// idle, or it is flagged.
+func (w *Watchdog) Heartbeat(name string, stallAfter time.Duration) *Probe {
+	if stallAfter <= 0 {
+		stallAfter = DefaultStallAfter
 	}
-	p.wd = w
+	p := &Probe{name: name, stallAfter: stallAfter, wd: w}
 	p.last.Store(int64(w.now()))
 	w.mu.Lock()
 	w.probes = append(w.probes, p)
 	w.mu.Unlock()
 	return p
-}
-
-// Heartbeat registers a beat-driven probe: the loop must call Beat at
-// least every stallAfter (or declare itself idle) or it is flagged.
-func (w *Watchdog) Heartbeat(name string, stallAfter time.Duration) *Probe {
-	return w.register(&Probe{name: name, stallAfter: stallAfter})
-}
-
-// Progress registers a value-driven probe: value() must advance at
-// least every stallAfter. Used for counters owned by other subsystems,
-// e.g. "rotations keep happening".
-func (w *Watchdog) Progress(name string, stallAfter time.Duration, value func() uint64) *Probe {
-	p := &Probe{name: name, stallAfter: stallAfter, progress: value}
-	if value != nil {
-		p.lastVal.Store(value())
-	}
-	return w.register(p)
 }
 
 // Beat records one loop iteration.
@@ -139,8 +117,7 @@ type ProbeStatus struct {
 }
 
 // Check evaluates every probe now and returns the stalled ones (nil
-// when all healthy). Progress probes observe their value first: an
-// advance is a beat.
+// when all healthy).
 func (w *Watchdog) Check() []Stall {
 	w.mu.Lock()
 	probes := w.probes
@@ -157,12 +134,6 @@ func (w *Watchdog) Check() []Stall {
 
 // check evaluates one probe.
 func (w *Watchdog) check(p *Probe, now time.Duration) *Stall {
-	if p.progress != nil {
-		if v := p.progress(); v != p.lastVal.Load() {
-			p.lastVal.Store(v)
-			p.last.Store(int64(now))
-		}
-	}
 	if p.idle.Load() {
 		return nil
 	}

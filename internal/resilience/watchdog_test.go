@@ -72,29 +72,6 @@ func TestWatchdogIdleExempt(t *testing.T) {
 	}
 }
 
-// TestWatchdogProgressProbe: a value that advances is alive; a frozen
-// value stalls.
-func TestWatchdogProgressProbe(t *testing.T) {
-	clk := &fakeClock{}
-	wd := NewWatchdog(clk.fn())
-	var rotations atomic.Uint64
-	wd.Progress("rotation", 100*time.Millisecond, rotations.Load)
-
-	clk.advance(90 * time.Millisecond)
-	rotations.Add(1)
-	if stalls := wd.Check(); len(stalls) != 0 {
-		t.Fatalf("advancing value flagged: %v", stalls)
-	}
-	clk.advance(90 * time.Millisecond) // 90ms since the advance was seen
-	if stalls := wd.Check(); len(stalls) != 0 {
-		t.Fatalf("stalled before threshold: %v", stalls)
-	}
-	clk.advance(20 * time.Millisecond) // 110ms, value frozen
-	if stalls := wd.Check(); len(stalls) != 1 {
-		t.Fatalf("frozen value not flagged: %v", stalls)
-	}
-}
-
 // TestWatchdogClockJump: a clock that steps backwards (chaos injection:
 // NTP step, resumed VM) rebases the probe instead of reporting a bogus
 // age, and a forward jump past the threshold still flags honestly.

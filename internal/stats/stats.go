@@ -80,13 +80,12 @@ func (s *Sample) Max() float64 {
 }
 
 // Histogram counts observations into fixed-width bins over [0, binWidth ×
-// bins); larger values land in an overflow bin, negative values in an
+// bins); larger values count in the total only, negative values in an
 // underflow bin.
 type Histogram struct {
 	binWidth  float64
 	counts    []uint64
 	underflow uint64
-	overflow  uint64
 	total     uint64
 }
 
@@ -115,16 +114,10 @@ func (h *Histogram) Add(x float64) {
 		h.underflow++
 		return
 	}
-	bin := int(x / h.binWidth)
-	if bin >= len(h.counts) {
-		h.overflow++
-		return
+	if bin := int(x / h.binWidth); bin < len(h.counts) {
+		h.counts[bin]++
 	}
-	h.counts[bin]++
 }
-
-// Total returns the number of observations including under/overflow.
-func (h *Histogram) Total() uint64 { return h.total }
 
 // Bins returns the number of regular bins.
 func (h *Histogram) Bins() int { return len(h.counts) }
@@ -136,9 +129,6 @@ func (h *Histogram) Count(i int) uint64 {
 	}
 	return h.counts[i]
 }
-
-// Overflow returns the overflow count.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
 
 // BinStart returns the lower edge of bin i.
 func (h *Histogram) BinStart(i int) float64 { return float64(i) * h.binWidth }
