@@ -11,9 +11,10 @@ build:
 
 # The live-capture backend (internal/capture AF_PACKET, cmd/bfwall -iface)
 # only compiles behind `linux && afpacket`, bitvector.Prefetch is assembly
-# on amd64 only, and capture.OpenTrace maps a file on Linux only (every
-# other platform reads it); this keeps the gated files, the portable body
-# and the read fallback from bit-rotting on any development platform.
+# on amd64 only, capture.OpenTrace maps a file on Linux only (every other
+# platform reads it) and bitvector asks for huge pages on Linux only; this
+# keeps the gated files, the portable body and the fallbacks from
+# bit-rotting on any development platform.
 build-tags:
 	GOOS=linux $(GO) build -tags afpacket ./...
 	GOOS=linux $(GO) vet -tags afpacket ./...

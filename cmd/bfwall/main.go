@@ -382,6 +382,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	snap := p.Snapshot()
 	if *benchRun {
+		setup.huge = anonHugeBytes("/proc/self/smaps_rollup")
 		printBenchReport(out, snap, elapsed, *target, setup)
 	} else {
 		fmt.Fprintf(out, "bfwall: %d frames, %d out / %d in (%d passed, %d dropped), %d decode errors\n",
@@ -572,11 +573,31 @@ func rebalanceEvery(set *tenant.Set, quit <-chan struct{}, logf func(format stri
 
 // setupTimes is what bfwall did before the first frame, as -bench reports it:
 // how the trace came to be in memory, its size, and how long that and the
-// filter's build took.
+// filter's build took; and, read when the report prints, how much of the
+// process sits on transparent huge pages, where the bitmap's vectors of
+// order ≥ 25 ask to be.
 type setupTimes struct {
 	how         string // "mapped" or "read" (-pcap), "synthesized", or "live" (-iface)
 	bytes       int
 	load, build time.Duration
+	huge        int64 // AnonHugePages in bytes; < 0 where it cannot be read
+}
+
+// anonHugeBytes returns the AnonHugePages line of an smaps_rollup file in
+// bytes, or -1 if the file or the line is missing (off Linux, or a kernel
+// without transparent huge pages).
+func anonHugeBytes(path string) int64 {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return -1
+	}
+	for _, line := range bytes.Split(b, []byte("\n")) {
+		var kb int64
+		if _, err := fmt.Sscanf(string(line), "AnonHugePages: %d kB", &kb); err == nil {
+			return kb << 10
+		}
+	}
+	return -1
 }
 
 // sourceFactory returns a constructor for the capture source, so the
@@ -638,9 +659,15 @@ func printBenchReport(out io.Writer, snap pump.Snapshot, elapsed time.Duration, 
 		verdict = "NOT saturated"
 	}
 	fmt.Fprintf(out, "bfwall bench: %d frames in %v wall (%.0f pps)\n", snap.Frames, elapsed.Round(time.Millisecond), pps)
-	// Before the first frame: the part of exec → exit that is not the pump.
+	// Before the first frame: the part of exec → exit that is not the pump;
+	// then the bitmap, and how much of the process is on huge pages.
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	fmt.Fprintf(out, "  setup: load %.1f ms (%s, %.1f MiB), build %.1f ms\n", ms(st.load), st.how, float64(st.bytes)/(1<<20), ms(st.build))
+	huge := "n/a"
+	if st.huge >= 0 {
+		huge = fmt.Sprintf("%.1f MiB", float64(st.huge)/(1<<20))
+	}
+	fmt.Fprintf(out, "  setup: load %.1f ms (%s, %.1f MiB), build %.1f ms, bitmap %.1f MiB, %s on huge pages\n",
+		ms(st.load), st.how, float64(st.bytes)/(1<<20), ms(st.build), float64(snap.FilterMemory)/(1<<20), huge)
 	fmt.Fprintf(out, "  decode errors: %d, unrouted: %d, truncated: %d\n",
 		sumDecodeErrors(snap), snap.Unrouted, snap.Truncated)
 	fmt.Fprintf(out, "  verdicts: out=%d in=%d pass=%d drop=%d\n",

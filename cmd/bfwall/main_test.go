@@ -100,7 +100,9 @@ func TestBenchEndToEnd(t *testing.T) {
 
 // TestBenchReportFormat pins the -bench report line by line: bench/ parses the
 // first line and the verdict lines by prefix; the setup line is the start-up
-// before the first frame, load and build; and the serial-stage line is the
+// before the first frame, load and build, then the bitmap's size and how
+// much of the process is on huge pages ("n/a" where that cannot be read);
+// and the serial-stage line is the
 // pump's two serial terms per frame — sourceBusy and commitBusy over frames —
 // beside W, then its parallel terms, decode and hash and one per lane.
 func TestBenchReportFormat(t *testing.T) {
@@ -110,13 +112,14 @@ func TestBenchReportFormat(t *testing.T) {
 		LatencyP50: 40 * time.Microsecond, LatencyP99: 95 * time.Microsecond,
 		Workers: 2, SourceBusy: 60 * time.Millisecond, CommitBusy: 510 * time.Millisecond,
 		DecodeBusy: 120 * time.Millisecond, HashBusy: 81 * time.Millisecond,
+		FilterMemory: 128 << 20,
 	}
 	snap.DecodeErrors[0] = 5
-	setup := setupTimes{how: "mapped", bytes: 89 << 20, load: 1340 * time.Microsecond, build: 420 * time.Microsecond}
+	setup := setupTimes{how: "mapped", bytes: 89 << 20, load: 1340 * time.Microsecond, build: 420 * time.Microsecond, huge: 126 << 20}
 	var out bytes.Buffer
 	printBenchReport(&out, snap, 800*time.Millisecond, 500_000, setup)
 	want := `bfwall bench: 4000000 frames in 800ms wall (5000000 pps)
-  setup: load 1.3 ms (mapped, 89.0 MiB), build 0.4 ms
+  setup: load 1.3 ms (mapped, 89.0 MiB), build 0.4 ms, bitmap 128.0 MiB, 126.0 MiB on huge pages
   decode errors: 5, unrouted: 2, truncated: 3
   verdicts: out=1800000 in=2199990 pass=2150000 drop=49990
   serial stages: read 15.0 ns/frame, commit 127.5 ns/frame (W=2); parallel: decode 30.0, hash 20.2 ns/frame
@@ -136,13 +139,35 @@ func TestBenchReportFormat(t *testing.T) {
 	}
 	// No frames: no division by zero.
 	out.Reset()
-	printBenchReport(&out, pump.Snapshot{Workers: 1}, time.Second, 1, setupTimes{how: "read"})
+	printBenchReport(&out, pump.Snapshot{Workers: 1}, time.Second, 1, setupTimes{how: "read", huge: -1})
 	for _, line := range []string{
-		"  setup: load 0.0 ms (read, 0.0 MiB), build 0.0 ms\n",
+		"  setup: load 0.0 ms (read, 0.0 MiB), build 0.0 ms, bitmap 0.0 MiB, n/a on huge pages\n",
 		"  serial stages: read 0.0 ns/frame, commit 0.0 ns/frame (W=1); parallel: decode 0.0, hash 0.0 ns/frame\n",
 	} {
 		if !strings.Contains(out.String(), line) {
 			t.Errorf("empty run's report:\n%s\nwant the line:\n%s", out.String(), line)
+		}
+	}
+}
+
+// TestAnonHugeBytes reads AnonHugePages out of an smaps_rollup file, and
+// -1 from a file without the line or no file at all.
+func TestAnonHugeBytes(t *testing.T) {
+	dir := t.TempDir()
+	rollup := filepath.Join(dir, "smaps_rollup")
+	if err := os.WriteFile(rollup, []byte("Rss:              205144 kB\nAnonymous:        134132 kB\nAnonHugePages:    131072 kB\nShmemPmdMapped:        0 kB\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := anonHugeBytes(rollup); got != 128<<20 {
+		t.Errorf("anonHugeBytes = %d, want %d", got, 128<<20)
+	}
+	noLine := filepath.Join(dir, "no_line")
+	if err := os.WriteFile(noLine, []byte("Rss:              205144 kB\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{noLine, filepath.Join(dir, "missing")} {
+		if got := anonHugeBytes(path); got != -1 {
+			t.Errorf("anonHugeBytes(%s) = %d, want -1", filepath.Base(path), got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package bitvector
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -227,15 +228,32 @@ func TestWriteToReadFromRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFromTruncated: a stream that ends inside the vector, on a chunk
+// boundary or inside one, is refused as an unexpected EOF (a plain EOF if
+// empty) and leaves the vector empty, its count coherent.
 func TestReadFromTruncated(t *testing.T) {
-	v := MustNew(10)
+	v := MustNew(20)
+	for i := uint64(0); i < 1<<20; i += 7 {
+		v.Set(i)
+	}
 	var buf bytes.Buffer
 	if _, err := v.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	w := MustNew(10)
-	if _, err := w.ReadFrom(bytes.NewReader(buf.Bytes()[:10])); err == nil {
-		t.Error("truncated stream accepted")
+	for _, cut := range []int{0, 10, chunkBytes, chunkBytes + 10, buf.Len() - 1} {
+		w := MustNew(20)
+		w.Set(3)
+		n, err := w.ReadFrom(bytes.NewReader(buf.Bytes()[:cut]))
+		want := io.ErrUnexpectedEOF
+		if cut == 0 {
+			want = io.EOF
+		}
+		if !errors.Is(err, want) || n != int64(cut) {
+			t.Errorf("cut %d: ReadFrom = %d, %v; want %d, %v", cut, n, err, cut, want)
+		}
+		if w.PopCount() != 0 || !w.Equal(MustNew(20)) {
+			t.Errorf("cut %d: vector not left empty", cut)
+		}
 	}
 }
 
