@@ -80,19 +80,22 @@ W ?= scan_flood
 bench-pairs:
 	scripts/bench-pairs.sh $(BASE) $(N) $(W)
 
-# Regenerate every table/figure on stdout (see EXPERIMENTS.md).
+# Regenerate every table/figure on stdout (see EXPERIMENTS.md): the
+# invocations cmd/bfexp's TestGolden pins, in its order, then table1, which
+# prints wall-clock costs and so is not pinned.
 experiments:
-	$(GO) run ./cmd/bfexp capacity
-	$(GO) run ./cmd/bfexp insider
 	$(GO) run ./cmd/bfexp trace
+	$(GO) run ./cmd/bfexp capacity
 	$(GO) run ./cmd/bfexp fig4
 	$(GO) run ./cmd/bfexp fig5 -order 16
+	$(GO) run ./cmd/bfexp insider
 	$(GO) run ./cmd/bfexp apd
 	$(GO) run ./cmd/bfexp bandwidth
-	$(GO) run ./cmd/bfexp collude
-	$(GO) run ./cmd/bfexp ablate
-	$(GO) run ./cmd/bfexp table1 -conns 500000
 	$(GO) run ./cmd/bfexp worm
+	$(GO) run ./cmd/bfexp collude -duration 3m -rate 20
+	$(GO) run ./cmd/bfexp ablate
+	$(GO) run ./cmd/bfexp plan -conns 15000 -p 0.05
+	$(GO) run ./cmd/bfexp table1 -conns 500000
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -7,18 +7,19 @@
 // which marks the bitmap exactly like any outgoing packet and admits the
 // server's inbound connection until the marks expire.
 //
-// The demo runs the full scenario twice over the network simulator: once
-// without the hole punch (the data connection dies at the edge router) and
-// once with it (the transfer succeeds).
+// The demo plays the exchange twice through the filter on the client's
+// edge, with explicit virtual times: once without the hole punch (the data
+// connection dies at the edge router) and once with it (the transfer
+// succeeds).
 package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"bitmapfilter"
-	"bitmapfilter/internal/netsim"
 )
 
 const (
@@ -28,13 +29,13 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ftp_holepunch:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	for _, punch := range []bool{false, true} {
 		delivered, err := scenario(punch)
 		if err != nil {
@@ -44,16 +45,17 @@ func run() error {
 		if delivered {
 			status = "succeeded"
 		}
-		fmt.Printf("hole punch %-5v: active data connection %s\n", punch, status)
+		fmt.Fprintf(w, "hole punch %-5v: active data connection %s\n", punch, status)
 	}
 	return nil
 }
 
-// scenario plays one active-mode FTP exchange and reports whether the
-// server's data connection reached the client.
+// scenario plays one active-mode FTP exchange through the edge filter and
+// reports whether the server's data connection reached the client. The
+// server is 10 ms away, so a reply arrives 20 ms after the packet it
+// answers; the client answers 0.2 ms after a packet arrives, and the server
+// opens the data connection 20 ms after it reads PORT.
 func scenario(punch bool) (bool, error) {
-	sim := netsim.NewSimulator()
-	subnet := bitmapfilter.PrefixFrom(bitmapfilter.AddrFrom4(10, 10, 0, 0), 24)
 	filter, err := bitmapfilter.New(
 		bitmapfilter.WithOrder(14),
 		bitmapfilter.WithVectors(4),
@@ -63,62 +65,27 @@ func scenario(punch bool) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	safe := bitmapfilter.NewSafe(filter)
-	net, err := netsim.NewNetwork(sim, []bitmapfilter.Prefix{subnet}, safe)
-	if err != nil {
-		return false, err
-	}
+	client := bitmapfilter.AddrFrom4(10, 10, 0, 5)
+	server := bitmapfilter.AddrFrom4(198, 51, 100, 21)
+	ctrl := bitmapfilter.Tuple{Src: client, Dst: server, SrcPort: 41000, DstPort: ctrlPort, Proto: bitmapfilter.TCP}
 
-	client, err := net.AddHost("ftp-client", subnet.Nth(5))
-	if err != nil {
-		return false, err
+	// The client opens the control connection; the server accepts it.
+	filter.Process(bitmapfilter.Packet{Time: 0, Dir: bitmapfilter.Outgoing, Tuple: ctrl,
+		Flags: bitmapfilter.SYN, Length: 60})
+	filter.Process(bitmapfilter.Packet{Time: 20 * time.Millisecond, Dir: bitmapfilter.Incoming, Tuple: ctrl.Reverse(),
+		Flags: bitmapfilter.SYN | bitmapfilter.ACK, Length: 60})
+	// PORT h,p (the command itself is abstract) announces the data port.
+	filter.Process(bitmapfilter.Packet{Time: 20200 * time.Microsecond, Dir: bitmapfilter.Outgoing, Tuple: ctrl,
+		Flags: bitmapfilter.PSH | bitmapfilter.ACK, Length: 120})
+	if punch {
+		// §5.1: "the client can send a TCP or UDP packet with the
+		// address tuple {c, p, s, x}".
+		filter.PunchHole(client, clientData, server, bitmapfilter.TCP)
 	}
-	server, err := net.AddInternetHost("ftp-server", bitmapfilter.AddrFrom4(198, 51, 100, 21))
-	if err != nil {
-		return false, err
-	}
-
-	dataDelivered := false
-	client.OnPacket = func(sim *netsim.Simulator, self *netsim.Host, pkt bitmapfilter.Packet) {
-		switch {
-		case pkt.Tuple.SrcPort == ctrlPort && pkt.Flags.Has(bitmapfilter.SYN|bitmapfilter.ACK):
-			// Control connection established. Issue PORT h,p (the
-			// command itself is abstract) and optionally punch the
-			// hole for the announced data port.
-			self.Send(server.Addr(), 41000, ctrlPort, bitmapfilter.TCP,
-				bitmapfilter.PSH|bitmapfilter.ACK, 120)
-			if punch {
-				// §5.1: "the client can send a TCP or UDP packet
-				// with the address tuple {c, p, s, x}".
-				safe.PunchHole(self.Addr(), clientData, server.Addr(), bitmapfilter.TCP)
-			}
-		case pkt.Tuple.SrcPort == dataSrc && pkt.Flags.Has(bitmapfilter.SYN):
-			// The server's active data connection arrived.
-			dataDelivered = true
-			self.Send(server.Addr(), clientData, dataSrc, bitmapfilter.TCP,
-				bitmapfilter.SYN|bitmapfilter.ACK, 60)
-		}
-	}
-	server.OnPacket = func(sim *netsim.Simulator, self *netsim.Host, pkt bitmapfilter.Packet) {
-		switch {
-		case pkt.Tuple.DstPort == ctrlPort && pkt.Flags == bitmapfilter.SYN:
-			// Accept the control connection.
-			self.Send(pkt.Tuple.Src, ctrlPort, pkt.Tuple.SrcPort,
-				bitmapfilter.TCP, bitmapfilter.SYN|bitmapfilter.ACK, 60)
-		case pkt.Tuple.DstPort == ctrlPort && pkt.Flags.Has(bitmapfilter.PSH):
-			// PORT command received: open the active data connection
-			// from port 20 to the client's announced port.
-			sim.After(20*time.Millisecond, func() {
-				self.Send(pkt.Tuple.Src, dataSrc, clientData,
-					bitmapfilter.TCP, bitmapfilter.SYN, 60)
-			})
-		}
-	}
-
-	// Kick off: the client opens the control connection.
-	sim.After(0, func() {
-		client.Send(server.Addr(), 41000, ctrlPort, bitmapfilter.TCP, bitmapfilter.SYN, 60)
-	})
-	sim.RunAll()
-	return dataDelivered, nil
+	// The server's active data connection, from port 20 to the announced
+	// port.
+	v := filter.Process(bitmapfilter.Packet{Time: 70200 * time.Microsecond, Dir: bitmapfilter.Incoming,
+		Tuple: bitmapfilter.Tuple{Src: server, Dst: client, SrcPort: dataSrc, DstPort: clientData, Proto: bitmapfilter.TCP},
+		Flags: bitmapfilter.SYN, Length: 60})
+	return v == bitmapfilter.Pass, nil
 }

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
-	"bitmapfilter/internal/netsim"
 	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/xrand"
 )
@@ -72,6 +72,9 @@ type BandwidthResult struct {
 
 // RunBandwidth executes the three runs with identical traffic.
 func RunBandwidth(cfg BandwidthConfig) (BandwidthResult, error) {
+	if cfg.LinkBps <= 0 {
+		return BandwidthResult{}, fmt.Errorf("bandwidth: link capacity %v bit/s", cfg.LinkBps)
+	}
 	type mode struct {
 		name string
 		mk   func() (filtering.PacketFilter, error)
@@ -101,42 +104,117 @@ func RunBandwidth(cfg BandwidthConfig) (BandwidthResult, error) {
 		if err != nil {
 			return BandwidthResult{}, fmt.Errorf("bandwidth: %w", err)
 		}
-		out, err := runBandwidthMode(cfg, m.name, filter)
-		if err != nil {
-			return BandwidthResult{}, fmt.Errorf("bandwidth: %w", err)
-		}
-		outs = append(outs, out)
+		outs = append(outs, runBandwidthMode(cfg, m.name, filter))
 	}
 	return BandwidthResult{Unfiltered: outs[0], Plain: outs[1], APD: outs[2]}, nil
 }
 
-func runBandwidthMode(cfg BandwidthConfig, name string, filter filtering.PacketFilter) (BandwidthOutcome, error) {
-	sim := netsim.NewSimulator()
-	subnet := packet.PrefixFrom(packet.AddrFrom4(10, 10, 0, 0), 24)
-	net, err := netsim.NewNetwork(sim, []packet.Prefix{subnet}, filter)
-	if err != nil {
-		return BandwidthOutcome{}, err
-	}
-	if err := net.SetInboundLink(cfg.LinkBps, 50*time.Millisecond); err != nil {
-		return BandwidthOutcome{}, err
-	}
+// bottleneck is the ISP→client access link (§1: "the bottleneck bandwidth
+// usually lies on the link between the client network and the ISP"): each
+// packet holds the wire for length·8/bps, and one that finds more than
+// maxBacklog queued ahead of it is tail-dropped.
+type bottleneck struct {
+	bps        float64
+	maxBacklog time.Duration
+	nextFree   time.Duration // when the wire goes idle
+	tailDrops  uint64
+}
 
-	client, err := net.AddHost("client", subnet.Nth(5))
-	if err != nil {
-		return BandwidthOutcome{}, err
+// admit queues a packet of length bytes arriving at now; false is a tail
+// drop.
+func (l *bottleneck) admit(now time.Duration, length int) bool {
+	if l.nextFree < now {
+		l.nextFree = now
 	}
-	webServer, err := net.AddInternetHost("web", packet.AddrFrom4(198, 51, 100, 7))
-	if err != nil {
-		return BandwidthOutcome{}, err
+	if l.nextFree-now > l.maxBacklog {
+		l.tailDrops++
+		return false
 	}
-	pushServer := packet.AddrFrom4(198, 51, 100, 99) // never contacted
+	l.nextFree += time.Duration(float64(length*8) / l.bps * float64(time.Second))
+	return true
+}
 
-	out := BandwidthOutcome{Config: name}
+// runBandwidthMode judges one time-ordered stream at the client's edge: a
+// request every 200 ms leaves at t and its reply arrives 20 ms later (the
+// round trip to the web server), a server push arrives every second on a
+// port the client never opened, and the flood fills phase 2. An incoming
+// packet the filter passes crosses the bottleneck and counts as delivered
+// if it is addressed to the client.
+func runBandwidthMode(cfg BandwidthConfig, name string, filter filtering.PacketFilter) BandwidthOutcome {
 	const (
 		benignPort = 443
 		pushPort   = 30000
+		floodPkt   = 1400
+		rtt        = 20 * time.Millisecond
 	)
-	client.OnPacket = func(_ *netsim.Simulator, _ *netsim.Host, pkt packet.Packet) {
+	subnet := packet.PrefixFrom(packet.AddrFrom4(10, 10, 0, 0), 24)
+	client := subnet.Nth(5)
+	webServer := packet.AddrFrom4(198, 51, 100, 7)
+	pushServer := packet.AddrFrom4(198, 51, 100, 99) // never contacted
+	total := 2 * cfg.Phase
+	out := BandwidthOutcome{Config: name}
+
+	// At equal instants a scheduled packet goes before a reply: the
+	// replies are appended last, and the sort below is stable.
+	var stream, replies []packet.Packet
+	for at := time.Duration(0); at < total; at += 200 * time.Millisecond {
+		req := packet.Packet{
+			Time: at, Dir: packet.Outgoing,
+			Tuple: packet.Tuple{
+				Src: client, Dst: webServer,
+				SrcPort: uint16(40000 + (at/(200*time.Millisecond))%1000), DstPort: benignPort,
+				Proto: packet.TCP,
+			},
+			Flags: packet.ACK, Length: 120,
+		}
+		stream = append(stream, req)
+		out.BenignSent++
+		replies = append(replies, packet.Packet{
+			Time: at + rtt, Dir: packet.Incoming, Tuple: req.Tuple.Reverse(),
+			Flags: packet.ACK, Length: 1200,
+		})
+	}
+	for at := 500 * time.Millisecond; at < total; at += time.Second {
+		out.UnmatchedSent++
+		stream = append(stream, packet.Packet{
+			Time: at, Dir: packet.Incoming,
+			Tuple: packet.Tuple{
+				Src: pushServer, Dst: client,
+				SrcPort: 80, DstPort: pushPort, Proto: packet.TCP,
+			},
+			Flags: packet.PSH | packet.ACK, Length: 800,
+		})
+	}
+	r := xrand.New(cfg.Seed)
+	floodInterval := time.Duration(float64(floodPkt*8) / cfg.FloodBps * float64(time.Second))
+	for at := cfg.Phase; at < total; at += floodInterval {
+		out.FloodSent++
+		stream = append(stream, packet.Packet{
+			Time: at, Dir: packet.Incoming,
+			Tuple: packet.Tuple{
+				Src:     packet.Addr(r.Uint32() | 1),
+				Dst:     subnet.Nth(uint64(r.Intn(int(subnet.Size())))),
+				SrcPort: uint16(1 + r.Intn(65000)),
+				DstPort: uint16(1 + r.Intn(65000)),
+				Proto:   packet.UDP,
+			},
+			Length: floodPkt,
+		})
+	}
+	stream = append(stream, replies...)
+	sort.SliceStable(stream, func(i, j int) bool { return stream[i].Time < stream[j].Time })
+	link := bottleneck{bps: cfg.LinkBps, maxBacklog: 50 * time.Millisecond}
+	for _, pkt := range stream {
+		v := filtering.Pass
+		if filter != nil {
+			v = filter.Process(pkt)
+		}
+		if pkt.Dir == packet.Outgoing || v == filtering.Drop || !link.admit(pkt.Time, pkt.Length) {
+			continue
+		}
+		if pkt.Tuple.Dst != client {
+			continue // a flood packet to an address with no host behind it
+		}
 		switch {
 		case pkt.Tuple.Src == pushServer:
 			out.UnmatchedDelivered++
@@ -146,66 +224,8 @@ func runBandwidthMode(cfg BandwidthConfig, name string, filter filtering.PacketF
 			out.FloodDelivered++
 		}
 	}
-	webServer.OnPacket = func(_ *netsim.Simulator, self *netsim.Host, pkt packet.Packet) {
-		self.Send(pkt.Tuple.Src, benignPort, pkt.Tuple.SrcPort, packet.TCP, packet.ACK, 1200)
-	}
-
-	r := xrand.New(cfg.Seed)
-	total := 2 * cfg.Phase
-
-	// Benign requests every 200 ms for the whole run.
-	for at := time.Duration(0); at < total; at += 200 * time.Millisecond {
-		at := at
-		port := uint16(40000 + (at/(200*time.Millisecond))%1000)
-		out.BenignSent++
-		if err := sim.Schedule(at, func() {
-			client.Send(webServer.Addr(), port, benignPort, packet.TCP, packet.ACK, 120)
-		}); err != nil {
-			return BandwidthOutcome{}, err
-		}
-	}
-	// Server pushes (benign but unmatched) every second for the whole
-	// run.
-	for at := 500 * time.Millisecond; at < total; at += time.Second {
-		at := at
-		out.UnmatchedSent++
-		if err := sim.Schedule(at, func() {
-			net.InjectIncoming(packet.Packet{
-				Tuple: packet.Tuple{
-					Src: pushServer, Dst: client.Addr(),
-					SrcPort: 80, DstPort: pushPort, Proto: packet.TCP,
-				},
-				Flags: packet.PSH | packet.ACK, Length: 800,
-			})
-		}); err != nil {
-			return BandwidthOutcome{}, err
-		}
-	}
-	// Flood during phase 2.
-	const floodPkt = 1400
-	floodInterval := time.Duration(float64(floodPkt*8) / cfg.FloodBps * float64(time.Second))
-	for at := cfg.Phase; at < total; at += floodInterval {
-		at := at
-		out.FloodSent++
-		if err := sim.Schedule(at, func() {
-			net.InjectIncoming(packet.Packet{
-				Tuple: packet.Tuple{
-					Src:     packet.Addr(r.Uint32() | 1),
-					Dst:     subnet.Nth(uint64(r.Intn(int(subnet.Size())))),
-					SrcPort: uint16(1 + r.Intn(65000)),
-					DstPort: uint16(1 + r.Intn(65000)),
-					Proto:   packet.UDP,
-				},
-				Length: floodPkt,
-			})
-		}); err != nil {
-			return BandwidthOutcome{}, err
-		}
-	}
-
-	sim.RunAll()
-	out.TailDropped = net.LinkStats().TailDropped
-	return out, nil
+	out.TailDropped = link.tailDrops
+	return out
 }
 
 // Format renders the comparison.

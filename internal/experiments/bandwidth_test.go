@@ -84,3 +84,45 @@ func TestBandwidthAttackMitigation(t *testing.T) {
 		t.Error("Format missing header")
 	}
 }
+
+// TestBottleneckAdmit: on a 1 Mbit/s link a 1250 B packet holds the wire for
+// len·8/bps = 10 ms; a packet that finds more than 50 ms queued ahead of it
+// is dropped and takes no wire time; an idle link restarts at the arrival.
+func TestBottleneckAdmit(t *testing.T) {
+	const ms = time.Millisecond
+	type arrival struct {
+		at    time.Duration
+		admit bool
+	}
+	for _, tc := range []struct {
+		name      string
+		arrivals  []arrival
+		wantFree  time.Duration
+		wantDrops uint64
+	}{
+		{"wire_time", []arrival{{0, true}}, 10 * ms, 0},
+		{"backlog_bound", []arrival{
+			{0, true}, {0, true}, {0, true}, {0, true}, {0, true}, {0, true}, // backlog 0…50 ms
+			{0, false}, {0, false}, // backlog 60 ms
+		}, 60 * ms, 2},
+		{"drop_takes_no_wire", []arrival{
+			{0, true}, {0, true}, {0, true}, {0, true}, {0, true}, {0, true},
+			{0, false},
+			{10 * ms, true}, // backlog 50 ms, not 60
+		}, 70 * ms, 1},
+		{"idle_restarts_at_now", []arrival{{0, true}, {100 * ms, true}}, 110 * ms, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			link := bottleneck{bps: 1e6, maxBacklog: 50 * ms}
+			for i, a := range tc.arrivals {
+				if got := link.admit(a.at, 1250); got != a.admit {
+					t.Errorf("arrival %d at %v: admit = %v, want %v", i, a.at, got, a.admit)
+				}
+			}
+			if link.nextFree != tc.wantFree || link.tailDrops != tc.wantDrops {
+				t.Errorf("wire idle at %v with %d tail drops, want %v and %d",
+					link.nextFree, link.tailDrops, tc.wantFree, tc.wantDrops)
+			}
+		})
+	}
+}

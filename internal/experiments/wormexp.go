@@ -7,7 +7,6 @@ import (
 	"bitmapfilter/internal/attack"
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
-	"bitmapfilter/internal/netsim"
 	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/stats"
 )
@@ -64,7 +63,6 @@ type WormResult struct {
 // (same seed); only the filter differs.
 func RunWorm(cfg WormConfig) (WormResult, error) {
 	runOne := func(protected bool) (WormOutcome, error) {
-		sim := netsim.NewSimulator()
 		subnets := []packet.Prefix{
 			packet.PrefixFrom(packet.AddrFrom4(10, 10, 0, 0), 24),
 		}
@@ -79,18 +77,10 @@ func RunWorm(cfg WormConfig) (WormResult, error) {
 			}
 			filter = f
 		}
-		net, err := netsim.NewNetwork(sim, subnets, filter)
-		if err != nil {
-			return WormOutcome{}, err
-		}
 
 		vulnerable := make([]packet.Addr, 0, cfg.VulnerableHosts)
 		for i := 0; i < cfg.VulnerableHosts; i++ {
-			addr := subnets[0].Nth(uint64(10 + i))
-			if _, err := net.AddHost(fmt.Sprintf("v%d", i), addr); err != nil {
-				return WormOutcome{}, err
-			}
-			vulnerable = append(vulnerable, addr)
+			vulnerable = append(vulnerable, subnets[0].Nth(uint64(10+i)))
 		}
 
 		worm, err := attack.NewWorm(attack.WormConfig{
@@ -119,21 +109,20 @@ func RunWorm(cfg WormConfig) (WormResult, error) {
 			if !ok {
 				break
 			}
-			sim.Run(pkt.Time)
+			// The stream is time-ordered; an insider's outbound scan
+			// marks the bitmap like any outgoing packet.
+			v := filtering.Pass
+			if filter != nil {
+				v = filter.Process(pkt)
+			}
 			if pkt.Dir == packet.Incoming {
 				out.ProbesArrived++
-				if v := net.InjectIncoming(pkt); v == filtering.Pass {
+				if v == filtering.Pass {
 					out.ProbesDelivered++
 					worm.Deliver(pkt)
 				}
 			} else {
-				// An infected insider's outbound scan crosses the
-				// edge (marking the bitmap like any outgoing
-				// packet).
 				out.OutboundScans++
-				if filter != nil {
-					filter.Process(pkt)
-				}
 			}
 			// Record the running inside-infected level: the series
 			// accumulates, so add only the delta above what the
@@ -146,7 +135,6 @@ func RunWorm(cfg WormConfig) (WormResult, error) {
 				}
 			}
 		}
-		sim.RunAll()
 		out.InsideInfected = worm.InsideInfected()
 		out.ExternalInfected = worm.ExternalInfected()
 		return out, nil

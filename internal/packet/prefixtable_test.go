@@ -19,8 +19,8 @@ func linearLookup(prefixes []Prefix, a Addr) int32 {
 	return best
 }
 
-// linearInside is the first-match Contains scan the pump, replay.Run and
-// netsim ran before the table.
+// linearInside is the first-match Contains scan the pump and replay.Run
+// ran before the table.
 func linearInside(prefixes []Prefix, a Addr) bool {
 	for _, p := range prefixes {
 		if p.Contains(a) {
