@@ -78,7 +78,7 @@ type sink struct {
 type hashedFilter interface {
 	statFilter
 	Hasher() *core.Hasher
-	ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict
+	ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict
 }
 
 var (
@@ -269,9 +269,9 @@ type faultyHashed struct {
 	fault *fault
 }
 
-func (f *faultyHashed) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict {
+func (f *faultyHashed) ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
 	f.fault.hit()
-	return f.hashedFilter.ProcessHashedInto(pkts, idxs, out)
+	return f.hashedFilter.ProcessHashedInto(pkts, pairs, out)
 }
 
 // faultyFleet is a fleet with a fault in what its lane calls.
@@ -280,9 +280,9 @@ type faultyFleet struct {
 	fault *fault
 }
 
-func (f *faultyFleet) ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict {
+func (f *faultyFleet) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
 	f.fault.hit()
-	return f.Set.ProcessRoutedInto(pkts, slots, out)
+	return f.Set.ProcessHashedInto(pkts, slots, pairs, out)
 }
 
 // faultPolicy is an APD policy with a fault in shard 1's clone of it.
@@ -494,10 +494,10 @@ type recordingHashed struct {
 
 func (r *recordingHashed) Hasher() *core.Hasher { return r.inner.Hasher() }
 
-func (r *recordingHashed) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict {
+func (r *recordingHashed) ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
 	r.calls = append(r.calls, batchOf(pkts))
 	r.hashed++
-	return r.inner.ProcessHashedInto(pkts, idxs, out)
+	return r.inner.ProcessHashedInto(pkts, pairs, out)
 }
 
 func firstDifference(a, b []judgedBatch) int {
@@ -692,9 +692,10 @@ func TestLanesMatchShardedReference(t *testing.T) {
 	})
 }
 
-// TestFleetLaneMatchesSetReference: the hand-off — slots riding in the batch
-// buffer, the lane, the routed regroup — against a second Set's
-// ProcessBatchInto per source batch, which looks every packet up itself.
+// TestFleetLaneMatchesSetReference: the hand-off — slots and the workers'
+// pairs riding in the batch buffer, the lane, its in-order judge — against a
+// second Set's ProcessBatchInto per source batch, which looks every packet
+// up and hashes it itself.
 func TestFleetLaneMatchesSetReference(t *testing.T) {
 	matchReference(t, "scan", "two_way", []sink{fleetSink}, func(t *testing.T, _ sink, run func(*testing.T, string, int)) {
 		jitterRows(t, run)
@@ -707,9 +708,9 @@ type recordingFleet struct {
 	sizes []int
 }
 
-func (r *recordingFleet) ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict {
+func (r *recordingFleet) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
 	r.sizes = append(r.sizes, len(pkts))
-	return r.Set.ProcessRoutedInto(pkts, slots, out)
+	return r.Set.ProcessHashedInto(pkts, slots, pairs, out)
 }
 
 // TestFleetLaneBatchFloor: with one worker and -batch 32 a batch still
@@ -851,11 +852,11 @@ type slotVandal struct {
 	calls, vandalizeOn int
 }
 
-func (v *slotVandal) ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict {
+func (v *slotVandal) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
 	if v.calls++; v.calls == v.vandalizeOn {
 		slots[len(slots)/2] = -2
 	}
-	return v.Set.ProcessRoutedInto(pkts, slots, out)
+	return v.Set.ProcessHashedInto(pkts, slots, pairs, out)
 }
 
 // TestFleetLaneQuarantinesHostileSlot: a source batch lost at the decode
@@ -1147,17 +1148,11 @@ func checkZeroAllocsSteadyState(t *testing.T, sk sink) {
 			a, b := mallocs(short), mallocs(short+more)
 			perBatch = min(perBatch, max(0, float64(b)-float64(a))/more)
 		}
-		// Under -race sync.Pool sheds a quarter of what it is given and the
-		// Set's pooled scratch is allocated anew: the pump still runs there,
-		// for the detector, without the count.
-		if perBatch >= 0.01 && !(raceEnabled && sk.lanes == 1) {
+		if perBatch >= 0.01 {
 			t.Errorf("W=%d: the pump allocates %.3f times per source batch", workers, perBatch)
 		}
 	}
 }
-
-// raceEnabled is set by race_test.go under -race.
-var raceEnabled bool
 
 func TestPumpZeroAllocsSteadyState(t *testing.T)          { checkZeroAllocsSteadyState(t, singleSink) }
 func TestLanedPumpZeroAllocsSteadyState(t *testing.T)     { checkZeroAllocsSteadyState(t, shardsSink(2)) }

@@ -224,7 +224,7 @@ func newMux(started time.Time, snapshot func() pump.Snapshot, plane *controlPlan
 		e.Counter("bitmapfilter_pump_commit_busy_seconds_total", "Seconds the commit lock was held: the serial stage's share of the wall").Float(snap.CommitBusy.Seconds())
 		e.Counter("bitmapfilter_pump_source_busy_seconds_total", "Seconds spent inside the source's ReadBatch under the source lock (a live source's wait for traffic included)").Float(snap.SourceBusy.Seconds())
 		e.Counter("bitmapfilter_pump_decode_busy_seconds_total", "Seconds the workers spent decoding and classifying their batches, summed over workers").Float(snap.DecodeBusy.Seconds())
-		e.Counter("bitmapfilter_pump_hash_busy_seconds_total", "Seconds the workers spent hashing their batches for a single filter, summed over workers").Float(snap.HashBusy.Seconds())
+		e.Counter("bitmapfilter_pump_hash_busy_seconds_total", "Seconds the workers spent hashing their batches for a single filter or a fleet, summed over workers").Float(snap.HashBusy.Seconds())
 		var laneBusy time.Duration
 		for _, l := range snap.Lanes {
 			laneBusy += l.Busy

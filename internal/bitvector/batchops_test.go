@@ -66,10 +66,11 @@ func TestTestAllEmpty(t *testing.T) {
 	}
 }
 
-// TestPrefetchChangesNothing: Prefetch is a hint. Over indexes above the mask
-// (raw hash outputs, and the vector's last word), repeated indexes and an
-// empty group it leaves every word and the running popcount as they were,
-// at an order that fits the cache and one that does not.
+// TestPrefetchChangesNothing: PrefetchPair is a hint. Over pairs whose
+// indexes run above the mask (raw hash outputs, and past the vector's last
+// word), a zero step that repeats one index, and no indexes at all it leaves
+// every word and the running popcount as they were, at an order that fits
+// the cache and one that does not.
 func TestPrefetchChangesNothing(t *testing.T) {
 	r := xrand.New(29)
 	for _, order := range []uint{6, 12, 25} {
@@ -79,15 +80,51 @@ func TestPrefetchChangesNothing(t *testing.T) {
 		}
 		before := &Vector{words: slices.Clone(v.words), order: v.order, mask: v.mask, count: v.count}
 		last := v.Len() - 1
-		for _, idxs := range [][]uint64{
-			nil,
-			{},
-			{last, last + 1, ^uint64(0), 1 << 40, r.Uint64(), r.Uint64()},
-			{7, 7, 7, last, last},
+		for _, p := range []struct {
+			h1, h2 uint64
+			m      int
+		}{
+			{r.Uint64(), r.Uint64(), 0},
+			{r.Uint64(), r.Uint64(), -1},
+			{last, 1, 3},
+			{^uint64(0), 1 << 40, 8},
+			{r.Uint64(), r.Uint64() | 1, 64},
+			{7, 0, 5},
 		} {
-			v.Prefetch(idxs)
+			v.PrefetchPair(p.h1, p.h2, p.m)
 			if !v.Equal(before) || v.PopCount() != before.PopCount() {
-				t.Fatalf("order %d: Prefetch(%v) changed the vector: %v, was %v", order, idxs, v, before)
+				t.Fatalf("order %d: PrefetchPair(%#x, %#x, %d) changed the vector: %v, was %v", order, p.h1, p.h2, p.m, v, before)
+			}
+		}
+	}
+}
+
+// TestPairKernelsMatchIndexKernels: walking g_i = h1 + i·h2 in place is the
+// index-group kernels over the m indexes written out — TestPair is TestAll,
+// SetPairAllVectors is SetAllVectors, bit for bit and count for count.
+func TestPairKernelsMatchIndexKernels(t *testing.T) {
+	r := xrand.New(31)
+	for _, order := range []uint{6, 10} {
+		pair := []*Vector{MustNew(order), MustNew(order), MustNew(order)}
+		idx := []*Vector{MustNew(order), MustNew(order), MustNew(order)}
+		for trial := 0; trial < 3000; trial++ {
+			h1, h2, m := r.Uint64(), r.Uint64()|1, int(r.Uint32()%9)
+			idxs := make([]uint64, m)
+			for i := range idxs {
+				idxs[i] = h1 + uint64(i)*h2
+			}
+			v := int(r.Uint32() % 3)
+			if got, want := pair[v].TestPair(h1, h2, m), idx[v].TestAll(idxs); got != want {
+				t.Fatalf("order %d trial %d: TestPair %v, TestAll %v", order, trial, got, want)
+			}
+			if r.Uint32()%2 == 0 {
+				SetPairAllVectors(pair[v:], h1, h2, m)
+				SetAllVectors(idx[v:], idxs)
+			}
+			for i := range pair {
+				if !pair[i].Equal(idx[i]) || pair[i].PopCount() != idx[i].PopCount() {
+					t.Fatalf("order %d trial %d: vector %d diverged", order, trial, i)
+				}
 			}
 		}
 	}

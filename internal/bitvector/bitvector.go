@@ -169,17 +169,54 @@ func (v *Vector) TestAll(idxs []uint64) bool {
 	return true
 }
 
-// Prefetch asks the CPU to start loading the word that holds each bit idxs
-// names (reduced modulo the vector size) into the cache, and returns without
-// waiting for any of them. It is a hint, not a load: it reads and writes no
-// bit and no count, and does nothing on an architecture without the
-// instruction (prefetch_amd64.s; prefetch_other.go). It pays for a caller
-// that knows its indexes a few packets ahead and a vector larger than the
-// cache.
+// TestPair is TestAll over the m Kirsch–Mitzenmacher indexes of the base
+// pair (h1, h2) — g_i = h1 + i·h2, 0 ≤ i < m — walked in place: the lookup of
+// Algorithm 2 for a key hashed once to its pair.
 //
 //bf:hotpath
-func (v *Vector) Prefetch(idxs []uint64) {
-	prefetchWords(v.words, v.mask, idxs)
+func (v *Vector) TestPair(h1, h2 uint64, m int) bool {
+	for ; m > 0; m-- {
+		if !v.Test(h1) {
+			return false
+		}
+		h1 += h2
+	}
+	return true
+}
+
+// SetPairAllVectors is SetAllVectors over the m indexes of the base pair
+// (h1, h2), walked in place.
+//
+//bf:hotpath
+func SetPairAllVectors(vs []*Vector, h1, h2 uint64, m int) {
+	if len(vs) == 0 {
+		return
+	}
+	mask := vs[0].mask
+	for ; m > 0; m-- {
+		i := h1 & mask
+		w, b := i>>6, uint64(1)<<(i&63)
+		for _, v := range vs {
+			if v.words[w]&b == 0 {
+				v.words[w] |= b
+				v.count++
+			}
+		}
+		h1 += h2
+	}
+}
+
+// PrefetchPair asks the CPU to start loading the word that holds each of
+// the m indexes of the base pair (h1, h2) (reduced modulo the vector size)
+// into the cache, and returns without waiting for any of them. It is a hint,
+// not a load: it reads and writes no bit and no count, and does nothing on an
+// architecture without the instruction (prefetch_amd64.s;
+// prefetch_other.go). It pays for a caller that knows its pairs a few
+// packets ahead and a vector larger than the cache.
+//
+//bf:hotpath
+func (v *Vector) PrefetchPair(h1, h2 uint64, m int) {
+	prefetchPair(v.words, v.mask, h1, h2, m)
 }
 
 // Reset zeroes every bit. This is the b.rotate clean-up; it touches a fixed,

@@ -1,6 +1,7 @@
 package bitvector
 
-// prefetchWords issues PREFETCHT0 on &words[(i&mask)>>6] for every i of idxs.
+// prefetchPair issues PREFETCHT0 on &words[(g&mask)>>6] for g = h1 + i·h2,
+// 0 ≤ i < m.
 //
 //go:noescape
-func prefetchWords(words []uint64, mask uint64, idxs []uint64)
+func prefetchPair(words []uint64, mask, h1, h2 uint64, m int)

@@ -2,5 +2,5 @@
 
 package bitvector
 
-// prefetchWords has no portable form: Prefetch does nothing here.
-func prefetchWords(words []uint64, mask uint64, idxs []uint64) {}
+// prefetchPair has no portable form: PrefetchPair does nothing here.
+func prefetchPair(words []uint64, mask, h1, h2 uint64, m int) {}

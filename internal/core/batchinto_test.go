@@ -189,12 +189,12 @@ func FuzzProcessBatchInto(f *testing.F) {
 
 		out := make([]filtering.Verdict, 0, capHint%1024)
 		hout := make([]filtering.Verdict, 0, capHint%1024)
-		idxs := make([]uint64, 0, capHint%64)
+		pairs := make([]uint64, 0, capHint%64)
 		for off := 0; off < len(pkts); off += chunkSize {
 			end := min(off+chunkSize, len(pkts))
 			out = bat.ProcessBatchInto(pkts[off:end], out)
-			idxs = hashed.Hasher().HashBatch(pkts[off:end], idxs)
-			hout = hashed.ProcessHashedInto(pkts[off:end], idxs, hout)
+			pairs = hashed.Hasher().HashBatch(pkts[off:end], pairs)
+			hout = hashed.ProcessHashedInto(pkts[off:end], pairs, hout)
 			for i := off; i < end; i++ {
 				if out[i-off] != want[i] || hout[i-off] != want[i] {
 					t.Fatalf("seed %d chunk %d: verdict[%d] = %v, hashed ahead %v, want %v",

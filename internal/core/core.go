@@ -51,8 +51,8 @@ const (
 // ErrConfig is returned by New for invalid configurations.
 var ErrConfig = errors.New("core: invalid bitmap filter configuration")
 
-// errIndexes is what ProcessHashedInto panics with: a bug in its caller.
-var errIndexes = errors.New("core: ProcessHashedInto: idxs does not hold m indexes per packet")
+// errPairs is what ProcessHashedInto panics with: a bug in its caller.
+var errPairs = errors.New("core: ProcessHashedInto: pairs does not hold 2 words per packet")
 
 // MarkPolicy selects which vectors outgoing packets mark. The paper's
 // design marks all vectors; MarkCurrentOnly exists as an ablation that
@@ -170,8 +170,7 @@ type Filter struct {
 	cfg     config
 	vectors []*bitvector.Vector
 	idx     int
-	hasher  *Hasher  // its own allocation: workers read it while the judge writes the fields below
-	idxs    []uint64 // m hash indexes for each packet of a chunk (processBatch) or for the one of a per-packet entry point
+	hasher  *Hasher // its own allocation: workers read it while the judge writes the fields below
 	rng     *xrand.Rand
 	// prefetching: a vector outgrows L2 (order ≥ prefetchMinOrder), so
 	// judgeHashed prefetches ahead. Fixed by the geometry, in New.
@@ -234,11 +233,22 @@ func New(opts ...Option) (*Filter, error) {
 		cfg:         cfg,
 		vectors:     vectors,
 		hasher:      &Hasher{fam: fam, full: cfg.tuplePolicy == FullTuple},
-		idxs:        make([]uint64, chunkSize*cfg.hashes), //bf:allow boundedalloc cfg.hashes was validated by hashfam.New above (≤ hashfam.MaxFunctions, so ≤ 16 KiB)
 		rng:         xrand.New(cfg.seed ^ 0xb17a9f11ce5),
 		prefetching: cfg.order >= prefetchMinOrder,
 		nextRotate:  cfg.rotateEvery,
 	}, nil
+}
+
+// Resized returns a new, empty filter with f's k, Δt, seed and mark and
+// tuple policies at order n with m hash functions; opts (an APD policy, say)
+// apply beneath those. A base pair f's Hasher makes is the new filter's pair
+// for the same packet: only the geometry changes.
+func (f *Filter) Resized(n uint, m int, opts ...Option) (*Filter, error) {
+	c := f.cfg
+	return New(append(opts[:len(opts):len(opts)],
+		WithVectors(c.vectors), WithRotateEvery(c.rotateEvery), WithSeed(c.seed),
+		WithMarkPolicy(c.markPolicy), WithTuplePolicy(c.tuplePolicy),
+		WithOrder(n), WithHashes(m))...)
 }
 
 // MustNew is New for statically known options; it panics on error.
@@ -367,8 +377,8 @@ func (f *Filter) Rotate() {
 //
 //bf:hotpath
 func (f *Filter) Process(pkt packet.Packet) filtering.Verdict {
-	f.AdvanceTo(pkt.Time)
-	return f.judge(&pkt, f.indexes(&pkt.Tuple, pkt.Dir))
+	h1, h2 := f.hasher.Pair(&pkt)
+	return f.JudgeHashed(&pkt, h1, h2)
 }
 
 // ProcessBatchInto runs pkts through the filter in order and returns one
@@ -394,7 +404,7 @@ const chunkSize = 32
 
 // processBatch is the allocation-free core of ProcessBatchInto; out must have
 // the same length as pkts. It is the two halves of Algorithm 2 in chunks of
-// chunkSize packets: HashBatch computes the m indexes of every packet in the
+// chunkSize packets: HashBatch computes the base pair of every packet in the
 // chunk — arithmetic on the packet and the seed only, so it may run ahead of
 // the clock — and judgeHashed walks the chunk in packet order with them.
 // Apart, the hashes pipeline and the cache-missing bit touches of
@@ -403,9 +413,10 @@ const chunkSize = 32
 //
 //bf:hotpath
 func (f *Filter) processBatch(pkts []packet.Packet, out []filtering.Verdict) {
+	var pairs [2 * chunkSize]uint64
 	for len(pkts) > 0 {
 		n := min(len(pkts), chunkSize)
-		f.judgeHashed(pkts[:n], f.hasher.HashBatch(pkts[:n], f.idxs), out[:n])
+		f.judgeHashed(pkts[:n], f.hasher.HashBatch(pkts[:n], pairs[:0]), out[:n])
 		pkts, out = pkts[n:], out[n:]
 	}
 }
@@ -413,19 +424,19 @@ func (f *Filter) processBatch(pkts []packet.Packet, out []filtering.Verdict) {
 // ProcessHashedInto is ProcessBatchInto for a caller that has run
 // Hasher().HashBatch over pkts, on whatever goroutine: the ordered half alone
 // — clock, marks, lookups, APD, counters — with ProcessBatchInto's verdicts
-// and state. Indexes not m per packet panic before anything is touched.
+// and state. Pairs not two words per packet panic before anything is touched.
 //
 //bf:hotpath
-func (f *Filter) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict {
-	if len(idxs) != len(pkts)*f.cfg.hashes {
-		panic(errIndexes)
+func (f *Filter) ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
+	if len(pairs) != 2*len(pkts) {
+		panic(errPairs)
 	}
 	out = filtering.GrowVerdicts(out, len(pkts))
-	f.judgeHashed(pkts, idxs, out)
+	f.judgeHashed(pkts, pairs, out)
 	return out
 }
 
-// prefetchAhead is how many packets ahead of the one it judges judgeHashed
+// PrefetchAhead is how many packets ahead of the one it judges judgeHashed
 // prefetches, and prefetchMinOrder the smallest order at which it does: one
 // vector of 2^n bits is then larger than the reference box's 2 MiB L2, and
 // judging a packet is mostly waiting for its lines. Below it the hint is pure
@@ -434,62 +445,82 @@ func (f *Filter) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []fi
 // order 28, 4 and 8 ahead measured alike, 16 and 32 worse.
 // BenchmarkProcessHashedBatch runs both sides of the gate.
 const (
-	prefetchAhead    = 8
+	PrefetchAhead    = 8
 	prefetchMinOrder = 25
 )
 
 // judgeHashed is the ordered half of Algorithm 2: pkts in order, packet i
-// with the m indexes at idxs[i·m:]; out has the length of pkts. With the
-// vectors out of cache, packet i+prefetchAhead's lines are on their way while
+// with the base pair at pairs[2i:]; out has the length of pkts. With the
+// vectors out of cache, packet i+PrefetchAhead's lines are on their way while
 // packet i is judged (a prologue starts the first ones).
 //
 //bf:hotpath
-func (f *Filter) judgeHashed(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) {
-	m := f.cfg.hashes
+func (f *Filter) judgeHashed(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) {
+	pairs = pairs[:2*len(pkts)]
 	ahead := len(pkts) // i+ahead is past the end: nothing to prefetch
 	if f.prefetching {
-		ahead = min(prefetchAhead, len(pkts))
+		ahead = min(PrefetchAhead, len(pkts))
 		for j := 0; j < ahead; j++ {
-			f.prefetch(pkts[j].Dir, idxs[j*m:(j+1)*m])
+			f.prefetch(pkts[j].Dir, pairs[2*j], pairs[2*j+1])
 		}
 	}
 	for i := range pkts {
 		if j := i + ahead; j < len(pkts) {
-			f.prefetch(pkts[j].Dir, idxs[j*m:(j+1)*m])
+			f.prefetch(pkts[j].Dir, pairs[2*j], pairs[2*j+1])
 		}
-		if pkts[i].Time > f.now {
-			f.AdvanceTo(pkts[i].Time)
-		}
-		out[i] = f.judge(&pkts[i], idxs[i*m:(i+1)*m])
+		out[i] = f.JudgeHashed(&pkts[i], pairs[2*i], pairs[2*i+1])
+	}
+}
+
+// Prefetches reports whether the filter's vectors outgrow the cache, so that
+// PrefetchHashed does something.
+func (f *Filter) Prefetches() bool { return f.prefetching }
+
+// PrefetchHashed is judgeHashed's hint for a caller that judges packet by
+// packet: issued PrefetchAhead packets before JudgeHashed of a packet of
+// direction dir and pair (h1, h2), it starts that packet's lines on their
+// way. It does nothing for a filter small enough to stay in cache.
+//
+//bf:hotpath
+func (f *Filter) PrefetchHashed(dir packet.Direction, h1, h2 uint64) {
+	if f.prefetching {
+		f.prefetch(dir, h1, h2)
 	}
 }
 
 // prefetch starts loading the lines judge reads first for a packet of
-// direction dir with indexes idxs: the newest vector's for an outgoing packet
-// (mark's nesting test), the current one's otherwise (lookup, and a
+// direction dir with base pair (h1, h2): the newest vector's for an outgoing
+// packet (mark's nesting test), the current one's otherwise (lookup, and a
 // MarkCurrentOnly mark). A rotation before the packet is judged makes it the
 // wrong vector's lines — a wasted hint, nothing more.
 //
 //bf:hotpath
-func (f *Filter) prefetch(dir packet.Direction, idxs []uint64) {
+func (f *Filter) prefetch(dir packet.Direction, h1, h2 uint64) {
 	v := f.idx
 	if dir == packet.Outgoing && f.cfg.markPolicy == MarkAllVectors {
 		v = f.newest()
 	}
-	f.vectors[v].Prefetch(idxs)
+	f.vectors[v].PrefetchPair(h1, h2, f.cfg.hashes)
 }
 
-// judge applies Algorithm 2 to one packet whose hash indexes are idxs,
-// assuming the rotation clock has already been advanced to pkt.Time.
+// JudgeHashed applies Algorithm 2 to one packet whose base pair HashBatch
+// or Hasher.Pair computed: the clock advanced to pkt.Time if that moves it,
+// then the marks or the lookup, APD and counters. A caller that judges packet
+// by packet through several filters (tenant.Set) calls it in source order;
+// each filter sees what ProcessBatchInto of its own packets would have made
+// of them.
 //
 //bf:hotpath
-func (f *Filter) judge(pkt *packet.Packet, idxs []uint64) filtering.Verdict {
+func (f *Filter) JudgeHashed(pkt *packet.Packet, h1, h2 uint64) filtering.Verdict {
+	if pkt.Time > f.now {
+		f.AdvanceTo(pkt.Time)
+	}
 	if pkt.Dir == packet.Outgoing {
 		// Under APD the marking policy skips TCP signal packets so
 		// that SYN/FIN-scan responses cannot inflate the bitmap
 		// (§5.3).
 		if f.cfg.apd == nil || !pkt.IsSignal() {
-			f.mark(idxs)
+			f.mark(h1, h2)
 		}
 		if f.cfg.apd != nil {
 			f.cfg.apd.Observe(*pkt)
@@ -499,7 +530,7 @@ func (f *Filter) judge(pkt *packet.Packet, idxs []uint64) filtering.Verdict {
 	}
 
 	v := filtering.Pass
-	if !f.lookup(idxs) {
+	if !f.lookup(h1, h2) {
 		v = filtering.Drop
 		if f.cfg.apd != nil {
 			// APD drops unmatched packets only probabilistically.
@@ -532,7 +563,7 @@ func (f *Filter) PunchHole(local packet.Addr, localPort uint16, remote packet.Ad
 		Dst:     remote,
 		Proto:   proto,
 	}
-	f.mark(f.indexes(&tup, packet.Outgoing))
+	f.mark(f.hasher.pair(&tup, packet.Outgoing))
 }
 
 // WouldAdmit reports, without counting or APD, whether an incoming packet
@@ -540,20 +571,16 @@ func (f *Filter) PunchHole(local packet.Addr, localPort uint16, remote packet.Ad
 // verification in the Figure 5 experiment uses this to classify penetrating
 // packets.
 func (f *Filter) WouldAdmit(tup packet.Tuple) bool {
-	return f.lookup(f.indexes(&tup, packet.Incoming))
-}
-
-// indexes hashes one key for the per-packet entry points, into f.idxs.
-//
-//bf:hotpath
-func (f *Filter) indexes(tup *packet.Tuple, dir packet.Direction) []uint64 {
-	lo, hi, n := f.hasher.keyWords(tup, dir)
-	return f.hasher.fam.IndexesFixed(f.idxs[:0], lo, hi, n)
+	return f.lookup(f.hasher.pair(&tup, packet.Incoming))
 }
 
 // Hasher is the pure half of Algorithm 2 (§3.3): a packet's key under the
-// filter's tuple policy, hashed to its m bit indexes. It is immutable, so
-// any number of goroutines may hash ahead of the one that judges.
+// filter's tuple policy, hashed to its Kirsch–Mitzenmacher base pair
+// (h1, h2). The m indexes g_i = h1 + i·h2 are derived where the bits are
+// touched, so a pair depends on the seed and the tuple policy alone: it is
+// valid for any order and hash count a filter with that seed and policy has.
+// It is immutable, so any number of goroutines may hash ahead of the one
+// that judges.
 type Hasher struct {
 	fam  *hashfam.Family
 	full bool // FullTuple
@@ -562,27 +589,32 @@ type Hasher struct {
 // Hasher returns the filter's hash half; it never changes.
 func (f *Filter) Hasher() *Hasher { return f.hasher }
 
-// Hashes returns m, the indexes HashBatch writes per packet.
-func (h *Hasher) Hashes() int { return h.fam.M() }
-
-// HashBatch returns dst[:0] with the m indexes of every packet of pkts
-// appended in order, growing dst only when its capacity is short.
+// HashBatch returns dst with the base pair of every packet of pkts, packet i
+// at dst[2i] and dst[2i+1], growing dst only when its capacity is short.
 //
 //bf:hotpath
 func (h *Hasher) HashBatch(pkts []packet.Packet, dst []uint64) []uint64 {
-	dst = dst[:0]
+	dst = filtering.GrowSlice(dst, 2*len(pkts))
 	for i := range pkts {
-		lo, hi, n := h.keyWords(&pkts[i].Tuple, pkts[i].Dir)
-		dst = h.fam.IndexesFixed(dst, lo, hi, n)
+		dst[2*i], dst[2*i+1] = h.Pair(&pkts[i])
 	}
 	return dst
 }
 
-// keyWords packs the key of (tup, dir) under the tuple policy into two
-// little-endian 64-bit lanes, n bytes long: no key byte slice on the hot path.
+// Pair is the base pair of one packet's key.
 //
 //bf:hotpath
-func (h *Hasher) keyWords(tup *packet.Tuple, dir packet.Direction) (lo, hi uint64, n int) {
+func (h *Hasher) Pair(pkt *packet.Packet) (h1, h2 uint64) {
+	return h.pair(&pkt.Tuple, pkt.Dir)
+}
+
+// pair hashes the key of (tup, dir) under the tuple policy, packed into two
+// little-endian 64-bit lanes: no key byte slice on the hot path, and the
+// partial tuple through the fixed 11-byte kernel.
+//
+//bf:hotpath
+func (h *Hasher) pair(tup *packet.Tuple, dir packet.Direction) (h1, h2 uint64) {
+	var lo, hi uint64
 	switch {
 	case h.full:
 		// Ablation: hash the complete 4-tuple, canonicalized to the
@@ -592,16 +624,17 @@ func (h *Hasher) keyWords(tup *packet.Tuple, dir packet.Direction) (lo, hi uint6
 			t = t.Reverse()
 		}
 		lo, hi = t.FullKeyWords()
-		return lo, hi, packet.FullKeySize
+		return h.fam.BaseFixed(lo, hi, packet.FullKeySize)
 	case dir == packet.Outgoing:
 		lo, hi = tup.OutgoingKeyWords()
 	default:
 		lo, hi = tup.IncomingKeyWords()
 	}
-	return lo, hi, packet.KeySize
+	return h.fam.Base11(lo, hi)
 }
 
-// mark sets the bits idxs in every vector (Algorithm 2, outgoing).
+// mark sets the m bits of the base pair (h1, h2) in every vector (Algorithm
+// 2, outgoing).
 //
 // Nesting invariant: under MarkAllVectors the vectors are nested by age,
 // newest-cleared first: vectors[idx−1] ⊆ vectors[idx−2] ⊆ … ⊆ vectors[idx]
@@ -611,19 +644,20 @@ func (h *Hasher) keyWords(tup *packet.Tuple, dir packet.Direction) (lo, hi uint6
 // and ∅ is a subset of anything; (3) snapshot restore, the one outside
 // source of vector words, verifies the chain (nested). So bits set in the
 // newest vector are set in all k, marking them again changes nothing, and
-// mark skips the k·m writes when the newest vector already holds idxs. For
+// mark skips the k·m writes when the newest vector already holds them. For
 // k = 1 that is Set's own "already set" test. MarkCurrentOnly marks one
 // vector, not all k: the shortcut is not its.
 //
 //bf:hotpath
-func (f *Filter) mark(idxs []uint64) {
+func (f *Filter) mark(h1, h2 uint64) {
 	f.marks++
+	m := f.cfg.hashes
 	if f.cfg.markPolicy == MarkCurrentOnly {
-		f.vectors[f.idx].SetAll(idxs)
+		bitvector.SetPairAllVectors(f.vectors[f.idx:f.idx+1], h1, h2, m)
 		return
 	}
-	if !f.vectors[f.newest()].TestAll(idxs) {
-		bitvector.SetAllVectors(f.vectors, idxs)
+	if !f.vectors[f.newest()].TestPair(h1, h2, m) {
+		bitvector.SetPairAllVectors(f.vectors, h1, h2, m)
 	}
 }
 
@@ -647,9 +681,10 @@ func (f *Filter) nested() bool {
 	return true
 }
 
-// lookup tests the bits idxs in the current vector only.
+// lookup tests the m bits of the base pair (h1, h2) in the current vector
+// only.
 //
 //bf:hotpath
-func (f *Filter) lookup(idxs []uint64) bool {
-	return f.vectors[f.idx].TestAll(idxs)
+func (f *Filter) lookup(h1, h2 uint64) bool {
+	return f.vectors[f.idx].TestPair(h1, h2, f.cfg.hashes)
 }

@@ -83,12 +83,12 @@ func TestProcessHashedMatchesProcessBatch(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/batch=%d", tc.name, batch), func(t *testing.T) {
 				hashed, plain := mk(), mk()
 				h := hashed.Hasher()
-				var idxs []uint64
+				var pairs []uint64
 				var got, ref []filtering.Verdict
 				for off := 0; off < len(pkts); off += batch {
 					chunk := pkts[off:min(off+batch, len(pkts))]
-					idxs = h.HashBatch(chunk, idxs)
-					got = hashed.ProcessHashedInto(chunk, idxs, got)
+					pairs = h.HashBatch(chunk, pairs)
+					got = hashed.ProcessHashedInto(chunk, pairs, got)
 					ref = plain.ProcessBatchInto(chunk, ref)
 					for i := range chunk {
 						if got[i] != want[off+i] || ref[i] != want[off+i] {
@@ -110,22 +110,28 @@ func TestProcessHashedMatchesProcessBatch(t *testing.T) {
 }
 
 // TestHashBatchMatchesFamilyIndexes pins the pure half to the paper's
-// definition: the indexes of a packet are the hash family's over the bytes of
-// its key — the partial tuple of its direction, or the full tuple in the
-// outgoing orientation — whoever's goroutine computes them.
+// definition: the pair of a packet is the hash family's base pair over the
+// bytes of its key — the partial tuple of its direction, or the full tuple in
+// the outgoing orientation — whoever's goroutine computes it, and the m
+// indexes g_i = h1 + i·h2 the filter derives from it are the family's
+// indexes. The pair is the seed's and the policy's alone: filters of any m
+// hash a packet to the same pair.
 func TestHashBatchMatchesFamilyIndexes(t *testing.T) {
 	pkts := hashedTrace(2000, 9)
 	for _, policy := range []TuplePolicy{PartialTuple, FullTuple} {
+		var first []uint64 // the pairs of the first m
 		for _, m := range []int{1, 3, 8} {
 			f := small(WithTuplePolicy(policy), WithHashes(m), WithSeed(77))
 			h := f.Hasher()
-			if h.Hashes() != m {
-				t.Fatalf("Hashes() = %d, want %d", h.Hashes(), m)
-			}
 			fam := hashfam.MustNew(m, 77)
 			got := h.HashBatch(pkts, nil)
-			if len(got) != len(pkts)*m {
-				t.Fatalf("policy %d m=%d: %d indexes for %d packets", policy, m, len(got), len(pkts))
+			if len(got) != 2*len(pkts) {
+				t.Fatalf("policy %d m=%d: %d words for %d packets", policy, m, len(got), len(pkts))
+			}
+			if first == nil {
+				first = got
+			} else if !reflect.DeepEqual(got, first) {
+				t.Fatalf("policy %d: m=%d hashes to other pairs than m=1", policy, m)
 			}
 			dirs := map[packet.Direction]int{}
 			for i, p := range pkts {
@@ -145,12 +151,20 @@ func TestHashBatchMatchesFamilyIndexes(t *testing.T) {
 					key = k[:]
 				}
 				dirs[p.Dir]++
-				if want := fam.Indexes(nil, key); !reflect.DeepEqual(got[i*m:(i+1)*m], want) {
-					t.Fatalf("policy %d m=%d packet %d (%v): indexes %x, the family's %x", policy, m, i, p, got[i*m:(i+1)*m], want)
+				h1, h2 := got[2*i], got[2*i+1]
+				if w1, w2 := fam.Base(key); h1 != w1 || h2 != w2 {
+					t.Fatalf("policy %d m=%d packet %d (%v): pair (%x, %x), the family's (%x, %x)", policy, m, i, p, h1, h2, w1, w2)
+				}
+				derived := make([]uint64, m)
+				for j := range derived {
+					derived[j] = h1 + uint64(j)*h2
+				}
+				if want := fam.Indexes(nil, key); !reflect.DeepEqual(derived, want) {
+					t.Fatalf("policy %d m=%d packet %d: derived indexes %x, the family's %x", policy, m, i, derived, want)
 				}
 				// The per-packet entry points hash through the same code.
-				if one := f.indexes(&p.Tuple, p.Dir); !reflect.DeepEqual(one, got[i*m:(i+1)*m]) {
-					t.Fatalf("policy %d m=%d packet %d: Filter.indexes %x, HashBatch %x", policy, m, i, one, got[i*m:(i+1)*m])
+				if o1, o2 := h.Pair(&pkts[i]); o1 != h1 || o2 != h2 {
+					t.Fatalf("policy %d m=%d packet %d: Hasher.Pair (%x, %x), HashBatch (%x, %x)", policy, m, i, o1, o2, h1, h2)
 				}
 			}
 			if dirs[packet.Outgoing] == 0 || dirs[packet.Incoming] == 0 {
@@ -160,8 +174,8 @@ func TestHashBatchMatchesFamilyIndexes(t *testing.T) {
 	}
 }
 
-// TestProcessHashedIntoRefusesMismatchedIndexes: indexes that are not m per
-// packet — a stale or truncated slice — are the caller's bug. The filter
+// TestProcessHashedIntoRefusesMismatchedIndexes: pairs that are not two
+// words per packet — a stale or truncated slice — are the caller's bug. The filter
 // panics with a message before the clock, a bit or a counter moves, through
 // Safe as well (which must not keep its lock).
 func TestProcessHashedIntoRefusesMismatchedIndexes(t *testing.T) {
@@ -174,7 +188,7 @@ func TestProcessHashedIntoRefusesMismatchedIndexes(t *testing.T) {
 	f.Process(outPkt(time.Second, client, server, 4000, 80))
 	before, stats := snapshotOf(t, f), f.Stats()
 	good := f.Hasher().HashBatch(pkts, nil)
-	for name, idxs := range map[string][]uint64{"short": good[:len(good)-1], "long": append(good[:len(good):len(good)], 1), "none": nil} {
+	for name, pairs := range map[string][]uint64{"short": good[:len(good)-1], "long": append(good[:len(good):len(good)], 1), "none": nil} {
 		for flavor, judge := range map[string]func([]packet.Packet, []uint64, []filtering.Verdict) []filtering.Verdict{
 			"filter": f.ProcessHashedInto, "safe": safe.ProcessHashedInto,
 		} {
@@ -182,11 +196,11 @@ func TestProcessHashedIntoRefusesMismatchedIndexes(t *testing.T) {
 				defer func() {
 					if r := recover(); r == nil {
 						t.Errorf("%s/%s: no panic", flavor, name)
-					} else if msg := fmt.Sprint(r); !strings.Contains(msg, "ProcessHashedInto: idxs does not hold m indexes per packet") {
+					} else if msg := fmt.Sprint(r); !strings.Contains(msg, "ProcessHashedInto: pairs does not hold 2 words per packet") {
 						t.Errorf("%s/%s: panic %q", flavor, name, msg)
 					}
 				}()
-				judge(pkts, idxs, nil)
+				judge(pkts, pairs, nil)
 			}()
 		}
 		if !bytes.Equal(snapshotOf(t, f), before) || !reflect.DeepEqual(f.Stats(), stats) {
@@ -207,7 +221,7 @@ func TestHashBatchConcurrentWithJudge(t *testing.T) {
 	const batch, hashers = 100, 4
 	type hashedFilter interface {
 		Hasher() *Hasher
-		ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict
+		ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict
 		Stats() Stats
 	}
 	mk := func() *Filter { return MustNew(WithOrder(12), WithSeed(5), WithRotateEvery(10*time.Millisecond)) }
@@ -260,15 +274,15 @@ func TestHashedEntryPointsZeroAllocs(t *testing.T) {
 		f := small(WithHashes(m))
 		safe := NewSafe(small(WithHashes(m)))
 		h := f.Hasher()
-		idxs := make([]uint64, 0, len(pkts)*m)
+		pairs := make([]uint64, 0, 2*len(pkts))
 		out := make([]filtering.Verdict, len(pkts))
-		if allocs := testing.AllocsPerRun(20, func() { idxs = h.HashBatch(pkts, idxs) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { pairs = h.HashBatch(pkts, pairs) }); allocs != 0 {
 			t.Errorf("m=%d: HashBatch allocates %.1f times per batch", m, allocs)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { out = f.ProcessHashedInto(pkts, idxs, out) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { out = f.ProcessHashedInto(pkts, pairs, out) }); allocs != 0 {
 			t.Errorf("m=%d: ProcessHashedInto allocates %.1f times per batch", m, allocs)
 		}
-		if allocs := testing.AllocsPerRun(20, func() { out = safe.ProcessHashedInto(pkts, idxs, out) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(20, func() { out = safe.ProcessHashedInto(pkts, pairs, out) }); allocs != 0 {
 			t.Errorf("m=%d: Safe.ProcessHashedInto allocates %.1f times per batch", m, allocs)
 		}
 	}

@@ -331,14 +331,14 @@ func BenchmarkProcessBatchIntoOrder28(b *testing.B) { benchProcessBatchInto(b, 2
 func BenchmarkProcessBatchIntoOrder20(b *testing.B) { benchProcessBatchInto(b, 20) }
 
 // benchHalves prices the two halves of benchProcessBatchInto's work apart:
-// the hash of a 512-packet batch, and the ordered half over indexes computed
+// the hash of a 512-packet batch, and the ordered half over pairs computed
 // outside the timer — what is left on the pump's serial stage.
 func benchHalves(b *testing.B, order uint, judge bool) {
 	const batch, batches = 512, 512
 	pkts := clientMixBatches(batch, batches)
 	f := MustNew(WithOrder(order))
 	h := f.Hasher()
-	idxs := make([]uint64, 0, batch*f.Hashes())
+	pairs := make([]uint64, 0, 2*batch)
 	all := h.HashBatch(pkts, nil)
 	out := make([]filtering.Verdict, batch)
 	b.ReportAllocs()
@@ -347,7 +347,7 @@ func benchHalves(b *testing.B, order uint, judge bool) {
 		at := i % batches * batch
 		chunk := pkts[at:][:batch]
 		if !judge {
-			idxs = h.HashBatch(chunk, idxs)
+			pairs = h.HashBatch(chunk, pairs)
 			continue
 		}
 		if i >= batches { // a later pass: the same traffic, one Δt on
@@ -355,7 +355,7 @@ func benchHalves(b *testing.B, order uint, judge bool) {
 				chunk[j].Time += DefaultRotateEvery
 			}
 		}
-		out = f.ProcessHashedInto(chunk, all[at*f.Hashes():][:batch*f.Hashes()], out)
+		out = f.ProcessHashedInto(chunk, all[2*at:][:2*batch], out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/pkt")
 }

@@ -63,10 +63,10 @@ func (s *Safe) Hasher() *Hasher { return s.hasher }
 // ProcessHashedInto forwards to Filter.ProcessHashedInto: one lock per batch.
 //
 //bf:hotpath
-func (s *Safe) ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict {
+func (s *Safe) ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f.ProcessHashedInto(pkts, idxs, out)
+	return s.f.ProcessHashedInto(pkts, pairs, out)
 }
 
 // AdvanceTo implements filtering.PacketFilter.

@@ -300,7 +300,8 @@ func TestSnapshotRefusesUnnestedVectors(t *testing.T) {
 
 	// Every bit of the victim's key, set in the newest vector only.
 	reply := packet.Tuple{Src: server, Dst: client, SrcPort: 80, DstPort: 4002, Proto: packet.TCP}
-	victim := f.indexes(&reply, packet.Incoming)
+	h1, h2 := f.hasher.pair(&reply, packet.Incoming)
+	victim := []uint64{h1, h1 + h2} // its m = 2 indexes
 	for newer := 0; newer < 4; newer++ {
 		if newer == f.idx {
 			continue // the current vector is the oldest: a superset of all

@@ -119,3 +119,35 @@ func (f *Family) IndexesFixed(dst []uint64, lo, hi uint64, n int) []uint64 {
 	}
 	return dst
 }
+
+// Base11 is BaseFixed(lo, hi, 11) — the pair of the filter's 11-byte
+// partial-tuple key — with the length folded in: one block and a 3-byte tail
+// per base hash, no branch. Bytes of hi above the third are ignored, as
+// BaseFixed ignores them.
+func (f *Family) Base11(lo, hi uint64) (h1, h2 uint64) {
+	const n = 11
+	tail := hi & 0xffffff
+
+	h := f.seed
+	k := rotl64(lo*murmurC1, 31) * murmurC2
+	h ^= k
+	h = rotl64(h, 27)*5 + 0x52dce729
+	h ^= rotl64(tail*murmurC1, 31) * murmurC2
+	h1 = fmix64(h ^ n)
+
+	x := f.seed ^ 0xa5a5a5a5a5a5a5a5 + xxPrime5 + n
+	x ^= rotl64(lo*xxPrime2, 31) * xxPrime1
+	x = rotl64(x, 27)*xxPrime1 + xxPrime4
+	x ^= (tail & 0xff) * xxPrime5
+	x = rotl64(x, 11) * xxPrime1
+	x ^= (tail >> 8 & 0xff) * xxPrime5
+	x = rotl64(x, 11) * xxPrime1
+	x ^= (tail >> 16) * xxPrime5
+	x = rotl64(x, 11) * xxPrime1
+	x ^= x >> 33
+	x *= xxPrime2
+	x ^= x >> 29
+	x *= xxPrime3
+	x ^= x >> 32
+	return h1, x | 1
+}

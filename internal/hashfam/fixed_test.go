@@ -73,3 +73,35 @@ func TestIndexesFixedMatchesIndexes(t *testing.T) {
 		}
 	}
 }
+
+// TestBase11MatchesBaseFixed pins the 11-byte kernel the filter's partial
+// tuple key runs through to the general one: the same pair as
+// BaseFixed(lo, hi, 11) over random lanes (bytes of hi past the key's
+// included) and seeds.
+func TestBase11MatchesBaseFixed(t *testing.T) {
+	r := xrand.New(11)
+	for trial := 0; trial < 20000; trial++ {
+		fam := MustNew(1+int(r.Uint32()%8), r.Uint64())
+		lo, hi := r.Uint64(), r.Uint64()
+		g1, g2 := fam.Base11(lo, hi)
+		w1, w2 := fam.BaseFixed(lo, hi, 11)
+		if g1 != w1 || g2 != w2 {
+			t.Fatalf("seed %#x lanes (%#x, %#x): Base11 (%#x, %#x), BaseFixed (%#x, %#x)", fam.Seed(), lo, hi, g1, g2, w1, w2)
+		}
+	}
+}
+
+// FuzzBase11 is TestBase11MatchesBaseFixed over whatever lanes and seeds the
+// fuzzer finds.
+func FuzzBase11(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0))
+	f.Add(^uint64(0), ^uint64(0), uint64(0xa5a5a5a5a5a5a5a5))
+	f.Add(uint64(0x0102030405060708), uint64(0x090a0b), uint64(77))
+	f.Fuzz(func(t *testing.T, lo, hi, seed uint64) {
+		fam := MustNew(3, seed)
+		g1, g2 := fam.Base11(lo, hi)
+		if w1, w2 := fam.BaseFixed(lo, hi, 11); g1 != w1 || g2 != w2 {
+			t.Fatalf("seed %#x lanes (%#x, %#x): Base11 (%#x, %#x), BaseFixed (%#x, %#x)", seed, lo, hi, g1, g2, w1, w2)
+		}
+	})
+}

@@ -114,3 +114,30 @@ func TestDecodeRandomMutationsNeverPanic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzHeaderSum is the differential contract of DecodeInto's header check:
+// the word-wise headerChecksum equals the byte-pair checksum the encoder and
+// the reference decoder use, for every IHL from 5 to 15 and any bytes
+// (zero-padded or cut to the IHL's length).
+func FuzzHeaderSum(f *testing.F) {
+	tcp, err := Encode(samplePacket(TCP))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), tcp[EthernetHeaderLen:])
+	f.Add(uint8(10), make([]byte, 60))
+	ones := make([]byte, 60)
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	f.Add(uint8(10), ones)
+	// Words summing to 0x1_ffff_0000: each of the three folds is needed.
+	f.Add(uint8(0), []byte{0xff, 0xff, 0, 0, 0xff, 0xff, 0, 0, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, ihl uint8, data []byte) {
+		hdr := make([]byte, 4*(5+int(ihl)%11))
+		copy(hdr, data)
+		if got, want := headerChecksum(hdr), checksum(hdr, 0); got != want {
+			t.Fatalf("headerChecksum(%x) = %#04x, checksum = %#04x", hdr, got, want)
+		}
+	})
+}

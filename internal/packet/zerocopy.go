@@ -51,7 +51,7 @@ func DecodeInto(pkt *Packet, frame []byte) error {
 	if ihl < IPv4HeaderLen || len(ip) < ihl {
 		return ErrBadIHL
 	}
-	if checksum(ip[:ihl], 0) != 0 {
+	if headerChecksum(ip[:ihl]) != 0 {
 		return ErrBadChecksum
 	}
 	ipTotal := int(binary.BigEndian.Uint16(ip[2:4]))
@@ -96,4 +96,29 @@ func DecodeInto(pkt *Packet, frame []byte) error {
 	pkt.Flags = flags
 	pkt.Length = EthernetHeaderLen + ipTotal
 	return nil
+}
+
+// headerChecksum is checksum(hdr, 0) for an IPv4 header: hdr is ihl bytes,
+// a multiple of 4 from IPv4HeaderLen up. It sums big-endian 32-bit words
+// into 64 bits — five of them straight-line, then any options — and folds
+// the sum to 16 bits. Since 2^16 ≡ 1 modulo 2^16−1, the folded word sum is
+// congruent to the byte-pair sum, and both lie in [1, 0xffff] for any
+// non-zero header (0 for an all-zero one): the two are equal, which
+// FuzzHeaderSum pins.
+//
+//bf:hotpath
+func headerChecksum(hdr []byte) uint16 {
+	be := binary.BigEndian
+	_ = hdr[IPv4HeaderLen-1]
+	sum := uint64(be.Uint32(hdr[0:])) + uint64(be.Uint32(hdr[4:])) + uint64(be.Uint32(hdr[8:])) +
+		uint64(be.Uint32(hdr[12:])) + uint64(be.Uint32(hdr[16:]))
+	for i := IPv4HeaderLen; i+4 <= len(hdr); i += 4 {
+		sum += uint64(be.Uint32(hdr[i:]))
+	}
+	// At most 15 words: sum < 2^36. Each fold keeps the sum's residue
+	// modulo 2^16−1; three bring it under 2^16.
+	sum = sum&0xffffffff + sum>>32 // < 2^32 + 16
+	sum = sum&0xffff + sum>>16     // ≤ 0x1fffe
+	sum = sum&0xffff + sum>>16     // ≤ 0xffff
+	return ^uint16(sum)
 }

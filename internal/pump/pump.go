@@ -16,7 +16,9 @@
 // The filter's type chooses only what a commit does (sinks.go): a single
 // filter is judged right there, under the commit lock; a sharded filter's
 // packets are scattered, in source order, into one lane per shard; a tenant
-// fleet's whole batch is handed, as it is, to the fleet's one lane.
+// fleet's whole batch is handed, as it is, to the fleet's one lane. A single
+// filter's and a fleet's workers also hash each packet's key to its base
+// pair, so what is left to the serial stage is the bit touches.
 package pump
 
 import (
@@ -77,10 +79,13 @@ type Config struct {
 
 // fleet is the filter whose batches carry a slot per packet (*tenant.Set):
 // Routes is the table the slots index, so the slot classify finds is the
-// slot the fleet judges by.
+// slot the fleet hashes and judges by. Like a hashedFilter it comes in two
+// halves: the workers hash each packet with its tenant's hasher, the lane
+// judges the batch in source order.
 type fleet interface {
 	Routes() *packet.PrefixTable
-	ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict
+	HashRouted(pkts []packet.Packet, slots []int32, dst []uint64) []uint64
+	ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict
 }
 
 // hashedFilter is a single filter that offers Algorithm 2 in its two halves
@@ -88,7 +93,7 @@ type fleet interface {
 // batch, and the commit step only the one that needs packet order.
 type hashedFilter interface {
 	Hasher() *core.Hasher
-	ProcessHashedInto(pkts []packet.Packet, idxs []uint64, out []filtering.Verdict) []filtering.Verdict
+	ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict
 }
 
 // Pump is one data plane over one source and one filter.
@@ -174,8 +179,8 @@ func New(cfg Config) *Pump {
 			if laned {
 				b.slots = make([]int32, batch)
 			}
-			if p.hashed != nil {
-				b.idxs = make([]uint64, 0, batch*p.hashed.Hasher().Hashes()) // once, here: batch·m words, m ≤ hashfam.MaxFunctions
+			if p.hashed != nil || p.fleet != nil {
+				b.pairs = make([]uint64, 0, 2*batch) // once, here: 2·batch words, a base pair per packet
 			}
 			w.free <- b
 		}

@@ -1,7 +1,10 @@
 package pump
 
 import (
+	"bytes"
 	"io"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -19,13 +22,9 @@ import (
 // sink at W = 1, 2, 4 — is checked through New, Watch, Run and Snapshot from
 // cmd/bfwall's tests, beside the daemon they also drive.
 
-// raceEnabled is set by race_test.go under -race, where sync.Pool sheds a
-// quarter of what it is given and the Set's pooled scratch is allocated
-// anew: the steps still run there, for the detector, without the count.
-var raceEnabled bool
-
 // sinks builds one filter per sink of the commit step — a single filter three
-// ways: plain and locked (hashed by the workers), and wrapped (by itself).
+// ways: plain and locked (hashed by the workers), and wrapped (by itself); a
+// sharded filter; and a fleet, hashed by the workers too.
 var sinks = map[string]func(t *testing.T) filtering.BatchFilter{
 	"single":  func(t *testing.T) filtering.BatchFilter { return single(t) },
 	"locked":  func(t *testing.T) filtering.BatchFilter { return core.NewSafe(single(t)) },
@@ -155,13 +154,23 @@ func TestPublishOutOfOrder(t *testing.T) {
 
 // TestDecodePanicDropsHashedIndexes: a decode that panics over a buffer that
 // still holds hashed packets leaves a poisoned batch with no packets and no
-// indexes, so nothing stale can reach the filter; exactly that batch is
-// quarantined, and the buffer's next batch is hashed and judged as ever.
+// pairs, so nothing stale can reach the filter; exactly that batch is
+// quarantined, and the buffer's next batch is hashed and judged as ever. The
+// workers hash a base pair, two words, per packet for a single filter that
+// offers its halves and for a fleet, whose lane runs free here.
 func TestDecodePanicDropsHashedIndexes(t *testing.T) {
-	for _, name := range []string{"single", "locked", "wrapped"} {
+	for _, name := range []string{"single", "locked", "wrapped", "fleet"} {
 		t.Run(name, func(t *testing.T) {
 			syns, replies := flows(t, 37)
 			p := New(Config{Source: &listSource{batches: [][]capture.Frame{syns, syns, replies}}, Filter: sinks[name](t), Subnets: subnets, Batch: 37, Workers: 1})
+			var lanes sync.WaitGroup
+			lanes.Add(len(p.lanes))
+			for _, l := range p.lanes {
+				go func() {
+					defer lanes.Done()
+					p.runLane(l)
+				}()
+			}
 			w := p.workers[0]
 			step := func(b *batchBuf) {
 				p.read(w, b)
@@ -171,31 +180,36 @@ func TestDecodePanicDropsHashedIndexes(t *testing.T) {
 			}
 			b := p.take(w)
 			step(b)
-			want := 37 * 3
+			want := 37 * 2
 			if name == "wrapped" {
 				want = 0 // the filter hashes for itself
 			}
-			if (p.hashed != nil) != (want > 0) || len(b.idxs) != want {
-				t.Fatalf("%d indexes ride with 37 packets, want %d (the pump hashes: %v)", len(b.idxs), want, p.hashed != nil)
+			if hashes := p.hashed != nil || p.fleet != nil; hashes != (want > 0) || len(b.pairs) != want {
+				t.Fatalf("%d pair words ride with 37 packets, want %d (the pump hashes: %v)", len(b.pairs), want, hashes)
 			}
-			for next := <-w.free; next != b; next = <-w.free { // the same buffer again, its indexes still in it
+			for next := <-w.free; next != b; next = <-w.free { // the same buffer again, its pairs still in it
 				w.free <- next
 			}
 			p.read(w, b)
-			if len(b.idxs) != want {
-				t.Fatalf("the buffer came back with %d indexes, want the %d of its last batch", len(b.idxs), want)
+			if len(b.pairs) != want {
+				t.Fatalf("the buffer came back with %d pair words, want the %d of its last batch", len(b.pairs), want)
 			}
 			b.n = len(b.ring) + 1 // what a lying source reports
 			p.decodeBatch(b)
-			if !b.poisoned || len(b.pkts) != 0 || len(b.idxs) != 0 {
-				t.Fatalf("after a contained decode panic: poisoned %v, %d packets, %d indexes", b.poisoned, len(b.pkts), len(b.idxs))
+			if !b.poisoned || len(b.pkts) != 0 || len(b.pairs) != 0 {
+				t.Fatalf("after a contained decode panic: poisoned %v, %d packets, %d pair words", b.poisoned, len(b.pkts), len(b.pairs))
 			}
 			p.publish(b)
 			p.commit(w)
 			step(p.take(w))
+			for _, l := range p.lanes {
+				close(l.queue)
+			}
+			lanes.Wait()
 			s := p.Snapshot()
-			if s.QuarantinedBatches != 1 || s.QuarantinedFrames != 38 || p.head.Load() != 3 {
-				t.Errorf("quarantined %d batches, %d frames, head %d; want 1, 38 and 3", s.QuarantinedBatches, s.QuarantinedFrames, p.head.Load())
+			// The lie is one frame more than the ring: 38, or past a lane's batch floor.
+			if lie := uint64(len(b.ring) + 1); s.QuarantinedBatches != 1 || s.QuarantinedFrames != lie || p.head.Load() != 3 {
+				t.Errorf("quarantined %d batches, %d frames, head %d; want 1, %d and 3", s.QuarantinedBatches, s.QuarantinedFrames, p.head.Load(), lie)
 			}
 			if s.Outgoing != 37 || s.Incoming != 37 || s.Passed != 37 || s.Counters != p.bf.Counters() {
 				t.Errorf("%d out, %d in, %d passed, shown %+v; want 37 of each: batches 0 and 2 judged, batch 1 never", s.Outgoing, s.Incoming, s.Passed, s.Counters)
@@ -206,8 +220,8 @@ func TestDecodePanicDropsHashedIndexes(t *testing.T) {
 			if s.SourceBusy <= 0 {
 				t.Errorf("four turns at the source took %v", s.SourceBusy)
 			}
-			if s.DecodeBusy <= 0 || (s.HashBusy > 0) != (p.hashed != nil) {
-				t.Errorf("decode busy %v, hash busy %v; want both stamped when the workers hash (%v), decode alone otherwise", s.DecodeBusy, s.HashBusy, p.hashed != nil)
+			if s.DecodeBusy <= 0 || (s.HashBusy > 0) != (want > 0) {
+				t.Errorf("decode busy %v, hash busy %v; want both stamped when the workers hash (%v), decode alone otherwise", s.DecodeBusy, s.HashBusy, want > 0)
 			}
 		})
 	}
@@ -276,7 +290,7 @@ func TestStepZeroAllocs(t *testing.T) {
 				p.publish(b)
 				p.commit(w)
 			}
-			for i := 0; i < 4*workerBuffers; i++ { // warm: every buffer, the verdict slices, the Set's scratch
+			for i := 0; i < 4*workerBuffers; i++ { // warm: every buffer, the verdict slices
 				step()
 			}
 			allocs := testing.AllocsPerRun(200, step)
@@ -284,7 +298,7 @@ func TestStepZeroAllocs(t *testing.T) {
 				close(l.queue)
 			}
 			lanes.Wait()
-			if allocs != 0 && !(raceEnabled && name == "fleet") {
+			if allocs != 0 {
 				t.Errorf("the pump allocates %.2f times per source batch", allocs)
 			}
 			// A shard lane's pending sub-batch was flushed by every short read.
@@ -320,18 +334,20 @@ func (h *halfJudge) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdi
 	return h.BatchFilter.ProcessBatchInto(pkts, out)
 }
 
-// halfJudgeFleet is halfJudge for the fleet's lane.
+// halfJudgeFleet is halfJudge for the fleet's lane: its ordered half judges
+// the first half of the second batch, with the pairs the worker hashed.
 type halfJudgeFleet struct {
 	*tenant.Set
 	calls int
 }
 
-func (h *halfJudgeFleet) ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict {
+func (h *halfJudgeFleet) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
 	if h.calls++; h.calls == 2 {
-		h.Set.ProcessRoutedInto(pkts[:len(pkts)/2], slots[:len(pkts)/2], out)
+		half := len(pkts) / 2
+		h.Set.ProcessHashedInto(pkts[:half], slots[:half], pairs[:2*half], out)
 		panic("injected fault half way through a batch")
 	}
-	return h.Set.ProcessRoutedInto(pkts, slots, out)
+	return h.Set.ProcessHashedInto(pkts, slots, pairs, out)
 }
 
 // TestPanicMidBatchCountsNothing: the direction and verdict tallies are the
@@ -364,5 +380,122 @@ func TestPanicMidBatchCountsNothing(t *testing.T) {
 				t.Errorf("shown counters %+v, the filter holds %+v (60 incoming: 20 before the fault, 40 after)", s.Counters, c)
 			}
 		})
+	}
+}
+
+// verdictLog is a fleet that keeps every verdict its lane hands back.
+type verdictLog struct {
+	*tenant.Set
+	got []filtering.Verdict
+}
+
+func (v *verdictLog) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
+	out = v.Set.ProcessHashedInto(pkts, slots, pairs, out)
+	v.got = append(v.got, out...)
+	return out
+}
+
+// TestRebalanceBetweenHashAndJudge: the worker hashes a batch of SYNs for a
+// budgeted fleet, a Rebalance then swaps a tenant's filter for one of
+// another order and hash count, and only then is the batch committed and
+// judged — with the pairs hashed for the old filter. A pair is the seed's
+// and the tuple policy's, not the geometry's, so the fleet ends exactly where
+// per-packet Set.Process through the same Rebalance ends: verdicts (the
+// replies behind the SYNs pass), counters, stats and snapshot bytes.
+func TestRebalanceBetweenHashAndJudge(t *testing.T) {
+	fleet := func() *tenant.Set {
+		mk := func(id string, b byte) tenant.Config {
+			return tenant.Config{ID: id, Prefix: packet.PrefixFrom(packet.AddrFrom4(10, b, 0, 0), 16), Options: []core.Option{
+				core.WithOrder(16), core.WithSeed(uint64(b) + 1), core.WithVectors(4), core.WithRotateEvery(time.Second)}}
+		}
+		set, err := tenant.NewSet(tenant.SetConfig{
+			Tenants: []tenant.Config{mk("hot", 0), mk("idle", 1)},
+			Budget:  &tenant.Budget{TotalBytes: 48 * 1024, TargetPenetration: 0.01},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	// Before the first rotation, 20k flows into "hot" and none into "idle":
+	// the skew the Rebalance at 1.1 s acts on.
+	warm := make([]packet.Packet, 20_000)
+	for i := range warm {
+		warm[i] = packet.Packet{Time: time.Duration(i) * 40 * time.Microsecond, Dir: packet.Outgoing, Length: 100,
+			Tuple: packet.Tuple{Src: packet.AddrFrom4(10, 0, byte(i>>8), byte(i)), SrcPort: uint16(1024 + i%60000),
+				Dst: packet.AddrFrom4(198, 51, byte(i>>8), byte(i)), DstPort: 443, Proto: packet.TCP}}
+	}
+	syns, replies := flows(t, 37)
+	for _, fs := range [][]capture.Frame{syns, replies} {
+		for i := range fs {
+			fs[i].Time += 1200 * time.Millisecond
+		}
+	}
+	set, ref := fleet(), fleet()
+	log := &verdictLog{Set: set}
+	for _, pkt := range warm {
+		set.Process(pkt)
+		ref.Process(pkt)
+	}
+	rebalance := func(s *tenant.Set) {
+		t.Helper()
+		before := s.TenantStats()
+		if n, err := s.Rebalance(1100 * time.Millisecond); err != nil || n == 0 {
+			t.Fatalf("Rebalance resized %d tenants (%v)", n, err)
+		}
+		changed := false
+		for i, st := range s.TenantStats() {
+			changed = changed || (st.Stats.Order != before[i].Stats.Order && st.Stats.Hashes != before[i].Stats.Hashes)
+		}
+		if !changed {
+			t.Fatal("the Rebalance changed no tenant's order and hash count both")
+		}
+	}
+
+	p := New(Config{Source: &listSource{batches: [][]capture.Frame{syns, replies}}, Filter: log, Batch: 37, Workers: 1})
+	w := p.workers[0]
+	var judged []packet.Packet
+	b := p.take(w)
+	p.read(w, b)
+	p.decodeBatch(b)
+	if len(b.pkts) != 37 || len(b.pairs) != 2*37 {
+		t.Fatalf("%d packets, %d pair words hashed", len(b.pkts), len(b.pairs))
+	}
+	judged = append(judged, b.pkts...)
+	rebalance(set)
+	p.publish(b)
+	p.commit(w)
+	b = p.take(w)
+	p.read(w, b)
+	p.decodeBatch(b)
+	judged = append(judged, b.pkts...)
+	p.publish(b)
+	p.commit(w)
+	close(p.lanes[0].queue)
+	p.runLane(p.lanes[0])
+
+	rebalance(ref)
+	want := make([]filtering.Verdict, len(judged))
+	for i, pkt := range judged {
+		want[i] = ref.Process(pkt)
+	}
+	if len(log.got) != len(want) || !slices.Equal(log.got, want) {
+		t.Fatalf("lane verdicts %v, per-packet %v", log.got, want)
+	}
+	if s := p.Snapshot(); s.Passed != 37 || s.Dropped != 0 || s.QuarantinedBatches != 0 {
+		t.Errorf("%d replies passed, %d dropped, %d batches quarantined; want 37, 0 and 0", s.Passed, s.Dropped, s.QuarantinedBatches)
+	}
+	if set.Counters() != ref.Counters() || !reflect.DeepEqual(set.Stats(), ref.Stats()) || !reflect.DeepEqual(set.TenantStats(), ref.TenantStats()) {
+		t.Errorf("fleet state diverged:\n  pump:       %+v\n  per-packet: %+v", set.TenantStats(), ref.TenantStats())
+	}
+	var got, exp bytes.Buffer
+	if err := set.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.WriteSnapshot(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		t.Error("snapshot bytes differ from the per-packet fleet's")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // loop would have fed it:
 //
 // A single filter is judged in place: exactly the packets of one source
-// batch per call — ProcessHashedInto over the indexes their worker computed,
+// batch per call — ProcessHashedInto over the pairs their worker computed,
 // ProcessBatchInto for a filter that does not offer the halves — so verdicts,
 // counters, rotations, APD draws and snapshot bytes are the inline loop's.
 //
@@ -26,12 +26,14 @@ import (
 // differs, and nothing observes it. The hand-off copies 40 B per packet.
 //
 // A fleet's batch is handed to its one lane whole, zero-copy — the batch
-// buffer is the sub-batch, the slots classify found ride in it, and the
-// lane gives the buffer back to its worker. The lane sees every packet in
-// source order, cut at the source's batches, and runs the Set's own regroup
-// by slot. The fleet is not judged in place because its 2 MiB of tenant
-// state would follow whichever worker commits (tenant_fleet 17.0–18.4M →
-// 13.5–14.2M frames/s, CPU 125 → 140 ns); a lane keeps it on one core.
+// buffer is the sub-batch, the slots classify found and the pairs the worker
+// hashed ride in it, and the lane gives the buffer back to its worker. The
+// lane sees every packet in source order, cut at the source's batches, and
+// judges each in its tenant's filter, in that order (Set.ProcessHashedInto):
+// each tenant sees what per-packet Set.Process would have fed it. The fleet
+// is not judged in place because its 2 MiB of tenant state would follow
+// whichever worker commits (tenant_fleet 17.0–18.4M → 13.5–14.2M frames/s,
+// CPU 125 → 140 ns); a lane keeps it on one core.
 
 // laneBuffers is how many sub-batches a shard's lane owns: one filling at
 // the commit step, one being judged, the rest queued between them to ride
@@ -129,7 +131,7 @@ func (p *Pump) judge(b *batchBuf) (judged bool) {
 		return false
 	}
 	if p.hashed != nil {
-		p.verdicts = p.hashed.ProcessHashedInto(b.pkts, b.idxs, p.verdicts)
+		p.verdicts = p.hashed.ProcessHashedInto(b.pkts, b.pairs, p.verdicts)
 	} else {
 		p.verdicts = p.bf.ProcessBatchInto(b.pkts, p.verdicts)
 	}
@@ -213,7 +215,7 @@ func (p *Pump) judgeLane(l *lane, b *batchBuf) {
 	defer p.recycle(l, b) //bf:allow hotpath the lane's panic boundary, and the buffer must go back to its free list even then
 	start := time.Now()
 	if p.fleet != nil {
-		l.verdicts = p.fleet.ProcessRoutedInto(b.pkts, b.slots[:len(b.pkts)], l.verdicts)
+		l.verdicts = p.fleet.ProcessHashedInto(b.pkts, b.slots[:len(b.pkts)], b.pairs, l.verdicts)
 	} else {
 		l.verdicts = l.bf.ProcessBatchInto(b.pkts, l.verdicts)
 	}

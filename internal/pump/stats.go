@@ -224,8 +224,8 @@ type Snapshot struct {
 	// source's wait for traffic included).
 	CommitBusy, SourceBusy time.Duration
 	// DecodeBusy and HashBusy are the workers' time decoding (decode,
-	// classify and, for shards, LaneOf) and hashing (Hasher.HashBatch, for
-	// a single filter), summed over the workers. ScatterBusy is the part of
+	// classify and, for shards, LaneOf) and hashing (Hasher.HashBatch for a
+	// single filter, Set.HashRouted for a fleet), summed over the workers. ScatterBusy is the part of
 	// CommitBusy that hands batches to the lanes: the shards' scatter, the
 	// fleet's hand-off; 0 without lanes.
 	DecodeBusy, HashBusy, ScatterBusy time.Duration

@@ -27,7 +27,7 @@ type batchBuf struct {
 	ring  []capture.Frame // bare: a filling source gives the slots buffers
 	pkts  []packet.Packet // decoded from ring[:n]
 	slots []int32         // per packet: the shard's lane, or the fleet's tenant slot
-	idxs  []uint64        // per packet: its m bit indexes, for a hashedFilter
+	pairs []uint64        // per packet: its key's base pair (h1, h2), for a hashedFilter or a fleet
 	n     int             // frames read
 	seq   uint64          // place in source order
 	read  time.Time       // when the source returned it (a sub-batch: its first packet)
@@ -120,8 +120,9 @@ func (p *Pump) read(w *worker, b *batchBuf) (more bool) {
 }
 
 // decodeBatch is the front half of a batch, on the worker's own core: what
-// the filter will see of it, and — when a lane will judge it — where each
-// packet goes, or — when the commit step will — which bits each touches.
+// the filter will see of it, and — when lanes will judge it — where each
+// packet goes, and — for a single filter or a fleet — the base pair its bits
+// derive from, hashed with the filter's, or the packet's tenant's, hasher.
 // Each of its two stages costs one clock read: the decode is timed from the
 // batch's read stamp, the hash from the decode's end.
 //
@@ -151,15 +152,20 @@ func (p *Pump) decodeBatch(b *batchBuf) {
 	p.addIntake(t)
 	decoded := time.Now()
 	p.decodeBusy.Add(int64(decoded.Sub(b.read)))
-	if p.hashed != nil {
-		b.idxs = p.hashed.Hasher().HashBatch(pkts, b.idxs)
-		p.hashBusy.Add(int64(time.Since(decoded)))
+	switch {
+	case p.hashed != nil:
+		b.pairs = p.hashed.Hasher().HashBatch(pkts, b.pairs)
+	case p.fleet != nil:
+		b.pairs = p.fleet.HashRouted(pkts, b.slots[:len(pkts)], b.pairs)
+	default:
+		return
 	}
+	p.hashBusy.Add(int64(time.Since(decoded)))
 }
 
 func (p *Pump) containDecode(b *batchBuf) {
 	if r := recover(); r != nil {
-		b.poisoned, b.pkts, b.idxs = true, b.pkts[:0], b.idxs[:0]
+		b.poisoned, b.pkts, b.pairs = true, b.pkts[:0], b.pairs[:0]
 		p.quarantine(b.n, r)
 	}
 }

@@ -127,20 +127,18 @@ func (s *Set) Rebalance(now time.Duration) (resized int, err error) {
 			st.planRotations = stats[i].Rotations
 			continue
 		}
-		// Replay the tenant's bundle with the new geometry appended
-		// (later options win); vectors and rotation are pinned from the
-		// running filter so timing survives even a bundle that left
-		// them defaulted (e.g. a snapshot-restored tenant).
-		opts := append(append(make([]core.Option, 0, len(st.opts)+4), st.opts...),
-			core.WithVectors(stats[i].Vectors), core.WithRotateEvery(stats[i].RotateEvery),
-			core.WithOrder(plan.Order), core.WithHashes(plan.Hashes))
-		nf, berr := core.New(opts...)
+		// Replay the tenant's bundle under the running filter's k, Δt,
+		// seed and policies, so timing and every key's pair survive even a
+		// bundle that left them defaulted (a snapshot-restored tenant's):
+		// the pairs the workers hash stay valid across the swap.
+		nf, berr := st.filter.Resized(plan.Order, plan.Hashes, st.opts...)
 		if berr != nil {
 			return resized, fmt.Errorf("tenant %q: rebuild: %w", st.id, berr)
 		}
 		nf.AdvanceTo(now)
 		addCounters(&st.baseline, st.filter.Counters())
 		st.filter = nf
+		s.prefetching = s.prefetching || nf.Prefetches()
 		st.planRotations = nf.Stats().Rotations
 		resized++
 	}

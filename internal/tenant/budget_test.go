@@ -1,7 +1,10 @@
 package tenant_test
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -100,8 +103,7 @@ func TestRebalanceShrinksIdleGrowsHot(t *testing.T) {
 	}
 
 	// The rebuilt filters are complete when Rebalance returns: judging a
-	// batch through them grows nothing (Set's own scratch is pooled, and
-	// the race detector makes sync.Pool drop entries at random).
+	// batch through them grows nothing.
 	batch := make([]packet.Packet, 512)
 	for i := range batch {
 		p := before[i%2].Prefix
@@ -109,7 +111,7 @@ func TestRebalanceShrinksIdleGrowsHot(t *testing.T) {
 			Tuple: packet.Tuple{Src: p.Nth(uint64(i)), SrcPort: 5000, Dst: packet.AddrFrom4(198, 51, 100, 7), DstPort: 443, Proto: packet.TCP}}
 	}
 	out := set.ProcessBatchInto(batch, nil)
-	if allocs := testing.AllocsPerRun(50, func() { out = set.ProcessBatchInto(batch, out) }); allocs != 0 && !raceEnabled {
+	if allocs := testing.AllocsPerRun(50, func() { out = set.ProcessBatchInto(batch, out) }); allocs != 0 {
 		t.Errorf("ProcessBatchInto on rebuilt tenants allocates %.1f times per batch", allocs)
 	}
 
@@ -251,6 +253,99 @@ func TestRebalanceRequiresBudget(t *testing.T) {
 	}
 }
 
-// raceEnabled is set by race_test.go under -race, where sync.Pool sheds
-// entries at random and allocation counts over pooled scratch mean nothing.
-var raceEnabled bool
+// TestPairsSurviveRebalanceAndRestore: a packet hashes to one base pair per
+// tenant for the life of the fleet — before and after a Rebalance changes a
+// tenant's order and hash count, after ReadSnapshot with its extra options,
+// and after a restored fleet, whose option bundle is only those extras, is
+// rebalanced and checkpointed again: the seed and tuple policy ride through
+// the rebuild with the geometry. So pairs a worker hashed stay valid
+// whichever filter judges them, and a restored, rebalanced fleet judges
+// through its two halves exactly as per-packet Process does.
+func TestPairsSurviveRebalanceAndRestore(t *testing.T) {
+	mk := func(id string, b byte, more ...core.Option) tenant.Config {
+		return tenant.Config{
+			ID:     id,
+			Prefix: packet.PrefixFrom(packet.AddrFrom4(10, b, 0, 0), 16),
+			Options: append([]core.Option{
+				core.WithOrder(16), core.WithSeed(uint64(b) + 1),
+				core.WithVectors(4), core.WithRotateEvery(time.Second),
+			}, more...),
+		}
+	}
+	cfgs := []tenant.Config{mk("hot", 1), mk("idle", 2, core.WithTuplePolicy(core.FullTuple))}
+	budget := &tenant.Budget{TotalBytes: 48 * 1024, TargetPenetration: 0.01}
+	set := mustSet(t, tenant.SetConfig{Tenants: cfgs, Budget: budget})
+	pkts := fleetTrace(4000, cfgs)
+	want := set.HashRouted(pkts, clientSlots(set, pkts), nil)
+	check := func(stage string, s *tenant.Set) {
+		t.Helper()
+		if got := s.HashRouted(pkts, clientSlots(s, pkts), nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: the fleet hashes the packets to other pairs", stage)
+		}
+	}
+	geometry := func(s *tenant.Set) (g [][2]int) {
+		for _, st := range s.TenantStats() {
+			g = append(g, [2]int{int(st.Stats.Order), st.Stats.Hashes})
+		}
+		return g
+	}
+	rebalance := func(stage string, s *tenant.Set, now time.Duration) {
+		t.Helper()
+		before := geometry(s)
+		if n, err := s.Rebalance(now); err != nil || n == 0 {
+			t.Fatalf("%s: Rebalance resized %d tenants (%v)", stage, n, err)
+		}
+		after := geometry(s)
+		changed := false
+		for i := range after {
+			changed = changed || (after[i][0] != before[i][0] && after[i][1] != before[i][1])
+		}
+		if !changed {
+			t.Fatalf("%s: no tenant changed both n and m: %v → %v", stage, before, after)
+		}
+	}
+	restore := func(s *tenant.Set) *tenant.Set {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := tenant.ReadSnapshot(&buf, func(string) []core.Option { return []core.Option{core.WithAPD(coinPolicy{p: 0.5})} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AttachBudget(budget); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	driveFlows(set, cfgs[0].Prefix, 20_000, 0)
+	rebalance("rebalanced", set, 1100*time.Millisecond)
+	check("rebalanced", set)
+
+	// Two restores of one checkpoint, driven alike: one judges per packet,
+	// through each tenant filter's own hasher, the other through its halves.
+	seq, halves := restore(set), restore(set)
+	check("restored", halves)
+	for _, s := range []*tenant.Set{seq, halves} {
+		driveFlows(s, cfgs[1].Prefix, 20_000, 2*time.Second)
+		rebalance("restored and rebalanced", s, 2050*time.Millisecond)
+	}
+	check("restored, rebalanced and restored", restore(halves))
+
+	late := slices.Clone(pkts)
+	for i := range late {
+		late[i].Time += 2100 * time.Millisecond
+	}
+	slots := clientSlots(halves, late)
+	got := halves.ProcessHashedInto(late, slots, halves.HashRouted(late, slots, nil), nil)
+	for i, pkt := range late {
+		if v := seq.Process(pkt); got[i] != v {
+			t.Fatalf("packet %d (%v): halves %v, per-packet Process %v", i, pkt, got[i], v)
+		}
+	}
+	if a, b := halves.TenantStats(), seq.TenantStats(); !reflect.DeepEqual(a, b) {
+		t.Errorf("tenant stats diverged:\n  halves:     %+v\n  per-packet: %+v", a, b)
+	}
+}

@@ -12,11 +12,10 @@
 // filter. Packets no configured prefix covers are passed through
 // unfiltered and counted.
 //
-// Batches are dispatched with one grouped sub-batch per touched tenant
-// (stable counting sort, pooled scratch, zero steady-state allocations),
-// exactly the pattern the sharded composite uses internally — the Set is
-// to tenants what Sharded is to shards, except tenants are heterogeneous
-// and externally meaningful.
+// A batch is judged in the single filter's two halves: HashRouted hashes
+// each packet with its tenant's hasher, on any goroutine, and
+// ProcessHashedInto judges the batch in source order, each packet in its
+// tenant's filter — which so sees what per-packet Process would feed it.
 //
 // A Set optionally carries a Budget (see budget.go): a global memory
 // pool carved into per-tenant {order, hashes} plans from each tenant's
@@ -107,7 +106,13 @@ type Set struct {
 	// longest-prefix table the pump classifies direction with. Fixed at
 	// construction (Rebalance swaps filters, never prefixes).
 	routes *packet.PrefixTable
-	budget *Budget
+	// hashers is each slot's first filter's: Rebalance keeps seed and
+	// tuple policy, so a pair stays valid. Fixed; read without the lock.
+	hashers []*core.Hasher
+	budget  *Budget
+	// prefetching: some tenant filter has prefetched (see judge). Guarded
+	// by mu; it stays set, a small filter ignoring the hint.
+	prefetching bool
 
 	// Unrouted packets are passed through unfiltered; counted here
 	// (atomically, so UnroutedPackets reads them without the lock) and
@@ -157,6 +162,8 @@ func NewSet(cfg SetConfig) (*Set, error) {
 func newSetFromStates(states []*tenantState, budget *Budget) (*Set, error) {
 	byID := make(map[string]int, len(states))
 	prefixes := make([]packet.Prefix, len(states))
+	hashers := make([]*core.Hasher, len(states))
+	prefetching := false
 	owned := make(map[packet.Prefix]struct{}, len(states))
 	for i, st := range states {
 		if st.id == "" || len(st.id) > maxIDLen {
@@ -174,8 +181,10 @@ func newSetFromStates(states []*tenantState, budget *Budget) (*Set, error) {
 		}
 		owned[canon] = struct{}{}
 		prefixes[i] = st.prefix
+		hashers[i] = st.filter.Hasher()
+		prefetching = prefetching || st.filter.Prefetches()
 	}
-	return &Set{tenants: states, byID: byID, routes: packet.NewPrefixTable(prefixes), budget: budget}, nil
+	return &Set{tenants: states, byID: byID, routes: packet.NewPrefixTable(prefixes), hashers: hashers, budget: budget, prefetching: prefetching}, nil
 }
 
 // Tenants returns the number of tenants.
@@ -212,161 +221,141 @@ func (s *Set) Process(pkt packet.Packet) filtering.Verdict {
 	defer s.mu.Unlock()
 	slot := s.routes.Lookup(clientAddr(&pkt))
 	if slot < 0 {
-		s.countUnrouted(pkt.Dir, 1)
+		s.countUnrouted(pkt.Dir)
 		return filtering.Pass
 	}
 	return s.tenants[slot].filter.Process(pkt)
 }
 
 //bf:hotpath
-func (s *Set) countUnrouted(dir packet.Direction, n uint64) {
+func (s *Set) countUnrouted(dir packet.Direction) {
 	if dir == packet.Outgoing {
-		s.unroutedOut.Add(n)
+		s.unroutedOut.Add(1)
 	} else {
-		s.unroutedIn.Add(n)
+		s.unroutedIn.Add(1)
 	}
 }
 
-// setScratch holds the per-batch grouping buffers, pooled like the
-// sharded composite's so a steady batch stream allocates nothing.
-type setScratch struct {
-	slotOf     []int32
-	starts     []int
-	next       []int
-	grouped    []packet.Packet
-	perm       []int32
-	groupedOut []filtering.Verdict
-}
+// chunkSize is how many packets ProcessBatchInto routes and hashes ahead of
+// judging them, into arrays on its stack.
+const chunkSize = 32
 
-var setScratchPool = sync.Pool{New: func() any { return new(setScratch) }}
-
-// ProcessBatchInto routes every packet to its tenant, runs one grouped
-// sub-batch per touched tenant, and writes the verdicts into out in input
-// order under the filtering.BatchFilter contract; with the pooled scratch
-// the steady state is allocation-free. Packets sharing a tenant keep their
-// relative order, so each tenant filter sees the exact packet sequence (and
-// draws the same APD coin flips) it would see per-packet. It looks every
-// packet's slot up and is ProcessRoutedInto from there.
+// ProcessBatchInto is HashRouted and ProcessHashedInto back to back, a chunk
+// at a time under one lock, with the slots looked up in Routes; it allocates
+// nothing once out has capacity for the batch.
 //
 //bf:hotpath
 func (s *Set) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
 	out = filtering.GrowVerdicts(out, len(pkts))
-	if len(pkts) == 0 {
-		return out
+	var slots [chunkSize]int32
+	var pairs [2 * chunkSize]uint64
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for at := 0; at < len(pkts); at += chunkSize {
+		chunk := pkts[at:min(at+chunkSize, len(pkts))]
+		sl := slots[:len(chunk)]
+		for i := range chunk {
+			sl[i] = s.routes.Lookup(clientAddr(&chunk[i]))
+		}
+		s.judge(chunk, sl, s.HashRouted(chunk, sl, pairs[:0]), out[at:])
 	}
-	sc := setScratchPool.Get().(*setScratch)
-	defer setScratchPool.Put(sc) //bf:allow hotpath pooled put must run even if a tenant filter panics, or the scratch leaks
-
-	sc.slotOf = filtering.GrowSlice(sc.slotOf, len(pkts))
-	for i := range pkts {
-		sc.slotOf[i] = s.routes.Lookup(clientAddr(&pkts[i]))
-	}
-	s.regroup(sc, pkts, sc.slotOf, out)
 	return out
 }
 
 // Routes returns the table the Set routes with: Lookup of a packet's
 // client-side address (packet.PrefixTable.ClassifySlot's slot) is the slot
-// ProcessRoutedInto takes for it. Immutable, like the prefixes.
+// HashRouted and ProcessHashedInto take for it. Immutable, like the
+// prefixes.
 func (s *Set) Routes() *packet.PrefixTable { return s.routes }
 
-// ProcessRoutedInto is ProcessBatchInto for a caller that has already
-// looked the packets up in Routes: slots[i] is the tenant slot of pkts[i],
-// or -1 for a packet no prefix covers (passed unfiltered and counted, as
-// ever). The daemon's classify step finds the slot anyway; handing it over
-// saves the Set a second walk of the same table. A length mismatch or a
-// slot outside [-1, Tenants()) is a bug in the caller, not traffic: it
-// panics before any tenant filter or counter is touched.
+// HashRouted is the fleet's pure half: dst[2i:2i+2] is the base pair of
+// pkts[i] under the hasher of its slot, slots[i] (from Routes; (0, 0) for -1,
+// no tenant), dst grown only when short. It reads only what never changes,
+// so any goroutine may run it while another judges, across a Rebalance too.
 //
 //bf:hotpath
-func (s *Set) ProcessRoutedInto(pkts []packet.Packet, slots []int32, out []filtering.Verdict) []filtering.Verdict {
+func (s *Set) HashRouted(pkts []packet.Packet, slots []int32, dst []uint64) []uint64 {
 	if len(slots) != len(pkts) {
-		badSlots("tenant: ProcessRoutedInto: %d slots for %d packets", len(slots), len(pkts))
+		badSlots("tenant: HashRouted: %d slots for %d packets", len(slots), len(pkts))
+	}
+	dst = filtering.GrowSlice(dst, 2*len(pkts))
+	for i, slot := range slots {
+		var h1, h2 uint64
+		if slot >= 0 {
+			h1, h2 = s.hashers[slot].Pair(&pkts[i])
+		}
+		dst[2*i], dst[2*i+1] = h1, h2
+	}
+	return dst
+}
+
+// ProcessHashedInto is the fleet's ordered half: pkts in source order, each
+// judged in the filter of its slot with the pair HashRouted made for it, an
+// unrouted one (-1) passed and counted, the verdicts into out under the
+// filtering.BatchFilter contract. A length mismatch or a slot outside
+// [-1, Tenants()) is the caller's bug, not traffic: it panics before any
+// tenant filter or counter is touched.
+//
+//bf:hotpath
+func (s *Set) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
+	if len(slots) != len(pkts) {
+		badSlots("tenant: ProcessHashedInto: %d slots for %d packets", len(slots), len(pkts))
+	}
+	if len(pairs) != 2*len(pkts) {
+		badSlots("tenant: ProcessHashedInto: %d pair words for %d packets", len(pairs), len(pkts))
 	}
 	out = filtering.GrowVerdicts(out, len(pkts))
-	if len(pkts) == 0 {
-		return out
-	}
-	sc := setScratchPool.Get().(*setScratch)
-	defer setScratchPool.Put(sc) //bf:allow hotpath pooled put must run even if a tenant filter panics, or the scratch leaks
-	s.regroup(sc, pkts, slots, out)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.judge(pkts, slots, pairs, out)
 	return out
 }
 
-// badSlots is the cold end of ProcessRoutedInto's contract: the caller
-// broke it, and the message is all that is left to do. Kept out of line so
-// the formatting stays off the hot path's books.
+// badSlots is the cold end of the slot contract: the caller broke it, and
+// the message is all that is left to do. Kept out of line so the formatting
+// stays off the hot path's books.
 //
 //go:noinline
 func badSlots(format string, a, b int) {
 	panic(fmt.Sprintf(format, a, b))
 }
 
-// regroup is the one body behind both entry points: it fills out (same
-// length as pkts and slots) with one grouped sub-batch per touched tenant.
-// Group g = slot+1, so group 0 collects the unrouted packets (slot -1),
-// which pass unfiltered, and tenant t is group t+1.
+// judge is the body of both batch entry points, under the lock. A first pass
+// range-checks every slot. With a tenant of order ≥ 25 in the fleet, packet
+// i+PrefetchAhead's lines are on their way while packet i is judged, as in
+// the single filter.
 //
 //bf:hotpath
-func (s *Set) regroup(sc *setScratch, pkts []packet.Packet, slots []int32, out []filtering.Verdict) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	groups := len(s.tenants) + 1 // + the unrouted group
-	sc.starts = filtering.GrowSlice(sc.starts, groups+1)
-	sc.next = filtering.GrowSlice(sc.next, groups)
-	sc.grouped = filtering.GrowSlice(sc.grouped, len(pkts))
-	sc.perm = filtering.GrowSlice(sc.perm, len(pkts))
-	sc.groupedOut = filtering.GrowSlice(sc.groupedOut, len(pkts))
-
-	// Stable counting sort by group. The count pass is also the range
-	// check: it ends before anything below reads a slot as an index.
-	clear(sc.starts)
+func (s *Set) judge(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) {
 	for _, slot := range slots {
-		if uint32(slot+1) >= uint32(groups) {
+		if slot < -1 || int(slot) >= len(s.tenants) {
 			badSlots("tenant: slot %d outside [-1, %d)", int(slot), len(s.tenants))
 		}
-		sc.starts[slot+2]++
 	}
-	for i := 1; i < len(sc.starts); i++ {
-		sc.starts[i] += sc.starts[i-1]
+	ahead := len(pkts) // i+ahead is past the end: nothing to prefetch
+	if s.prefetching {
+		ahead = min(core.PrefetchAhead, len(pkts))
+		for j := 0; j < ahead; j++ {
+			s.prefetch(pkts, slots, pairs, j)
+		}
 	}
-	copy(sc.next, sc.starts[:groups])
-	for i := range pkts {
-		g := slots[i] + 1
-		pos := sc.next[g]
-		sc.next[g]++
-		sc.grouped[pos] = pkts[i]
-		sc.perm[pos] = int32(i) // grouped position -> original index
-	}
-
-	for t := range s.tenants {
-		a, b := sc.starts[t+1], sc.starts[t+2]
-		if a == b {
+	for i, slot := range slots[:len(pkts)] {
+		if j := i + ahead; j < len(pkts) {
+			s.prefetch(pkts, slots, pairs, j)
+		}
+		if slot < 0 {
+			out[i] = filtering.Pass
+			s.countUnrouted(pkts[i].Dir)
 			continue
 		}
-		s.tenants[t].filter.ProcessBatchInto(sc.grouped[a:b], sc.groupedOut[a:b])
+		out[i] = s.tenants[slot].filter.JudgeHashed(&pkts[i], pairs[2*i], pairs[2*i+1])
 	}
-	// The unrouted group: pass unfiltered, count by direction.
-	if b := sc.starts[1]; b != 0 {
-		var nOut, nIn uint64
-		for pos := 0; pos < b; pos++ {
-			sc.groupedOut[pos] = filtering.Pass
-			if sc.grouped[pos].Dir == packet.Outgoing {
-				nOut++
-			} else {
-				nIn++
-			}
-		}
-		if nOut != 0 {
-			s.unroutedOut.Add(nOut)
-		}
-		if nIn != 0 {
-			s.unroutedIn.Add(nIn)
-		}
-	}
-	for pos, i := range sc.perm {
-		out[i] = sc.groupedOut[pos]
+}
+
+//bf:hotpath
+func (s *Set) prefetch(pkts []packet.Packet, slots []int32, pairs []uint64, j int) {
+	if slot := slots[j]; slot >= 0 {
+		s.tenants[slot].filter.PrefetchHashed(pkts[j].Dir, pairs[2*j], pairs[2*j+1])
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -578,7 +579,7 @@ func BenchmarkSetDispatch(b *testing.B) {
 	}
 	pkts := fleetTrace(4096, cfgs)
 	out := make([]filtering.Verdict, len(pkts))
-	set.ProcessBatchInto(pkts, out) // warm the scratch pool
+	set.ProcessBatchInto(pkts, out)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -587,8 +588,8 @@ func BenchmarkSetDispatch(b *testing.B) {
 	}
 }
 
-// clientSlots is what the daemon hands ProcessRoutedInto: Routes().Lookup of
-// each packet's client-side address.
+// clientSlots is what the daemon hands HashRouted and ProcessHashedInto:
+// Routes().Lookup of each packet's client-side address.
 func clientSlots(set *tenant.Set, pkts []packet.Packet) []int32 {
 	slots := make([]int32, len(pkts))
 	for i, pkt := range pkts {
@@ -601,13 +602,15 @@ func clientSlots(set *tenant.Set, pkts []packet.Packet) []int32 {
 	return slots
 }
 
-// TestRoutedMatchesUnrouted: the two entry points are one body. Two
-// identical fleets are fed the same trace cut into random batches (the
-// empty batch among them), one through ProcessBatchInto and one through
-// ProcessRoutedInto with the slots the table gives; verdicts, unrouted
-// counts and every tenant's Stats stay equal.
+// TestRoutedMatchesUnrouted: the entry points judge alike. Three identical
+// fleets are fed the same trace: one packet by packet through Process, one
+// cut into random batches (the empty batch among them) through
+// ProcessBatchInto, and one through its two halves — HashRouted and
+// ProcessHashedInto with the slots the table gives; verdicts, unrouted counts
+// and every tenant's Stats stay equal.
 func TestRoutedMatchesUnrouted(t *testing.T) {
 	cfgs := fleetSpec()
+	seq := mustSet(t, tenant.SetConfig{Tenants: cfgs})
 	plain := mustSet(t, tenant.SetConfig{Tenants: cfgs})
 	routed := mustSet(t, tenant.SetConfig{Tenants: cfgs})
 	pkts := fleetTrace(60_000, cfgs)
@@ -618,46 +621,56 @@ func TestRoutedMatchesUnrouted(t *testing.T) {
 		}
 	}
 
+	want := make([]filtering.Verdict, len(pkts))
+	for i, pkt := range pkts {
+		want[i] = seq.Process(pkt)
+	}
 	rng := uint64(99)
-	var want, got []filtering.Verdict
+	var pairs []uint64
+	var batch, got []filtering.Verdict
 	for at, batches := 0, 0; at < len(pkts); batches++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		n := min(int(rng>>33)%700, len(pkts)-at) // 0 … 699: empty batches included
 		if batches == 0 {
 			n = 0
 		}
-		want = plain.ProcessBatchInto(pkts[at:at+n], want)
-		got = routed.ProcessRoutedInto(pkts[at:at+n], slots[at:at+n], got)
-		if len(got) != n || !reflect.DeepEqual(got, want) {
+		batch = plain.ProcessBatchInto(pkts[at:at+n], batch)
+		pairs = routed.HashRouted(pkts[at:at+n], slots[at:at+n], pairs)
+		got = routed.ProcessHashedInto(pkts[at:at+n], slots[at:at+n], pairs, got)
+		if len(got) != n || len(batch) != n || !slices.Equal(got, want[at:at+n]) || !slices.Equal(batch, want[at:at+n]) {
 			t.Fatalf("batch at %d (%d packets): verdicts differ", at, n)
 		}
 		at += n
 	}
-	if plain.UnroutedPackets() == 0 || routed.UnroutedPackets() != plain.UnroutedPackets() {
-		t.Errorf("unrouted: routed %d, plain %d (want equal and non-zero)", routed.UnroutedPackets(), plain.UnroutedPackets())
-	}
-	if got, want := routed.TenantStats(), plain.TenantStats(); !reflect.DeepEqual(got, want) {
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("tenant %s\n  routed: %+v\n  plain:  %+v", got[i].ID, got[i].Stats, want[i].Stats)
+	for name, set := range map[string]*tenant.Set{"batch": plain, "halves": routed} {
+		if seq.UnroutedPackets() == 0 || set.UnroutedPackets() != seq.UnroutedPackets() {
+			t.Errorf("%s: unrouted %d, per-packet %d (want equal and non-zero)", name, set.UnroutedPackets(), seq.UnroutedPackets())
+		}
+		if got, want := set.TenantStats(), seq.TenantStats(); !reflect.DeepEqual(got, want) {
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s: tenant %s\n  got:        %+v\n  per-packet: %+v", name, got[i].ID, got[i].Stats, want[i].Stats)
+				}
 			}
 		}
 	}
 }
 
-// TestRoutedRejectsHostileSlots: a slot that is not the table's answer is a
-// caller bug, and it is caught before the batch touches anything — the
-// panic names the problem, no tenant filter and no counter has moved, and
-// the Set judges the next batch as if nothing happened.
+// TestRoutedRejectsHostileSlots: a slot that is not the table's answer, or
+// pairs not two words per packet, are a caller bug, and the ordered half
+// catches them before the batch touches anything — the panic names the
+// problem, no tenant filter and no counter has moved, and the Set judges the
+// next batch as if nothing happened.
 func TestRoutedRejectsHostileSlots(t *testing.T) {
 	cfgs := fleetSpec()
 	set := mustSet(t, tenant.SetConfig{Tenants: cfgs})
 	pkts := fleetTrace(512, cfgs)
 	slots := clientSlots(set, pkts)
-	set.ProcessRoutedInto(pkts[:256], slots[:256], nil) // some state to disturb
+	pairs := set.HashRouted(pkts, slots, nil)
+	set.ProcessHashedInto(pkts[:256], slots[:256], pairs[:512], nil) // some state to disturb
 	before, beforeUnrouted := set.TenantStats(), set.UnroutedPackets()
 
-	hostile := func(name, wantMsg string, slots []int32) {
+	hostile := func(name, wantMsg string, slots []int32, pairs []uint64) {
 		t.Helper()
 		defer func() {
 			msg, _ := recover().(string)
@@ -668,21 +681,22 @@ func TestRoutedRejectsHostileSlots(t *testing.T) {
 				t.Errorf("%s: the rejected batch moved fleet state", name)
 			}
 		}()
-		set.ProcessRoutedInto(pkts[256:], slots, nil)
+		set.ProcessHashedInto(pkts[256:], slots, pairs, nil)
 	}
 	bad := func(at int, slot int32) []int32 {
 		s := append([]int32(nil), slots[256:]...)
 		s[at] = slot
 		return s
 	}
-	hostile("slot -2", "slot -2 outside [-1, 6)", bad(255, -2))
-	hostile("slot len(tenants)", "slot 6 outside [-1, 6)", bad(0, int32(len(cfgs))))
-	hostile("short slice", "255 slots for 256 packets", slots[257:])
+	hostile("slot -2", "slot -2 outside [-1, 6)", bad(255, -2), pairs[512:])
+	hostile("slot len(tenants)", "slot 6 outside [-1, 6)", bad(0, int32(len(cfgs))), pairs[512:])
+	hostile("short slice", "255 slots for 256 packets", slots[257:], pairs[512:])
+	hostile("short pairs", "511 pair words for 256 packets", slots[256:], pairs[513:])
 
 	ref := mustSet(t, tenant.SetConfig{Tenants: cfgs})
 	ref.ProcessBatchInto(pkts[:256], nil)
 	want := ref.ProcessBatchInto(pkts[256:], nil)
-	if got := set.ProcessRoutedInto(pkts[256:], slots[256:], nil); !reflect.DeepEqual(got, want) {
+	if got := set.ProcessHashedInto(pkts[256:], slots[256:], pairs[512:], nil); !reflect.DeepEqual(got, want) {
 		t.Error("verdicts after the rejected batches differ from a fleet that never saw them")
 	}
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // raceEnabled is set by race_test.go under -race, where sync.Pool drops
-// entries at random and the pooled scratch of Sharded and TenantSet is
-// rebuilt.
+// entries at random and the pooled scratch of Sharded is rebuilt.
 var raceEnabled bool
 
 // perPacket hides a filter's batch method, so AsBatch must wrap it in the
@@ -18,8 +17,10 @@ type perPacket struct{ bitmapfilter.PacketFilter }
 // TestHotpathZeroAlloc holds the //bf:hotpath entry points no other test
 // covers to what the annotation promises: once the verdict buffer and the
 // pooled scratch have grown to the batch, a call allocates nothing — the
-// per-packet Process of each flavor, and ProcessBatchInto of the five batch
-// bodies (Filter, Safe, Sharded, TenantSet and AsBatch's fallback). Whether
+// per-packet Process of each flavor, ProcessBatchInto of the five batch
+// bodies (Filter, Safe, Sharded, TenantSet and AsBatch's fallback), and the
+// fleet's two halves as a daemon's workers and lane run them: HashRouted and
+// the in-order ProcessHashedInto, with and without prefetching. Whether
 // a value escapes is the compiler's decision, so it is checked on what the
 // compiler built; the hotpath analyzer only rules out the syntax that always
 // allocates.
@@ -52,6 +53,14 @@ func TestHotpathZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One tenant of order 25: the fleet's judge prefetches ahead.
+	bigSet, err := bitmapfilter.NewTenantSet(bitmapfilter.TenantSetConfig{Tenants: []bitmapfilter.TenantConfig{
+		{ID: "big", Prefix: bitmapfilter.PrefixFrom(bitmapfilter.AddrFrom4(10, 0, 0, 0), 14),
+			Options: []bitmapfilter.Option{bitmapfilter.WithOrder(25), bitmapfilter.WithSeed(1)}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fallback := bitmapfilter.AsBatch(perPacket{newFilter()})
 
 	// Sessions of two tenants, their replies, a scan, and transit traffic
@@ -70,6 +79,21 @@ func TestHotpathZeroAlloc(t *testing.T) {
 			pkts[i].Tuple.Src = bitmapfilter.AddrFrom4(203, 0, 113, byte(i))
 		}
 	}
+
+	// The slots a daemon's classify step finds, for each fleet.
+	slotsOf := func(set *bitmapfilter.TenantSet) []int32 {
+		slots := make([]int32, len(pkts))
+		for i, p := range pkts {
+			client := p.Tuple.Src
+			if p.Dir == bitmapfilter.Incoming {
+				client = p.Tuple.Dst
+			}
+			slots[i] = set.Routes().Lookup(client)
+		}
+		return slots
+	}
+	slots, bigSlots := slotsOf(set), slotsOf(bigSet)
+	var pairs []uint64
 
 	var out []bitmapfilter.Verdict
 	each := func(process func(bitmapfilter.Packet) bitmapfilter.Verdict) func() {
@@ -91,6 +115,11 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		{"Safe.ProcessBatchInto", func() { out = safe.ProcessBatchInto(pkts, out) }},
 		{"Sharded.ProcessBatchInto", func() { out = sharded.ProcessBatchInto(pkts, out) }},
 		{"TenantSet.ProcessBatchInto", func() { out = set.ProcessBatchInto(pkts, out) }},
+		{"TenantSet.HashRouted", func() { pairs = set.HashRouted(pkts, slots, pairs) }},
+		{"TenantSet.ProcessHashedInto", func() { out = set.ProcessHashedInto(pkts, slots, set.HashRouted(pkts, slots, pairs), out) }},
+		{"TenantSet.ProcessHashedInto/order=25", func() {
+			out = bigSet.ProcessHashedInto(pkts, bigSlots, bigSet.HashRouted(pkts, bigSlots, pairs), out)
+		}},
 		{"AsBatch.ProcessBatchInto", func() { out = fallback.ProcessBatchInto(pkts, out) }},
 	}
 	for _, c := range cases {
