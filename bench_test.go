@@ -652,28 +652,6 @@ func BenchmarkUtilizationStats(b *testing.B) {
 	})
 }
 
-// Sharded vs single-lock concurrent throughput.
-func BenchmarkShardedFilterParallel(b *testing.B) {
-	f, err := bitmapfilter.NewSharded(8, bitmapfilter.WithOrder(17))
-	if err != nil {
-		b.Fatal(err)
-	}
-	outs, ins := table1Workload(1<<12, 6)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			idx := i & (1<<12 - 1)
-			if i&1 == 0 {
-				f.Process(outs[idx])
-			} else {
-				f.Process(ins[idx])
-			}
-			i++
-		}
-	})
-}
-
 func benchName(prefix string, v int) string {
 	const digits = "0123456789"
 	if v < 10 {

@@ -211,9 +211,9 @@ func New(opts ...Option) (*Filter, error) { return core.New(opts...) }
 // NewSafe wraps a filter for concurrent use.
 func NewSafe(f *Filter) *Safe { return core.NewSafe(f) }
 
-// Sharded partitions one logical filter across independently locked shards
-// for multi-core packet paths; flow-key routing keeps semantics identical
-// to a single filter.
+// Sharded partitions one logical filter across S shards behind one lock;
+// flow-key routing keeps semantics identical to a single filter, and a
+// batch is judged in source order, each packet in its shard.
 type Sharded = core.Sharded
 
 // NewSharded builds a sharded filter (shard count rounded up to a power of

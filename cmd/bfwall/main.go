@@ -450,8 +450,8 @@ type filterSpec struct {
 // otherwise a single or sharded bitmap filter — goroutine-safe either way,
 // because the control plane reads and punches it while the pump judges: a
 // single filter behind Safe's lock (one uncontended acquisition per batch on
-// the commit step), shards locked each, a fleet's tenants bare behind the
-// Set's lock.
+// the commit step), a sharded filter's shards and a fleet's tenants bare
+// behind its one lock.
 //
 // With a checkpoint path it walks the restore ladder first — primary file,
 // .bak rotation, cold start — and builds fresh from the flags only when no

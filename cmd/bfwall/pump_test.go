@@ -28,7 +28,7 @@ import (
 )
 
 // One table: every behaviour of the data plane is one body below, run over
-// the three sinks of the commit step (a single filter, -shards 2, a tenant
+// the three filters bfwall builds (a single filter, -shards 2, a tenant
 // fleet) at W = 1, 2, 4, through what the daemon itself uses of
 // internal/pump — New, Watch, Run, Snapshot. The Worker*, Lane* and
 // FleetLane* names are the single filter's, the shards' and the fleet's rows
@@ -42,8 +42,7 @@ import (
 // handing batches to each other, and more workers than this box has cores.
 var workerCounts = []int{1, 2, 4}
 
-// pumpBuffers is internal/pump's workerBuffers and laneBuffers: the batches
-// a worker owns, and the sub-batches a shard's lane owns.
+// pumpBuffers is internal/pump's workerBuffers: the batches a worker owns.
 const pumpBuffers = 8
 
 // minBatch is internal/pump's: the smallest batch that changes goroutine.
@@ -53,10 +52,11 @@ const minBatch = 512
 // builds.
 type statFilter = core.Snapshottable
 
-// sink is one of the three things a commit can mean, as the rows build it.
+// sink is one of the filters a commit can be for, as the rows build it: one
+// judged in place, or a routed one (sharded, a fleet) judged on the lane.
 type sink struct {
 	name  string
-	lanes int
+	lanes int // the lanes the pump runs for it: 0 or 1
 	// clients is where this sink's traces put their clients, routed the
 	// prefixes that decide, for the reference, which of them the filter sees,
 	// and told the subnets the pump is given: a fleet's are wrong on purpose,
@@ -129,7 +129,7 @@ func singleSinkOf(name string, hashed bool, mk func(t *testing.T) hashedFilter) 
 }
 
 func shardsSink(n int) sink {
-	return sink{name: fmt.Sprintf("shards=%d", n), lanes: n, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
+	return sink{name: fmt.Sprintf("shards=%d", n), lanes: 1, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
 		build: func(t *testing.T, f *fault) statFilter { return shardedFilter(t, n, f) },
 		restore: func(t *testing.T, r io.Reader) statFilter {
 			f, err := core.ReadAnySnapshot(r, core.WithAPD(testAPD(t, 20e6)))
@@ -569,8 +569,8 @@ func reference(t *testing.T, sk sink, in *intakeOf, sizes []int, skip int) (ref 
 // checkMatchesReference is the differential: the pump over sk at W workers
 // against the synchronous reference. Every tally must be equal, a single
 // filter must be handed the source's batches in source order with no gap or
-// repeat, and the two filters must end byte for byte in the same state —
-// lane i saw what shard i sees, the fleet's lane what the Set sees.
+// repeat, and the two filters must end byte for byte in the same state — the
+// lane saw what the sharded filter or the Set sees.
 func checkMatchesReference(t *testing.T, sk sink, trace []byte, in *intakeOf, shape func(*scriptedSource), workers int) {
 	replay, err := capture.NewReplayBytes(trace, 1)
 	if err != nil {
@@ -684,8 +684,9 @@ func TestWorkerPumpMatchesInlineReference(t *testing.T) {
 	})
 }
 
-// TestLanesMatchShardedReference: scatter and the shard lanes against
-// Sharded.ProcessBatchInto per source batch.
+// TestLanesMatchShardedReference: the hand-off — ShardOf's slots and the
+// workers' pairs riding in the batch buffer, the lane, its in-order judge —
+// against a second sharded filter's ProcessBatchInto per source batch.
 func TestLanesMatchShardedReference(t *testing.T) {
 	matchReference(t, "scan_flood", "client_mix", []sink{shardsSink(2), shardsSink(4)}, func(t *testing.T, sk sink, run func(*testing.T, string, int)) {
 		t.Run(sk.name, func(t *testing.T) { jitterRows(t, run) })
@@ -736,7 +737,7 @@ func TestFleetLaneBatchFloor(t *testing.T) {
 		}
 	}
 	if s := p.Snapshot(); s.Unrouted != 0 || s.Lanes[0].Batches != uint64(len(rec.sizes)) {
-		t.Errorf("%d unrouted, %d sub-batches counted of %d", s.Unrouted, s.Lanes[0].Batches, len(rec.sizes))
+		t.Errorf("%d unrouted, %d batches counted of %d", s.Unrouted, s.Lanes[0].Batches, len(rec.sizes))
 	}
 }
 
@@ -803,16 +804,15 @@ func TestWorkerPanicQuarantinesBatch(t *testing.T) {
 }
 
 // TestLanePanicQuarantinesSubBatch: a source batch lost at the decode never
-// reaches the lanes; and a panic inside shard 1 — in the first packet it
-// shows its APD policy — quarantines the sub-batch lane 1 was judging and
-// nothing else: lane 0 ends where the reference's shard 0 ends, lane 1
-// judges everything after the fault, Run returns.
+// reaches the lane; and a panic inside shard 1 — in the first packet it
+// shows its APD policy — quarantines the whole source batch the lane was
+// judging, counted once, as a fleet's or a single filter's fault is: the
+// filter ends where a reference that met the same fault in the same batch
+// ends, every other batch is judged, Run returns.
 func TestLanePanicQuarantinesSubBatch(t *testing.T) {
 	sk := shardsSink(2)
 	trace := testTraceOver(t, sk.clients, 40_000, 200, 200*time.Millisecond)
 	in := referenceIntake(t, trace, sk.routed)
-	ref := sk.build(t, nil).(*core.Sharded)
-	ref.ProcessBatchInto(in.pkts, nil)
 	for _, workers := range workerCounts {
 		t.Run(fmt.Sprintf("decode/W=%d", workers), func(t *testing.T) { checkQuarantine(t, sk, "decode", workers) })
 		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
@@ -820,27 +820,46 @@ func TestLanePanicQuarantinesSubBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bf := sk.build(t, panicOn(1)).(*core.Sharded)
+			src := &scriptedSource{Source: replay}
+			bf := sk.build(t, panicOn(1))
 			var logged atomic.Int64
-			p := testPump(replay, bf, sk, 64, workers, func(string, ...any) { logged.Add(1) })
+			p := testPump(src, bf, sk, 64, workers, func(string, ...any) { logged.Add(1) })
 			if err := p.Run(); err != nil {
 				t.Fatalf("pump died on a contained panic: %v", err)
 			}
+
+			// The reference meets the same fault in the same batch, in the
+			// same packet: it judges what came before it and none after.
+			ref, lost := sk.build(t, panicOn(1)), 0
+			var want totalsOf
+			var verdicts []filtering.Verdict
+			frame := 0
+			for _, n := range src.sizes {
+				chunk := in.pkts[in.upTo[frame]:in.upTo[frame+n]]
+				frame += n
+				func() {
+					defer func() {
+						if recover() != nil {
+							lost += len(chunk)
+						}
+					}()
+					verdicts = ref.ProcessBatchInto(chunk, verdicts)
+					want.add(chunk, verdicts)
+				}()
+			}
 			got := p.Snapshot()
-			// What a lane is handed when -batch is smaller, or the flush at the end.
-			if got.QuarantinedBatches != 1 || logged.Load() != 1 || got.QuarantinedFrames == 0 || got.QuarantinedFrames > minBatch {
-				t.Errorf("quarantined %d sub-batches, %d frames, logged %d times; want one sub-batch of at most %d, once",
-					got.QuarantinedBatches, got.QuarantinedFrames, logged.Load(), minBatch)
+			if lost == 0 || lost > minBatch {
+				t.Fatalf("the reference lost %d packets to the fault, want one batch of at most %d", lost, minBatch)
 			}
-			if got, want := bf.ShardStats()[0], ref.ShardStats()[0]; !reflect.DeepEqual(got, want) {
-				t.Errorf("lane 0 felt lane 1's panic\n  lane 0:    %+v\n  reference: %+v", got, want)
+			if got.QuarantinedBatches != 1 || logged.Load() != 1 || got.QuarantinedFrames != uint64(lost) {
+				t.Errorf("quarantined %d batches, %d frames, logged %d times; want the one source batch of %d, once",
+					got.QuarantinedBatches, got.QuarantinedFrames, logged.Load(), lost)
 			}
-			share := ref.ShardStats()[1].Counters
-			if judged := got.Lanes[1].Frames + got.QuarantinedFrames; judged != share.OutPackets+share.InPackets {
-				t.Errorf("lane 1 judged %d packets + %d quarantined, its share is %d", got.Lanes[1].Frames, got.QuarantinedFrames, share.OutPackets+share.InPackets)
+			if totals(got) != want || !bytes.Equal(snapshotBytes(t, bf), snapshotBytes(t, ref)) {
+				t.Errorf("pump %+v, the reference %+v; or they snapshot to different bytes", totals(got), want)
 			}
-			if sum := got.Outgoing + got.Incoming + got.QuarantinedFrames; sum != got.Frames {
-				t.Errorf("%d frames read, %d judged or quarantined", got.Frames, sum)
+			if sum := got.Outgoing + got.Incoming + got.QuarantinedFrames; sum != got.Frames || got.Frames != uint64(in.frames()) {
+				t.Errorf("%d frames of %d read, %d judged or quarantined", got.Frames, in.frames(), sum)
 			}
 		})
 	}
@@ -905,13 +924,12 @@ func TestFleetLaneQuarantinesHostileSlot(t *testing.T) {
 }
 
 // checkBackPressure: a judge that blocks bounds the batches in flight — every
-// worker ends up parked on its own free list (behind a shard's lane, the
-// committing one on the lane's), nobody reads — and the overload queue in
-// front of the pump sheds, as it did when the pump was one loop.
+// worker ends up parked on its own free list, nobody reads — and the overload
+// queue in front of the pump sheds, as it did when the pump was one loop.
 func checkBackPressure(t *testing.T, sk sink, workers int) {
 	trace := testTraceOver(t, sk.clients, 40_000, 200, 500*time.Millisecond)
 	// Six passes: more than the queue holds, and a queue of more than every
-	// buffer of four workers and two lanes.
+	// buffer of four workers.
 	const loops, queue = 6, 32768
 	total := loops * uint64(referenceIntake(t, trace, sk.routed).frames())
 	replay, err := capture.NewReplayBytes(trace, loops)
@@ -929,19 +947,15 @@ func checkBackPressure(t *testing.T, sk sink, workers int) {
 
 	<-entered
 	// A single filter's judge holds the commit lock: the other workers read
-	// until their buffers are all published behind it, then park. A fleet's
-	// lane holds nothing: all of them park, every buffer in its queue. A
-	// shard's lane stops the worker that commits, in send, and the rest park.
+	// until their buffers are all published behind it, then park. The lane
+	// holds nothing: all of them park, every buffer in its queue.
 	parked, inFlight := uint64(workers-1), workers*pumpBuffers
-	switch {
-	case sk.lanes == 1:
+	if sk.lanes == 1 {
 		parked = uint64(workers)
-	case sk.lanes > 1:
-		inFlight += 2 * sk.lanes * pumpBuffers // sub-batches of one lane's half of a source batch each
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		s := p.Snapshot()
-		if s.BufferWaits >= parked && buf.Stats().Shed > 0 && (sk.lanes < 2 || s.Lanes[1].Stalls > 0) {
+		if s.BufferWaits >= parked && buf.Stats().Shed > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -1004,7 +1018,7 @@ func (c *closeAfter) ReadBatch(frames []capture.Frame) (int, error) {
 }
 
 // checkDrainBeforeSnapshot: a source closed mid-replay ends Run only after
-// every batch read was judged — workers joined, lanes flushed and joined —
+// every batch read was judged — workers joined, then the lane —
 // so every frame is accounted for, and a snapshot taken when Run returns
 // restores to exactly that state.
 func checkDrainBeforeSnapshot(t *testing.T, sk sink, workers int) {
@@ -1058,8 +1072,8 @@ func TestFleetLaneDrainBeforeSnapshot(t *testing.T) {
 }
 
 // TestLaneFlushesShortBatch: one frame from a live source gets its verdict
-// with no further traffic — a short read is committed as it is, and scatter
-// flushes the pending sub-batches instead of waiting for 511 more frames.
+// with no further traffic — a short read is committed, and handed to the
+// lane, as it is, not held back for 511 more frames.
 func TestLaneFlushesShortBatch(t *testing.T) {
 	frame := encodeFrame(t, packet.Packet{Time: time.Second,
 		Tuple: packet.Tuple{Src: packet.AddrFrom4(10, 0, 0, 5), Dst: packet.AddrFrom4(198, 51, 100, 7),
@@ -1076,7 +1090,7 @@ func TestLaneFlushesShortBatch(t *testing.T) {
 			}
 			for deadline := time.Now().Add(10 * time.Second); p.Snapshot().Outgoing != 1; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatal("the frame waits in a pending sub-batch: no verdict without further traffic")
+					t.Fatal("the frame waits for more: no verdict without further traffic")
 				}
 			}
 			lb.Close()
@@ -1088,7 +1102,7 @@ func TestLaneFlushesShortBatch(t *testing.T) {
 				frames, batches = frames+l.Frames, batches+l.Batches
 			}
 			if frames != 1 || batches != 1 {
-				t.Errorf("the lanes judged %d packets in %d sub-batches, want the one frame in one", frames, batches)
+				t.Errorf("the lane judged %d packets in %d batches, want the one frame in one", frames, batches)
 			}
 		})
 	}
@@ -1263,10 +1277,10 @@ func TestStatsWhilePumping(t *testing.T) {
 // checkObservability: a judge stuck in its filter flips /healthz by the name
 // of the goroutine it is stuck on — the worker that holds the commit lock, or
 // the lane — while the workers parked behind it stay idle and no endpoint
-// waits for it; and the pump's and the lanes' series appear on /stats and
+// waits for it; and the pump's and the lane's series appear on /stats and
 // /metrics.
 func checkObservability(t *testing.T, sk sink, workers int) {
-	// Four passes: more than every buffer of four workers and two lanes hold.
+	// Four passes: more than every buffer of four workers holds.
 	replay, err := capture.NewReplayBytes(testTraceOver(t, sk.clients, 40_000, 200, 300*time.Millisecond), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -1301,17 +1315,14 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	<-entered // one judge is inside the filter and stays there
 	wedgedAt := time.Now()
 	// Where the pipeline backs up to, what is queued at the wedged lane by
-	// then, and who is stuck: shard 1's lane (and the worker waiting in send
-	// for it), the fleet's, or the worker that judges a single filter.
+	// then, and who is stuck: the lane of a sharded filter or a fleet, or the
+	// worker that judges a single filter.
 	parked, wedged, depth, stuck := uint64(workers-1), -1, 0, "worker"
-	switch {
-	case sk.lanes == 1:
+	if sk.lanes == 1 {
 		parked, wedged, depth, stuck = uint64(workers), 0, workers*pumpBuffers-1, "lane0 stalled"
-	case sk.lanes > 1:
-		wedged, depth, stuck = 1, pumpBuffers-1, "lane1 stalled"
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if s := p.Snapshot(); s.BufferWaits >= parked && (sk.lanes < 2 || s.Lanes[1].Stalls > 0) {
+		if s := p.Snapshot(); s.BufferWaits >= parked {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -1368,7 +1379,7 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	}
 	// The commit lock is held while a single filter judges — the wedge (a
 	// second of the watchdog's clock, tens of ms of this one) included — and
-	// by a laned sink for the scatter or the hand-off alone.
+	// by a laned sink for the hand-off alone.
 	if busy := snap.Pump.CommitBusy; busy <= 0 || busy > time.Since(started).Seconds() || (sk.lanes == 0 && busy < wedgedFor.Seconds()) {
 		t.Errorf("/stats pump.commit_busy_seconds = %g over %v with the judge wedged for %v", busy, time.Since(started), wedgedFor)
 	}
@@ -1390,13 +1401,12 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	for i, l := range snap.Lanes {
 		judged += l.Frames
 		if l.Batches == 0 {
-			t.Errorf("/stats lane %d judged no sub-batch: %+v", i, l)
+			t.Errorf("/stats lane %d judged no batch: %+v", i, l)
 		}
 		wants = append(wants,
 			fmt.Sprintf(`bitmapfilter_lane_frames_total{lane="%d"} %d`, i, l.Frames),
 			fmt.Sprintf(`bitmapfilter_lane_sub_batches_total{lane="%d"} %d`, i, l.Batches),
 			fmt.Sprintf(`bitmapfilter_lane_queue_depth{lane="%d"} 0`, i),
-			fmt.Sprintf(`bitmapfilter_lane_dispatcher_stalls_total{lane="%d"} %d`, i, l.Stalls),
 			fmt.Sprintf(`bitmapfilter_resilience_probe_stalled{probe="lane%d"} 0`, i))
 	}
 	for _, want := range wants {

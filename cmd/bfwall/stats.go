@@ -47,7 +47,7 @@ type pumpSnapshot struct {
 	ForeignCommits uint64 `json:"foreign_commits"`
 	BufferWaits    uint64 `json:"buffer_waits"`
 	// CommitBusy is the time the commit lock was held: over the wall, the
-	// share of it the serial stage (judge, scatter or hand-off) occupies.
+	// share of it the serial stage (judge or hand-off) occupies.
 	CommitBusy float64 `json:"commit_busy_seconds"`
 	// SourceBusy is the time spent in the source's ReadBatch under the source
 	// lock, the other serial stage: over frames, at saturation, the read term
@@ -55,13 +55,11 @@ type pumpSnapshot struct {
 	SourceBusy float64 `json:"source_busy_seconds"`
 }
 
-// laneSnapshot is one lane: a shard's, or a fleet's. dispatcher_stalls
-// counts the commit step finding every sub-batch of a shard's lane in flight.
+// laneSnapshot is the lane of a sharded filter or a fleet.
 type laneSnapshot struct {
 	Frames     uint64 `json:"frames"`
 	Batches    uint64 `json:"sub_batches"`
 	QueueDepth int    `json:"queue_depth"`
-	Stalls     uint64 `json:"dispatcher_stalls"`
 }
 
 type filterSnapshot struct {
@@ -129,7 +127,7 @@ func renderStats(snap pump.Snapshot, started, now time.Time) statsSnapshot {
 	}
 	var lanes []laneSnapshot
 	for _, l := range snap.Lanes {
-		lanes = append(lanes, laneSnapshot{Frames: l.Frames, Batches: l.Batches, QueueDepth: l.QueueDepth, Stalls: l.Stalls})
+		lanes = append(lanes, laneSnapshot{Frames: l.Frames, Batches: l.Batches, QueueDepth: l.QueueDepth})
 	}
 	return statsSnapshot{
 		UptimeSeconds: uptime,
@@ -258,10 +256,9 @@ func writeLaneMetrics(e *httpapi.Expo, lanes []pump.LaneSnapshot) {
 			f.Int(strconv.Itoa(i), v(l))
 		}
 	}
-	perLane(e.Counters("bitmapfilter_lane_frames_total", "Packets judged by each lane: a shard's, or the fleet's", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Frames })
-	perLane(e.Counters("bitmapfilter_lane_sub_batches_total", "Sub-batches each lane judged", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Batches })
+	perLane(e.Counters("bitmapfilter_lane_frames_total", "Packets judged by each lane: a sharded filter's, or the fleet's", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Frames })
+	perLane(e.Counters("bitmapfilter_lane_sub_batches_total", "Batches each lane judged", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Batches })
 	perLane(e.Gauges("bitmapfilter_lane_queue_depth", "Batches queued for each lane", "lane"), func(l pump.LaneSnapshot) uint64 { return uint64(l.QueueDepth) })
-	perLane(e.Counters("bitmapfilter_lane_dispatcher_stalls_total", "Times the commit step found every sub-batch of a shard's lane in flight and waited", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Stalls })
 }
 
 // readBitmap reads the filter's own state, or nil without one, under the

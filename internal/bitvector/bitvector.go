@@ -117,21 +117,6 @@ func (v *Vector) Test(i uint64) bool {
 	return v.words[i>>6]&(1<<(i&63)) != 0
 }
 
-// SetAll sets every bit named by idxs (each reduced modulo the vector
-// size) and returns how many were newly set; an index repeated inside the
-// group counts once.
-//
-//bf:hotpath
-func (v *Vector) SetAll(idxs []uint64) int {
-	newly := 0
-	for _, i := range idxs {
-		if v.Set(i) {
-			newly++
-		}
-	}
-	return newly
-}
-
 // SetAllVectors sets every bit named by idxs in every vector of vs — the
 // mark of Algorithm 2. All vectors must share one order: each index is
 // reduced and split into (word, bit) once, with the first vector's mask,

@@ -117,24 +117,66 @@ func TestSafeAndShardedBatchMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	rtSh, err := NewSharded(4, WithOrder(12), WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed := &routedSharded{Sharded: rtSh}
+
 	const chunk = 100
 	for off := 0; off < len(pkts); off += chunk {
 		end := min(off+chunk, len(pkts))
 		gotSafe := batSafe.ProcessBatchInto(pkts[off:end], nil)
 		gotSh := batSh.ProcessBatchInto(pkts[off:end], nil)
+		gotRt := routed.ProcessBatchInto(pkts[off:end], nil)
 		for i, p := range pkts[off:end] {
 			if want := seqSafe.Process(p); gotSafe[i] != want {
 				t.Fatalf("safe verdict[%d] = %v, want %v", off+i, gotSafe[i], want)
 			}
-			if want := seqSh.Process(p); gotSh[i] != want {
+			want := seqSh.Process(p)
+			if gotSh[i] != want {
 				t.Fatalf("sharded verdict[%d] = %v, want %v", off+i, gotSh[i], want)
+			}
+			if gotRt[i] != want {
+				t.Fatalf("sharded, routed halves: verdict[%d] = %v, want %v", off+i, gotRt[i], want)
 			}
 		}
 	}
 	mustEqualStats(t, seqSafe.Stats(), batSafe.Stats(), "safe")
-	if seqSh.Counters() != batSh.Counters() {
-		t.Errorf("sharded counters diverged: %+v vs %+v", seqSh.Counters(), batSh.Counters())
+	if seqSh.Counters() != batSh.Counters() || seqSh.Counters() != rtSh.Counters() {
+		t.Errorf("sharded counters diverged: %+v vs %+v and, routed, %+v", seqSh.Counters(), batSh.Counters(), rtSh.Counters())
 	}
+	if routed.rotations == 0 {
+		t.Error("no rotation fell between a batch's hash and its judge")
+	}
+}
+
+// routedSharded drives a Sharded through its two halves the way the pump
+// does — ShardOf at decode, HashRouted on a worker, ProcessHashedInto on the
+// lane — and moves the clock to the batch's first packet in between, so a
+// rotation falls between the hash and the judge whenever one is due: a
+// pair holds across it.
+type routedSharded struct {
+	*Sharded
+	slots     []int32
+	pairs     []uint64
+	rotations uint64 // batches with a rotation between hash and judge
+}
+
+func (r *routedSharded) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
+	r.slots = r.slots[:0]
+	for i := range pkts {
+		r.slots = append(r.slots, int32(r.ShardOf(pkts[i].Tuple, pkts[i].Dir)))
+	}
+	r.pairs = r.HashRouted(pkts, r.slots, r.pairs)
+	if len(pkts) > 0 {
+		before := r.Stats().Rotations
+		r.AdvanceTo(pkts[0].Time)
+		if r.Stats().Rotations != before {
+			r.rotations++
+		}
+	}
+	return r.ProcessHashedInto(pkts, r.slots, r.pairs, out)
 }
 
 // TestBatchDifferentialMillion is the acceptance differential at scale:
@@ -184,6 +226,15 @@ func TestBatchDifferentialMillion(t *testing.T) {
 			}
 			return s
 		}},
+		// The same through the halves the pump calls, a rotation between
+		// hash and judge whenever one is due.
+		{name: "sharded+apd+routed", mk: func() intoFilter {
+			s, err := NewSharded(4, WithOrder(14), WithSeed(77), mkAPD())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &routedSharded{Sharded: s}
+		}},
 	}
 	for _, fl := range flavors {
 		t.Run(fl.name, func(t *testing.T) {
@@ -226,6 +277,8 @@ func counters(f intoFilter) filtering.Counters {
 	case *Safe:
 		return v.Counters()
 	case *Sharded:
+		return v.Counters()
+	case *routedSharded:
 		return v.Counters()
 	}
 	panic("unknown flavor")

@@ -43,18 +43,10 @@ func (s *Safe) Process(pkt packet.Packet) filtering.Verdict {
 //bf:hotpath
 func (s *Safe) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
 	out = filtering.GrowVerdicts(out, len(pkts))
-	s.processBatchInto(pkts, out)
-	return out
-}
-
-// processBatchInto fills out (same length as pkts) under one lock; Sharded
-// uses it to batch per shard without extra allocations.
-//
-//bf:hotpath
-func (s *Safe) processBatchInto(pkts []packet.Packet, out []filtering.Verdict) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.f.processBatch(pkts, out)
+	return out
 }
 
 // Hasher forwards to Filter.Hasher; hashing takes no lock.
@@ -110,13 +102,6 @@ func (s *Safe) RotateEvery() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.f.RotateEvery()
-}
-
-// APDSpared forwards to Filter.APDSpared under the lock.
-func (s *Safe) APDSpared() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.APDSpared()
 }
 
 // PunchHole forwards to Filter.PunchHole under the lock.

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -365,12 +370,12 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 }
 
-// TestLaneOfMatchesFamilyRoute pins the route to the expression it
+// TestShardOfMatchesFamilyRoute pins the route to the expression it
 // replaced — a one-function hashfam.Family over the 11-byte key, whose
 // Index(0, ·) is Murmur64 plus an XX64 that was thrown away — so sharded
 // snapshots written before the change keep restoring into the shards
 // their flows route to.
-func TestLaneOfMatchesFamilyRoute(t *testing.T) {
+func TestShardOfMatchesFamilyRoute(t *testing.T) {
 	ref := hashfam.MustNew(1, 0x5ead5ead)
 	const tuples = 1 << 20
 	for _, n := range []int{2, 4, 8} {
@@ -388,12 +393,113 @@ func TestLaneOfMatchesFamilyRoute(t *testing.T) {
 				Proto: []packet.Proto{packet.TCP, packet.UDP}[b>>32&1],
 			}
 			out, in := tup.OutgoingKey(), tup.IncomingKey()
-			if got, want := s.LaneOf(tup, packet.Outgoing), int(ref.Index(0, out[:])&mask); got != want {
-				t.Fatalf("%d shards, outgoing %+v: lane %d, want %d", n, tup, got, want)
+			if got, want := s.ShardOf(tup, packet.Outgoing), int(ref.Index(0, out[:])&mask); got != want {
+				t.Fatalf("%d shards, outgoing %+v: shard %d, want %d", n, tup, got, want)
 			}
-			if got, want := s.LaneOf(tup, packet.Incoming), int(ref.Index(0, in[:])&mask); got != want {
-				t.Fatalf("%d shards, incoming %+v: lane %d, want %d", n, tup, got, want)
+			if got, want := s.ShardOf(tup, packet.Incoming), int(ref.Index(0, in[:])&mask); got != want {
+				t.Fatalf("%d shards, incoming %+v: shard %d, want %d", n, tup, got, want)
 			}
 		}
+	}
+}
+
+// TestShardedSnapshotBytesPinned pins what a sharded filter writes after a
+// fixed trace, across changes to how its batches are judged: four shards
+// with a ratio APD policy, fed a seeded trace in unaligned batches, must
+// snapshot to the bytes whose SHA-256 is below. The round-trip tests only
+// compare a snapshot with its own restore; this one fails when the routing,
+// the per-shard packet order, a coin flip or the encoding moves.
+func TestShardedSnapshotBytesPinned(t *testing.T) {
+	const want = "0f61a238653aa13f54549bd433201fcfd60c092245d420307fef9eaf3dc7d811"
+	rp, err := NewRatioPolicy(1, 3, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSharded(4, WithOrder(12), WithSeed(41), WithAPD(rp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := diffTrace(50_000, 17)
+	var out []filtering.Verdict
+	for off := 0; off < len(pkts); off += 777 {
+		out = s.ProcessBatchInto(pkts[off:min(off+777, len(pkts))], out)
+	}
+	if st := s.Stats(); st.Rotations == 0 || st.APDSpared == 0 || st.Counters.InDropped == 0 {
+		t.Fatalf("trace exercises too little: %+v", st)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("sharded snapshot (%d B) SHA-256 %s, want %s", buf.Len(), got, want)
+	}
+}
+
+// shardSlots is what the pump computes at decode for a sharded filter: each
+// packet's ShardOf.
+func shardSlots(s *Sharded, pkts []packet.Packet) []int32 {
+	slots := make([]int32, len(pkts))
+	for i := range pkts {
+		slots[i] = int32(s.ShardOf(pkts[i].Tuple, pkts[i].Dir))
+	}
+	return slots
+}
+
+// TestShardedRejectsHostileSlots: a slot that is not ShardOf's answer, or
+// pairs not two words per packet, are a caller bug, and the ordered half
+// catches them before the batch touches anything — the panic names the
+// problem, no shard has moved, and the filter judges the next batch as if
+// nothing happened.
+func TestShardedRejectsHostileSlots(t *testing.T) {
+	mk := func() *Sharded {
+		rp, err := NewRatioPolicy(1, 3, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSharded(4, WithOrder(12), WithSeed(3), WithAPD(rp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := mk()
+	pkts := diffTrace(512, 9)
+	slots := shardSlots(s, pkts)
+	pairs := s.HashRouted(pkts, slots, nil)
+	s.ProcessHashedInto(pkts[:256], slots[:256], pairs[:512], nil) // some state to disturb
+	before := s.ShardStats()
+
+	hostile := func(name, wantMsg string, slots []int32, pairs []uint64) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, wantMsg) {
+				t.Errorf("%s: panic %q, want one containing %q", name, msg, wantMsg)
+			}
+			if !reflect.DeepEqual(s.ShardStats(), before) {
+				t.Errorf("%s: the rejected batch moved shard state", name)
+			}
+		}()
+		s.ProcessHashedInto(pkts[256:], slots, pairs, nil)
+	}
+	bad := func(at int, slot int32) []int32 {
+		b := append([]int32(nil), slots[256:]...)
+		b[at] = slot
+		return b
+	}
+	hostile("slot -1", "shard -1 outside [0, 4)", bad(255, -1), pairs[512:])
+	hostile("slot Shards()", "shard 4 outside [0, 4)", bad(0, 4), pairs[512:])
+	hostile("short slice", "255 slots for 256 packets", slots[257:], pairs[512:])
+	hostile("short pairs", "511 pair words for 256 packets", slots[256:], pairs[513:])
+
+	ref := mk()
+	ref.ProcessBatchInto(pkts[:256], nil)
+	want := ref.ProcessBatchInto(pkts[256:], nil)
+	if got := s.ProcessHashedInto(pkts[256:], slots[256:], pairs[512:], nil); !reflect.DeepEqual(got, want) {
+		t.Error("verdicts after the rejected batches differ from a filter that never saw them")
+	}
+	if !reflect.DeepEqual(s.ShardStats(), ref.ShardStats()) {
+		t.Error("shard state after the rejected batches differs from a filter that never saw them")
 	}
 }

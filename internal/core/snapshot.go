@@ -236,19 +236,16 @@ func (s *Safe) WriteSnapshot(w io.Writer) error {
 	return s.f.WriteSnapshot(w)
 }
 
-// WriteSnapshot serializes every shard as its own framed section. Each
-// shard is locked only while its section streams out, so the composite
-// keeps serving other shards; a flow's marks all live in one shard, so
-// per-shard consistency is exactly flow-level consistency.
+// WriteSnapshot serializes every shard as its own framed section, under
+// the one lock: the sections are one quiesced point in time.
 func (s *Sharded) WriteSnapshot(w io.Writer) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := writeContainerHeader(w, snapshotKindSharded, uint32(len(s.shards))); err != nil {
 		return err
 	}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		err := sh.f.writeSection(w)
-		sh.mu.Unlock()
-		if err != nil {
+		if err := sh.writeSection(w); err != nil {
 			return err
 		}
 	}
@@ -468,56 +465,28 @@ func ReadShardedSnapshot(r io.Reader, opts ...Option) (*Sharded, error) {
 // readShardedSections decodes the per-shard sections and reassembles the
 // composite.
 func readShardedSections(r io.Reader, n int, opts []Option) (*Sharded, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
-	cloner, cloneable := cfg.apd.(PolicyCloner)
-	if _, stateful := cfg.apd.(PolicyResetter); stateful && !cloneable {
-		return nil, fmt.Errorf("%w: APD policy %q holds mutable state but implements no ClonePolicy; one instance cannot be shared across shard locks",
-			ErrConfig, cfg.apd.Name())
-	}
 	// readContainerHeader already validated the section count, but n came
 	// off the wire: re-check locally so this allocation is bounded even if
 	// a future caller skips that validation.
 	if n < 1 || n > maxSnapshotShards || n&(n-1) != 0 {
 		return nil, fmt.Errorf("%w: shard count %d", ErrSnapshotCorrupt, n)
 	}
-	s := &Sharded{
-		shards: make([]*Safe, n),
-		mask:   uint64(n - 1),
-	}
-	var f0 *Filter // shard 0, for cross-shard configuration checks
-	for i := range s.shards {
-		shardOpts := opts
-		if cloneable {
-			p := cloner.ClonePolicy()
-			if p == nil {
-				return nil, fmt.Errorf("%w: APD policy %q cloned to nil", ErrConfig, cfg.apd.Name())
-			}
-			if sc, ok := p.(PolicyShardScaler); ok {
-				sc.ScaleForShards(n)
-			}
-			shardOpts = append(append([]Option(nil), opts...), WithAPD(p))
-		}
-		f, err := readSection(r, shardOpts)
+	var first config // shard 0's, for cross-shard configuration checks
+	return buildShards(make([]*Filter, n), opts, func(i int, opts []Option) (*Filter, error) {
+		f, err := readSection(r, opts)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		if i == 0 {
-			f0 = f
-		} else {
-			a, b := f0.cfg, f.cfg
-			if a.order != b.order || a.vectors != b.vectors || a.hashes != b.hashes ||
-				a.rotateEvery != b.rotateEvery || a.markPolicy != b.markPolicy ||
-				a.tuplePolicy != b.tuplePolicy {
-				return nil, fmt.Errorf("%w: shard %d configuration differs from shard 0",
-					ErrSnapshotCorrupt, i)
-			}
+			first = f.cfg
+		} else if a, b := first, f.cfg; a.order != b.order || a.vectors != b.vectors || a.hashes != b.hashes ||
+			a.rotateEvery != b.rotateEvery || a.markPolicy != b.markPolicy ||
+			a.tuplePolicy != b.tuplePolicy {
+			return nil, fmt.Errorf("%w: shard %d configuration differs from shard 0",
+				ErrSnapshotCorrupt, i)
 		}
-		s.shards[i] = NewSafe(f)
-	}
-	return s, nil
+		return f, nil
+	})
 }
 
 // ReadAnySnapshot reconstructs whichever filter flavor the stream holds:

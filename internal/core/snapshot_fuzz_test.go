@@ -110,7 +110,7 @@ func FuzzReadShardedSnapshot(f *testing.F) {
 			t.Fatal("restored composite has no shards")
 		}
 		for i, sh := range g.shards {
-			if sh.f.cfg.markPolicy == MarkAllVectors && !sh.f.nested() {
+			if sh.cfg.markPolicy == MarkAllVectors && !sh.nested() {
 				t.Fatalf("accepted shard %d with vectors that are not nested", i)
 			}
 		}

@@ -59,7 +59,9 @@ type PacketFilter interface {
 // (lock acquisitions, verdict-slice allocation) across the whole batch.
 // It has five implementations: the bitmap filter's Filter, Safe and Sharded
 // (internal/core), the tenant fleet's Set (internal/tenant), and AsBatch's
-// per-packet fallback, which is the SPI baselines' batch data plane.
+// per-packet fallback, which is the SPI baselines' batch data plane. Sharded
+// and Set judge a batch alike: in source order, each packet in the filter
+// its slot names, under one lock.
 type BatchFilter interface {
 	PacketFilter
 	// ProcessBatchInto processes pkts in order, storing one verdict per
@@ -131,6 +133,14 @@ func (c Counters) DropRate() float64 {
 		return 0
 	}
 	return float64(c.InDropped) / float64(c.InPackets)
+}
+
+// Add adds o's counts to c: the counters of filters judging apart, summed.
+func (c *Counters) Add(o Counters) {
+	c.OutPackets += o.OutPackets
+	c.InPackets += o.InPackets
+	c.InPassed += o.InPassed
+	c.InDropped += o.InDropped
 }
 
 // Count records a verdict for a packet in the counters.

@@ -9,8 +9,8 @@ import (
 // HotpathAnalyzer enforces the batch data plane's 0 allocs/op contract.
 //
 // Functions annotated //bf:hotpath (ProcessBatchInto and its helpers,
-// the bitvector SetAll/TestAll kernels, the per-packet process/mark/
-// lookup path) are the per-packet steady state: one allocation there
+// the bitvector SetPairAllVectors/TestPair kernels, the per-packet
+// process/mark/lookup path) are the per-packet steady state: one allocation there
 // turns into millions per second at line rate and shows up directly in
 // the ns/pkt benchmarks the repo gates on. The benchmarks catch a
 // regression after the fact; this analyzer rejects the construct at
@@ -23,8 +23,8 @@ import (
 //   - function literals (closure allocation)
 //   - go statements (goroutine + closure)
 //   - defer, except mutex Unlock/RUnlock (open-coded and free since
-//     go1.13) — the pooled-put defer in Sharded.processBatchInto is the
-//     documented //bf:allow escape hatch
+//     go1.13) — the pump's panic boundaries (a recover per source batch)
+//     are the documented //bf:allow escape hatch
 //   - interface boxing: passing a non-pointer concrete value to an
 //     interface-typed parameter forces a heap conversion
 var HotpathAnalyzer = &Analyzer{

@@ -14,11 +14,11 @@
 // in exactly the order one goroutine reading in a loop would make them.
 //
 // The filter's type chooses only what a commit does (sinks.go): a single
-// filter is judged right there, under the commit lock; a sharded filter's
-// packets are scattered, in source order, into one lane per shard; a tenant
-// fleet's whole batch is handed, as it is, to the fleet's one lane. A single
-// filter's and a fleet's workers also hash each packet's key to its base
-// pair, so what is left to the serial stage is the bit touches.
+// filter is judged right there, under the commit lock; a routed filter's —
+// a tenant fleet's or a sharded filter's — whole batch is handed, as it is,
+// to its one lane. The workers also hash each packet's key to its base pair
+// (a routed filter's with the hasher of the packet's tenant or shard), so
+// what is left to the serial stage is the bit touches.
 package pump
 
 import (
@@ -54,8 +54,8 @@ const maxWorkers = 4
 // few hundred packets that costs more than the second core gives back (a
 // fleet's lane handed 32-packet batches read 6.22M → 5.16M frames/s against
 // no lane at all, and 6.22M → 12.89M with this floor). It applies with more
-// than one worker or any lane, and costs no latency: a source that has run
-// dry returns short, and a short batch is committed — and flushed — as it is.
+// than one worker or a lane, and costs no latency: a source that has run
+// dry returns short, and a short batch is committed as it is.
 const minBatch = 512
 
 // Config is what New builds a pump from.
@@ -73,19 +73,33 @@ type Config struct {
 	// Workers is W; zero or less means min(GOMAXPROCS, 4).
 	Workers int
 	// Logf, when set, receives terminal source errors and quarantine events;
-	// workers and lanes call it, so it must tolerate concurrent calls.
+	// the workers and the lane call it, so it must tolerate concurrent calls.
 	Logf func(format string, args ...any)
 }
 
-// fleet is the filter whose batches carry a slot per packet (*tenant.Set):
-// Routes is the table the slots index, so the slot classify finds is the
-// slot the fleet hashes and judges by. Like a hashedFilter it comes in two
-// halves: the workers hash each packet with its tenant's hasher, the lane
+// routed is a filter whose batches carry a slot per packet, the filter
+// inside it that judges the packet: a tenant fleet's tenant (*tenant.Set), a
+// sharded filter's shard (*core.Sharded). Like a hashedFilter it comes in
+// two halves: the workers hash each packet with its slot's hasher, the lane
 // judges the batch in source order.
-type fleet interface {
-	Routes() *packet.PrefixTable
+type routed interface {
 	HashRouted(pkts []packet.Packet, slots []int32, dst []uint64) []uint64
 	ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict
+}
+
+// fleet is the routed filter whose slots index a prefix table: the slot
+// classify finds is the slot the fleet hashes and judges by.
+type fleet interface {
+	routed
+	Routes() *packet.PrefixTable
+}
+
+// sharded is the routed filter whose slot is a shard, named by the packet's
+// key (*core.Sharded): the workers ask ShardOf once classify has set the
+// direction.
+type sharded interface {
+	routed
+	ShardOf(tup packet.Tuple, dir packet.Direction) int
 }
 
 // hashedFilter is a single filter that offers Algorithm 2 in its two halves
@@ -107,8 +121,7 @@ type Pump struct {
 	// srcMu is a worker's turn at the source and guards the three fields
 	// under it; slots is the reorder ring, batch seq at seq % len, as many
 	// slots as the workers own buffers; commitMu guards the sink's state
-	// (verdicts, the lanes' pending sub-batches) and every write of head,
-	// the next batch to commit.
+	// (verdicts) and every write of head, the next batch to commit.
 	workers  []*worker
 	srcMu    sync.Mutex
 	nextSeq  uint64
@@ -118,11 +131,11 @@ type Pump struct {
 	commitMu sync.Mutex
 	head     atomic.Uint64
 
-	// The sink: sharded and one lane per shard, or fleet and its one lane,
-	// or neither — verdicts and shown are then the commit step's own.
-	sharded  *core.Sharded
-	fleet    fleet
-	lanes    []*lane
+	// The sink: routed and its one lane, or neither — verdicts are then
+	// the commit step's own. sharded is routed, when its slots are shards.
+	routed   routed
+	sharded  sharded
+	lane     *lane
 	hashed   hashedFilter // the single filter, if the workers hash for it
 	verdicts []filtering.Verdict
 	shown    counterCopy
@@ -149,74 +162,60 @@ func New(cfg Config) *Pump {
 	case fleet:
 		// One table, one slot numbering: whatever built the fleet (the
 		// config, a snapshot) also decided what its slots mean.
-		p.fleet, p.clients = f, f.Routes()
-		p.lanes = []*lane{newLane(cfg.Filter, buffers)} // its queue holds every buffer there is
-	case *core.Sharded:
-		if f.Shards() > 1 {
-			p.sharded = f
-			for i := 0; i < f.Shards(); i++ {
-				p.lanes = append(p.lanes, newLane(f.Lane(i), laneBuffers))
-			}
-		}
+		p.routed, p.clients = f, f.Routes()
+	case sharded:
+		p.routed, p.sharded = f, f
 	case hashedFilter:
 		p.hashed = f
 	}
 	if p.clients == nil && len(cfg.Subnets) > 0 {
 		p.clients = packet.NewPrefixTable(cfg.Subnets)
 	}
-	batch, laned := max(cfg.Batch, 1), p.lanes != nil
-	if n > 1 || laned {
+	batch := max(cfg.Batch, 1)
+	if n > 1 || p.routed != nil {
 		batch = max(batch, minBatch)
 	}
-	if !laned {
-		p.shown.show(p.bf.Counters())
+	if p.routed != nil {
+		p.lane = &lane{queue: make(chan *batchBuf, buffers)} // every buffer there is
 	}
+	p.shown.show(p.bf.Counters())
 	p.slots = make([]atomic.Pointer[batchBuf], buffers)
 	for i := 0; i < n; i++ {
 		w := &worker{free: make(chan *batchBuf, workerBuffers)}
 		for j := 0; j < workerBuffers; j++ {
 			b := &batchBuf{free: w.free, ring: make([]capture.Frame, batch), pkts: make([]packet.Packet, 0, batch)}
-			if laned {
+			if p.routed != nil {
 				b.slots = make([]int32, batch)
 			}
-			if p.hashed != nil || p.fleet != nil {
+			if p.hashed != nil || p.routed != nil {
 				b.pairs = make([]uint64, 0, 2*batch) // once, here: 2·batch words, a base pair per packet
 			}
 			w.free <- b
 		}
 		p.workers = append(p.workers, w)
 	}
-	if p.sharded != nil {
-		for _, l := range p.lanes {
-			for i := 0; i < laneBuffers; i++ {
-				l.free <- &batchBuf{free: l.free, pkts: make([]packet.Packet, 0, batch)}
-			}
-			l.pending = <-l.free
-		}
-	}
 	return p
 }
 
 // Watch registers the pump's probes with wd, one per goroutine that can
 // wedge — worker<i> (idle on the source, source lock included, and on its
-// free list; beats per published batch), lane<i> (idle on its queue; beats
-// per sub-batch) — and batch for the pump as a whole, so that a lane stuck
+// free list; beats per published batch), lane0 (idle on its queue; beats
+// per batch) — and batch for the pump as a whole, so that a lane stuck
 // in its filter or a worker stuck in a decode flips /healthz by name.
 func (p *Pump) Watch(wd *resilience.Watchdog, stallAfter time.Duration) {
 	p.batchProbe = wd.Heartbeat("batch", stallAfter)
 	for i, w := range p.workers {
 		w.probe = wd.Heartbeat(fmt.Sprintf("worker%d", i), stallAfter)
 	}
-	for i, l := range p.lanes {
-		l.probe = wd.Heartbeat(fmt.Sprintf("lane%d", i), stallAfter)
+	if p.lane != nil {
+		p.lane.probe = wd.Heartbeat("lane0", stallAfter)
 	}
 }
 
 // Run drains the source through the filter until it ends, and returns only
 // once every frame read has its verdict. The drain order is what makes a
 // snapshot taken afterwards whole: workers joined (every batch read is
-// committed) → the shard lanes' pending sub-batches flushed → queues closed
-// → lanes joined.
+// committed) → the lane's queue closed → the lane joined.
 //
 // The workers run with debug.SetPanicOnFault: a frame's bytes may be a
 // mapped trace (capture.OpenTrace) that a truncation takes away under the
@@ -225,12 +224,12 @@ func (p *Pump) Watch(wd *resilience.Watchdog, stallAfter time.Duration) {
 // back.
 func (p *Pump) Run() error {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	var lanes, workers sync.WaitGroup
-	lanes.Add(len(p.lanes))
-	for _, l := range p.lanes {
+	var lane, workers sync.WaitGroup
+	if p.lane != nil {
+		lane.Add(1)
 		go func() {
-			defer lanes.Done()
-			p.runLane(l)
+			defer lane.Done()
+			p.runLane(p.lane)
 		}()
 	}
 	workers.Add(len(p.workers) - 1)
@@ -245,13 +244,10 @@ func (p *Pump) Run() error {
 	// Every worker committed what it published or lost the commit lock to a
 	// worker that did (commit): with all of them back, nothing is uncommitted.
 	workers.Wait()
-	for _, l := range p.lanes {
-		if l.pending != nil && len(l.pending.pkts) > 0 {
-			l.queue <- l.pending
-		}
-		close(l.queue)
+	if p.lane != nil {
+		close(p.lane.queue)
 	}
-	lanes.Wait()
+	lane.Wait()
 	// A clean close is silent; anything else is genuinely terminal — the
 	// supervisor has already retried everything survivable — and is logged
 	// with its error class before it surfaces.

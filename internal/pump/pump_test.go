@@ -5,7 +5,6 @@ import (
 	"io"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,8 +22,9 @@ import (
 // cmd/bfwall's tests, beside the daemon they also drive.
 
 // sinks builds one filter per sink of the commit step — a single filter three
-// ways: plain and locked (hashed by the workers), and wrapped (by itself); a
-// sharded filter; and a fleet, hashed by the workers too.
+// ways: plain and locked (hashed by the workers), and wrapped (by itself); and
+// the two routed filters, a sharded filter and a fleet, hashed by the workers
+// too and judged on the lane.
 var sinks = map[string]func(t *testing.T) filtering.BatchFilter{
 	"single":  func(t *testing.T) filtering.BatchFilter { return single(t) },
 	"locked":  func(t *testing.T) filtering.BatchFilter { return core.NewSafe(single(t)) },
@@ -100,6 +100,23 @@ func (s *listSource) ReadBatch(frames []capture.Frame) (int, error) {
 
 func (s *listSource) Close() error { return nil }
 
+// runLane starts the pump's lane, if it has one, for a test that steps the
+// workers by hand; stop closes its queue and waits for it.
+func runLane(p *Pump) (stop func()) {
+	if p.lane == nil {
+		return func() {}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.runLane(p.lane)
+	}()
+	return func() {
+		close(p.lane.queue)
+		<-done
+	}
+}
+
 // TestPublishOutOfOrder steps two workers by hand through the one
 // interleaving a scheduler cannot be made to produce on demand: the later
 // batch is published first. Its worker must find nothing to commit and not
@@ -124,17 +141,15 @@ func TestPublishOutOfOrder(t *testing.T) {
 			if s := p.Snapshot(); p.head.Load() != 0 || s.ForeignCommits != 0 || len(second.free) != workerBuffers-1 {
 				t.Fatalf("batch 1 published alone: head %d, %d foreign commits, %d buffers free", p.head.Load(), s.ForeignCommits, len(second.free))
 			}
-			for i, l := range p.lanes {
-				if len(l.queue) != 0 || (l.pending != nil && len(l.pending.pkts) != 0) {
-					t.Fatalf("batch 1 published alone reached lane %d", i)
-				}
+			if p.lane != nil && len(p.lane.queue) != 0 {
+				t.Fatal("batch 1 published alone reached the lane")
 			}
 			p.publish(head)
 			p.commit(first)
 			if got := p.foreignCommits.Load(); p.head.Load() != 2 || got != 1 {
 				t.Errorf("head %d, %d foreign commits; want 2 and 1 (batch 1, committed by the worker that decoded batch 0)", p.head.Load(), got)
 			}
-			// The source is at its end: Run only starts the lanes and drains.
+			// The source is at its end: Run only starts the lane and drains.
 			if err := p.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -157,20 +172,13 @@ func TestPublishOutOfOrder(t *testing.T) {
 // pairs, so nothing stale can reach the filter; exactly that batch is
 // quarantined, and the buffer's next batch is hashed and judged as ever. The
 // workers hash a base pair, two words, per packet for a single filter that
-// offers its halves and for a fleet, whose lane runs free here.
+// offers its halves and for a routed filter, whose lane runs free here.
 func TestDecodePanicDropsHashedIndexes(t *testing.T) {
-	for _, name := range []string{"single", "locked", "wrapped", "fleet"} {
+	for _, name := range []string{"single", "locked", "wrapped", "shards", "fleet"} {
 		t.Run(name, func(t *testing.T) {
 			syns, replies := flows(t, 37)
 			p := New(Config{Source: &listSource{batches: [][]capture.Frame{syns, syns, replies}}, Filter: sinks[name](t), Subnets: subnets, Batch: 37, Workers: 1})
-			var lanes sync.WaitGroup
-			lanes.Add(len(p.lanes))
-			for _, l := range p.lanes {
-				go func() {
-					defer lanes.Done()
-					p.runLane(l)
-				}()
-			}
+			stop := runLane(p)
 			w := p.workers[0]
 			step := func(b *batchBuf) {
 				p.read(w, b)
@@ -184,7 +192,7 @@ func TestDecodePanicDropsHashedIndexes(t *testing.T) {
 			if name == "wrapped" {
 				want = 0 // the filter hashes for itself
 			}
-			if hashes := p.hashed != nil || p.fleet != nil; hashes != (want > 0) || len(b.pairs) != want {
+			if hashes := p.hashed != nil || p.routed != nil; hashes != (want > 0) || len(b.pairs) != want {
 				t.Fatalf("%d pair words ride with 37 packets, want %d (the pump hashes: %v)", len(b.pairs), want, hashes)
 			}
 			for next := <-w.free; next != b; next = <-w.free { // the same buffer again, its pairs still in it
@@ -202,10 +210,7 @@ func TestDecodePanicDropsHashedIndexes(t *testing.T) {
 			p.publish(b)
 			p.commit(w)
 			step(p.take(w))
-			for _, l := range p.lanes {
-				close(l.queue)
-			}
-			lanes.Wait()
+			stop()
 			s := p.Snapshot()
 			// The lie is one frame more than the ring: 38, or past a lane's batch floor.
 			if lie := uint64(len(b.ring) + 1); s.QuarantinedBatches != 1 || s.QuarantinedFrames != lie || p.head.Load() != 3 {
@@ -268,20 +273,13 @@ func TestSourceBusyIsTimeInsideReadBatch(t *testing.T) {
 // TestStepZeroAllocs pins the hot-loop contract exactly: buffer reuse,
 // zero-copy decode, the slots, publish, commit and each sink's hand-off and
 // judging allocate nothing per source batch once warm — one worker stepped
-// by hand, the lanes running free.
+// by hand, the lane running free.
 func TestStepZeroAllocs(t *testing.T) {
 	for name, build := range sinks {
 		t.Run(name, func(t *testing.T) {
 			syns, _ := flows(t, 16)
 			p := New(Config{Source: &listSource{batches: [][]capture.Frame{syns}, forever: true}, Filter: build(t), Subnets: subnets, Batch: 16, Workers: 1})
-			var lanes sync.WaitGroup
-			lanes.Add(len(p.lanes))
-			for _, l := range p.lanes {
-				go func() {
-					defer lanes.Done()
-					p.runLane(l)
-				}()
-			}
+			stop := runLane(p)
 			w := p.workers[0]
 			step := func() {
 				b := p.take(w)
@@ -294,26 +292,22 @@ func TestStepZeroAllocs(t *testing.T) {
 				step()
 			}
 			allocs := testing.AllocsPerRun(200, step)
-			for _, l := range p.lanes {
-				close(l.queue)
-			}
-			lanes.Wait()
+			stop()
 			if allocs != 0 {
 				t.Errorf("the pump allocates %.2f times per source batch", allocs)
 			}
-			// A shard lane's pending sub-batch was flushed by every short read.
 			s := p.Snapshot()
 			if s.Outgoing != 16*p.head.Load() || p.head.Load() < 200 {
 				t.Errorf("judged %d packets of %d batches", s.Outgoing, p.head.Load())
 			}
-			// The stage clocks: decode always, the hand-off and every lane's
-			// judging where there are lanes.
+			// The stage clocks: decode always, the hand-off and the lane's
+			// judging where there is a lane.
 			var laneBusy time.Duration
 			for _, l := range s.Lanes {
 				laneBusy += l.Busy
 			}
-			if laned := p.lanes != nil; s.DecodeBusy <= 0 || (s.ScatterBusy > 0) != laned || (laneBusy > 0) != laned {
-				t.Errorf("decode %v, scatter %v, lanes %v busy (lanes: %v)", s.DecodeBusy, s.ScatterBusy, laneBusy, laned)
+			if laned := p.lane != nil; s.DecodeBusy <= 0 || (s.ScatterBusy > 0) != laned || (laneBusy > 0) != laned {
+				t.Errorf("decode %v, scatter %v, lane %v busy (a lane: %v)", s.DecodeBusy, s.ScatterBusy, laneBusy, laned)
 			}
 		})
 	}
@@ -334,20 +328,37 @@ func (h *halfJudge) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdi
 	return h.BatchFilter.ProcessBatchInto(pkts, out)
 }
 
-// halfJudgeFleet is halfJudge for the fleet's lane: its ordered half judges
+// halfRouted is halfJudge for a routed filter's lane: its ordered half judges
 // the first half of the second batch, with the pairs the worker hashed.
+type halfRouted struct{ calls int }
+
+type judgeRouted = func(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict
+
+func (h *halfRouted) judge(next judgeRouted, pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
+	if h.calls++; h.calls == 2 {
+		half := len(pkts) / 2
+		next(pkts[:half], slots[:half], pairs[:2*half], out)
+		panic("injected fault half way through a batch")
+	}
+	return next(pkts, slots, pairs, out)
+}
+
 type halfJudgeFleet struct {
 	*tenant.Set
-	calls int
+	halfRouted
 }
 
 func (h *halfJudgeFleet) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
-	if h.calls++; h.calls == 2 {
-		half := len(pkts) / 2
-		h.Set.ProcessHashedInto(pkts[:half], slots[:half], pairs[:2*half], out)
-		panic("injected fault half way through a batch")
-	}
-	return h.Set.ProcessHashedInto(pkts, slots, pairs, out)
+	return h.judge(h.Set.ProcessHashedInto, pkts, slots, pairs, out)
+}
+
+type halfJudgeShards struct {
+	*core.Sharded
+	halfRouted
+}
+
+func (h *halfJudgeShards) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
+	return h.judge(h.Sharded.ProcessHashedInto, pkts, slots, pairs, out)
 }
 
 // TestPanicMidBatchCountsNothing: the direction and verdict tallies are the
@@ -359,7 +370,10 @@ func (h *halfJudgeFleet) ProcessHashedInto(pkts []packet.Packet, slots []int32, 
 func TestPanicMidBatchCountsNothing(t *testing.T) {
 	for name, build := range map[string]func(t *testing.T) filtering.BatchFilter{
 		"single": func(t *testing.T) filtering.BatchFilter { return &halfJudge{BatchFilter: single(t)} },
-		"fleet":  func(t *testing.T) filtering.BatchFilter { return &halfJudgeFleet{Set: sinks["fleet"](t).(*tenant.Set)} },
+		"shards": func(t *testing.T) filtering.BatchFilter {
+			return &halfJudgeShards{Sharded: sinks["shards"](t).(*core.Sharded)}
+		},
+		"fleet": func(t *testing.T) filtering.BatchFilter { return &halfJudgeFleet{Set: sinks["fleet"](t).(*tenant.Set)} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			syns, replies := flows(t, 40)
@@ -471,8 +485,8 @@ func TestRebalanceBetweenHashAndJudge(t *testing.T) {
 	judged = append(judged, b.pkts...)
 	p.publish(b)
 	p.commit(w)
-	close(p.lanes[0].queue)
-	p.runLane(p.lanes[0])
+	close(p.lane.queue)
+	p.runLane(p.lane)
 
 	rebalance(ref)
 	want := make([]filtering.Verdict, len(judged))

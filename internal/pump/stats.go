@@ -51,7 +51,7 @@ func decodeClass(err error) int {
 	}
 }
 
-// tallies are the pump's counters: written by the workers and the lanes,
+// tallies are the pump's counters: written by the workers and the lane,
 // read by Snapshot from any goroutine, so everything is atomic; the latency
 // reservoir has its own lock.
 type tallies struct {
@@ -84,8 +84,8 @@ type tallies struct {
 	sourceBusy     atomic.Int64
 
 	// The parallel stages' clocks, ns: the workers' decode (decode, classify
-	// and, for shards, LaneOf) and hash, and — a part of commitBusy — the
-	// commit step's hand-off to the lanes. Each lane keeps its own.
+	// and, for shards, ShardOf) and hash, and — a part of commitBusy — the
+	// commit step's hand-off to the lane. The lane keeps its own.
 	decodeBusy  atomic.Int64
 	hashBusy    atomic.Int64
 	scatterBusy atomic.Int64
@@ -105,23 +105,24 @@ func (s *tallies) addIntake(t intake) {
 	s.unrouted.Add(t.unrouted)
 }
 
-// count ends a judge's batch: the filter's counters c become the copy a
+// count ends a judge's batch: the filter's counters become the copy a
 // scrape reads, and — unless the judge panicked — what they moved since the
 // copy they replace is the batch's direction and verdict tallies. The filter
 // counted every packet as it judged it; nobody walks the verdicts again. A
-// panicked batch is quarantined and so counted in no tally, and c is still
-// the baseline the next batch is differenced against.
+// panicked batch is quarantined and so counted in no tally, and the counters
+// are still the baseline the next batch is differenced against.
 //
 //bf:hotpath
-func (s *tallies) count(shown *counterCopy, c filtering.Counters, judged bool) {
-	was := shown.show(c)
+func (p *Pump) count(judged bool) {
+	c := p.bf.Counters()
+	was := p.shown.show(c)
 	if !judged {
 		return
 	}
-	s.outgoing.Add(c.OutPackets - was.OutPackets)
-	s.incoming.Add(c.InPackets - was.InPackets)
-	s.passed.Add(c.InPassed - was.InPassed)
-	s.dropped.Add(c.InDropped - was.InDropped)
+	p.outgoing.Add(c.OutPackets - was.OutPackets)
+	p.incoming.Add(c.InPackets - was.InPackets)
+	p.passed.Add(c.InPassed - was.InPassed)
+	p.dropped.Add(c.InDropped - was.InDropped)
 }
 
 // reservoirSize bounds the latency sample set: enough for a stable p99,
@@ -224,12 +225,13 @@ type Snapshot struct {
 	// source's wait for traffic included).
 	CommitBusy, SourceBusy time.Duration
 	// DecodeBusy and HashBusy are the workers' time decoding (decode,
-	// classify and, for shards, LaneOf) and hashing (Hasher.HashBatch for a
-	// single filter, Set.HashRouted for a fleet), summed over the workers. ScatterBusy is the part of
-	// CommitBusy that hands batches to the lanes: the shards' scatter, the
-	// fleet's hand-off; 0 without lanes.
+	// classify and, for shards, ShardOf) and hashing (Hasher.HashBatch for a
+	// single filter, HashRouted for a routed filter), summed over the
+	// workers. ScatterBusy is the part of CommitBusy that hands batches to
+	// the lane; 0 without one.
 	DecodeBusy, HashBusy, ScatterBusy time.Duration
-	// Lanes is empty for a single filter.
+	// Lanes is empty for a single filter, and the one lane for a routed
+	// filter.
 	Lanes []LaneSnapshot
 
 	// The filter: its name and size as New found them, its counters as of
@@ -239,13 +241,10 @@ type Snapshot struct {
 	Counters     filtering.Counters
 }
 
-// LaneSnapshot is one lane: a shard's, or the fleet's.
+// LaneSnapshot is the lane of a routed filter.
 type LaneSnapshot struct {
 	Frames, Batches uint64
 	QueueDepth      int
-	// Stalls counts the commit step finding every sub-batch of a shard's
-	// lane in flight; a fleet's lane has none of its own (BufferWaits).
-	Stalls uint64
 	// Busy is the time the lane spent judging.
 	Busy time.Duration
 }
@@ -274,21 +273,19 @@ func (p *Pump) Snapshot() Snapshot {
 		ScatterBusy:        time.Duration(p.scatterBusy.Load()),
 		FilterName:         p.name,
 		FilterMemory:       p.memory,
+		Counters:           p.shown.get(),
 	}
 	for i := range s.DecodeErrors {
 		s.DecodeErrors[i] = p.decodeErr[i].Load()
 	}
 	s.LatencyP50, s.LatencyP99 = p.latency.quantiles(0.50, 0.99)
-	p.shown.addTo(&s.Counters)
-	for _, l := range p.lanes {
-		l.shown.addTo(&s.Counters)
-		s.Lanes = append(s.Lanes, LaneSnapshot{
+	if l := p.lane; l != nil {
+		s.Lanes = []LaneSnapshot{{
 			Frames:     l.frames.Load(),
 			Batches:    l.batches.Load(),
 			QueueDepth: len(l.queue),
-			Stalls:     l.stalls.Load(),
 			Busy:       time.Duration(l.busy.Load()),
-		})
+		}}
 	}
 	return s
 }

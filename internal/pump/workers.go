@@ -10,8 +10,8 @@ import (
 )
 
 // workerBuffers is how many batches a worker owns: one being read or
-// decoded, the rest published, or queued at a fleet's lane. With all of them
-// in flight the worker blocks on its free list — the pump's back-pressure. A
+// decoded, the rest published, or queued at the lane. With all of them in
+// flight the worker blocks on its free list — the pump's back-pressure. A
 // single filter is level from three up (scan_flood: two 19.7M frames/s,
 // three, four and eight 22.2–22.8M); a fleet's lane needs the eight: with
 // four the pipeline runs dry (tenant_fleet, W = 1: 16.0–16.4M → 9.7–9.8M; W =
@@ -20,17 +20,16 @@ import (
 const workerBuffers = 8
 
 // batchBuf is one batch of packets on its way to a verdict: a source batch
-// on its way through a worker (and, for a fleet, through the lane), or a
-// shard lane's sub-batch, of which only pkts and read are used.
+// on its way through a worker (and, for a routed filter, through the lane).
 type batchBuf struct {
-	free  chan *batchBuf  // where it goes back to: its worker's or its lane's
+	free  chan *batchBuf  // where it goes back to: its worker's
 	ring  []capture.Frame // bare: a filling source gives the slots buffers
 	pkts  []packet.Packet // decoded from ring[:n]
-	slots []int32         // per packet: the shard's lane, or the fleet's tenant slot
-	pairs []uint64        // per packet: its key's base pair (h1, h2), for a hashedFilter or a fleet
+	slots []int32         // per packet, for a routed filter: its tenant's or its shard's slot
+	pairs []uint64        // per packet: its key's base pair (h1, h2), for a hashedFilter or a routed filter
 	n     int             // frames read
 	seq   uint64          // place in source order
-	read  time.Time       // when the source returned it (a sub-batch: its first packet)
+	read  time.Time       // when the source returned it
 	// poisoned: the decode panicked. The batch is quarantined already and
 	// is published, empty, only so the sequence advances.
 	poisoned bool
@@ -120,9 +119,9 @@ func (p *Pump) read(w *worker, b *batchBuf) (more bool) {
 }
 
 // decodeBatch is the front half of a batch, on the worker's own core: what
-// the filter will see of it, and — when lanes will judge it — where each
-// packet goes, and — for a single filter or a fleet — the base pair its bits
-// derive from, hashed with the filter's, or the packet's tenant's, hasher.
+// the filter will see of it, the slot each packet goes to (for a routed
+// filter), and the base pair its bits derive from, hashed with the filter's
+// hasher or with that of the packet's tenant or shard.
 // Each of its two stages costs one clock read: the decode is timed from the
 // batch's read stamp, the hash from the decode's end.
 //
@@ -143,7 +142,7 @@ func (p *Pump) decodeBatch(b *batchBuf) {
 		}
 		if b.slots != nil {
 			if p.sharded != nil {
-				slot = int32(p.sharded.LaneOf(pkts[m].Tuple, pkts[m].Dir))
+				slot = int32(p.sharded.ShardOf(pkts[m].Tuple, pkts[m].Dir))
 			}
 			b.slots[m] = slot
 		}
@@ -155,8 +154,8 @@ func (p *Pump) decodeBatch(b *batchBuf) {
 	switch {
 	case p.hashed != nil:
 		b.pairs = p.hashed.Hasher().HashBatch(pkts, b.pairs)
-	case p.fleet != nil:
-		b.pairs = p.fleet.HashRouted(pkts, b.slots[:len(pkts)], b.pairs)
+	case p.routed != nil:
+		b.pairs = p.routed.HashRouted(pkts, b.slots[:len(pkts)], b.pairs)
 	default:
 		return
 	}
@@ -217,8 +216,8 @@ func (p *Pump) drain(w *worker, since time.Time) {
 			p.foreignCommits.Add(1)
 		}
 		p.sink(b)
-		if p.lanes != nil {
-			// The hand-off to the lanes, one clock read a batch: each batch
+		if p.lane != nil {
+			// The hand-off to the lane, one clock read a batch: each batch
 			// is timed from the end of the one before, the first from the
 			// lock's acquisition.
 			now := time.Now()

@@ -136,7 +136,7 @@ func (s *Set) Rebalance(now time.Duration) (resized int, err error) {
 			return resized, fmt.Errorf("tenant %q: rebuild: %w", st.id, berr)
 		}
 		nf.AdvanceTo(now)
-		addCounters(&st.baseline, st.filter.Counters())
+		st.baseline.Add(st.filter.Counters())
 		st.filter = nf
 		s.prefetching = s.prefetching || nf.Prefetches()
 		st.planRotations = nf.Stats().Rotations

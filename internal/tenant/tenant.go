@@ -394,17 +394,10 @@ func (s *Set) Counters() filtering.Counters {
 		InPassed:   s.unroutedIn.Load(),
 	}
 	for _, st := range s.tenants {
-		addCounters(&total, st.baseline)
-		addCounters(&total, st.filter.Counters())
+		total.Add(st.baseline)
+		total.Add(st.filter.Counters())
 	}
 	return total
-}
-
-func addCounters(dst *filtering.Counters, c filtering.Counters) {
-	dst.OutPackets += c.OutPackets
-	dst.InPackets += c.InPackets
-	dst.InPassed += c.InPassed
-	dst.InDropped += c.InDropped
 }
 
 // Utilization returns the mean current-vector fill fraction across
@@ -462,7 +455,7 @@ func (s *Set) Stats() core.Stats {
 		agg.MemoryBytes += st.MemoryBytes
 		agg.Rotations += st.Rotations
 		agg.Marks += st.Marks
-		addCounters(&agg.Counters, st.Counters)
+		agg.Counters.Add(st.Counters)
 		agg.APDSpared += st.APDSpared
 		if st.Now > agg.Now {
 			agg.Now = st.Now
@@ -498,7 +491,7 @@ type Stat struct {
 func (s *Set) statLocked(i int) core.Stats {
 	st := s.tenants[i]
 	stats := st.filter.Stats()
-	addCounters(&stats.Counters, st.baseline)
+	stats.Counters.Add(st.baseline)
 	return stats
 }
 

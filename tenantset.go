@@ -9,8 +9,8 @@ import (
 
 // TenantSet is the multi-tenant data plane: one BatchFilter routing each
 // packet to the per-subnet bitmap filter owning its client-side address
-// via longest-prefix match, dispatching batches as one grouped
-// sub-batch per touched tenant (zero steady-state allocations), and
+// via longest-prefix match, judging a batch in source order, each packet in
+// its tenant's filter (zero steady-state allocations), and
 // optionally rebalancing a shared memory budget across tenants from
 // their observed flow counts. Every tenant is a bare Filter behind the
 // set's one lock, so the set is goroutine-safe. It implements

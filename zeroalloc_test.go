@@ -6,28 +6,22 @@ import (
 	"bitmapfilter"
 )
 
-// raceEnabled is set by race_test.go under -race, where sync.Pool drops
-// entries at random and the pooled scratch of Sharded is rebuilt.
-var raceEnabled bool
-
 // perPacket hides a filter's batch method, so AsBatch must wrap it in the
 // per-packet fallback.
 type perPacket struct{ bitmapfilter.PacketFilter }
 
 // TestHotpathZeroAlloc holds the //bf:hotpath entry points no other test
-// covers to what the annotation promises: once the verdict buffer and the
-// pooled scratch have grown to the batch, a call allocates nothing — the
-// per-packet Process of each flavor, ProcessBatchInto of the five batch
-// bodies (Filter, Safe, Sharded, TenantSet and AsBatch's fallback), and the
-// fleet's two halves as a daemon's workers and lane run them: HashRouted and
-// the in-order ProcessHashedInto, with and without prefetching. Whether
+// covers to what the annotation promises: once the verdict and pair buffers
+// have grown to the batch, a call allocates nothing — the per-packet Process
+// of each flavor, ProcessBatchInto of the five batch bodies (Filter, Safe,
+// Sharded, TenantSet and AsBatch's fallback), and the two halves of a routed
+// filter — a sharded filter's and a fleet's — as a daemon's workers and lane
+// run them: HashRouted and the in-order ProcessHashedInto, with and without
+// prefetching. Whether
 // a value escapes is the compiler's decision, so it is checked on what the
 // compiler built; the hotpath analyzer only rules out the syntax that always
 // allocates.
 func TestHotpathZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop entries at random")
-	}
 	opts := []bitmapfilter.Option{bitmapfilter.WithOrder(14), bitmapfilter.WithSeed(1)}
 	newFilter := func() *bitmapfilter.Filter {
 		f, err := bitmapfilter.New(opts...)
@@ -43,6 +37,11 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded, err := bitmapfilter.NewSharded(4, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shards of order 25: the sharded judge prefetches ahead.
+	bigSharded, err := bitmapfilter.NewSharded(2, bitmapfilter.WithOrder(25), bitmapfilter.WithVectors(1), bitmapfilter.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +92,15 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		return slots
 	}
 	slots, bigSlots := slotsOf(set), slotsOf(bigSet)
+	// The slots a daemon's workers find for a sharded filter.
+	shardsOf := func(s *bitmapfilter.Sharded) []int32 {
+		slots := make([]int32, len(pkts))
+		for i, p := range pkts {
+			slots[i] = int32(s.ShardOf(p.Tuple, p.Dir))
+		}
+		return slots
+	}
+	shardSlots, bigShardSlots := shardsOf(sharded), shardsOf(bigSharded)
 	var pairs []uint64
 
 	var out []bitmapfilter.Verdict
@@ -115,6 +123,13 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		{"Safe.ProcessBatchInto", func() { out = safe.ProcessBatchInto(pkts, out) }},
 		{"Sharded.ProcessBatchInto", func() { out = sharded.ProcessBatchInto(pkts, out) }},
 		{"TenantSet.ProcessBatchInto", func() { out = set.ProcessBatchInto(pkts, out) }},
+		{"Sharded.HashRouted", func() { pairs = sharded.HashRouted(pkts, shardSlots, pairs) }},
+		{"Sharded.ProcessHashedInto", func() {
+			out = sharded.ProcessHashedInto(pkts, shardSlots, sharded.HashRouted(pkts, shardSlots, pairs), out)
+		}},
+		{"Sharded.ProcessHashedInto/order=25", func() {
+			out = bigSharded.ProcessHashedInto(pkts, bigShardSlots, bigSharded.HashRouted(pkts, bigShardSlots, pairs), out)
+		}},
 		{"TenantSet.HashRouted", func() { pairs = set.HashRouted(pkts, slots, pairs) }},
 		{"TenantSet.ProcessHashedInto", func() { out = set.ProcessHashedInto(pkts, slots, set.HashRouted(pkts, slots, pairs), out) }},
 		{"TenantSet.ProcessHashedInto/order=25", func() {
@@ -123,7 +138,7 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		{"AsBatch.ProcessBatchInto", func() { out = fallback.ProcessBatchInto(pkts, out) }},
 	}
 	for _, c := range cases {
-		c.run() // warm-up: out and the pooled scratch grow to the batch once
+		c.run() // warm-up: out and pairs grow to the batch once
 		if allocs := testing.AllocsPerRun(20, c.run); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per %d packets", c.name, allocs, len(pkts))
 		}
