@@ -448,30 +448,6 @@ func BenchmarkAttackPathThroughput(b *testing.B) {
 	}
 }
 
-// Concurrent throughput through the Safe wrapper (a multi-queue edge
-// router sharing one bitmap).
-func BenchmarkSafeFilterParallel(b *testing.B) {
-	inner, err := bitmapfilter.New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := bitmapfilter.NewSafe(inner)
-	outs, ins := table1Workload(1<<12, 6)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			idx := i & (1<<12 - 1)
-			if i&1 == 0 {
-				f.Process(outs[idx])
-			} else {
-				f.Process(ins[idx])
-			}
-			i++
-		}
-	})
-}
-
 // Snapshot persistence cost for the paper's default 512 KiB filter.
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	f, err := bitmapfilter.New()
@@ -513,11 +489,11 @@ func batchWorkload(n int, seed uint64) []packet.Packet {
 // Batched versus per-packet hot path. Each iteration pushes the same
 // 512-packet mixed batch through the filter, so ns/op is directly comparable
 // between the "<flavor>/packet" rows (Process per packet) and the
-// "<flavor>" rows (one ProcessBatchInto); the Safe and Sharded pairs isolate
-// the lock-amortization win (one acquisition per batch / per touched shard
-// instead of one per packet). ProcessBatchInto with a reused verdict buffer
-// must report 0 allocs/op on every flavor: the warm-up call before the timer
-// grows the buffer once and primes the sharded grouping scratch pool.
+// "<flavor>" rows (one ProcessBatchInto); the Sharded pair isolates the
+// lock-amortization win (one acquisition per batch instead of one per
+// packet). ProcessBatchInto with a reused verdict buffer must report 0
+// allocs/op on every flavor: the warm-up call before the timer grows the
+// buffer once.
 func BenchmarkProcessBatchInto(b *testing.B) {
 	const batch = 512
 	pkts := batchWorkload(batch, 8)
@@ -563,13 +539,6 @@ func batchImpls() []batchImpl {
 				b.Fatal(err)
 			}
 			return f
-		}},
-		{name: "safe", mk: func(b *testing.B) bitmapfilter.BatchFilter {
-			f, err := bitmapfilter.New()
-			if err != nil {
-				b.Fatal(err)
-			}
-			return bitmapfilter.NewSafe(f)
 		}},
 		{name: "sharded", mk: func(b *testing.B) bitmapfilter.BatchFilter {
 			f, err := bitmapfilter.NewSharded(8, bitmapfilter.WithOrder(17))

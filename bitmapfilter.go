@@ -68,8 +68,8 @@ type (
 	// SPI baselines in internal/flowtable.
 	PacketFilter = filtering.PacketFilter
 	// BatchFilter is a PacketFilter with a batched data plane: the
-	// allocation-free ProcessBatchInto. Filter, Safe, Sharded and
-	// TenantSet implement it natively; AsBatch adapts anything else.
+	// allocation-free ProcessBatchInto. Filter, Sharded and TenantSet
+	// implement it natively; AsBatch adapts anything else.
 	BatchFilter = filtering.BatchFilter
 )
 
@@ -117,12 +117,10 @@ func AddrFrom4(a, b, c, d byte) Addr { return packet.AddrFrom4(a, b, c, d) }
 // PrefixFrom returns the CIDR prefix base/bits.
 func PrefixFrom(base Addr, bits uint8) Prefix { return packet.PrefixFrom(base, bits) }
 
-// Filter is the {k×n}-bitmap filter (not safe for concurrent use; see
-// Safe).
+// Filter is the {k×n}-bitmap filter. It is single-goroutine: a caller that
+// shares one serializes its own calls. Sharded and TenantSet lock
+// themselves.
 type Filter = core.Filter
-
-// Safe is a goroutine-safe wrapper around Filter.
-type Safe = core.Safe
 
 // Option configures a Filter.
 type Option = core.Option
@@ -157,7 +155,7 @@ type BandwidthPolicy = core.BandwidthPolicy
 type RatioPolicy = core.RatioPolicy
 
 // AsBatch returns f's batched data plane: filters that implement
-// BatchFilter natively (Filter, Safe, Sharded, TenantSet) are returned
+// BatchFilter natively (Filter, Sharded, TenantSet) are returned
 // unchanged, anything else gets a generic per-packet fallback with
 // identical verdicts.
 func AsBatch(f PacketFilter) BatchFilter { return filtering.AsBatch(f) }
@@ -176,40 +174,10 @@ const (
 	FullTuple       = core.FullTuple
 )
 
-// Build is the unified constructor: one option bundle describes a
-// complete filter, with flavor selectors riding in the same slice as the
-// bitmap parameters:
-//
-//	Build(WithOrder(20))              == New(...)
-//	Build(WithConcurrencySafe(), ...) == NewSafe(New(...))
-//	Build(WithShards(8), ...)         == NewSharded(8, ...)
-//
-// The classic constructors below remain as thin wrappers and return their
-// concrete types; Build is the surface that can be stored as
-// configuration and applied uniformly. The result is goroutine-safe unless
-// the bundle selected a bare single filter.
-func Build(opts ...Option) (Snapshottable, error) { return core.Build(opts...) }
-
-// Flavor selectors for Build. They are ordinary Options, but only Build
-// honors them: New and the other classic constructors reject bundles that
-// carry flavor requests rather than silently ignoring them.
-
-// WithShards selects the sharded flavor with the given shard count
-// (rounded up to a power of two, exactly as NewSharded).
-func WithShards(n int) Option { return core.WithShards(n) }
-
-// WithConcurrencySafe selects a goroutine-safe filter (the Safe wrapper).
-// It is implied for WithShards.
-func WithConcurrencySafe() Option { return core.WithConcurrencySafe() }
-
 // New constructs a bitmap filter. With no options it is the paper's
 // {4×20}-bitmap with m = 3 hash functions rotated every 5 seconds
-// (512 KiB, T_e = 20 s). Equivalent to Build with no flavor selectors,
-// typed as the concrete *Filter.
+// (512 KiB, T_e = 20 s).
 func New(opts ...Option) (*Filter, error) { return core.New(opts...) }
-
-// NewSafe wraps a filter for concurrent use.
-func NewSafe(f *Filter) *Safe { return core.NewSafe(f) }
 
 // Sharded partitions one logical filter across S shards behind one lock;
 // flow-key routing keeps semantics identical to a single filter, and a
@@ -256,18 +224,12 @@ func ReadSnapshot(r io.Reader, opts ...Option) (*Filter, error) {
 }
 
 // Snapshottable is the surface shared by every filter flavor that can be
-// checkpointed; *Filter, *Safe and *Sharded implement it.
+// checkpointed; *Filter and *Sharded implement it.
 type Snapshottable = core.Snapshottable
 
 // ErrSnapshotKind is returned when a snapshot holds a different filter
 // flavor than the reader expects; ReadAnySnapshot accepts every flavor.
 var ErrSnapshotKind = core.ErrSnapshotKind
-
-// ReadSafeSnapshot is ReadSnapshot returning the filter already wrapped
-// for concurrent use.
-func ReadSafeSnapshot(r io.Reader, opts ...Option) (*Safe, error) {
-	return core.ReadSafeSnapshot(r, opts...)
-}
 
 // ReadShardedSnapshot reconstructs a sharded filter from a stream written
 // by Sharded.WriteSnapshot. The shard count comes from the snapshot (flow

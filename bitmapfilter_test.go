@@ -67,18 +67,6 @@ func TestPublicAPIDefaultsMatchPaper(t *testing.T) {
 	}
 }
 
-func TestPublicAPISafeWrapper(t *testing.T) {
-	f, err := bitmapfilter.New(bitmapfilter.WithOrder(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := bitmapfilter.NewSafe(f)
-	var pf bitmapfilter.PacketFilter = s
-	if pf.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
 func TestPublicAPIAPDPolicies(t *testing.T) {
 	bw, err := bitmapfilter.NewBandwidthPolicy(1e6, time.Second)
 	if err != nil {

@@ -111,8 +111,8 @@ func TestWarmRestartAdmitsEstablishedFlows(t *testing.T) {
 
 // TestWarmRestartShardedFlavor: the snapshot is authoritative for the
 // flavor — a daemon checkpointed with 4 shards restores 4 shards even if the
-// restart flags say otherwise — and a restored single filter is as
-// goroutine-safe as a cold one.
+// restart flags say otherwise — and a restored single filter is the bare
+// filter a cold start builds.
 func TestWarmRestartShardedFlavor(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.bmf")
 	f1, _ := mustBuild(t, path, filterSpec{geom: controlGeom, shards: 4})
@@ -129,8 +129,8 @@ func TestWarmRestartShardedFlavor(t *testing.T) {
 	if _, err := checkpoint.Save(path, f1.WriteSnapshot); err != nil {
 		t.Fatal(err)
 	}
-	if f2, _ := mustBuild(t, path, filterSpec{geom: controlGeom}); fmt.Sprintf("%T", f2) != "*core.Safe" {
-		t.Errorf("restored single filter is a %T, want *core.Safe", f2)
+	if f2, _ := mustBuild(t, path, filterSpec{geom: controlGeom}); fmt.Sprintf("%T", f2) != "*core.Filter" {
+		t.Errorf("restored single filter is a %T, want *core.Filter", f2)
 	}
 }
 
@@ -154,9 +154,9 @@ func TestCorruptCheckpointColdStarts(t *testing.T) {
 }
 
 // TestNoCheckpointPathColdStarts: without -checkpoint the filter is built
-// from the flags only, goroutine-safe whatever its flavor.
+// from the flags only: a bare filter, or shards behind their one lock.
 func TestNoCheckpointPathColdStarts(t *testing.T) {
-	for shards, want := range map[int]string{1: "*core.Safe", 2: "*core.Sharded"} {
+	for shards, want := range map[int]string{1: "*core.Filter", 2: "*core.Sharded"} {
 		f, res := mustBuild(t, "", filterSpec{geom: controlGeom, shards: shards})
 		if res.Outcome != checkpoint.OutcomeColdStartEmpty || fmt.Sprintf("%T", f) != want {
 			t.Errorf("-shards %d: %T (%v), want a %s from a cold start", shards, f, res.Outcome, want)
@@ -508,7 +508,7 @@ func TestUnshardedHasNoShardBreakdown(t *testing.T) {
 // fleet of bare tenants; -checkpoint and -apd ratio — and, while the pump
 // judges, scrapes /metrics and /stats and POSTs /punch and /checkpoint from
 // four goroutines at once. Under -race this is the proof that the control
-// plane may touch the filter: Safe's lock, the shards' and the Set's write
+// plane may touch the filter: commitMu, the shards' and the Set's write
 // lock keep every read, punch and snapshot off a batch in flight.
 func TestControlPlaneWhilePumping(t *testing.T) {
 	for name, args := range map[string][]string{

@@ -247,14 +247,25 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	defer src.Close()
 
+	// The data plane: W = min(GOMAXPROCS, 4) workers in front of whatever the
+	// filter's type makes the commit step (internal/pump). Everything else
+	// that touches the filter — the checkpointer and the control plane — goes
+	// through p.Locked: a single filter is judged under the commit lock, and
+	// is lent it.
+	started := time.Now()
+	p := pump.New(pump.Config{Source: src, Filter: bf, Subnets: subnets, Batch: readBatch, Logf: logf})
+
 	// With -checkpoint the daemon persists snapshots periodically and
 	// once more after the drain, and a watchdog probe verifies the
 	// checkpointer keeps checkpointing.
 	var cp *checkpoint.Checkpointer
 	if *ckpt != "" {
 		cp, err = checkpoint.New(checkpoint.Config{
-			Path:      *ckpt,
-			Write:     bf.WriteSnapshot,
+			Path: *ckpt,
+			Write: func(w io.Writer) (err error) {
+				p.Locked(func() { err = bf.WriteSnapshot(w) })
+				return err
+			},
 			Interval:  *ckptDt,
 			Heartbeat: wd.Heartbeat("checkpoint", max(3**ckptDt, resilience.DefaultStallAfter)).Beat,
 			Logf:      logf,
@@ -268,11 +279,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer cp.Stop()
 	}
 
-	// The data plane: W = min(GOMAXPROCS, 4) workers in front of whatever the
-	// filter's type makes the commit step (internal/pump), with a probe for
-	// every goroutine of it that can wedge.
-	started := time.Now()
-	p := pump.New(pump.Config{Source: src, Filter: bf, Subnets: subnets, Batch: readBatch, Logf: logf})
+	// A probe for every goroutine of the pump that can wedge.
 	p.Watch(wd, resilience.DefaultStallAfter)
 
 	// The last thing that can fail before the pump runs: from here to the
@@ -284,7 +291,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	plane := &controlPlane{bf: bf, sup: sup, buf: buf, health: health, cp: cp, restore: restoreRes}
+	plane := &controlPlane{bf: bf, locked: p.Locked, sup: sup, buf: buf, health: health, cp: cp, restore: restoreRes}
 
 	var srv *http.Server
 	httpErr := make(chan error, 1)
@@ -447,11 +454,10 @@ type filterSpec struct {
 }
 
 // buildFilter composes the filter: a tenant fleet when spec has one,
-// otherwise a single or sharded bitmap filter — goroutine-safe either way,
-// because the control plane reads and punches it while the pump judges: a
-// single filter behind Safe's lock (one uncontended acquisition per batch on
-// the commit step), a sharded filter's shards and a fleet's tenants bare
-// behind its one lock.
+// otherwise a single or sharded bitmap filter. A sharded filter's shards and
+// a fleet's tenants are bare behind its one lock; a single filter is bare and
+// single-goroutine, and whoever reads or punches it beside the pump goes
+// through the pump's Locked.
 //
 // With a checkpoint path it walks the restore ladder first — primary file,
 // .bak rotation, cold start — and builds fresh from the flags only when no
@@ -470,11 +476,10 @@ func buildFilter(ckptPath string, spec filterSpec) (core.Snapshottable, checkpoi
 	}
 	cold := func() (core.Snapshottable, error) {
 		if spec.fleet == nil {
-			flavor := core.WithConcurrencySafe()
 			if spec.shards > 1 {
-				flavor = core.WithShards(spec.shards)
+				return core.NewSharded(spec.shards, withAPD(spec.geom)...)
 			}
-			return core.Build(withAPD(append(spec.geom[:len(spec.geom):len(spec.geom)], flavor))...)
+			return core.New(withAPD(spec.geom)...)
 		}
 		cfg := *spec.fleet // a copy: the policies appended below are this build's
 		cfg.Tenants = append([]tenant.Config(nil), cfg.Tenants...)
@@ -494,12 +499,8 @@ func buildFilter(ckptPath string, spec filterSpec) (core.Snapshottable, checkpoi
 			restored = set
 			return err
 		}
-		// The geometry flags must match the snapshot (core.New rejects the
-		// flavor options: the container records the flavor).
+		// The container records the flavor: a single filter or shards.
 		f, err := core.ReadAnySnapshot(r, withAPD(spec.geom)...)
-		if single, ok := f.(*core.Filter); ok {
-			f = core.NewSafe(single)
-		}
 		restored = f
 		return err
 	})

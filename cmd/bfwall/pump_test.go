@@ -32,10 +32,9 @@ import (
 // fleet) at W = 1, 2, 4, through what the daemon itself uses of
 // internal/pump — New, Watch, Run, Snapshot. The Worker*, Lane* and
 // FleetLane* names are the single filter's, the shards' and the fleet's rows
-// of it. A single filter comes three ways: plain and behind the lock bfwall
-// builds it with (the workers hash, the commit step only touches bits), and
-// behind a wrapper that offers ProcessBatchInto alone (the filter hashes for
-// itself).
+// of it. A single filter comes two ways: as bfwall builds it (the workers
+// hash, the commit step only touches bits), and behind a wrapper that offers
+// ProcessBatchInto alone (the filter hashes for itself).
 // What has to step a worker by hand is in internal/pump's own tests.
 
 // workerCounts is the explicit W every row runs at: one loop, two workers
@@ -82,12 +81,9 @@ type hashedFilter interface {
 }
 
 var (
-	singleSink = singleSinkOf("single", true, func(t *testing.T) hashedFilter { return singleFilter(t) })
-	// safeSink is the single filter bfwall builds. Its reference is
-	// the plain filter's: the lock changes nothing, down to the snapshot bytes.
-	safeSink = singleSinkOf("safe", true, func(t *testing.T) hashedFilter { return core.NewSafe(singleFilter(t)) })
+	singleSink = singleSinkOf("single", true)
 	// plainSink is a single filter that does not offer the two halves.
-	plainSink = singleSinkOf("plain", false, nil)
+	plainSink = singleSinkOf("plain", false)
 	fleetSink = sink{name: "fleet", lanes: 1, clients: fleetClients, told: "192.0.2.0/24", routed: fleetPrefixes(),
 		build: func(t *testing.T, f *fault) statFilter {
 			if f == nil {
@@ -107,7 +103,7 @@ var (
 
 // singleSinkOf is a sink that judges in place: through the filter's two
 // halves, or (hashed false) through a wrapper's ProcessBatchInto.
-func singleSinkOf(name string, hashed bool, mk func(t *testing.T) hashedFilter) sink {
+func singleSinkOf(name string, hashed bool) sink {
 	return sink{name: name, hashed: hashed, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
 		plain: func(t *testing.T) statFilter { return singleFilter(t) },
 		build: func(t *testing.T, f *fault) statFilter {
@@ -115,9 +111,9 @@ func singleSinkOf(name string, hashed bool, mk func(t *testing.T) hashedFilter) 
 			case !hashed:
 				return &faultyFilter{statFilter: singleFilter(t), fault: f}
 			case f == nil:
-				return mk(t)
+				return singleFilter(t)
 			}
-			return &faultyHashed{hashedFilter: mk(t), fault: f}
+			return &faultyHashed{hashedFilter: singleFilter(t), fault: f}
 		},
 		restore: func(t *testing.T, r io.Reader) statFilter {
 			f, err := core.ReadAnySnapshot(r, core.WithAPD(testAPD(t, 20e6)))
@@ -182,11 +178,11 @@ func singleFilter(t *testing.T) *core.Filter {
 func shardedFilter(t *testing.T, shards int, f *fault) *core.Sharded {
 	t.Helper()
 	apd := &faultPolicy{DropPolicy: testAPD(t, 20e6), fault: f, clones: new(int)}
-	bf, err := core.Build(append([]core.Option{core.WithShards(shards), core.WithOrder(14), core.WithAPD(apd)}, testGeometry...)...)
+	bf, err := core.NewSharded(shards, append([]core.Option{core.WithOrder(14), core.WithAPD(apd)}, testGeometry...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bf.(*core.Sharded)
+	return bf
 }
 
 // fleetClients is where the fleet's traces put their clients: a quarter each
@@ -668,10 +664,9 @@ func jitterRows(t *testing.T, run func(*testing.T, string, int)) {
 // TestWorkerPumpMatchesInlineReference: a single filter behind the pump —
 // hashed by the workers, judged under the commit lock — against the inline
 // loop the workers replaced, behind every source shape; the same filter
-// behind bfwall's lock, and behind a wrapper that hashes for itself,
-// against that same plain reference.
+// behind a wrapper that hashes for itself, against that same reference.
 func TestWorkerPumpMatchesInlineReference(t *testing.T) {
-	matchReference(t, "scan", "two_way", []sink{singleSink, safeSink, plainSink}, func(t *testing.T, sk sink, run func(*testing.T, string, int)) {
+	matchReference(t, "scan", "two_way", []sink{singleSink, plainSink}, func(t *testing.T, sk sink, run func(*testing.T, string, int)) {
 		if sk.name != singleSink.name {
 			t.Run(sk.name, func(t *testing.T) { jitterRows(t, run) })
 			return
@@ -799,7 +794,6 @@ func TestWorkerPanicQuarantinesBatch(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/W=%d", where, workers), func(t *testing.T) { checkQuarantine(t, singleSink, where, workers) })
 		}
 	}
-	t.Run("filter/safe", func(t *testing.T) { checkQuarantine(t, safeSink, "filter", 2) })
 	t.Run("filter/plain", func(t *testing.T) { checkQuarantine(t, plainSink, "filter", 2) })
 }
 

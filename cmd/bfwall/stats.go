@@ -157,9 +157,9 @@ func perSecond(frames uint64, seconds float64) float64 {
 	return float64(frames) / seconds
 }
 
-// bitmap is what the control plane reads and changes of the filter itself.
-// Every filter bfwall builds may be asked from any goroutine (buildFilter);
-// a sharded filter also answers ShardStats, a fleet TenantStats.
+// bitmap is what the control plane reads and changes of the filter itself,
+// through controlPlane.locked; a sharded filter also answers ShardStats, a
+// fleet TenantStats, and both lock themselves.
 type bitmap interface {
 	Stats() core.Stats
 	PunchHole(local packet.Addr, localPort uint16, remote packet.Addr, proto packet.Proto)
@@ -170,7 +170,10 @@ type bitmap interface {
 // Every field may be nil/zero: the mux degrades to the bare pump view
 // (tests, and runs without -queue or -checkpoint).
 type controlPlane struct {
-	bf      bitmap
+	bf bitmap
+	// locked runs its function with bf to itself: the pump's Locked. Nil
+	// where no pump judges bf.
+	locked  func(func())
 	sup     *resilience.Supervisor
 	buf     *resilience.Buffer
 	health  *resilience.Health
@@ -178,11 +181,20 @@ type controlPlane struct {
 	restore checkpoint.RestoreResult
 }
 
+// with runs fn with the filter to itself.
+func (p *controlPlane) with(fn func()) {
+	if p.locked == nil {
+		fn()
+		return
+	}
+	p.locked(fn)
+}
+
 // newMux wires the endpoints: httpapi's /healthz and /readyz, /stats JSON,
 // /metrics Prometheus text exposition, and the control plane's POST /punch
 // and POST /checkpoint. snapshot is the pump's, and never touches the filter;
-// the bitmap's block of /stats and /metrics reads the filter under its own
-// lock, so it waits for at most the batch being judged.
+// the bitmap's block of /stats and /metrics reads the filter through the
+// pump's Locked, so it waits for at most the batches being committed.
 func newMux(started time.Time, snapshot func() pump.Snapshot, plane *controlPlane) *http.ServeMux {
 	mux := http.NewServeMux()
 	httpapi.MountProbes(mux, plane.health)
@@ -261,15 +273,16 @@ func writeLaneMetrics(e *httpapi.Expo, lanes []pump.LaneSnapshot) {
 	perLane(e.Gauges("bitmapfilter_lane_queue_depth", "Batches queued for each lane", "lane"), func(l pump.LaneSnapshot) uint64 { return uint64(l.QueueDepth) })
 }
 
-// readBitmap reads the filter's own state, or nil without one, under the
-// filter's lock: at most one batch's wait. The clock is not advanced —
-// bfwall's filter clock is its packets' — so on an idle link the gauges hold
-// their last value.
+// readBitmap reads the filter's own state, or nil without one, with the
+// filter to itself: at most the wait for the batches being committed. The
+// clock is not advanced — bfwall's filter clock is its packets' — so on an
+// idle link the gauges hold their last value.
 func (p *controlPlane) readBitmap() *bitmapSnapshot {
 	if p.bf == nil {
 		return nil
 	}
-	s := p.bf.Stats()
+	var s core.Stats
+	p.with(func() { s = p.bf.Stats() })
 	b := &bitmapSnapshot{
 		Utilization: s.Utilization, VectorUtilization: s.VectorUtilization, CurrentVector: s.CurrentIndex,
 		Penetration: s.PenetrationProbability, Rotations: s.Rotations, Marks: s.Marks,
@@ -405,7 +418,7 @@ func (p *controlPlane) punch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "proto: must be tcp or udp", http.StatusBadRequest)
 		return
 	}
-	p.bf.PunchHole(local, uint16(port), remote, proto)
+	p.with(func() { p.bf.PunchHole(local, uint16(port), remote, proto) })
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "punched %s:%d <- %s/%s\n", local, port, remote, proto)
 }

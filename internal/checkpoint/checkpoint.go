@@ -257,7 +257,10 @@ func loadFrom(fsys fileSystem, path string, load func(io.Reader) error) error {
 type Config struct {
 	// Path is the checkpoint file; its directory must exist.
 	Path string
-	// Write streams one snapshot (e.g. (*core.Safe).WriteSnapshot).
+	// Write streams one snapshot. It runs on the checkpointer's goroutine,
+	// so it keeps off whatever else touches the filter: a core.Filter's
+	// under its owner's lock (bfwall's under the pump's Locked), a
+	// core.Sharded's or a tenant.Set's, which lock themselves, as it is.
 	Write func(io.Writer) error
 	// Interval between periodic checkpoints (DefaultInterval if zero).
 	Interval time.Duration

@@ -100,14 +100,12 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSafeAndShardedBatchMatchSequential runs the same differential check
-// through the concurrency wrappers (single-goroutine here; the stress test
-// below covers races).
-func TestSafeAndShardedBatchMatchSequential(t *testing.T) {
+// TestShardedBatchMatchesSequential runs the same differential check
+// through the sharded filter, whole and in the pump's two halves
+// (single-goroutine here; the stress test below covers races).
+func TestShardedBatchMatchesSequential(t *testing.T) {
 	pkts := diffTrace(3000, 7)
 
-	seqSafe := NewSafe(MustNew(WithOrder(12), WithSeed(3)))
-	batSafe := NewSafe(MustNew(WithOrder(12), WithSeed(3)))
 	seqSh, err := NewSharded(4, WithOrder(12), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
@@ -126,13 +124,9 @@ func TestSafeAndShardedBatchMatchSequential(t *testing.T) {
 	const chunk = 100
 	for off := 0; off < len(pkts); off += chunk {
 		end := min(off+chunk, len(pkts))
-		gotSafe := batSafe.ProcessBatchInto(pkts[off:end], nil)
 		gotSh := batSh.ProcessBatchInto(pkts[off:end], nil)
 		gotRt := routed.ProcessBatchInto(pkts[off:end], nil)
 		for i, p := range pkts[off:end] {
-			if want := seqSafe.Process(p); gotSafe[i] != want {
-				t.Fatalf("safe verdict[%d] = %v, want %v", off+i, gotSafe[i], want)
-			}
 			want := seqSh.Process(p)
 			if gotSh[i] != want {
 				t.Fatalf("sharded verdict[%d] = %v, want %v", off+i, gotSh[i], want)
@@ -142,7 +136,6 @@ func TestSafeAndShardedBatchMatchSequential(t *testing.T) {
 			}
 		}
 	}
-	mustEqualStats(t, seqSafe.Stats(), batSafe.Stats(), "safe")
 	if seqSh.Counters() != batSh.Counters() || seqSh.Counters() != rtSh.Counters() {
 		t.Errorf("sharded counters diverged: %+v vs %+v and, routed, %+v", seqSh.Counters(), batSh.Counters(), rtSh.Counters())
 	}
@@ -182,7 +175,7 @@ func (r *routedSharded) ProcessBatchInto(pkts []packet.Packet, out []filtering.V
 // TestBatchDifferentialMillion is the acceptance differential at scale:
 // a ≥1M-packet mixed trace (bursts, rotations, wholesale resets, APD coin
 // flips) must produce byte-identical verdict streams through the batch and
-// per-packet paths on all three flavors, with the batch side recycling one
+// per-packet paths on every flavor, with the batch side recycling one
 // verdict buffer the whole way.
 func TestBatchDifferentialMillion(t *testing.T) {
 	if testing.Short() {
@@ -205,9 +198,6 @@ func TestBatchDifferentialMillion(t *testing.T) {
 	flavors := []flavor{
 		{name: "filter", mk: func() intoFilter {
 			return MustNew(WithOrder(16), WithSeed(77), mkAPD())
-		}},
-		{name: "safe", mk: func() intoFilter {
-			return NewSafe(MustNew(WithOrder(16), WithSeed(77), mkAPD()))
 		}},
 		{name: "sharded", mk: func() intoFilter {
 			s, err := NewSharded(4, WithOrder(14), WithSeed(77))
@@ -274,8 +264,6 @@ func counters(f intoFilter) filtering.Counters {
 	switch v := f.(type) {
 	case *Filter:
 		return v.Counters()
-	case *Safe:
-		return v.Counters()
 	case *Sharded:
 		return v.Counters()
 	case *routedSharded:
@@ -341,7 +329,7 @@ func TestConcurrentShardedAPDBatchInto(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchStress hammers Safe and Sharded with concurrent
+// TestConcurrentBatchStress hammers Sharded with concurrent
 // ProcessBatchInto/Process/Stats/Counters/Reset. Run under -race it proves
 // the batched paths take the same locks as the per-packet ones; without
 // -race it is a cheap smoke test.
@@ -351,7 +339,6 @@ func TestConcurrentBatchStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	safe := NewSafe(MustNew(WithOrder(12), WithSeed(5)))
 	run := func(t *testing.T, batchInto func([]packet.Packet, []filtering.Verdict) []filtering.Verdict,
 		single func(packet.Packet) filtering.Verdict, inspect, reset func()) {
 		var wg sync.WaitGroup
@@ -394,10 +381,6 @@ func TestConcurrentBatchStress(t *testing.T) {
 		wg.Wait()
 	}
 
-	t.Run("safe", func(t *testing.T) {
-		run(t, safe.ProcessBatchInto, safe.Process,
-			func() { _ = safe.Stats(); _ = safe.Utilization() }, safe.Reset)
-	})
 	t.Run("sharded", func(t *testing.T) {
 		run(t, sh.ProcessBatchInto, sh.Process,
 			func() { _ = sh.Counters(); _ = sh.MemoryBytes() }, sh.Reset)

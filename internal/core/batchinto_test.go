@@ -19,7 +19,6 @@ func mkIntoFilters(t *testing.T) map[string]func() intoFilter {
 	t.Helper()
 	return map[string]func() intoFilter{
 		"filter": func() intoFilter { return MustNew(WithOrder(12), WithSeed(21)) },
-		"safe":   func() intoFilter { return NewSafe(MustNew(WithOrder(12), WithSeed(21))) },
 		"sharded": func() intoFilter {
 			s, err := NewSharded(4, WithOrder(12), WithSeed(21))
 			if err != nil {

@@ -23,7 +23,8 @@
 //
 // The filter is driven by virtual time carried on packets; rotations fire
 // lazily as timestamps advance, so trace-driven simulation needs no wall
-// clock. Use Safe (safe.go) for a goroutine-safe wrapper.
+// clock. A Filter is single-goroutine: whoever shares one serializes its
+// callers.
 package core
 
 import (
@@ -91,7 +92,7 @@ type config struct {
 	markPolicy  MarkPolicy
 	tuplePolicy TuplePolicy
 	apd         DropPolicy
-	build       buildConfig
+	shards      int // WithShards: Build's, never New's
 }
 
 func defaultConfig() config {
@@ -164,8 +165,7 @@ func (o apdOption) apply(c *config) { c.apd = o.policy }
 // (SYN+ACK, FIN+ACK, RST±ACK) so scans cannot inflate the bitmap.
 func WithAPD(policy DropPolicy) Option { return apdOption{policy: policy} }
 
-// Filter is a {k×n}-bitmap filter. It is not safe for concurrent use; see
-// Safe.
+// Filter is a {k×n}-bitmap filter. It is not safe for concurrent use.
 type Filter struct {
 	cfg     config
 	vectors []*bitvector.Vector
@@ -194,12 +194,11 @@ func New(opts ...Option) (*Filter, error) {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	if cfg.build != (buildConfig{}) {
-		// Flavor selectors (WithShards, WithConcurrencySafe) describe
-		// compositions above the single filter; only Build honors them.
-		// Rejecting them here keeps a misplaced bundle from silently
-		// degrading to an unsharded, unlocked filter.
-		return nil, fmt.Errorf("%w: flavor options (WithShards/WithConcurrencySafe) require Build, not New", ErrConfig)
+	if cfg.shards != 0 {
+		// Sharding is a composition above the single filter; only Build
+		// honors it. Rejecting it here keeps a misplaced bundle from
+		// silently degrading to an unsharded filter.
+		return nil, fmt.Errorf("%w: WithShards requires Build, not New", ErrConfig)
 	}
 	if cfg.vectors < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrConfig, cfg.vectors)
@@ -389,8 +388,7 @@ func (f *Filter) Process(pkt packet.Packet) filtering.Verdict {
 // in sequence — same verdicts, counters, rotations and APD coin flips — but
 // advances the rotation clock only when a packet's timestamp actually moves
 // time forward, and hashes a chunk of packets before it touches the bitmap
-// for any of them (see processBatch). Safe and Sharded build on it to
-// amortize lock acquisitions across whole batches.
+// for any of them (see processBatch).
 //
 //bf:hotpath
 func (f *Filter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {

@@ -176,95 +176,83 @@ func TestHashBatchMatchesFamilyIndexes(t *testing.T) {
 
 // TestProcessHashedIntoRefusesMismatchedIndexes: pairs that are not two
 // words per packet — a stale or truncated slice — are the caller's bug. The filter
-// panics with a message before the clock, a bit or a counter moves, through
-// Safe as well (which must not keep its lock).
+// panics with a message before the clock, a bit or a counter moves.
 func TestProcessHashedIntoRefusesMismatchedIndexes(t *testing.T) {
 	pkts := hashedTrace(64, 4)
 	for i := range pkts {
 		pkts[i].Time += time.Minute // a judged batch would rotate
 	}
 	f := small()
-	safe := NewSafe(f)
 	f.Process(outPkt(time.Second, client, server, 4000, 80))
 	before, stats := snapshotOf(t, f), f.Stats()
 	good := f.Hasher().HashBatch(pkts, nil)
 	for name, pairs := range map[string][]uint64{"short": good[:len(good)-1], "long": append(good[:len(good):len(good)], 1), "none": nil} {
-		for flavor, judge := range map[string]func([]packet.Packet, []uint64, []filtering.Verdict) []filtering.Verdict{
-			"filter": f.ProcessHashedInto, "safe": safe.ProcessHashedInto,
-		} {
-			func() {
-				defer func() {
-					if r := recover(); r == nil {
-						t.Errorf("%s/%s: no panic", flavor, name)
-					} else if msg := fmt.Sprint(r); !strings.Contains(msg, "ProcessHashedInto: pairs does not hold 2 words per packet") {
-						t.Errorf("%s/%s: panic %q", flavor, name, msg)
-					}
-				}()
-				judge(pkts, pairs, nil)
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%s: no panic", name)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, "ProcessHashedInto: pairs does not hold 2 words per packet") {
+					t.Errorf("%s: panic %q", name, msg)
+				}
 			}()
-		}
+			f.ProcessHashedInto(pkts, pairs, nil)
+		}()
 		if !bytes.Equal(snapshotOf(t, f), before) || !reflect.DeepEqual(f.Stats(), stats) {
 			t.Fatalf("%s: the refused batch left a trace: %+v, was %+v", name, f.Stats(), stats)
 		}
 	}
-	if got := safe.ProcessHashedInto(pkts, good, nil); len(got) != len(pkts) || safe.Stats().Rotations == 0 {
-		t.Errorf("after the refusals: %d verdicts, %d rotations", len(got), safe.Stats().Rotations)
+	if got := f.ProcessHashedInto(pkts, good, nil); len(got) != len(pkts) || f.Stats().Rotations == 0 {
+		t.Errorf("after the refusals: %d verdicts, %d rotations", len(got), f.Stats().Rotations)
 	}
 }
 
 // TestHashBatchConcurrentWithJudge is the pump's shape in miniature: four
-// goroutines hash batches of their own through one Hasher — a plain filter's
-// and a Safe's — while a fifth judges what they publish, in order. Under
-// -race this is what shows the hash half shares nothing with the ordered one.
+// goroutines hash batches of their own through one Hasher while a fifth
+// judges what they publish, in order. Under -race this is what shows the
+// hash half shares nothing with the ordered one.
 func TestHashBatchConcurrentWithJudge(t *testing.T) {
 	pkts := hashedTrace(8000, 31)
 	const batch, hashers = 100, 4
-	type hashedFilter interface {
-		Hasher() *Hasher
-		ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict
-		Stats() Stats
-	}
 	mk := func() *Filter { return MustNew(WithOrder(12), WithSeed(5), WithRotateEvery(10*time.Millisecond)) }
 	ref := mk()
 	want := ref.ProcessBatchInto(pkts, nil)
-	for name, f := range map[string]hashedFilter{"filter": mk(), "safe": NewSafe(mk())} {
-		t.Run(name, func(t *testing.T) {
-			h := f.Hasher()
-			batches := len(pkts) / batch
-			ready := make([]chan []uint64, batches)
-			for i := range ready {
-				ready[i] = make(chan []uint64, 1)
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < hashers; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := g; i < batches; i += hashers {
-						ready[i] <- h.HashBatch(pkts[i*batch:(i+1)*batch], nil)
-					}
-				}()
-			}
-			var out []filtering.Verdict
-			for i := 0; i < batches; i++ {
-				chunk := pkts[i*batch : (i+1)*batch]
-				out = f.ProcessHashedInto(chunk, <-ready[i], out)
-				for j := range chunk {
-					if out[j] != want[i*batch+j] {
-						t.Fatalf("verdict[%d] = %v, want %v", i*batch+j, out[j], want[i*batch+j])
-					}
+	t.Run("filter", func(t *testing.T) {
+		f := mk()
+		h := f.Hasher()
+		batches := len(pkts) / batch
+		ready := make([]chan []uint64, batches)
+		for i := range ready {
+			ready[i] = make(chan []uint64, 1)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < hashers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g; i < batches; i += hashers {
+					ready[i] <- h.HashBatch(pkts[i*batch:(i+1)*batch], nil)
+				}
+			}()
+		}
+		var out []filtering.Verdict
+		for i := 0; i < batches; i++ {
+			chunk := pkts[i*batch : (i+1)*batch]
+			out = f.ProcessHashedInto(chunk, <-ready[i], out)
+			for j := range chunk {
+				if out[j] != want[i*batch+j] {
+					t.Fatalf("verdict[%d] = %v, want %v", i*batch+j, out[j], want[i*batch+j])
 				}
 			}
-			wg.Wait()
-			if !reflect.DeepEqual(f.Stats(), ref.Stats()) {
-				t.Errorf("stats diverged:\n  got  %+v\n  want %+v", f.Stats(), ref.Stats())
-			}
-		})
-	}
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(f.Stats(), ref.Stats()) {
+			t.Errorf("stats diverged:\n  got  %+v\n  want %+v", f.Stats(), ref.Stats())
+		}
+	})
 }
 
 // TestHashedEntryPointsZeroAllocs: with buffers of the batch's size in hand,
-// neither half allocates — a plain filter's or a Safe's.
+// neither half allocates.
 func TestHashedEntryPointsZeroAllocs(t *testing.T) {
 	pkts, _ := kernelTrace(512, 3)
 	for i := range pkts {
@@ -272,7 +260,6 @@ func TestHashedEntryPointsZeroAllocs(t *testing.T) {
 	}
 	for _, m := range []int{3, 16} {
 		f := small(WithHashes(m))
-		safe := NewSafe(small(WithHashes(m)))
 		h := f.Hasher()
 		pairs := make([]uint64, 0, 2*len(pkts))
 		out := make([]filtering.Verdict, len(pkts))
@@ -281,9 +268,6 @@ func TestHashedEntryPointsZeroAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(20, func() { out = f.ProcessHashedInto(pkts, pairs, out) }); allocs != 0 {
 			t.Errorf("m=%d: ProcessHashedInto allocates %.1f times per batch", m, allocs)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { out = safe.ProcessHashedInto(pkts, pairs, out) }); allocs != 0 {
-			t.Errorf("m=%d: Safe.ProcessHashedInto allocates %.1f times per batch", m, allocs)
 		}
 	}
 }

@@ -27,7 +27,7 @@ import (
 //	section × N       filter header (104 B) | CRC32C
 //	                  vector payload (2^n/8 B) | CRC32C   × k
 //
-// kind selects the flavor: a plain/Safe filter writes one section, a
+// kind selects the flavor: a single filter writes one section, a
 // Sharded filter writes one section per shard (each shard's perturbed
 // seed rides in its own header, so the restored composite routes flows
 // identically). Top-level readers additionally reject trailing bytes, so
@@ -75,7 +75,7 @@ var (
 
 // Snapshottable is the surface shared by every filter flavor that can be
 // checkpointed: the batched data plane, introspection, and snapshot
-// output. *Filter, *Safe and *Sharded all implement it, so ReadAnySnapshot
+// output. *Filter and *Sharded both implement it, so ReadAnySnapshot
 // can restore whichever flavor a stream holds.
 type Snapshottable interface {
 	filtering.BatchFilter
@@ -88,7 +88,6 @@ type Snapshottable interface {
 
 var (
 	_ Snapshottable = (*Filter)(nil)
-	_ Snapshottable = (*Safe)(nil)
 	_ Snapshottable = (*Sharded)(nil)
 )
 
@@ -226,14 +225,6 @@ func (f *Filter) WriteSnapshot(w io.Writer) error {
 		return err
 	}
 	return f.writeSection(w)
-}
-
-// WriteSnapshot serializes the wrapped filter under the lock, so
-// concurrent packet pumps see the snapshot as one quiesced point in time.
-func (s *Safe) WriteSnapshot(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.WriteSnapshot(w)
 }
 
 // WriteSnapshot serializes every shard as its own framed section, under
@@ -407,10 +398,9 @@ func expectEOF(r io.Reader) error {
 }
 
 // ReadSnapshot reconstructs a single (unsharded) filter from a stream
-// produced by Filter.WriteSnapshot or Safe.WriteSnapshot. Additional
-// options (e.g. WithAPD) are applied on top of the serialized
-// configuration. The stream must end with the snapshot; trailing bytes are
-// rejected as corruption.
+// produced by Filter.WriteSnapshot. Additional options (e.g. WithAPD) are
+// applied on top of the serialized configuration. The stream must end
+// with the snapshot; trailing bytes are rejected as corruption.
 func ReadSnapshot(r io.Reader, opts ...Option) (*Filter, error) {
 	kind, _, err := readContainerHeader(r)
 	if err != nil {
@@ -427,16 +417,6 @@ func ReadSnapshot(r io.Reader, opts ...Option) (*Filter, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// ReadSafeSnapshot is ReadSnapshot returning the filter already wrapped
-// for concurrent use.
-func ReadSafeSnapshot(r io.Reader, opts ...Option) (*Safe, error) {
-	f, err := ReadSnapshot(r, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return NewSafe(f), nil
 }
 
 // ReadShardedSnapshot reconstructs a sharded filter from a stream

@@ -209,21 +209,6 @@ func TestResetClearsEverything(t *testing.T) {
 	}
 }
 
-func TestSafeParityMethods(t *testing.T) {
-	s := NewSafe(small())
-	s.PunchHole(client, 2000, server, packet.TCP)
-	if !s.WouldAdmit(packet.Tuple{Src: server, Dst: client, SrcPort: 1, DstPort: 2000, Proto: packet.TCP}) {
-		t.Error("Safe.WouldAdmit broken")
-	}
-	if s.Stats().Marks != 1 {
-		t.Error("Safe.Stats broken")
-	}
-	s.Reset()
-	if s.Stats().Marks != 0 {
-		t.Error("Safe.Reset broken")
-	}
-}
-
 func TestSnapshotWriteError(t *testing.T) {
 	f := small()
 	if err := f.WriteSnapshot(failWriter{}); err == nil {

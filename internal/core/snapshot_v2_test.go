@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"testing"
 	"time"
@@ -47,24 +49,6 @@ func mustSnapshot(t *testing.T, s Snapshottable) []byte {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return buf.Bytes()
-}
-
-func TestSafeSnapshotRoundTrip(t *testing.T) {
-	s := NewSafe(small(WithSeed(3)))
-	replies := markFlows(s, 500, 11)
-
-	g, err := ReadSafeSnapshot(bytes.NewReader(mustSnapshot(t, s)))
-	if err != nil {
-		t.Fatalf("ReadSafeSnapshot: %v", err)
-	}
-	if g.Stats().Marks != s.Stats().Marks || g.Counters() != s.Counters() {
-		t.Errorf("state not restored: %+v vs %+v", g.Counters(), s.Counters())
-	}
-	for _, tup := range replies {
-		if s.WouldAdmit(tup) != g.WouldAdmit(tup) {
-			t.Fatalf("verdict divergence on %v", tup)
-		}
-	}
 }
 
 func TestShardedSnapshotRoundTrip(t *testing.T) {
@@ -389,7 +373,6 @@ func TestSnapshotCrossFlavorEquivalence(t *testing.T) {
 	opts := []Option{WithOrder(16), WithVectors(4), WithHashes(3),
 		WithRotateEvery(5 * time.Second), WithSeed(21)}
 	plain := MustNew(opts...)
-	safe := NewSafe(MustNew(opts...))
 	sharded := mustSharded(t, 4, opts...)
 	flavors := []struct {
 		name    string
@@ -398,9 +381,6 @@ func TestSnapshotCrossFlavorEquivalence(t *testing.T) {
 	}{
 		{"filter", plain, func(b []byte) (Snapshottable, error) {
 			return ReadSnapshot(bytes.NewReader(b))
-		}},
-		{"safe", safe, func(b []byte) (Snapshottable, error) {
-			return ReadSafeSnapshot(bytes.NewReader(b))
 		}},
 		{"sharded", sharded, func(b []byte) (Snapshottable, error) {
 			return ReadAnySnapshot(bytes.NewReader(b))
@@ -458,5 +438,36 @@ func TestSnapshotCrossFlavorEquivalence(t *testing.T) {
 				t.Fatalf("%s: verdict divergence on %v", fl.name, tup)
 			}
 		}
+	}
+}
+
+// TestFilterSnapshotBytesPinned pins what a single filter writes after a
+// seeded trace with rotations, APD spares and drops, as
+// TestShardedSnapshotBytesPinned does for the sharded one: a checkpoint is
+// read back by the next build, so its bytes are a contract.
+func TestFilterSnapshotBytesPinned(t *testing.T) {
+	const want = "692b2e9d7eb23811305ca03baea1d12df54c645f69ef30050ebf593555799d12"
+	rp, err := NewRatioPolicy(1, 3, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(WithOrder(12), WithSeed(41), WithAPD(rp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := diffTrace(50_000, 17)
+	var out []filtering.Verdict
+	for off := 0; off < len(pkts); off += 777 {
+		out = f.ProcessBatchInto(pkts[off:min(off+777, len(pkts))], out)
+	}
+	if st := f.Stats(); st.Rotations == 0 || st.APDSpared == 0 || st.Counters.InDropped == 0 {
+		t.Fatalf("trace exercises too little: %+v", st)
+	}
+	var buf bytes.Buffer
+	if err := f.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("snapshot (%d B) SHA-256 %s, want %s", buf.Len(), got, want)
 	}
 }

@@ -23,7 +23,7 @@ func (p plainFilter) Counters() filtering.Counters                { return p.f.C
 
 // TestEmptyBatchContract pins the empty-batch rule documented on
 // BatchFilter — the result is out[:0], length 0 with the caller's backing
-// array kept — on each of the five implementations: Filter, Safe, Sharded,
+// array kept — on each of the four implementations: Filter, Sharded,
 // tenant.Set and AsBatch's fallback. The SPI tables have no batch methods of
 // their own and run the fallback, as their callers do.
 func TestEmptyBatchContract(t *testing.T) {
@@ -42,7 +42,6 @@ func TestEmptyBatchContract(t *testing.T) {
 		f    filtering.BatchFilter
 	}{
 		{"core.Filter", core.MustNew(core.WithOrder(10))},
-		{"core.Safe", core.NewSafe(core.MustNew(core.WithOrder(10)))},
 		{"core.Sharded", sharded},
 		{"tenant.Set", set},
 		{"flowtable.HashList", filtering.AsBatch(flowtable.NewHashList())},

@@ -57,7 +57,7 @@ type PacketFilter interface {
 // is behaviorally identical to calling Process per packet, in order — same
 // verdicts, counters and expiry work — but amortizes per-packet overheads
 // (lock acquisitions, verdict-slice allocation) across the whole batch.
-// It has five implementations: the bitmap filter's Filter, Safe and Sharded
+// It has four implementations: the bitmap filter's Filter and Sharded
 // (internal/core), the tenant fleet's Set (internal/tenant), and AsBatch's
 // per-packet fallback, which is the SPI baselines' batch data plane. Sharded
 // and Set judge a batch alike: in source order, each packet in the filter

@@ -20,7 +20,7 @@ import (
 // The check is intraprocedural and deliberately conservative in what it
 // accepts rather than what it flags:
 //
-//   - Composite literals (construction: &Safe{f: f}) never alias before
+//   - Composite literals (construction: &T{field: v}) never alias before
 //     they escape, so literal keys are exempt.
 //   - A lock call anywhere in the same function body sanctions accesses
 //     on that base expression; ordering within the body is not modelled.

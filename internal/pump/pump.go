@@ -14,11 +14,12 @@
 // in exactly the order one goroutine reading in a loop would make them.
 //
 // The filter's type chooses only what a commit does (sinks.go): a single
-// filter is judged right there, under the commit lock; a routed filter's —
-// a tenant fleet's or a sharded filter's — whole batch is handed, as it is,
-// to its one lane. The workers also hash each packet's key to its base pair
-// (a routed filter's with the hasher of the packet's tenant or shard), so
-// what is left to the serial stage is the bit touches.
+// filter is judged right there, under the commit lock, which Locked lends to
+// whoever else must reach the filter; a routed filter's — a tenant fleet's
+// or a sharded filter's — whole batch is handed, as it is, to its one lane,
+// and the filter locks itself. The workers also hash each packet's key to
+// its base pair (a routed filter's with the hasher of the packet's tenant or
+// shard), so what is left to the serial stage is the bit touches.
 package pump
 
 import (
@@ -63,7 +64,8 @@ type Config struct {
 	Source capture.Source
 	// Filter judges; the pump's direction and verdict tallies are the
 	// per-batch differences of its cumulative Counters, so only the pump may
-	// feed it packets while Run runs.
+	// feed it packets while Run runs. A single filter is not goroutine-safe:
+	// anything else that touches it while Run runs goes through Locked.
 	Filter filtering.BatchFilter
 	// Subnets are the client prefixes direction is classified against; with
 	// none the decoder's MAC-derived direction stands. A fleet brings its own.
@@ -103,8 +105,8 @@ type sharded interface {
 }
 
 // hashedFilter is a single filter that offers Algorithm 2 in its two halves
-// (*core.Filter, *core.Safe): the workers run the pure one, each over its own
-// batch, and the commit step only the one that needs packet order.
+// (*core.Filter): the workers run the pure one, each over its own batch, and
+// the commit step only the one that needs packet order.
 type hashedFilter interface {
 	Hasher() *core.Hasher
 	ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict
@@ -121,7 +123,8 @@ type Pump struct {
 	// srcMu is a worker's turn at the source and guards the three fields
 	// under it; slots is the reorder ring, batch seq at seq % len, as many
 	// slots as the workers own buffers; commitMu guards the sink's state
-	// (verdicts) and every write of head, the next batch to commit.
+	// (verdicts, and a single filter itself) and every write of head, the
+	// next batch to commit.
 	workers  []*worker
 	srcMu    sync.Mutex
 	nextSeq  uint64
@@ -130,6 +133,9 @@ type Pump struct {
 	slots    []atomic.Pointer[batchBuf]
 	commitMu sync.Mutex
 	head     atomic.Uint64
+	// lending counts the callers waiting in Locked: while it is not 0 a
+	// drain stops at the next batch and no worker takes the commit lock.
+	lending atomic.Int32
 
 	// The sink: routed and its one lane, or neither — verdicts are then
 	// the commit step's own. sharded is routed, when its slots are shards.
@@ -197,6 +203,35 @@ func New(cfg Config) *Pump {
 	return p
 }
 
+// Locked runs fn with the filter to itself. A single filter is judged under
+// the commit lock, so fn runs under it, between two batches; a routed filter
+// locks itself, and fn just runs. The control plane reads, punches and
+// snapshots the filter through here while the pump runs.
+//
+// A drain would hold the commit lock for as long as batches keep being
+// published — for ever when the filter is the long stage — so while a caller
+// waits here, a drain stops at its next batch and no worker takes the lock.
+// The workers leave their batches published meanwhile, and once every
+// buffer is, none is left to commit them. So the caller commits them before
+// it lets go, at most one batch per buffer whoever else waits, so that
+// callers in a row cannot starve the pump; and, like commit, it looks again
+// after.
+func (p *Pump) Locked(fn func()) {
+	if p.routed != nil {
+		fn()
+		return
+	}
+	defer p.commit(nil)
+	p.lending.Add(1)
+	p.commitMu.Lock()
+	p.lending.Add(-1)
+	defer p.commitMu.Unlock()
+	start := time.Now()
+	fn()
+	p.drain(nil, start, len(p.slots))
+	p.commitBusy.Add(int64(time.Since(start)))
+}
+
 // Watch registers the pump's probes with wd, one per goroutine that can
 // wedge — worker<i> (idle on the source, source lock included, and on its
 // free list; beats per published batch), lane0 (idle on its queue; beats
@@ -242,8 +277,12 @@ func (p *Pump) Run() error {
 	}
 	p.work(p.workers[0])
 	// Every worker committed what it published or lost the commit lock to a
-	// worker that did (commit): with all of them back, nothing is uncommitted.
+	// goroutine that does (commit) — a worker, or a caller in Locked, whose
+	// look may still be to come: once it has been, nothing is uncommitted.
 	workers.Wait()
+	if p.head.Load() != p.nextSeq {
+		p.Locked(func() {})
+	}
 	if p.lane != nil {
 		close(p.lane.queue)
 	}

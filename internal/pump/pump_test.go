@@ -5,6 +5,8 @@ import (
 	"io"
 	"reflect"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,13 +23,12 @@ import (
 // sink at W = 1, 2, 4 — is checked through New, Watch, Run and Snapshot from
 // cmd/bfwall's tests, beside the daemon they also drive.
 
-// sinks builds one filter per sink of the commit step — a single filter three
-// ways: plain and locked (hashed by the workers), and wrapped (by itself); and
-// the two routed filters, a sharded filter and a fleet, hashed by the workers
-// too and judged on the lane.
+// sinks builds one filter per sink of the commit step — a single filter two
+// ways: plain (hashed by the workers) and wrapped (by itself); and the two
+// routed filters, a sharded filter and a fleet, hashed by the workers too and
+// judged on the lane.
 var sinks = map[string]func(t *testing.T) filtering.BatchFilter{
 	"single":  func(t *testing.T) filtering.BatchFilter { return single(t) },
-	"locked":  func(t *testing.T) filtering.BatchFilter { return core.NewSafe(single(t)) },
 	"wrapped": func(t *testing.T) filtering.BatchFilter { return struct{ filtering.BatchFilter }{single(t)} },
 	"shards": func(t *testing.T) filtering.BatchFilter {
 		f, err := core.Build(append([]core.Option{core.WithShards(2)}, geometry...)...)
@@ -174,7 +175,7 @@ func TestPublishOutOfOrder(t *testing.T) {
 // workers hash a base pair, two words, per packet for a single filter that
 // offers its halves and for a routed filter, whose lane runs free here.
 func TestDecodePanicDropsHashedIndexes(t *testing.T) {
-	for _, name := range []string{"single", "locked", "wrapped", "shards", "fleet"} {
+	for _, name := range []string{"single", "wrapped", "shards", "fleet"} {
 		t.Run(name, func(t *testing.T) {
 			syns, replies := flows(t, 37)
 			p := New(Config{Source: &listSource{batches: [][]capture.Frame{syns, syns, replies}}, Filter: sinks[name](t), Subnets: subnets, Batch: 37, Workers: 1})
@@ -229,6 +230,177 @@ func TestDecodePanicDropsHashedIndexes(t *testing.T) {
 				t.Errorf("decode busy %v, hash busy %v; want both stamped when the workers hash (%v), decode alone otherwise", s.DecodeBusy, s.HashBusy, want > 0)
 			}
 		})
+	}
+}
+
+// TestPumpLockedStrandsNothing: Locked holds the commit lock while Run
+// starts and both workers publish every buffer they own — each finds the lock
+// taken and goes back to the source, until none has a buffer left and nobody
+// is left to commit. Once fn returns, Locked commits what was published: Run
+// ends with every frame judged, and the tallies are an unlocked run's.
+func TestPumpLockedStrandsNothing(t *testing.T) {
+	syns, replies := flows(t, 64)
+	var batches [][]capture.Frame
+	for i := 0; i < 20; i++ {
+		batches = append(batches, syns, replies)
+	}
+	published := func(p *Pump) (n int) {
+		for i := range p.slots {
+			if p.slots[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	run := func(hold bool) Snapshot {
+		p := New(Config{Source: &listSource{batches: batches}, Filter: single(t), Subnets: subnets, Workers: 2})
+		done := make(chan error, 1)
+		start := func() { go func() { done <- p.Run() }() }
+		if hold {
+			p.Locked(func() {
+				start()
+				for deadline := time.Now().Add(10 * time.Second); published(p) < len(p.slots); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Errorf("under Locked, %d of %d buffers published", published(p), len(p.slots))
+						return
+					}
+				}
+			})
+		} else {
+			start()
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Run stranded: %d of %d batches committed", p.head.Load(), len(batches))
+		}
+		return p.Snapshot()
+	}
+	free, held := run(false), run(true)
+	if held.Frames != uint64(64*len(batches)) || held.Outgoing+held.Incoming != held.Frames {
+		t.Errorf("%d frames read, %d judged; want all %d", held.Frames, held.Outgoing+held.Incoming, 64*len(batches))
+	}
+	if tally := func(s Snapshot) [4]uint64 { return [4]uint64{s.Outgoing, s.Incoming, s.Passed, s.Dropped} }; tally(held) != tally(free) {
+		t.Errorf("held: %v out/in/pass/drop, unlocked: %v", tally(held), tally(free))
+	}
+	if held.ForeignCommits < 2*workerBuffers {
+		t.Errorf("%d foreign commits; Locked commits the %d batches published while it held the lock", held.ForeignCommits, 2*workerBuffers)
+	}
+}
+
+// slowJudge sleeps over every batch: the filter is the pump's long stage.
+type slowJudge struct {
+	filtering.BatchFilter
+	perBatch time.Duration
+}
+
+func (s *slowJudge) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
+	time.Sleep(s.perBatch)
+	return s.BatchFilter.ProcessBatchInto(pkts, out)
+}
+
+// endless serves its frames in batches for ever, until stopped.
+type endless struct {
+	frames []capture.Frame
+	stop   atomic.Bool
+}
+
+func (s *endless) ReadBatch(frames []capture.Frame) (int, error) {
+	if s.stop.Load() {
+		return 0, io.EOF
+	}
+	return copy(frames, s.frames), nil
+}
+
+func (s *endless) Close() error { return nil }
+
+// TestPumpLockedCutsIntoADrain: behind a judge that sleeps 1 ms a batch and a
+// source that never runs dry, the worker that holds the commit lock never
+// finds the head of the sequence unpublished, so its drain never ends of
+// itself. Locked still gets the filter within a few batches, every time: a
+// drain yields to a caller waiting in Locked. Once the source stops, Run
+// returns with every frame read judged.
+func TestPumpLockedCutsIntoADrain(t *testing.T) {
+	syns, _ := flows(t, 64)
+	src := &endless{frames: syns}
+	p := New(Config{Source: src, Filter: &slowJudge{BatchFilter: single(t), perBatch: time.Millisecond}, Subnets: subnets, Workers: 2})
+	done := make(chan error, 1)
+	go func() { done <- p.Run() }()
+	var callers sync.WaitGroup
+	for i := 0; i < 20; i++ {
+		for head := p.head.Load(); p.head.Load() < head+4; { // a drain under way
+			time.Sleep(time.Millisecond)
+		}
+		lent := make(chan struct{})
+		start := time.Now()
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			p.Locked(func() { close(lent) })
+		}()
+		select {
+		case <-lent:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Locked %d still waiting after %v, %d batches committed", i, time.Since(start), p.head.Load())
+		}
+	}
+	src.stop.Store(true)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	callers.Wait()
+	if s := p.Snapshot(); s.Outgoing != s.Frames || s.Frames == 0 {
+		t.Errorf("%d frames read, %d judged", s.Frames, s.Outgoing)
+	}
+}
+
+// TestPumpLockedCallersInARow: four goroutines call Locked back to back for
+// as long as Run runs, so one nearly always waits in it and the workers
+// leave their batches to the callers. Each caller commits what was
+// published before it lets go, so the pump is never starved: Run ends with
+// every frame judged.
+func TestPumpLockedCallersInARow(t *testing.T) {
+	syns, replies := flows(t, 64)
+	var batches [][]capture.Frame
+	for i := 0; i < 50; i++ {
+		batches = append(batches, syns, replies)
+	}
+	p := New(Config{Source: &listSource{batches: batches}, Filter: single(t), Subnets: subnets, Workers: 2})
+	stop := make(chan struct{})
+	var callers sync.WaitGroup
+	defer func() {
+		close(stop)
+		callers.Wait()
+	}()
+	for g := 0; g < 4; g++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					p.Locked(func() {})
+				}
+			}
+		}()
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Run starved: %d of %d batches committed", p.head.Load(), len(batches))
+	}
+	if s := p.Snapshot(); s.Frames != uint64(64*len(batches)) || s.Outgoing+s.Incoming != s.Frames {
+		t.Errorf("%d frames read, %d judged; want all %d", s.Frames, s.Outgoing+s.Incoming, 64*len(batches))
 	}
 }
 

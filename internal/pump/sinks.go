@@ -42,13 +42,14 @@ type lane struct {
 	busy    atomic.Int64  // ns spent judging them
 }
 
-// counterCopy is what the monitoring plane sees of a filter: its counters
-// as of the last batch, left by whoever judged it. A single filter is not
-// goroutine-safe, and a judge can be busy without end when the filter is the
-// bottleneck — so a scrape never touches the filter or a lock a judge holds:
-// it reads the copy, at most one batch old, under a lock nobody holds for
-// longer than the copy takes. The copy is also the judge's baseline for its
-// next batch (Pump.count).
+// counterCopy is what Snapshot sees of a filter: its counters as of the
+// last batch, left by whoever judged it. A judge can be busy without end
+// when the filter is the bottleneck — so Snapshot never touches the filter
+// or the commit lock a judge holds: it reads the copy, at most one batch
+// old, under a lock nobody holds for longer than the copy takes. (What the
+// control plane reads of the filter itself, it reads through Locked, and
+// waits for the judge.) The copy is also the judge's baseline for its next
+// batch (Pump.count).
 type counterCopy struct {
 	mu sync.Mutex
 	c  filtering.Counters

@@ -180,29 +180,33 @@ func (p *Pump) publish(b *batchBuf) {
 }
 
 // commit commits what is ready, if nobody else is: while the head of the
-// sequence is published and the commit lock is free, take it, drain, let go
-// and look again — a batch published while this goroutine held the lock
-// found TryLock taken and left. The look at the head is unlocked and so a
-// hint, but never a stale "no" for a batch this goroutine published itself:
-// no batch is stranded, since a publisher that loses the TryLock lost it to
-// a holder that has yet to unlock and look again.
+// sequence is published and the commit lock is free and not wanted by
+// Locked, take it, drain, let go and look again — a batch published while
+// this goroutine held the lock found TryLock taken and left. The look at the
+// head is unlocked and so a hint, but never a stale "no" for a batch this
+// goroutine published itself: no batch is stranded, since a publisher that
+// loses the TryLock lost it to a holder that has yet to unlock and look
+// again, and one that defers to Locked, to a caller that will look once it
+// has the lock and has let it go.
 //
 //bf:hotpath
 func (p *Pump) commit(w *worker) {
-	for p.slots[p.head.Load()%uint64(len(p.slots))].Load() != nil && p.commitMu.TryLock() {
+	for p.lending.Load() == 0 && p.slots[p.head.Load()%uint64(len(p.slots))].Load() != nil && p.commitMu.TryLock() {
 		start := time.Now()
-		p.drain(w, start)
+		p.drain(w, start, 0)
 		p.commitBusy.Add(int64(time.Since(start)))
 		p.commitMu.Unlock()
 	}
 }
 
-// drain sinks every consecutive published batch from the head on; the
-// caller holds the commit lock, taken at since.
+// drain sinks every consecutive published batch from the head on: the
+// first owed of them whatever happens, the rest while nobody waits in
+// Locked. The caller holds the commit lock, taken at since; w is the
+// committing worker, nil for Locked's caller.
 //
 //bf:hotpath
-func (p *Pump) drain(w *worker, since time.Time) {
-	for {
+func (p *Pump) drain(w *worker, since time.Time, owed int) {
+	for ; owed > 0 || p.lending.Load() == 0; owed-- {
 		head := p.head.Load()
 		slot := &p.slots[head%uint64(len(p.slots))]
 		b := slot.Load()
@@ -210,9 +214,9 @@ func (p *Pump) drain(w *worker, since time.Time) {
 			return
 		}
 		slot.Store(nil)
-		if w.free != b.free {
-			// Committed by a worker that did not decode it: the only time a
-			// single filter's packets change cores.
+		if w == nil || w.free != b.free {
+			// Committed by a goroutine that did not decode it: the only time
+			// a single filter's packets change cores.
 			p.foreignCommits.Add(1)
 		}
 		p.sink(b)

@@ -26,9 +26,9 @@ import (
 //
 // Every tenant is a bare filter, so the writer sets flavor to 0 and the
 // inner snapshot is a single-filter container. Older writers set flavor
-// bit 0 for a Safe-wrapped tenant; a Safe serializes as its Filter, so
-// the bytes are identical and the reader accepts the bit and restores the
-// tenant bare. Any other flavor bit, and an inner sharded container, is
+// bit 0 for a tenant behind a mutex wrapper, which serialized as its
+// Filter, so the bytes are identical and the reader accepts the bit and
+// restores the tenant bare. Any other flavor bit, and an inner sharded container, is
 // refused. Every integrity failure is detected by a CRC or bound check
 // before any tenant filter is constructed.
 const (
@@ -37,7 +37,7 @@ const (
 	tenantHeaderLen = 4 + 4 + 4 + 4 + 8 + 8
 	sectionFixedLen = 4 + 4 + 4 + 4 + 8 + 8*4
 
-	flavorSafe = 1 << 0 // written by older writers only
+	flavorLocked = 1 << 0 // written by older writers only
 )
 
 var tenantCastagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -143,7 +143,7 @@ func ReadSnapshot(r io.Reader, extra func(id string) []core.Option) (*Set, error
 			return nil, fmt.Errorf("tenant snapshot: section %d: prefix length %d", i, bits)
 		}
 		flavor := le.Uint32(fixed[12:])
-		if flavor&^flavorSafe != 0 {
+		if flavor&^flavorLocked != 0 {
 			return nil, fmt.Errorf("tenant snapshot: section %d: unknown flavor bits %#x", i, flavor)
 		}
 		snapLen := le.Uint64(fixed[16:])

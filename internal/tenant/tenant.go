@@ -48,8 +48,8 @@ const maxIDLen = 256
 // Config describes one tenant: its identifier (stable across restarts —
 // it keys snapshot sections and metric labels), the client prefix it
 // owns, and the filter option bundle to build for it with core.New. A
-// tenant is always a bare filter: the flavor options (WithShards,
-// WithConcurrencySafe) are rejected with core.ErrConfig.
+// tenant is always a bare filter: WithShards is rejected with
+// core.ErrConfig.
 type Config struct {
 	ID      string
 	Prefix  packet.Prefix

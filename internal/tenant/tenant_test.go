@@ -290,13 +290,11 @@ func TestSetRejectsBadConfig(t *testing.T) {
 			t.Errorf("%s: NewSet accepted", name)
 		}
 	}
-	// A tenant is a bare filter: a flavor option is core.New's ErrConfig,
-	// named by the tenant it came with.
-	for name, opt := range map[string]core.Option{"sharded": core.WithShards(2), "safe": core.WithConcurrencySafe()} {
-		_, err := tenant.NewSet(tenant.SetConfig{Tenants: []tenant.Config{{ID: "a", Prefix: base, Options: []core.Option{opt}}}})
-		if !errors.Is(err, core.ErrConfig) || !strings.Contains(err.Error(), `tenant "a"`) {
-			t.Errorf("%s tenant: err = %v, want core.ErrConfig naming tenant \"a\"", name, err)
-		}
+	// A tenant is a bare filter: WithShards is core.New's ErrConfig, named
+	// by the tenant it came with.
+	_, err := tenant.NewSet(tenant.SetConfig{Tenants: []tenant.Config{{ID: "a", Prefix: base, Options: []core.Option{core.WithShards(2)}}}})
+	if !errors.Is(err, core.ErrConfig) || !strings.Contains(err.Error(), `tenant "a"`) {
+		t.Errorf("sharded tenant: err = %v, want core.ErrConfig naming tenant \"a\"", err)
 	}
 }
 
@@ -414,7 +412,7 @@ func oneTenantSnapshot(t *testing.T) (*tenant.Set, []byte) {
 }
 
 // TestSetSnapshotSafeFlavorBit: older writers set flavor bit 0 for a
-// Safe-wrapped tenant, whose inner snapshot is its Filter's. Such a section
+// tenant behind a mutex wrapper, whose inner snapshot is its Filter's. Such a section
 // restores, bare, with the marks and counters of the set that wrote it, and
 // writes back with flavor 0 — the bytes of today's writer.
 func TestSetSnapshotSafeFlavorBit(t *testing.T) {

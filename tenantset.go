@@ -18,8 +18,7 @@ import (
 type TenantSet = tenant.Set
 
 // TenantConfig describes one tenant: identifier, owned client prefix,
-// and the option bundle New accepts (the flavor selectors WithShards and
-// WithConcurrencySafe are rejected — every tenant is a bare Filter).
+// and the option bundle New accepts (every tenant is a bare Filter).
 type TenantConfig = tenant.Config
 
 // TenantSetConfig configures NewTenantSet.

@@ -80,20 +80,24 @@ func TestWireDifferentialMillion(t *testing.T) {
 		structF, wireF bitmapfilter.BatchFilter
 		structV, wireV []bitmapfilter.Verdict
 	}
-	mk := func(name string, opts ...bitmapfilter.Option) *lane {
-		sf, err := bitmapfilter.Build(opts...)
+	mk := func(name string, build func() (bitmapfilter.BatchFilter, error)) *lane {
+		sf, err := build()
 		if err != nil {
 			t.Fatalf("%s struct filter: %v", name, err)
 		}
-		wf, err := bitmapfilter.Build(opts...)
+		wf, err := build()
 		if err != nil {
 			t.Fatalf("%s wire filter: %v", name, err)
 		}
 		return &lane{name: name, structF: sf, wireF: wf}
 	}
 	lanes := []*lane{
-		mk("single", bitmapfilter.WithOrder(16), bitmapfilter.WithSeed(99)),
-		mk("sharded8", bitmapfilter.WithShards(8), bitmapfilter.WithOrder(13), bitmapfilter.WithSeed(99)),
+		mk("single", func() (bitmapfilter.BatchFilter, error) {
+			return bitmapfilter.New(bitmapfilter.WithOrder(16), bitmapfilter.WithSeed(99))
+		}),
+		mk("sharded8", func() (bitmapfilter.BatchFilter, error) {
+			return bitmapfilter.NewSharded(8, bitmapfilter.WithOrder(13), bitmapfilter.WithSeed(99))
+		}),
 	}
 
 	r := xrand.New(4242)

@@ -13,7 +13,7 @@ type perPacket struct{ bitmapfilter.PacketFilter }
 // TestHotpathZeroAlloc holds the //bf:hotpath entry points no other test
 // covers to what the annotation promises: once the verdict and pair buffers
 // have grown to the batch, a call allocates nothing — the per-packet Process
-// of each flavor, ProcessBatchInto of the five batch bodies (Filter, Safe,
+// of each flavor, ProcessBatchInto of the four batch bodies (Filter,
 // Sharded, TenantSet and AsBatch's fallback), and the two halves of a routed
 // filter — a sharded filter's and a fleet's — as a daemon's workers and lane
 // run them: HashRouted and the in-order ProcessHashedInto, with and without
@@ -30,7 +30,7 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		}
 		return f
 	}
-	filter, safe := newFilter(), bitmapfilter.NewSafe(newFilter())
+	filter := newFilter()
 	// Order 25 is past the prefetch gate: the judge prefetches ahead.
 	prefetching, err := bitmapfilter.New(bitmapfilter.WithOrder(25), bitmapfilter.WithSeed(1))
 	if err != nil {
@@ -116,11 +116,9 @@ func TestHotpathZeroAlloc(t *testing.T) {
 		run  func()
 	}{
 		{"Filter.Process", each(filter.Process)},
-		{"Safe.Process", each(safe.Process)},
 		{"Sharded.Process", each(sharded.Process)},
 		{"TenantSet.Process", each(set.Process)},
 		{"Filter.ProcessBatchInto/order=25", func() { out = prefetching.ProcessBatchInto(pkts, out) }},
-		{"Safe.ProcessBatchInto", func() { out = safe.ProcessBatchInto(pkts, out) }},
 		{"Sharded.ProcessBatchInto", func() { out = sharded.ProcessBatchInto(pkts, out) }},
 		{"TenantSet.ProcessBatchInto", func() { out = set.ProcessBatchInto(pkts, out) }},
 		{"Sharded.HashRouted", func() { pairs = sharded.HashRouted(pkts, shardSlots, pairs) }},
