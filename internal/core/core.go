@@ -238,18 +238,6 @@ func New(opts ...Option) (*Filter, error) {
 	}, nil
 }
 
-// Resized returns a new, empty filter with f's k, Δt, seed and mark and
-// tuple policies at order n with m hash functions; opts (an APD policy, say)
-// apply beneath those. A base pair f's Hasher makes is the new filter's pair
-// for the same packet: only the geometry changes.
-func (f *Filter) Resized(n uint, m int, opts ...Option) (*Filter, error) {
-	c := f.cfg
-	return New(append(opts[:len(opts):len(opts)],
-		WithVectors(c.vectors), WithRotateEvery(c.rotateEvery), WithSeed(c.seed),
-		WithMarkPolicy(c.markPolicy), WithTuplePolicy(c.tuplePolicy),
-		WithOrder(n), WithHashes(m))...)
-}
-
 // MustNew is New for statically known options; it panics on error.
 func MustNew(opts ...Option) *Filter {
 	f, err := New(opts...)
@@ -377,7 +365,7 @@ func (f *Filter) Rotate() {
 //bf:hotpath
 func (f *Filter) Process(pkt packet.Packet) filtering.Verdict {
 	h1, h2 := f.hasher.Pair(&pkt)
-	return f.JudgeHashed(&pkt, h1, h2)
+	return f.judge(&pkt, h1, h2)
 }
 
 // ProcessBatchInto runs pkts through the filter in order and returns one
@@ -434,7 +422,7 @@ func (f *Filter) ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []f
 	return out
 }
 
-// PrefetchAhead is how many packets ahead of the one it judges judgeHashed
+// prefetchAhead is how many packets ahead of the one it judges judgeHashed
 // prefetches, and prefetchMinOrder the smallest order at which it does: one
 // vector of 2^n bits is then larger than the reference box's 2 MiB L2, and
 // judging a packet is mostly waiting for its lines. Below it the hint is pure
@@ -443,13 +431,13 @@ func (f *Filter) ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []f
 // order 28, 4 and 8 ahead measured alike, 16 and 32 worse.
 // BenchmarkProcessHashedBatch runs both sides of the gate.
 const (
-	PrefetchAhead    = 8
+	prefetchAhead    = 8
 	prefetchMinOrder = 25
 )
 
 // judgeHashed is the ordered half of Algorithm 2: pkts in order, packet i
 // with the base pair at pairs[2i:]; out has the length of pkts. With the
-// vectors out of cache, packet i+PrefetchAhead's lines are on their way while
+// vectors out of cache, packet i+prefetchAhead's lines are on their way while
 // packet i is judged (a prologue starts the first ones).
 //
 //bf:hotpath
@@ -457,7 +445,7 @@ func (f *Filter) judgeHashed(pkts []packet.Packet, pairs []uint64, out []filteri
 	pairs = pairs[:2*len(pkts)]
 	ahead := len(pkts) // i+ahead is past the end: nothing to prefetch
 	if f.prefetching {
-		ahead = min(PrefetchAhead, len(pkts))
+		ahead = min(prefetchAhead, len(pkts))
 		for j := 0; j < ahead; j++ {
 			f.prefetch(pkts[j].Dir, pairs[2*j], pairs[2*j+1])
 		}
@@ -466,23 +454,7 @@ func (f *Filter) judgeHashed(pkts []packet.Packet, pairs []uint64, out []filteri
 		if j := i + ahead; j < len(pkts) {
 			f.prefetch(pkts[j].Dir, pairs[2*j], pairs[2*j+1])
 		}
-		out[i] = f.JudgeHashed(&pkts[i], pairs[2*i], pairs[2*i+1])
-	}
-}
-
-// Prefetches reports whether the filter's vectors outgrow the cache, so that
-// PrefetchHashed does something.
-func (f *Filter) Prefetches() bool { return f.prefetching }
-
-// PrefetchHashed is judgeHashed's hint for a caller that judges packet by
-// packet: issued PrefetchAhead packets before JudgeHashed of a packet of
-// direction dir and pair (h1, h2), it starts that packet's lines on their
-// way. It does nothing for a filter small enough to stay in cache.
-//
-//bf:hotpath
-func (f *Filter) PrefetchHashed(dir packet.Direction, h1, h2 uint64) {
-	if f.prefetching {
-		f.prefetch(dir, h1, h2)
+		out[i] = f.judge(&pkts[i], pairs[2*i], pairs[2*i+1])
 	}
 }
 
@@ -501,15 +473,14 @@ func (f *Filter) prefetch(dir packet.Direction, h1, h2 uint64) {
 	f.vectors[v].PrefetchPair(h1, h2, f.cfg.hashes)
 }
 
-// JudgeHashed applies Algorithm 2 to one packet whose base pair HashBatch
-// or Hasher.Pair computed: the clock advanced to pkt.Time if that moves it,
-// then the marks or the lookup, APD and counters. A caller that judges packet
-// by packet through several filters (tenant.Set) calls it in source order;
-// each filter sees what ProcessBatchInto of its own packets would have made
-// of them.
+// judge applies Algorithm 2 to one packet whose base pair HashBatch or
+// Hasher.Pair computed: the clock advanced to pkt.Time if that moves it, then
+// the marks or the lookup, APD and counters. A Group, which judges packet by
+// packet through several filters, calls it in source order; each filter sees
+// what ProcessBatchInto of its own packets would have made of them.
 //
 //bf:hotpath
-func (f *Filter) JudgeHashed(pkt *packet.Packet, h1, h2 uint64) filtering.Verdict {
+func (f *Filter) judge(pkt *packet.Packet, h1, h2 uint64) filtering.Verdict {
 	if pkt.Time > f.now {
 		f.AdvanceTo(pkt.Time)
 	}

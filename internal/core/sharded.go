@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/hashfam"
@@ -22,26 +20,18 @@ import (
 // the configured order, so total memory is S × the single-filter size —
 // size shards accordingly).
 //
-// A shard is judged like a tenant.Set's tenant: the shards are bare
-// filters behind the Sharded's one mutex, and a batch comes in the single
-// filter's two halves — HashRouted hashes each packet with its shard's
-// hasher, on any goroutine, and ProcessHashedInto judges the batch in
-// source order, each packet in its own shard, which so sees exactly what
-// per-packet Process would feed it.
+// The shards are a Group, judged and aggregated like a tenant.Set's tenants;
+// Sharded adds the router, ShardOf, and its slots are [0, S): HashRouted
+// and ProcessHashedInto take ShardOf's answer for each packet.
 type Sharded struct {
-	mu     sync.Mutex
-	shards []*Filter //bf:guardedby mu
-	// hashers is each shard's, fixed: HashRouted reads them without the
-	// lock.
-	hashers []*Hasher
-	mask    uint64
+	*Group
+	mask uint64
+	name string
 }
 
 // routerSeed seeds the routing hash. It is part of the sharded snapshot
 // contract: a restored shard holds the flows this seed routes to it.
 const routerSeed = 0x5ead5ead
-
-var _ filtering.BatchFilter = (*Sharded)(nil)
 
 // NewSharded builds a filter with the given shard count (rounded up to a
 // power of two). Options apply to every shard; WithSeed is perturbed per
@@ -81,7 +71,6 @@ func buildShards(shards []*Filter, opts []Option, build func(i int, opts []Optio
 		return nil, fmt.Errorf("%w: APD policy %q holds mutable state but implements no ClonePolicy; one instance cannot serve several shards",
 			ErrConfig, cfg.apd.Name())
 	}
-	hashers := make([]*Hasher, n)
 	for i := range shards {
 		shardOpts := opts
 		if cloneable {
@@ -98,9 +87,10 @@ func buildShards(shards []*Filter, opts []Option, build func(i int, opts []Optio
 		if err != nil {
 			return nil, err
 		}
-		shards[i], hashers[i] = f, f.Hasher()
+		shards[i] = f
 	}
-	return &Sharded{shards: shards, hashers: hashers, mask: uint64(n - 1)}, nil
+	return &Sharded{Group: newGroup(shards, 0, nil, filtering.Counters{}), mask: uint64(n - 1),
+		name: fmt.Sprintf("sharded{%d x %s}", n, shards[0].Name())}, nil
 }
 
 // withSeedPerturbation derives a per-shard seed on top of whatever seed
@@ -132,34 +122,7 @@ func (s *Sharded) ShardOf(tup packet.Tuple, dir packet.Direction) int {
 }
 
 // Name implements filtering.PacketFilter.
-func (s *Sharded) Name() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return fmt.Sprintf("sharded{%d x %s}", len(s.shards), s.shards[0].Name())
-}
-
-// MemoryBytes implements filtering.PacketFilter (sum over shards).
-func (s *Sharded) MemoryBytes() uint64 { return s.Stats().MemoryBytes }
-
-// Counters implements filtering.PacketFilter (sum over shards).
-func (s *Sharded) Counters() filtering.Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total filtering.Counters
-	for _, sh := range s.shards {
-		total.Add(sh.Counters())
-	}
-	return total
-}
-
-// RotateEvery returns Δt, identical across shards.
-func (s *Sharded) RotateEvery() time.Duration { return s.Stats().RotateEvery }
-
-// Utilization returns the mean current-vector fill fraction across shards.
-// Flow keys spread ~uniformly, so each shard's bitmap holds a 1/S
-// partition of the flows and the mean tracks the utilization one filter
-// with the same total traffic would report.
-func (s *Sharded) Utilization() float64 { return s.Stats().Utilization }
+func (s *Sharded) Name() string { return s.name }
 
 // APDSpared returns the total number of unmatched incoming packets the
 // per-shard APD policies chose to admit (sum over shards).
@@ -167,171 +130,29 @@ func (s *Sharded) APDSpared() uint64 { return s.Stats().APDSpared }
 
 // ShardStats returns one introspection snapshot per shard, all taken under
 // the one lock: the composite is frozen while they are read.
-func (s *Sharded) ShardStats() []Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Stats, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.Stats()
-	}
-	return out
-}
-
-// Stats aggregates a snapshot across shards. Additive fields
-// (MemoryBytes, Rotations, Marks, Counters, APDSpared) are summed;
-// fractional indicators (Utilization, VectorUtilization,
-// PenetrationProbability, APDDropProbability) are averaged — each shard
-// sees a 1/S partition of the flows, so the mean estimates the global
-// value. Clock fields report the most-advanced shard (Now) and the
-// earliest pending rotation (NextRotation); configuration fields,
-// CurrentIndex and the APD policy identity come from shard 0.
-func (s *Sharded) Stats() Stats {
-	per := s.ShardStats()
-	agg := per[0]
-	agg.VectorUtilization = append([]float64(nil), per[0].VectorUtilization...)
-	for _, st := range per[1:] {
-		agg.MemoryBytes += st.MemoryBytes
-		agg.Rotations += st.Rotations
-		agg.Marks += st.Marks
-		agg.Counters.Add(st.Counters)
-		agg.APDSpared += st.APDSpared
-		if st.Now > agg.Now {
-			agg.Now = st.Now
-		}
-		if st.NextRotation < agg.NextRotation {
-			agg.NextRotation = st.NextRotation
-		}
-		agg.Utilization += st.Utilization
-		agg.PenetrationProbability += st.PenetrationProbability
-		agg.APDDropProbability += st.APDDropProbability
-		for i := range agg.VectorUtilization {
-			agg.VectorUtilization[i] += st.VectorUtilization[i]
-		}
-	}
-	invS := 1 / float64(len(per))
-	agg.Utilization *= invS
-	agg.PenetrationProbability *= invS
-	agg.APDDropProbability *= invS
-	for i := range agg.VectorUtilization {
-		agg.VectorUtilization[i] *= invS
-	}
-	return agg
-}
-
-// AdvanceTo implements filtering.PacketFilter.
-func (s *Sharded) AdvanceTo(now time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sh := range s.shards {
-		sh.AdvanceTo(now)
-	}
-}
+func (s *Sharded) ShardStats() []Stats { return s.MemberStats() }
 
 // Process implements filtering.PacketFilter: the packet is handled
 // entirely by the shard its flow key routes to.
 //
 //bf:hotpath
 func (s *Sharded) Process(pkt packet.Packet) filtering.Verdict {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shards[s.ShardOf(pkt.Tuple, pkt.Dir)].Process(pkt)
+	return s.Group.Process(pkt, int32(s.ShardOf(pkt.Tuple, pkt.Dir)))
 }
 
-// ProcessBatchInto is ShardOf, HashRouted and ProcessHashedInto back to
-// back, a chunk at a time under one lock, into arrays on its stack; it
-// allocates nothing once out has capacity for the batch, and its verdicts
-// and state are per-packet Process's (see the filtering.BatchFilter
-// contract).
+// ProcessBatchInto is Group.ProcessBatchInto routed by ShardOf.
 //
 //bf:hotpath
 func (s *Sharded) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
-	out = filtering.GrowVerdicts(out, len(pkts))
-	var slots [chunkSize]int32
-	var pairs [2 * chunkSize]uint64
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for at := 0; at < len(pkts); at += chunkSize {
-		chunk := pkts[at:min(at+chunkSize, len(pkts))]
-		sl := slots[:len(chunk)]
-		for i := range chunk {
-			sl[i] = int32(s.ShardOf(chunk[i].Tuple, chunk[i].Dir))
-		}
-		judgeShards(s.shards, chunk, sl, s.HashRouted(chunk, sl, pairs[:0]), out[at:])
-	}
-	return out
+	return s.Group.ProcessBatchInto(pkts, out, s.route)
 }
 
-// HashRouted is the pure half: dst[2i:2i+2] is the base pair of pkts[i]
-// under the hasher of its shard, slots[i] (from ShardOf), dst grown only
-// when short. It reads only what never changes, so any goroutine may run it
-// while another judges.
+// route writes each packet's ShardOf into slots.
 //
 //bf:hotpath
-func (s *Sharded) HashRouted(pkts []packet.Packet, slots []int32, dst []uint64) []uint64 {
-	if len(slots) != len(pkts) {
-		badSlots("core: HashRouted: %d slots for %d packets", len(slots), len(pkts))
-	}
-	dst = filtering.GrowSlice(dst, 2*len(pkts))
-	for i, slot := range slots {
-		dst[2*i], dst[2*i+1] = s.hashers[slot].Pair(&pkts[i])
-	}
-	return dst
-}
-
-// ProcessHashedInto is the ordered half: pkts in source order, each judged
-// in the shard of its slot with the pair HashRouted made for it, the
-// verdicts into out under the filtering.BatchFilter contract. A length
-// mismatch or a slot outside [0, Shards()) is the caller's bug, not
-// traffic: it panics before any shard is touched.
-//
-//bf:hotpath
-func (s *Sharded) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
-	if len(slots) != len(pkts) {
-		badSlots("core: ProcessHashedInto: %d slots for %d packets", len(slots), len(pkts))
-	}
-	if len(pairs) != 2*len(pkts) {
-		badSlots("core: ProcessHashedInto: %d pair words for %d packets", len(pairs), len(pkts))
-	}
-	out = filtering.GrowVerdicts(out, len(pkts))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	judgeShards(s.shards, pkts, slots, pairs, out)
-	return out
-}
-
-// badSlots is the cold end of the slot contract: the caller broke it, and
-// the message is all that is left to do. Kept out of line so the formatting
-// stays off the hot path's books.
-//
-//go:noinline
-func badSlots(format string, a, b int) {
-	panic(fmt.Sprintf(format, a, b))
-}
-
-// judgeShards is the body of both batch entry points; the caller holds the
-// lock that guards shards. A first pass range-checks every slot. With shards
-// of order ≥ 25 (they share one), packet i+PrefetchAhead's lines are on
-// their way while packet i is judged, as in the single filter.
-//
-//bf:hotpath
-func judgeShards(shards []*Filter, pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) {
-	for _, slot := range slots {
-		if slot < 0 || int(slot) >= len(shards) {
-			badSlots("core: shard %d outside [0, %d)", int(slot), len(shards))
-		}
-	}
-	ahead := len(pkts) // i+ahead is past the end: nothing to prefetch
-	if shards[0].prefetching {
-		ahead = min(PrefetchAhead, len(pkts))
-		for j := 0; j < ahead; j++ {
-			shards[slots[j]].prefetch(pkts[j].Dir, pairs[2*j], pairs[2*j+1])
-		}
-	}
-	for i, slot := range slots[:len(pkts)] {
-		if j := i + ahead; j < len(pkts) {
-			shards[slots[j]].prefetch(pkts[j].Dir, pairs[2*j], pairs[2*j+1])
-		}
-		out[i] = shards[slot].JudgeHashed(&pkts[i], pairs[2*i], pairs[2*i+1])
+func (s *Sharded) route(pkts []packet.Packet, slots []int32) {
+	for i := range pkts {
+		slots[i] = int32(s.ShardOf(pkts[i].Tuple, pkts[i].Dir))
 	}
 }
 
@@ -340,7 +161,7 @@ func judgeShards(shards []*Filter, pkts []packet.Packet, slots []int32, pairs []
 func (s *Sharded) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, sh := range s.shards {
+	for _, sh := range s.filters {
 		sh.Reset()
 	}
 }
@@ -349,9 +170,7 @@ func (s *Sharded) Reset() {
 // to.
 func (s *Sharded) PunchHole(local packet.Addr, localPort uint16, remote packet.Addr, proto packet.Proto) {
 	tup := packet.Tuple{Src: local, SrcPort: localPort, Dst: remote, Proto: proto}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.shards[s.ShardOf(tup, packet.Outgoing)].PunchHole(local, localPort, remote, proto)
+	s.Group.PunchHole(int32(s.ShardOf(tup, packet.Outgoing)), local, localPort, remote, proto)
 }
 
 // WouldAdmit reports whether an incoming packet with the given tuple would
@@ -359,5 +178,5 @@ func (s *Sharded) PunchHole(local packet.Addr, localPort uint16, remote packet.A
 func (s *Sharded) WouldAdmit(tup packet.Tuple) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.shards[s.ShardOf(tup, packet.Incoming)].WouldAdmit(tup)
+	return s.filters[s.ShardOf(tup, packet.Incoming)].WouldAdmit(tup)
 }

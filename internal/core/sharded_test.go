@@ -35,6 +35,9 @@ func TestNewShardedValidation(t *testing.T) {
 	if s.Name() == "" {
 		t.Error("empty name")
 	}
+	if _, err := s.Resize(0, 0, 12, 3); !errors.Is(err, ErrConfig) {
+		t.Errorf("resizing a shard: %v, want ErrConfig", err)
+	}
 }
 
 func TestShardedBasicSemantics(t *testing.T) {
@@ -279,69 +282,6 @@ func TestBandwidthPolicyShardScaling(t *testing.T) {
 	}
 }
 
-// TestShardedStatsAggregation pins the Stats contract: additive fields are
-// sums over ShardStats, fractional indicators are means, clocks take the
-// most-advanced shard and the earliest pending rotation.
-func TestShardedStatsAggregation(t *testing.T) {
-	rp, err := NewRatioPolicy(1, 3, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSharded(4, WithOrder(12), WithRotateEvery(5*time.Second), WithAPD(rp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		ts := time.Duration(i) * time.Millisecond
-		remote := packet.AddrFrom4(198, 51, 100, byte(i))
-		lport := uint16(4000 + i)
-		s.Process(outPkt(ts, client, remote, lport, 80))
-		s.Process(inPkt(ts, remote, client, 80, lport))
-	}
-	s.AdvanceTo(6 * time.Second) // fire at least one rotation everywhere
-
-	per := s.ShardStats()
-	agg := s.Stats()
-	if len(per) != 4 {
-		t.Fatalf("ShardStats returned %d snapshots, want 4", len(per))
-	}
-	var want Stats
-	want.NextRotation = per[0].NextRotation
-	for _, st := range per {
-		want.MemoryBytes += st.MemoryBytes
-		want.Rotations += st.Rotations
-		want.Marks += st.Marks
-		want.APDSpared += st.APDSpared
-		want.Counters.OutPackets += st.Counters.OutPackets
-		want.Counters.InPackets += st.Counters.InPackets
-		want.Counters.InPassed += st.Counters.InPassed
-		want.Counters.InDropped += st.Counters.InDropped
-		want.Utilization += st.Utilization
-		if st.Now > want.Now {
-			want.Now = st.Now
-		}
-		if st.NextRotation < want.NextRotation {
-			want.NextRotation = st.NextRotation
-		}
-	}
-	if agg.MemoryBytes != want.MemoryBytes || agg.Rotations != want.Rotations ||
-		agg.Marks != want.Marks || agg.APDSpared != want.APDSpared ||
-		agg.Counters != want.Counters {
-		t.Errorf("additive fields:\nagg:  %+v\nwant: %+v", agg, want)
-	}
-	if math.Abs(agg.Utilization-want.Utilization/4) > 1e-12 {
-		t.Errorf("Utilization = %v, want mean %v", agg.Utilization, want.Utilization/4)
-	}
-	if agg.Now != want.Now || agg.NextRotation != want.NextRotation {
-		t.Errorf("clocks: now=%v next=%v, want now=%v next=%v",
-			agg.Now, agg.NextRotation, want.Now, want.NextRotation)
-	}
-	if len(agg.VectorUtilization) != len(per[0].VectorUtilization) {
-		t.Errorf("VectorUtilization length = %d, want %d",
-			len(agg.VectorUtilization), len(per[0].VectorUtilization))
-	}
-}
-
 func TestShardedConcurrent(t *testing.T) {
 	s, err := NewSharded(8, WithOrder(14), WithRotateEvery(5*time.Second))
 	if err != nil {
@@ -488,8 +428,8 @@ func TestShardedRejectsHostileSlots(t *testing.T) {
 		b[at] = slot
 		return b
 	}
-	hostile("slot -1", "shard -1 outside [0, 4)", bad(255, -1), pairs[512:])
-	hostile("slot Shards()", "shard 4 outside [0, 4)", bad(0, 4), pairs[512:])
+	hostile("slot -1", "core: slot -1 outside [0, 4)", bad(255, -1), pairs[512:])
+	hostile("slot Shards()", "core: slot 4 outside [0, 4)", bad(0, 4), pairs[512:])
 	hostile("short slice", "255 slots for 256 packets", slots[257:], pairs[512:])
 	hostile("short pairs", "511 pair words for 256 packets", slots[256:], pairs[513:])
 

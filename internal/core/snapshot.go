@@ -232,10 +232,10 @@ func (f *Filter) WriteSnapshot(w io.Writer) error {
 func (s *Sharded) WriteSnapshot(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := writeContainerHeader(w, snapshotKindSharded, uint32(len(s.shards))); err != nil {
+	if err := writeContainerHeader(w, snapshotKindSharded, uint32(len(s.filters))); err != nil {
 		return err
 	}
-	for _, sh := range s.shards {
+	for _, sh := range s.filters {
 		if err := sh.writeSection(w); err != nil {
 			return err
 		}

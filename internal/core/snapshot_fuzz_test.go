@@ -109,7 +109,7 @@ func FuzzReadShardedSnapshot(f *testing.F) {
 		if g.Shards() < 1 {
 			t.Fatal("restored composite has no shards")
 		}
-		for i, sh := range g.shards {
+		for i, sh := range g.filters {
 			if sh.cfg.markPolicy == MarkAllVectors && !sh.nested() {
 				t.Fatalf("accepted shard %d with vectors that are not nested", i)
 			}

@@ -42,7 +42,7 @@ type Stats struct {
 	// APD state (§5.3). APDEnabled reports whether a DropPolicy is
 	// attached; APDPolicy is its Name; APDDropProbability is the
 	// policy's drop probability for an unmatched incoming packet at the
-	// snapshot's Now (on a Sharded aggregate, the mean across shards).
+	// snapshot's Now (on a Group's aggregate, the mean across members).
 	APDEnabled         bool
 	APDPolicy          string
 	APDDropProbability float64

@@ -57,11 +57,12 @@ type PacketFilter interface {
 // is behaviorally identical to calling Process per packet, in order — same
 // verdicts, counters and expiry work — but amortizes per-packet overheads
 // (lock acquisitions, verdict-slice allocation) across the whole batch.
-// It has four implementations: the bitmap filter's Filter and Sharded
-// (internal/core), the tenant fleet's Set (internal/tenant), and AsBatch's
-// per-packet fallback, which is the SPI baselines' batch data plane. Sharded
-// and Set judge a batch alike: in source order, each packet in the filter
-// its slot names, under one lock.
+// It has four implementations and three bodies: the bitmap filter's Filter
+// and its Group (internal/core), which core.Sharded and the tenant fleet's
+// tenant.Set both are beside their routers, and AsBatch's per-packet
+// fallback, which is the SPI baselines' batch data plane. A Group judges a
+// batch in source order, each packet in the filter its slot names, under
+// one lock.
 type BatchFilter interface {
 	PacketFilter
 	// ProcessBatchInto processes pkts in order, storing one verdict per

@@ -15,11 +15,12 @@
 //
 // The filter's type chooses only what a commit does (sinks.go): a single
 // filter is judged right there, under the commit lock, which Locked lends to
-// whoever else must reach the filter; a routed filter's — a tenant fleet's
-// or a sharded filter's — whole batch is handed, as it is, to its one lane,
-// and the filter locks itself. The workers also hash each packet's key to
-// its base pair (a routed filter's with the hasher of the packet's tenant or
-// shard), so what is left to the serial stage is the bit touches.
+// whoever else must reach the filter; a routed filter's — a core.Group's,
+// a tenant fleet's or a sharded filter's — whole batch is handed, as it is,
+// to its one lane, and the group locks itself. The workers also hash each
+// packet's key to its base pair (a routed filter's with the hasher of the
+// packet's tenant or shard), so what is left to the serial stage is the bit
+// touches.
 package pump
 
 import (
@@ -79,11 +80,12 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// routed is a filter whose batches carry a slot per packet, the filter
-// inside it that judges the packet: a tenant fleet's tenant (*tenant.Set), a
-// sharded filter's shard (*core.Sharded). Like a hashedFilter it comes in
-// two halves: the workers hash each packet with its slot's hasher, the lane
-// judges the batch in source order.
+// routed is a filter whose batches carry a slot per packet, the member of
+// its core.Group that judges the packet: a tenant fleet's tenant
+// (*tenant.Set), a sharded filter's shard (*core.Sharded); the two differ
+// only in what the slot is. Like a hashedFilter it comes in two halves,
+// both the group's: the workers hash each packet with its slot's hasher,
+// the lane judges the batch in source order.
 type routed interface {
 	HashRouted(pkts []packet.Packet, slots []int32, dst []uint64) []uint64
 	ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict

@@ -92,70 +92,65 @@ func estimateFlows(stats core.Stats) float64 {
 // rotation. A swapped tenant starts with an empty bitmap — its marks
 // are re-learned from outgoing traffic within one T_e, exactly the
 // cold-start the paper's rotation scheme already tolerates — while its
-// cumulative counters are preserved via the baseline.
+// cumulative counters are preserved in the group's baseline
+// (core.Group.Resize).
 //
-// Rebalance holds the lock: dispatch is quiesced for the duration.
-// It returns how many tenants were resized.
+// Rebalance holds the planner's lock, so two never interleave; the group's
+// lock is taken for the stats and for each swap, so dispatch waits for at
+// most one of them. It returns how many tenants were resized.
 func (s *Set) Rebalance(now time.Duration) (resized int, err error) {
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
 	if s.budget == nil {
 		return 0, ErrNoBudget
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
+	s.AdvanceTo(now)
+	stats := s.MemberStats()
 	minF := s.budget.minFlows()
-	flows := make([]float64, len(s.tenants))
-	stats := make([]core.Stats, len(s.tenants))
+	flows := make([]float64, len(stats))
 	var totalWeight float64
-	for i, st := range s.tenants {
-		st.filter.AdvanceTo(now)
-		stats[i] = st.filter.Stats()
+	for i := range stats {
 		flows[i] = estimateFlows(stats[i])
 		totalWeight += math.Max(flows[i], minF)
 	}
 
 	for i, st := range s.tenants {
-		if stats[i].Rotations == st.planRotations {
+		if stats[i].Rotations == s.planned[i] {
 			continue // no rotation boundary crossed since the last plan
 		}
 		capBytes := uint64(float64(s.budget.TotalBytes) * math.Max(flows[i], minF) / totalWeight)
-		plan, perr := s.planTenant(math.Max(flows[i], minF), stats[i], capBytes)
+		plan, perr := planTenant(s.budget.TargetPenetration, math.Max(flows[i], minF), stats[i], capBytes)
 		if perr != nil {
 			return resized, fmt.Errorf("tenant %q: %w", st.id, perr)
 		}
 		if plan.Order == stats[i].Order && plan.Hashes == stats[i].Hashes {
-			st.planRotations = stats[i].Rotations
+			s.planned[i] = stats[i].Rotations
 			continue
 		}
-		// Replay the tenant's bundle under the running filter's k, Δt,
-		// seed and policies, so timing and every key's pair survive even a
-		// bundle that left them defaulted (a snapshot-restored tenant's):
-		// the pairs the workers hash stay valid across the swap.
-		nf, berr := st.filter.Resized(plan.Order, plan.Hashes, st.opts...)
+		// The group replays the tenant's bundle under the running filter's
+		// k, Δt, seed and policies, so timing and every key's pair survive
+		// even a bundle that left them defaulted (a snapshot-restored
+		// tenant's).
+		rotations, berr := s.Resize(i, now, plan.Order, plan.Hashes, st.opts...)
 		if berr != nil {
 			return resized, fmt.Errorf("tenant %q: rebuild: %w", st.id, berr)
 		}
-		nf.AdvanceTo(now)
-		st.baseline.Add(st.filter.Counters())
-		st.filter = nf
-		s.prefetching = s.prefetching || nf.Prefetches()
-		st.planRotations = nf.Stats().Rotations
+		s.planned[i] = rotations
 		resized++
 	}
 	return resized, nil
 }
 
 // planTenant picks a {order, hashes} geometry for one tenant under its
-// byte cap. The penetration target is relaxed geometrically on
-// ErrInfeasible; past 0.5 the tenant falls to the largest geometry that
-// fits — the budget squeezes tenants, it never evicts them. ErrArgs
-// aborts: it signals a bug, not pressure.
+// byte cap. The penetration target, the budget's at first, is relaxed
+// geometrically on ErrInfeasible; past 0.5 the tenant falls to the largest
+// geometry that fits — the budget squeezes tenants, it never evicts them.
+// ErrArgs aborts: it signals a bug, not pressure.
 //
 // The hash count is clamped to hashfam.MaxFunctions: a nearly idle
 // tenant's optimum m* = 2^n·ln 2/c exceeds it once c falls below ≈11 at
 // order 10, and a filter with more functions cannot be built.
-func (s *Set) planTenant(c float64, cur core.Stats, capBytes uint64) (model.Plan, error) {
-	target := s.budget.TargetPenetration
+func planTenant(target, c float64, cur core.Stats, capBytes uint64) (model.Plan, error) {
 	for {
 		plan, err := model.PlanFor(model.PlanInput{
 			ActiveConnections: c,

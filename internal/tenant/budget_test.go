@@ -260,21 +260,42 @@ func TestRebalanceRequiresBudget(t *testing.T) {
 // rebalanced and checkpointed again: the seed and tuple policy ride through
 // the rebuild with the geometry. So pairs a worker hashed stay valid
 // whichever filter judges them, and a restored, rebalanced fleet judges
-// through its two halves exactly as per-packet Process does.
+// through its two halves exactly as per-packet Process does. A resize loses
+// no count (the retired filter's fold into the tenant's), and a fleet whose
+// tenant grows past order 25 prefetches from then on.
 func TestPairsSurviveRebalanceAndRestore(t *testing.T) {
+	for _, in := range []struct {
+		name     string
+		vectors  int
+		budget   tenant.Budget
+		prefetch bool // a tenant grows past order 25
+	}{
+		{"below order 25", 4, tenant.Budget{TotalBytes: 48 * 1024, TargetPenetration: 0.01}, false},
+		// A target this strict sizes the hot tenant's 20K flows at order
+		// 25 (8 MiB at k = 2), and every plan at the 64 hash functions
+		// Rebalance clamps to: after the first, n alone changes.
+		{"past order 25", 2, tenant.Budget{TotalBytes: 9 << 20, TargetPenetration: 1e-200}, true},
+	} {
+		t.Run(in.name, func(t *testing.T) { pairsSurvive(t, in.vectors, &in.budget, in.prefetch) })
+	}
+}
+
+func pairsSurvive(t *testing.T, vectors int, budget *tenant.Budget, prefetch bool) {
 	mk := func(id string, b byte, more ...core.Option) tenant.Config {
 		return tenant.Config{
 			ID:     id,
 			Prefix: packet.PrefixFrom(packet.AddrFrom4(10, b, 0, 0), 16),
 			Options: append([]core.Option{
 				core.WithOrder(16), core.WithSeed(uint64(b) + 1),
-				core.WithVectors(4), core.WithRotateEvery(time.Second),
+				core.WithVectors(vectors), core.WithRotateEvery(time.Second),
 			}, more...),
 		}
 	}
 	cfgs := []tenant.Config{mk("hot", 1), mk("idle", 2, core.WithTuplePolicy(core.FullTuple))}
-	budget := &tenant.Budget{TotalBytes: 48 * 1024, TargetPenetration: 0.01}
 	set := mustSet(t, tenant.SetConfig{Tenants: cfgs, Budget: budget})
+	if set.Prefetches() {
+		t.Fatal("a fleet at order 16 prefetches")
+	}
 	pkts := fleetTrace(4000, cfgs)
 	want := set.HashRouted(pkts, clientSlots(set, pkts), nil)
 	check := func(stage string, s *tenant.Set) {
@@ -283,25 +304,33 @@ func TestPairsSurviveRebalanceAndRestore(t *testing.T) {
 			t.Fatalf("%s: the fleet hashes the packets to other pairs", stage)
 		}
 	}
-	geometry := func(s *tenant.Set) (g [][2]int) {
+	geometry := func(s *tenant.Set) (g [][2]int, c []filtering.Counters) {
 		for _, st := range s.TenantStats() {
 			g = append(g, [2]int{int(st.Stats.Order), st.Stats.Hashes})
+			c = append(c, st.Stats.Counters)
 		}
-		return g
+		return g, c
 	}
 	rebalance := func(stage string, s *tenant.Set, now time.Duration) {
 		t.Helper()
-		before := geometry(s)
+		both := !prefetch || s == set // n and m both change
+		before, counted := geometry(s)
 		if n, err := s.Rebalance(now); err != nil || n == 0 {
 			t.Fatalf("%s: Rebalance resized %d tenants (%v)", stage, n, err)
 		}
-		after := geometry(s)
+		after, kept := geometry(s)
 		changed := false
 		for i := range after {
-			changed = changed || (after[i][0] != before[i][0] && after[i][1] != before[i][1])
+			changed = changed || (after[i][0] != before[i][0] && after[i][1] != before[i][1]) || (!both && after[i] != before[i])
 		}
 		if !changed {
-			t.Fatalf("%s: no tenant changed both n and m: %v → %v", stage, before, after)
+			t.Fatalf("%s: no tenant changed n and m (both: %v): %v → %v", stage, both, before, after)
+		}
+		if !slices.Equal(kept, counted) {
+			t.Errorf("%s: the resizes lost counts: %+v → %+v", stage, counted, kept)
+		}
+		if s.Prefetches() != prefetch {
+			t.Errorf("%s: %v → %v, and the fleet prefetches: %v", stage, before, after, s.Prefetches())
 		}
 	}
 	restore := func(s *tenant.Set) *tenant.Set {

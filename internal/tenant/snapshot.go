@@ -1,7 +1,6 @@
 package tenant
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -48,57 +47,46 @@ var tenantCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // means the bound never turns into an allocation.
 const maxTenantSnapLen = 1 << 34
 
-// WriteSnapshot serializes the whole fleet. It takes the lock, so
-// the snapshot is a consistent point-in-time image: no dispatch or
-// rebalance interleaves.
+// WriteSnapshot serializes the whole fleet under the group's lock, so the
+// snapshot is a consistent point-in-time image: no dispatch or resize
+// interleaves.
 func (s *Set) WriteSnapshot(w io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	var hdr [tenantHeaderLen + 4]byte
 	le := binary.LittleEndian
-	copy(hdr[:4], tenantMagic)
-	le.PutUint32(hdr[4:], tenantVersion)
-	le.PutUint32(hdr[8:], uint32(len(s.tenants)))
-	le.PutUint32(hdr[12:], 0)
-	le.PutUint64(hdr[16:], s.unroutedOut.Load())
-	le.PutUint64(hdr[24:], s.unroutedIn.Load())
-	le.PutUint32(hdr[tenantHeaderLen:], crc32.Checksum(hdr[:tenantHeaderLen], tenantCastagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
+	head := func(unrouted filtering.Counters) error {
+		var hdr [tenantHeaderLen + 4]byte
+		copy(hdr[:4], tenantMagic)
+		le.PutUint32(hdr[4:], tenantVersion)
+		le.PutUint32(hdr[8:], uint32(len(s.tenants)))
+		le.PutUint32(hdr[12:], 0)
+		le.PutUint64(hdr[16:], unrouted.OutPackets)
+		le.PutUint64(hdr[24:], unrouted.InPackets)
+		le.PutUint32(hdr[tenantHeaderLen:], crc32.Checksum(hdr[:tenantHeaderLen], tenantCastagnoli))
+		_, err := w.Write(hdr[:])
 		return err
 	}
-
-	var inner bytes.Buffer
-	for _, st := range s.tenants {
-		inner.Reset()
-		if err := st.filter.WriteSnapshot(&inner); err != nil {
-			return fmt.Errorf("tenant %q: %w", st.id, err)
-		}
+	return s.WriteMembers(head, func(i int, inner []byte, baseline filtering.Counters) error {
+		st := s.tenants[i]
 		fixed := make([]byte, sectionFixedLen, sectionFixedLen+len(st.id)+4)
 		le.PutUint32(fixed[0:], uint32(len(st.id)))
 		le.PutUint32(fixed[4:], uint32(st.prefix.Base))
 		le.PutUint32(fixed[8:], uint32(st.prefix.Bits))
 		le.PutUint32(fixed[12:], 0) // flavor: bare
-		le.PutUint64(fixed[16:], uint64(inner.Len()))
-		le.PutUint64(fixed[24:], st.baseline.OutPackets)
-		le.PutUint64(fixed[32:], st.baseline.InPackets)
-		le.PutUint64(fixed[40:], st.baseline.InPassed)
-		le.PutUint64(fixed[48:], st.baseline.InDropped)
+		le.PutUint64(fixed[16:], uint64(len(inner)))
+		le.PutUint64(fixed[24:], baseline.OutPackets)
+		le.PutUint64(fixed[32:], baseline.InPackets)
+		le.PutUint64(fixed[40:], baseline.InPassed)
+		le.PutUint64(fixed[48:], baseline.InDropped)
 		fixed = append(fixed, st.id...)
 		fixed = le.AppendUint32(fixed, crc32.Checksum(fixed, tenantCastagnoli))
 		if _, err := w.Write(fixed); err != nil {
 			return err
 		}
-		if _, err := w.Write(inner.Bytes()); err != nil {
+		if _, err := w.Write(inner); err != nil {
 			return err
 		}
-		var crc [4]byte
-		le.PutUint32(crc[:], crc32.Checksum(inner.Bytes(), tenantCastagnoli))
-		if _, err := w.Write(crc[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := w.Write(le.AppendUint32(nil, crc32.Checksum(inner, tenantCastagnoli)))
+		return err
+	})
 }
 
 // ReadSnapshot restores a fleet written by WriteSnapshot. Like the core
@@ -125,10 +113,12 @@ func ReadSnapshot(r io.Reader, extra func(id string) []core.Option) (*Set, error
 	if count == 0 || count > maxTenants {
 		return nil, fmt.Errorf("tenant snapshot: tenant count %d outside [1, %d]", count, maxTenants)
 	}
-	unroutedOut := le.Uint64(hdr[16:])
 	unroutedIn := le.Uint64(hdr[24:])
+	unrouted := filtering.Counters{OutPackets: le.Uint64(hdr[16:]), InPackets: unroutedIn, InPassed: unroutedIn}
 
-	states := make([]*tenantState, 0, count)
+	states := make([]tenantState, 0, count)
+	filters := make([]*core.Filter, 0, count)
+	retired := make([]filtering.Counters, 0, count)
 	for i := uint32(0); i < count; i++ {
 		var fixed [sectionFixedLen]byte
 		if _, err := io.ReadFull(r, fixed[:]); err != nil {
@@ -192,19 +182,15 @@ func ReadSnapshot(r io.Reader, extra func(id string) []core.Option) (*Set, error
 		// The option bundle Rebalance replays is the caller's
 		// non-serializable extras: the geometry options are pinned from the
 		// running filter at rebuild time, so they need not appear in it.
-		states = append(states, &tenantState{id: id, prefix: prefix, opts: opts, baseline: baseline, filter: inner})
+		states = append(states, tenantState{id: id, prefix: prefix, opts: opts})
+		filters = append(filters, inner)
+		retired = append(retired, baseline)
 	}
 	if err := expectEOF(r); err != nil {
 		return nil, fmt.Errorf("tenant snapshot: %w", err)
 	}
 
-	s, err := newSetFromStates(states, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.unroutedOut.Store(unroutedOut)
-	s.unroutedIn.Store(unroutedIn)
-	return s, nil
+	return newSet(states, core.NewFleet(filters, retired, unrouted), nil)
 }
 
 // expectEOF rejects trailing bytes after a well-formed snapshot, exactly
@@ -225,8 +211,8 @@ func (s *Set) AttachBudget(b *Budget) error {
 			return err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
 	s.budget = b
 	return nil
 }

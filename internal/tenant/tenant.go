@@ -4,18 +4,19 @@
 //
 // The paper deploys one filter per client network (§3.2); Set scales the
 // deployment out. Each tenant is a {prefix, filter} pair — a bare
-// core.Filter built from an ordinary option bundle, behind the Set's one
-// lock. Routing is by the longest matching prefix of the packet's
-// client-side address (the source of an outgoing packet, the destination
-// of an incoming one — the same §3.3 symmetry the filter keys on), so a
-// flow's outgoing marks and its replies always meet in the same tenant
-// filter. Packets no configured prefix covers are passed through
-// unfiltered and counted.
+// core.Filter built from an ordinary option bundle — and the filters are a
+// core.Group, behind its one lock. Routing is by the longest matching
+// prefix of the packet's client-side address (the source of an outgoing
+// packet, the destination of an incoming one — the same §3.3 symmetry the
+// filter keys on), so a flow's outgoing marks and its replies always meet
+// in the same tenant filter. Packets no configured prefix covers are passed
+// through unfiltered and counted.
 //
-// A batch is judged in the single filter's two halves: HashRouted hashes
-// each packet with its tenant's hasher, on any goroutine, and
-// ProcessHashedInto judges the batch in source order, each packet in its
-// tenant's filter — which so sees what per-packet Process would feed it.
+// The group judges, locks and aggregates; the Set is its router. A batch is
+// judged in the single filter's two halves: HashRouted hashes each packet
+// with its tenant's hasher, on any goroutine, and ProcessHashedInto judges
+// the batch in source order, each packet in its tenant's filter — which so
+// sees what per-packet Process would feed it.
 //
 // A Set optionally carries a Budget (see budget.go): a global memory
 // pool carved into per-tenant {order, hashes} plans from each tenant's
@@ -27,8 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
@@ -64,64 +63,42 @@ type SetConfig struct {
 	Budget *Budget
 }
 
-// tenantState is one tenant's runtime slot. The filter pointer is
-// swapped by Rebalance (under the Set's lock); everything else is fixed at
-// construction.
+// tenantState is one tenant's identity and option bundle, fixed at
+// construction; its filter is the Set's Group's member of the same index.
 type tenantState struct {
 	id     string
 	prefix packet.Prefix
 	// opts is the tenant's base option bundle, replayed (with geometry
-	// overrides appended) when Rebalance rebuilds the filter.
+	// overrides appended) when Rebalance resizes the filter.
 	opts []core.Option
-
-	// filter, baseline and planRotations are guarded by the owning Set's
-	// mu, which dispatch and the control plane (stats, punches, Rebalance,
-	// snapshots) both take — a cross-struct discipline the lockguard
-	// marker cannot express, so it is enforced by review and the -race
-	// suite.
-	filter *core.Filter
-	// baseline accumulates the counters of filters retired by resizes,
-	// so cumulative totals survive swaps.
-	baseline filtering.Counters
-	// planRotations is filter.Stats().Rotations when the current
-	// geometry was (re)planned; Rebalance only reconsiders a tenant
-	// after its filter has rotated past it.
-	planRotations uint64
 }
 
 // Set is the multi-tenant data plane. It implements filtering.BatchFilter
 // and the snapshot/introspection surface of the core flavors, so it can be
 // judged through, scraped and checkpointed like a single filter.
 //
-// Concurrency: every method that touches a tenant filter — dispatch,
-// AdvanceTo, Stats, TenantStats, Utilization, PunchHole, Rebalance and
-// snapshot writes — takes the Set's one mutex and sees a quiesced fleet.
-// Its bare tenants are therefore safe under any number of callers: a
-// scrape waits for at most the batch in flight, and two pumps take turns.
+// The tenant filters are a core.Group, slot i tenant i and −1 a packet no
+// prefix covers. Every method that touches a tenant filter is the group's
+// and takes its one mutex, so the bare tenants are safe under any number of
+// callers: a scrape waits for at most the batch in flight.
 type Set struct {
-	mu      sync.Mutex
-	tenants []*tenantState
+	*core.Group
+	tenants []tenantState
 	byID    map[string]int
 	// routes maps a client-side address to its tenant's index: the same
 	// longest-prefix table the pump classifies direction with. Fixed at
 	// construction (Rebalance swaps filters, never prefixes).
 	routes *packet.PrefixTable
-	// hashers is each slot's first filter's: Rebalance keeps seed and
-	// tuple policy, so a pair stays valid. Fixed; read without the lock.
-	hashers []*core.Hasher
-	budget  *Budget
-	// prefetching: some tenant filter has prefetched (see judge). Guarded
-	// by mu; it stays set, a small filter ignoring the hint.
-	prefetching bool
 
-	// Unrouted packets are passed through unfiltered; counted here
-	// (atomically, so UnroutedPackets reads them without the lock) and
-	// folded into Counters.
-	unroutedOut atomic.Uint64
-	unroutedIn  atomic.Uint64
+	// planMu serializes the planner: Rebalance holds it throughout.
+	planMu sync.Mutex
+	budget *Budget //bf:guardedby planMu
+	// planned is each tenant's rotation count when its geometry was last
+	// (re)planned; Rebalance only reconsiders a tenant after its filter has
+	// rotated past it.
+	planned []uint64 //bf:guardedby planMu
 }
 
-var _ filtering.BatchFilter = (*Set)(nil)
 var _ core.Snapshottable = (*Set)(nil)
 
 // NewSet builds the fleet: every tenant's filter is constructed from its
@@ -140,30 +117,25 @@ func NewSet(cfg SetConfig) (*Set, error) {
 			return nil, err
 		}
 	}
-	states := make([]*tenantState, len(cfg.Tenants))
+	states := make([]tenantState, len(cfg.Tenants))
+	filters := make([]*core.Filter, len(cfg.Tenants))
 	for i, tc := range cfg.Tenants {
 		f, err := core.New(tc.Options...)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %q: %w", tc.ID, err)
 		}
-		states[i] = &tenantState{
-			id:     tc.ID,
-			prefix: tc.Prefix,
-			opts:   append([]core.Option(nil), tc.Options...),
-			filter: f,
-		}
+		states[i] = tenantState{id: tc.ID, prefix: tc.Prefix, opts: append([]core.Option(nil), tc.Options...)}
+		filters[i] = f
 	}
-	return newSetFromStates(states, cfg.Budget)
+	return newSet(states, core.NewFleet(filters, nil, filtering.Counters{}), cfg.Budget)
 }
 
-// newSetFromStates validates identifiers and prefixes, compiles the
-// routing table, and assembles the Set. Shared by NewSet and the snapshot
-// restore path.
-func newSetFromStates(states []*tenantState, budget *Budget) (*Set, error) {
+// newSet validates identifiers and prefixes, compiles the routing table,
+// and assembles the Set over the group of the tenants' filters. Shared by
+// NewSet and the snapshot restore path.
+func newSet(states []tenantState, group *core.Group, budget *Budget) (*Set, error) {
 	byID := make(map[string]int, len(states))
 	prefixes := make([]packet.Prefix, len(states))
-	hashers := make([]*core.Hasher, len(states))
-	prefetching := false
 	owned := make(map[packet.Prefix]struct{}, len(states))
 	for i, st := range states {
 		if st.id == "" || len(st.id) > maxIDLen {
@@ -181,10 +153,9 @@ func newSetFromStates(states []*tenantState, budget *Budget) (*Set, error) {
 		}
 		owned[canon] = struct{}{}
 		prefixes[i] = st.prefix
-		hashers[i] = st.filter.Hasher()
-		prefetching = prefetching || st.filter.Prefetches()
 	}
-	return &Set{tenants: states, byID: byID, routes: packet.NewPrefixTable(prefixes), hashers: hashers, budget: budget, prefetching: prefetching}, nil
+	return &Set{Group: group, tenants: states, byID: byID, routes: packet.NewPrefixTable(prefixes),
+		budget: budget, planned: make([]uint64, len(states))}, nil
 }
 
 // Tenants returns the number of tenants.
@@ -193,73 +164,42 @@ func (s *Set) Tenants() int { return len(s.tenants) }
 // Name implements filtering.PacketFilter.
 func (s *Set) Name() string { return fmt.Sprintf("tenants(%d)", len(s.tenants)) }
 
-// UnroutedPackets returns how many packets matched no tenant prefix and
-// were passed through unfiltered.
-func (s *Set) UnroutedPackets() uint64 {
-	return s.unroutedOut.Load() + s.unroutedIn.Load()
-}
-
-// clientAddr returns the packet's client-side address — the one tenant
-// prefixes are defined over: the source of an outgoing packet, the
-// destination of an incoming one (the same symmetry the filter keys on).
-//
-//bf:hotpath
-func clientAddr(pkt *packet.Packet) packet.Addr {
-	if pkt.Dir == packet.Outgoing {
-		return pkt.Tuple.Src
-	}
-	return pkt.Tuple.Dst
-}
-
 // Process implements filtering.PacketFilter: the packet is handled
 // entirely by the tenant its client address routes to; unrouted packets
 // pass unfiltered.
 //
 //bf:hotpath
 func (s *Set) Process(pkt packet.Packet) filtering.Verdict {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	slot := s.routes.Lookup(clientAddr(&pkt))
-	if slot < 0 {
-		s.countUnrouted(pkt.Dir)
-		return filtering.Pass
-	}
-	return s.tenants[slot].filter.Process(pkt)
+	return s.Group.Process(pkt, s.slot(&pkt))
 }
 
-//bf:hotpath
-func (s *Set) countUnrouted(dir packet.Direction) {
-	if dir == packet.Outgoing {
-		s.unroutedOut.Add(1)
-	} else {
-		s.unroutedIn.Add(1)
-	}
-}
-
-// chunkSize is how many packets ProcessBatchInto routes and hashes ahead of
-// judging them, into arrays on its stack.
-const chunkSize = 32
-
-// ProcessBatchInto is HashRouted and ProcessHashedInto back to back, a chunk
-// at a time under one lock, with the slots looked up in Routes; it allocates
-// nothing once out has capacity for the batch.
+// ProcessBatchInto is Group.ProcessBatchInto routed by Routes.
 //
 //bf:hotpath
 func (s *Set) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
-	out = filtering.GrowVerdicts(out, len(pkts))
-	var slots [chunkSize]int32
-	var pairs [2 * chunkSize]uint64
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for at := 0; at < len(pkts); at += chunkSize {
-		chunk := pkts[at:min(at+chunkSize, len(pkts))]
-		sl := slots[:len(chunk)]
-		for i := range chunk {
-			sl[i] = s.routes.Lookup(clientAddr(&chunk[i]))
-		}
-		s.judge(chunk, sl, s.HashRouted(chunk, sl, pairs[:0]), out[at:])
+	return s.Group.ProcessBatchInto(pkts, out, s.route)
+}
+
+// route writes the slot of each packet's client-side address into slots.
+//
+//bf:hotpath
+func (s *Set) route(pkts []packet.Packet, slots []int32) {
+	for i := range pkts {
+		slots[i] = s.slot(&pkts[i])
 	}
-	return out
+}
+
+// slot is the slot of the packet's client-side address, the one tenant
+// prefixes are defined over: the source of an outgoing packet, the
+// destination of an incoming one (the same symmetry the filter keys on).
+//
+//bf:hotpath
+func (s *Set) slot(pkt *packet.Packet) int32 {
+	addr := pkt.Tuple.Dst
+	if pkt.Dir == packet.Outgoing {
+		addr = pkt.Tuple.Src
+	}
+	return s.routes.Lookup(addr)
 }
 
 // Routes returns the table the Set routes with: Lookup of a packet's
@@ -268,213 +208,24 @@ func (s *Set) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []
 // prefixes.
 func (s *Set) Routes() *packet.PrefixTable { return s.routes }
 
-// HashRouted is the fleet's pure half: dst[2i:2i+2] is the base pair of
-// pkts[i] under the hasher of its slot, slots[i] (from Routes; (0, 0) for -1,
-// no tenant), dst grown only when short. It reads only what never changes,
-// so any goroutine may run it while another judges, across a Rebalance too.
-//
-//bf:hotpath
-func (s *Set) HashRouted(pkts []packet.Packet, slots []int32, dst []uint64) []uint64 {
-	if len(slots) != len(pkts) {
-		badSlots("tenant: HashRouted: %d slots for %d packets", len(slots), len(pkts))
-	}
-	dst = filtering.GrowSlice(dst, 2*len(pkts))
-	for i, slot := range slots {
-		var h1, h2 uint64
-		if slot >= 0 {
-			h1, h2 = s.hashers[slot].Pair(&pkts[i])
-		}
-		dst[2*i], dst[2*i+1] = h1, h2
-	}
-	return dst
-}
-
-// ProcessHashedInto is the fleet's ordered half: pkts in source order, each
-// judged in the filter of its slot with the pair HashRouted made for it, an
-// unrouted one (-1) passed and counted, the verdicts into out under the
-// filtering.BatchFilter contract. A length mismatch or a slot outside
-// [-1, Tenants()) is the caller's bug, not traffic: it panics before any
-// tenant filter or counter is touched.
-//
-//bf:hotpath
-func (s *Set) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
-	if len(slots) != len(pkts) {
-		badSlots("tenant: ProcessHashedInto: %d slots for %d packets", len(slots), len(pkts))
-	}
-	if len(pairs) != 2*len(pkts) {
-		badSlots("tenant: ProcessHashedInto: %d pair words for %d packets", len(pairs), len(pkts))
-	}
-	out = filtering.GrowVerdicts(out, len(pkts))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.judge(pkts, slots, pairs, out)
-	return out
-}
-
-// badSlots is the cold end of the slot contract: the caller broke it, and
-// the message is all that is left to do. Kept out of line so the formatting
-// stays off the hot path's books.
-//
-//go:noinline
-func badSlots(format string, a, b int) {
-	panic(fmt.Sprintf(format, a, b))
-}
-
-// judge is the body of both batch entry points, under the lock. A first pass
-// range-checks every slot. With a tenant of order ≥ 25 in the fleet, packet
-// i+PrefetchAhead's lines are on their way while packet i is judged, as in
-// the single filter.
-//
-//bf:hotpath
-func (s *Set) judge(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) {
-	for _, slot := range slots {
-		if slot < -1 || int(slot) >= len(s.tenants) {
-			badSlots("tenant: slot %d outside [-1, %d)", int(slot), len(s.tenants))
-		}
-	}
-	ahead := len(pkts) // i+ahead is past the end: nothing to prefetch
-	if s.prefetching {
-		ahead = min(core.PrefetchAhead, len(pkts))
-		for j := 0; j < ahead; j++ {
-			s.prefetch(pkts, slots, pairs, j)
-		}
-	}
-	for i, slot := range slots[:len(pkts)] {
-		if j := i + ahead; j < len(pkts) {
-			s.prefetch(pkts, slots, pairs, j)
-		}
-		if slot < 0 {
-			out[i] = filtering.Pass
-			s.countUnrouted(pkts[i].Dir)
-			continue
-		}
-		out[i] = s.tenants[slot].filter.JudgeHashed(&pkts[i], pairs[2*i], pairs[2*i+1])
-	}
-}
-
-//bf:hotpath
-func (s *Set) prefetch(pkts []packet.Packet, slots []int32, pairs []uint64, j int) {
-	if slot := slots[j]; slot >= 0 {
-		s.tenants[slot].filter.PrefetchHashed(pkts[j].Dir, pairs[2*j], pairs[2*j+1])
-	}
-}
-
-// AdvanceTo implements filtering.PacketFilter: every tenant's clock
-// moves forward, so idle tenants expire their marks on schedule even
-// when all traffic lands elsewhere.
-func (s *Set) AdvanceTo(now time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, st := range s.tenants {
-		st.filter.AdvanceTo(now)
-	}
-}
-
-// MemoryBytes implements filtering.PacketFilter (sum over tenants) —
-// the quantity the Budget constrains.
-func (s *Set) MemoryBytes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total uint64
-	for _, st := range s.tenants {
-		total += st.filter.MemoryBytes()
-	}
-	return total
-}
-
-// Counters implements filtering.PacketFilter: the cumulative totals
-// across every tenant (including filters retired by resizes) plus the
-// unrouted pass-through packets.
-func (s *Set) Counters() filtering.Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := filtering.Counters{
-		OutPackets: s.unroutedOut.Load(),
-		InPackets:  s.unroutedIn.Load(),
-		InPassed:   s.unroutedIn.Load(),
-	}
-	for _, st := range s.tenants {
-		total.Add(st.baseline)
-		total.Add(st.filter.Counters())
-	}
-	return total
-}
-
-// Utilization returns the mean current-vector fill fraction across
-// tenants (each tenant's own capacity math uses its individual value;
-// see TenantStats).
-func (s *Set) Utilization() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sum float64
-	for _, st := range s.tenants {
-		sum += st.filter.Utilization()
-	}
-	return sum / float64(len(s.tenants))
-}
-
-// RotateEvery returns the smallest rotation period across tenants — the
-// cadence a background ticker must match so every tenant's rotations
-// fire on schedule.
-func (s *Set) RotateEvery() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	min := s.tenants[0].filter.RotateEvery()
-	for _, st := range s.tenants[1:] {
-		if dt := st.filter.RotateEvery(); dt < min {
-			min = dt
-		}
-	}
-	return min
-}
-
 // PunchHole opens an inbound hole (§5.1) in the tenant filter owning
 // local's prefix; it is a no-op if no tenant covers the address.
 func (s *Set) PunchHole(local packet.Addr, localPort uint16, remote packet.Addr, proto packet.Proto) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if slot := s.routes.Lookup(local); slot >= 0 {
-		s.tenants[slot].filter.PunchHole(local, localPort, remote, proto)
+		s.Group.PunchHole(slot, local, localPort, remote, proto)
 	}
 }
 
-// Stats implements the core introspection surface with a cross-tenant
-// aggregate, mirroring Sharded.Stats: additive fields are summed,
-// fractional indicators averaged, the clock reports the most-advanced
-// tenant and the earliest pending rotation. Configuration fields and the
-// APD identity come from tenant 0 and are only meaningful for a
-// homogeneous fleet; VectorUtilization is nil (tenants disagree on k).
-// Use TenantStats for the per-tenant truth.
+// Stats is the group's cross-tenant aggregate (core.Group.Stats) with
+// VectorUtilization nil: tenants may disagree on k, and a per-vector mean
+// over tenants of different ages says nothing. Configuration fields but
+// RotateEvery (the shortest), and the APD identity, come from tenant 0 and
+// are only meaningful for a homogeneous fleet; use TenantStats for the
+// per-tenant truth.
 func (s *Set) Stats() core.Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	agg := s.statLocked(0)
-	agg.VectorUtilization = nil
-	for i := 1; i < len(s.tenants); i++ {
-		st := s.statLocked(i)
-		agg.MemoryBytes += st.MemoryBytes
-		agg.Rotations += st.Rotations
-		agg.Marks += st.Marks
-		agg.Counters.Add(st.Counters)
-		agg.APDSpared += st.APDSpared
-		if st.Now > agg.Now {
-			agg.Now = st.Now
-		}
-		if st.NextRotation < agg.NextRotation {
-			agg.NextRotation = st.NextRotation
-		}
-		agg.Utilization += st.Utilization
-		agg.PenetrationProbability += st.PenetrationProbability
-		agg.APDDropProbability += st.APDDropProbability
-	}
-	inv := 1 / float64(len(s.tenants))
-	agg.Utilization *= inv
-	agg.PenetrationProbability *= inv
-	agg.APDDropProbability *= inv
-	agg.Counters.OutPackets += s.unroutedOut.Load()
-	agg.Counters.InPackets += s.unroutedIn.Load()
-	agg.Counters.InPassed += s.unroutedIn.Load()
-	return agg
+	st := s.Group.Stats()
+	st.VectorUtilization = nil
+	return st
 }
 
 // Stat is one tenant's introspection snapshot: identity plus the full
@@ -486,23 +237,13 @@ type Stat struct {
 	Stats  core.Stats
 }
 
-// statLocked returns tenant i's Stats with the resize baseline folded
-// in. Callers hold the lock: reading a bare tenant races its dispatch.
-func (s *Set) statLocked(i int) core.Stats {
-	st := s.tenants[i]
-	stats := st.filter.Stats()
-	stats.Counters.Add(st.baseline)
-	return stats
-}
-
 // TenantStats returns one snapshot per tenant, in configuration order —
 // the per-tenant series /stats and /metrics expose.
 func (s *Set) TenantStats() []Stat {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Stat, len(s.tenants))
-	for i, st := range s.tenants {
-		out[i] = Stat{ID: st.id, Prefix: st.prefix, Stats: s.statLocked(i)}
+	per := s.MemberStats()
+	out := make([]Stat, len(per))
+	for i, st := range per {
+		out[i] = Stat{ID: s.tenants[i].id, Prefix: s.tenants[i].prefix, Stats: st}
 	}
 	return out
 }

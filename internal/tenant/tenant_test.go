@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -179,7 +180,6 @@ func TestSetDifferential(t *testing.T) {
 	}
 
 	stats := set.TenantStats()
-	var total filtering.Counters
 	for i, st := range stats {
 		if st.ID != cfgs[i].ID || st.Prefix != cfgs[i].Prefix {
 			t.Fatalf("tenant %d identity = %q %v", i, st.ID, st.Prefix)
@@ -191,35 +191,12 @@ func TestSetDifferential(t *testing.T) {
 		if ref.InPackets == 0 || ref.OutPackets == 0 {
 			t.Errorf("tenant %q starved: %+v (trace bug)", st.ID, ref)
 		}
-		total.OutPackets += ref.OutPackets
-		total.InPackets += ref.InPackets
-		total.InPassed += ref.InPassed
-		total.InDropped += ref.InDropped
 	}
 	want4 := stats[4]
 	if !want4.Stats.APDEnabled || want4.Stats.APDSpared == 0 {
 		t.Errorf("tenant t4 APD not exercised: %+v", want4.Stats)
 	}
 
-	// Aggregate counters: tenant sums plus the unrouted split.
-	gotTotal := set.Counters()
-	var unroutedOut, unroutedIn uint64
-	for _, p := range pkts {
-		if routeRef(cfgs, p) < 0 {
-			if p.Dir == packet.Outgoing {
-				unroutedOut++
-			} else {
-				unroutedIn++
-			}
-		}
-	}
-	exp := total
-	exp.OutPackets += unroutedOut
-	exp.InPackets += unroutedIn
-	exp.InPassed += unroutedIn
-	if gotTotal != exp {
-		t.Errorf("Set.Counters = %+v, want %+v", gotTotal, exp)
-	}
 }
 
 // TestSetLookupAndPunchHole pins LPM specifics: longest match wins on
@@ -654,11 +631,47 @@ func TestRoutedMatchesUnrouted(t *testing.T) {
 	}
 }
 
+// composite is what core.Group gives both of its routers, a sharded filter
+// and a fleet, and the tests of the group's contracts drive.
+type composite interface {
+	filtering.BatchFilter
+	Stats() core.Stats
+	MemberStats() []core.Stats
+	UnroutedPackets() uint64
+	RotateEvery() time.Duration
+}
+
+// compositeCase is a composite and the lowest valid slot of its router.
+type compositeCase struct {
+	name string
+	mk   func() composite
+	lo   int32
+}
+
+// composites is one sharded filter (four shards, a ratio APD policy) and one
+// fleet (fleetSpec).
+func composites(t *testing.T) []compositeCase {
+	return []compositeCase{
+		{"sharded", func() composite {
+			rp, err := core.NewRatioPolicy(1, 3, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := core.NewSharded(4, core.WithOrder(12), core.WithSeed(3), core.WithAPD(rp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, 0},
+		{"fleet", func() composite { return mustSet(t, tenant.SetConfig{Tenants: fleetSpec()}) }, -1},
+	}
+}
+
 // TestRoutedRejectsHostileSlots: a slot that is not the table's answer, or
 // pairs not two words per packet, are a caller bug, and the ordered half
 // catches them before the batch touches anything — the panic names the
 // problem, no tenant filter and no counter has moved, and the Set judges the
-// next batch as if nothing happened.
+// next batch as a fleet that never saw the rejected ones does.
 func TestRoutedRejectsHostileSlots(t *testing.T) {
 	cfgs := fleetSpec()
 	set := mustSet(t, tenant.SetConfig{Tenants: cfgs})
@@ -666,7 +679,7 @@ func TestRoutedRejectsHostileSlots(t *testing.T) {
 	slots := clientSlots(set, pkts)
 	pairs := set.HashRouted(pkts, slots, nil)
 	set.ProcessHashedInto(pkts[:256], slots[:256], pairs[:512], nil) // some state to disturb
-	before, beforeUnrouted := set.TenantStats(), set.UnroutedPackets()
+	before, beforeUnrouted := set.MemberStats(), set.UnroutedPackets()
 
 	hostile := func(name, wantMsg string, slots []int32, pairs []uint64) {
 		t.Helper()
@@ -675,7 +688,7 @@ func TestRoutedRejectsHostileSlots(t *testing.T) {
 			if !strings.Contains(msg, wantMsg) {
 				t.Errorf("%s: panic %q, want one containing %q", name, msg, wantMsg)
 			}
-			if !reflect.DeepEqual(set.TenantStats(), before) || set.UnroutedPackets() != beforeUnrouted {
+			if !reflect.DeepEqual(set.MemberStats(), before) || set.UnroutedPackets() != beforeUnrouted {
 				t.Errorf("%s: the rejected batch moved fleet state", name)
 			}
 		}()
@@ -686,8 +699,8 @@ func TestRoutedRejectsHostileSlots(t *testing.T) {
 		s[at] = slot
 		return s
 	}
-	hostile("slot -2", "slot -2 outside [-1, 6)", bad(255, -2), pairs[512:])
-	hostile("slot len(tenants)", "slot 6 outside [-1, 6)", bad(0, int32(len(cfgs))), pairs[512:])
+	hostile("slot -2", "core: slot -2 outside [-1, 6)", bad(255, -2), pairs[512:])
+	hostile("slot len(tenants)", "core: slot 6 outside [-1, 6)", bad(0, int32(len(cfgs))), pairs[512:])
 	hostile("short slice", "255 slots for 256 packets", slots[257:], pairs[512:])
 	hostile("short pairs", "511 pair words for 256 packets", slots[256:], pairs[513:])
 
@@ -696,6 +709,73 @@ func TestRoutedRejectsHostileSlots(t *testing.T) {
 	want := ref.ProcessBatchInto(pkts[256:], nil)
 	if got := set.ProcessHashedInto(pkts[256:], slots[256:], pairs[512:], nil); !reflect.DeepEqual(got, want) {
 		t.Error("verdicts after the rejected batches differ from a fleet that never saw them")
+	}
+	if !reflect.DeepEqual(set.MemberStats(), ref.MemberStats()) || set.UnroutedPackets() != ref.UnroutedPackets() {
+		t.Error("fleet state after the rejected batches differs from a fleet that never saw them")
+	}
+}
+
+// TestGroupStatsAggregation pins the aggregate both composites take from
+// core.Group: additive fields are sums over MemberStats with the unrouted
+// packets counted in — the fleet's split computed from the trace by
+// routeRef — fractional indicators are means, clocks take the most-advanced
+// member and the earliest pending rotation, Counters is the aggregate's and
+// RotateEvery the shortest member's. VectorUtilization is the shards' k
+// wide and nil for the fleet, whose tenants disagree on k.
+func TestGroupStatsAggregation(t *testing.T) {
+	cfgs := fleetSpec()
+	pkts := fleetTrace(60_000, cfgs)
+	for _, tc := range composites(t) {
+		c := tc.mk()
+		c.ProcessBatchInto(pkts, nil)
+		c.AdvanceTo(pkts[len(pkts)-1].Time + 6*time.Second) // fire at least one rotation everywhere
+		per, agg := c.MemberStats(), c.Stats()
+
+		var want core.Stats
+		if tc.lo < 0 {
+			for _, p := range pkts {
+				if routeRef(cfgs, p) < 0 {
+					want.Counters.Count(p, filtering.Pass)
+				}
+			}
+			if want.Counters.OutPackets == 0 || want.Counters.InPackets == 0 {
+				t.Fatalf("%s: the trace routes every packet: the unrouted split is untested", tc.name)
+			}
+		}
+		want.NextRotation, want.RotateEvery = per[0].NextRotation, per[0].RotateEvery
+		for _, st := range per {
+			want.MemoryBytes += st.MemoryBytes
+			want.Rotations += st.Rotations
+			want.Marks += st.Marks
+			want.APDSpared += st.APDSpared
+			want.Counters.Add(st.Counters)
+			want.Utilization += st.Utilization
+			want.Now = max(want.Now, st.Now)
+			want.NextRotation = min(want.NextRotation, st.NextRotation)
+			want.RotateEvery = min(want.RotateEvery, st.RotateEvery)
+		}
+		if want.APDSpared == 0 || want.Rotations == 0 {
+			t.Fatalf("%s: trace exercises too little: %+v", tc.name, want)
+		}
+		if agg.MemoryBytes != want.MemoryBytes || agg.Rotations != want.Rotations ||
+			agg.Marks != want.Marks || agg.APDSpared != want.APDSpared ||
+			agg.Counters != want.Counters || c.Counters() != want.Counters || c.MemoryBytes() != want.MemoryBytes {
+			t.Errorf("%s: additive fields:\nagg:  %+v\nwant: %+v", tc.name, agg, want)
+		}
+		if mean := want.Utilization / float64(len(per)); math.Abs(agg.Utilization-mean) > 1e-12 {
+			t.Errorf("%s: Utilization = %v, want mean %v", tc.name, agg.Utilization, mean)
+		}
+		if agg.Now != want.Now || agg.NextRotation != want.NextRotation || c.RotateEvery() != want.RotateEvery {
+			t.Errorf("%s: clocks: now=%v next=%v Δt=%v, want now=%v next=%v Δt=%v", tc.name,
+				agg.Now, agg.NextRotation, c.RotateEvery(), want.Now, want.NextRotation, want.RotateEvery)
+		}
+		wantK := len(per[0].VectorUtilization)
+		if tc.lo < 0 {
+			wantK = 0
+		}
+		if len(agg.VectorUtilization) != wantK {
+			t.Errorf("%s: VectorUtilization length = %d, want %d", tc.name, len(agg.VectorUtilization), wantK)
+		}
 	}
 }
 
