@@ -314,9 +314,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// The pump owns the hot loop. A signal starts the graceful drain:
 	// readiness flips first (stop routing here), the source closes (intake
 	// stops; queued frames still flow), the pump drains out — Run returns
-	// only after every worker and every lane has been joined — then the
-	// rebalancer is joined, and only then is the final checkpoint taken, all
-	// within the drain deadline.
+	// only after every worker has been joined — then the rebalancer is
+	// joined, and only then is the final checkpoint taken, all within the
+	// drain deadline.
 	quitRebalance := make(chan struct{})
 	var rebalanced <-chan struct{}
 	if spec.fleet != nil && spec.fleet.Budget != nil {
@@ -674,20 +674,16 @@ func printBenchReport(out io.Writer, snap pump.Snapshot, elapsed time.Duration, 
 	fmt.Fprintf(out, "  verdicts: out=%d in=%d pass=%d drop=%d\n",
 		snap.Outgoing, snap.Incoming, snap.Passed, snap.Dropped)
 	// The pump's two serial terms — wall/frame is at least the larger — and
-	// its parallel ones, decode and hash summed over the workers, one per
-	// lane: wall/frame is also at least all of it over the cores.
+	// its parallel ones, decode and hash summed over the workers: wall/frame
+	// is also at least all of it over the cores.
 	perFrame := func(d time.Duration) float64 {
 		if snap.Frames == 0 {
 			return 0
 		}
 		return float64(d.Nanoseconds()) / float64(snap.Frames)
 	}
-	fmt.Fprintf(out, "  serial stages: read %.1f ns/frame, commit %.1f ns/frame (W=%d); parallel: decode %.1f, hash %.1f",
+	fmt.Fprintf(out, "  serial stages: read %.1f ns/frame, commit %.1f ns/frame (W=%d); parallel: decode %.1f, hash %.1f ns/frame\n",
 		perFrame(snap.SourceBusy), perFrame(snap.CommitBusy), snap.Workers, perFrame(snap.DecodeBusy), perFrame(snap.HashBusy))
-	for i, l := range snap.Lanes {
-		fmt.Fprintf(out, ", lane%d %.1f", i, perFrame(l.Busy))
-	}
-	fmt.Fprintln(out, " ns/frame")
 	fmt.Fprintf(out, "  per-packet latency: p50=%v p99=%v\n", snap.LatencyP50, snap.LatencyP99)
 	ratio := 0.0
 	if target > 0 {

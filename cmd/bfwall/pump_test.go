@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,11 +31,13 @@ import (
 // One table: every behaviour of the data plane is one body below, run over
 // the three filters bfwall builds (a single filter, -shards 2, a tenant
 // fleet) at W = 1, 2, 4, through what the daemon itself uses of
-// internal/pump — New, Watch, Run, Snapshot. The Worker*, Lane* and
-// FleetLane* names are the single filter's, the shards' and the fleet's rows
-// of it. A single filter comes two ways: as bfwall builds it (the workers
-// hash, the commit step only touches bits), and behind a wrapper that offers
-// ProcessBatchInto alone (the filter hashes for itself).
+// internal/pump — New, Watch, Run, Snapshot. The Worker* names are the
+// single filter's rows of it, the Shards*, Lane* and Laned* names the
+// shards' and the Fleet* names the fleet's (the routed filters' rows kept
+// the names they had while a lane goroutine judged them). A single filter
+// comes two ways: as bfwall builds it (the workers hash, the commit step
+// only touches bits), and behind a wrapper that offers ProcessBatchInto
+// alone (the filter hashes for itself).
 // What has to step a worker by hand is in internal/pump's own tests.
 
 // workerCounts is the explicit W every row runs at: one loop, two workers
@@ -51,11 +54,11 @@ const minBatch = 512
 // builds.
 type statFilter = core.Snapshottable
 
-// sink is one of the filters a commit can be for, as the rows build it: one
-// judged in place, or a routed one (sharded, a fleet) judged on the lane.
+// sink is one of the filters a commit can be for, as the rows build it: a
+// single filter, or a routed one (sharded, a fleet) that locks itself.
 type sink struct {
-	name  string
-	lanes int // the lanes the pump runs for it: 0 or 1
+	name   string
+	routes bool // a core.Group behind a router: sharded, or a fleet
 	// clients is where this sink's traces put their clients, routed the
 	// prefixes that decide, for the reference, which of them the filter sees,
 	// and told the subnets the pump is given: a fleet's are wrong on purpose,
@@ -84,7 +87,7 @@ var (
 	singleSink = singleSinkOf("single", true)
 	// plainSink is a single filter that does not offer the two halves.
 	plainSink = singleSinkOf("plain", false)
-	fleetSink = sink{name: "fleet", lanes: 1, clients: fleetClients, told: "192.0.2.0/24", routed: fleetPrefixes(),
+	fleetSink = sink{name: "fleet", routes: true, clients: fleetClients, told: "192.0.2.0/24", routed: fleetPrefixes(),
 		build: func(t *testing.T, f *fault) statFilter {
 			if f == nil {
 				return fleetSet(t)
@@ -125,7 +128,7 @@ func singleSinkOf(name string, hashed bool) sink {
 }
 
 func shardsSink(n int) sink {
-	return sink{name: fmt.Sprintf("shards=%d", n), lanes: 1, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
+	return sink{name: fmt.Sprintf("shards=%d", n), routes: true, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
 		build: func(t *testing.T, f *fault) statFilter { return shardedFilter(t, n, f) },
 		restore: func(t *testing.T, r io.Reader) statFilter {
 			f, err := core.ReadAnySnapshot(r, core.WithAPD(testAPD(t, 20e6)))
@@ -270,7 +273,7 @@ func (f *faultyHashed) ProcessHashedInto(pkts []packet.Packet, pairs []uint64, o
 	return f.hashedFilter.ProcessHashedInto(pkts, pairs, out)
 }
 
-// faultyFleet is a fleet with a fault in what its lane calls.
+// faultyFleet is a fleet with a fault in what the commit step calls.
 type faultyFleet struct {
 	*tenant.Set
 	fault *fault
@@ -422,6 +425,7 @@ type scriptedSource struct {
 	jitter bool
 	lieAt  int // the batch (from 1) reported one frame longer than the ring
 	sizes  []int
+	rings  []*capture.Frame // per batch, the buffer it was read into
 	reads  atomic.Int64
 }
 
@@ -441,6 +445,7 @@ func (s *scriptedSource) ReadBatch(frames []capture.Frame) (int, error) {
 	n, err := s.Source.ReadBatch(frames[:want])
 	if n > 0 {
 		s.sizes = append(s.sizes, n)
+		s.rings = append(s.rings, &frames[0])
 		if int(s.reads.Add(1)) == s.lieAt {
 			return len(frames) + 1, err
 		}
@@ -494,6 +499,16 @@ func (r *recordingHashed) ProcessHashedInto(pkts []packet.Packet, pairs []uint64
 	r.calls = append(r.calls, batchOf(pkts))
 	r.hashed++
 	return r.inner.ProcessHashedInto(pkts, pairs, out)
+}
+
+// goroutineID is the calling goroutine's number, from its stack's header.
+func goroutineID() uint64 {
+	var buf [64]byte
+	id, err := strconv.ParseUint(strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1], 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
 }
 
 func firstDifference(a, b []judgedBatch) int {
@@ -566,7 +581,9 @@ func reference(t *testing.T, sk sink, in *intakeOf, sizes []int, skip int) (ref 
 // against the synchronous reference. Every tally must be equal, a single
 // filter must be handed the source's batches in source order with no gap or
 // repeat, and the two filters must end byte for byte in the same state — the
-// lane saw what the sharded filter or the Set sees.
+// commit step fed the sharded filter or the Set what the reference feeds it.
+// With one worker there is no goroutine but the one that calls Run, and that
+// is where the filter is judged: there is no lane.
 func checkMatchesReference(t *testing.T, sk sink, trace []byte, in *intakeOf, shape func(*scriptedSource), workers int) {
 	replay, err := capture.NewReplayBytes(trace, 1)
 	if err != nil {
@@ -574,18 +591,28 @@ func checkMatchesReference(t *testing.T, sk sink, trace []byte, in *intakeOf, sh
 	}
 	src := &scriptedSource{Source: replay, rng: rand.New(rand.NewSource(int64(workers)))}
 	shape(src)
-	bf := sk.build(t, nil)
+	judgedOn := make(chan uint64, 1)
+	bf := sk.build(t, &fault{on: 1, do: func() { judgedOn <- goroutineID() }})
 	rec := &recordingHashed{recordingFilter: &recordingFilter{BatchFilter: bf}}
 	var judge filtering.BatchFilter = bf
-	if sk.lanes == 0 {
+	if !sk.routes {
 		judge = rec.recordingFilter
 		if h, ok := bf.(hashedFilter); ok {
 			rec.inner, judge = h, rec
 		}
 	}
 	p := testPump(src, judge, sk, 37, workers, nil)
+	runner := goroutineID()
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case on := <-judgedOn:
+		if workers == 1 && on != runner {
+			t.Errorf("one worker, and the filter was judged on goroutine %d, not on Run's %d: a lane", on, runner)
+		}
+	default:
+		t.Error("the filter was judged without reaching the hook in its first call")
 	}
 
 	ref, want, wantCalls := reference(t, sk, in, src.sizes, 0)
@@ -602,7 +629,7 @@ func checkMatchesReference(t *testing.T, sk sink, trace []byte, in *intakeOf, sh
 			t.Errorf("decode errors (%s) = %d, reference %d", class, got.DecodeErrors[i], in.decErr[class])
 		}
 	}
-	if sk.lanes == 0 && !reflect.DeepEqual(rec.calls, wantCalls) {
+	if !sk.routes && !reflect.DeepEqual(rec.calls, wantCalls) {
 		t.Errorf("the filter saw %d batches, the source delivered %d; first difference at %d",
 			len(rec.calls), len(wantCalls), firstDifference(rec.calls, wantCalls))
 	}
@@ -615,15 +642,8 @@ func checkMatchesReference(t *testing.T, sk sink, trace []byte, in *intakeOf, sh
 	if !bytes.Equal(snapshotBytes(t, bf), snapshotBytes(t, ref)) {
 		t.Error("the pump's filter and the reference's snapshot to different bytes")
 	}
-	if len(got.Lanes) != sk.lanes || got.Workers != workers {
-		t.Fatalf("%d workers and %d lanes, want %d and %d", got.Workers, len(got.Lanes), workers, sk.lanes)
-	}
-	var judged uint64
-	for _, l := range got.Lanes {
-		judged += l.Frames
-	}
-	if sk.lanes > 0 && judged != uint64(len(in.pkts)) {
-		t.Errorf("the lanes judged %d packets of %d", judged, len(in.pkts))
+	if got.Workers != workers {
+		t.Fatalf("%d workers, want %d", got.Workers, workers)
 	}
 	if workers == 1 && got.ForeignCommits != 0 {
 		t.Errorf("one worker made %d foreign commits", got.ForeignCommits)
@@ -653,8 +673,8 @@ func matchReference(t *testing.T, scan, twoWay string, sinks []sink, rows func(t
 	}
 }
 
-// jitterRows are the lanes' rows: W = 1, 2, 4 behind the source that makes
-// the workers publish out of order.
+// jitterRows are the routed filters' rows: W = 1, 2, 4 behind the source
+// that makes the workers publish out of order.
 func jitterRows(t *testing.T, run func(*testing.T, string, int)) {
 	for _, workers := range workerCounts {
 		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) { run(t, "jitter", workers) })
@@ -679,61 +699,23 @@ func TestWorkerPumpMatchesInlineReference(t *testing.T) {
 	})
 }
 
-// TestLanesMatchShardedReference: the hand-off — ShardOf's slots and the
-// workers' pairs riding in the batch buffer, the lane, its in-order judge —
-// against a second sharded filter's ProcessBatchInto per source batch.
-func TestLanesMatchShardedReference(t *testing.T) {
+// TestShardsMatchShardedReference: ShardOf's slots and the workers' pairs
+// riding in the batch buffer to the commit step's in-order judge, against a
+// second sharded filter's ProcessBatchInto per source batch.
+func TestShardsMatchShardedReference(t *testing.T) {
 	matchReference(t, "scan_flood", "client_mix", []sink{shardsSink(2), shardsSink(4)}, func(t *testing.T, sk sink, run func(*testing.T, string, int)) {
 		t.Run(sk.name, func(t *testing.T) { jitterRows(t, run) })
 	})
 }
 
-// TestFleetLaneMatchesSetReference: the hand-off — slots and the workers'
-// pairs riding in the batch buffer, the lane, its in-order judge — against a
-// second Set's ProcessBatchInto per source batch, which looks every packet
-// up and hashes it itself.
-func TestFleetLaneMatchesSetReference(t *testing.T) {
+// TestFleetMatchesSetReference: slots and the workers' pairs riding in the
+// batch buffer to the commit step's in-order judge, against a second Set's
+// ProcessBatchInto per source batch, which looks every packet up and hashes
+// it itself.
+func TestFleetMatchesSetReference(t *testing.T) {
 	matchReference(t, "scan", "two_way", []sink{fleetSink}, func(t *testing.T, _ sink, run func(*testing.T, string, int)) {
 		jitterRows(t, run)
 	})
-}
-
-// recordingFleet records the size of every batch the fleet's lane judges.
-type recordingFleet struct {
-	*tenant.Set
-	sizes []int
-}
-
-func (r *recordingFleet) ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
-	r.sizes = append(r.sizes, len(pkts))
-	return r.Set.ProcessHashedInto(pkts, slots, pairs, out)
-}
-
-// TestFleetLaneBatchFloor: with one worker and -batch 32 a batch still
-// changes goroutine, so the floor applies: while the source is backlogged
-// the lane never sees a batch below minBatch (a replay is always backlogged,
-// and every frame of this trace is the fleet's).
-func TestFleetLaneBatchFloor(t *testing.T) {
-	replay, err := capture.NewReplayBytes(testTraceOver(t, "10.0.0.0/15,11.0.0.0/16", 40_000, 200, 200*time.Millisecond), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recordingFleet{Set: fleetSet(t)}
-	p := testPump(replay, rec, fleetSink, 32, 1, nil)
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.sizes) < 4 {
-		t.Fatalf("the lane judged %d batches", len(rec.sizes))
-	}
-	for i, n := range rec.sizes[:len(rec.sizes)-1] {
-		if n != minBatch {
-			t.Fatalf("batch %d of %d handed to the lane holds %d packets, want %d", i, len(rec.sizes), n, minBatch)
-		}
-	}
-	if s := p.Snapshot(); s.Unrouted != 0 || s.Lanes[0].Batches != uint64(len(rec.sizes)) {
-		t.Errorf("%d unrouted, %d batches counted of %d", s.Unrouted, s.Lanes[0].Batches, len(rec.sizes))
-	}
 }
 
 // checkQuarantine: a fault in source batch 7 — in its decode (the source
@@ -797,13 +779,16 @@ func TestWorkerPanicQuarantinesBatch(t *testing.T) {
 	t.Run("filter/plain", func(t *testing.T) { checkQuarantine(t, plainSink, "filter", 2) })
 }
 
-// TestLanePanicQuarantinesSubBatch: a source batch lost at the decode never
-// reaches the lane; and a panic inside shard 1 — in the first packet it
-// shows its APD policy — quarantines the whole source batch the lane was
-// judging, counted once, as a fleet's or a single filter's fault is: the
+// TestRoutedPanicQuarantinesBatch: a source batch lost at the decode never
+// reaches the filter; and a panic inside shard 1 — in the first packet it
+// shows its APD policy — quarantines the whole source batch the commit step
+// was judging, counted once, as a fleet's or a single filter's fault is: the
 // filter ends where a reference that met the same fault in the same batch
-// ends, every other batch is judged, Run returns.
-func TestLanePanicQuarantinesSubBatch(t *testing.T) {
+// ends, every other batch is judged, and Run drains the rest of the source.
+// The quarantined batch's buffer goes back to its worker like any other: with
+// one worker, whose buffers come round in turn, every batch is read into the
+// buffer the batch workerBuffers before it was.
+func TestRoutedPanicQuarantinesBatch(t *testing.T) {
 	sk := shardsSink(2)
 	trace := testTraceOver(t, sk.clients, 40_000, 200, 200*time.Millisecond)
 	in := referenceIntake(t, trace, sk.routed)
@@ -855,6 +840,17 @@ func TestLanePanicQuarantinesSubBatch(t *testing.T) {
 			if sum := got.Outgoing + got.Incoming + got.QuarantinedFrames; sum != got.Frames || got.Frames != uint64(in.frames()) {
 				t.Errorf("%d frames of %d read, %d judged or quarantined", got.Frames, in.frames(), sum)
 			}
+			if workers > 1 {
+				return
+			}
+			if len(src.rings) <= 2*pumpBuffers {
+				t.Fatalf("%d batches read: too few to see every buffer come round twice", len(src.rings))
+			}
+			for i := pumpBuffers; i < len(src.rings); i++ {
+				if src.rings[i] != src.rings[i-pumpBuffers] {
+					t.Fatalf("batch %d was not read into the buffer of batch %d: a buffer did not come back", i, i-pumpBuffers)
+				}
+			}
 		})
 	}
 }
@@ -873,11 +869,11 @@ func (v *slotVandal) ProcessHashedInto(pkts []packet.Packet, slots []int32, pair
 }
 
 // TestFleetLaneQuarantinesHostileSlot: a source batch lost at the decode
-// never reaches the lane; and a slot outside the fleet, riding in the batch
-// buffer through the hand-off, reaches the Set. The Set refuses the batch
-// before touching a tenant, the lane's boundary quarantines exactly that
-// batch, and every other packet is judged: the fleet's counters hold what
-// the pump counted judged, nothing of the quarantined batch.
+// never reaches the fleet; and a slot outside the fleet, riding in the batch
+// buffer to the commit step, reaches the Set. The Set refuses the batch
+// before touching a tenant, the judge's boundary quarantines exactly that
+// batch's packets, and every other packet is judged: the fleet's counters
+// hold what the pump counted judged, nothing of the quarantined batch.
 func TestFleetLaneQuarantinesHostileSlot(t *testing.T) {
 	trace := testTraceOver(t, fleetClients, 40_000, 200, 200*time.Millisecond)
 	for _, workers := range workerCounts {
@@ -940,20 +936,16 @@ func checkBackPressure(t *testing.T, sk sink, workers int) {
 	go func() { done <- p.Run() }()
 
 	<-entered
-	// A single filter's judge holds the commit lock: the other workers read
-	// until their buffers are all published behind it, then park. The lane
-	// holds nothing: all of them park, every buffer in its queue.
+	// The judge holds the commit lock: the other workers read until their
+	// buffers are all published behind it, then park.
 	parked, inFlight := uint64(workers-1), workers*pumpBuffers
-	if sk.lanes == 1 {
-		parked = uint64(workers)
-	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		s := p.Snapshot()
 		if s.BufferWaits >= parked && buf.Stats().Shed > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d workers ran out of buffers, %d frames shed, lanes %+v", s.BufferWaits, parked, buf.Stats().Shed, s.Lanes)
+			t.Fatalf("%d of %d workers ran out of buffers, %d frames shed", s.BufferWaits, parked, buf.Stats().Shed)
 		}
 	}
 	// The waits are counted since the start, so one may be from before the
@@ -1012,8 +1004,8 @@ func (c *closeAfter) ReadBatch(frames []capture.Frame) (int, error) {
 }
 
 // checkDrainBeforeSnapshot: a source closed mid-replay ends Run only after
-// every batch read was judged — workers joined, then the lane —
-// so every frame is accounted for, and a snapshot taken when Run returns
+// every batch read was judged — the workers joined, nothing left
+// published — so every frame is accounted for, and a snapshot taken when Run returns
 // restores to exactly that state.
 func checkDrainBeforeSnapshot(t *testing.T, sk sink, workers int) {
 	replay, err := capture.NewReplayBytes(testTraceOver(t, sk.clients, 40_000, 200, 500*time.Millisecond), 1000)
@@ -1066,17 +1058,18 @@ func TestFleetLaneDrainBeforeSnapshot(t *testing.T) {
 }
 
 // TestLaneFlushesShortBatch: one frame from a live source gets its verdict
-// with no further traffic — a short read is committed, and handed to the
-// lane, as it is, not held back for 511 more frames.
+// with no further traffic — a short read is committed and judged as it is,
+// not held back for 511 more frames.
 func TestLaneFlushesShortBatch(t *testing.T) {
 	frame := encodeFrame(t, packet.Packet{Time: time.Second,
 		Tuple: packet.Tuple{Src: packet.AddrFrom4(10, 0, 0, 5), Dst: packet.AddrFrom4(198, 51, 100, 7),
 			SrcPort: 4000, DstPort: 80, Proto: packet.TCP},
 		Dir: packet.Outgoing, Flags: packet.SYN, Length: 60})
-	for _, sk := range allSinks[1:] {
+	for _, sk := range allSinks {
 		t.Run(sk.name, func(t *testing.T) {
 			lb := capture.NewLoopback()
-			p := testPump(lb, sk.build(t, nil), sk, 512, 2, nil)
+			bf := sk.build(t, nil)
+			p := testPump(lb, bf, sk, 512, 2, nil)
 			done := make(chan error, 1)
 			go func() { done <- p.Run() }()
 			if err := lb.WriteFrame(capture.Frame{Time: time.Second, Data: frame}); err != nil {
@@ -1091,12 +1084,8 @@ func TestLaneFlushesShortBatch(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
-			var frames, batches uint64
-			for _, l := range p.Snapshot().Lanes {
-				frames, batches = frames+l.Frames, batches+l.Batches
-			}
-			if frames != 1 || batches != 1 {
-				t.Errorf("the lane judged %d packets in %d batches, want the one frame in one", frames, batches)
+			if c := bf.Counters(); c.OutPackets != 1 || c.InPackets != 0 || p.Snapshot().Counters != c {
+				t.Errorf("the filter judged %+v, want the one frame", c)
 			}
 		})
 	}
@@ -1120,7 +1109,7 @@ func (s *steadySource) Close() error { return nil }
 
 // checkZeroAllocsSteadyState pins the hot-loop contract end to end for a
 // pump running free: buffer reuse + zero-copy decode + publish + commit +
-// the sink's hand-off and judging must not allocate per source batch once
+// the sink's judging must not allocate per source batch once
 // warmed up. Workers running free cannot be stepped (internal/pump's tests
 // step one, for the exact zero), so the check is what another thousand
 // batches add to a run's mallocs — a run allocates to start: goroutines,
@@ -1269,10 +1258,9 @@ func TestStatsWhilePumping(t *testing.T) {
 }
 
 // checkObservability: a judge stuck in its filter flips /healthz by the name
-// of the goroutine it is stuck on — the worker that holds the commit lock, or
-// the lane — while the workers parked behind it stay idle and no endpoint
-// waits for it; and the pump's and the lane's series appear on /stats and
-// /metrics.
+// of the goroutine it is stuck on — the worker that holds the commit lock —
+// while the workers parked behind it stay idle and no endpoint waits for it;
+// and the pump's series appear on /stats and /metrics, with no lane's.
 func checkObservability(t *testing.T, sk sink, workers int) {
 	// Four passes: more than every buffer of four workers holds.
 	replay, err := capture.NewReplayBytes(testTraceOver(t, sk.clients, 40_000, 200, 300*time.Millisecond), 4)
@@ -1308,13 +1296,8 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	go func() { done <- p.Run() }()
 	<-entered // one judge is inside the filter and stays there
 	wedgedAt := time.Now()
-	// Where the pipeline backs up to, what is queued at the wedged lane by
-	// then, and who is stuck: the lane of a sharded filter or a fleet, or the
-	// worker that judges a single filter.
-	parked, wedged, depth, stuck := uint64(workers-1), -1, 0, "worker"
-	if sk.lanes == 1 {
-		parked, wedged, depth, stuck = uint64(workers), 0, workers*pumpBuffers-1, "lane0 stalled"
-	}
+	// Where the pipeline backs up to: every worker but the one that judges.
+	parked := uint64(workers - 1)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if s := p.Snapshot(); s.BufferWaits >= parked {
 			break
@@ -1339,19 +1322,15 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	clock.Store(int64(time.Second))
 	// The judge's locks are held and stay held: no endpoint waits for them.
 	for _, path := range []string{"/stats", "/metrics"} {
-		code, body := get(path)
-		if code != 200 {
+		if code, _ := get(path); code != 200 {
 			t.Errorf("GET %s behind a wedged judge = %d", path, code)
-		}
-		if want := fmt.Sprintf(`bitmapfilter_lane_queue_depth{lane="%d"} %d`, wedged, depth); path == "/metrics" && wedged >= 0 && !strings.Contains(body, want) {
-			t.Errorf("/metrics with lane %d wedged and the pipeline backed up lacks %q", wedged, want)
 		}
 	}
 	code, body := get("/healthz")
-	if code != 503 || !strings.Contains(body, stuck) {
-		t.Errorf("/healthz behind a wedged judge = %d %q, want %q", code, body, stuck)
+	if code != 503 || !strings.Contains(body, "worker") {
+		t.Errorf("/healthz behind a wedged judge = %d %q, want a worker stalled", code, body)
 	}
-	if sk.lanes != 1 && strings.Count(body, "worker") != 1 {
+	if strings.Count(body, "worker") != 1 {
 		t.Errorf("/healthz = %q, want one of %d workers stalled: the rest are idle", body, workers)
 	}
 	wedgedFor := time.Since(wedgedAt)
@@ -1365,16 +1344,15 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("/stats JSON: %v", err)
 	}
-	if snap.Pump.Workers != workers || len(snap.Lanes) != sk.lanes {
-		t.Fatalf("/stats pump = %+v, lanes = %v", snap.Pump, snap.Lanes)
+	if snap.Pump.Workers != workers || strings.Contains(body, `"lanes"`) {
+		t.Fatalf("/stats pump = %+v, or it has lanes: %s", snap.Pump, body)
 	}
 	if workers > 1 && snap.Pump.BufferWaits == 0 {
 		t.Errorf("/stats pump = %+v, want buffer waits behind a wedged judge", snap.Pump)
 	}
-	// The commit lock is held while a single filter judges — the wedge (a
-	// second of the watchdog's clock, tens of ms of this one) included — and
-	// by a laned sink for the hand-off alone.
-	if busy := snap.Pump.CommitBusy; busy <= 0 || busy > time.Since(started).Seconds() || (sk.lanes == 0 && busy < wedgedFor.Seconds()) {
+	// The commit lock is held while the filter judges — the wedge (a second
+	// of the watchdog's clock, tens of ms of this one) included.
+	if busy := snap.Pump.CommitBusy; busy <= 0 || busy > time.Since(started).Seconds() || busy < wedgedFor.Seconds() {
 		t.Errorf("/stats pump.commit_busy_seconds = %g over %v with the judge wedged for %v", busy, time.Since(started), wedgedFor)
 	}
 	// Turns at the source are one at a time: whatever W, they fit in the wall.
@@ -1391,28 +1369,13 @@ func checkObservability(t *testing.T, sk sink, workers int) {
 		`bitmapfilter_resilience_probe_stalled{probe="worker0"} 0`,
 		`bitmapfilter_resilience_probe_stalled{probe="batch"} 0`,
 	}
-	var judged uint64
-	for i, l := range snap.Lanes {
-		judged += l.Frames
-		if l.Batches == 0 {
-			t.Errorf("/stats lane %d judged no batch: %+v", i, l)
-		}
-		wants = append(wants,
-			fmt.Sprintf(`bitmapfilter_lane_frames_total{lane="%d"} %d`, i, l.Frames),
-			fmt.Sprintf(`bitmapfilter_lane_sub_batches_total{lane="%d"} %d`, i, l.Batches),
-			fmt.Sprintf(`bitmapfilter_lane_queue_depth{lane="%d"} 0`, i),
-			fmt.Sprintf(`bitmapfilter_resilience_probe_stalled{probe="lane%d"} 0`, i))
-	}
 	for _, want := range wants {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	if sk.lanes == 0 && strings.Contains(metrics, "bitmapfilter_lane_") {
-		t.Error("/metrics has lane series for a single filter")
-	}
-	if sk.lanes > 0 && judged != snap.Outgoing+snap.Incoming {
-		t.Errorf("/stats lanes judged %d of %d packets", judged, snap.Outgoing+snap.Incoming)
+	if strings.Contains(metrics, `{lane="`) || strings.Contains(metrics, `probe="lane`) {
+		t.Error("/metrics has a lane's series")
 	}
 	// Per-packet latency runs from a batch's read to its last verdict: the
 	// wedge, and the wait behind it, are inside.

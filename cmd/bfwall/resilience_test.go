@@ -429,8 +429,8 @@ func TestWorkerDrainOnSignal(t *testing.T) {
 	drainOnSignal(t, filterCounters, "-queue", "0")
 }
 
-// TestLanedDrainOnSignal: SIGTERM in the middle of a replay over two lanes.
-// The final checkpoint is taken after the lanes are flushed and joined.
+// TestLanedDrainOnSignal: SIGTERM in the middle of a replay over two shards.
+// The final checkpoint is taken after every batch read has been judged.
 func TestLanedDrainOnSignal(t *testing.T) {
 	drainOnSignal(t, filterCounters, "-shards", "2")
 }

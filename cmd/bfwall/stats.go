@@ -35,7 +35,6 @@ type statsSnapshot struct {
 	LatencyP50Ns  int64               `json:"latency_p50_ns"`
 	LatencyP99Ns  int64               `json:"latency_p99_ns"`
 	Pump          pumpSnapshot        `json:"pump"`
-	Lanes         []laneSnapshot      `json:"lanes,omitempty"`
 	Filter        filterSnapshot      `json:"filter"`
 	Bitmap        *bitmapSnapshot     `json:"bitmap,omitempty"`
 	Checkpoint    *checkpointSnapshot `json:"checkpoint,omitempty"`
@@ -47,19 +46,12 @@ type pumpSnapshot struct {
 	ForeignCommits uint64 `json:"foreign_commits"`
 	BufferWaits    uint64 `json:"buffer_waits"`
 	// CommitBusy is the time the commit lock was held: over the wall, the
-	// share of it the serial stage (judge or hand-off) occupies.
+	// share of it the serial stage, the judge, occupies.
 	CommitBusy float64 `json:"commit_busy_seconds"`
 	// SourceBusy is the time spent in the source's ReadBatch under the source
 	// lock, the other serial stage: over frames, at saturation, the read term
 	// of a frame (a live source's wait for traffic is inside it).
 	SourceBusy float64 `json:"source_busy_seconds"`
-}
-
-// laneSnapshot is the lane of a sharded filter or a fleet.
-type laneSnapshot struct {
-	Frames     uint64 `json:"frames"`
-	Batches    uint64 `json:"sub_batches"`
-	QueueDepth int    `json:"queue_depth"`
 }
 
 type filterSnapshot struct {
@@ -125,10 +117,6 @@ func renderStats(snap pump.Snapshot, started, now time.Time) statsSnapshot {
 	for i, class := range pump.DecodeClasses {
 		per[class] = snap.DecodeErrors[i]
 	}
-	var lanes []laneSnapshot
-	for _, l := range snap.Lanes {
-		lanes = append(lanes, laneSnapshot{Frames: l.Frames, Batches: l.Batches, QueueDepth: l.QueueDepth})
-	}
 	return statsSnapshot{
 		UptimeSeconds: uptime,
 		Frames:        snap.Frames,
@@ -145,7 +133,6 @@ func renderStats(snap pump.Snapshot, started, now time.Time) statsSnapshot {
 		LatencyP50Ns:  int64(snap.LatencyP50),
 		LatencyP99Ns:  int64(snap.LatencyP99),
 		Pump:          pumpSnapshot{Workers: snap.Workers, ForeignCommits: snap.ForeignCommits, BufferWaits: snap.BufferWaits, CommitBusy: snap.CommitBusy.Seconds(), SourceBusy: snap.SourceBusy.Seconds()},
-		Lanes:         lanes,
 		Filter:        filterSnapshot{Name: snap.FilterName, MemoryBytes: snap.FilterMemory, Counters: snap.Counters},
 	}
 }
@@ -235,13 +222,6 @@ func newMux(started time.Time, snapshot func() pump.Snapshot, plane *controlPlan
 		e.Counter("bitmapfilter_pump_source_busy_seconds_total", "Seconds spent inside the source's ReadBatch under the source lock (a live source's wait for traffic included)").Float(snap.SourceBusy.Seconds())
 		e.Counter("bitmapfilter_pump_decode_busy_seconds_total", "Seconds the workers spent decoding and classifying their batches, summed over workers").Float(snap.DecodeBusy.Seconds())
 		e.Counter("bitmapfilter_pump_hash_busy_seconds_total", "Seconds the workers spent hashing their batches for a single filter or a fleet, summed over workers").Float(snap.HashBusy.Seconds())
-		var laneBusy time.Duration
-		for _, l := range snap.Lanes {
-			laneBusy += l.Busy
-		}
-		e.Counter("bitmapfilter_pump_lane_busy_seconds_total", "Seconds the lanes spent judging, summed over lanes").Float(laneBusy.Seconds())
-		e.Counter("bitmapfilter_pump_scatter_busy_seconds_total", "Seconds of the commit lock spent handing batches to the lanes").Float(snap.ScatterBusy.Seconds())
-		writeLaneMetrics(&e, snap.Lanes)
 		if b := plane.readBitmap(); b != nil {
 			writeBitmapMetrics(&e, b)
 		}
@@ -255,22 +235,6 @@ func newMux(started time.Time, snapshot func() pump.Snapshot, plane *controlPlan
 		mux.HandleFunc("POST /checkpoint", plane.checkpointNow)
 	}
 	return mux
-}
-
-// writeLaneMetrics writes the lanes' series, one sample per lane; nothing
-// for a single filter, which has none.
-func writeLaneMetrics(e *httpapi.Expo, lanes []pump.LaneSnapshot) {
-	if len(lanes) == 0 {
-		return
-	}
-	perLane := func(f httpapi.Family, v func(pump.LaneSnapshot) uint64) {
-		for i, l := range lanes {
-			f.Int(strconv.Itoa(i), v(l))
-		}
-	}
-	perLane(e.Counters("bitmapfilter_lane_frames_total", "Packets judged by each lane: a sharded filter's, or the fleet's", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Frames })
-	perLane(e.Counters("bitmapfilter_lane_sub_batches_total", "Batches each lane judged", "lane"), func(l pump.LaneSnapshot) uint64 { return l.Batches })
-	perLane(e.Gauges("bitmapfilter_lane_queue_depth", "Batches queued for each lane", "lane"), func(l pump.LaneSnapshot) uint64 { return uint64(l.QueueDepth) })
 }
 
 // readBitmap reads the filter's own state, or nil without one, with the

@@ -146,7 +146,7 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 
 // routedSharded drives a Sharded through its two halves the way the pump
 // does — ShardOf at decode, HashRouted on a worker, ProcessHashedInto on the
-// lane — and moves the clock to the batch's first packet in between, so a
+// commit step — and moves the clock to the batch's first packet in between, so a
 // rotation falls between the hash and the judge whenever one is due: a
 // pair holds across it.
 type routedSharded struct {

@@ -13,14 +13,13 @@
 // straight back to the source. Nobody waits for a turn, and commits happen
 // in exactly the order one goroutine reading in a loop would make them.
 //
-// The filter's type chooses only what a commit does (sinks.go): a single
-// filter is judged right there, under the commit lock, which Locked lends to
-// whoever else must reach the filter; a routed filter's — a core.Group's,
-// a tenant fleet's or a sharded filter's — whole batch is handed, as it is,
-// to its one lane, and the group locks itself. The workers also hash each
-// packet's key to its base pair (a routed filter's with the hasher of the
-// packet's tenant or shard), so what is left to the serial stage is the bit
-// touches.
+// Every filter is judged right there, on the commit step (sinks.go). The
+// filter's type chooses only what else that takes: a single filter's lock is
+// the commit lock, which Locked lends to whoever else must reach the filter;
+// a routed filter — a core.Group: a tenant fleet or a sharded filter — takes
+// its own lock inside the call. The workers also hash each packet's key to
+// its base pair (a routed filter's with the hasher of the packet's tenant or
+// shard), so what is left to the serial stage is the bit touches.
 package pump
 
 import (
@@ -50,14 +49,14 @@ import (
 // 21). W > 2 on cores of its own is unverified: the cap is the model's.
 const maxWorkers = 4
 
-// minBatch is the smallest batch that changes goroutine, however small
-// Config.Batch (the source read) is: a hand-off is a channel send or a lock
-// and, when the other side has caught up, a goroutine wake-up, and below a
-// few hundred packets that costs more than the second core gives back (a
-// fleet's lane handed 32-packet batches read 6.22M → 5.16M frames/s against
-// no lane at all, and 6.22M → 12.89M with this floor). It applies with more
-// than one worker or a lane, and costs no latency: a source that has run
-// dry returns short, and a short batch is committed as it is.
+// minBatch is the smallest batch read with more than one worker, however
+// small Config.Batch (the source read) is: every batch costs a turn at the
+// source lock and a TryLock of the commit lock, and one a worker does not
+// commit itself changes cores; below a few hundred packets that costs more
+// than the second core gives back (a single filter's workers claiming
+// 32-frame batches lost: 9.3–12.8M frames/s against 11.5–11.7M). It costs
+// no latency: a source that has run dry returns short, and a short batch is
+// committed as it is.
 const minBatch = 512
 
 // Config is what New builds a pump from.
@@ -76,7 +75,7 @@ type Config struct {
 	// Workers is W; zero or less means min(GOMAXPROCS, 4).
 	Workers int
 	// Logf, when set, receives terminal source errors and quarantine events;
-	// the workers and the lane call it, so it must tolerate concurrent calls.
+	// the workers call it, so it must tolerate concurrent calls.
 	Logf func(format string, args ...any)
 }
 
@@ -85,7 +84,7 @@ type Config struct {
 // (*tenant.Set), a sharded filter's shard (*core.Sharded); the two differ
 // only in what the slot is. Like a hashedFilter it comes in two halves,
 // both the group's: the workers hash each packet with its slot's hasher,
-// the lane judges the batch in source order.
+// the commit step judges the batch in source order, under the group's lock.
 type routed interface {
 	HashRouted(pkts []packet.Packet, slots []int32, dst []uint64) []uint64
 	ProcessHashedInto(pkts []packet.Packet, slots []int32, pairs []uint64, out []filtering.Verdict) []filtering.Verdict
@@ -139,11 +138,10 @@ type Pump struct {
 	// drain stops at the next batch and no worker takes the commit lock.
 	lending atomic.Int32
 
-	// The sink: routed and its one lane, or neither — verdicts are then
-	// the commit step's own. sharded is routed, when its slots are shards.
+	// What the commit step judges through: routed, or hashed, or neither (the
+	// filter's ProcessBatchInto). sharded is routed, when its slots are shards.
 	routed   routed
 	sharded  sharded
-	lane     *lane
 	hashed   hashedFilter // the single filter, if the workers hash for it
 	verdicts []filtering.Verdict
 	shown    counterCopy
@@ -180,11 +178,8 @@ func New(cfg Config) *Pump {
 		p.clients = packet.NewPrefixTable(cfg.Subnets)
 	}
 	batch := max(cfg.Batch, 1)
-	if n > 1 || p.routed != nil {
+	if n > 1 {
 		batch = max(batch, minBatch)
-	}
-	if p.routed != nil {
-		p.lane = &lane{queue: make(chan *batchBuf, buffers)} // every buffer there is
 	}
 	p.shown.show(p.bf.Counters())
 	p.slots = make([]atomic.Pointer[batchBuf], buffers)
@@ -230,29 +225,24 @@ func (p *Pump) Locked(fn func()) {
 	defer p.commitMu.Unlock()
 	start := time.Now()
 	fn()
-	p.drain(nil, start, len(p.slots))
+	p.drain(nil, len(p.slots))
 	p.commitBusy.Add(int64(time.Since(start)))
 }
 
-// Watch registers the pump's probes with wd, one per goroutine that can
-// wedge — worker<i> (idle on the source, source lock included, and on its
-// free list; beats per published batch), lane0 (idle on its queue; beats
-// per batch) — and batch for the pump as a whole, so that a lane stuck
-// in its filter or a worker stuck in a decode flips /healthz by name.
+// Watch registers the pump's probes with wd, one per worker — worker<i>,
+// idle on the source (source lock included) and on its free list, beating
+// per published batch — and batch for the pump as a whole, so that a worker
+// stuck in its filter or in a decode flips /healthz by name.
 func (p *Pump) Watch(wd *resilience.Watchdog, stallAfter time.Duration) {
 	p.batchProbe = wd.Heartbeat("batch", stallAfter)
 	for i, w := range p.workers {
 		w.probe = wd.Heartbeat(fmt.Sprintf("worker%d", i), stallAfter)
 	}
-	if p.lane != nil {
-		p.lane.probe = wd.Heartbeat("lane0", stallAfter)
-	}
 }
 
 // Run drains the source through the filter until it ends, and returns only
-// once every frame read has its verdict. The drain order is what makes a
-// snapshot taken afterwards whole: workers joined (every batch read is
-// committed) → the lane's queue closed → the lane joined.
+// once every frame read has its verdict: the workers joined and every batch
+// read committed, which is what makes a snapshot taken afterwards whole.
 //
 // The workers run with debug.SetPanicOnFault: a frame's bytes may be a
 // mapped trace (capture.OpenTrace) that a truncation takes away under the
@@ -261,14 +251,7 @@ func (p *Pump) Watch(wd *resilience.Watchdog, stallAfter time.Duration) {
 // back.
 func (p *Pump) Run() error {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	var lane, workers sync.WaitGroup
-	if p.lane != nil {
-		lane.Add(1)
-		go func() {
-			defer lane.Done()
-			p.runLane(p.lane)
-		}()
-	}
+	var workers sync.WaitGroup
 	workers.Add(len(p.workers) - 1)
 	for _, w := range p.workers[1:] {
 		go func() {
@@ -285,10 +268,6 @@ func (p *Pump) Run() error {
 	if p.head.Load() != p.nextSeq {
 		p.Locked(func() {})
 	}
-	if p.lane != nil {
-		close(p.lane.queue)
-	}
-	lane.Wait()
 	// A clean close is silent; anything else is genuinely terminal — the
 	// supervisor has already retried everything survivable — and is logged
 	// with its error class before it surfaces.
@@ -339,8 +318,8 @@ func (p *Pump) decode(dst *packet.Packet, f *capture.Frame, t *intake) (slot int
 }
 
 // quarantine is what both panic boundaries end in: the offending batch's
-// frames are counted under the overload policy, never judged, and the pump
-// carries on.
+// frames (the decode's) or packets (the judge's) are counted under the
+// overload policy, never judged, and the pump carries on.
 func (p *Pump) quarantine(frames int, cause any) {
 	p.quarantinedBatches.Add(1)
 	p.quarantinedFrames.Add(uint64(frames))

@@ -26,7 +26,7 @@ import (
 // sinks builds one filter per sink of the commit step — a single filter two
 // ways: plain (hashed by the workers) and wrapped (by itself); and the two
 // routed filters, a sharded filter and a fleet, hashed by the workers too and
-// judged on the lane.
+// judged under their own lock.
 var sinks = map[string]func(t *testing.T) filtering.BatchFilter{
 	"single":  func(t *testing.T) filtering.BatchFilter { return single(t) },
 	"wrapped": func(t *testing.T) filtering.BatchFilter { return struct{ filtering.BatchFilter }{single(t)} },
@@ -101,23 +101,6 @@ func (s *listSource) ReadBatch(frames []capture.Frame) (int, error) {
 
 func (s *listSource) Close() error { return nil }
 
-// runLane starts the pump's lane, if it has one, for a test that steps the
-// workers by hand; stop closes its queue and waits for it.
-func runLane(p *Pump) (stop func()) {
-	if p.lane == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.runLane(p.lane)
-	}()
-	return func() {
-		close(p.lane.queue)
-		<-done
-	}
-}
-
 // TestPublishOutOfOrder steps two workers by hand through the one
 // interleaving a scheduler cannot be made to produce on demand: the later
 // batch is published first. Its worker must find nothing to commit and not
@@ -142,15 +125,15 @@ func TestPublishOutOfOrder(t *testing.T) {
 			if s := p.Snapshot(); p.head.Load() != 0 || s.ForeignCommits != 0 || len(second.free) != workerBuffers-1 {
 				t.Fatalf("batch 1 published alone: head %d, %d foreign commits, %d buffers free", p.head.Load(), s.ForeignCommits, len(second.free))
 			}
-			if p.lane != nil && len(p.lane.queue) != 0 {
-				t.Fatal("batch 1 published alone reached the lane")
+			if c := p.bf.Counters(); c.OutPackets+c.InPackets != 0 {
+				t.Fatalf("batch 1 published alone was judged: %+v", c)
 			}
 			p.publish(head)
 			p.commit(first)
 			if got := p.foreignCommits.Load(); p.head.Load() != 2 || got != 1 {
 				t.Errorf("head %d, %d foreign commits; want 2 and 1 (batch 1, committed by the worker that decoded batch 0)", p.head.Load(), got)
 			}
-			// The source is at its end: Run only starts the lane and drains.
+			// The source is at its end: Run only drains.
 			if err := p.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -173,13 +156,12 @@ func TestPublishOutOfOrder(t *testing.T) {
 // pairs, so nothing stale can reach the filter; exactly that batch is
 // quarantined, and the buffer's next batch is hashed and judged as ever. The
 // workers hash a base pair, two words, per packet for a single filter that
-// offers its halves and for a routed filter, whose lane runs free here.
+// offers its halves and for a routed filter.
 func TestDecodePanicDropsHashedIndexes(t *testing.T) {
 	for _, name := range []string{"single", "wrapped", "shards", "fleet"} {
 		t.Run(name, func(t *testing.T) {
 			syns, replies := flows(t, 37)
 			p := New(Config{Source: &listSource{batches: [][]capture.Frame{syns, syns, replies}}, Filter: sinks[name](t), Subnets: subnets, Batch: 37, Workers: 1})
-			stop := runLane(p)
 			w := p.workers[0]
 			step := func(b *batchBuf) {
 				p.read(w, b)
@@ -211,9 +193,8 @@ func TestDecodePanicDropsHashedIndexes(t *testing.T) {
 			p.publish(b)
 			p.commit(w)
 			step(p.take(w))
-			stop()
 			s := p.Snapshot()
-			// The lie is one frame more than the ring: 38, or past a lane's batch floor.
+			// The lie is one frame more than the ring: 38.
 			if lie := uint64(len(b.ring) + 1); s.QuarantinedBatches != 1 || s.QuarantinedFrames != lie || p.head.Load() != 3 {
 				t.Errorf("quarantined %d batches, %d frames, head %d; want 1, %d and 3", s.QuarantinedBatches, s.QuarantinedFrames, p.head.Load(), lie)
 			}
@@ -445,13 +426,12 @@ func TestSourceBusyIsTimeInsideReadBatch(t *testing.T) {
 // TestStepZeroAllocs pins the hot-loop contract exactly: buffer reuse,
 // zero-copy decode, the slots, publish, commit and each sink's hand-off and
 // judging allocate nothing per source batch once warm — one worker stepped
-// by hand, the lane running free.
+// by hand.
 func TestStepZeroAllocs(t *testing.T) {
 	for name, build := range sinks {
 		t.Run(name, func(t *testing.T) {
 			syns, _ := flows(t, 16)
 			p := New(Config{Source: &listSource{batches: [][]capture.Frame{syns}, forever: true}, Filter: build(t), Subnets: subnets, Batch: 16, Workers: 1})
-			stop := runLane(p)
 			w := p.workers[0]
 			step := func() {
 				b := p.take(w)
@@ -464,7 +444,6 @@ func TestStepZeroAllocs(t *testing.T) {
 				step()
 			}
 			allocs := testing.AllocsPerRun(200, step)
-			stop()
 			if allocs != 0 {
 				t.Errorf("the pump allocates %.2f times per source batch", allocs)
 			}
@@ -472,14 +451,8 @@ func TestStepZeroAllocs(t *testing.T) {
 			if s.Outgoing != 16*p.head.Load() || p.head.Load() < 200 {
 				t.Errorf("judged %d packets of %d batches", s.Outgoing, p.head.Load())
 			}
-			// The stage clocks: decode always, the hand-off and the lane's
-			// judging where there is a lane.
-			var laneBusy time.Duration
-			for _, l := range s.Lanes {
-				laneBusy += l.Busy
-			}
-			if laned := p.lane != nil; s.DecodeBusy <= 0 || (s.ScatterBusy > 0) != laned || (laneBusy > 0) != laned {
-				t.Errorf("decode %v, scatter %v, lane %v busy (a lane: %v)", s.DecodeBusy, s.ScatterBusy, laneBusy, laned)
+			if s.DecodeBusy <= 0 || s.CommitBusy <= 0 {
+				t.Errorf("decode %v, commit %v busy", s.DecodeBusy, s.CommitBusy)
 			}
 		})
 	}
@@ -500,7 +473,7 @@ func (h *halfJudge) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdi
 	return h.BatchFilter.ProcessBatchInto(pkts, out)
 }
 
-// halfRouted is halfJudge for a routed filter's lane: its ordered half judges
+// halfRouted is halfJudge for a routed filter: its ordered half judges
 // the first half of the second batch, with the pairs the worker hashed.
 type halfRouted struct{ calls int }
 
@@ -538,7 +511,8 @@ func (h *halfJudgeShards) ProcessHashedInto(pkts []packet.Packet, slots []int32,
 // the filter counted part of its batch adds none of it — the batch is
 // quarantined, so every frame is judged or quarantined exactly once — while
 // the shown counters are the filter's, half batch and all, and the next batch
-// is differenced from them.
+// is differenced from them; the quarantined batch's buffer is back with its
+// worker.
 func TestPanicMidBatchCountsNothing(t *testing.T) {
 	for name, build := range map[string]func(t *testing.T) filtering.BatchFilter{
 		"single": func(t *testing.T) filtering.BatchFilter { return &halfJudge{BatchFilter: single(t)} },
@@ -565,11 +539,14 @@ func TestPanicMidBatchCountsNothing(t *testing.T) {
 			if c := bf.Counters(); s.Counters != c || c.InPackets != 60 {
 				t.Errorf("shown counters %+v, the filter holds %+v (60 incoming: 20 before the fault, 40 after)", s.Counters, c)
 			}
+			if free := len(p.workers[0].free); free != workerBuffers {
+				t.Errorf("%d of %d buffers back on the free list: the quarantined batch's did not come back", free, workerBuffers)
+			}
 		})
 	}
 }
 
-// verdictLog is a fleet that keeps every verdict its lane hands back.
+// verdictLog is a fleet that keeps every verdict it hands back.
 type verdictLog struct {
 	*tenant.Set
 	got []filtering.Verdict
@@ -657,8 +634,6 @@ func TestRebalanceBetweenHashAndJudge(t *testing.T) {
 	judged = append(judged, b.pkts...)
 	p.publish(b)
 	p.commit(w)
-	close(p.lane.queue)
-	p.runLane(p.lane)
 
 	rebalance(ref)
 	want := make([]filtering.Verdict, len(judged))
@@ -666,7 +641,7 @@ func TestRebalanceBetweenHashAndJudge(t *testing.T) {
 		want[i] = ref.Process(pkt)
 	}
 	if len(log.got) != len(want) || !slices.Equal(log.got, want) {
-		t.Fatalf("lane verdicts %v, per-packet %v", log.got, want)
+		t.Fatalf("committed verdicts %v, per-packet %v", log.got, want)
 	}
 	if s := p.Snapshot(); s.Passed != 37 || s.Dropped != 0 || s.QuarantinedBatches != 0 {
 		t.Errorf("%d replies passed, %d dropped, %d batches quarantined; want 37, 0 and 0", s.Passed, s.Dropped, s.QuarantinedBatches)

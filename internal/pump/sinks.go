@@ -2,45 +2,29 @@ package pump
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bitmapfilter/internal/filtering"
-	"bitmapfilter/internal/resilience"
 )
 
-// The two sinks of the commit step. Commits happen in source order, under
-// one lock, so each sink sees what one goroutine reading and judging in a
-// loop would have fed it:
+// The commit step judges every filter in place. Commits happen in source
+// order, under one lock, so the filter sees what one goroutine reading and
+// judging in a loop would have fed it: exactly the packets of one source
+// batch per call — ProcessHashedInto over the pairs their worker computed
+// (and, for a routed filter, the slots it found: the tenant classify found,
+// the shard ShardOf named), ProcessBatchInto for a filter that does not offer
+// the halves — so verdicts, counters, rotations, APD draws and snapshot bytes
+// are the inline loop's. A routed filter, a core.Group, takes its own lock
+// inside the call.
 //
-// A single filter is judged in place: exactly the packets of one source
-// batch per call — ProcessHashedInto over the pairs their worker computed,
-// ProcessBatchInto for a filter that does not offer the halves — so verdicts,
-// counters, rotations, APD draws and snapshot bytes are the inline loop's.
-//
-// A routed filter's batch — a tenant fleet's, a sharded filter's — is handed
-// to its one lane whole, zero-copy: the batch buffer carries the slots the
-// worker found (the tenant classify found, the shard ShardOf named) and the
-// pairs it hashed, and the lane gives the buffer back to its worker. The
-// lane sees every packet in source order, cut at the source's batches, and
-// judges each in its tenant's or shard's filter, in that order
-// (ProcessHashedInto): each sees what per-packet Process would have fed it.
-// A fleet is not judged in place because its 2 MiB of tenant state would
-// follow whichever worker commits (tenant_fleet 17.0–18.4M → 13.5–14.2M
-// frames/s, CPU 125 → 140 ns); a lane keeps it on one core.
-
-// lane is the one goroutine that judges a routed filter.
-type lane struct {
-	verdicts []filtering.Verdict // the lane goroutine's
-	// queue carries batches to the lane. It holds every buffer there is, so
-	// a send never blocks: the back-pressure is the workers' own free lists.
-	queue chan *batchBuf
-	probe *resilience.Probe
-
-	frames  atomic.Uint64 // packets judged
-	batches atomic.Uint64 // batches judged
-	busy    atomic.Int64  // ns spent judging them
-}
+// A routed filter used to be handed to a goroutine of its own, a lane, to
+// keep a fleet's 2 MiB of tenant state on one core; that was measured while
+// the lane still regrouped every batch by tenant. With the regroup gone the
+// lane was only a hand-off, and judging in place measured, in alternating
+// pairs of the benchmark on a 2-core box: scan_flood_2lane 12.40M → 13.35M
+// frames/s (10 of 10 pairs, CPU 151.9 → 147.1 ns/frame); tenant_fleet
+// 12.84M → 12.28M (5 of 10) and 12.12M → 12.56M (7 of 10), each inside the
+// parent's spread, CPU 150.6 → 157.4 and 159.5 → 158.1 ns/frame.
 
 // counterCopy is what Snapshot sees of a filter: its counters as of the
 // last batch, left by whoever judged it. A judge can be busy without end
@@ -70,89 +54,42 @@ func (s *counterCopy) get() filtering.Counters {
 }
 
 // sink is what committing one batch means; the caller holds the commit lock.
-// The buffer goes back to its worker here unless the lane takes it over.
 //
 //bf:hotpath
 func (p *Pump) sink(b *batchBuf) {
-	switch {
-	case p.lane == nil:
-		p.count(p.judge(b))
-	case len(b.pkts) > 0:
-		p.lane.queue <- b
-		return
-	}
+	p.count(p.judge(b))
 	b.free <- b
 }
 
-// judge is the single filter's back half: the ordered half of Algorithm 2
-// over exactly the packets of one source batch. A panic quarantines the batch
-// — its frames counted, never judged — and the sequence moves on; the
-// filter's own state is untouched by construction (it mutates per packet, and
-// a panicking packet never completed). It reports whether the filter judged
-// the batch; after a panic the named result is left false.
+// judge is the filter's back half: the ordered half of Algorithm 2 over
+// exactly the packets of one source batch. A panic quarantines the batch —
+// its packets counted, never judged — and the sequence moves on; the filter's
+// own state is untouched by construction (it mutates per packet, and a
+// panicking packet never completed). It reports whether the filter judged the
+// batch; after a panic the named result is left false.
 //
 //bf:hotpath
 func (p *Pump) judge(b *batchBuf) (judged bool) {
-	defer p.contain(b.n) //bf:allow hotpath the panic boundary: a filter fault must cost one source batch, not the daemon
+	defer p.contain(len(b.pkts)) //bf:allow hotpath the panic boundary: a filter fault must cost one source batch, not the daemon
 	if b.poisoned {
 		return false
 	}
-	if p.hashed != nil {
+	switch {
+	case p.hashed != nil:
 		p.verdicts = p.hashed.ProcessHashedInto(b.pkts, b.pairs, p.verdicts)
-	} else {
+	case p.routed != nil:
+		p.verdicts = p.routed.ProcessHashedInto(b.pkts, b.slots[:len(b.pkts)], b.pairs, p.verdicts)
+	default:
 		p.verdicts = p.bf.ProcessBatchInto(b.pkts, p.verdicts)
 	}
 	// From the batch's read to its last verdict, the wait for the batches
 	// ahead of it inside.
-	p.latency.observe(time.Since(b.read), b.n)
+	p.latency.observe(time.Since(b.read), len(b.pkts))
 	return true
 }
 
-func (p *Pump) contain(frames int) {
+func (p *Pump) contain(packets int) {
 	if r := recover(); r != nil {
-		p.quarantine(frames, r)
+		p.quarantine(packets, r)
 	}
-}
-
-// runLane is the lane's goroutine: judge until Run closes the queue.
-//
-//bf:hotpath
-func (p *Pump) runLane(l *lane) {
-	for {
-		setIdle(l.probe, true)
-		b, ok := <-l.queue
-		setIdle(l.probe, false)
-		if !ok {
-			return
-		}
-		p.judgeLane(l, b)
-		beat(l.probe)
-	}
-}
-
-// judgeLane runs one batch through the routed filter and accounts it.
-//
-//bf:hotpath
-func (p *Pump) judgeLane(l *lane, b *batchBuf) {
-	defer p.recycle(b) //bf:allow hotpath the lane's panic boundary, and the buffer must go back to its worker even then
-	start := time.Now()
-	l.verdicts = p.routed.ProcessHashedInto(b.pkts, b.slots[:len(b.pkts)], b.pairs, l.verdicts)
-	l.frames.Add(uint64(len(b.pkts)))
-	l.batches.Add(1)
-	// From the batch's read to its last verdict, queue wait included.
-	now := time.Now()
-	l.busy.Add(int64(now.Sub(start)))
-	p.latency.observe(now.Sub(b.read), len(b.pkts))
-}
-
-// recycle ends judgeLane: a panic quarantines that batch — the workers never
-// notice — and either way the counters are shown and the buffer returns to
-// its worker.
-func (p *Pump) recycle(b *batchBuf) {
-	r := recover()
-	if r != nil {
-		p.quarantine(len(b.pkts), r)
-	}
-	p.count(r == nil)
-	b.free <- b
 }

@@ -51,8 +51,7 @@ func decodeClass(err error) int {
 	}
 }
 
-// tallies are the pump's counters: written by the workers and the lane,
-// read by Snapshot from any goroutine, so everything is atomic; the latency
+// tallies are the pump's counters: written by the workers, read by Snapshot from any goroutine, so everything is atomic; the latency
 // reservoir has its own lock.
 type tallies struct {
 	frames    atomic.Uint64
@@ -61,7 +60,7 @@ type tallies struct {
 	decodeErr [len(DecodeClasses)]atomic.Uint64
 	unrouted  atomic.Uint64 // decodable but outside every client subnet
 
-	// Packets judged, by direction and verdict: the judges' filter counters,
+	// Packets judged, by direction and verdict: the filter's counters,
 	// differenced per batch (count).
 	outgoing atomic.Uint64
 	incoming atomic.Uint64
@@ -69,7 +68,8 @@ type tallies struct {
 	dropped  atomic.Uint64
 
 	// Batches quarantined by a panic boundary, and the frames they carried
-	// (never judged).
+	// that no other tally counts (never judged): all of them at the decode,
+	// the packets the filter was handed at the judge.
 	quarantinedBatches atomic.Uint64
 	quarantinedFrames  atomic.Uint64
 
@@ -84,11 +84,9 @@ type tallies struct {
 	sourceBusy     atomic.Int64
 
 	// The parallel stages' clocks, ns: the workers' decode (decode, classify
-	// and, for shards, ShardOf) and hash, and — a part of commitBusy — the
-	// commit step's hand-off to the lane. The lane keeps its own.
-	decodeBusy  atomic.Int64
-	hashBusy    atomic.Int64
-	scatterBusy atomic.Int64
+	// and, for shards, ShardOf) and hash.
+	decodeBusy atomic.Int64
+	hashBusy   atomic.Int64
 
 	latency reservoir
 }
@@ -227,29 +225,17 @@ type Snapshot struct {
 	// DecodeBusy and HashBusy are the workers' time decoding (decode,
 	// classify and, for shards, ShardOf) and hashing (Hasher.HashBatch for a
 	// single filter, HashRouted for a routed filter), summed over the
-	// workers. ScatterBusy is the part of CommitBusy that hands batches to
-	// the lane; 0 without one.
-	DecodeBusy, HashBusy, ScatterBusy time.Duration
-	// Lanes is empty for a single filter, and the one lane for a routed
-	// filter.
-	Lanes []LaneSnapshot
+	// workers.
+	DecodeBusy, HashBusy time.Duration
 
 	// The filter: its name and size as New found them, its counters as of
-	// the last batch each judge finished.
+	// the last batch judged.
 	FilterName   string
 	FilterMemory uint64
 	Counters     filtering.Counters
 }
 
-// LaneSnapshot is the lane of a routed filter.
-type LaneSnapshot struct {
-	Frames, Batches uint64
-	QueueDepth      int
-	// Busy is the time the lane spent judging.
-	Busy time.Duration
-}
-
-// Snapshot reads the tallies and the judges' counter copies; it never
+// Snapshot reads the tallies and the counter copy the judge left; it never
 // touches the filter, and never waits for a judge.
 func (p *Pump) Snapshot() Snapshot {
 	s := Snapshot{
@@ -270,7 +256,6 @@ func (p *Pump) Snapshot() Snapshot {
 		SourceBusy:         time.Duration(p.sourceBusy.Load()),
 		DecodeBusy:         time.Duration(p.decodeBusy.Load()),
 		HashBusy:           time.Duration(p.hashBusy.Load()),
-		ScatterBusy:        time.Duration(p.scatterBusy.Load()),
 		FilterName:         p.name,
 		FilterMemory:       p.memory,
 		Counters:           p.shown.get(),
@@ -279,13 +264,5 @@ func (p *Pump) Snapshot() Snapshot {
 		s.DecodeErrors[i] = p.decodeErr[i].Load()
 	}
 	s.LatencyP50, s.LatencyP99 = p.latency.quantiles(0.50, 0.99)
-	if l := p.lane; l != nil {
-		s.Lanes = []LaneSnapshot{{
-			Frames:     l.frames.Load(),
-			Batches:    l.batches.Load(),
-			QueueDepth: len(l.queue),
-			Busy:       time.Duration(l.busy.Load()),
-		}}
-	}
 	return s
 }

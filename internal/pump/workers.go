@@ -10,17 +10,17 @@ import (
 )
 
 // workerBuffers is how many batches a worker owns: one being read or
-// decoded, the rest published, or queued at the lane. With all of them in
-// flight the worker blocks on its free list — the pump's back-pressure. A
-// single filter is level from three up (scan_flood: two 19.7M frames/s,
-// three, four and eight 22.2–22.8M); a fleet's lane needs the eight: with
-// four the pipeline runs dry (tenant_fleet, W = 1: 16.0–16.4M → 9.7–9.8M; W =
-// 2: 15.6–17.4M → 14.5–15.3M, CPU +7 %), with eight it is level with the
-// eight sub-batches the lane used to own.
+// decoded, the rest published. With all of them in flight the worker blocks
+// on its free list — the pump's back-pressure. A single filter is level from
+// three up (scan_flood: two 19.7M frames/s, three, four and eight
+// 22.2–22.8M). Eight was sized for the lane a routed filter used to be
+// judged on, whose queue ran dry with four (tenant_fleet, W = 1: 16.0–16.4M →
+// 9.7–9.8M); whether a fleet judged on the commit step still needs eight is
+// unverified, and the constant stays so that the pump's memory does not move.
 const workerBuffers = 8
 
 // batchBuf is one batch of packets on its way to a verdict: a source batch
-// on its way through a worker (and, for a routed filter, through the lane).
+// on its way through a worker to the commit step.
 type batchBuf struct {
 	free  chan *batchBuf  // where it goes back to: its worker's
 	ring  []capture.Frame // bare: a filling source gives the slots buffers
@@ -193,7 +193,7 @@ func (p *Pump) publish(b *batchBuf) {
 func (p *Pump) commit(w *worker) {
 	for p.lending.Load() == 0 && p.slots[p.head.Load()%uint64(len(p.slots))].Load() != nil && p.commitMu.TryLock() {
 		start := time.Now()
-		p.drain(w, start, 0)
+		p.drain(w, 0)
 		p.commitBusy.Add(int64(time.Since(start)))
 		p.commitMu.Unlock()
 	}
@@ -201,11 +201,11 @@ func (p *Pump) commit(w *worker) {
 
 // drain sinks every consecutive published batch from the head on: the
 // first owed of them whatever happens, the rest while nobody waits in
-// Locked. The caller holds the commit lock, taken at since; w is the
-// committing worker, nil for Locked's caller.
+// Locked. The caller holds the commit lock; w is the committing worker, nil
+// for Locked's caller.
 //
 //bf:hotpath
-func (p *Pump) drain(w *worker, since time.Time, owed int) {
+func (p *Pump) drain(w *worker, owed int) {
 	for ; owed > 0 || p.lending.Load() == 0; owed-- {
 		head := p.head.Load()
 		slot := &p.slots[head%uint64(len(p.slots))]
@@ -216,18 +216,10 @@ func (p *Pump) drain(w *worker, since time.Time, owed int) {
 		slot.Store(nil)
 		if w == nil || w.free != b.free {
 			// Committed by a goroutine that did not decode it: the only time
-			// a single filter's packets change cores.
+			// a batch's packets change cores.
 			p.foreignCommits.Add(1)
 		}
 		p.sink(b)
-		if p.lane != nil {
-			// The hand-off to the lane, one clock read a batch: each batch
-			// is timed from the end of the one before, the first from the
-			// lock's acquisition.
-			now := time.Now()
-			p.scatterBusy.Add(int64(now.Sub(since)))
-			since = now
-		}
 		p.head.Store(head + 1)
 		beat(p.batchProbe)
 	}

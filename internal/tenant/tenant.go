@@ -158,9 +158,6 @@ func newSet(states []tenantState, group *core.Group, budget *Budget) (*Set, erro
 		budget: budget, planned: make([]uint64, len(states))}, nil
 }
 
-// Tenants returns the number of tenants.
-func (s *Set) Tenants() int { return len(s.tenants) }
-
 // Name implements filtering.PacketFilter.
 func (s *Set) Name() string { return fmt.Sprintf("tenants(%d)", len(s.tenants)) }
 
@@ -244,15 +241,6 @@ func (s *Set) TenantStats() []Stat {
 	out := make([]Stat, len(per))
 	for i, st := range per {
 		out[i] = Stat{ID: s.tenants[i].id, Prefix: s.tenants[i].prefix, Stats: st}
-	}
-	return out
-}
-
-// TenantIDs returns the tenant identifiers in configuration order.
-func (s *Set) TenantIDs() []string {
-	out := make([]string, len(s.tenants))
-	for i, st := range s.tenants {
-		out[i] = st.id
 	}
 	return out
 }
