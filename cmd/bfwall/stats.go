@@ -211,7 +211,7 @@ func newMux(started time.Time, snapshot func() pump.Snapshot, plane *controlPlan
 		verdict.Int("pass", snap.Passed)
 		verdict.Int("drop", snap.Dropped)
 		e.Gauge("bfwall_pps", "Frames per second since start").Float(perSecond(snap.Frames, time.Since(started).Seconds()))
-		latency := e.Gauges("bfwall_packet_latency_seconds", "Per-packet latency from a batch's read to its last verdict (reservoir sample)", "quantile")
+		latency := e.Gauges("bfwall_packet_latency_seconds", "Per-packet latency from a batch's read to its last verdict (every packet counted, buckets within 1/8)", "quantile")
 		latency.Float("0.5", snap.LatencyP50.Seconds())
 		latency.Float("0.99", snap.LatencyP99.Seconds())
 		e.Gauge("bfwall_filter_memory_bytes", "Bytes of bitmap behind the pump: (k*2^n)/8, summed over shards or tenants").Int(snap.FilterMemory)
@@ -221,7 +221,7 @@ func newMux(started time.Time, snapshot func() pump.Snapshot, plane *controlPlan
 		e.Counter("bitmapfilter_pump_commit_busy_seconds_total", "Seconds the commit lock was held: the serial stage's share of the wall").Float(snap.CommitBusy.Seconds())
 		e.Counter("bitmapfilter_pump_source_busy_seconds_total", "Seconds spent inside the source's ReadBatch under the source lock (a live source's wait for traffic included)").Float(snap.SourceBusy.Seconds())
 		e.Counter("bitmapfilter_pump_decode_busy_seconds_total", "Seconds the workers spent decoding and classifying their batches, summed over workers").Float(snap.DecodeBusy.Seconds())
-		e.Counter("bitmapfilter_pump_hash_busy_seconds_total", "Seconds the workers spent hashing their batches for a single filter or a fleet, summed over workers").Float(snap.HashBusy.Seconds())
+		e.Counter("bitmapfilter_pump_hash_busy_seconds_total", "Seconds the workers spent hashing their batches for a single filter, shards or a fleet, summed over workers").Float(snap.HashBusy.Seconds())
 		if b := plane.readBitmap(); b != nil {
 			writeBitmapMetrics(&e, b)
 		}

@@ -158,7 +158,6 @@ type Pump struct {
 // and a filling one allocates it on first use.
 func New(cfg Config) *Pump {
 	p := &Pump{src: cfg.Source, bf: cfg.Filter, logf: cfg.Logf, name: cfg.Filter.Name(), memory: cfg.Filter.MemoryBytes()}
-	p.latency.init()
 	n := cfg.Workers
 	if n <= 0 {
 		n = min(runtime.GOMAXPROCS(0), maxWorkers)

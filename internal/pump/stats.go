@@ -2,15 +2,12 @@ package pump
 
 import (
 	"errors"
-	"math"
-	"sort"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
-	"bitmapfilter/internal/xrand"
 )
 
 // DecodeClasses names the decode-error classes, in the order
@@ -51,8 +48,9 @@ func decodeClass(err error) int {
 	}
 }
 
-// tallies are the pump's counters: written by the workers, read by Snapshot from any goroutine, so everything is atomic; the latency
-// reservoir has its own lock.
+// tallies are the pump's counters: written by the workers, read by Snapshot
+// from any goroutine, so everything is atomic, the latency histogram's
+// buckets too.
 type tallies struct {
 	frames    atomic.Uint64
 	bytes     atomic.Uint64
@@ -88,7 +86,7 @@ type tallies struct {
 	decodeBusy atomic.Int64
 	hashBusy   atomic.Int64
 
-	latency reservoir
+	latency histogram
 }
 
 // intake is what the decode step tallies over one source batch, added to
@@ -123,85 +121,70 @@ func (p *Pump) count(judged bool) {
 	p.dropped.Add(c.InDropped - was.InDropped)
 }
 
-// reservoirSize bounds the latency sample set: enough for a stable p99,
-// constant memory regardless of run length.
-const reservoirSize = 4096
+// The latency histogram's grid: values below 16 ns have a bucket each, and
+// every power of two above is cut into latencySub buckets, so a bucket's
+// upper bound is at most 1/latencySub above any value in it. Sized for every
+// uint64, so no index is out of range.
+const (
+	latencySubBits = 3
+	latencySub     = 1 << latencySubBits
+	latencyBuckets = (64 - latencySubBits + 1) * latencySub
+)
 
-// reservoir is a uniform sample of per-packet latencies; its lock is taken
-// once per batch and does work only for the packets that land in the sample.
-type reservoir struct {
-	mu      sync.Mutex
-	rng     *xrand.Rand
-	samples []time.Duration
-	seen    uint64
-	// Skip-ahead state (Li's Algorithm L), live once samples is full: skip
-	// arrivals pass unsampled before the next one replaces a random slot; w
-	// is the running key threshold the skips are drawn from.
-	w    float64
-	skip uint64
+// histogram counts per-packet latencies on a log-linear grid of
+// nanoseconds: one atomic add to record, a walk of the counts to read.
+type histogram struct {
+	counts [latencyBuckets]atomic.Uint64
 }
 
-func (r *reservoir) init() {
-	r.rng = xrand.New(0xbf0a11)
-	r.samples = make([]time.Duration, 0, reservoirSize)
+// latencyBucket is v's bucket: its top latencySubBits+1 bits select it
+// within its power of two.
+//
+//bf:hotpath
+func latencyBucket(v uint64) int {
+	shift := max(bits.Len64(v)-latencySubBits-1, 0)
+	return shift*latencySub + int(v>>shift)
+}
+
+// latencyUpper is the largest value bucket i holds.
+func latencyUpper(i int) uint64 {
+	shift := max(i/latencySub-1, 0)
+	return uint64(i-shift*latencySub+1)<<shift - 1
 }
 
 // observe folds one batch's wall-clock processing time in: each of the n
 // packets is attributed the batch average, which is exactly the per-packet
 // cost the saturation question cares about (can the loop keep up), without
-// a clock read per packet.
+// a clock read per packet. A batch of n counts as n single observations of
+// that average.
 //
-// The reservoir is a uniform sample over packets, not batches. Instead of
-// a coin per packet it draws how many arrivals to skip until the next
-// replacement, so a full reservoir costs one subtraction per batch and
-// random draws only per replacement (about reservoirSize·ln(seen/
-// reservoirSize) over a run). The draws depend on the arrival count alone:
-// a batch of n leaves the reservoir exactly as n single observations do.
-func (r *reservoir) observe(elapsed time.Duration, n int) {
+//bf:hotpath
+func (h *histogram) observe(elapsed time.Duration, n int) {
 	if n <= 0 {
 		return
 	}
-	per := elapsed / time.Duration(n)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	left := uint64(n)
-	r.seen += left
-	if len(r.samples) < reservoirSize {
-		for ; left > 0 && len(r.samples) < reservoirSize; left-- {
-			r.samples = append(r.samples, per)
-		}
-		if len(r.samples) == reservoirSize {
-			r.w = 1
-			r.drawSkip()
-		}
-	}
-	for left > r.skip {
-		left -= r.skip + 1
-		r.samples[r.rng.Intn(reservoirSize)] = per
-		r.drawSkip()
-	}
-	r.skip -= left
+	h.counts[latencyBucket(uint64(elapsed/time.Duration(n)))].Add(uint64(n))
 }
 
-// drawSkip advances Algorithm L: shrink the threshold by the largest of
-// reservoirSize uniform keys, then draw the geometric number of arrivals
-// whose keys all exceed it.
-func (r *reservoir) drawSkip() {
-	r.w *= math.Exp(-r.rng.Exp(1) / reservoirSize)
-	r.skip = uint64(r.rng.Exp(1) / -math.Log1p(-r.w))
-}
-
-// quantile pair of the reservoir (zeros when nothing was sampled yet).
-func (r *reservoir) quantiles(q1, q2 float64) (time.Duration, time.Duration) {
-	r.mu.Lock()
-	sorted := append([]time.Duration(nil), r.samples...)
-	r.mu.Unlock()
-	if len(sorted) == 0 {
-		return 0, 0
+// quantile is the upper bound of the bucket holding the packet at rank
+// ⌊q·total⌋+1: never below the exact value, at most 1/latencySub above it,
+// and 0 before the first observation.
+func (h *histogram) quantile(q float64) time.Duration {
+	var total uint64
+	for i := range h.counts {
+		total += h.counts[i].Load()
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) time.Duration { return sorted[int(q*float64(len(sorted)-1))] }
-	return at(q1), at(q2)
+	if total == 0 {
+		return 0
+	}
+	rank, seen := uint64(q*float64(total)), uint64(0)
+	for i := range h.counts {
+		// Counts only grow, so the walk reaches rank even while observe adds.
+		if seen += h.counts[i].Load(); seen > rank {
+			return time.Duration(latencyUpper(i))
+		}
+	}
+	return 0
 }
 
 // Snapshot is the pump as a monitoring plane sees it, in plain values.
@@ -263,6 +246,6 @@ func (p *Pump) Snapshot() Snapshot {
 	for i := range s.DecodeErrors {
 		s.DecodeErrors[i] = p.decodeErr[i].Load()
 	}
-	s.LatencyP50, s.LatencyP99 = p.latency.quantiles(0.50, 0.99)
+	s.LatencyP50, s.LatencyP99 = p.latency.quantile(0.50), p.latency.quantile(0.99)
 	return s
 }
