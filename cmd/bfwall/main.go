@@ -228,9 +228,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}()
 	}
 	sup, err := resilience.NewSupervisor(resilience.SupervisorConfig{
-		Open:      factory,
-		Heartbeat: captureProbe.Beat,
-		Logf:      logf,
+		Open:  factory,
+		Probe: captureProbe,
+		Logf:  logf,
 	})
 	if err != nil {
 		return err

@@ -3,15 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,9 +19,9 @@ import (
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
-	"bitmapfilter/internal/pcap"
 	"bitmapfilter/internal/pump"
 	"bitmapfilter/internal/resilience"
+	"bitmapfilter/internal/spec"
 	"bitmapfilter/internal/tenant"
 )
 
@@ -32,13 +29,13 @@ import (
 // the three filters bfwall builds (a single filter, -shards 2, a tenant
 // fleet) at W = 1, 2, 4, through what the daemon itself uses of
 // internal/pump — New, Watch, Run, Snapshot. The Worker* names are the
-// single filter's rows of it, the Shards*, Lane* and Laned* names the
-// shards' and the Fleet* names the fleet's (the routed filters' rows kept
-// the names they had while a lane goroutine judged them). A single filter
-// comes two ways: as bfwall builds it (the workers hash, the commit step
-// only touches bits), and behind a wrapper that offers ProcessBatchInto
-// alone (the filter hashes for itself).
-// What has to step a worker by hand is in internal/pump's own tests.
+// single filter's rows of it (or every filter's), the Shards* names the
+// shards' and the Fleet* names the fleet's. A single filter comes two ways:
+// as bfwall builds it (the workers hash, the commit step only touches bits),
+// and behind a wrapper that offers ProcessBatchInto alone (the filter hashes
+// for itself). What the commit step feeds each filter is checked against
+// the model in internal/pump's FuzzPumpSpec, and what has to step a worker
+// by hand in internal/pump's own tests.
 
 // workerCounts is the explicit W every row runs at: one loop, two workers
 // handing batches to each other, and more workers than this box has cores.
@@ -57,8 +54,7 @@ type statFilter = core.Snapshottable
 // sink is one of the filters a commit can be for, as the rows build it: a
 // single filter, or a routed one (sharded, a fleet) that locks itself.
 type sink struct {
-	name   string
-	routes bool // a core.Group behind a router: sharded, or a fleet
+	name string
 	// clients is where this sink's traces put their clients, routed the
 	// prefixes that decide, for the reference, which of them the filter sees,
 	// and told the subnets the pump is given: a fleet's are wrong on purpose,
@@ -69,11 +65,8 @@ type sink struct {
 	// batch a single filter or a fleet judges, or in what shard 1 does.
 	build   func(t *testing.T, f *fault) statFilter
 	restore func(t *testing.T, r io.Reader) statFilter
-	// hashed: the pump takes the filter's two halves apart (internal/pump's
-	// hashedFilter). plain, when set, builds what the synchronous reference
-	// runs in build's place.
-	hashed bool
-	plain  func(t *testing.T) statFilter
+	// model is the spec's of a fresh filter (package spec).
+	model func(t *testing.T) *spec.Group
 }
 
 // hashedFilter is internal/pump's, and what the rows need of one.
@@ -87,7 +80,10 @@ var (
 	singleSink = singleSinkOf("single", true)
 	// plainSink is a single filter that does not offer the two halves.
 	plainSink = singleSinkOf("plain", false)
-	fleetSink = sink{name: "fleet", routes: true, clients: fleetClients, told: "192.0.2.0/24", routed: fleetPrefixes(),
+	fleetSink = sink{name: "fleet", clients: fleetClients, told: "192.0.2.0/24", routed: fleetPrefixes(),
+		model: func(t *testing.T) *spec.Group {
+			return spec.NewGroup([]spec.Config{modelOf(13, 1, 3, testAPD(t, 5e6)), modelOf(12, 2, 3, testAPD(t, 5e6)), modelOf(13, 3, 4, testAPD(t, 5e6))}, fleetPrefixes())
+		},
 		build: func(t *testing.T, f *fault) statFilter {
 			if f == nil {
 				return fleetSet(t)
@@ -107,8 +103,10 @@ var (
 // singleSinkOf is a sink that judges in place: through the filter's two
 // halves, or (hashed false) through a wrapper's ProcessBatchInto.
 func singleSinkOf(name string, hashed bool) sink {
-	return sink{name: name, hashed: hashed, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
-		plain: func(t *testing.T) statFilter { return singleFilter(t) },
+	return sink{name: name, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
+		model: func(t *testing.T) *spec.Group {
+			return spec.NewGroup([]spec.Config{modelOf(14, 0, 3, testAPD(t, 20e6))}, nil)
+		},
 		build: func(t *testing.T, f *fault) statFilter {
 			switch {
 			case !hashed:
@@ -128,7 +126,14 @@ func singleSinkOf(name string, hashed bool) sink {
 }
 
 func shardsSink(n int) sink {
-	return sink{name: fmt.Sprintf("shards=%d", n), routes: true, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
+	return sink{name: fmt.Sprintf("shards=%d", n), clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
+		model: func(t *testing.T) *spec.Group {
+			cs := make([]spec.Config, n)
+			for i := range cs {
+				cs[i] = modelOf(14, 0, 3, testAPD(t, 20e6/float64(n))) // a shard's clone, rescaled to its 1/n
+			}
+			return spec.NewGroup(cs, nil)
+		},
 		build: func(t *testing.T, f *fault) statFilter { return shardedFilter(t, n, f) },
 		restore: func(t *testing.T, r io.Reader) statFilter {
 			f, err := core.ReadAnySnapshot(r, core.WithAPD(testAPD(t, 20e6)))
@@ -159,6 +164,26 @@ func testAPD(t *testing.T, bps float64) core.DropPolicy {
 		t.Fatal(err)
 	}
 	return apd
+}
+
+// modelOf is the model of a filter of testGeometry, of order n with m hash
+// functions and the seed and APD policy given.
+func modelOf(n uint, seed uint64, m int, apd core.DropPolicy) spec.Config {
+	return spec.Config{Order: n, Vectors: 4, Hashes: m, RotateEvery: 100 * time.Millisecond, Seed: seed, APD: apd}
+}
+
+// memberStates is each member's State: a single filter's, or each shard's or
+// tenant's.
+func memberStates(bf statFilter) (out []spec.State) {
+	stats := []core.Stats{bf.Stats()}
+	if g, ok := bf.(interface{ MemberStats() []core.Stats }); ok {
+		stats = g.MemberStats()
+	}
+	for _, s := range stats {
+		out = append(out, spec.State{Order: s.Order, Hashes: s.Hashes, Idx: s.CurrentIndex, Now: s.Now, Next: s.NextRotation,
+			Rotations: s.Rotations, Marks: s.Marks, APDSpared: s.APDSpared, Counters: s.Counters})
+	}
+	return out
 }
 
 // The filters rotate every 100 ms of trace time and spare part of the scan
@@ -321,221 +346,7 @@ func testTraceOver(t *testing.T, clients string, scanPPS, connRate float64, span
 	return buf.Bytes()
 }
 
-// hostileTrace is trace with a frame the filter must never see after every
-// 97th: garbage (a truncated decode error), a fragment (refused by class)
-// and transit traffic touching no client subnet (unrouted), in turn.
-func hostileTrace(t *testing.T, trace []byte) []byte {
-	t.Helper()
-	client, server := packet.AddrFrom4(10, 0, 0, 5), packet.AddrFrom4(198, 51, 100, 7)
-	frag := encodeFrame(t, packet.Packet{Tuple: packet.Tuple{Src: server, Dst: client, SrcPort: 80, DstPort: 4000, Proto: packet.TCP},
-		Dir: packet.Incoming, Length: 60})
-	frag[packet.EthernetHeaderLen+6] = 0x20 // MF
-	refixIPChecksum(frag)
-	transit := encodeFrame(t, packet.Packet{Tuple: packet.Tuple{Src: server, Dst: packet.AddrFrom4(203, 0, 113, 9), SrcPort: 1, DstPort: 2, Proto: packet.TCP},
-		Dir: packet.Incoming, Length: 60})
-	extra := [][]byte{{1, 2, 3}, frag, transit}
-
-	src, err := capture.NewReplayBytes(trace, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	w, err := pcap.NewWriter(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := make([]capture.Frame, 64)
-	for frames := 0; ; {
-		n, err := src.ReadBatch(ring)
-		for _, f := range ring[:n] {
-			if werr := w.WriteRecord(pcap.Record{Time: f.Time, Data: f.Data}); werr != nil {
-				t.Fatal(werr)
-			}
-			if frames++; frames%97 == 0 {
-				if werr := w.WriteRecord(pcap.Record{Time: f.Time, Data: extra[frames/97%len(extra)]}); werr != nil {
-					t.Fatal(werr)
-				}
-			}
-		}
-		if err != nil {
-			return out.Bytes()
-		}
-	}
-}
-
-// intakeOf is the reference front half: what the pump's decode step makes of
-// every frame of a trace, without the pump.
-type intakeOf struct {
-	pkts []packet.Packet
-	// upTo[i] is how many packets the first i frames yield, so the packets
-	// of frames [a, b) are pkts[upTo[a]:upTo[b]].
-	upTo     []int
-	unrouted uint64
-	decErr   map[string]uint64
-}
-
-func (in *intakeOf) frames() int { return len(in.upTo) - 1 }
-
-func referenceIntake(t *testing.T, trace []byte, routed []packet.Prefix) *intakeOf {
-	t.Helper()
-	table := packet.NewPrefixTable(routed)
-	src, err := capture.NewReplayBytes(trace, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &intakeOf{upTo: []int{0}, decErr: map[string]uint64{}}
-	ring := make([]capture.Frame, 64)
-	for {
-		n, err := src.ReadBatch(ring)
-		for _, f := range ring[:n] {
-			var pkt packet.Packet
-			if derr := packet.DecodeInto(&pkt, f.Data); derr != nil {
-				switch {
-				case errors.Is(derr, packet.ErrTruncated):
-					in.decErr["truncated"]++
-				case errors.Is(derr, packet.ErrFragmented):
-					in.decErr["fragmented"]++
-				default:
-					t.Fatalf("unexpected decode error in a test trace: %v", derr)
-				}
-			} else if dir, slot := table.ClassifySlot(pkt.Tuple); slot < 0 {
-				in.unrouted++
-			} else {
-				pkt.Time, pkt.Dir = f.Time, dir
-				in.pkts = append(in.pkts, pkt)
-			}
-			in.upTo = append(in.upTo, len(in.pkts))
-		}
-		if err != nil {
-			return in
-		}
-	}
-}
-
-// scriptedSource wraps a source and records the size of every batch it
-// delivers — the cut the filter must see. It can deliver ragged short
-// batches, yield or sleep at random inside ReadBatch so the workers fall
-// out of step and batches are published out of source order, and lie about
-// one batch's length (a source bug the decode boundary has to contain).
-// The pump reads it under its source lock, so it needs none of its own.
-type scriptedSource struct {
-	capture.Source
-	rng    *rand.Rand
-	ragged bool
-	jitter bool
-	lieAt  int // the batch (from 1) reported one frame longer than the ring
-	sizes  []int
-	rings  []*capture.Frame // per batch, the buffer it was read into
-	reads  atomic.Int64
-}
-
-func (s *scriptedSource) ReadBatch(frames []capture.Frame) (int, error) {
-	want := len(frames)
-	if s.ragged {
-		want = 1 + s.rng.Intn(len(frames))
-	}
-	if s.jitter {
-		switch s.rng.Intn(4) {
-		case 0:
-			runtime.Gosched()
-		case 1:
-			time.Sleep(time.Duration(s.rng.Intn(200)) * time.Microsecond)
-		}
-	}
-	n, err := s.Source.ReadBatch(frames[:want])
-	if n > 0 {
-		s.sizes = append(s.sizes, n)
-		s.rings = append(s.rings, &frames[0])
-		if int(s.reads.Add(1)) == s.lieAt {
-			return len(frames) + 1, err
-		}
-	}
-	return n, err
-}
-
-var sourceShapes = map[string]func(*scriptedSource){
-	"batch37": func(*scriptedSource) {}, // divides nothing
-	"ragged":  func(s *scriptedSource) { s.ragged = true },
-	"jitter":  func(s *scriptedSource) { s.ragged, s.jitter = true, true },
-}
-
-// judgedBatch is one ProcessBatchInto call as recordingFilter saw it.
-type judgedBatch struct {
-	n     int
-	first time.Duration // the first packet's timestamp; -1 for an empty batch
-}
-
-func batchOf(pkts []packet.Packet) judgedBatch {
-	if len(pkts) == 0 {
-		return judgedBatch{0, -1}
-	}
-	return judgedBatch{len(pkts), pkts[0].Time}
-}
-
-// recordingFilter records the batches a single filter's pump judges, in
-// commit order. Every call is made under the commit lock, and the workers
-// that made them are joined before Run returns.
-type recordingFilter struct {
-	filtering.BatchFilter
-	calls []judgedBatch
-}
-
-func (r *recordingFilter) ProcessBatchInto(pkts []packet.Packet, out []filtering.Verdict) []filtering.Verdict {
-	r.calls = append(r.calls, batchOf(pkts))
-	return r.BatchFilter.ProcessBatchInto(pkts, out)
-}
-
-// recordingHashed records the same of a filter judged through its ordered
-// half, and how many of the calls came that way.
-type recordingHashed struct {
-	*recordingFilter
-	inner  hashedFilter
-	hashed int
-}
-
-func (r *recordingHashed) Hasher() *core.Hasher { return r.inner.Hasher() }
-
-func (r *recordingHashed) ProcessHashedInto(pkts []packet.Packet, pairs []uint64, out []filtering.Verdict) []filtering.Verdict {
-	r.calls = append(r.calls, batchOf(pkts))
-	r.hashed++
-	return r.inner.ProcessHashedInto(pkts, pairs, out)
-}
-
-// goroutineID is the calling goroutine's number, from its stack's header.
-func goroutineID() uint64 {
-	var buf [64]byte
-	id, err := strconv.ParseUint(strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1], 10, 64)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
-func firstDifference(a, b []judgedBatch) int {
-	for i := range a {
-		if i >= len(b) || a[i] != b[i] {
-			return i
-		}
-	}
-	return len(a)
-}
-
 type totalsOf struct{ out, in, pass, drop uint64 }
-
-func (c *totalsOf) add(pkts []packet.Packet, verdicts []filtering.Verdict) {
-	for i := range pkts {
-		switch {
-		case pkts[i].Dir == packet.Outgoing:
-			c.out++
-		case verdicts[i] == filtering.Pass:
-			c.in++
-			c.pass++
-		default:
-			c.in++
-			c.drop++
-		}
-	}
-}
 
 func totals(s pump.Snapshot) totalsOf { return totalsOf{s.Outgoing, s.Incoming, s.Passed, s.Dropped} }
 
@@ -548,195 +359,36 @@ func snapshotBytes(t *testing.T, bf core.Snapshottable) []byte {
 	return buf.Bytes()
 }
 
-// reference is the synchronous form every sink is checked against: one
-// goroutine, a fresh filter of the sink's kind, one ProcessBatchInto per
-// source batch in the cut the pump's source delivered — all of them but
-// batch skip (from 1; 0 skips none).
-func reference(t *testing.T, sk sink, in *intakeOf, sizes []int, skip int) (ref statFilter, want totalsOf, calls []judgedBatch) {
+// traceFrames counts the frames of a trace.
+func traceFrames(t *testing.T, trace []byte) (n uint64) {
 	t.Helper()
-	if sk.plain != nil {
-		ref = sk.plain(t)
-	} else {
-		ref = sk.build(t, nil)
-	}
-	var verdicts []filtering.Verdict
-	frame := 0
-	for i, n := range sizes {
-		chunk := in.pkts[in.upTo[frame]:in.upTo[frame+n]]
-		frame += n
-		if i+1 == skip {
-			continue
-		}
-		calls = append(calls, batchOf(chunk))
-		verdicts = ref.ProcessBatchInto(chunk, verdicts)
-		want.add(chunk, verdicts)
-	}
-	if frame != in.frames() {
-		t.Fatalf("the source delivered %d frames of %d", frame, in.frames())
-	}
-	return ref, want, calls
-}
-
-// checkMatchesReference is the differential: the pump over sk at W workers
-// against the synchronous reference. Every tally must be equal, a single
-// filter must be handed the source's batches in source order with no gap or
-// repeat, and the two filters must end byte for byte in the same state — the
-// commit step fed the sharded filter or the Set what the reference feeds it.
-// With one worker there is no goroutine but the one that calls Run, and that
-// is where the filter is judged: there is no lane.
-func checkMatchesReference(t *testing.T, sk sink, trace []byte, in *intakeOf, shape func(*scriptedSource), workers int) {
-	replay, err := capture.NewReplayBytes(trace, 1)
+	src, err := capture.NewReplayBytes(trace, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &scriptedSource{Source: replay, rng: rand.New(rand.NewSource(int64(workers)))}
-	shape(src)
-	judgedOn := make(chan uint64, 1)
-	bf := sk.build(t, &fault{on: 1, do: func() { judgedOn <- goroutineID() }})
-	rec := &recordingHashed{recordingFilter: &recordingFilter{BatchFilter: bf}}
-	var judge filtering.BatchFilter = bf
-	if !sk.routes {
-		judge = rec.recordingFilter
-		if h, ok := bf.(hashedFilter); ok {
-			rec.inner, judge = h, rec
+	ring := make([]capture.Frame, 64)
+	for {
+		k, err := src.ReadBatch(ring)
+		if n += uint64(k); err != nil {
+			return n
 		}
 	}
-	p := testPump(src, judge, sk, 37, workers, nil)
-	runner := goroutineID()
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case on := <-judgedOn:
-		if workers == 1 && on != runner {
-			t.Errorf("one worker, and the filter was judged on goroutine %d, not on Run's %d: a lane", on, runner)
-		}
-	default:
-		t.Error("the filter was judged without reaching the hook in its first call")
-	}
-
-	ref, want, wantCalls := reference(t, sk, in, src.sizes, 0)
-	if st := ref.Stats(); want.pass == 0 || want.drop == 0 || st.Rotations == 0 || st.APDSpared == 0 {
-		t.Fatalf("trace exercises too little: %+v, %d rotations, %d spared", want, st.Rotations, st.APDSpared)
-	}
-	got := p.Snapshot()
-	if got.Frames != uint64(in.frames()) || totals(got) != want || got.Unrouted != in.unrouted {
-		t.Errorf("pump: %d frames %+v, %d unrouted; reference: %d frames %+v, %d unrouted",
-			got.Frames, totals(got), got.Unrouted, in.frames(), want, in.unrouted)
-	}
-	for i, class := range pump.DecodeClasses {
-		if got.DecodeErrors[i] != in.decErr[class] {
-			t.Errorf("decode errors (%s) = %d, reference %d", class, got.DecodeErrors[i], in.decErr[class])
-		}
-	}
-	if !sk.routes && !reflect.DeepEqual(rec.calls, wantCalls) {
-		t.Errorf("the filter saw %d batches, the source delivered %d; first difference at %d",
-			len(rec.calls), len(wantCalls), firstDifference(rec.calls, wantCalls))
-	}
-	if sk.hashed != (rec.hashed > 0) || (sk.hashed && rec.hashed != len(rec.calls)) {
-		t.Errorf("%d of %d batches were judged through the ordered half alone (the sink's filter offers it: %v)", rec.hashed, len(rec.calls), sk.hashed)
-	}
-	if got, want := bf.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
-		t.Errorf("filter state\n  pump:      %+v\n  reference: %+v", got, want)
-	}
-	if !bytes.Equal(snapshotBytes(t, bf), snapshotBytes(t, ref)) {
-		t.Error("the pump's filter and the reference's snapshot to different bytes")
-	}
-	if got.Workers != workers {
-		t.Fatalf("%d workers, want %d", got.Workers, workers)
-	}
-	if workers == 1 && got.ForeignCommits != 0 {
-		t.Errorf("one worker made %d foreign commits", got.ForeignCommits)
-	}
-	if got.Counters != bf.Counters() {
-		t.Errorf("shown counters %+v, the filter holds %+v", got.Counters, bf.Counters())
-	}
-}
-
-// matchReference runs the differential over a scan-shaped and a two-way
-// trace, named as the sink's family always named them. The shape of the
-// source and W are for rows to choose: it calls run once per row.
-func matchReference(t *testing.T, scan, twoWay string, sinks []sink, rows func(t *testing.T, sk sink, run func(t *testing.T, shape string, workers int))) {
-	for name, conf := range map[string]struct{ scanPPS, connRate float64 }{scan: {40_000, 25}, twoWay: {500, 4000}} {
-		t.Run(name, func(t *testing.T) {
-			trace := hostileTrace(t, testTraceOver(t, sinks[0].clients, conf.scanPPS, conf.connRate, 500*time.Millisecond))
-			in := referenceIntake(t, trace, sinks[0].routed)
-			if in.unrouted == 0 || in.decErr["truncated"] == 0 || in.decErr["fragmented"] == 0 {
-				t.Fatalf("the hostile frames did not land: %d unrouted, decode errors %v", in.unrouted, in.decErr)
-			}
-			for _, sk := range sinks {
-				rows(t, sk, func(t *testing.T, shape string, workers int) {
-					checkMatchesReference(t, sk, trace, in, sourceShapes[shape], workers)
-				})
-			}
-		})
-	}
-}
-
-// jitterRows are the routed filters' rows: W = 1, 2, 4 behind the source
-// that makes the workers publish out of order.
-func jitterRows(t *testing.T, run func(*testing.T, string, int)) {
-	for _, workers := range workerCounts {
-		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) { run(t, "jitter", workers) })
-	}
-}
-
-// TestWorkerPumpMatchesInlineReference: a single filter behind the pump —
-// hashed by the workers, judged under the commit lock — against the inline
-// loop the workers replaced, behind every source shape; the same filter
-// behind a wrapper that hashes for itself, against that same reference.
-func TestWorkerPumpMatchesInlineReference(t *testing.T) {
-	matchReference(t, "scan", "two_way", []sink{singleSink, plainSink}, func(t *testing.T, sk sink, run func(*testing.T, string, int)) {
-		if sk.name != singleSink.name {
-			t.Run(sk.name, func(t *testing.T) { jitterRows(t, run) })
-			return
-		}
-		for shape := range sourceShapes {
-			for _, workers := range workerCounts {
-				t.Run(fmt.Sprintf("%s/W=%d", shape, workers), func(t *testing.T) { run(t, shape, workers) })
-			}
-		}
-	})
-}
-
-// TestShardsMatchShardedReference: ShardOf's slots and the workers' pairs
-// riding in the batch buffer to the commit step's in-order judge, against a
-// second sharded filter's ProcessBatchInto per source batch.
-func TestShardsMatchShardedReference(t *testing.T) {
-	matchReference(t, "scan_flood", "client_mix", []sink{shardsSink(2), shardsSink(4)}, func(t *testing.T, sk sink, run func(*testing.T, string, int)) {
-		t.Run(sk.name, func(t *testing.T) { jitterRows(t, run) })
-	})
-}
-
-// TestFleetMatchesSetReference: slots and the workers' pairs riding in the
-// batch buffer to the commit step's in-order judge, against a second Set's
-// ProcessBatchInto per source batch, which looks every packet up and hashes
-// it itself.
-func TestFleetMatchesSetReference(t *testing.T) {
-	matchReference(t, "scan", "two_way", []sink{fleetSink}, func(t *testing.T, _ sink, run func(*testing.T, string, int)) {
-		jitterRows(t, run)
-	})
 }
 
 // checkQuarantine: a fault in source batch 7 — in its decode (the source
 // reports more frames than the ring holds) or, for a single filter, in what
-// judges it (ProcessHashedInto, or a wrapper's ProcessBatchInto) — quarantines
-// exactly that batch. The sequence keeps
-// advancing, every other batch is judged in order — the filter ends where a
-// reference that never saw batch 7 ends — and Run returns: no worker waits
-// forever for a head that will never be published.
+// judges it (ProcessHashedInto, or a wrapper's ProcessBatchInto) —
+// quarantines exactly that batch. The sequence keeps advancing, every other
+// batch is judged in order — the filter ends where the model fed every batch
+// but the seventh ends — and Run returns: no worker waits forever for a head
+// that will never be published.
 func checkQuarantine(t *testing.T, sk sink, where string, workers int) {
 	const faultAt = 7 // late enough that every worker has buffers in flight
-	trace := testTraceOver(t, sk.clients, 40_000, 200, 500*time.Millisecond)
-	in := referenceIntake(t, trace, sk.routed)
-	replay, err := capture.NewReplayBytes(trace, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &scriptedSource{Source: replay}
+	wire := specWire(t)
+	src := &spec.Source{Frames: wire.Frames}
 	var f *fault
 	if where == "decode" {
-		src.lieAt = faultAt
+		src.LieAt = faultAt
 	} else {
 		f = panicOn(faultAt)
 	}
@@ -747,27 +399,49 @@ func checkQuarantine(t *testing.T, sk sink, where string, workers int) {
 		t.Fatalf("pump died on a contained panic: %v", err)
 	}
 
+	model, owner := sk.model(t), &spec.Group{Prefixes: sk.routed}
+	var judged, lost uint64
 	frame := 0
-	for _, n := range src.sizes[:faultAt-1] {
+	for b, n := range src.Sizes {
+		for i := frame; i < frame+n; i++ {
+			switch pkt := wire.Pkts[i]; {
+			case wire.Errs[i] != "" || owner.Route(pkt.Tuple, pkt.Dir) < 0:
+			case b+1 == faultAt:
+				lost++
+			default:
+				judged++
+				model.Process(pkt)
+			}
+		}
 		frame += n
 	}
-	lost := src.sizes[faultAt-1]
-	lostPkts := uint64(in.upTo[frame+lost] - in.upTo[frame])
-	frames, counted := uint64(in.frames()), uint64(lost)
+	// A judge's fault quarantines the batch's packets, a decode's its frames,
+	// and the one the source made up.
+	frames, counted := uint64(len(wire.Frames)), lost
 	if where == "decode" {
-		frames, counted = frames+1, counted+1 // the frame the source made up
+		frames, counted = frames+1, uint64(src.Sizes[faultAt-1])+1
 	}
 	got := p.Snapshot()
 	if got.QuarantinedBatches != 1 || logged.Load() != 1 || got.QuarantinedFrames != counted {
 		t.Errorf("quarantined %d batches, %d frames, logged %d times; want 1, %d and 1", got.QuarantinedBatches, got.QuarantinedFrames, logged.Load(), counted)
 	}
-	if judged := got.Outgoing + got.Incoming; got.Frames != frames || judged != uint64(len(in.pkts))-lostPkts {
-		t.Errorf("%d frames, %d judged; want %d and all %d packets but the quarantined %d", got.Frames, judged, frames, len(in.pkts), lostPkts)
+	if c := model.Counters(); got.Frames != frames || got.Outgoing+got.Incoming != judged || totals(got) != (totalsOf{c.OutPackets, c.InPackets, c.InPassed, c.InDropped}) {
+		t.Errorf("%d frames, %+v judged; want %d, and all %d packets but the quarantined %d: the model's %+v", got.Frames, totals(got), frames, judged, lost, c)
 	}
-	ref, want, _ := reference(t, sk, in, src.sizes, faultAt)
-	if totals(got) != want || !bytes.Equal(snapshotBytes(t, bf), snapshotBytes(t, ref)) {
-		t.Errorf("pump %+v, a reference that never saw batch %d %+v; or they snapshot to different bytes", totals(got), faultAt, want)
+	if got, want := memberStates(bf), model.States(); !reflect.DeepEqual(got, want) {
+		t.Errorf("the filter ends in\n  %+v\nthe model that never saw batch %d in\n  %+v", got, faultAt, want)
 	}
+}
+
+// specWire is the harness's traffic as frames (spec.NewWire): twenty
+// thousand packets, some forty rotations of testGeometry's.
+func specWire(t *testing.T) *spec.Wire {
+	t.Helper()
+	wire, err := spec.NewWire([]spec.Op{{Pkts: spec.Trace(20_000, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
 }
 
 func TestWorkerPanicQuarantinesBatch(t *testing.T) {
@@ -783,23 +457,18 @@ func TestWorkerPanicQuarantinesBatch(t *testing.T) {
 // reaches the filter; and a panic inside shard 1 — in the first packet it
 // shows its APD policy — quarantines the whole source batch the commit step
 // was judging, counted once, as a fleet's or a single filter's fault is: the
-// filter ends where a reference that met the same fault in the same batch
+// filter ends where the model that met the same fault in the same batch
 // ends, every other batch is judged, and Run drains the rest of the source.
 // The quarantined batch's buffer goes back to its worker like any other: with
 // one worker, whose buffers come round in turn, every batch is read into the
 // buffer the batch workerBuffers before it was.
 func TestRoutedPanicQuarantinesBatch(t *testing.T) {
 	sk := shardsSink(2)
-	trace := testTraceOver(t, sk.clients, 40_000, 200, 200*time.Millisecond)
-	in := referenceIntake(t, trace, sk.routed)
+	wire := specWire(t)
 	for _, workers := range workerCounts {
 		t.Run(fmt.Sprintf("decode/W=%d", workers), func(t *testing.T) { checkQuarantine(t, sk, "decode", workers) })
 		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
-			replay, err := capture.NewReplayBytes(trace, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := &scriptedSource{Source: replay}
+			src := &spec.Source{Frames: wire.Frames}
 			bf := sk.build(t, panicOn(1))
 			var logged atomic.Int64
 			p := testPump(src, bf, sk, 64, workers, func(string, ...any) { logged.Add(1) })
@@ -807,52 +476,80 @@ func TestRoutedPanicQuarantinesBatch(t *testing.T) {
 				t.Fatalf("pump died on a contained panic: %v", err)
 			}
 
-			// The reference meets the same fault in the same batch, in the
-			// same packet: it judges what came before it and none after.
-			ref, lost := sk.build(t, panicOn(1)), 0
-			var want totalsOf
-			var verdicts []filtering.Verdict
+			// The model meets the same fault in the same batch, in the same
+			// packet: it judges what came before it and none after.
+			model, owner := sk.model(t), &spec.Group{Prefixes: sk.routed}
+			model.Members[1].APD = &panicFirst{Policy: model.Members[1].APD}
+			var lost uint64
 			frame := 0
-			for _, n := range src.sizes {
-				chunk := in.pkts[in.upTo[frame]:in.upTo[frame+n]]
+			for _, n := range src.Sizes {
+				var batch []packet.Packet
+				for i := frame; i < frame+n; i++ {
+					if pkt := wire.Pkts[i]; wire.Errs[i] == "" && owner.Route(pkt.Tuple, pkt.Dir) >= 0 {
+						batch = append(batch, pkt)
+					}
+				}
 				frame += n
 				func() {
 					defer func() {
 						if recover() != nil {
-							lost += len(chunk)
+							lost += uint64(len(batch))
 						}
 					}()
-					verdicts = ref.ProcessBatchInto(chunk, verdicts)
-					want.add(chunk, verdicts)
+					for _, pkt := range batch {
+						model.Process(pkt)
+					}
 				}()
 			}
 			got := p.Snapshot()
 			if lost == 0 || lost > minBatch {
-				t.Fatalf("the reference lost %d packets to the fault, want one batch of at most %d", lost, minBatch)
+				t.Fatalf("the model lost %d packets to the fault, want one batch of at most %d", lost, minBatch)
 			}
-			if got.QuarantinedBatches != 1 || logged.Load() != 1 || got.QuarantinedFrames != uint64(lost) {
+			if got.QuarantinedBatches != 1 || logged.Load() != 1 || got.QuarantinedFrames != lost {
 				t.Errorf("quarantined %d batches, %d frames, logged %d times; want the one source batch of %d, once",
 					got.QuarantinedBatches, got.QuarantinedFrames, logged.Load(), lost)
 			}
-			if totals(got) != want || !bytes.Equal(snapshotBytes(t, bf), snapshotBytes(t, ref)) {
-				t.Errorf("pump %+v, the reference %+v; or they snapshot to different bytes", totals(got), want)
+			if c := model.Counters(); totals(got) != (totalsOf{c.OutPackets, c.InPackets, c.InPassed, c.InDropped}) {
+				t.Errorf("pump %+v, the model %+v", totals(got), c)
 			}
-			if sum := got.Outgoing + got.Incoming + got.QuarantinedFrames; sum != got.Frames || got.Frames != uint64(in.frames()) {
-				t.Errorf("%d frames of %d read, %d judged or quarantined", got.Frames, in.frames(), sum)
+			if got, want := memberStates(bf), model.States(); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards\n  %+v\nthe model's\n  %+v", got, want)
+			}
+			refused := got.Unrouted
+			for _, n := range got.DecodeErrors {
+				refused += n
+			}
+			if sum := got.Outgoing + got.Incoming + got.QuarantinedFrames + refused; sum != got.Frames || got.Frames != uint64(len(wire.Frames)) {
+				t.Errorf("%d frames of %d read, %d judged, quarantined or refused", got.Frames, len(wire.Frames), sum)
 			}
 			if workers > 1 {
 				return
 			}
-			if len(src.rings) <= 2*pumpBuffers {
-				t.Fatalf("%d batches read: too few to see every buffer come round twice", len(src.rings))
+			if len(src.Rings) <= 2*pumpBuffers {
+				t.Fatalf("%d batches read: too few to see every buffer come round twice", len(src.Rings))
 			}
-			for i := pumpBuffers; i < len(src.rings); i++ {
-				if src.rings[i] != src.rings[i-pumpBuffers] {
+			for i := pumpBuffers; i < len(src.Rings); i++ {
+				if src.Rings[i] != src.Rings[i-pumpBuffers] {
 					t.Fatalf("batch %d was not read into the buffer of batch %d: a buffer did not come back", i, i-pumpBuffers)
 				}
 			}
 		})
 	}
+}
+
+// panicFirst is an APD policy whose first Observe panics, as shard 1's does
+// behind faultPolicy.
+type panicFirst struct {
+	spec.Policy
+	done bool
+}
+
+func (p *panicFirst) Observe(pkt packet.Packet) {
+	if !p.done {
+		p.done = true
+		panic("injected filter fault")
+	}
+	p.Policy.Observe(pkt)
 }
 
 // slotVandal hands the fleet a slot it never issued, once.
@@ -868,13 +565,13 @@ func (v *slotVandal) ProcessHashedInto(pkts []packet.Packet, slots []int32, pair
 	return v.Set.ProcessHashedInto(pkts, slots, pairs, out)
 }
 
-// TestFleetLaneQuarantinesHostileSlot: a source batch lost at the decode
+// TestFleetQuarantinesHostileSlot: a source batch lost at the decode
 // never reaches the fleet; and a slot outside the fleet, riding in the batch
 // buffer to the commit step, reaches the Set. The Set refuses the batch
 // before touching a tenant, the judge's boundary quarantines exactly that
 // batch's packets, and every other packet is judged: the fleet's counters
 // hold what the pump counted judged, nothing of the quarantined batch.
-func TestFleetLaneQuarantinesHostileSlot(t *testing.T) {
+func TestFleetQuarantinesHostileSlot(t *testing.T) {
 	trace := testTraceOver(t, fleetClients, 40_000, 200, 200*time.Millisecond)
 	for _, workers := range workerCounts {
 		t.Run(fmt.Sprintf("decode/W=%d", workers), func(t *testing.T) { checkQuarantine(t, fleetSink, "decode", workers) })
@@ -921,14 +618,14 @@ func checkBackPressure(t *testing.T, sk sink, workers int) {
 	// Six passes: more than the queue holds, and a queue of more than every
 	// buffer of four workers.
 	const loops, queue = 6, 32768
-	total := loops * uint64(referenceIntake(t, trace, sk.routed).frames())
+	total := loops * traceFrames(t, trace)
 	replay, err := capture.NewReplayBytes(trace, loops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := resilience.NewBuffer(replay, resilience.BufferConfig{Capacity: queue, SnapLen: 256})
 	defer buf.Close()
-	src := &scriptedSource{Source: buf}
+	src := &spec.Source{Source: buf}
 	f, entered, release := wedge()
 	defer release()
 	p := testPump(src, sk.build(t, f), sk, 64, workers, nil)
@@ -951,10 +648,10 @@ func checkBackPressure(t *testing.T, sk sink, workers int) {
 	// The waits are counted since the start, so one may be from before the
 	// pipeline backed up for good: the reads have stopped when none is made
 	// for 20 ms.
-	reads := src.reads.Load()
+	reads := src.Reads.Load()
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		time.Sleep(20 * time.Millisecond)
-		again := src.reads.Load()
+		again := src.Reads.Load()
 		if again == reads {
 			break
 		}
@@ -1045,22 +742,22 @@ func TestWorkerDrainBeforeSnapshot(t *testing.T) {
 	}
 }
 
-func TestLanesDrainBeforeSnapshot(t *testing.T) {
+func TestShardsDrainBeforeSnapshot(t *testing.T) {
 	for _, workers := range workerCounts {
 		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) { checkDrainBeforeSnapshot(t, shardsSink(2), workers) })
 	}
 }
 
-func TestFleetLaneDrainBeforeSnapshot(t *testing.T) {
+func TestFleetDrainBeforeSnapshot(t *testing.T) {
 	for _, workers := range workerCounts {
 		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) { checkDrainBeforeSnapshot(t, fleetSink, workers) })
 	}
 }
 
-// TestLaneFlushesShortBatch: one frame from a live source gets its verdict
+// TestWorkerFlushesShortBatch: one frame from a live source gets its verdict
 // with no further traffic — a short read is committed and judged as it is,
 // not held back for 511 more frames.
-func TestLaneFlushesShortBatch(t *testing.T) {
+func TestWorkerFlushesShortBatch(t *testing.T) {
 	frame := encodeFrame(t, packet.Packet{Time: time.Second,
 		Tuple: packet.Tuple{Src: packet.AddrFrom4(10, 0, 0, 5), Dst: packet.AddrFrom4(198, 51, 100, 7),
 			SrcPort: 4000, DstPort: 80, Proto: packet.TCP},
@@ -1151,9 +848,9 @@ func checkZeroAllocsSteadyState(t *testing.T, sk sink) {
 	}
 }
 
-func TestPumpZeroAllocsSteadyState(t *testing.T)          { checkZeroAllocsSteadyState(t, singleSink) }
-func TestLanedPumpZeroAllocsSteadyState(t *testing.T)     { checkZeroAllocsSteadyState(t, shardsSink(2)) }
-func TestFleetLanePumpZeroAllocsSteadyState(t *testing.T) { checkZeroAllocsSteadyState(t, fleetSink) }
+func TestPumpZeroAllocsSteadyState(t *testing.T)       { checkZeroAllocsSteadyState(t, singleSink) }
+func TestShardsPumpZeroAllocsSteadyState(t *testing.T) { checkZeroAllocsSteadyState(t, shardsSink(2)) }
+func TestFleetPumpZeroAllocsSteadyState(t *testing.T)  { checkZeroAllocsSteadyState(t, fleetSink) }
 
 // slowFilter takes its time over every batch, so the decoders stay ahead of
 // the judge: the head of the sequence is always published and whoever holds
@@ -1390,7 +1087,7 @@ func TestWorkerObservability(t *testing.T) {
 	}
 }
 
-func TestLaneObservability(t *testing.T) {
+func TestShardsAndFleetObservability(t *testing.T) {
 	for name, sk := range map[string]sink{"shards": shardsSink(2), "fleet": fleetSink} {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range workerCounts {

@@ -429,9 +429,9 @@ func TestWorkerDrainOnSignal(t *testing.T) {
 	drainOnSignal(t, filterCounters, "-queue", "0")
 }
 
-// TestLanedDrainOnSignal: SIGTERM in the middle of a replay over two shards.
+// TestShardsDrainOnSignal: SIGTERM in the middle of a replay over two shards.
 // The final checkpoint is taken after every batch read has been judged.
-func TestLanedDrainOnSignal(t *testing.T) {
+func TestShardsDrainOnSignal(t *testing.T) {
 	drainOnSignal(t, filterCounters, "-shards", "2")
 }
 
@@ -449,8 +449,8 @@ func writeFleet(t *testing.T, dir, doc string) string {
 	return path
 }
 
-// TestFleetLaneDrainOnSignal is TestLanedDrainOnSignal for a fleet.
-func TestFleetLaneDrainOnSignal(t *testing.T) {
+// TestFleetDrainOnSignal is TestShardsDrainOnSignal for a fleet.
+func TestFleetDrainOnSignal(t *testing.T) {
 	drainOnSignal(t, func(r io.Reader) (filtering.Counters, error) {
 		set, err := tenant.ReadSnapshot(r, nil)
 		if err != nil {

@@ -5,38 +5,28 @@ import (
 	"testing"
 
 	"bitmapfilter/internal/hashfam"
+	"bitmapfilter/internal/spec"
 	"bitmapfilter/internal/xrand"
 )
 
-// model is the executable specification of a Vector: one bool per bit,
-// indexes reduced modulo the length. The three multi-index kernels are
-// checked against it rather than against each other.
-type model []bool
+// The kernels are checked against the spec's bit vector (package spec), a
+// bool per bit, rather than against each other.
 
-func newModel(order uint) model { return make(model, 1<<order) }
+func newModel(order uint) spec.Vector { return make(spec.Vector, 1<<order) }
 
-func (m model) set(h uint64) bool {
-	i := h & uint64(len(m)-1)
-	was := m[i]
-	m[i] = true
-	return !was
-}
-
-func (m model) clear(h uint64) { m[h&uint64(len(m)-1)] = false }
-
-func (m model) setAll(idxs []uint64) int {
-	newly := 0
+// setAll sets every index in m and returns how many bits were clear.
+func setAll(m spec.Vector, idxs []uint64) (newly int) {
 	for _, h := range idxs {
-		if m.set(h) {
+		if m.Set(h) {
 			newly++
 		}
 	}
 	return newly
 }
 
-func (m model) testAll(idxs []uint64) bool {
+func testAll(m spec.Vector, idxs []uint64) bool {
 	for _, h := range idxs {
-		if !m[h&uint64(len(m)-1)] {
+		if !m.Test(h) {
 			return false
 		}
 	}
@@ -45,7 +35,7 @@ func (m model) testAll(idxs []uint64) bool {
 
 // check asserts that v holds exactly the model's bits and that its running
 // count equals both the model's population and Σ OnesCount64 of the words.
-func (m model) check(t *testing.T, v *Vector, label string) {
+func check(t *testing.T, m spec.Vector, v *Vector, label string) {
 	t.Helper()
 	var ones uint64
 	for i, want := range m {
@@ -108,42 +98,42 @@ func TestDuplicateIndexDifferential(t *testing.T) {
 
 	single, singleModel := MustNew(order), newModel(order)
 	for gi, g := range groups {
-		if got, want := single.TestAll(g), singleModel.testAll(g); got != want {
+		if got, want := single.TestAll(g), testAll(singleModel, g); got != want {
 			t.Fatalf("group %d %x: TestAll before = %v, model %v", gi, g, got, want)
 		}
 		for _, h := range g {
 			single.Set(h)
 		}
-		singleModel.setAll(g)
+		setAll(singleModel, g)
 		if !single.TestAll(g) {
 			t.Fatalf("group %d %x: TestAll false right after Set", gi, g)
 		}
-		singleModel.check(t, single, "Set")
+		check(t, singleModel, single, "Set")
 	}
 
 	for _, k := range []int{1, 4} {
-		vecs, models := make([]*Vector, k), make([]model, k)
+		vecs, models := make([]*Vector, k), make([]spec.Vector, k)
 		for i := range vecs {
 			vecs[i], models[i] = MustNew(order), newModel(order)
 			// Desynchronize starting contents across vectors.
 			for j := 0; j < i*29; j++ {
 				h := r.Uint64()
 				vecs[i].Set(h)
-				models[i].set(h)
+				models[i].Set(h)
 			}
 		}
 		for gi, g := range groups {
 			SetAllVectors(vecs, g)
 			for i := range vecs {
-				models[i].setAll(g)
-				models[i].check(t, vecs[i], "SetAllVectors")
+				setAll(models[i], g)
+				check(t, models[i], vecs[i], "SetAllVectors")
 			}
 
 			// A probe that shares some of the group's indexes and adds
 			// fresh ones: true only if the model says every bit is set.
 			probe := append(append([]uint64(nil), g[:len(g)/2]...), r.Uint64(), r.Uint64())
 			for i := range vecs {
-				if got, want := vecs[i].TestAll(probe), models[i].testAll(probe); got != want {
+				if got, want := vecs[i].TestAll(probe), testAll(models[i], probe); got != want {
 					t.Fatalf("k=%d group %d vector %d: TestAll(%x) = %v, model %v", k, gi, i, probe, got, want)
 				}
 			}
@@ -226,13 +216,13 @@ func FuzzCountCoherence(f *testing.F) {
 			switch op % 8 {
 			case 0:
 				h := next(&i)
-				if got, want := v.Set(h), vm.set(h); got != want {
+				if got, want := v.Set(h), vm.Set(h); got != want {
 					t.Fatalf("op %d (#%d): Set = %v, model %v", op, i, got, want)
 				}
 			case 1:
 				h := next(&i)
 				v.Clear(h)
-				vm.clear(h)
+				vm[h&uint64(len(vm)-1)] = false
 			case 2:
 				newly := 0
 				for _, h := range group {
@@ -240,21 +230,21 @@ func FuzzCountCoherence(f *testing.F) {
 						newly++
 					}
 				}
-				if want := vm.setAll(group); newly != want {
+				if want := setAll(vm, group); newly != want {
 					t.Fatalf("op %d (#%d): Set over the group newly = %d, model %d", op, i, newly, want)
 				}
 			case 3:
-				if got, want := v.TestAll(group), vm.testAll(group); got != want {
+				if got, want := v.TestAll(group), testAll(vm, group); got != want {
 					t.Fatalf("op %d (#%d): TestAll = %v, model %v", op, i, got, want)
 				}
 			case 4:
 				SetAllVectors(vecs, group)
-				vm.setAll(group)
-				sm.setAll(group)
+				setAll(vm, group)
+				setAll(sm, group)
 			case 5:
 				h := next(&i)
 				other.Set(h)
-				om.set(h)
+				om.Set(h)
 			case 6:
 				var buf bytes.Buffer
 				if _, err := other.WriteTo(&buf); err != nil {
@@ -268,9 +258,9 @@ func FuzzCountCoherence(f *testing.F) {
 				v.Reset()
 				clear(vm)
 			}
-			vm.check(t, v, "v")
-			om.check(t, other, "other")
-			sm.check(t, second, "second")
+			check(t, vm, v, "v")
+			check(t, om, other, "other")
+			check(t, sm, second, "second")
 		}
 	})
 }

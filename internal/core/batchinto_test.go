@@ -140,68 +140,3 @@ func TestProcessBatchIntoContract(t *testing.T) {
 		})
 	}
 }
-
-// TestProcessBatchIntoChunkedReuse is the steady-state shape drivers use:
-// one verdict buffer recycled across many variable-size chunks, checked
-// against a sequential twin.
-func TestProcessBatchIntoChunkedReuse(t *testing.T) {
-	pkts := diffTrace(3000, 5)
-	for name, mk := range mkIntoFilters(t) {
-		t.Run(name, func(t *testing.T) {
-			into := mk()
-			seq := mk()
-			var out []filtering.Verdict
-			chunks := []int{1, 300, 7, 512, 64, 2, 100}
-			off := 0
-			for i := 0; off < len(pkts); i++ {
-				end := min(off+chunks[i%len(chunks)], len(pkts))
-				out = into.ProcessBatchInto(pkts[off:end], out)
-				for j := off; j < end; j++ {
-					if want := seq.Process(pkts[j]); out[j-off] != want {
-						t.Fatalf("verdict[%d] = %v, want %v", j, out[j-off], want)
-					}
-				}
-				off = end
-			}
-		})
-	}
-}
-
-// FuzzProcessBatchInto fuzzes the contract: arbitrary chunk splits and
-// buffer capacities must reproduce the sequential verdict stream exactly,
-// hashed by the filter chunk by chunk or by the caller a batch ahead.
-func FuzzProcessBatchInto(f *testing.F) {
-	f.Add(uint64(1), uint(16), uint(0))
-	f.Add(uint64(42), uint(1), uint(3))
-	f.Add(uint64(9), uint(255), uint(1000))
-	f.Fuzz(func(t *testing.T, seed uint64, chunk uint, capHint uint) {
-		pkts := diffTrace(600, seed)
-		chunkSize := int(chunk%256) + 1
-		seq := MustNew(WithOrder(10), WithSeed(seed))
-		bat := MustNew(WithOrder(10), WithSeed(seed))
-		hashed := MustNew(WithOrder(10), WithSeed(seed))
-
-		want := make([]filtering.Verdict, len(pkts))
-		for i := range pkts {
-			want[i] = seq.Process(pkts[i])
-		}
-
-		out := make([]filtering.Verdict, 0, capHint%1024)
-		hout := make([]filtering.Verdict, 0, capHint%1024)
-		pairs := make([]uint64, 0, capHint%64)
-		for off := 0; off < len(pkts); off += chunkSize {
-			end := min(off+chunkSize, len(pkts))
-			out = bat.ProcessBatchInto(pkts[off:end], out)
-			pairs = hashed.Hasher().HashBatch(pkts[off:end], pairs)
-			hout = hashed.ProcessHashedInto(pkts[off:end], pairs, hout)
-			for i := off; i < end; i++ {
-				if out[i-off] != want[i] || hout[i-off] != want[i] {
-					t.Fatalf("seed %d chunk %d: verdict[%d] = %v, hashed ahead %v, want %v",
-						seed, chunkSize, i, out[i-off], hout[i-off], want[i])
-				}
-			}
-		}
-		mustEqualStats(t, seq.Stats(), bat.Stats(), "fuzz")
-		mustEqualStats(t, seq.Stats(), hashed.Stats(), "fuzz, hashed ahead")
-	})
-}

@@ -3,181 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
-	"bitmapfilter/internal/bitvector"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
+	"bitmapfilter/internal/spec"
 	"bitmapfilter/internal/xrand"
 )
-
-// refProcess is the test-only reference the batch kernel is checked
-// against: Algorithm 2 one packet at a time, every mark through
-// SetAllVectors (no newest-vector shortcut, no chunking), the key through
-// the byte-slice hash kernels. It drives a Filter built by New (partial
-// tuples, MarkAllVectors) so that the clock, the APD policy, the coin and
-// the counters are the very ones the kernel uses.
-func refProcess(f *Filter, pkt packet.Packet) filtering.Verdict {
-	f.AdvanceTo(pkt.Time)
-	key := pkt.Tuple.IncomingKey()
-	if pkt.Dir == packet.Outgoing {
-		key = pkt.Tuple.OutgoingKey()
-	}
-	idxs := f.hasher.fam.Indexes(nil, key[:])
-	apd := f.cfg.apd
-	if pkt.Dir == packet.Outgoing {
-		if apd == nil || !pkt.IsSignal() {
-			bitvector.SetAllVectors(f.vectors, idxs)
-			f.marks++
-		}
-		if apd != nil {
-			apd.Observe(pkt)
-		}
-		f.counters.Count(pkt, filtering.Pass)
-		return filtering.Pass
-	}
-	v := filtering.Pass
-	if !f.vectors[f.idx].TestAll(idxs) {
-		v = filtering.Drop
-		if apd != nil && !f.rng.Bool(apd.DropProbability(pkt.Time)) {
-			v = filtering.Pass
-			f.apdSpared++
-		}
-	}
-	if v == filtering.Pass && apd != nil {
-		apd.Observe(pkt)
-	}
-	f.counters.Count(pkt, v)
-	return v
-}
-
-// kernelTrace builds the trace the exactness test needs, for a filter with
-// Δt = 10 ms: a small pool of flows (so most marks repeat and the shortcut
-// is taken), strangers (so lookups miss and the APD coin is tossed), time
-// steps that put a rotation every few dozen packets at no particular chunk
-// offset, the occasional gap beyond k·Δt, and fresh flows whose reply
-// follows at once. replies lists the index of each such reply that shares
-// a 32-aligned chunk with the outgoing packet just before it.
-func kernelTrace(n int, seed uint64) (pkts []packet.Packet, replies []int) {
-	r := xrand.New(seed)
-	now := time.Duration(0)
-	add := func(tup packet.Tuple, dir packet.Direction) {
-		flags := packet.ACK
-		if r.Bool(0.1) {
-			flags = packet.SYN | packet.ACK // a signal packet: unmarked under APD
-		}
-		pkts = append(pkts, packet.Packet{Time: now, Tuple: tup, Dir: dir, Flags: flags, Length: 60 + r.Intn(1400)})
-	}
-	for fresh := 0; len(pkts) < n; {
-		now += time.Duration(r.Intn(400)) * time.Microsecond
-		if r.Intn(500) == 0 {
-			now += 50 * time.Millisecond // ≥ k·Δt: the wholesale-reset arm
-		}
-		tup := packet.Tuple{
-			Src: packet.AddrFrom4(10, 0, byte(r.Intn(2)), byte(r.Intn(32))), Dst: server,
-			SrcPort: uint16(4000 + r.Intn(8)), DstPort: 80, Proto: packet.TCP,
-		}
-		switch r.Intn(10) {
-		case 0, 1, 2, 3:
-			add(tup, packet.Outgoing)
-		case 4, 5, 6:
-			add(tup.Reverse(), packet.Incoming)
-		case 7, 8:
-			stranger := packet.Tuple{Src: packet.Addr(r.Uint32() | 1), Dst: client,
-				SrcPort: uint16(1 + r.Intn(65535)), DstPort: uint16(1 + r.Intn(65535)), Proto: packet.UDP}
-			add(stranger, packet.Incoming)
-		default:
-			fresh++
-			tup.Src, tup.SrcPort, tup.Proto = packet.AddrFrom4(10, 9, byte(fresh>>8), byte(fresh)), 9000, packet.UDP
-			add(tup, packet.Outgoing)
-			add(tup.Reverse(), packet.Incoming)
-			if i := len(pkts) - 1; i%chunkSize != 0 {
-				replies = append(replies, i)
-			}
-		}
-	}
-	return pkts[:n], replies
-}
-
-// TestChunkedKernelMatchesReference is exactness: hashing a chunk ahead of
-// the clock and skipping marks the newest vector already holds changes no
-// verdict, no counter, no coin flip and no bit of any vector, at batch
-// sizes on both sides of the chunk size, with rotations inside chunks and
-// replies in the chunk of the packet that admits them. At order 25 the kernel
-// also prefetches ahead, which must not show either.
-func TestChunkedKernelMatchesReference(t *testing.T) {
-	pkts, replies := kernelTrace(6000, 11)
-	for _, geom := range []struct {
-		order uint
-		apd   bool
-	}{{12, false}, {12, true}, {25, false}, {25, true}} {
-		order, apd := geom.order, geom.apd
-		mk := func() *Filter {
-			opts := []Option{WithOrder(order), WithSeed(5), WithRotateEvery(10 * time.Millisecond)}
-			if apd {
-				p, err := NewBandwidthPolicy(20e6, 100*time.Millisecond)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts = append(opts, WithAPD(p))
-			}
-			return MustNew(opts...)
-		}
-		ref := mk()
-		if ref.prefetching != (order >= prefetchMinOrder) {
-			t.Fatalf("order %d: prefetching %v", order, ref.prefetching)
-		}
-		want := make([]filtering.Verdict, len(pkts))
-		midChunkRotations := 0
-		for i, p := range pkts {
-			before := ref.Rotations()
-			want[i] = refProcess(ref, p)
-			if ref.Rotations() != before && i%chunkSize != 0 {
-				midChunkRotations++
-			}
-		}
-		if midChunkRotations < 10 || len(replies) < 10 {
-			t.Fatalf("trace too tame: %d rotations inside a chunk, %d same-chunk replies", midChunkRotations, len(replies))
-		}
-		for _, i := range replies {
-			if want[i] != filtering.Pass {
-				t.Fatalf("apd=%v: reply %d to the packet before it was dropped", apd, i)
-			}
-		}
-		if s := ref.Stats(); apd && (s.APDSpared == 0 || s.Counters.InDropped == 0) {
-			t.Fatalf("APD coin never went both ways: %+v", s)
-		}
-
-		refSnapshot := snapshotOf(t, ref)
-		for _, batch := range []int{1, 31, 32, 33, 64, 512} {
-			f := mk()
-			var out []filtering.Verdict
-			for off := 0; off < len(pkts); off += batch {
-				end := min(off+batch, len(pkts))
-				out = f.ProcessBatchInto(pkts[off:end], out)
-				for i, v := range out {
-					if v != want[off+i] {
-						t.Fatalf("order %d apd=%v batch %d: verdict[%d] = %v, reference %v (%v)", order, apd, batch, off+i, v, want[off+i], pkts[off+i])
-					}
-				}
-			}
-			label := fmt.Sprintf("order %d apd=%v batch %d", order, apd, batch)
-			if !reflect.DeepEqual(f.Stats(), ref.Stats()) {
-				t.Errorf("%s: stats diverged:\nkernel:    %+v\nreference: %+v", label, f.Stats(), ref.Stats())
-			}
-			for i, v := range f.vectors {
-				if !v.Equal(ref.vectors[i]) { // every word and the running popcount
-					t.Errorf("%s: vector %d differs from the reference (%v vs %v)", label, i, v, ref.vectors[i])
-				}
-			}
-			if !bytes.Equal(snapshotOf(t, f), refSnapshot) {
-				t.Errorf("%s: snapshot bytes differ from the reference's", label)
-			}
-		}
-	}
-}
 
 // TestVectorsStayNested is the invariant mark's shortcut rests on: whatever
 // the interleaving of packets, rotations, clock jumps on both arms of
@@ -202,7 +35,7 @@ func TestVectorsStayNested(t *testing.T) {
 			case 3:
 				f.Process(packet.Packet{Time: now, Tuple: tup.Reverse(), Dir: packet.Incoming, Flags: packet.ACK})
 			case 4, 5:
-				batch, _ := kernelTrace(1+r.Intn(100), r.Uint64())
+				batch := spec.Trace(1+r.Intn(100), r.Uint64())
 				for i := range batch {
 					batch[i].Time += now
 				}
@@ -248,7 +81,7 @@ func TestVectorsStayNested(t *testing.T) {
 // when New returns, whoever called New: no batch size, hash count or
 // restore makes the kernel allocate.
 func TestProcessBatchIntoZeroAllocs(t *testing.T) {
-	pkts, _ := kernelTrace(512, 3)
+	pkts := spec.Trace(512, 3)
 	for i := range pkts {
 		pkts[i].Time = 0
 	}

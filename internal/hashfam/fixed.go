@@ -110,8 +110,9 @@ func (f *Family) BaseFixed(lo, hi uint64, n int) (h1, h2 uint64) {
 	return h1, h2
 }
 
-// IndexesFixed is Indexes for a key packed into (lo, hi) with byte length
-// n. Passing a reusable dst[:0] keeps the hot path allocation-free.
+// IndexesFixed appends the m indexes g_i = h1 + i·h2 of a key packed into
+// (lo, hi) with byte length n to dst. Passing a reusable dst[:0] keeps the
+// hot path allocation-free.
 func (f *Family) IndexesFixed(dst []uint64, lo, hi uint64, n int) []uint64 {
 	h1, h2 := f.BaseFixed(lo, hi, n)
 	for i := 0; i < f.m; i++ {

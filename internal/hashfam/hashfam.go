@@ -135,29 +135,6 @@ func (f *Family) Base(data []byte) (h1, h2 uint64) {
 	return h1, h2
 }
 
-// Indexes appends the m hash values of data to dst and returns the extended
-// slice. Passing a reusable dst[:0] makes the hot path allocation-free.
-func (f *Family) Indexes(dst []uint64, data []byte) []uint64 {
-	h1, h2 := f.Base(data)
-	for i := 0; i < f.m; i++ {
-		dst = append(dst, h1+uint64(i)*h2)
-	}
-	return dst
-}
-
-// Index returns the i-th hash of data, for 0 <= i < M(). Out-of-range i is
-// reduced modulo M so the function is total.
-func (f *Family) Index(i int, data []byte) uint64 {
-	if f.m > 0 {
-		i %= f.m
-		if i < 0 {
-			i += f.m
-		}
-	}
-	h1, h2 := f.Base(data)
-	return h1 + uint64(i)*h2
-}
-
 func rotl64(x uint64, k uint) uint64 {
 	return (x << k) | (x >> (64 - k))
 }

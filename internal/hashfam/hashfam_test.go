@@ -135,82 +135,34 @@ func TestFamilyAccessors(t *testing.T) {
 	}
 }
 
-func TestIndexesCountAndDeterminism(t *testing.T) {
+func TestBaseDeterministic(t *testing.T) {
 	f := MustNew(5, 9)
 	data := []byte("tuple")
-	a := f.Indexes(nil, data)
-	b := f.Indexes(nil, data)
-	if len(a) != 5 {
-		t.Fatalf("Indexes returned %d values", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("index %d nondeterministic", i)
-		}
-	}
-}
-
-func TestIndexesAppendsToDst(t *testing.T) {
-	f := MustNew(2, 9)
-	dst := make([]uint64, 0, 8)
-	got := f.Indexes(dst, []byte("x"))
-	if len(got) != 2 {
-		t.Fatalf("len = %d", len(got))
-	}
-	got2 := f.Indexes(got, []byte("y"))
-	if len(got2) != 4 {
-		t.Fatalf("second append len = %d", len(got2))
-	}
-}
-
-func TestIndexMatchesIndexes(t *testing.T) {
-	f := MustNew(4, 77)
-	data := []byte("abcdef")
-	all := f.Indexes(nil, data)
-	for i := range all {
-		if got := f.Index(i, data); got != all[i] {
-			t.Errorf("Index(%d) = %#x, Indexes[%d] = %#x", i, got, i, all[i])
-		}
-	}
-	// Out-of-range i wraps.
-	if f.Index(5, data) != all[1] {
-		t.Error("Index(5) did not wrap to Index(1)")
-	}
-	if f.Index(-1, data) != all[3] {
-		t.Error("Index(-1) did not wrap to Index(3)")
+	a1, a2 := f.Base(data)
+	b1, b2 := MustNew(5, 9).Base(data)
+	if a1 != b1 || a2 != b2 {
+		t.Errorf("Base is not a function of (m, seed, data): (%#x, %#x) then (%#x, %#x)", a1, a2, b1, b2)
 	}
 }
 
 func TestKirschMitzenmacherStep(t *testing.T) {
-	// g_i - g_{i-1} must be constant (= h2) and odd.
-	f := MustNew(8, 3)
-	data := []byte("constant step")
-	idx := f.Indexes(nil, data)
-	step := idx[1] - idx[0]
-	if step%2 != 1 {
-		t.Errorf("h2 = %#x is even", step)
-	}
-	for i := 2; i < len(idx); i++ {
-		if idx[i]-idx[i-1] != step {
-			t.Errorf("step between %d and %d differs", i-1, i)
+	// g_i = h1 + i·h2 walks a full period modulo a power of two only if h2
+	// is odd.
+	r := xrand.New(3)
+	for trial := 0; trial < 1000; trial++ {
+		data := []byte{byte(r.Uint64()), byte(r.Uint64()), byte(r.Uint64())}
+		if _, h2 := MustNew(8, r.Uint64()).Base(data); h2%2 != 1 {
+			t.Fatalf("h2 = %#x of %x is even", h2, data)
 		}
 	}
 }
 
 func TestFamiliesWithDifferentSeedsDiffer(t *testing.T) {
-	a := MustNew(3, 1)
-	b := MustNew(3, 2)
 	data := []byte("same data")
-	ia := a.Indexes(nil, data)
-	ib := b.Indexes(nil, data)
-	same := 0
-	for i := range ia {
-		if ia[i] == ib[i] {
-			same++
-		}
-	}
-	if same == len(ia) {
-		t.Error("families with different seeds produced identical indexes")
+	a1, a2 := MustNew(3, 1).Base(data)
+	b1, b2 := MustNew(3, 2).Base(data)
+	if a1 == b1 || a2 == b2 {
+		t.Errorf("seeds 1 and 2 share a base hash: (%#x, %#x), (%#x, %#x)", a1, a2, b1, b2)
 	}
 }
 
@@ -229,7 +181,7 @@ func TestIndexDistributionUniformity(t *testing.T) {
 		for j := range key {
 			key[j] = byte(r.Uint64())
 		}
-		h := f.Index(0, key[:])
+		h, _ := f.Base(key[:])
 		counts[h&(buckets-1)]++
 	}
 	expect := float64(samples) / buckets
@@ -244,16 +196,16 @@ func TestIndexDistributionUniformity(t *testing.T) {
 	}
 }
 
-func BenchmarkIndexesM3(b *testing.B) {
+func BenchmarkBase(b *testing.B) {
 	f := MustNew(3, 1)
 	key := []byte{192, 0, 2, 1, 0x30, 0x39, 198, 51, 100, 7, 0, 80}
-	dst := make([]uint64, 0, 3)
 	b.ReportAllocs()
-	b.ResetTimer()
+	var sink uint64
 	for i := 0; i < b.N; i++ {
-		dst = f.Indexes(dst[:0], key)
+		h1, h2 := f.Base(key)
+		sink += h1 ^ h2
 	}
-	_ = dst
+	_ = sink
 }
 
 func BenchmarkMurmur64Tuple(b *testing.B) {

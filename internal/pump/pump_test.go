@@ -18,10 +18,10 @@ import (
 )
 
 // The tests here are the ones that have to step a worker by hand. What the
-// pump does when it runs free — the differentials against the synchronous
-// references, quarantine, back-pressure, drain, observability, for every
-// sink at W = 1, 2, 4 — is checked through New, Watch, Run and Snapshot from
-// cmd/bfwall's tests, beside the daemon they also drive.
+// pump feeds each filter when it runs free is checked against the model by
+// FuzzPumpSpec (spec_test.go); quarantine, back-pressure, drain and
+// observability, for every sink at W = 1, 2, 4, through New, Watch, Run and
+// Snapshot from cmd/bfwall's tests, beside the daemon they also drive.
 
 // sinks builds one filter per sink of the commit step — a single filter two
 // ways: plain (hashed by the workers) and wrapped (by itself); and the two

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,10 +187,12 @@ func TestChaosSlowFilterOverload(t *testing.T) {
 	buf.Close()
 }
 
-// TestChaosStallingSourceFlagsWatchdog wires the watchdog into the
-// supervised stack and injects a wedge: the probe must flag, health must
-// go not-live, and releasing the wedge must restore both.
-func TestChaosStallingSourceFlagsWatchdog(t *testing.T) {
+// TestChaosQuietSourceIsNotAStall wires the watchdog into the supervised
+// stack: an intake parked inside the source's ReadBatch — a quiet link — is
+// idle, not stalled, however long it waits, and the frame that ends the wait
+// beats. A source that fails without end does stall the probe: a failed
+// read is not progress, and the backoffs between them count.
+func TestChaosQuietSourceIsNotAStall(t *testing.T) {
 	noLeakedGoroutines(t)
 
 	src := newStallingSource()
@@ -199,8 +202,8 @@ func TestChaosStallingSourceFlagsWatchdog(t *testing.T) {
 	h := NewHealth(wd)
 
 	sup, err := NewSupervisor(SupervisorConfig{
-		Open:      func() (capture.Source, error) { return src, nil },
-		Heartbeat: probe.Beat,
+		Open:  func() (capture.Source, error) { return src, nil },
+		Probe: probe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,32 +211,49 @@ func TestChaosStallingSourceFlagsWatchdog(t *testing.T) {
 	buf := NewBuffer(sup, BufferConfig{Capacity: 16, SnapLen: 64})
 	h.SetReady()
 
-	// The intake is parked inside the stalled source; no read succeeds, so
-	// no beats arrive.
-	clk.advance(time.Second)
-	if ok, detail := h.Live(); ok {
-		t.Error("live while the intake is wedged")
-	} else if detail == "" {
-		t.Error("stall detail empty")
+	// The intake is parked inside the quiet source, for ten stall windows.
+	for deadline := time.Now().Add(10 * time.Second); !probe.idle.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the intake never parked in the source")
+		}
 	}
-	if ok, _ := h.Ready(); ok {
-		t.Error("ready while the intake is wedged")
+	clk.advance(time.Second)
+	if ok, detail := h.Live(); !ok {
+		t.Errorf("not live while the intake waits on a quiet link: %s", detail)
+	}
+	if ok, _ := h.Ready(); !ok {
+		t.Error("not ready while the intake waits on a quiet link")
 	}
 
-	// Release the wedge: a frame flows, the supervised read beats, health
-	// recovers.
+	// A frame flows: the read beats, and the probe is busy and fresh.
 	close(src.release)
 	ring := capture.NewRing(1, 64)
 	if n, err := buf.ReadBatch(ring); n != 1 || err != nil {
 		t.Fatalf("post-release read = %d, %v", n, err)
 	}
 	if ok, detail := h.Live(); !ok {
-		t.Errorf("not live after the wedge cleared: %s", detail)
+		t.Errorf("not live after a frame: %s", detail)
 	}
-
 	buf.Close()
 	drain(t, buf) // consume the EOF so the intake goroutine exits
 	sup.Close()
+
+	wd = NewWatchdog(clk.fn())
+	fails := wd.Heartbeat("failing", 100*time.Millisecond)
+	sup, err = NewSupervisor(SupervisorConfig{
+		Open:  func() (capture.Source, error) { return &flakySource{errEvery: 1, err: errTransient}, nil },
+		Sleep: clk.advance,
+		Probe: fails,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sup.ReadBatch(ring); !errors.Is(err, ErrExhausted) {
+		t.Fatalf("a source that only fails: %v, want ErrExhausted", err)
+	}
+	if ok, detail := NewHealth(wd).Live(); ok || !strings.Contains(detail, "failing") {
+		t.Errorf("live = %v (%q) with a source failing for %v of backoff", ok, detail, sup.Stats().BackoffTotal)
+	}
 }
 
 // TestChaosPartialReads: a source that trickles one frame per call with

@@ -59,9 +59,12 @@ type SupervisorConfig struct {
 	// instant recorder. The default sleeps on a timer and wakes early
 	// when the supervisor is closed.
 	Sleep func(time.Duration)
-	// Heartbeat, when set, is called after every successful ReadBatch —
-	// the capture loop's liveness signal for a Watchdog probe.
-	Heartbeat func()
+	// Probe, when set, is the capture loop's liveness signal: idle exactly
+	// while the supervisor is inside the underlying source's ReadBatch —
+	// a quiet link parks there, and an idle link is not a stall — and
+	// beating on every read that delivers. A read that fails does not
+	// count as progress, so a source that fails without end stalls it.
+	Probe *Probe
 	// Logf, when set, receives one line per classified failure,
 	// reopen, and give-up.
 	Logf func(format string, args ...any)
@@ -152,7 +155,7 @@ func (s *Supervisor) ReadBatch(frames []capture.Frame) (int, error) {
 			}
 			continue
 		}
-		n, err := src.ReadBatch(frames)
+		n, err := s.readParked(src, frames)
 		if err == nil {
 			s.noteSuccess(n)
 			return n, nil
@@ -203,6 +206,24 @@ func (s *Supervisor) ReadBatch(frames []capture.Frame) (int, error) {
 	}
 }
 
+// readParked is src.ReadBatch with the probe idle inside it. Leaving a
+// read that delivered restarts the stall window (SetIdle(false) beats);
+// leaving one that failed does not.
+func (s *Supervisor) readParked(src capture.Source, frames []capture.Frame) (int, error) {
+	p := s.cfg.Probe
+	if p == nil {
+		return src.ReadBatch(frames)
+	}
+	p.SetIdle(true)
+	n, err := src.ReadBatch(frames)
+	if n > 0 || err == nil {
+		p.SetIdle(false)
+	} else {
+		p.idle.Store(false)
+	}
+	return n, err
+}
+
 // reopen asks the factory for a fresh source, retrying with backoff
 // inside the same consecutive-failure budget as read errors.
 func (s *Supervisor) reopen() error {
@@ -245,8 +266,8 @@ func (s *Supervisor) noteSuccess(n int) {
 	s.srcErrs = 0
 	s.reads.Add(1)
 	s.frames.Add(uint64(n))
-	if s.cfg.Heartbeat != nil {
-		s.cfg.Heartbeat()
+	if s.cfg.Probe != nil {
+		s.cfg.Probe.Beat()
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +16,7 @@ import (
 	"bitmapfilter/internal/core"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
+	"bitmapfilter/internal/spec"
 	"bitmapfilter/internal/tenant"
 )
 
@@ -53,23 +53,6 @@ func fleetSpec() []tenant.Config {
 			Options: []core.Option{core.WithOrder(10), core.WithSeed(106), core.WithVectors(3), core.WithRotateEvery(2 * time.Second)}},
 	}
 	return cfg
-}
-
-// routeRef is the test's own longest-prefix match, written independently
-// of packet.PrefixTable: scan all prefixes, keep the longest containing the
-// client-side address.
-func routeRef(cfgs []tenant.Config, pkt packet.Packet) int {
-	addr := pkt.Tuple.Src
-	if pkt.Dir == packet.Incoming {
-		addr = pkt.Tuple.Dst
-	}
-	best, bestBits := -1, -1
-	for i, c := range cfgs {
-		if c.Prefix.Contains(addr) && int(c.Prefix.Bits) > bestBits {
-			best, bestBits = i, int(c.Prefix.Bits)
-		}
-	}
-	return best
 }
 
 // fleetTrace builds a deterministic mixed trace spread across the fleet's
@@ -126,77 +109,6 @@ func mustSet(t *testing.T, cfg tenant.SetConfig) *tenant.Set {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestSetDifferential is the tentpole proof: a Set over N heterogeneous
-// tenants is verdict- and stats-identical to N independently driven
-// filters over a 1M-packet mixed-prefix trace. Tenant t4 runs APD with
-// p=0.5, so equality also pins the per-tenant coin-flip order; batch
-// dispatch on the Set side vs per-packet on the reference side pins the
-// grouping's order preservation.
-func TestSetDifferential(t *testing.T) {
-	cfgs := fleetSpec()
-	set := mustSet(t, tenant.SetConfig{Tenants: cfgs})
-
-	refs := make([]filtering.BatchFilter, len(cfgs))
-	for i, c := range cfgs {
-		refs[i] = core.MustNew(c.Options...)
-	}
-
-	n := 1_000_000
-	if testing.Short() {
-		n = 100_000
-	}
-	pkts := fleetTrace(n, cfgs)
-
-	want := make([]filtering.Verdict, len(pkts))
-	var wantUnrouted uint64
-	for i, p := range pkts {
-		if slot := routeRef(cfgs, p); slot >= 0 {
-			want[i] = refs[slot].Process(p)
-		} else {
-			want[i] = filtering.Pass
-			wantUnrouted++
-		}
-	}
-
-	var got, buf []filtering.Verdict
-	for off := 0; off < len(pkts); off += 4096 {
-		end := min(off+4096, len(pkts))
-		buf = set.ProcessBatchInto(pkts[off:end], buf)
-		got = append(got, buf...)
-	}
-
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("verdict %d: set %v, independent %v (pkt %+v)", i, got[i], want[i], pkts[i])
-		}
-	}
-	if set.UnroutedPackets() != wantUnrouted {
-		t.Errorf("UnroutedPackets = %d, want %d", set.UnroutedPackets(), wantUnrouted)
-	}
-	if wantUnrouted == 0 {
-		t.Error("trace exercised no unrouted packets; test is vacuous")
-	}
-
-	stats := set.TenantStats()
-	for i, st := range stats {
-		if st.ID != cfgs[i].ID || st.Prefix != cfgs[i].Prefix {
-			t.Fatalf("tenant %d identity = %q %v", i, st.ID, st.Prefix)
-		}
-		ref := refs[i].Counters()
-		if st.Stats.Counters != ref {
-			t.Errorf("tenant %q counters = %+v, independent %+v", st.ID, st.Stats.Counters, ref)
-		}
-		if ref.InPackets == 0 || ref.OutPackets == 0 {
-			t.Errorf("tenant %q starved: %+v (trace bug)", st.ID, ref)
-		}
-	}
-	want4 := stats[4]
-	if !want4.Stats.APDEnabled || want4.Stats.APDSpared == 0 {
-		t.Errorf("tenant t4 APD not exercised: %+v", want4.Stats)
-	}
-
 }
 
 // TestSetLookupAndPunchHole pins LPM specifics: longest match wins on
@@ -577,60 +489,6 @@ func clientSlots(set *tenant.Set, pkts []packet.Packet) []int32 {
 	return slots
 }
 
-// TestRoutedMatchesUnrouted: the entry points judge alike. Three identical
-// fleets are fed the same trace: one packet by packet through Process, one
-// cut into random batches (the empty batch among them) through
-// ProcessBatchInto, and one through its two halves — HashRouted and
-// ProcessHashedInto with the slots the table gives; verdicts, unrouted counts
-// and every tenant's Stats stay equal.
-func TestRoutedMatchesUnrouted(t *testing.T) {
-	cfgs := fleetSpec()
-	seq := mustSet(t, tenant.SetConfig{Tenants: cfgs})
-	plain := mustSet(t, tenant.SetConfig{Tenants: cfgs})
-	routed := mustSet(t, tenant.SetConfig{Tenants: cfgs})
-	pkts := fleetTrace(60_000, cfgs)
-	slots := clientSlots(routed, pkts)
-	for i, pkt := range pkts {
-		if want := routeRef(cfgs, pkt); int(slots[i]) != want {
-			t.Fatalf("packet %d: table slot %d, reference %d", i, slots[i], want)
-		}
-	}
-
-	want := make([]filtering.Verdict, len(pkts))
-	for i, pkt := range pkts {
-		want[i] = seq.Process(pkt)
-	}
-	rng := uint64(99)
-	var pairs []uint64
-	var batch, got []filtering.Verdict
-	for at, batches := 0, 0; at < len(pkts); batches++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		n := min(int(rng>>33)%700, len(pkts)-at) // 0 … 699: empty batches included
-		if batches == 0 {
-			n = 0
-		}
-		batch = plain.ProcessBatchInto(pkts[at:at+n], batch)
-		pairs = routed.HashRouted(pkts[at:at+n], slots[at:at+n], pairs)
-		got = routed.ProcessHashedInto(pkts[at:at+n], slots[at:at+n], pairs, got)
-		if len(got) != n || len(batch) != n || !slices.Equal(got, want[at:at+n]) || !slices.Equal(batch, want[at:at+n]) {
-			t.Fatalf("batch at %d (%d packets): verdicts differ", at, n)
-		}
-		at += n
-	}
-	for name, set := range map[string]*tenant.Set{"batch": plain, "halves": routed} {
-		if seq.UnroutedPackets() == 0 || set.UnroutedPackets() != seq.UnroutedPackets() {
-			t.Errorf("%s: unrouted %d, per-packet %d (want equal and non-zero)", name, set.UnroutedPackets(), seq.UnroutedPackets())
-		}
-		if got, want := set.TenantStats(), seq.TenantStats(); !reflect.DeepEqual(got, want) {
-			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("%s: tenant %s\n  got:        %+v\n  per-packet: %+v", name, got[i].ID, got[i].Stats, want[i].Stats)
-				}
-			}
-		}
-	}
-}
-
 // composite is what core.Group gives both of its routers, a sharded filter
 // and a fleet, and the tests of the group's contracts drive.
 type composite interface {
@@ -717,8 +575,8 @@ func TestRoutedRejectsHostileSlots(t *testing.T) {
 
 // TestGroupStatsAggregation pins the aggregate both composites take from
 // core.Group: additive fields are sums over MemberStats with the unrouted
-// packets counted in — the fleet's split computed from the trace by
-// routeRef — fractional indicators are means, clocks take the most-advanced
+// packets counted in — the fleet's split computed from the trace by the
+// model's router (package spec) — fractional indicators are means, clocks take the most-advanced
 // member and the earliest pending rotation, Counters is the aggregate's and
 // RotateEvery the shortest member's. VectorUtilization is the shards' k
 // wide and nil for the fleet, whose tenants disagree on k.
@@ -733,8 +591,12 @@ func TestGroupStatsAggregation(t *testing.T) {
 
 		var want core.Stats
 		if tc.lo < 0 {
+			router := &spec.Group{}
+			for _, c := range cfgs {
+				router.Prefixes = append(router.Prefixes, c.Prefix)
+			}
 			for _, p := range pkts {
-				if routeRef(cfgs, p) < 0 {
+				if router.Route(p.Tuple, p.Dir) < 0 {
 					want.Counters.Count(p, filtering.Pass)
 				}
 			}
