@@ -32,15 +32,15 @@ vet:
 
 # Static analysis: vet (whose copylocks check reports a copied typed
 # atomic), staticcheck (when installed), and bflint — the repo's own
-# invariant suite (see internal/lint and DESIGN.md §8) — with the
-# stale-allow audit, over both the default and afpacket file sets.
+# invariant suite and its stale-allow audit (see internal/lint and
+# DESIGN.md §8) — over both the default and afpacket file sets.
 lint: vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
 	else \
 		echo "staticcheck not installed; skipping (CI runs the pinned version)" ; \
 	fi
-	$(GO) run ./cmd/bflint -stale-allows ./...
+	$(GO) run ./cmd/bflint ./...
 	GOOS=linux $(GO) run ./cmd/bflint -tags afpacket ./...
 
 fmt:

@@ -5,19 +5,17 @@
 //
 // Usage:
 //
-//	bflint [-list] [-run names] [-tags list] [-json] [-stale-allows] [packages]
+//	bflint [-tags list] [packages]
 //
-// Packages default to ./... relative to the enclosing module. The exit
-// status is 1 when any diagnostic is reported, so `go run ./cmd/bflint
-// ./...` gates CI exactly like vet. -json emits one JSON object per
-// diagnostic (file/line/column/analyzer/message) for machine consumers
-// such as the GitHub Actions problem matcher; -tags selects build tags for
-// file loading; -stale-allows additionally fails on //bf:allow markers
-// that no longer suppress anything or name no analyzer of the suite.
+// Packages default to ./... relative to the enclosing module. Each
+// diagnostic prints as file:line:col: analyzer: message, and the exit
+// status is 1 when there is any, so `go run ./cmd/bflint ./...` gates CI
+// exactly like vet. Besides the analyzers' findings, every //bf:allow
+// marker that suppresses nothing or names no analyzer of the suite is
+// reported (staleallow). -tags selects build tags for file loading.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/build"
@@ -27,53 +25,17 @@ import (
 	"bitmapfilter/internal/lint"
 )
 
-// jsonDiag is the machine-readable diagnostic shape for -json output.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
-	listOnly := flag.Bool("list", false, "list the analyzers in the suite and exit")
-	only := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	tags := flag.String("tags", "", "comma-separated build tags (selects the files analyzed)")
-	asJSON := flag.Bool("json", false, "emit diagnostics as JSON objects, one per line")
-	staleAllows := flag.Bool("stale-allows", false, "also fail on //bf:allow markers that suppress nothing or name no analyzer")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: bflint [-list] [-run names] [-tags list] [-json] [-stale-allows] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: bflint [-tags list] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the bitmapfilter invariant suite (default packages: ./...).\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
+		fmt.Fprintf(os.Stderr, "\nEvery run also reports each //bf:allow marker that suppresses nothing\nor names none of these analyzers (staleallow).\n")
 	}
 	flag.Parse()
-
-	if *listOnly {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers := lint.Analyzers()
-	byName := map[string]*lint.Analyzer{}
-	for _, a := range analyzers {
-		byName[a.Name] = a
-	}
-	if *only != "" {
-		analyzers = nil
-		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "bflint: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
 
 	if *tags != "" {
 		// The loader matches files against build.Default.
@@ -98,36 +60,18 @@ func main() {
 		fatal(err)
 	}
 
-	enc := json.NewEncoder(os.Stdout)
-	emit := func(d lint.Diagnostic) {
-		if *asJSON {
-			enc.Encode(jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-			return
-		}
-		fmt.Println(d)
-	}
-
 	failed := false
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
 			fatal(err)
 		}
-		diags, allows, err := lint.CheckWithAllows(pkg, analyzers)
+		diags, err := lint.Check(pkg, lint.Analyzers())
 		if err != nil {
 			fatal(err)
 		}
-		if *staleAllows {
-			diags = append(diags, lint.StaleAllows(allows, analyzers)...)
-		}
 		for _, d := range diags {
-			emit(d)
+			fmt.Println(d)
 			failed = true
 		}
 	}

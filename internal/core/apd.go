@@ -161,11 +161,24 @@ func (s *slidingCounter) add(now time.Duration, v float64) {
 	s.buckets[s.head] += v
 }
 
+// sum is what advance(now) followed by a sum would return, read without
+// moving the ring: the buckets advance would zero, the oldest
+// min(steps, buckets), are skipped. Only add advances, so reading a policy
+// (a Stats scrape) never changes what a later packet sees.
 func (s *slidingCounter) sum(now time.Duration) float64 {
-	s.advance(now)
+	n := len(s.buckets)
+	stale := 0
+	if now >= s.headEnd && s.headEnd != maxDuration {
+		if now-s.headEnd >= s.window() {
+			return 0
+		}
+		stale = int((now-s.headEnd)/s.width) + 1
+	}
 	var total float64
-	for _, b := range s.buckets {
-		total += b
+	for i, b := range s.buckets {
+		if (i-s.head-1+n)%n >= stale { // age 0 is the bucket after head, the oldest
+			total += b
+		}
 	}
 	return total
 }

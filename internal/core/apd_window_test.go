@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -247,5 +248,43 @@ func TestBandwidthObservesAdmittedIncomingOnly(t *testing.T) {
 	}
 	if got := p.bytes.sum(0); got != 140 {
 		t.Errorf("window counts %v bytes, want 140", got)
+	}
+}
+
+// TestStatsLeavesAPDWindow: reading Stats must not change a later verdict.
+// Stats reads the drop probability at the filter's clock. A reply stamped
+// behind that clock must still land in its own bucket of the byte window,
+// and age out with it, whether or not someone read the filter in between.
+func TestStatsLeavesAPDWindow(t *testing.T) {
+	run := func(read bool) ([]filtering.Verdict, uint64) {
+		// An 8 bit/s link over a 1 s window: one admitted byte saturates U_b.
+		p, err := NewBandwidthPolicy(8, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := small(WithAPD(p), WithSeed(1))
+		var got []filtering.Verdict
+		step := func(pkt packet.Packet) {
+			got = append(got, f.Process(pkt))
+			if read {
+				f.Stats()
+			}
+		}
+		step(outPkt(0, client, server, 4000, 80))
+		step(outPkt(2*time.Second, client, server, 4001, 80)) // the clock to 2 s
+		reply := inPkt(1950*time.Millisecond, server, client, 80, 4000)
+		reply.Length = 100
+		step(reply) // capture time steps back: its bytes fill [1.9 s, 2 s)
+		// Unmatched, a window after the reply's bucket: U_b is 0 again.
+		step(inPkt(2950*time.Millisecond, server, client, 9, 9999))
+		return got, f.Stats().APDSpared
+	}
+	quiet, quietSpared := run(false)
+	read, readSpared := run(true)
+	if fmt.Sprint(quiet) != fmt.Sprint(read) || quietSpared != readSpared {
+		t.Errorf("verdicts %v (APD spared %d) with Stats reads, %v (%d) without", read, readSpared, quiet, quietSpared)
+	}
+	if want := filtering.Pass; quiet[3] != want {
+		t.Errorf("unmatched packet after the window: %v, want %v (U_b = 0)", quiet[3], want)
 	}
 }

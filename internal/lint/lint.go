@@ -36,7 +36,8 @@
 //	//bf:allow <analyzer> [reason...]
 //	    On the offending line, or in the doc comment of the enclosing
 //	    function: suppresses that analyzer's diagnostics there. Every
-//	    allow should carry a reason.
+//	    allow should carry a reason; one that suppresses nothing is
+//	    itself reported (see Check).
 package lint
 
 import (
@@ -106,27 +107,21 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// AllowSite is one //bf:allow marker found in a package, plus whether
-// any of the analyzers run against that package actually had a
-// diagnostic suppressed by it. Unused allows are drift: either the code
-// they excused was fixed (prune the comment) or the marker was
-// misplaced and never protected anything.
-type AllowSite struct {
-	Pos      token.Position
-	Analyzer string
-	Used     bool
+// allowSite is one //bf:allow marker found in a package, and whether any
+// analyzer had a diagnostic suppressed by it.
+type allowSite struct {
+	pos      token.Position
+	analyzer string
+	used     bool
 }
 
-// Check runs every analyzer in the suite over pkg and returns the
-// diagnostics sorted by position.
+// Check runs the analyzers over pkg, then audits its //bf:allow markers,
+// and returns the diagnostics sorted by position. A marker that suppressed
+// nothing is drift — the code it excused was fixed, or it was misplaced and
+// never protected anything — and one naming no analyzer of the suite (a
+// typo, or an analyzer since retired) can never suppress anything: both are
+// reported as staleallow.
 func Check(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := CheckWithAllows(pkg, analyzers)
-	return diags, err
-}
-
-// CheckWithAllows is Check plus the package's //bf:allow inventory with
-// usage bits, for the driver's stale-allow audit.
-func CheckWithAllows(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []AllowSite, error) {
 	var diags []Diagnostic
 	lines := newLineComments(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
@@ -140,9 +135,10 @@ func CheckWithAllows(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Allow
 			lines:     lines,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 	}
+	diags = append(diags, staleAllows(lines.allows)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -153,40 +149,28 @@ func CheckWithAllows(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Allow
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	allows := make([]AllowSite, len(lines.allows))
-	for i, s := range lines.allows {
-		allows[i] = *s
-	}
-	return diags, allows, nil
+	return diags, nil
 }
 
-// StaleAllows turns unused //bf:allow markers into diagnostics. An allow
-// naming an analyzer outside the suite is always reported: nothing can
-// ever consult it (a typo, or an analyzer since retired). One naming a
-// suite analyzer that did not run (bflint -run) is left alone — that run
-// never asked it.
-func StaleAllows(allows []AllowSite, ran []*Analyzer) []Diagnostic {
-	active := make(map[string]bool)
+// staleAllows turns the unused //bf:allow markers into diagnostics.
+func staleAllows(allows []*allowSite) []Diagnostic {
+	known := make(map[string]bool)
 	for _, a := range Analyzers() {
-		active[a.Name] = false
-	}
-	for _, a := range ran {
-		active[a.Name] = true
+		known[a.Name] = true
 	}
 	var diags []Diagnostic
 	for _, s := range allows {
-		didRun, known := active[s.Analyzer]
-		if s.Used || (known && !didRun) {
+		if s.used {
 			continue
 		}
 		msg := "//bf:allow %s suppresses nothing; the code it excused was fixed or the marker is misplaced — delete it"
-		if !known {
-			msg = "//bf:allow %s names no bflint analyzer (see bflint -list), so it can never suppress anything — fix the name or delete it"
+		if !known[s.analyzer] {
+			msg = "//bf:allow %s names no bflint analyzer (see bflint -h), so it can never suppress anything — fix the name or delete it"
 		}
 		diags = append(diags, Diagnostic{
-			Pos:      s.Pos,
+			Pos:      s.pos,
 			Analyzer: "staleallow",
-			Message:  fmt.Sprintf(msg, s.Analyzer),
+			Message:  fmt.Sprintf(msg, s.analyzer),
 		})
 	}
 	return diags
@@ -208,13 +192,13 @@ const (
 type lineComments struct {
 	fset *token.FileSet
 	// lineAllow maps file:line to the allow sites declared on that line.
-	lineAllow map[string][]*AllowSite
+	lineAllow map[string][]*allowSite
 	// funcAllow maps file:line to the allow sites of the function whose
 	// body covers that line (entries are shared across the span, so one
 	// suppression anywhere marks the site used).
-	funcAllow map[string][]*AllowSite
+	funcAllow map[string][]*allowSite
 	// allows is every //bf:allow marker in the package, in source order.
-	allows []*AllowSite
+	allows []*allowSite
 }
 
 func lineKey(pos token.Position) string {
@@ -224,8 +208,8 @@ func lineKey(pos token.Position) string {
 func newLineComments(fset *token.FileSet, files []*ast.File) *lineComments {
 	lc := &lineComments{
 		fset:      fset,
-		lineAllow: make(map[string][]*AllowSite),
-		funcAllow: make(map[string][]*AllowSite),
+		lineAllow: make(map[string][]*allowSite),
+		funcAllow: make(map[string][]*allowSite),
 	}
 	// Function-doc comment groups become function-scoped allows; every
 	// other comment is a line-scoped allow on its own line.
@@ -246,7 +230,7 @@ func newLineComments(fset *token.FileSet, files []*ast.File) *lineComments {
 				if !ok {
 					continue
 				}
-				site := &AllowSite{Pos: fset.Position(c.Pos()), Analyzer: name}
+				site := &allowSite{pos: fset.Position(c.Pos()), analyzer: name}
 				lc.allows = append(lc.allows, site)
 				if fd != nil {
 					start := fset.Position(fd.Pos())
@@ -256,7 +240,7 @@ func newLineComments(fset *token.FileSet, files []*ast.File) *lineComments {
 						lc.funcAllow[key] = append(lc.funcAllow[key], site)
 					}
 				} else {
-					lc.lineAllow[lineKey(site.Pos)] = append(lc.lineAllow[lineKey(site.Pos)], site)
+					lc.lineAllow[lineKey(site.pos)] = append(lc.lineAllow[lineKey(site.pos)], site)
 				}
 			}
 		}
@@ -308,14 +292,14 @@ func commentHasMarker(doc *ast.CommentGroup, marker string) (string, bool) {
 func (p *Pass) allowedAt(pos token.Pos) bool {
 	key := lineKey(p.Fset.Position(pos))
 	for _, site := range p.lines.lineAllow[key] {
-		if site.Analyzer == p.Analyzer.Name {
-			site.Used = true
+		if site.analyzer == p.Analyzer.Name {
+			site.used = true
 			return true
 		}
 	}
 	for _, site := range p.lines.funcAllow[key] {
-		if site.Analyzer == p.Analyzer.Name {
-			site.Used = true
+		if site.analyzer == p.Analyzer.Name {
+			site.used = true
 			return true
 		}
 	}

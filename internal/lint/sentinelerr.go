@@ -11,13 +11,14 @@ import (
 // SentinelErrAnalyzer enforces wrap-aware error handling for the
 // repository's sentinel errors (ErrConfig, ErrSnapshotKind, ...).
 //
-// Every sentinel in this codebase is returned wrapped — typically
-// fmt.Errorf("%w: detail", ErrConfig, ...) — so direct identity checks
-// are latent bugs: err == ErrConfig is false for every wrapped return
-// even though errors.Is(err, ErrConfig) is true, and the API docs
-// ("matchable with errors.Is") promise exactly the latter. Symmetrically,
-// wrapping a sentinel with %v or %s instead of %w severs the Is chain
-// for every caller downstream.
+// Most sentinels in this codebase are returned wrapped — typically
+// fmt.Errorf("%w: detail", ErrConfig, ...) — and the rest (packet's
+// ErrTruncated, capture's ErrClosed) may be at any later change, so direct
+// identity checks are latent bugs: err == ErrConfig is false for every
+// wrapped return even though errors.Is(err, ErrConfig) is true, and the
+// API docs ("matchable with errors.Is") promise exactly the latter.
+// Symmetrically, wrapping a sentinel with %v or %s instead of %w severs
+// the Is chain for every caller downstream.
 //
 // Reported patterns:
 //

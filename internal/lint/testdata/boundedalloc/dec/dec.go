@@ -39,7 +39,8 @@ func (r *reader) BadFieldBound(n uint32) ([]byte, error) {
 	return buf, err
 }
 
-// BadLowerBound: n <= 0 rejects a sign, not a size — 4 GiB passes it.
+// BadLowerBound: n <= 0 rejects a sign, not a size — 4 GiB passes it (a
+// ring's snapLen defaulted when ≤ 0 and never capped).
 func BadLowerBound(data []byte) []byte {
 	n := int(binary.LittleEndian.Uint32(data))
 	if n <= 0 {
@@ -55,6 +56,16 @@ func BadEquality(data []byte) []byte {
 		return make([]byte, n) // want "make size n is not clamped"
 	}
 	return nil
+}
+
+// BadZeroCheckedLength: a snapshot section's id length, rejected only
+// when zero, sizes the id and its checksum — no test feeds it 4 GiB.
+func BadZeroCheckedLength(fixed []byte) []byte {
+	idLen := binary.LittleEndian.Uint32(fixed)
+	if idLen == 0 {
+		return nil
+	}
+	return make([]byte, idLen+4) // want "make size idLen is not clamped"
 }
 
 // BadMax: max with a constant is a floor, not a ceiling.

@@ -5,6 +5,7 @@ package res
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 var counter int
@@ -20,7 +21,8 @@ func work2() error {
 	return nil
 }
 
-// BadFire spawns with no way for anyone to observe completion.
+// BadFire spawns with no way for anyone to observe completion, as a
+// never-stopped ticker refreshing a gauge would.
 func BadFire() {
 	go func() { // want "no statically visible join"
 		work()
@@ -113,6 +115,26 @@ func BadCtxOnly(ctx context.Context) {
 		<-ctx.Done()
 		work()
 	}()
+}
+
+type saver struct{ stop chan struct{} }
+
+// BadStopNoWait: a periodic loop that signals nothing when it exits, so
+// Stop can only close stop and return while a save is still running. No
+// test notices a save that outlives Stop.
+func (s *saver) BadStopNoWait() {
+	go s.loop() // want "no statically visible join"
+}
+
+func (s *saver) loop() {
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-time.After(time.Second):
+			work()
+		}
+	}
 }
 
 // AllowedFire is a documented process-lifetime goroutine.

@@ -63,7 +63,9 @@ func BadGo() {
 	go helper() // want "go statement in hot path BadGo"
 }
 
-// BadDefer: arbitrary defers are not free.
+// BadDefer: arbitrary defers are not free. This one allocates nothing —
+// like a defer planted in a filter's per-packet judge, which no zero-alloc
+// test sees — so only this rule catches it.
 //
 //bf:hotpath
 func BadDefer(c *counter) {

@@ -50,14 +50,32 @@ func GoodConstruct(n int) *box {
 	return &box{n: n}
 }
 
-// Bad: no lock anywhere in the function.
+// Bad: no lock anywhere in the function — a health check reading a probe
+// list, say, whose probes all register before its first call, so the race
+// detector never sees it.
 func Bad(b *box) int {
 	return b.n // want "b.n is guarded by b.mu, but this function never locks it"
 }
 
-// BadWrite: writes are checked too.
+// BadWrite: writes are checked too — a setter run before any other
+// goroutine exists in its tests, which the race detector never sees.
 func BadWrite(b *box) {
 	b.n = 7 // want "b.n is guarded by b.mu"
+}
+
+type supervisor struct {
+	mu      sync.Mutex
+	errMu   sync.Mutex
+	lastErr string //bf:guardedby errMu
+}
+
+// BadWrongMutex: a stats read under the struct's other mutex. No test
+// runs the read beside a failing reader's write, so the race detector
+// never sees it.
+func BadWrongMutex(s *supervisor) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastErr // want "s.lastErr is guarded by s.errMu"
 }
 
 // BadWrongBase: locking one instance does not sanction touching another.

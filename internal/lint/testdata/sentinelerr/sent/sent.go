@@ -21,7 +21,9 @@ var ErrCount = 3
 // convention; the analyzer keys on the Err* name and error type only.
 var errLocalStyle = errors.New("sent: local")
 
-// BadCompare: wrapped returns make == false.
+// BadCompare: wrapped returns make == false. A clean-close check by
+// identity (err == capture.ErrClosed) holds only while nothing wraps the
+// sentinel, so no test fails until the first wrap.
 func BadCompare(err error) bool {
 	return err == ErrBad // want "sentinel error ErrBad compared with =="
 }
@@ -36,7 +38,8 @@ func BadStdlib(err error) bool {
 	return err == io.ErrUnexpectedEOF // want "sentinel error ErrUnexpectedEOF compared with =="
 }
 
-// BadWrapV: %v flattens the sentinel to text and severs errors.Is.
+// BadWrapV: %v flattens the sentinel to text and severs errors.Is — for a
+// rare case such as a fleet with no tenants, one no test asks errors.Is of.
 func BadWrapV(detail int) error {
 	return fmt.Errorf("%v: detail %d", ErrBad, detail) // want "sentinel error ErrBad wrapped with %v"
 }

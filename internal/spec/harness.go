@@ -284,11 +284,6 @@ func Run(t testing.TB, ops []Op, target Target, model *Group, fresh func(i int) 
 			}
 		}
 		got, want := target.States(), model.States()
-		for _, f := range model.Members {
-			if f.APD != nil {
-				f.APD.DropProbability(f.Now) // as Stats does, which moves the policy's window
-			}
-		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("op %d (%v): member %d\n  state %+v\n  model %+v", n, op.Kind, i, got[i], want[i])

@@ -90,9 +90,10 @@ func (s *Set) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot restores a fleet written by WriteSnapshot. Like the core
-// reader, it rebuilds everything serializable from the stream; extra
-// supplies the per-tenant options that never serialize — seeds, APD
-// policies, mark/tuple policies — keyed by tenant id (nil for none).
+// reader, it rebuilds everything serializable from the stream: each
+// tenant's seed and mark and tuple policies are in its section header.
+// extra supplies what a snapshot does not hold, the APD policy, keyed by
+// tenant id (nil for none), applied on top of the restored configuration.
 // The restored Set carries no Budget; see AttachBudget.
 func ReadSnapshot(r io.Reader, extra func(id string) []core.Option) (*Set, error) {
 	le := binary.LittleEndian

@@ -47,8 +47,9 @@ func NewTenantSet(cfg TenantSetConfig) (*TenantSet, error) { return tenant.NewSe
 func ParseTenantConfig(data []byte) (TenantSetConfig, error) { return tenant.ParseConfig(data) }
 
 // ReadTenantSnapshot restores a fleet written by TenantSet.WriteSnapshot.
-// extra supplies per-tenant options that never serialize (APD and
-// mark/tuple policies), keyed by tenant id; nil means none.
+// Each tenant's seed and mark and tuple policies come back from the
+// snapshot; extra supplies what it does not hold, the APD policy, keyed by
+// tenant id; nil means none.
 func ReadTenantSnapshot(r io.Reader, extra func(id string) []Option) (*TenantSet, error) {
 	return tenant.ReadSnapshot(r, extra)
 }
