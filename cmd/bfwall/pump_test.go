@@ -82,7 +82,7 @@ var (
 	plainSink = singleSinkOf("plain", false)
 	fleetSink = sink{name: "fleet", clients: fleetClients, told: "192.0.2.0/24", routed: fleetPrefixes(),
 		model: func(t *testing.T) *spec.Group {
-			return spec.NewGroup([]spec.Config{modelOf(13, 1, 3, testAPD(t, 5e6)), modelOf(12, 2, 3, testAPD(t, 5e6)), modelOf(13, 3, 4, testAPD(t, 5e6))}, fleetPrefixes())
+			return spec.NewGroup([]spec.Config{modelOf(13, 1, 3, 5e6), modelOf(12, 2, 3, 5e6), modelOf(13, 3, 4, 5e6)}, fleetPrefixes())
 		},
 		build: func(t *testing.T, f *fault) statFilter {
 			if f == nil {
@@ -105,7 +105,7 @@ var (
 func singleSinkOf(name string, hashed bool) sink {
 	return sink{name: name, clients: "10.0.0.0/8", told: "10.0.0.0/8", routed: mustSubnets("10.0.0.0/8"),
 		model: func(t *testing.T) *spec.Group {
-			return spec.NewGroup([]spec.Config{modelOf(14, 0, 3, testAPD(t, 20e6))}, nil)
+			return spec.NewGroup([]spec.Config{modelOf(14, 0, 3, 20e6)}, nil)
 		},
 		build: func(t *testing.T, f *fault) statFilter {
 			switch {
@@ -130,7 +130,7 @@ func shardsSink(n int) sink {
 		model: func(t *testing.T) *spec.Group {
 			cs := make([]spec.Config, n)
 			for i := range cs {
-				cs[i] = modelOf(14, 0, 3, testAPD(t, 20e6/float64(n))) // a shard's clone, rescaled to its 1/n
+				cs[i] = modelOf(14, 0, 3, 20e6/float64(n)) // a shard's clone, rescaled to its 1/n
 			}
 			return spec.NewGroup(cs, nil)
 		},
@@ -157,9 +157,12 @@ func testPump(src capture.Source, bf filtering.BatchFilter, sk sink, batch, work
 	return pump.New(pump.Config{Source: src, Filter: bf, Subnets: mustSubnets(sk.told), Batch: batch, Workers: workers, Logf: logf})
 }
 
+// testAPDWindow is the window of testAPD's policies and of their model's.
+const testAPDWindow = 200 * time.Millisecond
+
 func testAPD(t *testing.T, bps float64) core.DropPolicy {
 	t.Helper()
-	apd, err := core.NewBandwidthPolicy(bps, 200*time.Millisecond)
+	apd, err := core.NewBandwidthPolicy(bps, testAPDWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +170,10 @@ func testAPD(t *testing.T, bps float64) core.DropPolicy {
 }
 
 // modelOf is the model of a filter of testGeometry, of order n with m hash
-// functions and the seed and APD policy given.
-func modelOf(n uint, seed uint64, m int, apd core.DropPolicy) spec.Config {
-	return spec.Config{Order: n, Vectors: 4, Hashes: m, RotateEvery: 100 * time.Millisecond, Seed: seed, APD: apd}
+// functions, the seed given and testAPD's policy on a link of bps.
+func modelOf(n uint, seed uint64, m int, bps float64) spec.Config {
+	return spec.Config{Order: n, Vectors: 4, Hashes: m, RotateEvery: 100 * time.Millisecond, Seed: seed,
+		APD: spec.APD{Bandwidth: true, Capacity: bps, Window: testAPDWindow}}
 }
 
 // memberStates is each member's State: a single filter's, or each shard's or
@@ -181,7 +185,7 @@ func memberStates(bf statFilter) (out []spec.State) {
 	}
 	for _, s := range stats {
 		out = append(out, spec.State{Order: s.Order, Hashes: s.Hashes, Idx: s.CurrentIndex, Now: s.Now, Next: s.NextRotation,
-			Rotations: s.Rotations, Marks: s.Marks, APDSpared: s.APDSpared, Counters: s.Counters})
+			Rotations: s.Rotations, Marks: s.Marks, APDSpared: s.APDSpared, Counters: s.Counters, DropProbability: s.APDDropProbability})
 	}
 	return out
 }
@@ -325,11 +329,12 @@ func (p *faultPolicy) ClonePolicy() core.DropPolicy {
 
 func (p *faultPolicy) ScaleForShards(n int) { p.DropPolicy.(core.PolicyShardScaler).ScaleForShards(n) }
 
+// Observe observes pkt, then meets shard 1's fault.
 func (p *faultPolicy) Observe(pkt packet.Packet) {
+	p.DropPolicy.Observe(pkt)
 	if p.shard == 1 {
 		p.fault.hit()
 	}
-	p.DropPolicy.Observe(pkt)
 }
 
 // testTraceOver synthesizes a pcap in memory: legitimate two-way sessions at
@@ -477,9 +482,9 @@ func TestRoutedPanicQuarantinesBatch(t *testing.T) {
 			}
 
 			// The model meets the same fault in the same batch, in the same
-			// packet: it judges what came before it and none after.
+			// packet — shard 1's first to pass, judged and observed but never
+			// counted — and judges none after it in the batch.
 			model, owner := sk.model(t), &spec.Group{Prefixes: sk.routed}
-			model.Members[1].APD = &panicFirst{Policy: model.Members[1].APD}
 			var lost uint64
 			frame := 0
 			for _, n := range src.Sizes {
@@ -490,16 +495,13 @@ func TestRoutedPanicQuarantinesBatch(t *testing.T) {
 					}
 				}
 				frame += n
-				func() {
-					defer func() {
-						if recover() != nil {
-							lost += uint64(len(batch))
-						}
-					}()
-					for _, pkt := range batch {
-						model.Process(pkt)
+				for _, pkt := range batch {
+					shard1, counted := model.Route(pkt.Tuple, pkt.Dir) == 1, model.Members[1].Counters
+					if model.Process(pkt) == filtering.Pass && shard1 && lost == 0 {
+						model.Members[1].Counters, lost = counted, uint64(len(batch))
+						break
 					}
-				}()
+				}
 			}
 			got := p.Snapshot()
 			if lost == 0 || lost > minBatch {
@@ -535,21 +537,6 @@ func TestRoutedPanicQuarantinesBatch(t *testing.T) {
 			}
 		})
 	}
-}
-
-// panicFirst is an APD policy whose first Observe panics, as shard 1's does
-// behind faultPolicy.
-type panicFirst struct {
-	spec.Policy
-	done bool
-}
-
-func (p *panicFirst) Observe(pkt packet.Packet) {
-	if !p.done {
-		p.done = true
-		panic("injected filter fault")
-	}
-	p.Policy.Observe(pkt)
 }
 
 // slotVandal hands the fleet a slot it never issued, once.

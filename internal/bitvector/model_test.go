@@ -2,6 +2,7 @@ package bitvector
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 
 	"bitmapfilter/internal/hashfam"
@@ -9,10 +10,12 @@ import (
 	"bitmapfilter/internal/xrand"
 )
 
-// The kernels are checked against the spec's bit vector (package spec), a
-// bool per bit, rather than against each other.
+// The kernels are checked against the spec's bit vector (package spec), the
+// set of its set bits, rather than against each other.
 
-func newModel(order uint) spec.Vector { return make(spec.Vector, 1<<order) }
+func newModel(order uint) spec.Vector {
+	return spec.Vector{Mask: 1<<order - 1, Ones: map[uint64]struct{}{}}
+}
 
 // setAll sets every index in m and returns how many bits were clear.
 func setAll(m spec.Vector, idxs []uint64) (newly int) {
@@ -33,27 +36,30 @@ func testAll(m spec.Vector, idxs []uint64) bool {
 	return true
 }
 
-// check asserts that v holds exactly the model's bits and that its running
-// count equals both the model's population and Σ OnesCount64 of the words.
+// check asserts that v holds exactly the model's bits: its running count
+// and Σ OnesCount64 of its words each equal the model's population, and every
+// bit the model sets is set in v — equal counts and a subset make equal
+// vectors. Only on a difference are all bits compared, to name the first.
 func check(t *testing.T, m spec.Vector, v *Vector, label string) {
 	t.Helper()
-	var ones uint64
-	for i, want := range m {
-		if got := v.Test(uint64(i)); got != want {
+	ones := uint64(len(m.Ones))
+	subset := true
+	for h := range m.Ones {
+		subset = subset && v.Test(h)
+	}
+	if v.PopCount() == ones && scanCount(v) == ones && subset {
+		return
+	}
+	for i := range v.Len() {
+		if got, want := v.Test(i), m.Test(i); got != want {
 			t.Fatalf("%s: bit %d = %v, model %v", label, i, got, want)
 		}
-		if want {
-			ones++
-		}
 	}
-	if got := v.PopCount(); got != ones {
-		t.Fatalf("%s: PopCount = %d, model holds %d", label, got, ones)
-	}
-	checkCount(t, v, label)
+	t.Fatalf("%s: PopCount = %d, scan = %d, model holds %d", label, v.PopCount(), scanCount(v), ones)
 }
 
 // TestDuplicateIndexDifferential drives Set, SetAllVectors and TestAll
-// against the []bool model on raw (unmasked) 64-bit index groups of every
+// against the sparse model on raw (unmasked) 64-bit index groups of every
 // size from 0 to hashfam.MaxFunctions, for k = 1 and k = 4 vectors, with
 // the cases a per-index loop can get wrong built in: an index repeated
 // inside one group, distinct indexes sharing a 64-bit word, and vectors
@@ -182,7 +188,7 @@ func TestSetAllVectorsMatchesPerVector(t *testing.T) {
 
 // FuzzCountCoherence drives a vector through an arbitrary interleaving of
 // every mutator and asserts, after every operation, that it holds exactly
-// the bits of a []bool model run through the same operations and that the
+// the bits of a sparse model run through the same operations and that the
 // running count invariant the whole accounting layer rests on holds:
 // v.count == Σ OnesCount64(words). The ops byte string is the fuzz vector;
 // each op consumes a few bytes of operand.
@@ -222,7 +228,7 @@ func FuzzCountCoherence(f *testing.F) {
 			case 1:
 				h := next(&i)
 				v.Clear(h)
-				vm[h&uint64(len(vm)-1)] = false
+				delete(vm.Ones, h&vm.Mask)
 			case 2:
 				newly := 0
 				for _, h := range group {
@@ -253,10 +259,11 @@ func FuzzCountCoherence(f *testing.F) {
 				if _, err := v.ReadFrom(&buf); err != nil {
 					t.Fatal(err)
 				}
-				copy(vm, om)
+				clear(vm.Ones)
+				maps.Copy(vm.Ones, om.Ones)
 			case 7:
 				v.Reset()
-				clear(vm)
+				clear(vm.Ones)
 			}
 			check(t, vm, v, "v")
 			check(t, om, other, "other")

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"bitmapfilter/internal/packet"
@@ -77,13 +76,15 @@ type PolicyShardScaler interface {
 	ScaleForShards(shards int)
 }
 
-// slidingCounter accumulates values over a sliding time window using a ring
-// of sub-buckets, giving O(1) updates and queries on a virtual clock.
+// slidingCounter accumulates values over a sliding time window in a ring of
+// sub-buckets, on a virtual clock: epoch e, the span [e·width, (e+1)·width),
+// lives in buckets[e mod n], and newest is the epoch of the newest bucket. A
+// sample stamped behind it counts in it, and a sum counts the n epochs up to
+// the later of now's and newest.
 type slidingCounter struct {
 	buckets []float64
 	width   time.Duration // width of one bucket
-	head    int           // bucket holding the newest samples
-	headEnd time.Duration // exclusive end time of the head bucket
+	newest  int64         // ⌊t/width⌋ of the newest bucket
 }
 
 func newSlidingCounter(window time.Duration, buckets int) slidingCounter {
@@ -95,90 +96,37 @@ func newSlidingCounter(window time.Duration, buckets int) slidingCounter {
 	}
 	width := window / time.Duration(buckets)
 	if width <= 0 {
-		// A sub-bucket window would make advance spin forever on
-		// headEnd += 0. The policy constructors reject such windows;
-		// clamp here too so the primitive is safe on its own.
+		// A zero width would divide by zero in every add and sum. The
+		// policy constructors reject such windows; clamp here too so the
+		// primitive is safe on its own.
 		width = 1
 	}
-	return slidingCounter{
-		buckets: make([]float64, buckets),
-		width:   width,
-		headEnd: width,
-	}
+	return slidingCounter{buckets: make([]float64, buckets), width: width}
 }
 
-// maxDuration is the largest representable timestamp. A counter whose head
-// bucket has been saturated to this horizon stays frozen there: every later
-// timestamp already falls inside it.
-const maxDuration = time.Duration(math.MaxInt64)
-
-// advance rolls the ring forward so that now falls inside the head bucket.
-// An idle gap spanning the whole window fast-forwards in O(buckets)
-// instead of looping once per elapsed bucket width — without this, the
-// first packet after a multi-hour quiet period on a 1 s window would pay
-// millions of iterations.
-func (s *slidingCounter) advance(now time.Duration) {
-	if now < s.headEnd || s.headEnd == maxDuration {
-		return
-	}
-	if now-s.headEnd >= s.window() {
-		// Every bucket would be zeroed on the way; jump the head in
-		// one modular step. steps is computed in bucket widths so the
-		// head lands exactly where the loop would leave it, but headEnd
-		// is rebased from now rather than stepped forward — for a jump
-		// near the int64 horizon, steps*width wraps negative and would
-		// poison every later advance.
-		steps := (now-s.headEnd)/s.width + 1
-		clear(s.buckets)
-		s.head = (s.head + int(steps%time.Duration(len(s.buckets)))) % len(s.buckets)
-		s.headEnd = gridAbove(now, s.width)
-		return
-	}
-	for s.headEnd <= now {
-		s.head = (s.head + 1) % len(s.buckets)
-		s.buckets[s.head] = 0
-		if s.headEnd > maxDuration-s.width {
-			s.headEnd = maxDuration
-			return
-		}
-		s.headEnd += s.width
-	}
-}
-
-// gridAbove returns the smallest multiple of width strictly greater than
-// now — the bucket-grid point the incremental loop would reach — saturating
-// at maxDuration instead of overflowing.
-func gridAbove(now, width time.Duration) time.Duration {
-	base := now - now%width
-	if base > maxDuration-width {
-		return maxDuration
-	}
-	return base + width
-}
-
+// add counts v in now's epoch, or in the newest if now's is behind it. A
+// step forward zeroes the buckets it uncovers: at most n, however long the
+// idle gap.
 func (s *slidingCounter) add(now time.Duration, v float64) {
-	s.advance(now)
-	s.buckets[s.head] += v
+	n := int64(len(s.buckets))
+	if e := int64(now / s.width); e > s.newest {
+		for i := range min(e-s.newest, n) {
+			s.buckets[(s.newest+1+i)%n] = 0
+		}
+		s.newest = e
+	}
+	s.buckets[s.newest%n] += v
 }
 
-// sum is what advance(now) followed by a sum would return, read without
-// moving the ring: the buckets advance would zero, the oldest
-// min(steps, buckets), are skipped. Only add advances, so reading a policy
-// (a Stats scrape) never changes what a later packet sees.
+// sum adds up epochs newest … newest−(n−1−age), age the epochs now is past
+// newest: the n epochs up to now's. It reads without moving the ring, so
+// reading a policy (a Stats scrape) never changes what a later packet sees.
 func (s *slidingCounter) sum(now time.Duration) float64 {
-	n := len(s.buckets)
-	stale := 0
-	if now >= s.headEnd && s.headEnd != maxDuration {
-		if now-s.headEnd >= s.window() {
-			return 0
-		}
-		stale = int((now-s.headEnd)/s.width) + 1
-	}
+	n := int64(len(s.buckets))
+	age := max(int64(now/s.width)-s.newest, 0)
 	var total float64
-	for i, b := range s.buckets {
-		if (i-s.head-1+n)%n >= stale { // age 0 is the bucket after head, the oldest
-			total += b
-		}
+	for e := max(s.newest-(n-1-age), 0); e <= s.newest; e++ {
+		total += s.buckets[e%n]
 	}
 	return total
 }
@@ -191,8 +139,7 @@ func (s *slidingCounter) window() time.Duration {
 // reset discards all samples and restarts the ring at the time origin.
 func (s *slidingCounter) reset() {
 	clear(s.buckets)
-	s.head = 0
-	s.headEnd = s.width
+	s.newest = 0
 }
 
 const apdBuckets = 10

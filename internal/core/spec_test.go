@@ -3,10 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"bitmapfilter/internal/bitvector"
 	"bitmapfilter/internal/filtering"
 	"bitmapfilter/internal/packet"
 	"bitmapfilter/internal/spec"
@@ -16,38 +20,45 @@ import (
 // configuration: every case is checked against the model, none against
 // another. The chunked kernel runs at chunk sizes on both sides of
 // chunkSize, the hashed halves with a rotation due between the hash and the
-// touch at orders on both sides of prefetchMinOrder, and the shards through
-// the three ways in.
+// touch at orders on both sides of prefetchMinOrder, the shards through the
+// three ways in, and both §5.3 indicators on a filter and on shards, where
+// each shard's bandwidth policy measures 1/S of the link.
 type specCase struct {
 	name   string
 	cfg    spec.Config
-	apd    bool
 	shards int // 0: a bare filter
 	judge  func(e *specTarget, pkts []packet.Packet) []filtering.Verdict
-	// upTo bounds the packets of an input the case runs: at order 25 a
-	// rotation clears 32 MiB of model, so the case rotates every 4 Δt and
-	// runs the head of a long input.
-	upTo int
 }
 
-var specGeometry = spec.Config{Order: 12, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 5}
+var (
+	ratioAPD     = spec.APD{Low: 1, High: 3, Window: 100 * time.Millisecond}
+	bandwidthAPD = spec.APD{Bandwidth: true, Capacity: 40e6, Window: 100 * time.Millisecond}
+	specGeometry = spec.Config{Order: 12, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 5, APD: ratioAPD}
+)
 
 var specCases = []specCase{
-	{name: "Process", cfg: specGeometry, apd: true, judge: perPacket},
-	{name: "ProcessBatchInto/31", cfg: specGeometry, apd: true, judge: chunked(31)},
+	{name: "Process", cfg: specGeometry, judge: perPacket},
+	{name: "ProcessBatchInto/31", cfg: withAPD(specGeometry, bandwidthAPD), judge: chunked(31)},
 	{name: "ProcessBatchInto/32", cfg: spec.Config{Order: 12, Vectors: 4, Hashes: 5, RotateEvery: spec.RotateEvery, Seed: 6, FullTuple: true}, judge: chunked(32)},
-	{name: "ProcessBatchInto/33", cfg: spec.Config{Order: 11, Vectors: 3, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 7, FullTuple: true, CurrentOnly: true}, apd: true, judge: chunked(33)},
+	{name: "ProcessBatchInto/33", cfg: spec.Config{Order: 11, Vectors: 3, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 7, FullTuple: true, CurrentOnly: true, APD: ratioAPD}, judge: chunked(33)},
 	{name: "ProcessHashedInto/order=12", cfg: spec.Config{Order: 12, Vectors: 4, Hashes: 2, RotateEvery: spec.RotateEvery, Seed: 8, CurrentOnly: true}, judge: hashed},
-	{name: "ProcessHashedInto/order=25", cfg: spec.Config{Order: 25, Vectors: 2, Hashes: 3, RotateEvery: 4 * spec.RotateEvery, Seed: 9}, apd: true, judge: hashed, upTo: 8192},
-	{name: "Sharded/Process", cfg: specGeometry, apd: true, shards: 4, judge: perPacket},
+	// At order 25 a rotation clears 4 MiB of the filter's vector: every
+	// 16 Δt, the long run clears 5 GB rather than 20.
+	{name: "ProcessHashedInto/order=25", cfg: spec.Config{Order: 25, Vectors: 2, Hashes: 3, RotateEvery: 16 * spec.RotateEvery, Seed: 9, APD: ratioAPD}, judge: hashed},
+	{name: "Sharded/Process", cfg: specGeometry, shards: 4, judge: perPacket},
 	{name: "Sharded/ProcessBatchInto", cfg: spec.Config{Order: 11, Vectors: 2, Hashes: 4, RotateEvery: spec.RotateEvery, Seed: 10}, shards: 2, judge: chunked(613)},
-	{name: "Sharded/HashRouted", cfg: specGeometry, apd: true, shards: 4, judge: hashed},
+	{name: "Sharded/HashRouted", cfg: withAPD(specGeometry, bandwidthAPD), shards: 4, judge: hashed},
+}
+
+func withAPD(c spec.Config, apd spec.APD) spec.Config {
+	c.APD = apd
+	return c
 }
 
 // FuzzSpec drives every entry point of the filter and of a sharded one
 // against the model (package spec), comparing after every op the verdicts,
-// each filter's clock, marks and counters and — at the last op and, below
-// order 20, after every restore and every 256th op — every bit of every
+// each filter's clock, marks, counters and APD drop probability and — at the
+// last op, after every restore and every 256th op — every bit of every
 // vector. The seed corpus's long run is a million packets (a hundred
 // thousand under -short).
 func FuzzSpec(f *testing.F) {
@@ -67,18 +78,13 @@ func FuzzSpec(f *testing.F) {
 }
 
 // run drives the case over ops against a fresh model: verdicts and states
-// after every op, and every vector bit at the last op and, below order 20,
-// after every restore and every 256th op.
+// after every op, and every vector bit at the last op, after every restore
+// and every 256th op.
 func (c *specCase) run(t *testing.T, ops []spec.Op) (*specTarget, *spec.Group) {
 	t.Helper()
-	for i, n := 0, 0; c.upTo > 0 && i < len(ops); i++ {
-		if n += len(ops[i].Pkts); n > c.upTo {
-			ops = ops[:i]
-		}
-	}
 	e, model := c.build(t)
-	spec.Run(t, ops, e, model, e.fresh, func(op int) {
-		if op == len(ops)-1 || (c.cfg.Order < 20 && (op%256 == 0 || ops[op].Kind == spec.Restore)) {
+	spec.Run(t, ops, e, model, func(op int) {
+		if op == len(ops)-1 || op%256 == 0 || ops[op].Kind == spec.Restore {
 			e.checkBits(t, model)
 		}
 	})
@@ -108,7 +114,7 @@ func cut(pkts []packet.Packet, sizes ...int) []spec.Op {
 
 // mustBeLively fails t unless the model's run rotated at least rotations
 // times, both passed and dropped packets in, and, under APD, spared some.
-func mustBeLively(t *testing.T, model *spec.Group, rotations uint64, apd bool) {
+func mustBeLively(t *testing.T, model *spec.Group, rotations uint64) {
 	t.Helper()
 	var st spec.State
 	for _, m := range model.States() {
@@ -116,7 +122,7 @@ func mustBeLively(t *testing.T, model *spec.Group, rotations uint64, apd bool) {
 		st.APDSpared += m.APDSpared
 		st.Counters.Add(m.Counters)
 	}
-	if st.Rotations < rotations || st.Counters.InPassed == 0 || st.Counters.InDropped == 0 || (apd && st.APDSpared == 0) {
+	if st.Rotations < rotations || st.Counters.InPassed == 0 || st.Counters.InDropped == 0 || (model.Members[0].APD.Window > 0 && st.APDSpared == 0) {
 		t.Fatalf("trace too tame: %+v", st)
 	}
 }
@@ -125,40 +131,38 @@ func mustBeLively(t *testing.T, model *spec.Group, rotations uint64, apd bool) {
 // (HashBatch, then ProcessHashedInto with a rotation due between them) and
 // ProcessBatchInto to the model, cut at batch sizes on both sides of
 // chunkSize, under both tuple and both mark policies, with APD on and off,
-// at orders on both sides of prefetchMinOrder: the two entry points match
-// because each matches the model.
+// at orders on both sides of prefetchMinOrder up to client_mix_o28's: the two
+// entry points match because each matches the model.
 func TestProcessHashedMatchesProcessBatch(t *testing.T) {
 	pkts := steppedTrace(6000, 23)
-	geometry := func(order uint, full, current bool) spec.Config {
-		c := spec.Config{Order: order, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 5, FullTuple: full, CurrentOnly: current}
-		if order >= prefetchMinOrder { // a rotation clears 32 MiB of model: fewer of them
-			c.Vectors, c.RotateEvery = 2, 4*spec.RotateEvery
-		}
-		return c
+	geometry := func(order uint, full, current bool, apd spec.APD) spec.Config {
+		return spec.Config{Order: order, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 5, FullTuple: full, CurrentOnly: current, APD: apd}
 	}
 	for _, tc := range []struct {
 		name string
 		cfg  spec.Config
-		apd  bool
 	}{
-		{"partial/all", geometry(12, false, false), false},
-		{"partial/all/apd", geometry(12, false, false), true},
-		{"full/all", geometry(12, true, false), false},
-		{"partial/current", geometry(12, false, true), false},
-		{"full/current/apd", geometry(12, true, true), true},
-		{"order=25/partial/all/apd", geometry(25, false, false), true},
-		{"order=25/full/current", geometry(25, true, true), false},
+		{"partial/all", geometry(12, false, false, spec.APD{})},
+		{"partial/all/apd", geometry(12, false, false, ratioAPD)},
+		{"full/all", geometry(12, true, false, spec.APD{})},
+		{"partial/current", geometry(12, false, true, spec.APD{})},
+		{"full/current/apd", geometry(12, true, true, ratioAPD)},
+		{"order=25/partial/all/apd", geometry(25, false, false, ratioAPD)},
+		{"order=25/full/current", geometry(25, true, true, spec.APD{})},
+		// client_mix_o28's filter, rotating every 4 Δt: a rotation clears
+		// 32 MiB of its vector, 30 times over the trace rather than 120.
+		{"order=28/partial/all", spec.Config{Order: 28, Vectors: 4, Hashes: 3, RotateEvery: 4 * spec.RotateEvery, Seed: 5}},
 	} {
 		for _, batch := range []int{1, 31, 32, 33, 512, 1000} {
 			t.Run(fmt.Sprintf("%s/batch=%d", tc.name, batch), func(t *testing.T) {
 				ops := cut(pkts, batch)
 				for _, judge := range []func(*specTarget, []packet.Packet) []filtering.Verdict{hashed, chunked(batch)} {
-					c := specCase{cfg: tc.cfg, apd: tc.apd, judge: judge}
+					c := specCase{cfg: tc.cfg, judge: judge}
 					e, model := c.run(t, ops)
 					if f := e.bf.(*Filter); f.prefetching != (tc.cfg.Order >= prefetchMinOrder) {
 						t.Fatalf("prefetching %v at order %d", f.prefetching, tc.cfg.Order)
 					}
-					mustBeLively(t, model, 20, tc.apd)
+					mustBeLively(t, model, 20)
 				}
 			})
 		}
@@ -190,11 +194,12 @@ func TestChunkedKernelMatchesReference(t *testing.T) {
 	if inChunk < 10 || sameChunkReplies < 10 {
 		t.Fatalf("trace too tame: %d rotations inside a chunk, %d replies inside their request's", inChunk, sameChunkReplies)
 	}
-	for _, apd := range []bool{false, true} {
+	for _, apd := range []spec.APD{{}, ratioAPD} {
+		cfg.APD = apd
 		for _, batch := range []int{1, 31, 32, 33, 64, 512} {
-			c := specCase{cfg: cfg, apd: apd, judge: chunked(batch)}
+			c := specCase{cfg: cfg, judge: chunked(batch)}
 			_, model := c.run(t, cut(pkts, batch))
-			mustBeLively(t, model, 20, apd)
+			mustBeLively(t, model, 20)
 		}
 	}
 }
@@ -204,12 +209,12 @@ func TestChunkedKernelMatchesReference(t *testing.T) {
 // model, APD on.
 func TestProcessBatchMatchesSequential(t *testing.T) {
 	pkts := spec.Trace(4000, 42)
-	cfg := spec.Config{Order: 12, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 9}
+	cfg := spec.Config{Order: 12, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 9, APD: ratioAPD}
 	for _, chunk := range []int{1, 7, 64, 1000, len(pkts)} {
 		for _, judge := range []func(*specTarget, []packet.Packet) []filtering.Verdict{perPacket, chunked(chunk)} {
-			c := specCase{cfg: cfg, apd: true, judge: judge}
+			c := specCase{cfg: cfg, judge: judge}
 			_, model := c.run(t, cut(pkts, chunk))
-			mustBeLively(t, model, 20, true)
+			mustBeLively(t, model, 20)
 		}
 	}
 }
@@ -223,7 +228,7 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 	for _, judge := range []func(*specTarget, []packet.Packet) []filtering.Verdict{perPacket, chunked(100), hashed} {
 		c := specCase{cfg: cfg, shards: 4, judge: judge}
 		_, model := c.run(t, ops)
-		mustBeLively(t, model, 20, false)
+		mustBeLively(t, model, 20)
 	}
 }
 
@@ -238,32 +243,33 @@ func TestProcessBatchIntoChunkedReuse(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := specCase{cfg: cfg, shards: shards, judge: chunked(512)}
 			_, model := c.run(t, ops)
-			mustBeLively(t, model, 20, false)
+			mustBeLively(t, model, 20)
 		})
 	}
 }
 
 // TestBatchDifferentialMillion is the long run: a million packets (a
 // hundred thousand under -short) in unaligned cuts of 613 through a filter
-// and a sharded one, APD on and off, and through the sharded filter's
-// halves, against the model.
+// and a sharded one, APD on and off, and through the sharded filter's halves,
+// against the model: the filter and the halves drop by the ratio, the shards
+// by the bandwidth.
 func TestBatchDifferentialMillion(t *testing.T) {
 	n := 1_000_000
 	if testing.Short() {
 		n = 100_000
 	}
 	ops := cut(spec.Trace(n, 1234), 613)
-	filter := spec.Config{Order: 16, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 77}
+	filter := spec.Config{Order: 16, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 77, APD: ratioAPD}
 	shard := spec.Config{Order: 14, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 77}
 	for _, c := range []specCase{
-		{name: "filter", cfg: filter, apd: true, judge: chunked(613)},
+		{name: "filter", cfg: filter, judge: chunked(613)},
 		{name: "sharded", cfg: shard, shards: 4, judge: chunked(613)},
-		{name: "sharded+apd", cfg: shard, apd: true, shards: 4, judge: chunked(613)},
-		{name: "sharded+apd+routed", cfg: shard, apd: true, shards: 4, judge: hashed},
+		{name: "sharded+apd", cfg: withAPD(shard, bandwidthAPD), shards: 4, judge: chunked(613)},
+		{name: "sharded+apd+routed", cfg: withAPD(shard, ratioAPD), shards: 4, judge: hashed},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, model := c.run(t, ops)
-			mustBeLively(t, model, 1000, c.apd)
+			mustBeLively(t, model, 1000)
 		})
 	}
 }
@@ -309,7 +315,7 @@ func TestHashBatchConcurrentWithJudge(t *testing.T) {
 		if got, want := stateOf(f.Stats()), model.States()[0]; got != want {
 			t.Errorf("state diverged:\n  got   %+v\n  model %+v", got, want)
 		}
-		mustBeLively(t, model, 20, false)
+		mustBeLively(t, model, 20)
 	})
 }
 
@@ -321,14 +327,17 @@ type specTarget struct {
 	out   []filtering.Verdict
 	pairs []uint64
 	slots []int32
+	snap  bytes.Buffer
 }
 
+// build is the case's filter and its model: shard i's bandwidth policy, a
+// rescaled clone, measures 1/S of the link (PolicyShardScaler).
 func (c *specCase) build(t *testing.T) (*specTarget, *spec.Group) {
 	e := &specTarget{c: c, t: t}
 	cs := make([]spec.Config, max(c.shards, 1))
 	for i := range cs {
 		cs[i] = c.cfg
-		cs[i].APD = e.fresh(i)
+		cs[i].APD.Capacity /= float64(len(cs))
 	}
 	opts := append(specOptions(c.cfg), e.apd()...)
 	var err error
@@ -343,29 +352,23 @@ func (c *specCase) build(t *testing.T) (*specTarget, *spec.Group) {
 	return e, spec.NewGroup(cs, nil)
 }
 
-// fresh is the model's member i after a restore: an empty ratio policy, or
-// none for a case without APD.
-func (e *specTarget) fresh(int) spec.Policy {
-	if !e.c.apd {
-		return nil
-	}
-	return e.ratio()
-}
-
-// apd is the option that gives the filter an empty ratio policy of its own.
+// apd is the option that gives the filter an empty policy of the case's APD.
 func (e *specTarget) apd() []Option {
-	if !e.c.apd {
+	a := e.c.cfg.APD
+	if a.Window == 0 {
 		return nil
 	}
-	return []Option{WithAPD(e.ratio())}
-}
-
-func (e *specTarget) ratio() *RatioPolicy {
-	p, err := NewRatioPolicy(1, 3, 100*time.Millisecond)
+	var p DropPolicy
+	var err error
+	if a.Bandwidth {
+		p, err = NewBandwidthPolicy(a.Capacity, a.Window)
+	} else {
+		p, err = NewRatioPolicy(a.Low, a.High, a.Window)
+	}
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	return p
+	return []Option{WithAPD(p)}
 }
 
 func specOptions(c spec.Config) []Option {
@@ -430,10 +433,10 @@ func (e *specTarget) Rotate(i int) bool {
 }
 
 func (e *specTarget) Restore([]packet.Packet) {
-	var buf bytes.Buffer
-	err := e.bf.WriteSnapshot(&buf)
+	e.snap.Reset()
+	err := e.bf.WriteSnapshot(&e.snap)
 	if err == nil {
-		e.bf, err = ReadAnySnapshot(&buf, e.apd()...)
+		e.bf, err = ReadAnySnapshot(&e.snap, e.apd()...)
 	}
 	if err != nil {
 		e.t.Fatal(err)
@@ -466,40 +469,61 @@ func (e *specTarget) members(fn func([]*Filter)) {
 	fn(s.filters)
 }
 
-// checkBits compares every bit of every vector of every member, and each
-// vector's running popcount, with the model's: the model's bools packed as
-// WriteTo lays the words out (little-endian, so bit j is bit j%8 of byte j/8).
+// checkBits holds every vector of every member to the model's: its running
+// popcount and the ones in its words must each equal the model's set size,
+// and every bit the model sets must be set in it — equal counts and a subset
+// make equal vectors. Only on a difference are all bits compared, to name
+// the first.
 func (e *specTarget) checkBits(t *testing.T, model *spec.Group) {
 	t.Helper()
 	e.members(func(fs []*Filter) {
 		for i, f := range fs {
-			for v, bits := range model.Members[i].Bits {
-				want, set := make([]byte, max(len(bits)/8, 8)), uint64(0)
-				for j, b := range bits {
-					if b {
-						want[j>>3] |= 1 << (j & 7)
-						set++
-					}
-				}
-				var got bytes.Buffer
-				if _, err := f.vectors[v].WriteTo(&got); err != nil {
-					t.Fatal(err)
-				}
-				if bytes.Equal(got.Bytes(), want) && f.vectors[v].PopCount() == set {
+			for v, want := range model.Members[i].Bits {
+				got := f.vectors[v]
+				if holds(got, want) {
 					continue
 				}
-				for j, b := range bits {
-					if f.vectors[v].Test(uint64(j)) != b {
-						t.Fatalf("member %d vector %d bit %d: %v, the model's %v", i, v, j, !b, b)
+				for j := range got.Len() {
+					if got.Test(j) != want.Test(j) {
+						t.Fatalf("member %d vector %d bit %d: %v, the model's %v", i, v, j, got.Test(j), want.Test(j))
 					}
 				}
-				t.Fatalf("member %d vector %d: popcount %d, the model's %d", i, v, f.vectors[v].PopCount(), set)
+				t.Fatalf("member %d vector %d: popcount %d, %d ones in its words, the model's %d", i, v, got.PopCount(), onesIn(got), len(want.Ones))
 			}
 		}
 	})
 }
 
+// holds reports whether v holds exactly the model's bits.
+func holds(v *bitvector.Vector, model spec.Vector) bool {
+	if n := uint64(len(model.Ones)); v.PopCount() != n || onesIn(v) != n {
+		return false
+	}
+	for h := range model.Ones {
+		if !v.Test(h) {
+			return false
+		}
+	}
+	return true
+}
+
+// onesIn is Σ OnesCount64 over v's words, read in place and skipped eight
+// at a time where all are zero, as nearly all are at order 28.
+func onesIn(v *bitvector.Vector) (n uint64) {
+	words := *(*[]uint64)(unsafe.Pointer(reflect.ValueOf(v).Elem().FieldByName("words").UnsafeAddr()))
+	for i := 0; i < len(words); i += 8 {
+		w := words[i:min(i+8, len(words))]
+		if len(w) == 8 && w[0]|w[1]|w[2]|w[3]|w[4]|w[5]|w[6]|w[7] == 0 {
+			continue
+		}
+		for _, x := range w {
+			n += uint64(bits.OnesCount64(x))
+		}
+	}
+	return n
+}
+
 func stateOf(s Stats) spec.State {
 	return spec.State{Order: s.Order, Hashes: s.Hashes, Idx: s.CurrentIndex, Now: s.Now, Next: s.NextRotation,
-		Rotations: s.Rotations, Marks: s.Marks, APDSpared: s.APDSpared, Counters: s.Counters}
+		Rotations: s.Rotations, Marks: s.Marks, APDSpared: s.APDSpared, Counters: s.Counters, DropProbability: s.APDDropProbability}
 }

@@ -6,11 +6,15 @@ import (
 	"strings"
 )
 
-// GoleakAnalyzer turns the chaos harness's runtime goroutine-leak checks
-// into a compile-time gate: every `go` statement in the capture,
-// resilience, checkpoint, pump, and daemon packages must have a statically
-// visible join — a signal by which some other goroutine can observe that
-// this one finished.
+// GoleakAnalyzer is a compile-time screen beside the chaos harness's
+// runtime goroutine-leak checks: every `go` statement in the capture,
+// resilience, checkpoint, pump, and daemon packages must reach a join
+// signal — an operation by which some other goroutine could observe that
+// this one finished. It checks that such an operation is reachable, not
+// that the spawner waits on it: a channel send that is no join at all
+// passes. The pump's workers spawned without their WaitGroup draw no
+// finding; TestPcapReplayJudgesEveryFrame and TestStatsWhilePumping are
+// what catch that.
 //
 // A join signal inside the spawned body (or a same-package callee it
 // reaches, two calls deep) is any of:
@@ -32,7 +36,7 @@ import (
 // same-package function or to annotate why the join lives elsewhere.
 var GoleakAnalyzer = &Analyzer{
 	Name: "goleak",
-	Doc:  "every go statement must have a statically visible join (channel send/close or matched WaitGroup.Add/Done)",
+	Doc:  "every go statement must reach a join signal (channel send/close or matched WaitGroup.Add/Done); whether the spawner waits on it is not checked",
 	Run:  runGoleak,
 }
 

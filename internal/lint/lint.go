@@ -11,7 +11,8 @@
 //   - boundedalloc: packages that parse untrusted input clamp every
 //     allocation size in the function that allocates
 //   - sentinelerr:  sentinel errors use errors.Is / %w, never == or %v
-//   - goleak:       every go statement has a statically visible join
+//   - goleak:       every go statement reaches a join signal (not that
+//     anything waits on it)
 //
 // Generic tooling (vet, staticcheck) cannot check any of these: they are
 // properties of this codebase's design — the batch hot path's 0 allocs/op

@@ -114,18 +114,15 @@ func checkPump(t *testing.T, wire *spec.Wire, sink string, workers int) {
 // APD policy, two shards of it, or a fleet of three tenants over
 // spec.Prefixes.
 func specSink(t *testing.T, sink string) (filtering.BatchFilter, *judgeLog, func() []spec.State, *spec.Group) {
-	ratio := func() *core.RatioPolicy {
-		p, err := core.NewRatioPolicy(1, 3, 100*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	c := spec.Config{Order: 12, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 7, APD: ratio()}
+	c := spec.Config{Order: 12, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 7, APD: spec.APD{Low: 1, High: 3, Window: 100 * time.Millisecond}}
 	opts := func(c spec.Config) []core.Option {
 		o := []core.Option{core.WithOrder(c.Order), core.WithVectors(c.Vectors), core.WithHashes(c.Hashes), core.WithRotateEvery(c.RotateEvery), core.WithSeed(c.Seed)}
-		if c.APD != nil {
-			o = append(o, core.WithAPD(ratio()))
+		if c.APD.Window > 0 {
+			p, err := core.NewRatioPolicy(c.APD.Low, c.APD.High, c.APD.Window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o = append(o, core.WithAPD(p))
 		}
 		return o
 	}
@@ -142,9 +139,7 @@ func specSink(t *testing.T, sink string) (filtering.BatchFilter, *judgeLog, func
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := c
-		d.APD = ratio()
-		return loggedShards{s, log}, log, func() []spec.State { return statesOf(s.MemberStats()...) }, spec.NewGroup([]spec.Config{c, d}, nil)
+		return loggedShards{s, log}, log, func() []spec.State { return statesOf(s.MemberStats()...) }, spec.NewGroup([]spec.Config{c, c}, nil)
 	}
 	cs := []spec.Config{c, {Order: 11, Vectors: 4, Hashes: 4, RotateEvery: spec.RotateEvery, Seed: 8, FullTuple: true}, {Order: 10, Vectors: 3, Hashes: 3, RotateEvery: 2 * spec.RotateEvery, Seed: 9}}
 	var tcs []tenant.Config
@@ -165,7 +160,7 @@ func specSink(t *testing.T, sink string) (filtering.BatchFilter, *judgeLog, func
 func statesOf(stats ...core.Stats) (out []spec.State) {
 	for _, s := range stats {
 		out = append(out, spec.State{Order: s.Order, Hashes: s.Hashes, Idx: s.CurrentIndex, Now: s.Now, Next: s.NextRotation,
-			Rotations: s.Rotations, Marks: s.Marks, APDSpared: s.APDSpared, Counters: s.Counters})
+			Rotations: s.Rotations, Marks: s.Marks, APDSpared: s.APDSpared, Counters: s.Counters, DropProbability: s.APDDropProbability})
 	}
 	return out
 }

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"syscall"
 
 	"bitmapfilter/internal/capture"
 	"bitmapfilter/internal/pcap"
@@ -80,14 +79,6 @@ func (c Class) String() string {
 // the chaos and capture tests pin:
 //
 //   - io.EOF and capture.ErrClosed end the stream cleanly (ClassEOF).
-//   - io.ErrUnexpectedEOF — a pcap record truncated mid-stream — is
-//     transient, and so is pcap.ErrSnapLen (a record claiming more
-//     bytes than the snapshot length — corrupt framing mid-stream). A
-//     replay reports either after the intact frames ahead of it, which
-//     the Supervisor delivers; the pcap.Scanner is then exhausted, so
-//     the next read ends the pass (io.EOF, or the next of -loops
-//     passes): a damaged trace's good prefix is judged and the daemon
-//     exits 0, with one transient error counted per pass and no reopen.
 //   - pcap.ErrBadMagic and pcap.ErrBadVersion mean the input is not a
 //     readable pcap at all: fatal.
 //   - capture.ErrTraceFault — a mapped trace truncated under the replay —
@@ -95,10 +86,17 @@ func (c Class) String() string {
 //     mapping into the same fault.
 //   - fs.ErrNotExist and fs.ErrPermission are configuration problems a
 //     reopen loop would only amplify: fatal.
-//   - Interrupted or would-block syscalls (EINTR, EAGAIN) are
-//     transient, matching the AF_PACKET backend's own retry behavior.
-//   - Anything unrecognized is transient, bounded by the supervisor's
-//     consecutive-failure budget.
+//   - Anything else is transient, bounded by the supervisor's
+//     consecutive-failure budget: io.ErrUnexpectedEOF, say — a pcap record
+//     truncated mid-stream — or pcap.ErrSnapLen (a record claiming more
+//     bytes than the snapshot length — corrupt framing mid-stream). A
+//     replay reports either after the intact frames ahead of it, which the
+//     Supervisor delivers; the pcap.Scanner is then exhausted, so the next
+//     read ends the pass (io.EOF, or the next of -loops passes): a damaged
+//     trace's good prefix is judged and the daemon exits 0, with one
+//     transient error counted per pass and no reopen.
+//   - So are interrupted or would-block syscalls (EINTR, EAGAIN), as the
+//     AF_PACKET backend's own retry behavior has them.
 func Classify(err error) Class {
 	switch {
 	case err == nil:
@@ -111,10 +109,6 @@ func Classify(err error) Class {
 		return ClassFatal
 	case errors.Is(err, fs.ErrNotExist), errors.Is(err, fs.ErrPermission):
 		return ClassFatal
-	case errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, pcap.ErrSnapLen):
-		return ClassTransient
-	case errors.Is(err, syscall.EINTR), errors.Is(err, syscall.EAGAIN):
-		return ClassTransient
 	default:
 		return ClassTransient
 	}

@@ -34,6 +34,9 @@ func NewGroup(cs []Config, prefixes []packet.Prefix) *Group {
 
 // Route is the member owning a packet (tup, dir).
 func (g *Group) Route(tup packet.Tuple, dir packet.Direction) int {
+	if g.Prefixes == nil && len(g.Members) == 1 {
+		return 0 // a lone filter judges every packet
+	}
 	if dir == packet.Incoming {
 		tup = tup.Reverse() // a reply's key and client are its request's
 	}
@@ -60,11 +63,14 @@ func (g *Group) Process(p packet.Packet) filtering.Verdict {
 }
 
 // Resize swaps member i for an empty filter of order n with m hashes,
-// otherwise alike, advanced to now.
+// otherwise alike, advanced to now. The APD window stays: a tenant's policy
+// outlives its filter.
 func (g *Group) Resize(i int, now time.Duration, n uint, m int) {
-	g.Retired[i].Add(g.Members[i].Counters)
-	c := g.Members[i].Config
+	old := g.Members[i]
+	g.Retired[i].Add(old.Counters)
+	c := old.Config
 	c.Order, c.Hashes = n, m
 	g.Members[i] = New(c)
+	g.Members[i].window = old.window
 	g.Members[i].Advance(now)
 }

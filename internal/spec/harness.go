@@ -1,10 +1,12 @@
 // Package spec is the executable specification of the bitmap filter: a
-// model of Algorithms 1 and 2 on plain []bool vectors (model.go), the
-// groups of them shards and tenants are (group.go), and one op-sequence
-// harness that every entry point of the real filter is checked against:
-// Decode turns a fuzz input into ops, Run applies them to an entry point and
-// to the model alike, and Seeds is the corpus tier-1 runs. The model shares
-// no code with what it checks (DESIGN.md §6, The spec).
+// model of Algorithms 1 and 2 on sparse vectors, each the set of its set
+// bits, with the §5.3 drop policies over a list of the packets observed
+// (model.go, window.go), the groups of them shards and tenants are
+// (group.go), and one op-sequence harness that every entry point of the real
+// filter is checked against: Decode turns a fuzz input into ops, Run applies
+// them to an entry point and to the model alike, and Seeds is the corpus
+// tier-1 runs. The model shares no code with what it checks (DESIGN.md §6,
+// The spec).
 package spec
 
 import (
@@ -187,13 +189,15 @@ func (g *gen) packets(n int) []packet.Packet {
 }
 
 // State is what the harness compares of one filter, from its Stats: the
-// geometry a resize changes, the clock, the marks and the counters.
+// geometry a resize changes, the clock, the marks, the counters and the APD
+// drop probability at the filter's clock.
 type State struct {
 	Order                       uint
 	Hashes, Idx                 int
 	Now, Next                   time.Duration
 	Rotations, Marks, APDSpared uint64
 	Counters                    filtering.Counters
+	DropProbability             float64
 }
 
 // States is each member's State, the counters of its retired filters
@@ -201,7 +205,7 @@ type State struct {
 func (g *Group) States() []State {
 	out := make([]State, len(g.Members))
 	for i, f := range g.Members {
-		out[i] = State{f.Order, f.Hashes, f.Idx, f.Now, f.Next, f.Rotations, f.Marks, f.APDSpared, f.Counters}
+		out[i] = State{f.Order, f.Hashes, f.Idx, f.Now, f.Next, f.Rotations, f.Marks, f.APDSpared, f.Counters, f.APD.dropProbability(&f.window, f.Now)}
 		out[i].Counters.Add(g.Retired[i])
 	}
 	return out
@@ -236,10 +240,10 @@ type Target interface {
 }
 
 // Run applies ops to target and model and fails t at the first difference
-// in a verdict, a member's State or the total counters. fresh(i) is member
-// i's APD policy after a restore (nil for none); after, if set, is called
-// after every op with the op's index, to compare what only the caller sees.
-func Run(t testing.TB, ops []Op, target Target, model *Group, fresh func(i int) Policy, after func(op int)) {
+// in a verdict, a member's State or the total counters. after, if set, is
+// called after every op with the op's index, to compare what only the caller
+// sees.
+func Run(t testing.TB, ops []Op, target Target, model *Group, after func(op int)) {
 	t.Helper()
 	for n, op := range ops {
 		var next []packet.Packet
@@ -265,8 +269,8 @@ func Run(t testing.TB, ops []Op, target Target, model *Group, fresh func(i int) 
 			}
 		case Restore:
 			target.Restore(next)
-			for i, f := range model.Members {
-				f.Restore(fresh(i))
+			for _, f := range model.Members {
+				f.Restore()
 			}
 		case Punch:
 			target.Punch(op.Hole)

@@ -9,34 +9,35 @@ import (
 	"bitmapfilter/internal/xrand"
 )
 
-// Vector is one bit vector, a bool per bit; an index is reduced modulo its
-// length.
-type Vector []bool
+// Vector is one bit vector of 2ⁿ bits as the set of its set bits, Ones: an
+// index is reduced modulo 2ⁿ, and a clear costs what is set.
+type Vector struct {
+	Mask uint64 // 2ⁿ − 1
+	Ones map[uint64]struct{}
+}
 
 // Set sets bit h and reports whether it was clear.
 func (v Vector) Set(h uint64) (was0 bool) {
-	was0, v[h&uint64(len(v)-1)] = !v.Test(h), true
-	return was0
+	n := len(v.Ones)
+	v.Ones[h&v.Mask] = struct{}{}
+	return len(v.Ones) > n
 }
 
 // Test reports bit h.
-func (v Vector) Test(h uint64) bool { return v[h&uint64(len(v)-1)] }
-
-// Policy is an APD drop policy (§5.3), as the filter consults it.
-type Policy interface {
-	Observe(pkt packet.Packet)
-	DropProbability(now time.Duration) float64
+func (v Vector) Test(h uint64) bool {
+	_, set := v.Ones[h&v.Mask]
+	return set
 }
 
 // Config is a filter's geometry and policies: CurrentOnly and FullTuple are
-// the ablations, and with no APD every unmatched incoming packet drops.
+// the ablations, and APD the §5.3 dropping (window.go).
 type Config struct {
 	Order                  uint
 	Vectors, Hashes        int
 	RotateEvery            time.Duration
 	Seed                   uint64
 	CurrentOnly, FullTuple bool
-	APD                    Policy
+	APD                    APD
 }
 
 // Filter is one {k×n}-bitmap filter: Bits[Idx] is the current vector, and
@@ -50,27 +51,28 @@ type Filter struct {
 	Rotations, Marks, APDSpared uint64
 	fam                         *hashfam.Family
 	coin                        *xrand.Rand
+	window                      window
 }
 
 // New is an empty filter at time 0.
 func New(c Config) *Filter {
 	f := &Filter{Config: c, Next: c.RotateEvery, fam: hashfam.MustNew(c.Hashes, c.Seed)}
 	for range c.Vectors {
-		f.Bits = append(f.Bits, make(Vector, 1<<c.Order))
+		f.Bits = append(f.Bits, Vector{1<<c.Order - 1, map[uint64]struct{}{}})
 	}
-	f.Restore(c.APD)
+	f.Restore()
 	return f
 }
 
-// Restore drops what a snapshot does not keep: the APD window (apd is a
-// fresh policy), the coin's place in its stream and the spared count.
-func (f *Filter) Restore(apd Policy) {
-	f.APD, f.APDSpared, f.coin = apd, 0, xrand.New(f.Seed^0xb17a9f11ce5)
+// Restore drops what a snapshot does not keep: the APD window, the coin's
+// place in its stream and the spared count.
+func (f *Filter) Restore() {
+	f.window, f.APDSpared, f.coin = window{}, 0, xrand.New(f.Seed^0xb17a9f11ce5)
 }
 
 // Rotate is b.rotate: the current vector is cleared and the next is current.
 func (f *Filter) Rotate() {
-	clear(f.Bits[f.Idx])
+	clear(f.Bits[f.Idx].Ones)
 	f.Idx, f.Rotations = (f.Idx+1)%f.Vectors, f.Rotations+1
 }
 
@@ -80,7 +82,7 @@ func (f *Filter) Advance(t time.Duration) {
 	for f.Now = max(f.Now, t); f.Next <= f.Now; f.Next += f.RotateEvery {
 		if gap := int((f.Now-f.Next)/f.RotateEvery) + 1; gap >= f.Vectors {
 			for _, v := range f.Bits {
-				clear(v)
+				clear(v.Ones)
 			}
 			f.Idx, f.Rotations = (f.Idx+gap-1)%f.Vectors, f.Rotations+uint64(gap-1)
 			f.Next += time.Duration(gap-1) * f.RotateEvery
@@ -128,8 +130,8 @@ func (f *Filter) Mark(idx []uint64) {
 // tossed for unmatched incoming packets only, and only what passes is observed.
 func (f *Filter) Process(p packet.Packet) filtering.Verdict {
 	f.Advance(p.Time)
-	v, idx := filtering.Pass, f.Indexes(p.Tuple, p.Dir)
-	if p.Dir == packet.Outgoing && (f.APD == nil || !p.IsSignal()) {
+	v, idx, apd := filtering.Pass, f.Indexes(p.Tuple, p.Dir), f.APD.Window > 0
+	if p.Dir == packet.Outgoing && (!apd || !p.IsSignal()) {
 		f.Mark(idx)
 	}
 	for _, h := range idx {
@@ -137,11 +139,11 @@ func (f *Filter) Process(p packet.Packet) filtering.Verdict {
 			v = filtering.Drop
 		}
 	}
-	if v == filtering.Drop && f.APD != nil && !f.coin.Bool(f.APD.DropProbability(p.Time)) {
+	if v == filtering.Drop && apd && !f.coin.Bool(f.APD.dropProbability(&f.window, p.Time)) {
 		v, f.APDSpared = filtering.Pass, f.APDSpared+1
 	}
-	if v == filtering.Pass && f.APD != nil {
-		f.APD.Observe(p)
+	if v == filtering.Pass && apd {
+		f.window[p.Dir].observe(f.APD, p)
 	}
 	f.Counters.Count(p, v)
 	return v

@@ -15,12 +15,12 @@ import (
 // specFleet is the fleet the harness drives, over spec.Prefixes: a /8 with a
 // ratio APD policy, a /16 carved out of it hashing the full tuple with four
 // functions, and a third /16 of three vectors rotating every 2 Δt behind a
-// coin. Clients in 12.0.0.0/16 are nobody's. The budget resizes them at
-// rebalances.
+// bandwidth policy on a link its admitted traffic fills in part. Clients in
+// 12.0.0.0/16 are nobody's. The budget resizes them at rebalances.
 var specFleet = []spec.Config{
-	{Order: 12, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 101},
+	{Order: 12, Vectors: 4, Hashes: 3, RotateEvery: spec.RotateEvery, Seed: 101, APD: spec.APD{Low: 1, High: 3, Window: 100 * time.Millisecond}},
 	{Order: 11, Vectors: 4, Hashes: 4, RotateEvery: spec.RotateEvery, Seed: 102, FullTuple: true},
-	{Order: 10, Vectors: 3, Hashes: 3, RotateEvery: 2 * spec.RotateEvery, Seed: 103},
+	{Order: 10, Vectors: 3, Hashes: 3, RotateEvery: 2 * spec.RotateEvery, Seed: 103, APD: spec.APD{Bandwidth: true, Capacity: 10e6, Window: 100 * time.Millisecond}},
 }
 
 var specBudget = tenant.Budget{TotalBytes: 48 << 10, TargetPenetration: 0.01}
@@ -65,16 +65,14 @@ func FuzzSpec(f *testing.F) {
 		} {
 			t.Run(name, func(t *testing.T) {
 				e := &fleetTarget{t: t, judge: judge, halves: name == "HashRouted"}
-				cs := make([]spec.Config, len(specFleet))
 				tcs := make([]tenant.Config, len(specFleet))
 				for i, c := range specFleet {
-					cs[i], cs[i].APD = c, e.fresh(i)
 					tcs[i] = tenant.Config{ID: string(rune('a' + i)), Prefix: spec.Prefixes[i], Options: append(specOptions(c), e.apd(i)...)}
 				}
 				budget := specBudget
 				e.budget = &budget
 				e.set = mustSet(t, tenant.SetConfig{Tenants: tcs, Budget: e.budget})
-				spec.Run(t, ops, e, spec.NewGroup(cs, spec.Prefixes), e.fresh, nil)
+				spec.Run(t, ops, e, spec.NewGroup(specFleet, spec.Prefixes), nil)
 			})
 		}
 	})
@@ -114,26 +112,23 @@ func (e *fleetTarget) hashAhead(next []packet.Packet) {
 	}
 }
 
-// apd is tenant i's APD option: a ratio policy of its own, none, a coin.
+// apd is tenant i's APD option: an empty policy of its own, or none.
 func (e *fleetTarget) apd(i int) []core.Option {
-	if p := e.fresh(i); p != nil {
-		return []core.Option{core.WithAPD(p.(core.DropPolicy))}
+	a := specFleet[i].APD
+	if a.Window == 0 {
+		return nil
 	}
-	return nil
-}
-
-func (e *fleetTarget) fresh(i int) spec.Policy {
-	switch i {
-	case 0:
-		p, err := core.NewRatioPolicy(1, 3, 100*time.Millisecond)
-		if err != nil {
-			e.t.Fatal(err)
-		}
-		return p
-	case 2:
-		return coinPolicy{p: 0.5}
+	var p core.DropPolicy
+	var err error
+	if a.Bandwidth {
+		p, err = core.NewBandwidthPolicy(a.Capacity, a.Window)
+	} else {
+		p, err = core.NewRatioPolicy(a.Low, a.High, a.Window)
 	}
-	return nil
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	return []core.Option{core.WithAPD(p)}
 }
 
 func specOptions(c spec.Config) []core.Option {
@@ -188,7 +183,7 @@ func (e *fleetTarget) States() (out []spec.State) {
 	for _, st := range e.set.TenantStats() {
 		s := st.Stats
 		out = append(out, spec.State{Order: s.Order, Hashes: s.Hashes, Idx: s.CurrentIndex, Now: s.Now, Next: s.NextRotation,
-			Rotations: s.Rotations, Marks: s.Marks, APDSpared: s.APDSpared, Counters: s.Counters})
+			Rotations: s.Rotations, Marks: s.Marks, APDSpared: s.APDSpared, Counters: s.Counters, DropProbability: s.APDDropProbability})
 	}
 	return out
 }
