@@ -98,8 +98,9 @@ func TestMetricsSamplesPreserved(t *testing.T) {
 	buf := resilience.NewBuffer(sup, resilience.BufferConfig{Capacity: 8, SnapLen: 256})
 	defer buf.Close()
 	cp, err := checkpoint.New(checkpoint.Config{
-		Path:  filepath.Join(t.TempDir(), "state.bmf"),
-		Write: func(io.Writer) error { return nil },
+		Path:     filepath.Join(t.TempDir(), "state.bmf"),
+		Write:    func(io.Writer) error { return nil },
+		Interval: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,6 +78,27 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointEveryZeroRefused: -checkpoint-every 0 is an error at
+// startup, before the pump runs: the checkpoint probe is sized from the
+// flag, so any interval the checkpointer chose in its place would stall it.
+func TestCheckpointEveryZeroRefused(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "state.bmf")
+	var out bytes.Buffer
+	err := run(context.Background(), []string{
+		"-bench", "-target", "1", "-gen-duration", "10ms",
+		"-checkpoint", ckpt, "-checkpoint-every", "0",
+	}, &out)
+	if err == nil || !strings.Contains(err.Error(), "interval") {
+		t.Fatalf("-checkpoint-every 0: %v, want an interval error", err)
+	}
+	if strings.Contains(out.String(), "bfwall bench:") {
+		t.Errorf("the pump ran with -checkpoint-every 0:\n%s", out.String())
+	}
+	if _, err := os.Stat(ckpt); err == nil {
+		t.Error("a checkpoint was written with -checkpoint-every 0")
+	}
+}
+
 // TestCheckpointRoundTripTenants pins the fleet path: per-tenant state — of
 // bare tenants, which the Set's lock keeps the checkpointer off a batch in
 // flight — survives the snapshot.
@@ -244,8 +265,9 @@ func TestResilienceEndpoints(t *testing.T) {
 	defer buf.Close()
 
 	cp, err := checkpoint.New(checkpoint.Config{
-		Path:  filepath.Join(t.TempDir(), "state.bmf"),
-		Write: func(io.Writer) error { return nil },
+		Path:     filepath.Join(t.TempDir(), "state.bmf"),
+		Write:    func(io.Writer) error { return nil },
+		Interval: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

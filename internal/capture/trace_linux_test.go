@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"bitmapfilter/internal/capture"
 	"bitmapfilter/internal/resilience"
@@ -70,7 +69,6 @@ func TestTruncatedTraceFaultIsFatal(t *testing.T) {
 			opens++
 			return capture.NewReplayBytes(tr.Bytes(), 1)
 		},
-		Sleep: func(time.Duration) { t.Error("the supervisor backed off from a fatal error") },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +97,8 @@ func TestTruncatedTraceFaultIsFatal(t *testing.T) {
 	if n, err := sup.ReadBatch(ring); n != 0 || !errors.Is(err, capture.ErrTraceFault) || errors.Is(err, resilience.ErrExhausted) {
 		t.Errorf("supervised read = (%d, %v), want ErrTraceFault at once", n, err)
 	}
-	if st := sup.Stats(); opens != 1 || st.FatalErrors != 1 || st.TransientErrors != 0 || st.Reopens != 0 {
-		t.Errorf("%d opens, stats %+v; want one open and one fatal error", opens, st)
+	if st := sup.Stats(); opens != 1 || st.FatalErrors != 1 || st.TransientErrors != 0 || st.Reopens != 0 || st.Backoffs != 0 {
+		t.Errorf("%d opens, stats %+v; want one open and one fatal error, never backed off", opens, st)
 	}
 	if _, err := capture.NewReplayBytes(tr.Bytes(), 1); !errors.Is(err, capture.ErrTraceFault) {
 		t.Errorf("a Replay opened over the truncated mapping: %v, want ErrTraceFault", err)

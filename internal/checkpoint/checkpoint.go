@@ -44,9 +44,6 @@ import (
 // rotation file.
 const BackupSuffix = ".bak"
 
-// DefaultInterval is the checkpoint period for a zero Config.Interval.
-const DefaultInterval = 30 * time.Second
-
 // The checkpointer's schedule and retry policy.
 const (
 	// intervalJitter is the fraction of Interval each period is uniformly
@@ -262,7 +259,7 @@ type Config struct {
 	// under its owner's lock (bfwall's under the pump's Locked), a
 	// core.Sharded's or a tenant.Set's, which lock themselves, as it is.
 	Write func(io.Writer) error
-	// Interval between periodic checkpoints (DefaultInterval if zero).
+	// Interval between periodic checkpoints; it must be positive.
 	Interval time.Duration
 	// Heartbeat, when set, is called once per completed checkpoint round
 	// (successful or not) — the liveness signal a resilience.Watchdog
@@ -315,8 +312,8 @@ type Checkpointer struct {
 	done  chan struct{} //bf:guardedby mu
 }
 
-// New validates cfg, applies the default interval and returns a
-// Checkpointer. The loop is not started; CheckpointNow works immediately.
+// New validates cfg and returns a Checkpointer. The loop is not started;
+// CheckpointNow works immediately.
 func New(cfg Config) (*Checkpointer, error) {
 	if cfg.Write == nil {
 		return nil, ErrNoWriter
@@ -324,11 +321,8 @@ func New(cfg Config) (*Checkpointer, error) {
 	if cfg.Path == "" {
 		return nil, errors.New("checkpoint: config needs a path")
 	}
-	if cfg.Interval == 0 {
-		cfg.Interval = DefaultInterval
-	}
-	if cfg.Interval < 0 {
-		return nil, fmt.Errorf("checkpoint: negative interval %v", cfg.Interval)
+	if cfg.Interval <= 0 {
+		return nil, fmt.Errorf("checkpoint: interval %v is not positive", cfg.Interval)
 	}
 	return &Checkpointer{
 		cfg:     cfg,

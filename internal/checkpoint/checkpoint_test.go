@@ -416,8 +416,9 @@ func TestCheckpointNowRetriesTransientFailures(t *testing.T) {
 func TestCheckpointNowExhaustsRetries(t *testing.T) {
 	f := testFilter(t, 10, 8)
 	c, err := New(Config{
-		Path:  "/d/state.bmf",
-		Write: f.WriteSnapshot,
+		Path:     "/d/state.bmf",
+		Write:    f.WriteSnapshot,
+		Interval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -501,9 +502,133 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Write: func(io.Writer) error { return nil }}); err == nil {
 		t.Error("missing Path accepted")
 	}
-	if _, err := New(Config{Path: "/d/s", Write: func(io.Writer) error { return nil },
-		Interval: -time.Second}); err == nil {
-		t.Error("negative interval accepted")
+	for _, d := range []time.Duration{0, -time.Second} {
+		if _, err := New(Config{Path: "/d/s", Write: func(io.Writer) error { return nil }, Interval: d}); err == nil {
+			t.Errorf("interval %v accepted", d)
+		}
+	}
+}
+
+// blockingWrite is a snapshot writer that reports each entry on entered and
+// returns once release is closed.
+type blockingWrite struct{ entered, release chan struct{} }
+
+func newBlockingWrite() *blockingWrite {
+	return &blockingWrite{entered: make(chan struct{}, 2), release: make(chan struct{})}
+}
+
+func (b *blockingWrite) write(io.Writer) error {
+	b.entered <- struct{}{}
+	<-b.release
+	return nil
+}
+
+// TestStopJoinsLoop: Stop must not return while the loop is inside a save,
+// for the caller's next step may be the final checkpoint or the exit.
+func TestStopJoinsLoop(t *testing.T) {
+	w := newBlockingWrite()
+	c, err := New(Config{Path: filepath.Join(t.TempDir(), "state.bmf"), Write: w.write, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	<-w.entered
+	stopped := make(chan struct{})
+	go func() {
+		c.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while the loop was still inside a save")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(w.release)
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return after the save finished")
+	}
+}
+
+// TestCheckpointNowSerializes: two CheckpointNow calls at once never
+// overlap inside Write — their bytes would interleave in one snapshot's
+// temp file or race the filter's lock discipline.
+func TestCheckpointNowSerializes(t *testing.T) {
+	w := newBlockingWrite()
+	c, err := New(Config{Path: filepath.Join(t.TempDir(), "state.bmf"), Write: w.write, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- c.CheckpointNow() }()
+	<-w.entered
+	go func() { errs <- c.CheckpointNow() }()
+	select {
+	case <-w.entered:
+		t.Error("a second save entered Write while the first was inside it")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(w.release)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStopDuringRetryBackoff: a save round waiting out its retry backoff
+// gives up as soon as Stop is called, and Stop returns.
+func TestStopDuringRetryBackoff(t *testing.T) {
+	c, err := New(Config{Path: "/d/state.bmf", Write: testFilter(t, 10, 11).WriteSnapshot, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.fsys = &flakyFS{fileSystem: newMemFS(), failures: 1 << 30}
+	c.backoff = time.Hour
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().Failures == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the loop never attempted a save")
+		}
+	}
+	stopped := make(chan struct{})
+	go func() {
+		c.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop waited out an hour of retry backoff")
+	}
+	if s := c.Stats(); s.Attempts != 1 {
+		t.Errorf("attempts = %d, want 1 (the round abandoned at its first backoff)", s.Attempts)
+	}
+}
+
+// TestHeartbeatOncePerRound: the checkpoint probe beats once per round,
+// whether the round succeeded or failed after all its retries.
+func TestHeartbeatOncePerRound(t *testing.T) {
+	beats := 0
+	c, err := New(Config{Path: "/d/state.bmf", Write: testFilter(t, 10, 12).WriteSnapshot, Interval: time.Hour,
+		Heartbeat: func() { beats++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := &flakyFS{fileSystem: newMemFS()}
+	c.fsys = fsys
+	c.backoff = time.Microsecond
+	if err := c.CheckpointNow(); err != nil || beats != 1 {
+		t.Fatalf("a successful round: %v, %d beats, want 1", err, beats)
+	}
+	fsys.failures = 1 + saveRetries
+	if err := c.CheckpointNow(); err == nil || beats != 2 {
+		t.Fatalf("a failed round of %d attempts: %v, %d beats, want 2", 1+saveRetries, err, beats)
 	}
 }
 

@@ -271,7 +271,7 @@ func (p *Pump) Run() error {
 	// supervisor has already retried everything survivable — and is logged
 	// with its error class before it surfaces.
 	err := p.srcErr
-	if errors.Is(err, io.EOF) || errors.Is(err, capture.ErrClosed) {
+	if errors.Is(err, io.EOF) {
 		return nil
 	}
 	if p.logf != nil {

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bitmapfilter/internal/capture"
 )
@@ -121,6 +123,27 @@ func TestBufferCopiesAliasedFrames(t *testing.T) {
 	}
 }
 
+// TestBufferOwnsQueuedBytes: the intake reads every batch into the same
+// ring, so a queued frame must be a copy — the next read rewriting that
+// ring leaves what the reader gets untouched.
+func TestBufferOwnsQueuedBytes(t *testing.T) {
+	b := newDetachedBuffer(8)
+	frames := burst(4)
+	b.push(frames)
+	for i := range frames {
+		fillFrame(&frames[i], 100+i) // the intake's next read, into the same ring
+	}
+	ring := capture.NewRing(4, 64)
+	if n, err := b.ReadBatch(ring); n != 4 || err != nil {
+		t.Fatalf("read = %d, %v", n, err)
+	}
+	for i, f := range ring {
+		if f.Data[0] != byte(i) {
+			t.Errorf("frame %d reads %d: the queue kept the intake's buffer, not a copy", i, f.Data[0])
+		}
+	}
+}
+
 // TestBufferOrderPreserved: the circular queue must not reorder or
 // corrupt frames across wrap-around.
 func TestBufferOrderPreserved(t *testing.T) {
@@ -178,6 +201,32 @@ func TestBufferWatermarkHysteresis(t *testing.T) {
 	}
 	if st.MaxDepth != 9 {
 		t.Errorf("max depth = %d, want 9", st.MaxDepth)
+	}
+}
+
+// TestBufferShedLogRateLimited: a queue flapping across its watermarks
+// logs only the power-of-two events — 1,000 of them, at most 11 lines
+// entering overload — while ShedEvents counts every one.
+func TestBufferShedLogRateLimited(t *testing.T) {
+	b := newDetachedBuffer(10) // high=9, low=7
+	entered := 0
+	b.cfg.Logf = func(format string, _ ...any) {
+		if strings.HasPrefix(format, "overload:") {
+			entered++
+		}
+	}
+	ring := capture.NewRing(2, 64)
+	for i := 0; i < 1000; i++ {
+		b.push(burst(10)) // fills to the high watermark and sheds
+		if n, err := b.ReadBatch(ring); n != 2 || err != nil {
+			t.Fatalf("pop = %d, %v", n, err)
+		}
+	}
+	if st := b.Stats(); st.ShedEvents != 1000 {
+		t.Fatalf("shed events = %d, want 1000", st.ShedEvents)
+	}
+	if entered > 11 {
+		t.Errorf("1000 shed events logged %d times, want at most 11", entered)
 	}
 }
 
@@ -335,7 +384,12 @@ func TestBufferReaderWakesOnClose(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; !errors.Is(err, io.EOF) {
-		t.Errorf("read after Close = %v, want io.EOF", err)
+	select {
+	case err := <-done:
+		if !errors.Is(err, io.EOF) {
+			t.Errorf("read after Close = %v, want io.EOF", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked reader never woke")
 	}
 }

@@ -1,7 +1,7 @@
 package resilience
 
-// The chaos harness: injected source failures, stalls, partial reads,
-// clock jumps and slow filters driven through the full supervised stack
+// The chaos harness: injected source failures, stalls, partial reads
+// and slow filters driven through the full supervised stack
 // (Supervisor feeding Buffer feeding a consumer), asserting the daemon
 // contract — survive transient chaos with bounded backoff, shed
 // deterministically under overload, flag stalls, and leak nothing.
@@ -53,14 +53,7 @@ func TestChaosSurvivesThousandTransientFailures(t *testing.T) {
 		wantFailures = 1000
 	)
 	src := &flakySource{total: wantFrames, perRead: 2, errEvery: 2, err: errTransient}
-	sl := newInstantSleep()
-	sup, err := NewSupervisor(SupervisorConfig{
-		Open:  func() (capture.Source, error) { return src, nil },
-		Sleep: sl.sleep,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup, sl := mustSupervisor(t, src, nil)
 	buf := NewBuffer(sup, BufferConfig{Capacity: 4096, SnapLen: 64})
 
 	got := drain(t, buf)
@@ -83,18 +76,17 @@ func TestChaosSurvivesThousandTransientFailures(t *testing.T) {
 	}
 
 	// Bounded backoff: because a success always intervened, every sleep
-	// is from the bottom of the ladder (base ± jitter).
+	// is the bottom of the ladder.
 	if len(sl.slept) != wantFailures {
 		t.Fatalf("recorded %d backoff sleeps, want %d", len(sl.slept), wantFailures)
 	}
-	maxAllowed := time.Duration(float64(baseBackoff) * (1 + backoffJitter))
 	for i, d := range sl.slept {
-		if d <= 0 || d > maxAllowed {
-			t.Fatalf("backoff %d = %v, want (0, %v]", i, d, maxAllowed)
+		if d != baseBackoff {
+			t.Fatalf("backoff %d = %v, want %v", i, d, baseBackoff)
 		}
 	}
-	if st.BackoffTotal > time.Duration(wantFailures)*maxAllowed {
-		t.Errorf("backoff total %v exceeds the bound", st.BackoffTotal)
+	if want := time.Duration(wantFailures) * baseBackoff; st.BackoffTotal != want {
+		t.Errorf("backoff total %v, want %v", st.BackoffTotal, want)
 	}
 
 	bst := buf.Stats()
@@ -120,8 +112,7 @@ func TestChaosReopenStorm(t *testing.T) {
 		sources   = 250
 	)
 	opens := 0
-	sl := newInstantSleep()
-	sup, err := NewSupervisor(SupervisorConfig{
+	sup, _ := supervise(t, SupervisorConfig{
 		Open: func() (capture.Source, error) {
 			opens++
 			if opens > sources {
@@ -129,11 +120,7 @@ func TestChaosReopenStorm(t *testing.T) {
 			}
 			return &dyingSource{healthy: perSource, err: errTransient}, nil
 		},
-		Sleep: sl.sleep,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := drain(t, sup)
 	if want := perSource * sources; got != want {
 		t.Errorf("delivered %d frames across the reopen storm, want %d", got, want)
@@ -155,24 +142,17 @@ func TestChaosSlowFilterOverload(t *testing.T) {
 
 	const total = 5000
 	src := &flakySource{total: total, perRead: 32, errEvery: 7, err: errTransient}
-	sl := newInstantSleep()
-	sup, err := NewSupervisor(SupervisorConfig{
-		Open:  func() (capture.Source, error) { return src, nil },
-		Sleep: sl.sleep,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup, _ := mustSupervisor(t, src, nil)
 	buf := NewBuffer(sup, BufferConfig{Capacity: 200, SnapLen: 64})
 
 	// The slow filter: refuses to read until the whole burst has been
 	// pushed or shed, then drains.
-	for {
-		st := buf.Stats()
-		if st.Accepted+st.Shed == total {
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		if st := buf.Stats(); st.Accepted+st.Shed == total {
 			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("the burst never reached the buffer: %+v", st)
 		}
-		runtime.Gosched()
 	}
 	st := buf.Stats()
 	if st.Accepted != 180 { // high watermark of 200
@@ -234,21 +214,29 @@ func TestChaosQuietSourceIsNotAStall(t *testing.T) {
 	if ok, detail := h.Live(); !ok {
 		t.Errorf("not live after a frame: %s", detail)
 	}
-	buf.Close()
-	drain(t, buf) // consume the EOF so the intake goroutine exits
-	sup.Close()
+	closed := make(chan struct{})
+	go func() {
+		buf.Close() // closes the supervisor, and through it the parked source
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close never woke the intake parked in the quiet source")
+	}
+	drain(t, buf)
 
 	wd = NewWatchdog(clk.fn())
 	fails := wd.Heartbeat("failing", 100*time.Millisecond)
-	sup, err = NewSupervisor(SupervisorConfig{
+	sup, _ = supervise(t, SupervisorConfig{
 		Open:  func() (capture.Source, error) { return &flakySource{errEvery: 1, err: errTransient}, nil },
-		Sleep: clk.advance,
 		Probe: fails,
 	})
-	if err != nil {
-		t.Fatal(err)
+	sup.wake = func(d time.Duration) <-chan time.Time {
+		clk.advance(d)
+		return awake
 	}
-	if _, err := sup.ReadBatch(ring); !errors.Is(err, ErrExhausted) {
+	if _, err := readBounded(t, sup, ring); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("a source that only fails: %v, want ErrExhausted", err)
 	}
 	if ok, detail := NewHealth(wd).Live(); ok || !strings.Contains(detail, "failing") {
@@ -263,14 +251,7 @@ func TestChaosPartialReads(t *testing.T) {
 
 	const total = 300
 	src := &flakySource{total: total, perRead: 1, errEvery: 3, err: errTransient}
-	sl := newInstantSleep()
-	sup, err := NewSupervisor(SupervisorConfig{
-		Open:  func() (capture.Source, error) { return src, nil },
-		Sleep: sl.sleep,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sup, _ := mustSupervisor(t, src, nil)
 	buf := NewBuffer(sup, BufferConfig{Capacity: 512, SnapLen: 64})
 
 	ring := capture.NewRing(8, 64)

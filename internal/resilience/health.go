@@ -60,14 +60,11 @@ func NewHealth(wd *Watchdog) *Health {
 // was attached) so metrics exporters can render per-probe series.
 func (h *Health) Watchdog() *Watchdog { return h.wd }
 
-// SetState moves the lifecycle state machine.
-func (h *Health) SetState(s State) { h.state.Store(uint32(s)) }
+// SetReady moves the lifecycle to StateReady.
+func (h *Health) SetReady() { h.state.Store(uint32(StateReady)) }
 
-// SetReady is shorthand for SetState(StateReady).
-func (h *Health) SetReady() { h.SetState(StateReady) }
-
-// SetDraining is shorthand for SetState(StateDraining).
-func (h *Health) SetDraining() { h.SetState(StateDraining) }
+// SetDraining moves the lifecycle to StateDraining.
+func (h *Health) SetDraining() { h.state.Store(uint32(StateDraining)) }
 
 // State returns the current lifecycle state.
 func (h *Health) State() State { return State(h.state.Load()) }

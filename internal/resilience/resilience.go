@@ -6,8 +6,8 @@
 // This package makes the packet plane survive the attack it observes:
 //
 //   - Supervisor wraps any capture.Source with error classification
-//     (transient vs. fatal), bounded retry with jittered exponential
-//     backoff, and reopen-on-failure through a factory, so a flapping
+//     (transient vs. fatal), bounded retry with exponential backoff,
+//     and reopen-on-failure through a factory, so a flapping
 //     AF_PACKET socket or a truncated pcap no longer kills the daemon.
 //   - Buffer is a bounded frame-ring stage with watermark-based
 //     shedding: a frame shed under overload is counted and never
@@ -23,9 +23,9 @@
 //	buf := resilience.NewBuffer(sup, resilience.BufferConfig{Capacity: 8192})
 //	// feed buf to the same pump loop that read the raw source before
 //
-// Everything is deterministic given injected hooks: the backoff jitter
-// is seeded, sleeps and clocks are injectable, so the chaos tests drive
-// thousands of failures without wall-clock time.
+// Everything is deterministic given injected hooks: the backoff is a fixed
+// ladder, and its timer and the watchdog's clock are injectable, so the
+// chaos tests drive thousands of failures without wall-clock time.
 package resilience
 
 import (
@@ -45,7 +45,7 @@ type Class uint8
 
 const (
 	// ClassEOF is a clean end of stream: a finite trace fully replayed,
-	// or the source deliberately closed. The supervisor propagates
+	// or the source deliberately closed (io.EOF). The supervisor propagates
 	// io.EOF and the daemon drains out.
 	ClassEOF Class = iota
 	// ClassTransient is a recoverable hiccup: an interrupted syscall, a
@@ -75,10 +75,10 @@ func (c Class) String() string {
 	}
 }
 
-// Classify triages one source error for the Supervisor. The decisions
-// the chaos and capture tests pin:
+// Classify triages one source error (never nil) for the Supervisor. The
+// decisions the chaos and capture tests pin:
 //
-//   - io.EOF and capture.ErrClosed end the stream cleanly (ClassEOF).
+//   - io.EOF ends the stream cleanly (ClassEOF).
 //   - pcap.ErrBadMagic and pcap.ErrBadVersion mean the input is not a
 //     readable pcap at all: fatal.
 //   - capture.ErrTraceFault — a mapped trace truncated under the replay —
@@ -99,9 +99,7 @@ func (c Class) String() string {
 //     AF_PACKET backend's own retry behavior has them.
 func Classify(err error) Class {
 	switch {
-	case err == nil:
-		return ClassEOF
-	case errors.Is(err, io.EOF), errors.Is(err, capture.ErrClosed):
+	case errors.Is(err, io.EOF):
 		return ClassEOF
 	case errors.Is(err, pcap.ErrBadMagic), errors.Is(err, pcap.ErrBadVersion):
 		return ClassFatal

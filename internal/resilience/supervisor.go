@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bitmapfilter/internal/capture"
-	"bitmapfilter/internal/xrand"
 )
 
 // The supervisor's retry policy.
@@ -27,11 +26,6 @@ const (
 	baseBackoff = 5 * time.Millisecond
 	// maxBackoff caps the exponential backoff.
 	maxBackoff = 2 * time.Second
-	// backoffJitter is the ± fraction each backoff is perturbed by, so a
-	// fleet of supervised sources does not hammer a shared upstream in
-	// lockstep; backoffSeed drives it deterministically.
-	backoffJitter = 0.2
-	backoffSeed   = 1
 )
 
 // ErrExhausted is returned (wrapped, with the last source error) when
@@ -55,10 +49,6 @@ type SupervisorConfig struct {
 	// caller's ring passes from each source to the next, and one that an
 	// aliasing source used must not reach a filling one (capture.Source).
 	Open func() (capture.Source, error)
-	// Sleep replaces the interruptible backoff sleep; tests inject an
-	// instant recorder. The default sleeps on a timer and wakes early
-	// when the supervisor is closed.
-	Sleep func(time.Duration)
 	// Probe, when set, is the capture loop's liveness signal: idle exactly
 	// while the supervisor is inside the underlying source's ReadBatch —
 	// a quiet link parks there, and an idle link is not a stall — and
@@ -101,7 +91,8 @@ type SupervisorStats struct {
 // the sources it wraps.
 type Supervisor struct {
 	cfg SupervisorConfig
-	rng *xrand.Rand
+	// wake is the backoff's timer: time.After, or a test's channel.
+	wake func(time.Duration) <-chan time.Time
 
 	mu  sync.Mutex     // guards src against Close racing reopen
 	src capture.Source //bf:guardedby mu
@@ -118,9 +109,7 @@ type Supervisor struct {
 	reads, frames, transient, reopens, reopenFails, fatals atomic.Uint64
 	backoffs                                               atomic.Uint64
 	backoffTotal                                           atomic.Int64 // ns
-
-	errMu   sync.Mutex
-	lastErr string //bf:guardedby errMu
+	lastErr                                                atomic.Pointer[string]
 }
 
 var _ capture.Source = (*Supervisor)(nil)
@@ -133,23 +122,22 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	}
 	return &Supervisor{
 		cfg:  cfg,
-		rng:  xrand.New(backoffSeed),
+		wake: time.After,
 		stop: make(chan struct{}),
 	}, nil
 }
 
 // ReadBatch implements capture.Source. The happy path is a straight
-// passthrough to the underlying source (no locks, no allocations);
-// failures are classified, retried with jittered exponential backoff,
-// and survived by reopening through the factory until the consecutive
-// failure budget runs out.
+// passthrough to the underlying source (one uncontended lock to load it,
+// no allocations); failures are classified, retried with exponential
+// backoff, and survived by reopening through the factory until the
+// consecutive failure budget runs out.
 func (s *Supervisor) ReadBatch(frames []capture.Frame) (int, error) {
 	for {
-		if s.closed.Load() {
-			return 0, io.EOF
-		}
 		src := s.current()
 		if src == nil {
+			// Before the first open, after a reopen decision, or after
+			// Close, which reopen reports as io.EOF.
 			if err := s.reopen(); err != nil {
 				return 0, err
 			}
@@ -160,48 +148,44 @@ func (s *Supervisor) ReadBatch(frames []capture.Frame) (int, error) {
 			s.noteSuccess(n)
 			return n, nil
 		}
-		switch Classify(err) {
-		case ClassEOF:
-			// Deliver any frames that rode along with the clean close.
-			if n > 0 {
-				s.noteSuccess(n)
-				return n, nil
-			}
-			return 0, io.EOF
+		class := Classify(err)
+		switch class {
 		case ClassFatal:
 			s.fatals.Add(1)
 			s.setLastErr(err)
 			s.logf("source error (fatal): %v", err)
 			s.closeSrc()
 			return 0, fmt.Errorf("resilience: fatal source error: %w", err)
-		default: // transient
+		case ClassTransient:
 			s.transient.Add(1)
 			s.setLastErr(err)
-			if n > 0 {
-				// Frames that arrived intact ahead of the error (a replay
-				// torn mid-batch has up to a ring of them) are a
-				// successful read: hand them on now, for the retry below
-				// would overwrite the ring. The error is counted; if it
-				// persists, the next call meets it with n == 0.
-				s.logf("source error (transient, after %d frames): %v", n, err)
-				s.noteSuccess(n)
-				return n, nil
-			}
-			s.consecutive++
-			s.srcErrs++
-			s.logf("source error (transient, %d consecutive): %v", s.consecutive, err)
-			if s.consecutive >= maxConsecutiveFailures {
-				s.closeSrc()
-				return 0, fmt.Errorf("%w (%d consecutive failures, last: %v)", ErrExhausted, s.consecutive, err)
-			}
-			if s.srcErrs >= reopenAfter {
-				// The source keeps failing: stop trusting it. The next
-				// loop iteration reopens through the factory.
-				s.closeSrc()
-			}
-			if !s.backoff() {
-				return 0, io.EOF // closed during backoff
-			}
+			s.logf("source error (transient; %d frames ahead of it, %d failures in a row before it): %v", n, s.consecutive, err)
+		}
+		if n > 0 {
+			// Frames that arrived intact ahead of a non-fatal error (a
+			// replay torn mid-batch has up to a ring of them) are a
+			// successful read: hand them on now, for a retry would
+			// overwrite the ring. An error that persists meets the next
+			// call with n == 0.
+			s.noteSuccess(n)
+			return n, nil
+		}
+		if class == ClassEOF {
+			return 0, io.EOF
+		}
+		s.consecutive++
+		s.srcErrs++
+		if s.consecutive >= maxConsecutiveFailures {
+			s.closeSrc()
+			return 0, fmt.Errorf("%w (%d consecutive failures, last: %v)", ErrExhausted, s.consecutive, err)
+		}
+		if s.srcErrs >= reopenAfter {
+			// The source keeps failing: stop trusting it. The next loop
+			// iteration reopens through the factory.
+			s.closeSrc()
+		}
+		if !s.backoff() {
+			return 0, io.EOF // closed during backoff
 		}
 	}
 }
@@ -271,29 +255,17 @@ func (s *Supervisor) noteSuccess(n int) {
 	}
 }
 
-// backoff sleeps the jittered exponential delay for the current
-// consecutive-failure count. It returns false if the supervisor was
-// closed while (or before) sleeping.
+// backoff sleeps the exponential delay for the current
+// consecutive-failure count: doubling from the base, capped. It returns
+// false if the supervisor was closed before or while sleeping.
 func (s *Supervisor) backoff() bool {
-	if s.closed.Load() {
-		return false
-	}
-	// Doubling from the base, capped; then uniform in [1-j, 1+j] × d,
-	// re-capped.
 	d := min(baseBackoff<<uint(min(s.consecutive-1, 20)), maxBackoff)
-	d = min(time.Duration(float64(d)*(1+backoffJitter*(2*s.rng.Float64()-1))), maxBackoff)
 	s.backoffs.Add(1)
 	s.backoffTotal.Add(int64(d))
-	if s.cfg.Sleep != nil {
-		s.cfg.Sleep(d)
-		return !s.closed.Load()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
 	case <-s.stop:
 		return false
-	case <-t.C:
+	case <-s.wake(d):
 		return true
 	}
 }
@@ -341,9 +313,8 @@ func (s *Supervisor) Close() error {
 }
 
 func (s *Supervisor) setLastErr(err error) {
-	s.errMu.Lock()
-	s.lastErr = err.Error()
-	s.errMu.Unlock()
+	msg := err.Error()
+	s.lastErr.Store(&msg)
 }
 
 func (s *Supervisor) logf(format string, args ...any) {
@@ -355,9 +326,10 @@ func (s *Supervisor) logf(format string, args ...any) {
 // Stats returns a copy of the counters. Safe to call concurrently with
 // the reader.
 func (s *Supervisor) Stats() SupervisorStats {
-	s.errMu.Lock()
-	lastErr := s.lastErr
-	s.errMu.Unlock()
+	var lastErr string
+	if p := s.lastErr.Load(); p != nil {
+		lastErr = *p
+	}
 	return SupervisorStats{
 		Reads:           s.reads.Load(),
 		Frames:          s.frames.Load(),

@@ -126,40 +126,70 @@ func (s *stallingSource) Close() error {
 	return nil
 }
 
-// instantSleep records requested backoffs without sleeping, keeping the
-// chaos runs wall-clock free.
-type instantSleep struct {
-	mu    chan struct{} // 1-token semaphore; tests are single-reader anyway
-	slept []time.Duration
-}
+// awake is a backoff timer that has already fired.
+var awake = func() <-chan time.Time {
+	c := make(chan time.Time)
+	close(c)
+	return c
+}()
 
-func newInstantSleep() *instantSleep {
-	return &instantSleep{mu: make(chan struct{}, 1)}
-}
+// instantSleep records requested backoffs and wakes at once, keeping the
+// chaos runs wall-clock free. One reader backs off at a time. Past 10,000
+// backoffs it never wakes: a supervisor that does not give up parks there,
+// and readBounded fails the test, instead of spinning the binary out of
+// memory.
+type instantSleep struct{ slept []time.Duration }
 
-func (s *instantSleep) sleep(d time.Duration) {
-	s.mu <- struct{}{}
+func (s *instantSleep) wake(d time.Duration) <-chan time.Time {
+	if len(s.slept) == 10_000 {
+		return nil
+	}
 	s.slept = append(s.slept, d)
-	<-s.mu
+	return awake
 }
 
-// mustSupervisor builds a supervisor over a fixed source with instant
-// sleeps.
-func mustSupervisor(t *testing.T, src capture.Source, mod func(*SupervisorConfig)) (*Supervisor, *instantSleep) {
+// readBounded is one ReadBatch that must return within 10 s.
+func readBounded(t *testing.T, src capture.Source, ring []capture.Frame) (int, error) {
 	t.Helper()
-	sl := newInstantSleep()
-	cfg := SupervisorConfig{
-		Open:  func() (capture.Source, error) { return src, nil },
-		Sleep: sl.sleep,
+	type result struct {
+		n   int
+		err error
 	}
-	if mod != nil {
-		mod(&cfg)
+	done := make(chan result, 1)
+	go func() {
+		n, err := src.ReadBatch(ring)
+		done <- result{n, err}
+	}()
+	select {
+	case r := <-done:
+		return r.n, r.err
+	case <-time.After(10 * time.Second):
+		t.Fatal("the read never returned: the failure budget did not run out")
+		return 0, nil
 	}
+}
+
+// supervise builds a supervisor from cfg whose backoffs are recorded and
+// not slept.
+func supervise(t *testing.T, cfg SupervisorConfig) (*Supervisor, *instantSleep) {
+	t.Helper()
 	sup, err := NewSupervisor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sl := &instantSleep{}
+	sup.wake = sl.wake
 	return sup, sl
+}
+
+// mustSupervisor supervises a fixed source.
+func mustSupervisor(t *testing.T, src capture.Source, mod func(*SupervisorConfig)) (*Supervisor, *instantSleep) {
+	t.Helper()
+	cfg := SupervisorConfig{Open: func() (capture.Source, error) { return src, nil }}
+	if mod != nil {
+		mod(&cfg)
+	}
+	return supervise(t, cfg)
 }
 
 // drain reads the supervisor to EOF, returning frames delivered.
@@ -190,7 +220,7 @@ func TestClassify(t *testing.T) {
 		want Class
 	}{
 		{io.EOF, ClassEOF},
-		{capture.ErrClosed, ClassEOF},
+		{fmt.Errorf("capture: %w", io.EOF), ClassEOF},
 		{fmt.Errorf("capture: %w", io.ErrUnexpectedEOF), ClassTransient},
 		{fmt.Errorf("capture: %w", pcap.ErrSnapLen), ClassTransient},
 		{fmt.Errorf("capture: %w", pcap.ErrBadMagic), ClassFatal},
@@ -310,8 +340,7 @@ func TestSupervisorDeliversFramesAheadOfTransientError(t *testing.T) {
 // replacement.
 func TestSupervisorReopensPersistentFailure(t *testing.T) {
 	opens := 0
-	sl := newInstantSleep()
-	sup, err := NewSupervisor(SupervisorConfig{
+	sup, _ := supervise(t, SupervisorConfig{
 		Open: func() (capture.Source, error) {
 			opens++
 			if opens == 1 {
@@ -319,11 +348,7 @@ func TestSupervisorReopensPersistentFailure(t *testing.T) {
 			}
 			return &flakySource{total: 10}, nil
 		},
-		Sleep: sl.sleep,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := drain(t, sup); got != 15 {
 		t.Errorf("delivered %d frames, want 5 + 10 across the reopen", got)
 	}
@@ -343,15 +368,10 @@ func TestSupervisorReopensPersistentFailure(t *testing.T) {
 // working source must exhaust the budget, not loop forever.
 func TestSupervisorFactoryFailuresBounded(t *testing.T) {
 	opens := 0
-	sl := newInstantSleep()
-	sup, err := NewSupervisor(SupervisorConfig{
-		Open:  func() (capture.Source, error) { opens++; return nil, errTransient },
-		Sleep: sl.sleep,
+	sup, _ := supervise(t, SupervisorConfig{
+		Open: func() (capture.Source, error) { opens++; return nil, errTransient },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rerr := sup.ReadBatch(capture.NewRing(1, 64))
+	_, rerr := readBounded(t, sup, capture.NewRing(1, 64))
 	if !errors.Is(rerr, ErrExhausted) {
 		t.Fatalf("err = %v, want ErrExhausted", rerr)
 	}
@@ -411,18 +431,14 @@ func TestSupervisorFatalReadError(t *testing.T) {
 
 // TestSupervisorExhaustion: a persistently failing source with a factory
 // that keeps handing the same broken source back must give up after the
-// budget, with the backoff ladder visibly exponential and capped: 5 ms
-// doubling to the 2 s cap, each step within its ±20 % jitter.
+// budget, with the backoff ladder exactly exponential and capped: 5 ms
+// doubling to the 2 s cap. The read is bounded here, so a supervisor that
+// never gives up fails the test instead of hanging the package.
 func TestSupervisorExhaustion(t *testing.T) {
-	sl := newInstantSleep()
-	sup, err := NewSupervisor(SupervisorConfig{
-		Open:  func() (capture.Source, error) { return &dyingSource{err: errTransient}, nil },
-		Sleep: sl.sleep,
+	sup, sl := supervise(t, SupervisorConfig{
+		Open: func() (capture.Source, error) { return &dyingSource{err: errTransient}, nil },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rerr := sup.ReadBatch(capture.NewRing(1, 64))
+	_, rerr := readBounded(t, sup, capture.NewRing(1, 64))
 	if !errors.Is(rerr, ErrExhausted) {
 		t.Fatalf("err = %v, want ErrExhausted", rerr)
 	}
@@ -431,9 +447,8 @@ func TestSupervisorExhaustion(t *testing.T) {
 	}
 	step := baseBackoff
 	for i, d := range sl.slept {
-		lo, hi := time.Duration(float64(step)*(1-backoffJitter)), min(time.Duration(float64(step)*(1+backoffJitter)), maxBackoff)
-		if d < lo || d > hi {
-			t.Errorf("backoff %d = %v, want %v ±%v%% within [%v, %v]", i, d, step, 100*backoffJitter, lo, hi)
+		if d != step {
+			t.Errorf("backoff %d = %v, want %v", i, d, step)
 		}
 		step = min(2*step, maxBackoff)
 	}
@@ -463,22 +478,23 @@ func TestSupervisorCloseDuringRead(t *testing.T) {
 	}
 }
 
-// TestSupervisorCloseDuringBackoff: the default interruptible sleep must
-// wake on Close instead of serving out the ladder — ≈14.5 s of backoff to
-// the give-up, far past the 5 s this waits.
+// TestSupervisorCloseDuringBackoff: Close must wake a reader out of its
+// backoff. The timer here never fires, so only Close can end the read.
 func TestSupervisorCloseDuringBackoff(t *testing.T) {
-	sup, err := NewSupervisor(SupervisorConfig{
+	sup, _ := supervise(t, SupervisorConfig{
 		Open: func() (capture.Source, error) { return &dyingSource{err: errTransient}, nil },
 	})
-	if err != nil {
-		t.Fatal(err)
+	backingOff := make(chan struct{})
+	sup.wake = func(time.Duration) <-chan time.Time {
+		close(backingOff)
+		return nil
 	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := sup.ReadBatch(capture.NewRing(1, 64))
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // reader reaches the backoff sleep
+	<-backingOff
 	sup.Close()
 	select {
 	case err := <-done:
@@ -486,7 +502,32 @@ func TestSupervisorCloseDuringBackoff(t *testing.T) {
 			t.Errorf("read = %v, want io.EOF after Close", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not interrupt the backoff sleep")
+		t.Fatal("Close did not interrupt the backoff")
+	}
+}
+
+// TestSupervisorClosesSourceOpenedAfterClose: a Close that lands while the
+// factory is opening a source must not leak that source — it is closed as
+// it is installed — and the read ends without opening another.
+func TestSupervisorClosesSourceOpenedAfterClose(t *testing.T) {
+	src := &flakySource{total: 10}
+	var sup *Supervisor
+	opens := 0
+	sup, _ = supervise(t, SupervisorConfig{
+		Open: func() (capture.Source, error) {
+			if opens++; opens > 1 {
+				t.Error("the factory was called again after Close")
+				return nil, fs.ErrNotExist // fatal: ends the read
+			}
+			sup.Close()
+			return src, nil
+		},
+	})
+	if n, err := sup.ReadBatch(capture.NewRing(1, 64)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Errorf("read = (%d, %v), want (0, io.EOF) after Close", n, err)
+	}
+	if !src.closed.Load() {
+		t.Error("the source opened across Close was left open")
 	}
 }
 

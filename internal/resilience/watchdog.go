@@ -19,9 +19,7 @@ const DefaultStallAfter = 30 * time.Second
 // The clock is injectable and monotonic by construction: the default
 // measures elapsed time since the watchdog was built (Go's monotonic
 // reading), so wall-clock jumps — NTP steps, VM pauses resumed with a
-// new wall time — cannot spuriously stall or un-stall probes, and a
-// probe observed with a clock that went backwards is rebased instead of
-// reported with a negative or absurd age.
+// new wall time — cannot spuriously stall or un-stall probes.
 type Watchdog struct {
 	now func() time.Duration
 
@@ -88,15 +86,17 @@ func (p *Probe) SetIdle(idle bool) {
 // Name returns the probe's registered name.
 func (p *Probe) Name() string { return p.name }
 
-// age returns time since the last beat on the watchdog clock, rebasing
-// if the clock went backwards (an injected or stepped clock).
-func (p *Probe) age(now time.Duration) time.Duration {
+// age returns the time since the last beat. The beat is loaded before the
+// clock is read, so on a monotonic clock the age is never negative.
+func (p *Probe) age() time.Duration {
 	last := time.Duration(p.last.Load())
-	if now < last {
-		p.last.Store(int64(now))
-		return 0
-	}
-	return now - last
+	return p.wd.now() - last
+}
+
+// stalled reports whether the probe, aged age, is past its threshold: a
+// probe parked idle never is.
+func (p *Probe) stalled(age time.Duration) bool {
+	return !p.idle.Load() && age > p.stallAfter
 }
 
 // Stall is one flagged probe.
@@ -112,53 +112,35 @@ type ProbeStatus struct {
 	Name    string
 	Beats   uint64
 	Age     time.Duration
-	Idle    bool
 	Stalled bool
+}
+
+// registered is the probes registered so far.
+func (w *Watchdog) registered() []*Probe {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.probes
 }
 
 // Check evaluates every probe now and returns the stalled ones (nil
 // when all healthy).
 func (w *Watchdog) Check() []Stall {
-	w.mu.Lock()
-	probes := w.probes
-	w.mu.Unlock()
-	now := w.now()
 	var stalls []Stall
-	for _, p := range probes {
-		if st := w.check(p, now); st != nil {
-			stalls = append(stalls, *st)
+	for _, p := range w.registered() {
+		if age := p.age(); p.stalled(age) {
+			stalls = append(stalls, Stall{Name: p.name, Age: age})
 		}
 	}
 	return stalls
 }
 
-// check evaluates one probe.
-func (w *Watchdog) check(p *Probe, now time.Duration) *Stall {
-	if p.idle.Load() {
-		return nil
-	}
-	if age := p.age(now); age > p.stallAfter {
-		return &Stall{Name: p.name, Age: age}
-	}
-	return nil
-}
-
 // Status reports every probe's state (for /metrics and /stats).
 func (w *Watchdog) Status() []ProbeStatus {
-	w.mu.Lock()
-	probes := w.probes
-	w.mu.Unlock()
-	now := w.now()
+	probes := w.registered()
 	out := make([]ProbeStatus, 0, len(probes))
 	for _, p := range probes {
-		stalled := w.check(p, now) != nil
-		out = append(out, ProbeStatus{
-			Name:    p.name,
-			Beats:   p.beats.Load(),
-			Age:     p.age(now),
-			Idle:    p.idle.Load(),
-			Stalled: stalled,
-		})
+		age := p.age()
+		out = append(out, ProbeStatus{Name: p.name, Beats: p.beats.Load(), Age: age, Stalled: p.stalled(age)})
 	}
 	return out
 }
